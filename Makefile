@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build test race race-setup race-serve race-shard race-rpc race-route race-feedback api-compat crash-recovery differential-blocked no-skip vet bench bench-setup bench-setup-scale bench-shard bench-rpc bench-route bench-feedback fuzz experiments
+.PHONY: check build test race race-setup race-serve race-topology race-feedback api-compat crash-recovery differential-blocked no-skip vet bench bench-setup bench-setup-scale bench-route bench-feedback fuzz experiments
 
-check: vet build race race-setup race-serve race-shard race-rpc race-route race-feedback api-compat crash-recovery differential-blocked no-skip fuzz
+check: vet build race race-setup race-serve race-topology race-feedback api-compat crash-recovery differential-blocked no-skip fuzz
 
 vet:
 	$(GO) vet ./...
@@ -36,32 +36,20 @@ race-setup:
 race-serve:
 	$(GO) test -race -count=2 -run 'TestSnapshotIsolationSoak|TestSnapshotStableAcrossCommits|TestConcurrentQueriesWithIncrementalAdd|TestQueryDeadline|TestAdmissionControl' ./internal/core ./internal/httpapi
 
-# Scatter-gather gate: the sharded serving soak (concurrent fan-out
-# readers racing feedback/add/remove mutators) under the race detector,
-# rerun so a lucky scheduling interleave can't hide a race, then the
-# differential and crash-recovery batteries in short form.
-race-shard:
-	$(GO) test -race -count=2 -run 'TestScatterGatherSoak' ./internal/shard
-	$(GO) test -race -short -run 'TestDifferentialScatterGather|TestCrashRecovery' ./internal/shard
-
-# Networked scatter-gather gate: the over-the-wire differential battery
-# (coordinator → HTTP shard hosts, compared bit-for-bit against the
-# single-core oracle), the fault-injection matrix (drops, truncated
-# bodies, slow hosts, lost responses), and the WAL-shipping replica
-# suite, all under the race detector.
-race-rpc:
-	$(GO) test -race -short -run 'TestNetworkedDifferential|TestCoordinatorConformance' ./internal/shardrpc
-	$(GO) test -race -run 'TestQuery|TestFeedbackNeverRetried|TestStructuralRetryDoesNotDoubleApply|TestProtocolMismatchRefused|TestWALEndpointErrorPaths' ./internal/shardrpc
-	$(GO) test -race ./internal/replica ./internal/client
-
-# Replica read-routing gate: failover bit-identity, staleness refusal,
-# balanced reads within the bound, the routed bound-0 differential, the
-# per-shard candidates-limit merge, and the op-timeout contract — then
-# the mixed readers/writer/prober/fault-toggler soak under the race
-# detector, rerun so a lucky scheduling interleave can't hide a race.
-race-route:
-	$(GO) test -race -run 'TestReplicaFailoverServesReads|TestLaggingReplicaRefused|TestBalancedReplicaReadsWithinBound|TestRoutedDifferentialBoundZero|TestCandidatesPerShardLimitMerge|TestMutationOpTimeout' ./internal/shardrpc
-	$(GO) test -race -count=2 -run 'TestRouteSoak' ./internal/shardrpc
+# Topology gate — one coordinator (internal/shard), so one gate, run
+# over both of its transports and the replica tier under the race
+# detector. The packages' whole suites run once: the in-process and
+# networked differentials against the single-core oracle, the crash
+# matrix at every journal stage, the gather contract, the fault-injection
+# matrix (drops, truncated bodies, slow and hung hosts, lost responses),
+# read routing / failover / staleness refusal, and the WAL-shipping
+# replica suite. Then the two soaks (concurrent fan-out readers racing
+# feedback/add/remove mutators; routed readers, a writer, the prober and
+# a fault toggler) rerun so a lucky scheduling interleave can't hide a
+# race.
+race-topology:
+	$(GO) test -race -short ./internal/shard ./internal/shardrpc ./internal/replica ./internal/client ./internal/httpapi/...
+	$(GO) test -race -count=2 -run 'TestScatterGatherSoak|TestRouteSoak' ./internal/shard ./internal/shardrpc
 
 # Blocked-vs-dense gate: the LSH-banded sparse similarity matrix must be
 # bit-identical to the exhaustive dense fill on the randomized corpus
@@ -134,37 +122,6 @@ bench-setup-scale:
 	      printf "}" \
 	    } \
 	    END { print "\n]" }' > BENCH_setup_scale.json
-
-# Scatter-gather benchmark (1 vs 4 vs 8 shards over the Figure 7
-# synthetic corpus); snapshots the raw lines as JSON into BENCH_shard.json.
-bench-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkScatterGather' -benchmem -benchtime=20x ./internal/shard \
-	  | tee /dev/stderr \
-	  | awk 'BEGIN { print "[" } \
-	    /^BenchmarkScatterGather/ { \
-	      printf "%s", comma; comma=",\n"; \
-	      n=split($$1, a, "/"); \
-	      printf "  {\"case\": \"%s\", \"iters\": %s", a[n], $$2; \
-	      for (i = 3; i < NF; i += 2) { printf ", \"%s\": %s", $$(i+1), $$i } \
-	      printf "}" \
-	    } \
-	    END { print "\n]" }' > BENCH_shard.json
-
-# Networked vs in-process scatter-gather (coordinator → loopback HTTP
-# shard hosts against the in-process fan-out, shards 2/4/8); snapshots
-# the raw lines as JSON into BENCH_rpc.json.
-bench-rpc:
-	$(GO) test -run '^$$' -bench 'BenchmarkScatterGatherRPC' -benchmem -benchtime=20x ./internal/shardrpc \
-	  | tee /dev/stderr \
-	  | awk 'BEGIN { print "[" } \
-	    /^BenchmarkScatterGatherRPC/ { \
-	      printf "%s", comma; comma=",\n"; \
-	      n=split($$1, a, "/"); \
-	      printf "  {\"case\": \"%s/%s\", \"iters\": %s", a[n-1], a[n], $$2; \
-	      for (i = 3; i < NF; i += 2) { printf ", \"%s\": %s", $$(i+1), $$i } \
-	      printf "}" \
-	    } \
-	    END { print "\n]" }' > BENCH_rpc.json
 
 # Routed read throughput on one shard plus one replica (primary-only at
 # bound 0 vs replica-balanced under a generous bound, parallel readers);

@@ -79,6 +79,24 @@ func (e *Engine) ExplainCtx(ctx context.Context, in PMedInput, q *sqlparse.Query
 			}
 		}
 	}
+	return MergeContributions(out), nil
+}
+
+// MergeContributions concatenates per-partition contribution lists and
+// orders them the way Explain reports provenance: mass descending, then
+// source, then schema index. It is the only place that order is defined —
+// the engine sorts its own list through it and a scatter-gather
+// coordinator merges its shards' lists through it. Order among
+// contributions tied on all three keys is not pinned.
+func MergeContributions(parts ...[]Contribution) []Contribution {
+	var out []Contribution
+	if len(parts) == 1 {
+		out = parts[0] // a lone list is sorted in place
+	} else {
+		for _, cs := range parts {
+			out = append(out, cs...)
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Mass != out[j].Mass {
 			return out[i].Mass > out[j].Mass
@@ -88,7 +106,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, in PMedInput, q *sqlparse.Query
 		}
 		return out[i].SchemaIdx < out[j].SchemaIdx
 	})
-	return out, nil
+	return out
 }
 
 // rowsProducing rewrites q under the assignment and returns the rows whose

@@ -8,7 +8,6 @@ import (
 	"udi/internal/answer"
 	"udi/internal/consolidate"
 	"udi/internal/keyword"
-	"udi/internal/mediate"
 	"udi/internal/obs"
 	"udi/internal/pmapping"
 	"udi/internal/schema"
@@ -142,13 +141,12 @@ func (s *System) addSourcesLocked(srcs []*schema.Source, ops []Op) (bool, error)
 	s.refreshSimHubs(corpus)
 
 	sp := trace.Child("mediate")
-	med, err := mediate.Generate(corpus, s.medConfig())
+	med, fast, err := PlanMediation(s.Med.PMed, corpus, s.medConfig())
 	if err != nil {
 		sp.End()
 		return false, fmt.Errorf("core: %w", err)
 	}
-
-	rebuild := func() (bool, error) {
+	if !fast {
 		sp.End()
 		s.Cfg.Obs.Add("add_source.rebuild", 1)
 		rebuilt, err := Setup(corpus, s.Cfg)
@@ -169,19 +167,8 @@ func (s *System) addSourcesLocked(srcs []*schema.Source, ops []Op) (bool, error)
 		}
 		return false, nil
 	}
-
-	if !sameSchemaSet(s.Med.PMed, med.PMed) {
-		return rebuild()
-	}
-	probs := mediate.AssignProbabilities(s.Med.PMed.Schemas, corpus)
-	pmed, err := schema.NewPMedSchema(s.Med.PMed.Schemas, probs)
-	if err != nil {
-		// A schema's probability dropped to zero with the new counts; the
-		// schema set effectively changed, so rebuild.
-		return rebuild()
-	}
 	oldMed := s.Med
-	s.Med = &mediate.Result{PMed: pmed, Graph: med.Graph, FrequentAttrs: med.FrequentAttrs}
+	s.Med = med
 	// Probabilities shifted: cached consolidations are stale (the
 	// p-mapping dedup cache stays valid — clusterings are unchanged).
 	// Cache invalidation is value-neutral, so it may precede logging.

@@ -56,12 +56,12 @@ func (s *System) addSourceLocked(src *schema.Source) (bool, error) {
 	s.extendSims(src.Attrs)
 	s.refreshSimHubs(corpus)
 	sp := trace.Child("mediate")
-	med, err := mediate.Generate(corpus, s.medConfig())
+	med, fast, err := PlanMediation(s.Med.PMed, corpus, s.medConfig())
 	if err != nil {
 		return false, fmt.Errorf("core: %w", err)
 	}
-	if !sameSchemaSet(s.Med.PMed, med.PMed) {
-		// Clustering changed: full rebuild.
+	if !fast {
+		// The clustering set changed: full rebuild.
 		s.Cfg.Obs.Add("add_source.rebuild", 1)
 		rebuilt, err := Setup(corpus, s.Cfg)
 		if err != nil {
@@ -70,25 +70,10 @@ func (s *System) addSourceLocked(src *schema.Source) (bool, error) {
 		s.adopt(rebuilt)
 		return false, nil
 	}
-
-	// Fast path: clusterings unchanged. Keep the existing schema order
-	// (Maps are indexed by it) and refresh the probabilities with the new
-	// source counted.
-	probs := mediate.AssignProbabilities(s.Med.PMed.Schemas, corpus)
-	pmed, err := schema.NewPMedSchema(s.Med.PMed.Schemas, probs)
-	if err != nil {
-		// A schema's probability dropped to zero with the new counts; the
-		// schema set effectively changed, so rebuild.
-		s.Cfg.Obs.Add("add_source.rebuild", 1)
-		rebuilt, serr := Setup(corpus, s.Cfg)
-		if serr != nil {
-			return false, serr
-		}
-		s.adopt(rebuilt)
-		return false, nil
-	}
+	// Fast path: med keeps the existing schema order (Maps are indexed by
+	// it) with the probabilities refreshed to count the new source.
 	oldMed := s.Med
-	s.Med = &mediate.Result{PMed: pmed, Graph: med.Graph, FrequentAttrs: med.FrequentAttrs}
+	s.Med = med
 	// Consolidation scales mapping probabilities by Pr(M_i), which the new
 	// source just shifted, so cached consolidations no longer match the
 	// current p-med-schema. The p-mapping dedup cache stays valid: Build
@@ -176,12 +161,12 @@ func (s *System) removeSourceLocked(name string) (bool, error) {
 		return false, fmt.Errorf("core: %w", err)
 	}
 
-	med, err := mediate.Generate(corpus, s.medConfig())
+	med, fast, err := PlanMediation(s.Med.PMed, corpus, s.medConfig())
 	if err != nil {
 		// The shrunken corpus may no longer have frequent attributes.
 		return false, fmt.Errorf("core: %w", err)
 	}
-	if !sameSchemaSet(s.Med.PMed, med.PMed) {
+	if !fast {
 		rebuilt, err := Setup(corpus, s.Cfg)
 		if err != nil {
 			return false, err
@@ -189,17 +174,7 @@ func (s *System) removeSourceLocked(name string) (bool, error) {
 		s.adopt(rebuilt)
 		return false, nil
 	}
-	probs := mediate.AssignProbabilities(s.Med.PMed.Schemas, corpus)
-	pmed, err := schema.NewPMedSchema(s.Med.PMed.Schemas, probs)
-	if err != nil {
-		rebuilt, serr := Setup(corpus, s.Cfg)
-		if serr != nil {
-			return false, serr
-		}
-		s.adopt(rebuilt)
-		return false, nil
-	}
-	s.Med = &mediate.Result{PMed: pmed, Graph: med.Graph, FrequentAttrs: med.FrequentAttrs}
+	s.Med = med
 	// Schema probabilities shifted; drop cached consolidations (see
 	// AddSource). The interned matrices keep the departed source's names —
 	// extra exact entries are harmless.
@@ -223,6 +198,34 @@ func (s *System) removeSourceLocked(name string) (bool, error) {
 	s.Trace.Adopt(trace)
 	s.Cfg.Obs.Add("remove_source.fast", 1)
 	return true, nil
+}
+
+// PlanMediation is the one fast-vs-rebuild decision every structural
+// mutation makes — the single-core add/remove paths here, the shard
+// coordinator's live mutation and its journal redo. pre is the
+// p-med-schema being served, corpus the post-mutation corpus: Algorithm 1
+// regenerates the clusterings over it, and when they reproduce pre's set
+// the mutation is incremental (fast): med keeps pre's schema sequence —
+// p-mappings are indexed by it — with Algorithm 2's probabilities
+// recounted over corpus. Otherwise, or when a recounted probability hit
+// zero (the set effectively changed), the caller must rebuild from
+// scratch and med is the freshly generated result. An error means the
+// corpus cannot be mediated at all (no frequent attributes); the mutation
+// must be refused with no change.
+func PlanMediation(pre *schema.PMedSchema, corpus *schema.Corpus, cfg mediate.Config) (med *mediate.Result, fast bool, err error) {
+	gen, err := mediate.Generate(corpus, cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	if !sameSchemaSet(pre, gen.PMed) {
+		return gen, false, nil
+	}
+	probs := mediate.AssignProbabilities(pre.Schemas, corpus)
+	pmed, err := schema.NewPMedSchema(pre.Schemas, probs)
+	if err != nil {
+		return gen, false, nil
+	}
+	return &mediate.Result{PMed: pmed, Graph: gen.Graph, FrequentAttrs: gen.FrequentAttrs}, true, nil
 }
 
 // sameSchemaSet reports whether two p-med-schemas contain the same

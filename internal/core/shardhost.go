@@ -27,12 +27,6 @@ import (
 	"udi/internal/storage"
 )
 
-// SameSchemaSet reports whether two p-med-schemas contain the same
-// clusterings (probabilities ignored) — the fast-path test AddSource and
-// RemoveSource apply, exported for the shard coordinator which makes the
-// same decision globally.
-func SameSchemaSet(a, b *schema.PMedSchema) bool { return sameSchemaSet(a, b) }
-
 // NewEmptyShard builds a servable System over zero sources: the state of
 // a shard no source hashes to. It carries the global mediation so its
 // /v1-visible schema agrees with its peers; queries over it return empty
@@ -45,85 +39,26 @@ func NewEmptyShard(domain string, cfg Config, med *mediate.Result, target *schem
 	return Restore(corpus, cfg, med, map[string][]*pmapping.PMapping{}, target, nil)
 }
 
-// ShardAdoptSource commits a coordinator-directed source adoption: the
-// shard gains src and switches to the coordinator's refreshed mediation
-// (same clusterings, recounted probabilities — the AddSource fast path
-// evaluated globally). The shard builds only what is local to it: the new
-// source's p-mappings, tables, indexes, and consolidated p-mapping.
-// Existing sources' artifacts are reused exactly as addSourceLocked would.
-func (s *System) ShardAdoptSource(src *schema.Source, med *mediate.Result) error {
-	return s.commit("shard_adopt", nil, func() error { return s.shardAdoptLocked(src, med) })
-}
-
-func (s *System) shardAdoptLocked(src *schema.Source, med *mediate.Result) error {
-	if med == nil || med.PMed == nil {
-		return fmt.Errorf("core: shard adopt needs a p-med-schema")
-	}
-	newSources := make([]*schema.Source, 0, len(s.Corpus.Sources)+1)
-	newSources = append(newSources, s.Corpus.Sources...)
-	newSources = append(newSources, src)
-	corpus, err := schema.NewCorpus(s.Corpus.Domain, newSources)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	s.extendSims(src.Attrs)
-
-	// Same discipline as addSourceLocked: install the new mediation, build
-	// the new source's p-mappings before touching any other writer field,
-	// and restore the old mediation if that fails so an aborted commit
-	// leaves the writer state untouched.
-	oldMed := s.Med
-	s.Med = med
-	// Probabilities shifted, so cached consolidations no longer match; the
-	// p-mapping dedup cache stays valid (clusterings unchanged).
-	s.caches.cons.invalidate()
-	pms, err := s.buildSourceMappings(src)
-	if err != nil {
-		s.Med = oldMed
-		return err
-	}
-
-	s.Corpus = corpus
-	s.engine = answer.NewEngine(corpus)
-	s.engine.Parallelism = s.Cfg.Parallelism
-	s.engine.SetObs(s.Cfg.Obs)
-	s.kwIndex = storage.BuildKeywordIndexP(corpus, s.Cfg.Parallelism)
-	s.kw = keyword.NewEngine(s.kwIndex)
-
-	maps := clonedMaps(s.Maps)
-	maps[src.Name] = pms
-	s.Maps = maps
-
-	// Consolidate only the new source; existing sources keep their entries
-	// (computed under the previous probabilities), exactly like the
-	// single-core fast path.
-	cons := clonedMaps(s.ConsMaps)
-	if cpm, err := s.consolidateSource(s.newConsolidator(), src); err == nil && cpm != nil {
-		cons[src.Name] = cpm
-	}
-	s.ConsMaps = cons
-	s.Cfg.Obs.Add("shard.adopt", 1)
-	return nil
-}
-
-// ShardAdoptSources commits a coordinator-directed batch adoption: the
-// shard gains every source in srcs under one commit and one published
-// epoch, with the per-batch stages (corpus rebuild, vocabulary extension,
-// engine and keyword-index rebuild) amortized across the batch and the
-// per-source stages (p-mappings, consolidation) run in parallel — the
-// shard-side analogue of AddSources. The batch is all-or-nothing: one
-// failed source restores the writer state and the commit aborts.
+// ShardAdoptSources commits a coordinator-directed adoption: the shard
+// gains every source in srcs and switches to the coordinator's refreshed
+// mediation (same clusterings, recounted probabilities — the AddSources
+// fast path evaluated globally) under one commit and one published epoch.
+// The shard builds only what is local to it — the new sources'
+// p-mappings, tables, indexes and consolidated p-mappings — with the
+// per-batch stages (corpus rebuild, vocabulary extension, engine and
+// keyword-index rebuild) amortized across the batch and the per-source
+// stages run in parallel; existing sources' artifacts are reused exactly
+// as addSourcesLocked would. The batch is all-or-nothing: one failed
+// source restores the writer state and the commit aborts. A one-element
+// batch is the single-source adoption.
 func (s *System) ShardAdoptSources(srcs []*schema.Source, med *mediate.Result) error {
 	if len(srcs) == 0 {
 		return nil
 	}
-	if len(srcs) == 1 {
-		return s.ShardAdoptSource(srcs[0], med)
-	}
-	return s.commit("shard_adopt", nil, func() error { return s.shardAdoptBatchLocked(srcs, med) })
+	return s.commit("shard_adopt", nil, func() error { return s.shardAdoptLocked(srcs, med) })
 }
 
-func (s *System) shardAdoptBatchLocked(srcs []*schema.Source, med *mediate.Result) error {
+func (s *System) shardAdoptLocked(srcs []*schema.Source, med *mediate.Result) error {
 	if med == nil || med.PMed == nil {
 		return fmt.Errorf("core: shard adopt needs a p-med-schema")
 	}
@@ -141,11 +76,14 @@ func (s *System) shardAdoptBatchLocked(srcs []*schema.Source, med *mediate.Resul
 	s.extendSims(attrs)
 	s.refreshSimHubs(corpus)
 
-	// Same discipline as shardAdoptLocked: install the new mediation, build
+	// Same discipline as addSourcesLocked: install the new mediation, build
 	// every new source's p-mappings before touching any other writer field,
-	// and restore the old mediation if any fails.
+	// and restore the old mediation if any fails so an aborted commit
+	// leaves the writer state untouched.
 	oldMed := s.Med
 	s.Med = med
+	// Probabilities shifted, so cached consolidations no longer match; the
+	// p-mapping dedup cache stays valid (clusterings unchanged).
 	s.caches.cons.invalidate()
 	pms := make([][]*pmapping.PMapping, len(srcs))
 	errs := make([]error, len(srcs))
@@ -181,6 +119,9 @@ func (s *System) shardAdoptBatchLocked(srcs []*schema.Source, med *mediate.Resul
 	}
 	s.Maps = maps
 
+	// Consolidate only the new sources; existing sources keep their entries
+	// (computed under the previous probabilities), exactly like the
+	// single-core fast path.
 	cons := clonedMaps(s.ConsMaps)
 	co := s.newConsolidator()
 	cpms := make([]*consolidate.PMapping, len(srcs))

@@ -296,12 +296,31 @@ func (s *Session) candidates(sn *core.Snapshot, limit int) []Candidate {
 		byQuestion[key] = len(dedup)
 		dedup = append(dedup, c)
 	}
-	out = dedup
+	return MergeCandidates(limit, dedup)
+}
+
+// MergeCandidates concatenates per-partition question queues into one
+// ranking — uncertainty descending, then (source, attribute, mediated
+// index) as the deterministic tie-break — truncated to limit (0 = all).
+// It is the only place that order is defined: a session ranks its own
+// queue through it and a scatter-gather coordinator merges its shards'
+// queues through it. The key is a total order and a source lives in
+// exactly one partition, so a candidate beyond a partition's own
+// top-limit can never enter the global top-limit: merging per-partition
+// top-limit queues equals truncating the full merge.
+func MergeCandidates(limit int, parts ...[]Candidate) []Candidate {
+	var out []Candidate
+	if len(parts) == 1 {
+		out = parts[0] // a lone list is sorted in place
+	} else {
+		for _, cs := range parts {
+			out = append(out, cs...)
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Uncertainty != out[j].Uncertainty {
 			return out[i].Uncertainty > out[j].Uncertainty
 		}
-		// Deterministic tie-break.
 		if out[i].Source != out[j].Source {
 			return out[i].Source < out[j].Source
 		}

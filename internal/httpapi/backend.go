@@ -14,10 +14,10 @@ import (
 )
 
 // Backend is the one serving contract every deployment topology
-// implements: the single-process core.System, the in-process sharded
-// shard.System, the networked scatter-gather coordinator
-// (internal/shardrpc), and WAL-following read replicas
-// (internal/replica). The HTTP layer is written against this interface
+// implements: the single-process core.System, the scatter-gather
+// coordinator shard.System (over in-process shards, or over remote shard
+// hosts when internal/shardrpc builds it), and WAL-following read
+// replicas (internal/replica). The HTTP layer is written against this interface
 // alone, so each topology serves the identical /v1 surface with the
 // identical error envelope.
 //
@@ -70,8 +70,9 @@ type Backend interface {
 }
 
 // View is one epoch-consistent read view: a core.Snapshot for the single
-// system, a cross-shard View for the sharded one, a pinned remote epoch
-// vector for the networked coordinator.
+// system, a cross-shard shard.View (pinned snapshots in process, the
+// last-observed remote epoch vector over the network) for the sharded
+// ones.
 type View interface {
 	// Epoch identifies the serving state; it increases with every
 	// committed mutation. Sharded backends report the vector sum.
@@ -93,7 +94,8 @@ type View interface {
 	// ExplainCtx reports the per-source contributions behind one answer.
 	ExplainCtx(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error)
 	// Candidates ranks the correspondences most worth human confirmation.
-	Candidates(limit int) ([]feedback.Candidate, error)
+	// A backend that fans out honours ctx on every leg.
+	Candidates(ctx context.Context, limit int) ([]feedback.Candidate, error)
 }
 
 // ReplicationStatus describes a WAL-following read replica for
@@ -219,60 +221,33 @@ func (v coreView) ExplainCtx(ctx context.Context, q *sqlparse.Query, values []st
 	return v.sn.ExplainCtx(ctx, q, values)
 }
 
-func (v coreView) Candidates(limit int) ([]feedback.Candidate, error) {
+// Candidates ranks in memory with nothing to interrupt, so the context
+// only refuses a request that has already expired.
+func (v coreView) Candidates(ctx context.Context, limit int) ([]feedback.Candidate, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return feedback.NewSession(v.sys, nil).CandidatesIn(v.sn, limit), nil
 }
 
 // --- sharded adapter --------------------------------------------------
 
-// ShardBackend adapts an in-process sharded shard.System to the Backend
-// contract: views pin a per-shard epoch vector, queries fan out and
-// merge bit-identically, feedback routes to the owning shard.
-func ShardBackend(sh *shard.System) Backend { return shardBackend{sh: sh} }
+// ShardBackend adapts the scatter-gather coordinator to the Backend
+// contract. shard.System and shard.View already have the contract's
+// shape — views carry a per-shard epoch vector, queries fan out and merge
+// bit-identically, feedback routes to the owning shard — but cannot name
+// this package's types (it imports shard), so the adapter supplies only
+// View's return type and the status methods. internal/shardrpc wraps the
+// same adapter around a coordinator over remote shards.
+func ShardBackend(sh *shard.System) Backend { return shardBackend{sh} }
 
-type shardBackend struct{ sh *shard.System }
+type shardBackend struct{ *shard.System }
 
-func (b shardBackend) View() (View, error) {
-	return shardView{v: b.sh.View(), sh: b.sh}, nil
-}
-func (b shardBackend) Committing() bool                      { return b.sh.Committing() }
-func (b shardBackend) SubmitFeedback(fb core.Feedback) error { return b.sh.SubmitFeedback(fb) }
-func (b shardBackend) Shards() int                           { return b.sh.NumShards() }
-func (b shardBackend) Durability() *DurabilityStatus         { return nil }
-func (b shardBackend) Replication() *ReplicationStatus       { return nil }
-func (b shardBackend) Routing() *RoutingStatus               { return nil }
-
-func (b shardBackend) AddSources(srcs []*schema.Source) (bool, error) {
-	return b.sh.AddSources(srcs)
-}
-
-func (b shardBackend) RemoveSource(name string) (bool, error) {
-	return b.sh.RemoveSource(name)
-}
-
-type shardView struct {
-	v  *shard.View
-	sh *shard.System
-}
-
-func (v shardView) Epoch() uint64                  { return v.v.Epoch() }
-func (v shardView) EpochVector() []uint64          { return v.v.Epochs() }
-func (v shardView) CreatedAt() time.Time           { return v.v.CreatedAt() }
-func (v shardView) NumSources() int                { return v.v.NumSources() }
-func (v shardView) PMed() *schema.PMedSchema       { return v.v.PMed() }
-func (v shardView) Target() *schema.MediatedSchema { return v.v.Target() }
-
-func (v shardView) RunCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
-	return v.v.RunCtx(ctx, a, q)
-}
-
-func (v shardView) ExplainCtx(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error) {
-	return v.v.ExplainCtx(ctx, q, values)
-}
-
-func (v shardView) Candidates(limit int) ([]feedback.Candidate, error) {
-	return v.sh.Candidates(v.v, limit), nil
-}
+func (b shardBackend) View() (View, error)             { return b.System.View(), nil }
+func (b shardBackend) Shards() int                     { return b.NumShards() }
+func (b shardBackend) Durability() *DurabilityStatus   { return nil }
+func (b shardBackend) Replication() *ReplicationStatus { return nil }
+func (b shardBackend) Routing() *RoutingStatus         { return nil }
 
 // NewShardedServer wraps a sharded scatter-gather system with the same
 // HTTP surface as NewServer: queries fan out to every shard, feedback

@@ -75,7 +75,7 @@ func Run(t *testing.T, be httpapi.Backend) {
 	}
 
 	// Candidates: bounded by limit, resolvable against this view's PMed.
-	cands, err := v.Candidates(3)
+	cands, err := v.Candidates(context.Background(), 3)
 	if err != nil {
 		t.Fatalf("Candidates: %v", err)
 	}

@@ -696,7 +696,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	if v == nil {
 		return
 	}
-	cands, err := v.Candidates(limit)
+	cands, err := v.Candidates(r.Context(), limit)
 	if err != nil {
 		s.writeQueryError(w, r, err)
 		return

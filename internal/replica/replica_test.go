@@ -67,7 +67,7 @@ func (p *primary) feedbackOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("view: %v", err)
 	}
-	cands, err := v.Candidates(1)
+	cands, err := v.Candidates(context.Background(), 1)
 	if err != nil || len(cands) == 0 {
 		t.Fatalf("candidates: %v (%d)", err, len(cands))
 	}

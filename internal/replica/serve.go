@@ -1,165 +1,45 @@
 package replica
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 
-	"udi/internal/core"
-	"udi/internal/feedback"
 	"udi/internal/httpapi"
 	"udi/internal/shardrpc"
-	"udi/internal/sqlparse"
 )
 
 // ShardHandler returns the read-only half of the shard RPC surface,
-// served from the follower's replayed state. Mounting it beside the
-// public /v1 API turns a passive replica into routable serving capacity:
-// a coordinator with this replica in a shard's read set can send
+// served from the follower's replayed state by the same handlers a shard
+// host uses (shardrpc.ReadHandlers). Mounting it beside the public /v1
+// API turns a passive replica into routable serving capacity: a
+// coordinator with this replica in a shard's read set can send
 // query/explain/candidates legs here under its staleness bound, and the
 // status endpoint reports the replication position those routing
 // decisions are made from. Every mutating shard RPC answers the typed
 // read_only envelope — writes only ever touch the primary.
 func (f *Follower) ShardHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/shard/status", f.handleShardStatus)
-	mux.HandleFunc("POST /v1/shard/query", f.handleShardQuery)
-	mux.HandleFunc("POST /v1/shard/explain", f.handleShardExplain)
-	mux.HandleFunc("POST /v1/shard/candidates", f.handleShardCandidates)
+	shardrpc.ReadHandlers{
+		Sys: f.sys.Load,
+		// The primary generation the served state was bootstrapped under:
+		// equality with the primary's own means replay covers the difference.
+		StateGen: func() uint64 { return f.state.Load().stateGen },
+		// The replica-flavored status: the replication position a routing
+		// coordinator compares against the primary's own status.
+		Status: func(resp *shardrpc.StatusResponse) {
+			st := f.state.Load()
+			resp.StateGen = st.stateGen // one load, so the position is never torn
+			resp.Replica = true
+			resp.AppliedSeq = st.appliedSeq
+			resp.PrimaryCommittedSeq = st.primaryCommitted
+			resp.PrimaryEpoch = st.primaryEpoch
+			resp.Synced = st.synced
+		},
+		Obs: f.reg,
+	}.Mount(mux)
 	for _, p := range []string{"feedback", "adopt", "drop", "mediation", "replace"} {
 		mux.HandleFunc("POST /v1/shard/"+p, func(w http.ResponseWriter, _ *http.Request) {
 			httpapi.WriteStatusError(w, readOnly())
 		})
 	}
-	mux.HandleFunc("GET /healthz", f.handleShardStatus)
 	return mux
-}
-
-// shardDecode mirrors the host-side body/version check: a request
-// stamped with a different protocol version is refused before touching
-// state.
-func shardDecode(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery,
-			fmt.Sprintf("bad request body: %v", err), nil)
-		return false
-	}
-	if *proto != shardrpc.Version {
-		httpapi.WriteError(w, http.StatusBadRequest, shardrpc.CodeProtocolMismatch,
-			fmt.Sprintf("protocol version %d, replica speaks %d", *proto, shardrpc.Version), nil)
-		return false
-	}
-	return true
-}
-
-// shardReady loads the replayed system or answers CodeNotReady.
-func (f *Follower) shardReady(w http.ResponseWriter) *core.System {
-	sys := f.sys.Load()
-	if sys == nil {
-		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeNotReady,
-			"replica has not completed its first sync", nil)
-		return nil
-	}
-	return sys
-}
-
-func shardWriteJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// handleShardStatus reports the replica-flavored status: Replica is set,
-// AppliedSeq/PrimaryCommittedSeq/PrimaryEpoch/Synced carry the
-// replication position a routing coordinator compares against the
-// primary's own status, and StateGen is the primary generation the
-// served state was bootstrapped under (equality with the primary's
-// means replay covers the difference).
-func (f *Follower) handleShardStatus(w http.ResponseWriter, _ *http.Request) {
-	st := f.state.Load()
-	resp := shardrpc.StatusResponse{
-		Proto:               shardrpc.Version,
-		StateGen:            st.stateGen,
-		Replica:             true,
-		AppliedSeq:          st.appliedSeq,
-		PrimaryCommittedSeq: st.primaryCommitted,
-		PrimaryEpoch:        st.primaryEpoch,
-		Synced:              st.synced,
-	}
-	if sys := f.sys.Load(); sys != nil {
-		sn := sys.Snapshot()
-		resp.Ready = true
-		resp.Epoch = sn.Epoch
-		resp.NumSources = len(sn.Corpus.Sources)
-	}
-	shardWriteJSON(w, resp)
-}
-
-func (f *Follower) handleShardQuery(w http.ResponseWriter, r *http.Request) {
-	var req shardrpc.QueryRequest
-	if !shardDecode(w, r, &req, &req.Proto) {
-		return
-	}
-	sys := f.shardReady(w)
-	if sys == nil {
-		return
-	}
-	q, err := sqlparse.Parse(req.Query)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	approach := core.Approach(req.Approach)
-	if req.Approach == "" {
-		approach = core.UDI
-	}
-	sn := sys.Snapshot()
-	rs, err := sn.RunCtx(r.Context(), approach, q)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	f.reg.Add("replica.shard_queries", 1)
-	shardWriteJSON(w, shardrpc.QueryResponse{
-		Epoch:    sn.Epoch,
-		StateGen: f.state.Load().stateGen,
-		Part:     shardrpc.EncodePart(rs),
-	})
-}
-
-func (f *Follower) handleShardExplain(w http.ResponseWriter, r *http.Request) {
-	var req shardrpc.ExplainRequest
-	if !shardDecode(w, r, &req, &req.Proto) {
-		return
-	}
-	sys := f.shardReady(w)
-	if sys == nil {
-		return
-	}
-	q, err := sqlparse.Parse(req.Query)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	sn := sys.Snapshot()
-	contribs, err := sn.ExplainCtx(r.Context(), q, req.Values)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	shardWriteJSON(w, shardrpc.ExplainResponse{Epoch: sn.Epoch, Contributions: contribs})
-}
-
-func (f *Follower) handleShardCandidates(w http.ResponseWriter, r *http.Request) {
-	var req shardrpc.CandidatesRequest
-	if !shardDecode(w, r, &req, &req.Proto) {
-		return
-	}
-	sys := f.shardReady(w)
-	if sys == nil {
-		return
-	}
-	sn := sys.Snapshot()
-	cands := feedback.NewSession(sys, nil).CandidatesIn(sn, req.Limit)
-	shardWriteJSON(w, shardrpc.CandidatesResponse{Epoch: sn.Epoch, Candidates: shardrpc.EncodeCandidates(cands)})
 }

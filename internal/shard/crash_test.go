@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -24,6 +25,33 @@ func openForTest(t *testing.T, dir string, shards int) *System {
 		t.Fatalf("recovery open: %v", err)
 	}
 	return sh
+}
+
+// legacyJournal rewrites dir's one-op journal into the pre-batch record
+// form.
+func legacyJournal(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, journalFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	var rec map[string]json.RawMessage
+	var ops []json.RawMessage
+	if err := json.Unmarshal(data, &rec); err == nil {
+		err = json.Unmarshal(rec["ops"], &ops)
+	}
+	if err != nil || len(ops) != 1 {
+		t.Fatalf("journal does not hold exactly one op (%d, err %v)", len(ops), err)
+	}
+	rec["op"] = ops[0]
+	delete(rec, "ops")
+	if data, err = json.Marshal(rec); err == nil {
+		err = os.WriteFile(path, data, 0o644)
+	}
+	if err != nil {
+		t.Fatalf("rewrite journal: %v", err)
+	}
 }
 
 // TestCrashRecoveryMultiShardOps injects a crash at every stage of the
@@ -71,7 +99,7 @@ func TestCrashRecoveryMultiShardOps(t *testing.T) {
 				case "add":
 					src := randomSource(rng, "xadd", []string{"alpha", "bravo", "carrot"})
 					_, oerr = oracle.AddSource(src)
-					_, serr = sh.AddSource(src)
+					_, serr = sh.AddSources([]*schema.Source{src})
 				case "remove":
 					name := oracle.Corpus.Sources[0].Name
 					_, oerr = oracle.RemoveSource(name)
@@ -85,6 +113,12 @@ func TestCrashRecoveryMultiShardOps(t *testing.T) {
 				}
 				if err := sh.Close(); err != nil {
 					t.Fatalf("close crashed system: %v", err)
+				}
+				if stage == "journal" {
+					// Recover this one from the record form older builds
+					// wrote — a single "op", no "ops" — which Open keeps
+					// reading.
+					legacyJournal(t, dir)
 				}
 
 				rec := openForTest(t, dir, shards)

@@ -246,7 +246,7 @@ func mutateBoth(t *testing.T, rng *rand.Rand, oracle *core.System, sh *System, n
 		src := randomSource(rng, fmt.Sprintf("x%02d", *nextID), []string{"alpha", "bravo", "carrot", "delta"})
 		*nextID++
 		ofast, oerr := oracle.AddSource(src)
-		sfast, serr := sh.AddSource(src)
+		sfast, serr := sh.AddSources([]*schema.Source{src})
 		if (oerr != nil) != (serr != nil) {
 			t.Fatalf("add %s: oracle err %v, sharded err %v", src.Name, oerr, serr)
 		}

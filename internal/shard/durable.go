@@ -31,6 +31,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -58,101 +59,38 @@ type manifest struct {
 }
 
 // journalRecord captures everything a redo needs to replay one
-// multi-shard op deterministically: the op itself plus the pre-op global
-// order and p-med-schema (schema sequence and probabilities — the
-// sequence matters because shard Maps are indexed by it). A batched
-// AddSources journals every op in Ops under one record (and therefore one
-// atomic journal write); Op is then unused. Journals written by older
-// builds carry only Op and replay unchanged.
+// multi-shard op deterministically: the ops themselves (every add of one
+// AddSources batch, or the one remove) plus the pre-op global order and
+// p-med-schema (schema sequence and probabilities — the sequence matters
+// because shard Maps are indexed by it). One record is one atomic journal
+// write — the coordinator analogue of the WAL's AppendBatch group commit.
+// Journals written by older builds carry a single op in Op instead;
+// readJournal lifts it into Ops.
 type journalRecord struct {
-	Op      core.Op      `json:"op"`
+	Op      *core.Op     `json:"op,omitempty"`
 	Ops     []core.Op    `json:"ops,omitempty"`
 	Order   []string     `json:"order"`
 	Schemas [][][]string `json:"schemas"`
 	Probs   []float64    `json:"probs"`
 }
 
-func shardDir(base string, i int) string {
-	return filepath.Join(base, fmt.Sprintf("shard-%03d", i))
-}
-
 func (s *System) durable() bool { return s.opts.DataDir != "" }
 
-func (s *System) storeOpts() persist.StoreOptions {
-	return persist.StoreOptions{
-		CheckpointEvery: s.opts.CheckpointEvery,
-		NoSync:          s.opts.NoSync,
-		Obs:             s.cfg.Obs,
-	}
-}
-
-// initDurable persists a freshly built layout: one store per non-empty
-// shard, then the manifest. Empty shards get no files at all (an empty
-// corpus has no checkpointable state); their directories appear when a
-// source first hashes to them.
-func (s *System) initDurable(order []string) error {
-	if err := os.MkdirAll(s.opts.DataDir, 0o755); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	for i := range s.shards {
-		if len(s.shards[i].Corpus.Sources) == 0 {
-			continue
-		}
-		if err := s.ensureStore(i); err != nil {
-			return err
-		}
-	}
-	return s.writeManifest(order)
-}
-
-// ensureStore opens (first checkpoint included) or checkpoints shard i's
-// store, making its current in-memory state the on-disk snapshot.
-func (s *System) ensureStore(i int) error {
-	if s.stores[i] != nil {
-		return s.stores[i].Checkpoint()
-	}
-	sys := s.shards[i]
-	_, st, err := persist.OpenStore(shardDir(s.opts.DataDir, i), s.cfg, s.storeOpts(),
-		func() (*core.System, error) { return sys, nil })
-	if err != nil {
-		return err
-	}
-	s.stores[i] = st
-	return nil
-}
-
-// dropStore closes shard i's store and deletes its files — the shard's
-// last source left. HasSnapshot then classifies the directory as empty.
-func (s *System) dropStore(i int) error {
-	if s.stores[i] != nil {
-		if err := s.stores[i].Close(); err != nil {
-			return err
-		}
-		s.stores[i] = nil
-	}
-	return persist.RemoveStoreFiles(shardDir(s.opts.DataDir, i))
-}
-
-// journalBegin makes the op durable before any shard changes. In-memory
-// systems skip it.
-func (s *System) journalBegin(op *core.Op, meta *servingMeta) error {
-	return s.journalWrite(journalRecord{Op: *op}, meta)
-}
-
-// journalBeginOps journals a whole AddSources batch as one record — one
-// atomic write covers the batch, the coordinator analogue of the WAL's
-// AppendBatch group commit.
-func (s *System) journalBeginOps(ops []core.Op, meta *servingMeta) error {
-	return s.journalWrite(journalRecord{Ops: ops}, meta)
-}
-
-func (s *System) journalWrite(rec journalRecord, meta *servingMeta) error {
+// journalWrite makes the change durable before any shard changes.
+// In-memory systems skip it.
+func (s *System) journalWrite(ch *change, pre *servingMeta) error {
 	if !s.durable() {
 		return nil
 	}
-	rec.Order = meta.order
-	rec.Probs = meta.med.PMed.Probs
-	for _, m := range meta.med.PMed.Schemas {
+	rec := journalRecord{Order: pre.order, Probs: pre.med.PMed.Probs}
+	for _, src := range ch.adds {
+		rec.Ops = append(rec.Ops, core.Op{Kind: core.OpAddSource,
+			Add: &core.SourceData{Name: src.Name, Attrs: src.Attrs, Rows: src.Rows}})
+	}
+	if ch.remove != "" {
+		rec.Ops = append(rec.Ops, core.Op{Kind: core.OpRemoveSource, Remove: ch.remove})
+	}
+	for _, m := range pre.med.PMed.Schemas {
 		clusters := make([][]string, len(m.Attrs))
 		for i, a := range m.Attrs {
 			clusters[i] = []string(a)
@@ -172,28 +110,26 @@ func (s *System) journalDrop() {
 }
 
 // finishDurable completes a multi-shard mutation: checkpoint every
-// touched shard (dropping stores for shards that emptied), rewrite the
-// manifest, drop the journal. The crash hooks mark the recovery-relevant
-// boundaries the fault-injection tests exercise.
-func (s *System) finishDurable(touched []int, order []string) error {
+// touched shard, rewrite the manifest with the committed order, drop the
+// journal. The crash hooks mark the recovery-relevant boundaries the
+// fault-injection tests exercise.
+func (s *System) finishDurable(touched []int) error {
 	if !s.durable() {
 		return nil
 	}
 	for _, i := range touched {
-		if len(s.shards[i].Corpus.Sources) == 0 {
-			if err := s.dropStore(i); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := s.ensureStore(i); err != nil {
+		if err := s.shards[i].Checkpoint(); err != nil {
 			return err
 		}
 	}
 	if err := s.crash("checkpointed"); err != nil {
 		return err
 	}
-	if err := s.writeManifest(order); err != nil {
+	man := manifest{Version: manifestVersion, Domain: s.domain, Shards: len(s.shards), Order: s.meta.Load().order}
+	err := persist.WriteFileAtomic(filepath.Join(s.opts.DataDir, manifestFile), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(&man)
+	})
+	if err != nil {
 		return err
 	}
 	if err := s.crash("manifest"); err != nil {
@@ -203,41 +139,27 @@ func (s *System) finishDurable(touched []int, order []string) error {
 	return nil
 }
 
-func (s *System) writeManifest(order []string) error {
-	man := manifest{Version: manifestVersion, Domain: s.domain, Shards: len(s.shards), Order: order}
-	return persist.WriteFileAtomic(filepath.Join(s.opts.DataDir, manifestFile), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(&man)
-	})
-}
-
 // Checkpoint forces every shard store to snapshot and truncate its WAL.
 func (s *System) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, st := range s.stores {
-		if st == nil {
-			continue
-		}
-		if err := st.Checkpoint(); err != nil {
+	for _, sh := range s.shards {
+		if err := sh.Checkpoint(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Close releases every shard store's WAL file.
+// Close releases every shard (each store's WAL file).
 func (s *System) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
-	for i, st := range s.stores {
-		if st == nil {
-			continue
-		}
-		if err := st.Close(); err != nil && first == nil {
+	for _, sh := range s.shards {
+		if err := sh.Close(); err != nil && first == nil {
 			first = err
 		}
-		s.stores[i] = nil
 	}
 	return first
 }
@@ -275,71 +197,80 @@ func Open(dir string, cfg core.Config, opts Options, setup func() (*schema.Corpu
 	}
 	opts.DataDir = dir
 	n := man.Shards
-	s := &System{cfg: cfg, opts: opts, domain: man.Domain,
-		shards: make([]*core.System, n), stores: make([]*persist.Store, n)}
+	s := &System{cfg: cfg, opts: opts, domain: man.Domain}
+	r := &recovery{s: s}
 
 	// Load every shard that has a checkpoint; note the rest as empty.
-	seed := -1
+	var seed *core.System
 	for i := 0; i < n; i++ {
-		d := shardDir(dir, i)
-		if !persist.HasSnapshot(d) {
-			// A crash between deleting a snapshot and its WAL (dropStore)
-			// can strand a WAL in an empty shard directory; clean it so a
-			// later store open does not replay it against a fresh corpus.
-			if _, err := os.Stat(d); err == nil {
-				if err := persist.RemoveStoreFiles(d); err != nil {
+		l := s.newLocal(i)
+		r.locals, s.shards = append(r.locals, l), append(s.shards, l)
+		if !persist.HasSnapshot(l.dir) {
+			// A crash between deleting a snapshot and its WAL (an emptied
+			// shard's Checkpoint) can strand a WAL in an empty shard
+			// directory; clean it so a later store open does not replay it
+			// against a fresh corpus.
+			if _, err := os.Stat(l.dir); err == nil {
+				if err := persist.RemoveStoreFiles(l.dir); err != nil {
 					return nil, err
 				}
 			}
 			continue
 		}
-		sys, st, err := persist.OpenStore(d, cfg, s.storeOpts(), func() (*core.System, error) {
+		l.sys, l.store, err = persist.OpenStore(l.dir, cfg, l.sopts, func() (*core.System, error) {
 			return nil, fmt.Errorf("shard: %w: shard %d snapshot disappeared", persist.ErrCorrupt, i)
 		})
 		if err != nil {
+			s.Close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		s.shards[i] = sys
-		s.stores[i] = st
-		if seed < 0 {
-			seed = i
+		if seed == nil {
+			seed = l.sys
 		}
 	}
-	if seed < 0 {
+	if seed == nil {
 		return nil, fmt.Errorf("shard: %w: no shard has a snapshot", persist.ErrCorrupt)
 	}
 	// Empty shards get zero-source cores seeded with an arbitrary loaded
 	// shard's mediation; redo/reconcile pushes the authoritative one.
-	for i := 0; i < n; i++ {
-		if s.shards[i] != nil {
+	for _, l := range r.locals {
+		if l.sys != nil {
 			continue
 		}
-		empty, err := core.NewEmptyShard(man.Domain, cfg, s.shards[seed].Med, s.shards[seed].Target)
-		if err != nil {
+		if l.sys, err = core.NewEmptyShard(man.Domain, cfg, seed.Med, seed.Target); err != nil {
+			s.Close()
 			return nil, err
 		}
-		s.shards[i] = empty
 	}
 
-	jr, jerr := readJournal(dir)
-	if jerr != nil && !os.IsNotExist(jerr) {
-		return nil, jerr
+	order := man.Order
+	jr, err := readJournal(dir)
+	switch {
+	case err == nil:
+		order, err = r.redo(jr, seed.Target)
+	case os.IsNotExist(err):
+		err = r.reconcile(order)
 	}
-	var order []string
-	if jerr == nil {
-		order, err = s.redo(jr)
-	} else {
-		order, err = man.Order, s.reconcile(man.Order)
+	if err == nil {
+		err = r.validate(order)
 	}
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
-	if err := s.validate(order); err != nil {
-		s.Close()
-		return nil, err
-	}
 	return s, nil
+}
+
+// recovery is Open's working state: the system being rebuilt plus the
+// concrete in-process shards, whose loaded corpora recovery must read.
+type recovery struct {
+	s      *System
+	locals []*localShard
+}
+
+// find returns the named source from the shard it hashes to, or nil.
+func (r *recovery) find(name string) *schema.Source {
+	return r.locals[ShardOf(name, len(r.locals))].find(name)
 }
 
 // reconcile rebuilds the shared serving mediation after a restart: all
@@ -347,42 +278,32 @@ func Open(dir string, cfg core.Config, opts Options, setup func() (*schema.Corpu
 // mutation pushes one mediation to all of them), and the probabilities
 // are recounted over the reconstructed global corpus, which reproduces
 // the last served values exactly (see the package comment). It also
-// populates s.sources and publishes the meta.
-func (s *System) reconcile(order []string) error {
-	n := len(s.shards)
-	s.sources = make(map[string]*schema.Source, len(order))
+// publishes the corpus and meta.
+func (r *recovery) reconcile(order []string) error {
 	srcs := make([]*schema.Source, 0, len(order))
 	for _, name := range order {
-		owner := s.shards[ShardOf(name, n)]
-		var found *schema.Source
-		for _, src := range owner.Corpus.Sources {
-			if src.Name == name {
-				found = src
-				break
-			}
+		src := r.find(name)
+		if src == nil {
+			return fmt.Errorf("shard: %w: source %q missing from shard %d", persist.ErrCorrupt, name, ShardOf(name, len(r.locals)))
 		}
-		if found == nil {
-			return fmt.Errorf("shard: %w: source %q missing from shard %d", persist.ErrCorrupt, name, ShardOf(name, n))
-		}
-		s.sources[name] = found
-		srcs = append(srcs, found)
+		srcs = append(srcs, src)
 	}
-	corpus, err := schema.NewCorpus(s.domain, srcs)
+	corpus, err := schema.NewCorpus(r.s.domain, srcs)
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
 	// All shards must hold the same schema sequence: Maps are indexed by
 	// it, and the recounted probabilities are assigned positionally.
 	var ref *core.System
-	for _, sh := range s.shards {
-		if len(sh.Corpus.Sources) == 0 {
+	for _, l := range r.locals {
+		if len(l.sys.Corpus.Sources) == 0 {
 			continue
 		}
 		if ref == nil {
-			ref = sh
+			ref = l.sys
 			continue
 		}
-		if !sameSchemaSequence(ref.Med.PMed, sh.Med.PMed) {
+		if !sameSchemaSequence(ref.Med.PMed, l.sys.Med.PMed) {
 			return fmt.Errorf("shard: %w: shards disagree on the mediated clustering", persist.ErrCorrupt)
 		}
 	}
@@ -392,12 +313,12 @@ func (s *System) reconcile(order []string) error {
 		return fmt.Errorf("shard: %w: reconciled probabilities invalid: %v", persist.ErrCorrupt, err)
 	}
 	med := &mediate.Result{PMed: pmed}
-	for _, sh := range s.shards {
-		if err := sh.ShardSetMediation(med); err != nil {
+	for _, sh := range r.s.shards {
+		if err := sh.SetMediation(med); err != nil {
 			return err
 		}
 	}
-	s.publishMeta(order, med, ref.Target)
+	r.s.publish(srcs, med, ref.Target)
 	return nil
 }
 
@@ -413,13 +334,18 @@ func sameSchemaSequence(a, b *schema.PMedSchema) bool {
 	return true
 }
 
-// redo rolls a journaled multi-shard op forward. The journal holds the
-// pre-op order and mediation; the shards on disk hold either the pre-op
-// state (crash before the owner checkpoint) or the post-op state (crash
-// after), and every step below is idempotent across that difference.
-// Returns the committed global order.
-func (s *System) redo(jr *journalRecord) ([]string, error) {
-	n := len(s.shards)
+// redo rolls a journaled multi-shard op forward by running it through
+// the live mutation path again. The journal holds the pre-op order and
+// mediation; the shards on disk hold either the pre-op state (crash
+// before a checkpoint) or the post-op state (crash after), and the
+// idempotent shard verbs absorb that difference: a source an owner
+// already holds is not adopted twice, one already gone is not dropped
+// twice. The plan recomputes the same deterministic fast/rebuild
+// decision the original made, so recovery lands on the fully-applied
+// state no matter which stage the crash hit. Returns the committed
+// global order.
+func (r *recovery) redo(jr *journalRecord, target *schema.MediatedSchema) ([]string, error) {
+	s := r.s
 	preSchemas := make([]*schema.MediatedSchema, len(jr.Schemas))
 	for i, clusters := range jr.Schemas {
 		attrs := make([]schema.MediatedAttr, len(clusters))
@@ -436,332 +362,76 @@ func (s *System) redo(jr *journalRecord) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w: journal p-med-schema: %v", persist.ErrCorrupt, err)
 	}
-	if len(jr.Ops) > 0 {
-		return s.redoBatch(jr, preSchemas, prePMed)
-	}
+	// The consolidated target is not journaled: the fast path keeps it and
+	// every loaded shard carries it.
+	pre := &servingMeta{order: jr.Order, med: &mediate.Result{PMed: prePMed}, target: target}
 
-	// The post-op order and corpus. Pre-op sources come from the loaded
-	// shards (which hold them at every crash stage); an added source
+	// Pre-op sources come from the loaded shards (which hold every source
+	// the post-op corpus keeps, at every crash stage); an added source
 	// comes from the op payload, never from disk.
-	var newOrder []string
-	var added *schema.Source
-	switch jr.Op.Kind {
-	case core.OpAddSource:
-		if jr.Op.Add == nil {
-			return nil, fmt.Errorf("shard: %w: add journal without payload", persist.ErrCorrupt)
-		}
-		added, err = schema.NewSource(jr.Op.Add.Name, jr.Op.Add.Attrs, jr.Op.Add.Rows)
-		if err != nil {
-			return nil, fmt.Errorf("shard: %w: journal source: %v", persist.ErrCorrupt, err)
-		}
-		newOrder = append(append(make([]string, 0, len(jr.Order)+1), jr.Order...), added.Name)
-	case core.OpRemoveSource:
-		for _, name := range jr.Order {
-			if name != jr.Op.Remove {
-				newOrder = append(newOrder, name)
+	var adds []*schema.Source
+	remove := ""
+	for i, op := range jr.Ops {
+		switch {
+		case op.Kind == core.OpAddSource && op.Add != nil && remove == "":
+			src, err := schema.NewSource(op.Add.Name, op.Add.Attrs, op.Add.Rows)
+			if err != nil {
+				return nil, fmt.Errorf("shard: %w: journal source %q: %v", persist.ErrCorrupt, op.Add.Name, err)
 			}
+			adds = append(adds, src)
+		case op.Kind == core.OpRemoveSource && len(jr.Ops) == 1:
+			remove = op.Remove
+		default:
+			return nil, fmt.Errorf("shard: %w: journal op %d kind %q", persist.ErrCorrupt, i, op.Kind)
 		}
-		if len(newOrder) == len(jr.Order) {
-			return nil, fmt.Errorf("shard: %w: journal removes unknown source %q", persist.ErrCorrupt, jr.Op.Remove)
-		}
-	default:
-		return nil, fmt.Errorf("shard: %w: journal op kind %q", persist.ErrCorrupt, jr.Op.Kind)
 	}
-	srcs := make([]*schema.Source, 0, len(newOrder))
-	for _, name := range newOrder {
-		if added != nil && name == added.Name {
-			srcs = append(srcs, added)
+	s.sources = make(map[string]*schema.Source, len(jr.Order))
+	known := remove == ""
+	for _, name := range jr.Order {
+		if name == remove {
+			known = true
 			continue
 		}
-		owner := s.shards[ShardOf(name, n)]
-		var found *schema.Source
-		for _, src := range owner.Corpus.Sources {
-			if src.Name == name {
-				found = src
-				break
-			}
-		}
-		if found == nil {
+		if s.sources[name] = r.find(name); s.sources[name] == nil {
 			return nil, fmt.Errorf("shard: %w: source %q missing during redo", persist.ErrCorrupt, name)
 		}
-		srcs = append(srcs, found)
 	}
-	corpus, err := schema.NewCorpus(s.domain, srcs)
+	if !known {
+		return nil, fmt.Errorf("shard: %w: journal removes unknown source %q", persist.ErrCorrupt, remove)
+	}
+
+	// The journal is only ever written after planning succeeded pre-crash,
+	// so a planning failure here means the directory is damaged.
+	ch, err := s.plan(pre, adds, remove)
 	if err != nil {
-		return nil, fmt.Errorf("shard: %w: %v", persist.ErrCorrupt, err)
+		return nil, fmt.Errorf("shard: %w: redo plan: %v", persist.ErrCorrupt, err)
 	}
-
-	// Recompute the fast/rebuild decision exactly as the original did.
-	// The journal is only ever written after this computation succeeded
-	// pre-crash, so a failure here means the directory is damaged.
-	gen, err := mediate.Generate(corpus, s.cfg.Mediate)
+	err = s.apply(pre, ch, true)
+	if errors.Is(err, errRolledBack) {
+		// The op was journaled but fails to apply, exactly as it would have
+		// pre-crash: apply restored the pre-op state and cleared the
+		// journal, so serve that.
+		return jr.Order, r.reconcile(jr.Order)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("shard: %w: redo mediation: %v", persist.ErrCorrupt, err)
-	}
-	fast := core.SameSchemaSet(prePMed, gen.PMed)
-	var med *mediate.Result
-	if fast {
-		probs := mediate.AssignProbabilities(preSchemas, corpus)
-		pmed, err := schema.NewPMedSchema(preSchemas, probs)
-		if err != nil {
-			fast = false
-		} else {
-			med = &mediate.Result{PMed: pmed, Graph: gen.Graph, FrequentAttrs: gen.FrequentAttrs}
-		}
-	}
-
-	if fast {
-		ownerIdx := ShardOf(srcName(jr), n)
-		owner := s.shards[ownerIdx]
-		switch jr.Op.Kind {
-		case core.OpAddSource:
-			if findSource(owner, added.Name) == nil {
-				if err := owner.ShardAdoptSource(added, med); err != nil {
-					// The op was journaled but fails to apply, exactly as
-					// it would have pre-crash: roll back to the pre-op
-					// state and clear the journal.
-					s.journalDrop()
-					if rerr := s.reconcile(jr.Order); rerr != nil {
-						return nil, rerr
-					}
-					return jr.Order, nil
-				}
-			} else if err := owner.ShardSetMediation(med); err != nil {
-				return nil, err
-			}
-		case core.OpRemoveSource:
-			if findSource(owner, jr.Op.Remove) != nil {
-				if err := owner.ShardDropSource(jr.Op.Remove, med); err != nil {
-					return nil, err
-				}
-			} else if err := owner.ShardSetMediation(med); err != nil {
-				return nil, err
-			}
-		}
-		for i, sh := range s.shards {
-			if i == ownerIdx {
-				continue
-			}
-			if err := sh.ShardSetMediation(med); err != nil {
-				return nil, err
-			}
-		}
-		s.sources = make(map[string]*schema.Source, len(srcs))
-		for _, src := range srcs {
-			s.sources[src.Name] = src
-		}
-		s.publishMeta(newOrder, med, owner.Target)
-	} else {
-		blue, err := core.Setup(corpus, s.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("shard: %w: redo rebuild: %v", persist.ErrCorrupt, err)
-		}
-		for i := 0; i < n; i++ {
-			proj, err := projectShard(s.domain, s.cfg, blue, shardSources(corpus.Sources, i, n))
-			if err != nil {
-				return nil, err
-			}
-			if err := s.shards[i].ShardReplaceState(proj); err != nil {
-				return nil, err
-			}
-		}
-		s.sources = make(map[string]*schema.Source, len(srcs))
-		for _, src := range srcs {
-			s.sources[src.Name] = src
-		}
-		s.publishMeta(newOrder, blue.Med, blue.Target)
-	}
-
-	return s.redoFinish(newOrder)
-}
-
-// redoFinish re-persists every shard and commits the journal away — the
-// shared tail of the single-op and batch redo paths.
-func (s *System) redoFinish(newOrder []string) ([]string, error) {
-	for i := 0; i < len(s.shards); i++ {
-		if len(s.shards[i].Corpus.Sources) == 0 {
-			if err := s.dropStore(i); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := s.ensureStore(i); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.writeManifest(newOrder); err != nil {
 		return nil, err
 	}
-	s.journalDrop()
 	s.Obs().Add("shard.redo", 1)
-	return newOrder, nil
-}
-
-// redoBatch rolls a journaled AddSources batch forward. Like the
-// single-op redo it recomputes the fast/rebuild decision from the
-// journaled pre-op mediation and applies it idempotently: sources an
-// owner shard already holds (the crash hit after that owner applied) are
-// skipped, the rest are adopted in bulk. A deterministic apply failure
-// rolls the whole batch back — any already-adopted batch source is
-// dropped and the pre-op state reconciled — mirroring the live path's
-// all-or-nothing contract.
-func (s *System) redoBatch(jr *journalRecord, preSchemas []*schema.MediatedSchema, prePMed *schema.PMedSchema) ([]string, error) {
-	n := len(s.shards)
-	added := make([]*schema.Source, 0, len(jr.Ops))
-	addedBy := make(map[string]*schema.Source, len(jr.Ops))
-	for i := range jr.Ops {
-		op := &jr.Ops[i]
-		if op.Kind != core.OpAddSource || op.Add == nil {
-			return nil, fmt.Errorf("shard: %w: batch journal op %d kind %q", persist.ErrCorrupt, i, op.Kind)
-		}
-		src, err := schema.NewSource(op.Add.Name, op.Add.Attrs, op.Add.Rows)
-		if err != nil {
-			return nil, fmt.Errorf("shard: %w: journal source %q: %v", persist.ErrCorrupt, op.Add.Name, err)
-		}
-		added = append(added, src)
-		addedBy[src.Name] = src
-	}
-	newOrder := make([]string, 0, len(jr.Order)+len(added))
-	newOrder = append(newOrder, jr.Order...)
-	for _, src := range added {
-		newOrder = append(newOrder, src.Name)
-	}
-	srcs := make([]*schema.Source, 0, len(newOrder))
-	for _, name := range newOrder {
-		if src, ok := addedBy[name]; ok {
-			srcs = append(srcs, src)
-			continue
-		}
-		found := findSource(s.shards[ShardOf(name, n)], name)
-		if found == nil {
-			return nil, fmt.Errorf("shard: %w: source %q missing during redo", persist.ErrCorrupt, name)
-		}
-		srcs = append(srcs, found)
-	}
-	corpus, err := schema.NewCorpus(s.domain, srcs)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w: %v", persist.ErrCorrupt, err)
-	}
-
-	gen, err := mediate.Generate(corpus, s.cfg.Mediate)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w: redo mediation: %v", persist.ErrCorrupt, err)
-	}
-	fast := core.SameSchemaSet(prePMed, gen.PMed)
-	var med *mediate.Result
-	if fast {
-		probs := mediate.AssignProbabilities(preSchemas, corpus)
-		pmed, err := schema.NewPMedSchema(preSchemas, probs)
-		if err != nil {
-			fast = false
-		} else {
-			med = &mediate.Result{PMed: pmed, Graph: gen.Graph, FrequentAttrs: gen.FrequentAttrs}
-		}
-	}
-
-	if !fast {
-		blue, err := core.Setup(corpus, s.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("shard: %w: redo rebuild: %v", persist.ErrCorrupt, err)
-		}
-		for i := 0; i < n; i++ {
-			proj, err := projectShard(s.domain, s.cfg, blue, shardSources(corpus.Sources, i, n))
-			if err != nil {
-				return nil, err
-			}
-			if err := s.shards[i].ShardReplaceState(proj); err != nil {
-				return nil, err
-			}
-		}
-		s.sources = make(map[string]*schema.Source, len(srcs))
-		for _, src := range srcs {
-			s.sources[src.Name] = src
-		}
-		s.publishMeta(newOrder, blue.Med, blue.Target)
-		return s.redoFinish(newOrder)
-	}
-
-	byOwner := make(map[int][]*schema.Source)
-	for _, src := range added {
-		o := ShardOf(src.Name, n)
-		byOwner[o] = append(byOwner[o], src)
-	}
-	adopted := make(map[int]bool, len(byOwner))
-	for o, batch := range byOwner {
-		pending := batch[:0:0]
-		for _, src := range batch {
-			if findSource(s.shards[o], src.Name) == nil {
-				pending = append(pending, src)
-			}
-		}
-		if len(pending) == 0 {
-			continue
-		}
-		if err := s.shards[o].ShardAdoptSources(pending, med); err != nil {
-			// The batch was journaled but fails to apply, exactly as it
-			// would have pre-crash: roll the whole batch back (dropping any
-			// source an earlier stage already adopted) and clear the
-			// journal.
-			for _, src := range added {
-				so := ShardOf(src.Name, n)
-				if findSource(s.shards[so], src.Name) != nil {
-					if derr := s.shards[so].ShardDropSource(src.Name, med); derr != nil {
-						return nil, derr
-					}
-				}
-			}
-			s.journalDrop()
-			if rerr := s.reconcile(jr.Order); rerr != nil {
-				return nil, rerr
-			}
-			return jr.Order, nil
-		}
-		adopted[o] = true
-	}
-	for i, sh := range s.shards {
-		if adopted[i] {
-			continue
-		}
-		if err := sh.ShardSetMediation(med); err != nil {
-			return nil, err
-		}
-	}
-	s.sources = make(map[string]*schema.Source, len(srcs))
-	for _, src := range srcs {
-		s.sources[src.Name] = src
-	}
-	s.publishMeta(newOrder, med, s.shards[ShardOf(added[0].Name, n)].Target)
-	return s.redoFinish(newOrder)
-}
-
-func srcName(jr *journalRecord) string {
-	if jr.Op.Kind == core.OpAddSource {
-		return jr.Op.Add.Name
-	}
-	return jr.Op.Remove
-}
-
-func findSource(sys *core.System, name string) *schema.Source {
-	for _, src := range sys.Corpus.Sources {
-		if src.Name == name {
-			return src
-		}
-	}
-	return nil
+	return s.meta.Load().order, nil
 }
 
 // validate cross-checks the recovered layout: every source sits in
 // exactly the shard its name hashes to, and no shard holds a source the
 // order does not list.
-func (s *System) validate(order []string) error {
-	n := len(s.shards)
+func (r *recovery) validate(order []string) error {
+	n := len(r.locals)
 	want := make(map[string]bool, len(order))
 	for _, name := range order {
 		want[name] = true
 	}
 	total := 0
-	for i, sh := range s.shards {
-		for _, src := range sh.Corpus.Sources {
+	for i, l := range r.locals {
+		for _, src := range l.sys.Corpus.Sources {
 			if !want[src.Name] {
 				return fmt.Errorf("shard: %w: shard %d holds unlisted source %q", persist.ErrCorrupt, i, src.Name)
 			}
@@ -798,6 +468,9 @@ func readJournal(dir string) (*journalRecord, error) {
 	var jr journalRecord
 	if err := json.Unmarshal(data, &jr); err != nil {
 		return nil, fmt.Errorf("shard: %w: journal: %v", persist.ErrCorrupt, err)
+	}
+	if jr.Op != nil && len(jr.Ops) == 0 {
+		jr.Ops = []core.Op{*jr.Op}
 	}
 	return &jr, nil
 }

@@ -1,19 +1,25 @@
-// Package shard scatters one integration system across N in-process
-// shards and gathers query answers back into exactly what the single
-// system would have produced. Each shard is an ordinary core.System over
-// the subset of sources that hash to it, serving from its own epoch
-// snapshots and (when durable) journaling feedback into its own WAL
-// directory; mediation stays a corpus-global artifact that the
-// coordinator computes once and pushes to every shard.
+// Package shard is the one scatter-gather coordinator: it partitions an
+// integration system across N shards and gathers query answers back into
+// exactly what the single system would have produced. Mediation stays a
+// corpus-global artifact — the p-med-schema is a function of the whole
+// corpus — so the coordinator plans it once per structural mutation and
+// pushes it to every shard; each shard serves the subset of sources that
+// hash to it.
+//
+// The coordinator is written against the small Shard interface and knows
+// nothing about where a shard runs. Two transports implement it: the
+// in-process one in this package (a core.System plus, when durable, that
+// shard's persist.Store) and the networked one in internal/shardrpc (an
+// RPC stub over a shard host's read set).
 //
 // The package's contract is differential: for every query, approach, and
 // mutation history, the scatter-gather answer is bit-identical to the
 // single-core oracle — identical ranking, probabilities equal to the
-// last bit, not merely close. The shard_test differential harness pins
-// this at shard counts {1,2,4,8}; the design notes in DESIGN.md lay out
-// why the merge preserves IEEE semantics (per-source disjunction factors
-// are revisited in global corpus order, absent sources contribute the
-// exact no-op factor 1.0).
+// last bit, not merely close. The differential harnesses pin this at
+// shard counts {1,2,4,8} on both transports; the design notes in
+// DESIGN.md lay out why the merge preserves IEEE semantics (per-source
+// disjunction factors are revisited in global corpus order, absent
+// sources contribute the exact no-op factor 1.0).
 package shard
 
 import (
@@ -21,24 +27,22 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"udi/internal/answer"
-	"udi/internal/consolidate"
 	"udi/internal/core"
 	"udi/internal/feedback"
 	"udi/internal/mediate"
 	"udi/internal/obs"
-	"udi/internal/persist"
-	"udi/internal/pmapping"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
-// Options configures a sharded system.
+// Options configures an in-process sharded system.
 type Options struct {
 	// Shards is the number of partitions (default 1). Fixed for the life
 	// of a data directory: resharding is not supported.
@@ -62,27 +66,86 @@ func ShardOf(name string, shards int) int {
 	return int(h.Sum64() % uint64(shards))
 }
 
+// Shard is one partition as the coordinator drives it — the whole
+// contract a transport must meet. The structural verbs (Adopt, Drop,
+// SetMediation, Replace) are only ever called under the coordinator's
+// write lock, one at a time per shard, and must be idempotent: Adopt
+// skips sources the shard already holds, Drop of an absent name still
+// installs the mediation, and re-applying a Replace converges. That is
+// what lets a transport retry a lost response and lets crash recovery
+// redo a journaled mutation over shards that may already reflect it.
+type Shard interface {
+	// Pin captures the read leg one View fans out to.
+	Pin() Leg
+	// Feedback applies one feedback item owned by this shard. It is the
+	// one verb that is not idempotent: feedback conditions probabilities
+	// multiplicatively, so a transport sends it exactly once.
+	Feedback(fb core.Feedback) error
+	// Adopt adds the sources this shard owns out of one mutation and
+	// installs the globally refreshed mediation, all-or-nothing.
+	Adopt(srcs []*schema.Source, med *mediate.Result) error
+	// Drop removes a source and installs the refreshed mediation. Unlike
+	// a system-level remove it may empty the shard: "last source" is a
+	// global property only the coordinator can judge.
+	Drop(name string, med *mediate.Result) error
+	// SetMediation installs refreshed schema probabilities with no corpus
+	// change: a source arrived at (or left) a different shard.
+	SetMediation(med *mediate.Result) error
+	// Replace installs proj, this shard's projection of a global rebuild
+	// (or of the initial setup), as its whole state.
+	Replace(proj *core.System) error
+	// Checkpoint makes the shard's current state its on-disk state; the
+	// coordinator calls it on the shards a journaled mutation touched. A
+	// shard that is not durable, or that persists inside its structural
+	// verbs, returns nil.
+	Checkpoint() error
+	// Close releases what the shard holds open.
+	Close() error
+}
+
+// Leg is one shard's side of a View. A transport that can pin state (the
+// in-process one pins a core.Snapshot) answers every call from the state
+// captured at Pin time; one that cannot (the networked one) answers from
+// whatever the shard serves when the call arrives.
+type Leg interface {
+	// Epoch is the shard's commit counter as of the pin.
+	Epoch() uint64
+	// CreatedAt is when the pinned state was published, or the zero time
+	// when the leg pins none.
+	CreatedAt() time.Time
+	// Run answers the query over this shard's sources. Instances and
+	// PerSource are the merge inputs and are always set; Ranked is the
+	// shard-local ranking, read only when the leg is alone in its view —
+	// a transport that does not ship it leaves it nil and the coordinator
+	// ranks by merging.
+	Run(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error)
+	// Explain reports this shard's contributions behind one answer.
+	Explain(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error)
+	// Candidates returns the top limit of this shard's feedback question
+	// queue (0 = all), in feedback.MergeCandidates order.
+	Candidates(ctx context.Context, limit int) ([]feedback.Candidate, error)
+}
+
 // servingMeta is the coordinator's atomically published cross-shard
 // state: the global source order (which the merge needs to visit
 // disjunction factors in oracle order) and the shared mediation
 // artifacts every shard serves.
 type servingMeta struct {
-	order  []string
-	med    *mediate.Result
-	target *schema.MediatedSchema
+	order     []string
+	med       *mediate.Result
+	target    *schema.MediatedSchema
+	createdAt time.Time
 }
 
-// System is the sharded scatter-gather coordinator. Queries snapshot all
-// shards lock-free (View); mutations serialize on one coordinator lock
-// and route to the owning shard, refreshing the global mediation when a
-// source arrives or leaves.
+// System is the scatter-gather coordinator. Queries capture a View
+// lock-free; mutations serialize on one coordinator lock and route to the
+// owning shard, refreshing the global mediation when a source arrives or
+// leaves.
 type System struct {
 	cfg    core.Config
 	opts   Options
 	domain string
-
-	shards []*core.System
-	stores []*persist.Store // nil entries: in-memory, or shard empty
+	shards []Shard
 
 	// mu is held exclusively by structural mutations (add/remove source,
 	// checkpoint, close) and shared by feedback submissions: feedback
@@ -95,7 +158,9 @@ type System struct {
 	mutating   atomic.Bool
 	fbInFlight atomic.Int64
 	meta       atomic.Pointer[servingMeta]
-	sources    map[string]*schema.Source
+	// sources holds the corpus by name; written under mu, read by
+	// feedback under its read lock.
+	sources map[string]*schema.Source
 
 	// crashAt, when set by a test, simulates a crash at a named commit
 	// stage: a non-nil return aborts the mutation mid-protocol, leaving
@@ -103,104 +168,87 @@ type System struct {
 	crashAt func(stage string) error
 }
 
-// New sets up a sharded system over the corpus: one global core.Setup
-// computes the mediation and per-source artifacts, and each shard
-// receives the projection covering its sources. With Options.DataDir set
-// the layout is persisted immediately.
+// New sets up an in-process sharded system over the corpus. With
+// Options.DataDir set the layout is persisted immediately.
 func New(c *schema.Corpus, cfg core.Config, opts Options) (*System, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	blue, err := core.Setup(c, cfg)
-	if err != nil {
-		return nil, err
+	if opts.DataDir != "" {
+		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
+			return nil, fmt.Errorf("shard: %w", err)
+		}
 	}
 	s := &System{cfg: cfg, opts: opts, domain: c.Domain}
-	n := opts.Shards
-	s.shards = make([]*core.System, n)
-	s.stores = make([]*persist.Store, n)
-	for i := 0; i < n; i++ {
-		proj, err := projectShard(c.Domain, cfg, blue, shardSources(c.Sources, i, n))
-		if err != nil {
-			return nil, err
-		}
-		s.shards[i] = proj
+	for i := 0; i < opts.Shards; i++ {
+		s.shards = append(s.shards, s.newLocal(i))
 	}
-	s.sources = make(map[string]*schema.Source, len(c.Sources))
-	order := make([]string, len(c.Sources))
-	for i, src := range c.Sources {
-		order[i] = src.Name
-		s.sources[src.Name] = src
-	}
-	s.publishMeta(order, blue.Med, blue.Target)
-	if opts.DataDir != "" {
-		if err := s.initDurable(order); err != nil {
-			return nil, err
-		}
+	if err := s.setup(c); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// shardSources filters the global source list down to shard i of n,
-// preserving global order.
-func shardSources(sources []*schema.Source, i, n int) []*schema.Source {
-	var out []*schema.Source
-	for _, src := range sources {
-		if ShardOf(src.Name, n) == i {
-			out = append(out, src)
-		}
+// NewOver sets up a sharded system over shards some other transport
+// provides (internal/shardrpc hands in its remote stubs). The shards
+// start empty; setup pushes each its projection.
+func NewOver(c *schema.Corpus, cfg core.Config, shards []Shard) (*System, error) {
+	s := &System{cfg: cfg, domain: c.Domain, shards: shards}
+	if err := s.setup(c); err != nil {
+		return nil, err
 	}
-	return out
+	return s, nil
 }
 
-// projectShard builds one shard's core from a globally set-up blueprint:
-// the sub-corpus in global order, the blueprint's p-mappings and
-// consolidated mappings for exactly those sources, and the shared global
-// mediation. An empty subset yields a servable zero-source core.
-func projectShard(domain string, cfg core.Config, blue *core.System, subs []*schema.Source) (*core.System, error) {
-	if len(subs) == 0 {
-		return core.NewEmptyShard(domain, cfg, blue.Med, blue.Target)
-	}
-	subCorpus, err := schema.NewCorpus(domain, subs)
+// setup runs the one global core.Setup — mediation and every per-source
+// artifact — and installs each shard's projection of it.
+func (s *System) setup(c *schema.Corpus) error {
+	blue, err := core.Setup(c, s.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
+		return err
 	}
-	maps := make(map[string][]*pmapping.PMapping, len(subs))
-	cons := make(map[string]*consolidate.PMapping, len(subs))
-	for _, src := range subs {
-		maps[src.Name] = blue.Maps[src.Name]
-		if cpm, ok := blue.ConsMaps[src.Name]; ok {
-			cons[src.Name] = cpm
+	if err := s.install(blue, c.Sources); err != nil {
+		return err
+	}
+	s.publish(c.Sources, blue.Med, blue.Target)
+	return s.finishDurable(s.allShards())
+}
+
+// install re-projects a globally set-up blueprint onto every shard as a
+// state replacement — the initial setup and the rebuild path share it.
+// Readers observe a rebuild as one more epoch per shard.
+func (s *System) install(blue *core.System, srcs []*schema.Source) error {
+	n := len(s.shards)
+	for i, sh := range s.shards {
+		proj, err := project(s.domain, s.cfg, blue, sourcesFor(srcs, i, n))
+		if err != nil {
+			return err
+		}
+		if err := sh.Replace(proj); err != nil {
+			return err
 		}
 	}
-	return core.Restore(subCorpus, cfg, blue.Med, maps, blue.Target, cons)
+	return nil
 }
 
-// SourcesFor filters the global source list down to shard i of n in
-// global order — the subset ShardOf assigns there. Exported for the
-// networked coordinator, which projects state before shipping it to
-// remote shard hosts.
-func SourcesFor(sources []*schema.Source, i, n int) []*schema.Source {
-	return shardSources(sources, i, n)
-}
-
-// Project builds one shard's core from a globally set-up blueprint (see
-// projectShard). Exported for the networked coordinator.
-func Project(domain string, cfg core.Config, blue *core.System, subs []*schema.Source) (*core.System, error) {
-	return projectShard(domain, cfg, blue, subs)
-}
-
-func (s *System) publishMeta(order []string, med *mediate.Result, target *schema.MediatedSchema) {
-	s.meta.Store(&servingMeta{order: order, med: med, target: target})
-}
-
-// orderedSources materializes the current sources in global order.
-func (s *System) orderedSources(order []string) []*schema.Source {
-	out := make([]*schema.Source, 0, len(order))
-	for _, name := range order {
-		out = append(out, s.sources[name])
+// publish records the committed corpus and makes it, with the shared
+// mediation, the state new Views capture.
+func (s *System) publish(srcs []*schema.Source, med *mediate.Result, target *schema.MediatedSchema) {
+	order := make([]string, len(srcs))
+	s.sources = make(map[string]*schema.Source, len(srcs))
+	for i, src := range srcs {
+		order[i] = src.Name
+		s.sources[src.Name] = src
 	}
-	return out
+	s.meta.Store(&servingMeta{order: order, med: med, target: target, createdAt: time.Now()})
+}
+
+func (s *System) allShards() []int {
+	all := make([]int, len(s.shards))
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // NumShards returns the shard count.
@@ -214,18 +262,11 @@ func (s *System) Obs() *obs.Registry {
 	return obs.Default
 }
 
-// Committing reports whether any mutation is in flight — on the
-// coordinator or inside any shard's commit path.
+// Committing reports whether any mutation is in flight. Every shard-side
+// commit runs inside one of the two windows counted here, so the flag
+// means the same thing on every transport.
 func (s *System) Committing() bool {
-	if s.mutating.Load() || s.fbInFlight.Load() > 0 {
-		return true
-	}
-	for _, sh := range s.shards {
-		if sh.Committing() {
-			return true
-		}
-	}
-	return false
+	return s.mutating.Load() || s.fbInFlight.Load() > 0
 }
 
 func (s *System) crash(stage string) error {
@@ -238,31 +279,31 @@ func (s *System) crash(stage string) error {
 // --- read path --------------------------------------------------------
 
 // View is one cross-shard read view: the published coordinator meta plus
-// one snapshot per shard, each captured with a single atomic load. Reads
-// are per-shard snapshot-isolated: a concurrent multi-shard mutation may
-// be visible on some shards and not others within one View (the epoch
-// vector makes this observable); each shard's state is internally
-// consistent, and quiescent views are globally consistent.
+// one pinned leg per shard. Reads are per-shard snapshot-isolated at
+// best: a concurrent multi-shard mutation may be visible on some shards
+// and not others within one View (the epoch vector makes this
+// observable); each shard's state is internally consistent, and
+// quiescent views are globally consistent.
 type View struct {
-	meta  *servingMeta
-	snaps []*core.Snapshot
+	meta *servingMeta
+	legs []Leg
 }
 
 // View captures the current cross-shard read view.
 func (s *System) View() *View {
-	meta := s.meta.Load()
-	snaps := make([]*core.Snapshot, len(s.shards))
+	v := &View{meta: s.meta.Load(), legs: make([]Leg, len(s.shards))}
 	for i, sh := range s.shards {
-		snaps[i] = sh.Snapshot()
+		v.legs[i] = sh.Pin()
 	}
-	return &View{meta: meta, snaps: snaps}
+	return v
 }
 
-// Epochs is the cross-shard epoch vector, one commit counter per shard.
-func (v *View) Epochs() []uint64 {
-	out := make([]uint64, len(v.snaps))
-	for i, sn := range v.snaps {
-		out[i] = sn.Epoch
+// EpochVector is the cross-shard epoch vector, one commit counter per
+// shard.
+func (v *View) EpochVector() []uint64 {
+	out := make([]uint64, len(v.legs))
+	for i, l := range v.legs {
+		out[i] = l.Epoch()
 	}
 	return out
 }
@@ -272,31 +313,26 @@ func (v *View) Epochs() []uint64 {
 // role the single-core epoch plays in /v1 responses.
 func (v *View) Epoch() uint64 {
 	var sum uint64
-	for _, sn := range v.snaps {
-		sum += sn.Epoch
+	for _, l := range v.legs {
+		sum += l.Epoch()
 	}
 	return sum
 }
 
-// CreatedAt is the publication time of the newest shard snapshot.
+// CreatedAt is the publication time of the newest state in the view: the
+// coordinator's meta or any pinned shard state.
 func (v *View) CreatedAt() time.Time {
-	var t time.Time
-	for _, sn := range v.snaps {
-		if sn.CreatedAt.After(t) {
-			t = sn.CreatedAt
+	t := v.meta.createdAt
+	for _, l := range v.legs {
+		if at := l.CreatedAt(); at.After(t) {
+			t = at
 		}
 	}
 	return t
 }
 
-// NumSources sums the shard corpora.
-func (v *View) NumSources() int {
-	n := 0
-	for _, sn := range v.snaps {
-		n += len(sn.Corpus.Sources)
-	}
-	return n
-}
+// NumSources is the size of the committed corpus.
+func (v *View) NumSources() int { return len(v.meta.order) }
 
 // PMed returns the shared probabilistic mediated schema.
 func (v *View) PMed() *schema.PMedSchema { return v.meta.med.PMed }
@@ -304,37 +340,38 @@ func (v *View) PMed() *schema.PMedSchema { return v.meta.med.PMed }
 // Target returns the shared consolidated mediated schema.
 func (v *View) Target() *schema.MediatedSchema { return v.meta.target }
 
-// RunCtx fans the query out to every shard concurrently and merges the
-// partial results into the single-engine answer. The context propagates
-// to every shard scan; the first shard error cancels the rest. With one
-// shard the call is a plain dispatch (the shard IS the system).
-func (v *View) RunCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
-	if len(v.snaps) == 1 {
-		return v.snaps[0].RunCtx(ctx, a, q)
+// gather is the one fan-out: it runs fn on every leg concurrently and
+// returns the parts in shard order. The context propagates to every leg;
+// the first failure cancels the rest, and any failure fails the gather —
+// an incomplete part set is never handed to a merge. A one-shard view
+// dispatches directly, with no goroutine.
+func gather[T any](ctx context.Context, legs []Leg, fn func(context.Context, Leg) (T, error)) ([]T, error) {
+	if len(legs) == 1 {
+		part, err := fn(ctx, legs[0])
+		if err != nil {
+			return nil, err
+		}
+		return []T{part}, nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	parts := make([]*answer.ResultSet, len(v.snaps))
-	errs := make([]error, len(v.snaps))
+	parts := make([]T, len(legs))
+	errs := make([]error, len(legs))
 	var wg sync.WaitGroup
-	for i := range v.snaps {
+	for i := range legs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rs, err := v.snaps[i].RunCtx(ctx, a, q)
-			if err != nil {
-				errs[i] = err
+			if parts[i], errs[i] = fn(ctx, legs[i]); errs[i] != nil {
 				cancel()
-				return
 			}
-			parts[i] = rs
 		}(i)
 	}
 	wg.Wait()
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	return answer.MergeResultSets(v.meta.order, parts), nil
+	return parts, nil
 }
 
 // firstError picks the error to surface from a fan-out: the first
@@ -354,81 +391,62 @@ func firstError(errs []error) error {
 	return ret
 }
 
-// ExplainCtx fans provenance out to every shard and re-sorts the merged
-// contributions with the engine's comparator (mass descending, then
-// source, then schema). Order among contributions tied on all three is
-// not pinned across shard counts.
-func (v *View) ExplainCtx(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error) {
-	if len(v.snaps) == 1 {
-		return v.snaps[0].ExplainCtx(ctx, q, values)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	parts := make([][]answer.Contribution, len(v.snaps))
-	errs := make([]error, len(v.snaps))
-	var wg sync.WaitGroup
-	for i := range v.snaps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cs, err := v.snaps[i].ExplainCtx(ctx, q, values)
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			parts[i] = cs
-		}(i)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+// RunCtx fans the query out to every shard and merges the partial
+// results in global source order: answer.MergeResultSets recomputes the
+// IEEE disjunction over the shards' exact per-source probabilities, so
+// the merged ranking is `==`-identical to a single engine over the whole
+// corpus.
+func (v *View) RunCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+	parts, err := gather(ctx, v.legs, func(ctx context.Context, l Leg) (*answer.ResultSet, error) {
+		return l.Run(ctx, a, q)
+	})
+	if err != nil {
 		return nil, err
 	}
-	var out []answer.Contribution
-	for _, cs := range parts {
-		out = append(out, cs...)
+	// A lone leg that ranked its own answer is the answer (the shard IS
+	// the system). One that carries only the merge inputs is ranked by the
+	// merge like any other part set.
+	if len(parts) == 1 && parts[0].Ranked != nil {
+		return parts[0], nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Mass != out[j].Mass {
-			return out[i].Mass > out[j].Mass
-		}
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
-		}
-		return out[i].SchemaIdx < out[j].SchemaIdx
+	return answer.MergeResultSets(v.meta.order, parts), nil
+}
+
+// ExplainCtx fans provenance out to every shard and merges the
+// contributions in the engine's order.
+func (v *View) ExplainCtx(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error) {
+	parts, err := gather(ctx, v.legs, func(ctx context.Context, l Leg) ([]answer.Contribution, error) {
+		return l.Explain(ctx, q, values)
 	})
-	return out, nil
+	if err != nil {
+		return nil, err
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	return answer.MergeContributions(parts...), nil
 }
 
 // Candidates merges the per-shard feedback question queues into one
-// ranking (uncertainty descending, the same order feedback.Session
-// uses), truncated to limit (0 = all). A source lives in exactly one
-// shard, so per-shard dedup is global dedup; the instance-overlap signal
-// for unmapped attributes pools values shard-locally, which can score
-// proposals slightly differently than one global session would — the
-// ranking is advisory, not part of the differential contract.
-func (s *System) Candidates(v *View, limit int) []feedback.Candidate {
-	var all []feedback.Candidate
-	for i, sn := range v.snaps {
-		sess := feedback.NewSession(s.shards[i], nil)
-		all = append(all, sess.CandidatesIn(sn, 0)...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Uncertainty != all[j].Uncertainty {
-			return all[i].Uncertainty > all[j].Uncertainty
-		}
-		if all[i].Source != all[j].Source {
-			return all[i].Source < all[j].Source
-		}
-		if all[i].SrcAttr != all[j].SrcAttr {
-			return all[i].SrcAttr < all[j].SrcAttr
-		}
-		return all[i].MedIdx < all[j].MedIdx
+// ranking truncated to limit (0 = all). Each shard is asked for only its
+// own top limit — merge-equivalent to truncating the full merge (see
+// feedback.MergeCandidates) without fetching every queue in full. A
+// source lives in exactly one shard, so per-shard dedup is global dedup;
+// the instance-overlap signal for unmapped attributes pools values
+// shard-locally, which can score proposals slightly differently than one
+// global session would — the ranking is advisory, not part of the
+// differential contract.
+func (v *View) Candidates(ctx context.Context, limit int) ([]feedback.Candidate, error) {
+	parts, err := gather(ctx, v.legs, func(ctx context.Context, l Leg) ([]feedback.Candidate, error) {
+		return l.Candidates(ctx, limit)
 	})
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
+	if err != nil {
+		return nil, err
 	}
-	return all
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	return feedback.MergeCandidates(limit, parts...), nil
 }
 
 // --- mutation path ----------------------------------------------------
@@ -449,113 +467,28 @@ func (s *System) SubmitFeedback(fb core.Feedback) error {
 	defer s.mu.RUnlock()
 	s.fbInFlight.Add(1)
 	defer s.fbInFlight.Add(-1)
-	return s.shards[ShardOf(fb.Source, len(s.shards))].SubmitFeedback(fb)
+	if _, ok := s.sources[fb.Source]; !ok {
+		return fmt.Errorf("shard: %w %q", core.ErrUnknownSource, fb.Source)
+	}
+	return s.shards[ShardOf(fb.Source, len(s.shards))].Feedback(fb)
 }
 
-// AddSource grows the sharded system with a new source, reproducing the
-// single-core AddSource decision exactly: the global mediation is
-// regenerated, and if the clustering is unchanged only the probabilities
-// are refreshed (the owner shard adopts the source; every other shard
-// swaps in the refreshed mediation), otherwise the whole system is
-// rebuilt and re-projected. Returns true when the fast path applied.
+// AddSources grows the sharded system with a batch of sources under one
+// coordination round, reproducing the single-core AddSources decision
+// exactly: the global mediation is planned once (core.PlanMediation); on
+// the fast path each owner shard adopts its sources in bulk and every
+// other shard swaps in the refreshed mediation, otherwise the whole
+// system is rebuilt and re-projected. Returns true when the fast path
+// applied for the whole batch. A one-element batch is the single add.
 //
-// Durability protocol (DataDir mode): the coordinator journals the op
-// before mutating any shard, checkpoints the owner after applying, then
-// rewrites the manifest and drops the journal. A crash at any stage
-// recovers by redoing the journaled op idempotently (Open), so the
-// mutation is atomic across shards: after recovery it is either fully
-// applied or fully absent.
-func (s *System) AddSource(src *schema.Source) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mutating.Store(true)
-	defer s.mutating.Store(false)
-	meta := s.meta.Load()
-
-	all := append(s.orderedSources(meta.order), src)
-	corpus, err := schema.NewCorpus(s.domain, all)
-	if err != nil {
-		return false, fmt.Errorf("shard: %w", err)
-	}
-	gen, err := mediate.Generate(corpus, s.cfg.Mediate)
-	if err != nil {
-		return false, fmt.Errorf("shard: %w", err)
-	}
-	newOrder := append(append(make([]string, 0, len(meta.order)+1), meta.order...), src.Name)
-	op := &core.Op{Kind: core.OpAddSource, Add: &core.SourceData{Name: src.Name, Attrs: src.Attrs, Rows: src.Rows}}
-
-	if !core.SameSchemaSet(meta.med.PMed, gen.PMed) {
-		return false, s.rebuildLocked(corpus, newOrder, op, meta)
-	}
-	// Fast path: clusterings unchanged. Keep the existing schema order
-	// (shard Maps are indexed by it) and refresh the probabilities with
-	// the new source counted — the same floats the oracle computes, since
-	// AssignProbabilities counts over the identical corpus.
-	probs := mediate.AssignProbabilities(meta.med.PMed.Schemas, corpus)
-	pmed, err := schema.NewPMedSchema(meta.med.PMed.Schemas, probs)
-	if err != nil {
-		// A schema's probability hit zero: effectively a set change.
-		return false, s.rebuildLocked(corpus, newOrder, op, meta)
-	}
-	med := &mediate.Result{PMed: pmed, Graph: gen.Graph, FrequentAttrs: gen.FrequentAttrs}
-
-	if err := s.journalBegin(op, meta); err != nil {
-		return false, err
-	}
-	if err := s.crash("journal"); err != nil {
-		return false, err
-	}
-	owner := ShardOf(src.Name, len(s.shards))
-	if err := s.shards[owner].ShardAdoptSource(src, med); err != nil {
-		// Nothing applied; the journaled op failed deterministically, so
-		// a redo after a crash here fails the same way and also rolls
-		// back. Clean the journal on the spot.
-		s.journalDrop()
-		return false, err
-	}
-	if err := s.crash("applied"); err != nil {
-		return false, err
-	}
-	for i, sh := range s.shards {
-		if i == owner {
-			continue
-		}
-		if err := sh.ShardSetMediation(med); err != nil {
-			return false, err
-		}
-	}
-	s.sources[src.Name] = src
-	s.publishMeta(newOrder, med, meta.target)
-	s.Obs().Add("shard.add_source", 1)
-	return true, s.finishDurable([]int{owner}, newOrder)
-}
-
-// AddSources grows the sharded system with a whole batch of sources
-// under one coordination round, mirroring core.AddSources: one global
-// mediation pass, one journal record (one atomic journal write for the
-// batch), one bulk adoption per owner shard, one published meta and one
-// finishDurable checkpoint pass. Returns true when the fast path applied
-// for the whole batch.
-//
-// The batch is all-or-nothing. On the fast path a failed owner adoption
-// rolls back any owner that already adopted (dropping its batch sources)
-// and clears the journal, so memory and disk both return to the pre-op
-// state; a crash mid-batch recovers through the journaled batch redo,
-// which lands on fully-applied or fully-absent exactly like the
-// single-source protocol.
+// The batch is all-or-nothing (see apply); duplicate names — in the batch
+// or against the corpus — reject it before anything is planned.
 func (s *System) AddSources(srcs []*schema.Source) (bool, error) {
 	if len(srcs) == 0 {
 		return true, nil
 	}
-	if len(srcs) == 1 {
-		return s.AddSource(srcs[0])
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mutating.Store(true)
-	defer s.mutating.Store(false)
-	meta := s.meta.Load()
-
 	seen := make(map[string]bool, len(srcs))
 	for _, src := range srcs {
 		if seen[src.Name] {
@@ -566,213 +499,194 @@ func (s *System) AddSources(srcs []*schema.Source) (bool, error) {
 			return false, fmt.Errorf("shard: source %q already in corpus", src.Name)
 		}
 	}
+	return s.mutate(srcs, "")
+}
 
-	all := append(s.orderedSources(meta.order), srcs...)
-	corpus, err := schema.NewCorpus(s.domain, all)
-	if err != nil {
-		return false, fmt.Errorf("shard: %w", err)
+// RemoveSource drops a source, mirroring the single-core decision:
+// unknown sources and the last source are refused, a mediation failure
+// on the shrunken corpus aborts with no change, and the fast/rebuild
+// split follows the plan. Returns true on the fast path.
+func (s *System) RemoveSource(name string) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.sources[name]; !ok {
+		return false, fmt.Errorf("shard: %w %q", core.ErrUnknownSource, name)
 	}
-	gen, err := mediate.Generate(corpus, s.cfg.Mediate)
-	if err != nil {
-		return false, fmt.Errorf("shard: %w", err)
+	if len(s.sources) == 1 {
+		return false, fmt.Errorf("shard: cannot remove the last source")
 	}
-	newOrder := make([]string, 0, len(meta.order)+len(srcs))
-	newOrder = append(newOrder, meta.order...)
-	ops := make([]core.Op, len(srcs))
-	for i, src := range srcs {
-		newOrder = append(newOrder, src.Name)
-		ops[i] = core.Op{Kind: core.OpAddSource, Add: &core.SourceData{Name: src.Name, Attrs: src.Attrs, Rows: src.Rows}}
-	}
+	return s.mutate(nil, name)
+}
 
-	if !core.SameSchemaSet(meta.med.PMed, gen.PMed) {
-		return false, s.rebuildBatchLocked(corpus, newOrder, ops, meta)
-	}
-	probs := mediate.AssignProbabilities(meta.med.PMed.Schemas, corpus)
-	pmed, err := schema.NewPMedSchema(meta.med.PMed.Schemas, probs)
+// mutate is the one live structural mutation: plan against the served
+// state, then apply. Caller holds the write lock.
+func (s *System) mutate(adds []*schema.Source, remove string) (bool, error) {
+	s.mutating.Store(true)
+	defer s.mutating.Store(false)
+	pre := s.meta.Load()
+	ch, err := s.plan(pre, adds, remove)
 	if err != nil {
-		return false, s.rebuildBatchLocked(corpus, newOrder, ops, meta)
-	}
-	med := &mediate.Result{PMed: pmed, Graph: gen.Graph, FrequentAttrs: gen.FrequentAttrs}
-
-	if err := s.journalBeginOps(ops, meta); err != nil {
 		return false, err
+	}
+	if err := s.apply(pre, ch, false); err != nil {
+		return false, err
+	}
+	return ch.blue == nil, nil
+}
+
+// change is one planned structural mutation: grow by adds or shrink by
+// remove (exactly one is set), the post-op corpus in global order, and
+// the mediation decision — the med and target the system serves
+// afterwards, pushed as they are on the fast path, or carried by blue, the
+// global rebuild to re-project, when the clustering changed.
+type change struct {
+	adds   []*schema.Source
+	remove string
+	srcs   []*schema.Source
+	med    *mediate.Result
+	target *schema.MediatedSchema
+	blue   *core.System
+}
+
+// plan computes everything a mutation needs before any shard or file is
+// touched, so a planning failure (the shrunken corpus has no frequent
+// attributes, the rebuild's Setup fails) leaves memory and disk as they
+// were. pre is the state the mutation starts from: the served meta on the
+// live path, the journaled one on redo.
+func (s *System) plan(pre *servingMeta, adds []*schema.Source, remove string) (*change, error) {
+	ch := &change{adds: adds, remove: remove}
+	for _, name := range pre.order {
+		if name != remove {
+			ch.srcs = append(ch.srcs, s.sources[name])
+		}
+	}
+	ch.srcs = append(ch.srcs, adds...)
+	corpus, err := schema.NewCorpus(s.domain, ch.srcs)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	med, fast, err := core.PlanMediation(pre.med.PMed, corpus, s.cfg.Mediate)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	// The fast path keeps the consolidated target; a rebuild replaces it.
+	ch.med, ch.target = med, pre.target
+	if !fast {
+		if ch.blue, err = core.Setup(corpus, s.cfg); err != nil {
+			return nil, err
+		}
+		ch.med, ch.target = ch.blue.Med, ch.blue.Target
+	}
+	return ch, nil
+}
+
+// errRolledBack marks a mutation whose shard-side application failed and
+// was undone: every shard is back at the pre-op state and the journal is
+// cleared. Recovery tells it apart from a failure that left the op half
+// applied.
+var errRolledBack = errors.New("shard: mutation rolled back")
+
+// apply carries a planned change out on the shards. On the fast path each
+// owner adopts (or drops) its sources and every other shard swaps in the
+// refreshed mediation — the same floats the oracle computes, since the
+// plan counted over the identical corpus; on the rebuild path every shard
+// is replaced with its projection of the new global setup.
+//
+// Durability protocol (DataDir mode): the coordinator journals the op
+// before mutating any shard, checkpoints the shards it touched after
+// applying, then rewrites the manifest and drops the journal. A crash at
+// any stage recovers by running the journaled op through this same
+// function (journaled = true: the record is already on disk), which the
+// idempotent shard verbs make safe, so the mutation is atomic across
+// shards: after recovery it is either fully applied or fully absent.
+//
+// A batch is all-or-nothing in memory too: a failed owner adoption rolls
+// back every owner that already adopted (dropping its batch sources under
+// the previous mediation) and clears the journal — the failure is
+// deterministic, so a redo after a crash there fails and rolls back the
+// same way.
+func (s *System) apply(pre *servingMeta, ch *change, journaled bool) error {
+	if !journaled {
+		if err := s.journalWrite(ch, pre); err != nil {
+			return err
+		}
 	}
 	if err := s.crash("journal"); err != nil {
-		return false, err
+		return err
 	}
+	var touched []int
+	if ch.blue != nil {
+		if err := s.install(ch.blue, ch.srcs); err != nil {
+			return err
+		}
+		touched = s.allShards()
+		s.Obs().Add("shard.rebuild", 1)
+	} else {
+		var err error
+		if touched, err = s.applyFast(pre, ch); err != nil {
+			return err
+		}
+	}
+	if err := s.crash("applied"); err != nil {
+		return err
+	}
+	s.publish(ch.srcs, ch.med, ch.target)
+	if ch.remove != "" {
+		s.Obs().Add("shard.remove_source", 1)
+	} else {
+		s.Obs().Add("shard.add_sources", 1)
+		s.Obs().Add("shard.add_sources.ops", int64(len(ch.adds)))
+	}
+	return s.finishDurable(touched)
+}
+
+// applyFast is apply's incremental path; it returns the owner shards,
+// whose corpora changed.
+func (s *System) applyFast(pre *servingMeta, ch *change) ([]int, error) {
+	// byOwner keys the shards whose corpus changes: each add's owner with
+	// the sources it adopts, or the removed source's owner with none.
 	n := len(s.shards)
 	byOwner := make(map[int][]*schema.Source)
-	for _, src := range srcs {
+	for _, src := range ch.adds {
 		o := ShardOf(src.Name, n)
 		byOwner[o] = append(byOwner[o], src)
+	}
+	if ch.remove != "" {
+		byOwner[ShardOf(ch.remove, n)] = nil
 	}
 	owners := make([]int, 0, len(byOwner))
 	for o := range byOwner {
 		owners = append(owners, o)
 	}
 	sort.Ints(owners)
-	touched := make([]int, 0, len(owners))
-	for _, o := range owners {
-		if err := s.shards[o].ShardAdoptSources(byOwner[o], med); err != nil {
-			// Roll earlier owners back so the journaled batch fails
-			// all-or-nothing, exactly as its redo would after a crash here.
-			for _, t := range touched {
+	for done, o := range owners {
+		var err error
+		if ch.remove != "" {
+			err = s.shards[o].Drop(ch.remove, ch.med)
+		} else {
+			err = s.shards[o].Adopt(byOwner[o], ch.med)
+		}
+		if err != nil {
+			// Nothing may stay applied: undo the owners before this one, then
+			// clear the journal on the spot.
+			for _, t := range owners[:done] {
 				for _, src := range byOwner[t] {
-					if derr := s.shards[t].ShardDropSource(src.Name, meta.med); derr != nil {
-						return false, derr
+					if derr := s.shards[t].Drop(src.Name, pre.med); derr != nil {
+						return nil, derr
 					}
 				}
 			}
 			s.journalDrop()
-			return false, err
+			return nil, fmt.Errorf("%w: %w", errRolledBack, err)
 		}
-		touched = append(touched, o)
-	}
-	if err := s.crash("applied"); err != nil {
-		return false, err
-	}
-	isOwner := make(map[int]bool, len(owners))
-	for _, o := range owners {
-		isOwner[o] = true
 	}
 	for i, sh := range s.shards {
-		if isOwner[i] {
+		if _, owner := byOwner[i]; owner {
 			continue
 		}
-		if err := sh.ShardSetMediation(med); err != nil {
-			return false, err
+		if err := sh.SetMediation(ch.med); err != nil {
+			return nil, err
 		}
 	}
-	for _, src := range srcs {
-		s.sources[src.Name] = src
-	}
-	s.publishMeta(newOrder, med, meta.target)
-	s.Obs().Add("shard.add_sources", 1)
-	s.Obs().Add("shard.add_sources.ops", int64(len(srcs)))
-	return true, s.finishDurable(touched, newOrder)
-}
-
-// RemoveSource drops a source, mirroring the single-core decision:
-// unknown sources and the last source are refused, a mediation failure
-// on the shrunken corpus aborts with no change, and the fast/rebuild
-// split follows the regenerated clustering. Returns true on the fast
-// path.
-func (s *System) RemoveSource(name string) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mutating.Store(true)
-	defer s.mutating.Store(false)
-	meta := s.meta.Load()
-
-	if _, ok := s.sources[name]; !ok {
-		return false, fmt.Errorf("shard: %w %q", core.ErrUnknownSource, name)
-	}
-	if len(meta.order) == 1 {
-		return false, fmt.Errorf("shard: cannot remove the last source")
-	}
-	newOrder := make([]string, 0, len(meta.order)-1)
-	for _, n := range meta.order {
-		if n != name {
-			newOrder = append(newOrder, n)
-		}
-	}
-	corpus, err := schema.NewCorpus(s.domain, s.orderedSources(newOrder))
-	if err != nil {
-		return false, fmt.Errorf("shard: %w", err)
-	}
-	gen, err := mediate.Generate(corpus, s.cfg.Mediate)
-	if err != nil {
-		// The shrunken corpus may have no frequent attributes; refuse
-		// with no change, like the single-core path.
-		return false, fmt.Errorf("shard: %w", err)
-	}
-	op := &core.Op{Kind: core.OpRemoveSource, Remove: name}
-
-	if !core.SameSchemaSet(meta.med.PMed, gen.PMed) {
-		return false, s.rebuildLocked(corpus, newOrder, op, meta)
-	}
-	probs := mediate.AssignProbabilities(meta.med.PMed.Schemas, corpus)
-	pmed, err := schema.NewPMedSchema(meta.med.PMed.Schemas, probs)
-	if err != nil {
-		return false, s.rebuildLocked(corpus, newOrder, op, meta)
-	}
-	med := &mediate.Result{PMed: pmed, Graph: gen.Graph, FrequentAttrs: gen.FrequentAttrs}
-
-	if err := s.journalBegin(op, meta); err != nil {
-		return false, err
-	}
-	if err := s.crash("journal"); err != nil {
-		return false, err
-	}
-	owner := ShardOf(name, len(s.shards))
-	if err := s.shards[owner].ShardDropSource(name, med); err != nil {
-		s.journalDrop()
-		return false, err
-	}
-	if err := s.crash("applied"); err != nil {
-		return false, err
-	}
-	for i, sh := range s.shards {
-		if i == owner {
-			continue
-		}
-		if err := sh.ShardSetMediation(med); err != nil {
-			return false, err
-		}
-	}
-	delete(s.sources, name)
-	s.publishMeta(newOrder, med, meta.target)
-	s.Obs().Add("shard.remove_source", 1)
-	return true, s.finishDurable([]int{owner}, newOrder)
-}
-
-// rebuildLocked is the slow path shared by AddSource and RemoveSource:
-// one global core.Setup over the new corpus, re-projected onto every
-// shard as a state replacement (readers observe it as one more epoch per
-// shard). Setup runs before the journal is written, so a Setup failure
-// leaves both memory and disk untouched.
-func (s *System) rebuildLocked(corpus *schema.Corpus, newOrder []string, op *core.Op, meta *servingMeta) error {
-	return s.rebuildJournaled(corpus, newOrder, func() error { return s.journalBegin(op, meta) })
-}
-
-// rebuildBatchLocked is rebuildLocked for an AddSources batch: the whole
-// batch is journaled as one record, so recovery redoes (or rolls back)
-// all of it together.
-func (s *System) rebuildBatchLocked(corpus *schema.Corpus, newOrder []string, ops []core.Op, meta *servingMeta) error {
-	return s.rebuildJournaled(corpus, newOrder, func() error { return s.journalBeginOps(ops, meta) })
-}
-
-func (s *System) rebuildJournaled(corpus *schema.Corpus, newOrder []string, journal func() error) error {
-	blue, err := core.Setup(corpus, s.cfg)
-	if err != nil {
-		return err
-	}
-	if err := journal(); err != nil {
-		return err
-	}
-	if err := s.crash("journal"); err != nil {
-		return err
-	}
-	n := len(s.shards)
-	touched := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		proj, err := projectShard(s.domain, s.cfg, blue, shardSources(corpus.Sources, i, n))
-		if err != nil {
-			return err
-		}
-		if err := s.shards[i].ShardReplaceState(proj); err != nil {
-			return err
-		}
-		touched = append(touched, i)
-	}
-	if err := s.crash("applied"); err != nil {
-		return err
-	}
-	s.sources = make(map[string]*schema.Source, len(corpus.Sources))
-	for _, src := range corpus.Sources {
-		s.sources[src.Name] = src
-	}
-	s.publishMeta(newOrder, blue.Med, blue.Target)
-	s.Obs().Add("shard.rebuild", 1)
-	return s.finishDurable(touched, newOrder)
+	return owners, nil
 }

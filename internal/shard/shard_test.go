@@ -2,11 +2,14 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
+	"udi/internal/answer"
 	"udi/internal/core"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
@@ -48,7 +51,7 @@ func TestEpochVector(t *testing.T) {
 	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
-	before := sh.View().Epochs()
+	before := sh.View().EpochVector()
 	if len(before) != 4 {
 		t.Fatalf("epoch vector has %d entries, want 4", len(before))
 	}
@@ -57,7 +60,8 @@ func TestEpochVector(t *testing.T) {
 	var fb core.Feedback
 	found := false
 	v := sh.View()
-	for _, sn := range v.snaps {
+	for _, leg := range v.legs {
+		sn := leg.(localLeg).sn
 		for _, src := range sn.Corpus.Sources {
 			for l, pm := range sn.Maps[src.Name] {
 				for _, g := range pm.Groups {
@@ -87,7 +91,7 @@ func TestEpochVector(t *testing.T) {
 	if err := sh.SubmitFeedback(fb); err != nil {
 		t.Fatalf("feedback: %v", err)
 	}
-	after := sh.View().Epochs()
+	after := sh.View().EpochVector()
 	owner := ShardOf(fb.Source, 4)
 	for i := range after {
 		bumped := after[i] != before[i]
@@ -102,17 +106,17 @@ func TestEpochVector(t *testing.T) {
 	// A source addition touches every shard (mediation push), so every
 	// epoch moves and the scalar token strictly increases.
 	src := randomSource(rng, "xepoch", []string{"alpha", "bravo"})
-	if _, err := sh.AddSource(src); err != nil {
+	if _, err := sh.AddSources([]*schema.Source{src}); err != nil {
 		t.Fatalf("add: %v", err)
 	}
 	final := sh.View()
-	for i, e := range final.Epochs() {
+	for i, e := range final.EpochVector() {
 		if e <= after[i] {
 			t.Fatalf("add source left shard %d epoch at %d (was %d)", i, e, after[i])
 		}
 	}
 	var sum uint64
-	for _, e := range final.Epochs() {
+	for _, e := range final.EpochVector() {
 		sum += e
 	}
 	if final.Epoch() != sum {
@@ -145,8 +149,8 @@ func TestEmptyShards(t *testing.T) {
 	compareSystems(t, "single source on 8 shards", oracle, sh, []*sqlparse.Query{q})
 
 	stores := 0
-	for i := range sh.stores {
-		if sh.stores[i] != nil {
+	for _, s := range sh.shards {
+		if s.(*localShard).store != nil {
 			stores++
 		}
 	}
@@ -166,7 +170,10 @@ func TestCandidatesMerged(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	v := sh.View()
-	all := sh.Candidates(v, 0)
+	all, err := v.Candidates(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("candidates: %v", err)
+	}
 	if !sort.SliceIsSorted(all, func(i, j int) bool {
 		if all[i].Uncertainty != all[j].Uncertainty {
 			return all[i].Uncertainty > all[j].Uncertainty
@@ -182,8 +189,8 @@ func TestCandidatesMerged(t *testing.T) {
 		t.Fatal("merged candidates not in uncertainty order")
 	}
 	if len(all) > 3 {
-		top := sh.Candidates(v, 3)
-		if len(top) != 3 {
+		top, err := v.Candidates(context.Background(), 3)
+		if err != nil || len(top) != 3 {
 			t.Fatalf("limit 3 returned %d candidates", len(top))
 		}
 		for i := range top {
@@ -212,5 +219,92 @@ func TestQueryCancellation(t *testing.T) {
 	q := sqlparse.MustParse("SELECT " + attrs[0] + " FROM t")
 	if _, err := sh.View().RunCtx(ctx, core.UDI, q); err == nil {
 		t.Fatal("cancelled context produced answers")
+	}
+}
+
+// fakeShard is a Shard whose read leg a test scripts; the gather tests
+// drive the coordinator's View through it with no core, store or HTTP
+// involved.
+type fakeShard struct {
+	Shard
+	run func(ctx context.Context) (*answer.ResultSet, error)
+}
+
+func (f fakeShard) Pin() Leg { return fakeLeg{run: f.run} }
+
+type fakeLeg struct {
+	Leg
+	run func(ctx context.Context) (*answer.ResultSet, error)
+}
+
+func (l fakeLeg) Run(ctx context.Context, _ core.Approach, _ *sqlparse.Query) (*answer.ResultSet, error) {
+	return l.run(ctx)
+}
+
+func fakeView(order []string, runs ...func(ctx context.Context) (*answer.ResultSet, error)) *View {
+	s := &System{}
+	for _, run := range runs {
+		s.shards = append(s.shards, fakeShard{run: run})
+	}
+	s.meta.Store(&servingMeta{order: order})
+	return s.View()
+}
+
+// TestGatherFailureCancelsPeersAndNeverMerges pins the one gather's
+// failure contract: a failing leg cancels its peers, the error surfaced is
+// the first real one in shard order — not the context.Canceled the
+// failure itself caused on an earlier shard — and no result set comes
+// back even though another leg produced its part.
+func TestGatherFailureCancelsPeersAndNeverMerges(t *testing.T) {
+	errFirst, errSecond := errors.New("leg 1 failed"), errors.New("leg 3 failed")
+	started := make(chan struct{})
+	untilCancelled := func(err error) func(context.Context) (*answer.ResultSet, error) {
+		return func(ctx context.Context) (*answer.ResultSet, error) {
+			select {
+			case <-ctx.Done():
+				if err != nil {
+					return nil, err
+				}
+				return nil, ctx.Err()
+			case <-time.After(10 * time.Second):
+				return nil, errors.New("peer was never cancelled")
+			}
+		}
+	}
+	v := fakeView([]string{"a"},
+		untilCancelled(nil), // shard 0: reports the cancellation it was sent
+		func(context.Context) (*answer.ResultSet, error) { <-started; return nil, errFirst },
+		func(context.Context) (*answer.ResultSet, error) {
+			defer close(started) // its part is complete before any leg fails
+			return &answer.ResultSet{Instances: []answer.Instance{{Source: "a"}}}, nil
+		},
+		untilCancelled(errSecond), // shard 3: a second real error, later in shard order
+	)
+	rs, err := v.RunCtx(context.Background(), core.UDI, nil)
+	if err != errFirst {
+		t.Fatalf("gather surfaced %v, want the first real error in shard order (%v)", err, errFirst)
+	}
+	if rs != nil {
+		t.Fatalf("gather merged an incomplete part set: %+v", rs)
+	}
+}
+
+// TestLoneLegResult pins the one-shard dispatch: a lone leg that ranked
+// its own answer is returned as is (the same *ResultSet, no merge, no
+// goroutine), while a lone leg carrying only the merge inputs — the wire
+// form — is ranked by the merge.
+func TestLoneLegResult(t *testing.T) {
+	probs := []answer.SourceTupleProbs{{Source: "a", Probs: map[string]float64{answer.TupleKey([]string{"v"}): 0.5}}}
+	ranked := &answer.ResultSet{PerSource: probs, Ranked: []answer.Answer{{Values: []string{"v"}, Prob: 0.5}}}
+	got, err := fakeView([]string{"a"}, func(context.Context) (*answer.ResultSet, error) { return ranked, nil }).
+		RunCtx(context.Background(), core.UDI, nil)
+	if err != nil || got != ranked {
+		t.Fatalf("lone ranked leg: got %p (err %v), want the leg's own result set %p", got, err, ranked)
+	}
+	inputs := &answer.ResultSet{PerSource: probs}
+	got, err = fakeView([]string{"a"}, func(context.Context) (*answer.ResultSet, error) { return inputs, nil }).
+		RunCtx(context.Background(), core.UDI, nil)
+	if err != nil || len(got.Ranked) != 1 || got.Ranked[0].Prob != 0.5 {
+		t.Fatalf("lone unranked leg: got %+v (err %v), want it ranked by the merge", got, err)
 	}
 }

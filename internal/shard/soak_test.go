@@ -10,12 +10,13 @@ import (
 	"testing"
 
 	"udi/internal/core"
+	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
 // TestScatterGatherSoak hammers one sharded system with concurrent
 // scatter-gather readers and two mutators (feedback, add, remove) — the
-// workload `make race-shard` runs under -race. Readers take lock-free
+// workload `make race-topology` runs under -race. Readers take lock-free
 // Views mid-mutation, so the run exercises every snapshot/publish edge;
 // correctness here is "no race, no panic, and every successful answer is
 // a valid probability", while bit-level equivalence is pinned separately
@@ -53,7 +54,7 @@ func TestScatterGatherSoak(t *testing.T) {
 			defer readers.Done()
 			for i := 0; !done.Load(); i++ {
 				v := sh.View()
-				if got, want := len(v.Epochs()), sh.NumShards(); got != want {
+				if got, want := len(v.EpochVector()), sh.NumShards(); got != want {
 					t.Errorf("reader %d: epoch vector has %d entries, want %d", w, got, want)
 					return
 				}
@@ -89,7 +90,7 @@ func TestScatterGatherSoak(t *testing.T) {
 				switch mrng.Intn(3) {
 				case 0:
 					v := sh.View()
-					sn := v.snaps[mrng.Intn(len(v.snaps))]
+					sn := v.legs[mrng.Intn(len(v.legs))].(localLeg).sn
 					if len(sn.Corpus.Sources) == 0 {
 						continue
 					}
@@ -116,7 +117,7 @@ func TestScatterGatherSoak(t *testing.T) {
 					}
 				case 1:
 					src := randomSource(mrng, fmt.Sprintf("m%d-%03d", m, i), []string{"alpha", "bravo", "carrot"})
-					if _, err := sh.AddSource(src); err == nil {
+					if _, err := sh.AddSources([]*schema.Source{src}); err == nil {
 						mine = append(mine, src.Name)
 					}
 				case 2:
@@ -147,7 +148,7 @@ func TestScatterGatherSoak(t *testing.T) {
 	if n := v.NumSources(); n == 0 {
 		t.Fatal("soak removed every source")
 	}
-	e1, e2 := v.Epochs(), sh.View().Epochs()
+	e1, e2 := v.EpochVector(), sh.View().EpochVector()
 	for i := range e1 {
 		if e1[i] != e2[i] {
 			t.Fatalf("epoch vector moved while quiescent: %v vs %v", e1, e2)

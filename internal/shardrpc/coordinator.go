@@ -6,9 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"udi/internal/answer"
@@ -36,67 +33,44 @@ type CoordinatorOptions struct {
 	// only on primary failover, preserving the pre-routing semantics
 	// exactly. Failover eligibility is not age-bounded; it requires the
 	// replica to be synced to the primary's last-known committed state,
-	// which keeps answers bit-identical (see routing.go).
+	// which keeps answers bit-identical (see routing.go). The background
+	// prober's cadence follows from it (StartProber).
 	MaxStaleness time.Duration
 	// OpTimeout bounds each mutation RPC (feedback, adopt, drop,
 	// mediation, replace). A hung shard host then fails the mutation with
 	// a typed shard_unavailable instead of blocking forever. 0 means no
 	// bound (the previous behavior).
 	OpTimeout time.Duration
-	// ProbeInterval is the background health/staleness probing cadence
-	// when replicas are configured (StartProber). Default: MaxStaleness/2
-	// capped at 1s, or 1s when MaxStaleness is 0.
-	ProbeInterval time.Duration
 }
 
-// coordMeta is the coordinator's published serving metadata — the exact
-// analogue of the in-process shard.System's servingMeta, plus the source
-// tables themselves (the coordinator re-projects them on rebuilds).
-type coordMeta struct {
-	order     []string
-	sources   map[string]*schema.Source
-	med       *mediate.Result
-	target    *schema.MediatedSchema
-	createdAt time.Time
-}
-
-// Coordinator drives remote shard hosts over the shard RPC protocol and
-// implements httpapi.Backend: queries fan out to every host and merge
-// bit-identically to the in-process scatter-gather, feedback routes to
-// the owning host, and structural mutations reproduce the single-core
-// fast/rebuild decision before shipping the outcome to each host.
+// Coordinator is the networked serving shape: the one scatter-gather
+// coordinator (internal/shard) over remote shard hosts. This type only
+// builds it — parse the read sets, check every member speaks the
+// protocol, hand the stubs over as shard.Shards — and owns what is
+// specific to the wire: the routing report and the member prober.
+// Everything a Backend does (fan-out, merge, feedback routing, the
+// fast/rebuild decision, locking) is the embedded coordinator's.
 //
-// The coordinator itself is in-memory: durability lives on the shard
-// hosts (each checkpoints structural state and write-ahead-logs
-// feedback) and in the in-process durable coordinator this mirrors. A
-// coordinator restart re-runs setup and pushes fresh state; the RPC
-// mutations are idempotent, so a re-push over surviving hosts converges.
+// The coordinator journals nothing: durability lives on the shard hosts
+// (each checkpoints structural state and write-ahead-logs feedback). A
+// coordinator restart re-runs setup and pushes fresh state; the
+// structural RPCs are idempotent, so a re-push over surviving hosts
+// converges.
 //
 // Partial failure is never silent: if any shard cannot answer, the read
 // fails with a typed shard_unavailable error instead of merging an
 // incomplete result set.
 type Coordinator struct {
-	cfg    core.Config
-	domain string
-	reg    *obs.Registry
-	stubs  []*stub
-
+	httpapi.Backend
+	stubs        []*stub
 	maxStaleness time.Duration
-	opTimeout    time.Duration
-	probeEvery   time.Duration
-
-	// mu serializes structural mutations, mirroring the in-process
-	// coordinator's write lock. Reads never take it.
-	mu       sync.Mutex
-	meta     atomic.Pointer[coordMeta]
-	mutating atomic.Bool
 }
 
-// NewCoordinator sets up a networked sharded system over the corpus: one
-// global core.Setup computes the mediation and per-source artifacts
-// locally, and each shard host receives the projection covering its
-// sources via a replace push. One address entry per shard; the shard
-// index is the position in addrs, and source→shard routing is
+// NewCoordinator sets up a networked sharded system over the corpus: the
+// coordinator's one global setup computes the mediation and per-source
+// artifacts locally, and each shard host receives the projection
+// covering its sources via a replace push. One address entry per shard;
+// the shard index is the position in addrs, and source→shard routing is
 // shard.ShardOf. An entry may carry a replica read set after the
 // primary, semicolon-separated ("primary;replica1;replica2"): replicas
 // receive no pushes and no writes, but serve read legs under the
@@ -105,56 +79,27 @@ func NewCoordinator(c *schema.Corpus, cfg core.Config, addrs []string, opts Coor
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("shardrpc: coordinator needs at least one shard address")
 	}
-	reg := opts.Obs
-	if reg == nil {
-		reg = obs.Default
+	if opts.Obs == nil {
+		opts.Obs = obs.Default
 	}
-	co := &Coordinator{
-		cfg: cfg, domain: c.Domain, reg: reg,
-		maxStaleness: opts.MaxStaleness,
-		opTimeout:    opts.OpTimeout,
-		probeEvery:   opts.ProbeInterval,
-	}
-	if co.probeEvery <= 0 {
-		co.probeEvery = time.Second
-		if half := co.maxStaleness / 2; half > 0 && half < co.probeEvery {
-			co.probeEvery = half
-		}
-	}
+	co := &Coordinator{maxStaleness: opts.MaxStaleness}
+	shards := make([]shard.Shard, len(addrs))
 	for i, spec := range addrs {
-		st := newStub(i, spec, opts.Client)
+		st := newStub(i, spec, opts)
 		if st.primary == nil {
 			return nil, fmt.Errorf("shardrpc: shard %d address spec %q has no primary", i, spec)
 		}
 		co.stubs = append(co.stubs, st)
+		shards[i] = st
 	}
-	ctx := context.Background()
-	if err := co.checkProtocol(ctx); err != nil {
+	if err := co.checkProtocol(context.Background()); err != nil {
 		return nil, err
 	}
-
-	blue, err := core.Setup(c, cfg)
+	sys, err := shard.NewOver(c, cfg, shards)
 	if err != nil {
 		return nil, err
 	}
-	n := len(co.stubs)
-	for i := 0; i < n; i++ {
-		proj, err := shard.Project(c.Domain, cfg, blue, shard.SourcesFor(c.Sources, i, n))
-		if err != nil {
-			return nil, err
-		}
-		if err := co.pushReplace(i, proj, blue.Med, blue.Target); err != nil {
-			return nil, err
-		}
-	}
-	order := make([]string, len(c.Sources))
-	sources := make(map[string]*schema.Source, len(c.Sources))
-	for i, src := range c.Sources {
-		order[i] = src.Name
-		sources[src.Name] = src
-	}
-	co.publish(order, sources, blue.Med, blue.Target)
-	reg.Add("shardrpc.coord.setups", 1)
+	co.Backend = httpapi.ShardBackend(sys)
 	return co, nil
 }
 
@@ -165,9 +110,9 @@ func NewCoordinator(c *schema.Corpus, cfg core.Config, addrs []string, opts Coor
 // replica is only marked unhealthy — replicas may lag the topology, and
 // the prober re-admits them when they appear.
 func (co *Coordinator) checkProtocol(ctx context.Context) error {
-	for i, st := range co.stubs {
+	for _, st := range co.stubs {
 		for _, m := range st.members {
-			err := co.probeMember(ctx, st, m)
+			err := st.probeMember(ctx, m)
 			switch {
 			case err == nil:
 			case errors.Is(err, errProtocolMismatch):
@@ -175,84 +120,60 @@ func (co *Coordinator) checkProtocol(ctx context.Context) error {
 			case m.replica:
 				// Unreachable replica: unhealthy until a probe re-admits it.
 			default:
-				return co.rpcError(i, err)
+				return st.rpcError(err)
 			}
 		}
 	}
 	return nil
 }
 
-// opCtx bounds one mutation RPC by the configured OpTimeout. Mutations
-// are coordinator-initiated (no caller context), so any deadline expiry
-// under this context is the op timeout and opError maps it to a typed
-// shard_unavailable.
-func (co *Coordinator) opCtx() (context.Context, context.CancelFunc) {
-	if co.opTimeout > 0 {
-		return context.WithTimeout(context.Background(), co.opTimeout)
+// --- the remote shard.Shard -------------------------------------------
+//
+// A stub is one remote shard as the coordinator drives it. Writes always
+// go to the read set's primary, each under its own OpTimeout; reads go
+// through readLeg (routing.go).
+
+// op runs one mutation RPC under its own per-op timeout and records the
+// epoch the host answers with. Mutations are coordinator-initiated (no
+// caller context), so a deadline expiry here is the op timeout and
+// opError maps it to a typed shard_unavailable.
+func (st *stub) op(do func(ctx context.Context, out *MutationResponse) error) error {
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	if st.opTimeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, st.opTimeout)
 	}
-	return context.Background(), func() {}
+	defer cancel()
+	var out MutationResponse
+	if err := do(ctx, &out); err != nil {
+		return st.opError(err)
+	}
+	st.epoch.Store(out.Epoch)
+	return nil
 }
 
-// opDo runs one idempotent mutation RPC against a shard's primary under
-// its own per-op timeout, mapping failures through opError.
-func (co *Coordinator) opDo(i int, path string, in, out any) error {
-	ctx, cancel := co.opCtx()
-	defer cancel()
-	if err := co.stubs[i].c().Do(ctx, http.MethodPost, path, in, out, true); err != nil {
-		return co.opError(i, err)
-	}
-	return nil
+// opDo is op for a JSON request to the primary; retry is false only for
+// feedback.
+func (st *stub) opDo(path string, in any, retry bool) error {
+	return st.op(func(ctx context.Context, out *MutationResponse) error {
+		return st.primary.c.Do(ctx, http.MethodPost, path, in, out, retry)
+	})
 }
 
 // opError is rpcError for mutation paths: the per-op timeout expiring
 // becomes a typed shard_unavailable (cause op_timeout) instead of a bare
 // context error, so a hung host fails the mutation typed and fast.
-func (co *Coordinator) opError(i int, err error) error {
+func (st *stub) opError(err error) error {
 	if errors.Is(err, context.DeadlineExceeded) {
-		co.reg.Add("shardrpc.coord.op_timeouts", 1)
-		co.reg.Add("shardrpc.coord.shard_unavailable", 1)
+		st.reg.Add("shardrpc.coord.op_timeouts", 1)
+		st.reg.Add("shardrpc.coord.shard_unavailable", 1)
 		return &httpapi.StatusError{
 			Status:  http.StatusServiceUnavailable,
 			Code:    httpapi.CodeShardUnavailable,
-			Message: fmt.Sprintf("shard %d (%s) mutation timed out after %v", i, co.stubs[i].addr(), co.opTimeout),
-			Details: map[string]any{"shard": i, "addr": co.stubs[i].addr(), "cause": "op_timeout"},
+			Message: fmt.Sprintf("shard %d (%s) mutation timed out after %v", st.shard, st.primary.addr, st.opTimeout),
+			Details: map[string]any{"shard": st.shard, "addr": st.primary.addr, "cause": "op_timeout"},
 		}
 	}
-	return co.rpcError(i, err)
-}
-
-// publish installs the next serving metadata.
-func (co *Coordinator) publish(order []string, sources map[string]*schema.Source, med *mediate.Result, target *schema.MediatedSchema) {
-	co.meta.Store(&coordMeta{order: order, sources: sources, med: med, target: target, createdAt: time.Now()})
-}
-
-// pushReplace ships one shard's full projection: persist snapshot bytes
-// for a non-empty projection, the JSON empty form otherwise. Replace is
-// idempotent, so transport retries are safe. Always addressed to the
-// primary: replicas pick the new state up by re-bootstrapping when the
-// primary's state generation moves.
-func (co *Coordinator) pushReplace(i int, proj *core.System, med *mediate.Result, target *schema.MediatedSchema) error {
-	st := co.stubs[i]
-	ctx, cancel := co.opCtx()
-	defer cancel()
-	var out MutationResponse
-	if len(proj.Snapshot().Corpus.Sources) == 0 {
-		req := ReplaceEmptyRequest{Proto: Version, Empty: true, Domain: co.domain, Med: EncodeMed(med), Target: EncodeTarget(target)}
-		if err := st.c().Do(ctx, http.MethodPost, "/v1/shard/replace", req, &out, true); err != nil {
-			return co.opError(i, err)
-		}
-	} else {
-		var buf bytes.Buffer
-		if err := persist.Save(&buf, proj); err != nil {
-			return err
-		}
-		hdr := map[string]string{"X-UDI-Proto": fmt.Sprintf("%d", Version)}
-		if err := st.c().DoRaw(ctx, http.MethodPost, "/v1/shard/replace", "application/octet-stream", buf.Bytes(), hdr, &out, true); err != nil {
-			return co.opError(i, err)
-		}
-	}
-	st.epoch.Store(out.Epoch)
-	return nil
+	return st.rpcError(err)
 }
 
 // rpcError maps one stub failure onto the Backend error contract:
@@ -261,7 +182,7 @@ func (co *Coordinator) pushReplace(i int, proj *core.System, med *mediate.Result
 // transport failures and 5xx states become a typed shard_unavailable.
 // Caller-context expiry is returned unchanged so the HTTP layer maps it
 // to timeout/canceled rather than 503.
-func (co *Coordinator) rpcError(i int, err error) error {
+func (st *stub) rpcError(err error) error {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return err
 	}
@@ -269,484 +190,126 @@ func (co *Coordinator) rpcError(i int, err error) error {
 	if errors.As(err, &se) && se.Status < 500 {
 		return se
 	}
-	co.reg.Add("shardrpc.coord.shard_unavailable", 1)
+	st.reg.Add("shardrpc.coord.shard_unavailable", 1)
 	return &httpapi.StatusError{
 		Status:  http.StatusServiceUnavailable,
 		Code:    httpapi.CodeShardUnavailable,
-		Message: fmt.Sprintf("shard %d (%s) unavailable", i, co.stubs[i].addr()),
-		Details: map[string]any{"shard": i, "addr": co.stubs[i].addr(), "cause": err.Error()},
+		Message: fmt.Sprintf("shard %d (%s) unavailable", st.shard, st.primary.addr),
+		Details: map[string]any{"shard": st.shard, "addr": st.primary.addr, "cause": err.Error()},
 	}
 }
 
-// notReady is the error every entry point returns before setup publishes.
-func notReady() error {
-	return &httpapi.StatusError{Status: http.StatusServiceUnavailable, Code: httpapi.CodeNotReady,
-		Message: "coordinator has not completed setup"}
+// Feedback is the one non-idempotent RPC: it is sent exactly once, and an
+// ambiguous transport failure surfaces as shard_unavailable rather than
+// being retried into a possible double-apply. (FeedbackResponse is
+// MutationResponse without the state generation.)
+func (st *stub) Feedback(fb core.Feedback) error {
+	return st.opDo("/v1/shard/feedback", FeedbackRequest{Proto: Version, Feedback: fb}, false)
 }
 
-// --- Backend: reads ---------------------------------------------------
-
-// View captures the published metadata plus each shard's last-observed
-// epoch. Unlike the in-process view, it does not pin remote snapshots —
-// each fanned-out read runs against whatever epoch the host serves, and
-// the response epochs refresh the vector.
-func (co *Coordinator) View() (httpapi.View, error) {
-	meta := co.meta.Load()
-	if meta == nil {
-		return nil, notReady()
-	}
-	epochs := make([]uint64, len(co.stubs))
-	for i, st := range co.stubs {
-		epochs[i] = st.epoch.Load()
-	}
-	return &coordView{co: co, meta: meta, epochs: epochs}, nil
+// Adopt, Drop, SetMediation and Replace are idempotent on the host (its
+// handlers run the presence checks the Shard contract asks for), so
+// transport-level retries cannot double-apply. The host checkpoints
+// inside each of them.
+func (st *stub) Adopt(srcs []*schema.Source, med *mediate.Result) error {
+	return st.opDo("/v1/shard/adopt", AdoptRequest{Proto: Version, Sources: EncodeSources(srcs), Med: EncodeMed(med)}, true)
 }
 
-// Committing reports an in-flight structural mutation.
-func (co *Coordinator) Committing() bool { return co.mutating.Load() }
-
-// Shards returns the shard host count.
-func (co *Coordinator) Shards() int { return len(co.stubs) }
-
-// Durability is nil: the coordinator is in-memory; each shard host owns
-// its own durability and reports it on its own /v1/schema.
-func (co *Coordinator) Durability() *httpapi.DurabilityStatus { return nil }
-
-// Replication is nil: a coordinator is not a replica.
-func (co *Coordinator) Replication() *httpapi.ReplicationStatus { return nil }
-
-type coordView struct {
-	co     *Coordinator
-	meta   *coordMeta
-	epochs []uint64
+func (st *stub) Drop(name string, med *mediate.Result) error {
+	return st.opDo("/v1/shard/drop", DropRequest{Proto: Version, Name: name, Med: EncodeMed(med)}, true)
 }
 
-func (v *coordView) Epoch() uint64 {
-	var sum uint64
-	for _, e := range v.epochs {
-		sum += e
-	}
-	return sum
-}
-func (v *coordView) EpochVector() []uint64          { return v.epochs }
-func (v *coordView) CreatedAt() time.Time           { return v.meta.createdAt }
-func (v *coordView) NumSources() int                { return len(v.meta.order) }
-func (v *coordView) PMed() *schema.PMedSchema       { return v.meta.med.PMed }
-func (v *coordView) Target() *schema.MediatedSchema { return v.meta.target }
-
-// fanout runs fn once per shard concurrently, cancelling the rest on the
-// first failure, and surfaces the first non-cancellation error in shard
-// order (deterministic given deterministic per-shard outcomes).
-func (v *coordView) fanout(ctx context.Context, fn func(ctx context.Context, i int, st *stub) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(v.co.stubs))
-	var wg sync.WaitGroup
-	for i, st := range v.co.stubs {
-		wg.Add(1)
-		go func(i int, st *stub) {
-			defer wg.Done()
-			if err := fn(ctx, i, st); err != nil {
-				errs[i] = v.co.rpcError(i, err)
-				cancel()
-			}
-		}(i, st)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+func (st *stub) SetMediation(med *mediate.Result) error {
+	return st.opDo("/v1/shard/mediation", MediationRequest{Proto: Version, Med: EncodeMed(med)}, true)
 }
 
-// RunCtx fans the query out to every shard read set and merges the
-// partial results in global source order — answer.MergeResultSets
-// recomputes the IEEE disjunction over bit-exact wire probabilities, so
-// the merged ranking is `==`-identical to the in-process sharded system
-// and to a single engine over the whole corpus. Each leg routes through
-// readLeg (bounded-staleness load balancing plus failover); epochs feed
-// the vector only when the primary served, so replica-local epochs never
-// pollute it. Any leg exhausting its read set fails the whole read with
-// a typed error; an incomplete merge is never served.
-func (v *coordView) RunCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
-	req := QueryRequest{Proto: Version, Query: q.String(), Approach: string(a)}
-	parts := make([]*answer.ResultSet, len(v.co.stubs))
-	err := v.fanout(ctx, func(ctx context.Context, i int, st *stub) error {
-		var resp QueryResponse
-		served, err := v.co.readLeg(ctx, st, func(m *member) error {
-			resp = QueryResponse{}
-			return m.c.Do(ctx, http.MethodPost, "/v1/shard/query", req, &resp, true)
-		})
-		if err != nil {
-			return err
-		}
-		if served == st.primary {
-			// Refresh the global per-shard epoch; the view's own vector
-			// stays the capture-time snapshot (views are shared across
-			// concurrent readers, so mutating it would race).
-			st.epoch.Store(resp.Epoch)
-		}
-		parts[i] = DecodePart(resp.Part)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// Replace ships the shard's full projection: persist snapshot bytes for a
+// non-empty projection, the JSON empty form otherwise. Always addressed
+// to the primary: replicas pick the new state up by re-bootstrapping when
+// the primary's state generation moves.
+func (st *stub) Replace(proj *core.System) error {
+	sn := proj.Snapshot()
+	if len(sn.Corpus.Sources) == 0 {
+		return st.opDo("/v1/shard/replace", ReplaceEmptyRequest{Proto: Version, Empty: true,
+			Domain: sn.Corpus.Domain, Med: EncodeMed(sn.Med), Target: EncodeTarget(sn.Target)}, true)
 	}
-	v.co.reg.Add("shardrpc.coord.queries", 1)
-	return answer.MergeResultSets(v.meta.order, parts), nil
-}
-
-// ExplainCtx fans out and merges provenance, sorted exactly as the
-// in-process sharded system sorts (mass desc, source, schema index).
-func (v *coordView) ExplainCtx(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error) {
-	req := ExplainRequest{Proto: Version, Query: q.String(), Values: values}
-	parts := make([][]answer.Contribution, len(v.co.stubs))
-	err := v.fanout(ctx, func(ctx context.Context, i int, st *stub) error {
-		var resp ExplainResponse
-		served, err := v.co.readLeg(ctx, st, func(m *member) error {
-			resp = ExplainResponse{}
-			return m.c.Do(ctx, http.MethodPost, "/v1/shard/explain", req, &resp, true)
-		})
-		if err != nil {
-			return err
-		}
-		if served == st.primary {
-			st.epoch.Store(resp.Epoch)
-		}
-		parts[i] = resp.Contributions
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []answer.Contribution
-	for _, cs := range parts {
-		out = append(out, cs...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Mass != out[j].Mass {
-			return out[i].Mass > out[j].Mass
-		}
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
-		}
-		return out[i].SchemaIdx < out[j].SchemaIdx
-	})
-	return out, nil
-}
-
-// Candidates fans out and merges the per-shard feedback queues with the
-// in-process sharded ordering (uncertainty desc, source, attr, index).
-// Each shard is asked for only the top `limit` of its own queue: the
-// ordering key is a total order and sources are disjoint across shards,
-// so any candidate beyond a shard's local top-limit can never enter the
-// global top-limit — per-shard truncation is merge-equivalent and stops
-// shipping every queue in full just to throw most of it away.
-func (v *coordView) Candidates(limit int) ([]feedback.Candidate, error) {
-	req := CandidatesRequest{Proto: Version, Limit: limit}
-	parts := make([][]feedback.Candidate, len(v.co.stubs))
-	err := v.fanout(context.Background(), func(ctx context.Context, i int, st *stub) error {
-		var resp CandidatesResponse
-		served, err := v.co.readLeg(ctx, st, func(m *member) error {
-			resp = CandidatesResponse{}
-			return m.c.Do(ctx, http.MethodPost, "/v1/shard/candidates", req, &resp, true)
-		})
-		if err != nil {
-			return err
-		}
-		if served == st.primary {
-			st.epoch.Store(resp.Epoch)
-		}
-		parts[i] = DecodeCandidates(resp.Candidates)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []feedback.Candidate
-	for _, cs := range parts {
-		all = append(all, cs...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Uncertainty != all[j].Uncertainty {
-			return all[i].Uncertainty > all[j].Uncertainty
-		}
-		if all[i].Source != all[j].Source {
-			return all[i].Source < all[j].Source
-		}
-		if all[i].SrcAttr != all[j].SrcAttr {
-			return all[i].SrcAttr < all[j].SrcAttr
-		}
-		return all[i].MedIdx < all[j].MedIdx
-	})
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	return all, nil
-}
-
-// --- Backend: mutations -----------------------------------------------
-
-// SubmitFeedback routes one feedback item to the host owning the source.
-// Feedback is the one non-idempotent RPC: it is sent exactly once, and
-// an ambiguous transport failure surfaces as shard_unavailable rather
-// than being retried into a possible double-apply.
-func (co *Coordinator) SubmitFeedback(fb core.Feedback) error {
-	meta := co.meta.Load()
-	if meta == nil {
-		return notReady()
-	}
-	if _, ok := meta.sources[fb.Source]; !ok {
-		return fmt.Errorf("shardrpc: %w %q", core.ErrUnknownSource, fb.Source)
-	}
-	owner := shard.ShardOf(fb.Source, len(co.stubs))
-	st := co.stubs[owner]
-	ctx, cancel := co.opCtx()
-	defer cancel()
-	var out FeedbackResponse
-	if err := st.c().Do(ctx, http.MethodPost, "/v1/shard/feedback",
-		FeedbackRequest{Proto: Version, Feedback: fb}, &out, false); err != nil {
-		return co.opError(owner, err)
-	}
-	st.epoch.Store(out.Epoch)
-	co.reg.Add("shardrpc.coord.feedback", 1)
-	return nil
-}
-
-// AddSources grows the networked system, reproducing the in-process
-// coordinator's decision exactly: regenerate the global mediation; if
-// the clustering set is unchanged, refresh probabilities and push adopt
-// to each owner host and the refreshed mediation to the rest (the fast
-// path); otherwise rebuild globally and re-push every projection.
-// Returns true when the fast path applied.
-//
-// On the fast path a failed owner adoption rolls back owners that
-// already adopted (dropping their batch sources under the previous
-// mediation), so the batch is all-or-nothing across hosts. The adopt,
-// drop, mediation, and replace RPCs are idempotent server-side, so
-// transport-level retries cannot double-apply.
-func (co *Coordinator) AddSources(srcs []*schema.Source) (bool, error) {
-	if len(srcs) == 0 {
-		return true, nil
-	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.mutating.Store(true)
-	defer co.mutating.Store(false)
-	meta := co.meta.Load()
-	if meta == nil {
-		return false, notReady()
-	}
-	seen := make(map[string]bool, len(srcs))
-	for _, src := range srcs {
-		if seen[src.Name] {
-			return false, fmt.Errorf("shardrpc: duplicate source %q in batch", src.Name)
-		}
-		seen[src.Name] = true
-		if _, ok := meta.sources[src.Name]; ok {
-			return false, fmt.Errorf("shardrpc: source %q already in corpus", src.Name)
-		}
-	}
-
-	all := make([]*schema.Source, 0, len(meta.order)+len(srcs))
-	for _, name := range meta.order {
-		all = append(all, meta.sources[name])
-	}
-	all = append(all, srcs...)
-	corpus, err := schema.NewCorpus(co.domain, all)
-	if err != nil {
-		return false, fmt.Errorf("shardrpc: %w", err)
-	}
-	gen, err := mediate.Generate(corpus, co.cfg.Mediate)
-	if err != nil {
-		return false, fmt.Errorf("shardrpc: %w", err)
-	}
-	newOrder := make([]string, 0, len(meta.order)+len(srcs))
-	newOrder = append(newOrder, meta.order...)
-	for _, src := range srcs {
-		newOrder = append(newOrder, src.Name)
-	}
-
-	if !core.SameSchemaSet(meta.med.PMed, gen.PMed) {
-		return false, co.rebuildLocked(corpus, newOrder)
-	}
-	probs := mediate.AssignProbabilities(meta.med.PMed.Schemas, corpus)
-	pmed, err := schema.NewPMedSchema(meta.med.PMed.Schemas, probs)
-	if err != nil {
-		return false, co.rebuildLocked(corpus, newOrder)
-	}
-	med := &mediate.Result{PMed: pmed, Graph: gen.Graph, FrequentAttrs: gen.FrequentAttrs}
-	wmed := EncodeMed(med)
-
-	n := len(co.stubs)
-	byOwner := make(map[int][]*schema.Source)
-	for _, src := range srcs {
-		o := shard.ShardOf(src.Name, n)
-		byOwner[o] = append(byOwner[o], src)
-	}
-	owners := make([]int, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	touched := make([]int, 0, len(owners))
-	for _, o := range owners {
-		var out MutationResponse
-		req := AdoptRequest{Proto: Version, Sources: EncodeSources(byOwner[o]), Med: wmed}
-		if err := co.opDo(o, "/v1/shard/adopt", req, &out); err != nil {
-			// Roll earlier owners back under the previous mediation so the
-			// batch fails all-or-nothing across hosts. Each rollback drop
-			// gets its own op-timeout budget: a shared expired context would
-			// strand the rollback exactly when it is needed.
-			oldMed := EncodeMed(meta.med)
-			for _, t := range touched {
-				for _, src := range byOwner[t] {
-					var dres MutationResponse
-					dreq := DropRequest{Proto: Version, Name: src.Name, Med: oldMed}
-					if derr := co.opDo(t, "/v1/shard/drop", dreq, &dres); derr != nil {
-						return false, derr
-					}
-					co.stubs[t].epoch.Store(dres.Epoch)
-				}
-			}
-			return false, err
-		}
-		co.stubs[o].epoch.Store(out.Epoch)
-		touched = append(touched, o)
-	}
-	isOwner := make(map[int]bool, len(owners))
-	for _, o := range owners {
-		isOwner[o] = true
-	}
-	if err := co.pushMediation(wmed, isOwner); err != nil {
-		return false, err
-	}
-	sources := make(map[string]*schema.Source, len(meta.sources)+len(srcs))
-	for k, v := range meta.sources {
-		sources[k] = v
-	}
-	for _, src := range srcs {
-		sources[src.Name] = src
-	}
-	co.publish(newOrder, sources, med, meta.target)
-	co.reg.Add("shardrpc.coord.add_sources", 1)
-	return true, nil
-}
-
-// RemoveSource drops a source, mirroring the in-process decision:
-// unknown names and the last source are refused, and the fast/rebuild
-// split follows the regenerated clustering.
-func (co *Coordinator) RemoveSource(name string) (bool, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.mutating.Store(true)
-	defer co.mutating.Store(false)
-	meta := co.meta.Load()
-	if meta == nil {
-		return false, notReady()
-	}
-	if _, ok := meta.sources[name]; !ok {
-		return false, fmt.Errorf("shardrpc: %w %q", core.ErrUnknownSource, name)
-	}
-	if len(meta.order) == 1 {
-		return false, fmt.Errorf("shardrpc: cannot remove the last source")
-	}
-	newOrder := make([]string, 0, len(meta.order)-1)
-	for _, n := range meta.order {
-		if n != name {
-			newOrder = append(newOrder, n)
-		}
-	}
-	rest := make([]*schema.Source, 0, len(newOrder))
-	for _, n := range newOrder {
-		rest = append(rest, meta.sources[n])
-	}
-	corpus, err := schema.NewCorpus(co.domain, rest)
-	if err != nil {
-		return false, fmt.Errorf("shardrpc: %w", err)
-	}
-	gen, err := mediate.Generate(corpus, co.cfg.Mediate)
-	if err != nil {
-		return false, fmt.Errorf("shardrpc: %w", err)
-	}
-	if !core.SameSchemaSet(meta.med.PMed, gen.PMed) {
-		return false, co.rebuildLocked(corpus, newOrder)
-	}
-	probs := mediate.AssignProbabilities(meta.med.PMed.Schemas, corpus)
-	pmed, err := schema.NewPMedSchema(meta.med.PMed.Schemas, probs)
-	if err != nil {
-		return false, co.rebuildLocked(corpus, newOrder)
-	}
-	med := &mediate.Result{PMed: pmed, Graph: gen.Graph, FrequentAttrs: gen.FrequentAttrs}
-	wmed := EncodeMed(med)
-
-	owner := shard.ShardOf(name, len(co.stubs))
-	var out MutationResponse
-	req := DropRequest{Proto: Version, Name: name, Med: wmed}
-	if err := co.opDo(owner, "/v1/shard/drop", req, &out); err != nil {
-		return false, err
-	}
-	co.stubs[owner].epoch.Store(out.Epoch)
-	if err := co.pushMediation(wmed, map[int]bool{owner: true}); err != nil {
-		return false, err
-	}
-	sources := make(map[string]*schema.Source, len(meta.sources)-1)
-	for k, v := range meta.sources {
-		if k != name {
-			sources[k] = v
-		}
-	}
-	co.publish(newOrder, sources, med, meta.target)
-	co.reg.Add("shardrpc.coord.remove_source", 1)
-	return true, nil
-}
-
-// pushMediation installs the refreshed mediation on every non-owner host.
-func (co *Coordinator) pushMediation(wmed WireMed, skip map[int]bool) error {
-	for i, st := range co.stubs {
-		if skip[i] {
-			continue
-		}
-		var out MutationResponse
-		req := MediationRequest{Proto: Version, Med: wmed}
-		if err := co.opDo(i, "/v1/shard/mediation", req, &out); err != nil {
-			return err
-		}
-		st.epoch.Store(out.Epoch)
-	}
-	return nil
-}
-
-// rebuildLocked is the slow path: one global core.Setup over the new
-// corpus, re-projected and pushed wholesale to every host. Setup runs
-// before any push, so a setup failure leaves every host untouched.
-func (co *Coordinator) rebuildLocked(corpus *schema.Corpus, newOrder []string) error {
-	blue, err := core.Setup(corpus, co.cfg)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := persist.Save(&buf, proj); err != nil {
 		return err
 	}
-	n := len(co.stubs)
-	for i := 0; i < n; i++ {
-		proj, err := shard.Project(co.domain, co.cfg, blue, shard.SourcesFor(corpus.Sources, i, n))
-		if err != nil {
-			return err
-		}
-		if err := co.pushReplace(i, proj, blue.Med, blue.Target); err != nil {
-			return err
-		}
+	hdr := map[string]string{"X-UDI-Proto": fmt.Sprintf("%d", Version)}
+	return st.op(func(ctx context.Context, out *MutationResponse) error {
+		return st.primary.c.DoRaw(ctx, http.MethodPost, "/v1/shard/replace", "application/octet-stream", buf.Bytes(), hdr, out, true)
+	})
+}
+
+// Checkpoint and Close have nothing to do: durability is the host's (it
+// persists inside each structural RPC) and the stub holds nothing open.
+func (st *stub) Checkpoint() error { return nil }
+func (st *stub) Close() error      { return nil }
+
+// Pin captures the shard's last-observed primary epoch. Unlike the
+// in-process leg it pins no remote snapshot — each read runs against
+// whatever epoch the serving member holds — and the view's own epoch
+// stays the capture-time value (views are shared across concurrent
+// readers, so refreshing it in place would race). Response epochs refresh
+// the stub instead, for the next view.
+func (st *stub) Pin() shard.Leg { return remoteLeg{st: st, epoch: st.epoch.Load()} }
+
+type remoteLeg struct {
+	st    *stub
+	epoch uint64
+}
+
+func (l remoteLeg) Epoch() uint64        { return l.epoch }
+func (l remoteLeg) CreatedAt() time.Time { return time.Time{} }
+
+// read runs one read RPC through readLeg (bounded-staleness load
+// balancing plus failover), decoding into a fresh R per attempt — a
+// member that failed mid-body must not leave half a response under the
+// next one's. The response epoch feeds the shard's epoch only when the
+// primary served, so replica-local epochs never pollute the vector. A leg
+// that exhausts its read set fails typed.
+func read[R any](ctx context.Context, st *stub, path string, in any, epoch func(*R) uint64) (*R, error) {
+	var resp *R
+	served, err := st.readLeg(ctx, func(m *member) error {
+		resp = new(R)
+		return m.c.Do(ctx, http.MethodPost, path, in, resp, true)
+	})
+	if err != nil {
+		return nil, st.rpcError(err)
 	}
-	sources := make(map[string]*schema.Source, len(corpus.Sources))
-	for _, src := range corpus.Sources {
-		sources[src.Name] = src
+	if served == st.primary {
+		st.epoch.Store(epoch(resp))
 	}
-	co.publish(newOrder, sources, blue.Med, blue.Target)
-	co.reg.Add("shardrpc.coord.rebuilds", 1)
-	return nil
+	return resp, nil
+}
+
+// Run returns the merge inputs only: ranked answers are not shipped, the
+// coordinator recomputes them over the bit-exact wire probabilities.
+func (l remoteLeg) Run(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+	req := QueryRequest{Proto: Version, Query: q.String(), Approach: string(a)}
+	resp, err := read(ctx, l.st, "/v1/shard/query", req, func(r *QueryResponse) uint64 { return r.Epoch })
+	if err != nil {
+		return nil, err
+	}
+	return DecodePart(resp.Part), nil
+}
+
+func (l remoteLeg) Explain(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error) {
+	req := ExplainRequest{Proto: Version, Query: q.String(), Values: values}
+	resp, err := read(ctx, l.st, "/v1/shard/explain", req, func(r *ExplainResponse) uint64 { return r.Epoch })
+	if err != nil {
+		return nil, err
+	}
+	return resp.Contributions, nil
+}
+
+func (l remoteLeg) Candidates(ctx context.Context, limit int) ([]feedback.Candidate, error) {
+	req := CandidatesRequest{Proto: Version, Limit: limit}
+	resp, err := read(ctx, l.st, "/v1/shard/candidates", req, func(r *CandidatesResponse) uint64 { return r.Epoch })
+	if err != nil {
+		return nil, err
+	}
+	return DecodeCandidates(resp.Candidates), nil
 }

@@ -2,6 +2,7 @@ package shardrpc_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -288,6 +289,44 @@ func TestQueryFailsTypedOnSlowHost(t *testing.T) {
 	wantShardUnavailable(t, err)
 }
 
+// TestCandidatesHonoursRequestDeadline: GET /v1/candidates against a
+// hung shard host answers the typed timeout envelope when the request's
+// deadline expires — the deadline reaches the shard leg, so the handler
+// does not wait out the client's per-attempt timeout and retry budget.
+func TestCandidatesHonoursRequestDeadline(t *testing.T) {
+	cfg := core.Config{Obs: obs.NewRegistry()}
+	co, p, _ := startFaultedSystem(t, faultCorpus(t), cfg, shardrpc.CoordinatorOptions{})
+	api := httpapi.NewBackendServer(co, obs.NewRegistry(), httpapi.Options{QueryTimeout: 150 * time.Millisecond})
+	srv := httptest.NewServer(api.Handler())
+	defer srv.Close()
+
+	p.mu.Lock()
+	p.delay = 1500 * time.Millisecond
+	p.mu.Unlock()
+	p.set("delay", "/v1/shard/candidates", -1)
+	start := time.Now()
+	resp, err := http.Get(srv.URL + "/v1/candidates")
+	if err != nil {
+		t.Fatalf("GET /v1/candidates: %v", err)
+	}
+	defer resp.Body.Close()
+	elapsed := time.Since(start)
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("decode envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout || env.Error.Code != httpapi.CodeTimeout {
+		t.Fatalf("got %d %q, want 504 %q", resp.StatusCode, env.Error.Code, httpapi.CodeTimeout)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("hung candidates leg took %v; the request deadline did not reach it", elapsed)
+	}
+}
+
 // TestFeedbackNeverRetried: feedback whose response is lost after the
 // host applied it must surface as shard_unavailable after exactly ONE
 // send — a retry could double-apply. The host's epoch confirms the
@@ -299,7 +338,7 @@ func TestFeedbackNeverRetried(t *testing.T) {
 	if err != nil {
 		t.Fatalf("view: %v", err)
 	}
-	cands, err := v.Candidates(1)
+	cands, err := v.Candidates(context.Background(), 1)
 	if err != nil || len(cands) == 0 {
 		t.Fatalf("candidates: %v (%d)", err, len(cands))
 	}

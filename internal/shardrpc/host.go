@@ -109,10 +109,17 @@ func (h *Host) Close() error {
 // mux; the paths do not collide with the public /v1 serving surface.
 func (h *Host) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/shard/status", h.handleStatus)
-	mux.HandleFunc("POST /v1/shard/query", h.handleQuery)
-	mux.HandleFunc("POST /v1/shard/explain", h.handleExplain)
-	mux.HandleFunc("POST /v1/shard/candidates", h.handleCandidates)
+	ReadHandlers{
+		Sys:      h.sys.Load,
+		StateGen: h.stateGen.Load,
+		Status: func(st *StatusResponse) {
+			if store := h.store.Load(); store != nil {
+				st.Durable = true
+				st.CommittedSeq = store.LastCommittedSeq()
+			}
+		},
+		Obs: h.reg,
+	}.Mount(mux)
 	mux.HandleFunc("POST /v1/shard/feedback", h.handleFeedback)
 	mux.HandleFunc("POST /v1/shard/adopt", h.handleAdopt)
 	mux.HandleFunc("POST /v1/shard/drop", h.handleDrop)
@@ -120,7 +127,6 @@ func (h *Host) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/shard/replace", h.handleReplace)
 	mux.HandleFunc("GET /v1/shard/state", h.handleState)
 	mux.HandleFunc("GET /v1/wal", h.handleWAL)
-	mux.HandleFunc("GET /healthz", h.handleStatus)
 	return mux
 }
 
@@ -134,22 +140,22 @@ func decode(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
 	}
 	if *proto != Version {
 		httpapi.WriteError(w, http.StatusBadRequest, CodeProtocolMismatch,
-			fmt.Sprintf("protocol version %d, host speaks %d", *proto, Version), nil)
+			fmt.Sprintf("protocol version %d, this shard speaks %d", *proto, Version), nil)
 		return false
 	}
 	return true
 }
 
-// ready loads the serving system or answers CodeNotReady.
-func (h *Host) ready(w http.ResponseWriter) *core.System {
-	sys := h.sys.Load()
+// ready passes sys through, or answers CodeNotReady when there is none.
+func ready(w http.ResponseWriter, sys *core.System) *core.System {
 	if sys == nil {
 		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeNotReady,
-			"shard has no state yet (awaiting coordinator push)", nil)
-		return nil
+			"shard has no state yet (awaiting a coordinator push or a first replica sync)", nil)
 	}
 	return sys
 }
+
+func (h *Host) ready(w http.ResponseWriter) *core.System { return ready(w, h.sys.Load()) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -157,31 +163,52 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (h *Host) status() StatusResponse {
-	st := StatusResponse{Proto: Version, StateGen: h.stateGen.Load()}
-	if sys := h.sys.Load(); sys != nil {
+// ReadHandlers is the read-only half of the shard RPC surface — status,
+// query, explain, candidates — over whatever system Sys currently
+// returns. Every read-set member serves it: a Host beside its mutation
+// handlers, a replica.Follower over its replayed state. Reads are
+// lock-free: each request captures one epoch snapshot.
+type ReadHandlers struct {
+	// Sys returns the served system, nil until state arrives.
+	Sys func() *core.System
+	// StateGen returns the structural generation the served state belongs
+	// to (the primary's counter; on a replica, the generation it
+	// bootstrapped under).
+	StateGen func() uint64
+	// Status fills the member-specific status fields: durability on a
+	// primary, the replication position on a replica.
+	Status func(*StatusResponse)
+	// Obs counts served queries.
+	Obs *obs.Registry
+}
+
+// Mount registers the read routes (and the /healthz alias of status).
+func (rh ReadHandlers) Mount(mux *http.ServeMux) {
+	mux.HandleFunc("GET /v1/shard/status", rh.handleStatus)
+	mux.HandleFunc("GET /healthz", rh.handleStatus)
+	mux.HandleFunc("POST /v1/shard/query", rh.handleQuery)
+	mux.HandleFunc("POST /v1/shard/explain", rh.handleExplain)
+	mux.HandleFunc("POST /v1/shard/candidates", rh.handleCandidates)
+}
+
+func (rh ReadHandlers) handleStatus(w http.ResponseWriter, _ *http.Request) {
+	st := StatusResponse{Proto: Version, StateGen: rh.StateGen()}
+	if sys := rh.Sys(); sys != nil {
 		sn := sys.Snapshot()
 		st.Ready = true
 		st.Epoch = sn.Epoch
 		st.NumSources = len(sn.Corpus.Sources)
 	}
-	if store := h.store.Load(); store != nil {
-		st.Durable = true
-		st.CommittedSeq = store.LastCommittedSeq()
-	}
-	return st
+	rh.Status(&st)
+	writeJSON(w, http.StatusOK, st)
 }
 
-func (h *Host) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, h.status())
-}
-
-func (h *Host) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if !decode(w, r, &req, &req.Proto) {
 		return
 	}
-	sys := h.ready(w)
+	sys := ready(w, rh.Sys())
 	if sys == nil {
 		return
 	}
@@ -200,20 +227,20 @@ func (h *Host) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
 		return
 	}
-	h.reg.Add("shardrpc.host.queries", 1)
+	rh.Obs.Add("shardrpc.host.queries", 1)
 	writeJSON(w, http.StatusOK, QueryResponse{
 		Epoch:    sn.Epoch,
-		StateGen: h.stateGen.Load(),
+		StateGen: rh.StateGen(),
 		Part:     EncodePart(rs),
 	})
 }
 
-func (h *Host) handleExplain(w http.ResponseWriter, r *http.Request) {
+func (rh ReadHandlers) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
 	if !decode(w, r, &req, &req.Proto) {
 		return
 	}
-	sys := h.ready(w)
+	sys := ready(w, rh.Sys())
 	if sys == nil {
 		return
 	}
@@ -231,12 +258,12 @@ func (h *Host) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ExplainResponse{Epoch: sn.Epoch, Contributions: contribs})
 }
 
-func (h *Host) handleCandidates(w http.ResponseWriter, r *http.Request) {
+func (rh ReadHandlers) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	var req CandidatesRequest
 	if !decode(w, r, &req, &req.Proto) {
 		return
 	}
-	sys := h.ready(w)
+	sys := ready(w, rh.Sys())
 	if sys == nil {
 		return
 	}

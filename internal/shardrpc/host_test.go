@@ -1,6 +1,7 @@
 package shardrpc_test
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -66,7 +67,7 @@ func TestWALEndpointErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatalf("view: %v", err)
 	}
-	cands, err := v.Candidates(1)
+	cands, err := v.Candidates(context.Background(), 1)
 	if err != nil || len(cands) == 0 {
 		t.Fatalf("candidates: %v (%d)", err, len(cands))
 	}

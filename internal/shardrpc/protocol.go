@@ -1,9 +1,10 @@
-// Package shardrpc lifts the PR-6 shard boundary onto the network: a
-// Host serves one shard's core.System over a versioned HTTP protocol,
-// and a Coordinator implements the httpapi.Backend contract by fanning
-// queries out to shard hosts and merging the partial results
-// bit-identically to the in-process scatter-gather (and to a single
-// engine over the whole corpus).
+// Package shardrpc lifts the shard boundary onto the network: a Host
+// serves one shard's core.System over a versioned HTTP protocol, a stub
+// is the shard.Shard that drives one host's read set over it, and a
+// Coordinator hands those stubs to the one scatter-gather coordinator
+// (internal/shard) — so the networked answers are bit-identical to the
+// in-process scatter-gather (and to a single engine over the whole
+// corpus) by construction: it is the same fan-out and the same merge.
 //
 // Protocol surface (all under the shard host's listener):
 //

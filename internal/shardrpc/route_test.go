@@ -17,6 +17,7 @@ import (
 	"udi/internal/client"
 	"udi/internal/core"
 	"udi/internal/datagen"
+	"udi/internal/feedback"
 	"udi/internal/httpapi"
 	"udi/internal/obs"
 	"udi/internal/replica"
@@ -96,7 +97,7 @@ func routingStatus(t *testing.T, co *shardrpc.Coordinator) *httpapi.RoutingStatu
 
 func firstCandidateFeedback(t *testing.T, v httpapi.View) core.Feedback {
 	t.Helper()
-	cands, err := v.Candidates(1)
+	cands, err := v.Candidates(context.Background(), 1)
 	if err != nil || len(cands) == 0 {
 		t.Fatalf("candidates: %v (%d)", err, len(cands))
 	}
@@ -341,13 +342,18 @@ func TestCandidatesPerShardLimitMerge(t *testing.T) {
 		t.Fatalf("sharded view: %v", err)
 	}
 
-	all, err := v.Candidates(0)
-	if err != nil {
-		t.Fatalf("candidates(0): %v", err)
+	// The full merges, one per transport: both now push the limit down to
+	// their shards, so each one's top-k must be a prefix of its own (and
+	// the other's) unlimited queue.
+	fulls := map[string][]feedback.Candidate{}
+	for name, view := range map[string]httpapi.View{"networked": v, "in-process": sv} {
+		if fulls[name], err = view.Candidates(context.Background(), 0); err != nil {
+			t.Fatalf("%s candidates(0): %v", name, err)
+		}
 	}
 	for _, k := range []int{1, 2, 3, 5, 8, 64} {
-		want, werr := sv.Candidates(k)
-		got, gerr := v.Candidates(k)
+		want, werr := sv.Candidates(context.Background(), k)
+		got, gerr := v.Candidates(context.Background(), k)
 		if werr != nil || gerr != nil {
 			t.Fatalf("limit %d: sharded err %v, networked err %v", k, werr, gerr)
 		}
@@ -360,16 +366,17 @@ func TestCandidatesPerShardLimitMerge(t *testing.T) {
 			}
 		}
 		// Truncation equivalence: the top-k is a prefix of the full merge.
-		exp := all
-		if k < len(exp) {
-			exp = exp[:k]
-		}
-		if len(got) != len(exp) {
-			t.Fatalf("limit %d: %d candidates, full-merge prefix %d", k, len(got), len(exp))
-		}
-		for i := range exp {
-			if exp[i] != got[i] {
-				t.Fatalf("limit %d: candidate %d = %+v, full-merge prefix %+v", k, i, got[i], exp[i])
+		for name, exp := range fulls {
+			if k < len(exp) {
+				exp = exp[:k]
+			}
+			if len(got) != len(exp) {
+				t.Fatalf("limit %d: %d candidates, %s full-merge prefix %d", k, len(got), name, len(exp))
+			}
+			for i := range exp {
+				if exp[i] != got[i] {
+					t.Fatalf("limit %d: candidate %d = %+v, %s full-merge prefix %+v", k, i, got[i], name, exp[i])
+				}
 			}
 		}
 	}
@@ -450,7 +457,7 @@ func TestRouteSoak(t *testing.T) {
 	go func() { _ = rs.f.Run(ctx) }()
 
 	v, q := probeQuery(t, rs.co)
-	cands, err := v.Candidates(4)
+	cands, err := v.Candidates(context.Background(), 4)
 	if err != nil || len(cands) == 0 {
 		t.Fatalf("candidates: %v (%d)", err, len(cands))
 	}

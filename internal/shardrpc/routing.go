@@ -12,6 +12,7 @@ import (
 
 	"udi/internal/client"
 	"udi/internal/httpapi"
+	"udi/internal/obs"
 )
 
 // This file is the coordinator's read-routing layer: each shard is a
@@ -70,15 +71,21 @@ type readRecord struct {
 	failover bool
 }
 
-// stub is one shard as the coordinator sees it: the read set (members[0]
-// is always the primary), the shard's last-observed primary epoch, and
-// the routing counters. All fields are independently atomic; the read
-// path never locks.
+// stub is one shard as the coordinator sees it — its shard.Shard (the
+// verbs are in coordinator.go): the read set (members[0] is always the
+// primary), the shard's last-observed primary epoch, and the routing
+// counters. The mutable fields are independently atomic; the read path
+// never locks.
 type stub struct {
 	shard   int
 	primary *member
 	members []*member
-	epoch   atomic.Uint64
+	reg     *obs.Registry
+	// maxStaleness and opTimeout are the coordinator's options (see
+	// CoordinatorOptions).
+	maxStaleness time.Duration
+	opTimeout    time.Duration
+	epoch        atomic.Uint64
 	// rr breaks least-loaded ties round-robin so sequential reads still
 	// spread across an idle read set.
 	rr           atomic.Uint64
@@ -91,14 +98,14 @@ type stub struct {
 // newStub parses one -shard-addrs entry: "primary" or
 // "primary;replica1;replica2". Empty segments are skipped, so a
 // trailing semicolon is harmless.
-func newStub(shard int, spec string, opts client.Options) *stub {
-	st := &stub{shard: shard}
+func newStub(shard int, spec string, opts CoordinatorOptions) *stub {
+	st := &stub{shard: shard, reg: opts.Obs, maxStaleness: opts.MaxStaleness, opTimeout: opts.OpTimeout}
 	for _, a := range strings.Split(spec, ";") {
 		a = strings.TrimSpace(a)
 		if a == "" {
 			continue
 		}
-		m := &member{addr: a, c: client.New(a, opts), replica: len(st.members) > 0}
+		m := &member{addr: a, c: client.New(a, opts.Client), replica: len(st.members) > 0}
 		m.healthy.Store(true)
 		st.members = append(st.members, m)
 	}
@@ -107,13 +114,6 @@ func newStub(shard int, spec string, opts client.Options) *stub {
 	}
 	return st
 }
-
-// addr is the primary's address — the identity existing error messages
-// and epoch bookkeeping refer to.
-func (st *stub) addr() string { return st.primary.addr }
-
-// c is the primary's client — the write path and all non-routed RPCs.
-func (st *stub) c() *client.Client { return st.primary.c }
 
 // syncedTo reports whether a replica's probed position covers the
 // primary's last-known committed state: same structural generation, and
@@ -255,11 +255,11 @@ func failoverable(err error) bool {
 // member is the one that served; the caller only updates the shard's
 // epoch vector when it is the primary, so replica-local epochs never
 // pollute the primary epoch vector.
-func (co *Coordinator) readLeg(ctx context.Context, st *stub, fn func(m *member) error) (*member, error) {
-	try, primHealthy, refused := st.pick(co.maxStaleness)
+func (st *stub) readLeg(ctx context.Context, fn func(m *member) error) (*member, error) {
+	try, primHealthy, refused := st.pick(st.maxStaleness)
 	if refused > 0 {
 		st.staleRefused.Add(int64(refused))
-		co.reg.Add("shardrpc.route.stale_refused", int64(refused))
+		st.reg.Add("shardrpc.route.stale_refused", int64(refused))
 	}
 	primaryFailed := !primHealthy
 	var last error
@@ -271,7 +271,7 @@ func (co *Coordinator) readLeg(ctx context.Context, st *stub, fn func(m *member)
 		err := fn(m)
 		m.load.Add(-1)
 		if err == nil {
-			co.recordRead(st, m, primaryFailed)
+			st.recordRead(m, primaryFailed)
 			return m, nil
 		}
 		last = err
@@ -282,22 +282,22 @@ func (co *Coordinator) readLeg(ctx context.Context, st *stub, fn func(m *member)
 		if m == st.primary {
 			primaryFailed = true
 		}
-		co.reg.Add("shardrpc.route.member_errors", 1)
+		st.reg.Add("shardrpc.route.member_errors", 1)
 	}
 	return nil, last
 }
 
 // recordRead publishes who served a leg and bumps the routing counters.
-func (co *Coordinator) recordRead(st *stub, m *member, failover bool) {
+func (st *stub) recordRead(m *member, failover bool) {
 	st.lastRead.Store(&readRecord{addr: m.addr, replica: m.replica, failover: failover && m.replica})
 	if !m.replica {
 		return
 	}
 	st.replicaReads.Add(1)
-	co.reg.Add("shardrpc.route.replica_reads", 1)
+	st.reg.Add("shardrpc.route.replica_reads", 1)
 	if failover {
 		st.failovers.Add(1)
-		co.reg.Add("shardrpc.route.failovers", 1)
+		st.reg.Add("shardrpc.route.failovers", 1)
 	}
 }
 
@@ -305,7 +305,7 @@ func (co *Coordinator) recordRead(st *stub, m *member, failover bool) {
 // the wrong protocol is an error the caller treats as fatal at startup;
 // a transport failure just marks the member unhealthy (a later probe
 // re-admits it).
-func (co *Coordinator) probeMember(ctx context.Context, st *stub, m *member) error {
+func (st *stub) probeMember(ctx context.Context, m *member) error {
 	var status StatusResponse
 	if err := m.c.Get(ctx, "/v1/shard/status", &status); err != nil {
 		m.healthy.Store(false)
@@ -344,7 +344,7 @@ func (co *Coordinator) Probe(ctx context.Context) {
 			wg.Add(1)
 			go func(st *stub, m *member) {
 				defer wg.Done()
-				_ = co.probeMember(ctx, st, m)
+				_ = st.probeMember(ctx, m)
 			}(st, m)
 		}
 	}
@@ -353,22 +353,29 @@ func (co *Coordinator) Probe(ctx context.Context) {
 
 // StartProber runs periodic Probe passes in the background and returns
 // a stop function. With no replicas configured it is a no-op: the plain
-// primary-only coordinator keeps its zero-goroutine footprint.
+// primary-only coordinator keeps its zero-goroutine footprint. The
+// cadence is half the staleness bound — a replica's observation must be
+// refreshed well inside the window in which it may serve — capped at 1s,
+// which is also the cadence at bound 0 (failover-only).
 func (co *Coordinator) StartProber() (stop func()) {
 	if !co.hasReplicas() {
 		return func() {}
 	}
+	every := time.Second
+	if half := co.maxStaleness / 2; half > 0 && half < every {
+		every = half
+	}
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {
-		t := time.NewTicker(co.probeEvery)
+		t := time.NewTicker(every)
 		defer t.Stop()
 		for {
 			select {
 			case <-done:
 				return
 			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), co.probeEvery)
+				ctx, cancel := context.WithTimeout(context.Background(), every)
 				co.Probe(ctx)
 				cancel()
 			}

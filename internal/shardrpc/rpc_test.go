@@ -186,8 +186,8 @@ func compareNetworked(t *testing.T, tag string, oracle *core.System, sh *shard.S
 	if err != nil {
 		t.Fatalf("%s: sharded view: %v", tag, err)
 	}
-	want, werr := sv.Candidates(8)
-	got, gerr := cv.Candidates(8)
+	want, werr := sv.Candidates(context.Background(), 8)
+	got, gerr := cv.Candidates(context.Background(), 8)
 	if (werr != nil) != (gerr != nil) {
 		t.Fatalf("%s: candidates: sharded err %v, networked err %v", tag, werr, gerr)
 	}
@@ -295,7 +295,7 @@ func mutateNetworked(t *testing.T, rng *rand.Rand, oracle *core.System, sh *shar
 		src := randomRPCSource(rng, fmt.Sprintf("x%02d", *nextID), []string{"alpha", "bravo", "carrot", "delta"})
 		*nextID++
 		ofast, oerr := oracle.AddSource(src)
-		sfast, serr := sh.AddSource(src)
+		sfast, serr := sh.AddSources([]*schema.Source{src})
 		cfast, cerr := co.AddSources([]*schema.Source{src})
 		if (oerr != nil) != (cerr != nil) || (oerr != nil) != (serr != nil) {
 			t.Fatalf("add %s: oracle err %v, sharded err %v, networked err %v", src.Name, oerr, serr, cerr)
@@ -383,7 +383,7 @@ func TestNetworkedEpochAdvances(t *testing.T) {
 		t.Fatalf("view: %v", err)
 	}
 	before := v.Epoch()
-	cands, err := v.Candidates(1)
+	cands, err := v.Candidates(context.Background(), 1)
 	if err != nil || len(cands) == 0 {
 		t.Fatalf("candidates: %v (%d)", err, len(cands))
 	}
