@@ -1,12 +1,12 @@
 # Development entry points. `make check` is the tier-1 gate: vet, build,
 # the full test suite under the race detector (including the setup
 # fast-path concurrency tests), and a short fuzzing pass over the SQL
-# parser.
+# parser and the shard RPC partial-result decoder.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build test race race-setup race-serve race-topology race-feedback api-compat crash-recovery differential-blocked no-skip vet bench bench-setup bench-setup-scale bench-route bench-feedback fuzz experiments
+.PHONY: check build test race race-setup race-serve race-topology race-feedback api-compat crash-recovery differential-blocked no-skip vet bench bench-compare bench-setup bench-setup-scale bench-route bench-feedback fuzz experiments
 
 check: vet build race race-setup race-serve race-topology race-feedback api-compat crash-recovery differential-blocked no-skip fuzz
 
@@ -88,8 +88,15 @@ crash-recovery:
 	$(GO) test -run 'TestKillAtEveryByteOffset|TestMidLogCorruptionRefused|TestKillAtEveryWALOffset|TestOpenStoreMidLogCorruptionRefused|TestFailedCommitReplay|TestCrashBetweenAppendAndPublish' ./internal/wal ./internal/persist
 	$(GO) test -race -run 'TestCheckpointRotationSoak|TestStoreWarmStart' ./internal/persist
 
+# The repository's benchmark (bench/README.md, BENCHMARK.json): every
+# workload, both passes, recorded in bench/out/run.json. The Go
+# micro-benchmarks stay reachable as `go test -bench=. -benchmem ./...`.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash bench/run.sh
+
+# Compare two recorded runs: make bench-compare BASE=a/run.json CAND=b/run.json
+bench-compare:
+	$(GO) run ./bench -compare $(BASE) $(CAND)
 
 # Setup-pipeline benchmark (naive single-threaded baseline vs the fast
 # path); snapshots the raw benchmark lines as JSON into BENCH_setup.json.
@@ -157,6 +164,7 @@ bench-feedback:
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sqlparse
+	$(GO) test -run '^$$' -fuzz=FuzzDecodePart -fuzztime=$(FUZZTIME) ./internal/shardrpc
 
 experiments:
 	$(GO) run ./cmd/experiments -exp all

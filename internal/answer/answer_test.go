@@ -561,3 +561,26 @@ func TestExplainMassMatchesPerSource(t *testing.T) {
 		}
 	}
 }
+
+// A one-column answer whose value is the empty string ranks as [""], the
+// tuple its own instances carry — not as a zero-column tuple.
+func TestEmptyStringAnswerKeepsItsColumn(t *testing.T) {
+	var sources []*schema.Source
+	for _, name := range []string{"s1", "s2", "s3", "s4"} {
+		sources = append(sources, schema.MustNewSource(name, []string{"make", "model"},
+			[][]string{{"", "x"}}))
+	}
+	corpus, _ := schema.NewCorpus("Car", sources)
+	rs := NewEngine(corpus).AnswerSource(sqlparse.MustParse("SELECT make FROM Car"))
+	if len(rs.Ranked) != 1 || !reflect.DeepEqual(rs.Ranked[0].Values, []string{""}) {
+		t.Fatalf("Ranked = %#v, want one answer with Values [\"\"]", rs.Ranked)
+	}
+	for _, in := range rs.Instances {
+		if !reflect.DeepEqual(in.Values, rs.Ranked[0].Values) {
+			t.Errorf("instance %+v disagrees with ranked values %q", in, rs.Ranked[0].Values)
+		}
+	}
+	if got := rs.ByTupleRanking(); len(got) != 1 || !reflect.DeepEqual(got[0].Values, []string{""}) {
+		t.Errorf("ByTupleRanking = %#v", got)
+	}
+}

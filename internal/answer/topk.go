@@ -70,11 +70,7 @@ func selectTopK(tuples []rankedTuple, k int) []Answer {
 func tuplesToAnswers(tuples []rankedTuple) []Answer {
 	out := make([]Answer, 0, len(tuples))
 	for _, t := range tuples {
-		values := strings.Split(t.key, "\x1f")
-		if t.key == "" {
-			values = []string{}
-		}
-		out = append(out, Answer{Values: values, Prob: t.prob})
+		out = append(out, Answer{Values: strings.Split(t.key, "\x1f"), Prob: t.prob})
 	}
 	return out
 }

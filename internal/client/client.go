@@ -109,35 +109,13 @@ func (c *Client) Base() string { return c.base }
 // honoring Retry-After; non-idempotent requests get exactly one
 // attempt. Error responses decode into *httpapi.StatusError.
 func (c *Client) Do(ctx context.Context, method, path string, in, out any, idempotent bool) error {
-	var body []byte
-	if in != nil {
-		var err error
-		body, err = json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("client: encode request: %w", err)
-		}
+	body, contentType, err := jsonBody(in)
+	if err != nil {
+		return err
 	}
-	attempts := 1
-	if idempotent {
-		attempts += c.retries
-	}
-	var last error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if err := c.pause(ctx, last, attempt); err != nil {
-				return err
-			}
-		}
-		err := c.once(ctx, method, path, body, out)
-		if err == nil {
-			return nil
-		}
-		last = err
-		if !retryable(err) {
-			return err
-		}
-	}
-	return last
+	return c.retry(ctx, idempotent, func() error {
+		return c.attempt(ctx, method, path, contentType, body, nil, jsonInto(out))
+	})
 }
 
 // Get performs an idempotent GET.
@@ -149,18 +127,57 @@ func (c *Client) Get(ctx context.Context, path string, out any) error {
 // type, and extra headers — the coordinator's snapshot-shipping path.
 // Error handling and the retry policy match Do.
 func (c *Client) DoRaw(ctx context.Context, method, path, contentType string, body []byte, hdr map[string]string, out any, idempotent bool) error {
+	return c.retry(ctx, idempotent, func() error {
+		return c.attempt(ctx, method, path, contentType, body, hdr, jsonInto(out))
+	})
+}
+
+// GetBinary performs an idempotent GET and returns the raw 2xx body with
+// its response headers — the snapshot-bootstrap and WAL-tail paths, whose
+// payloads are CRC-framed bytes rather than JSON.
+func (c *Client) GetBinary(ctx context.Context, path string) ([]byte, http.Header, error) {
+	var body []byte
+	var header http.Header
+	err := c.retry(ctx, true, func() error {
+		return c.attempt(ctx, http.MethodGet, path, "", nil, nil, func(data []byte, h http.Header) error {
+			body, header = data, h
+			return nil
+		})
+	})
+	return body, header, err
+}
+
+// PostBinary performs an idempotent POST of in as JSON and hands the raw
+// 2xx body to decode — the shard query leg, whose answer is a
+// checksummed binary frame. A body decode refuses is a damaged response,
+// so it is a transport failure like undecodable JSON, retried like one.
+func (c *Client) PostBinary(ctx context.Context, path string, in any, decode func(body []byte) error) error {
+	body, contentType, err := jsonBody(in)
+	if err != nil {
+		return err
+	}
+	return c.retry(ctx, true, func() error {
+		return c.attempt(ctx, http.MethodPost, path, contentType, body, nil,
+			func(data []byte, _ http.Header) error { return decode(data) })
+	})
+}
+
+// retry runs one wire attempt under the retry policy: once, plus
+// Options.Retries re-attempts when the request is idempotent and the
+// failure is retryable.
+func (c *Client) retry(ctx context.Context, idempotent bool, attempt func() error) error {
 	attempts := 1
 	if idempotent {
 		attempts += c.retries
 	}
 	var last error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if err := c.pause(ctx, last, attempt); err != nil {
+	for n := 0; n < attempts; n++ {
+		if n > 0 {
+			if err := c.pause(ctx, last, n); err != nil {
 				return err
 			}
 		}
-		err := c.attempt(ctx, method, path, contentType, body, hdr, out, nil)
+		err := attempt()
 		if err == nil {
 			return nil
 		}
@@ -172,48 +189,43 @@ func (c *Client) DoRaw(ctx context.Context, method, path, contentType string, bo
 	return last
 }
 
-// GetBinary performs an idempotent GET and returns the raw 2xx body with
-// its response headers — the snapshot-bootstrap and WAL-tail paths, whose
-// payloads are CRC-framed bytes rather than JSON.
-func (c *Client) GetBinary(ctx context.Context, path string) ([]byte, http.Header, error) {
-	var raw rawResult
-	attempts := 1 + c.retries
-	var last error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if err := c.pause(ctx, last, attempt); err != nil {
-				return nil, nil, err
-			}
-		}
-		err := c.attempt(ctx, http.MethodGet, path, "", nil, nil, nil, &raw)
-		if err == nil {
-			return raw.body, raw.header, nil
-		}
-		last = err
-		if !retryable(err) {
-			return nil, nil, err
-		}
+// jsonBody marshals a request body; nil sends none.
+func jsonBody(in any) (body []byte, contentType string, err error) {
+	if in == nil {
+		return nil, "", nil
 	}
-	return nil, nil, last
-}
-
-// rawResult captures a binary response for GetBinary.
-type rawResult struct {
-	body   []byte
-	header http.Header
-}
-
-// once is a single JSON request attempt.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
-	contentType := ""
-	if body != nil {
-		contentType = "application/json"
+	if body, err = json.Marshal(in); err != nil {
+		return nil, "", fmt.Errorf("client: encode request: %w", err)
 	}
-	return c.attempt(ctx, method, path, contentType, body, nil, out, nil)
+	return body, "application/json", nil
 }
 
-// attempt is a single wire attempt shared by every entry point.
-func (c *Client) attempt(ctx context.Context, method, path, contentType string, body []byte, hdr map[string]string, out any, raw *rawResult) error {
+// jsonInto is the sink that unmarshals a 2xx body into out; nil out
+// discards the body.
+func jsonInto(out any) func([]byte, http.Header) error {
+	if out == nil {
+		return nil
+	}
+	return func(data []byte, _ http.Header) error { return json.Unmarshal(data, out) }
+}
+
+// preallocBody is the largest declared Content-Length read into one
+// exact-size buffer; anything larger, or undeclared, grows as it arrives.
+const preallocBody = 4 << 20
+
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= preallocBody {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// attempt is a single wire attempt shared by every entry point. A 2xx
+// body goes to sink (nil discards it); a sink that refuses it is a
+// transport failure.
+func (c *Client) attempt(ctx context.Context, method, path, contentType string, body []byte, hdr map[string]string, sink func(data []byte, h http.Header) error) error {
 	// caller is the pre-timeout context: only its expiry is the caller's
 	// own deadline. The per-attempt timeout expiring is a server fault
 	// (a slow shard), reported as a retryable transport failure.
@@ -247,7 +259,7 @@ func (c *Client) attempt(ctx context.Context, method, path, contentType string, 
 		return fmt.Errorf("%w: %s %s: %v", ErrTransport, method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		if ctxErr := caller.Err(); ctxErr != nil {
 			return ctxErr
@@ -257,13 +269,8 @@ func (c *Client) attempt(ctx context.Context, method, path, contentType string, 
 	if resp.StatusCode >= 400 {
 		return decodeError(resp, data)
 	}
-	if raw != nil {
-		raw.body = data
-		raw.header = resp.Header
-		return nil
-	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
+	if sink != nil {
+		if err := sink(data, resp.Header); err != nil {
 			return fmt.Errorf("%w: %s %s: decode response: %v", ErrTransport, method, path, err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"udi/internal/core"
 	"udi/internal/datagen"
+	"udi/internal/schema"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -288,5 +289,37 @@ func TestCandidatesEndpoint(t *testing.T) {
 	defer resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad limit accepted: %d", resp3.StatusCode)
+	}
+}
+
+// An answer whose one column is the empty string reaches the client as
+// "values": [""], not as an empty array.
+func TestQueryEmptyStringValue(t *testing.T) {
+	var sources []*schema.Source
+	for _, name := range []string{"s1", "s2", "s3", "s4"} {
+		sources = append(sources, schema.MustNewSource(name, []string{"make", "model"},
+			[][]string{{"", "x"}}))
+	}
+	corpus, err := schema.NewCorpus("Car", sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.Setup(corpus, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(sys, Options{}).Handler())
+	t.Cleanup(srv.Close)
+	resp, out := postJSON(t, srv.URL+"/v1/query", queryRequest{Query: "SELECT make FROM Car"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %v", resp.StatusCode, out)
+	}
+	answers := out["answers"].([]any)
+	if len(answers) != 1 {
+		t.Fatalf("answers = %v", answers)
+	}
+	values := answers[0].(map[string]any)["values"].([]any)
+	if len(values) != 1 || values[0] != "" {
+		t.Fatalf(`values = %v, want [""]`, values)
 	}
 }

@@ -265,40 +265,74 @@ func (l remoteLeg) Epoch() uint64        { return l.epoch }
 func (l remoteLeg) CreatedAt() time.Time { return time.Time{} }
 
 // read runs one read RPC through readLeg (bounded-staleness load
-// balancing plus failover), decoding into a fresh R per attempt — a
-// member that failed mid-body must not leave half a response under the
-// next one's. The response epoch feeds the shard's epoch only when the
-// primary served, so replica-local epochs never pollute the vector. A leg
-// that exhausts its read set fails typed.
-func read[R any](ctx context.Context, st *stub, path string, in any, epoch func(*R) uint64) (*R, error) {
-	var resp *R
-	served, err := st.readLeg(ctx, func(m *member) error {
-		resp = new(R)
-		return m.c.Do(ctx, http.MethodPost, path, in, resp, true)
+// balancing plus failover). call answers with the epoch its response
+// carried; it feeds the shard's epoch only when the primary served, so
+// replica-local epochs never pollute the vector. A leg that exhausts its
+// read set fails typed.
+func (st *stub) read(ctx context.Context, call func(m *member) (epoch uint64, err error)) error {
+	var epoch uint64
+	served, err := st.readLeg(ctx, func(m *member) (err error) {
+		epoch, err = call(m)
+		return err
 	})
 	if err != nil {
-		return nil, st.rpcError(err)
+		return st.rpcError(err)
 	}
 	if served == st.primary {
-		st.epoch.Store(epoch(resp))
+		st.epoch.Store(epoch)
+	}
+	return nil
+}
+
+// readJSON is read for a JSON response, decoded into a fresh R per
+// attempt — a member that failed mid-body must not leave half a response
+// under the next one's.
+func readJSON[R any](ctx context.Context, st *stub, path string, in any, epoch func(*R) uint64) (*R, error) {
+	var resp *R
+	err := st.read(ctx, func(m *member) (uint64, error) {
+		resp = new(R)
+		if err := m.c.Do(ctx, http.MethodPost, path, in, resp, true); err != nil {
+			return 0, err
+		}
+		return epoch(resp), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
 
 // Run returns the merge inputs only: ranked answers are not shipped, the
-// coordinator recomputes them over the bit-exact wire probabilities.
+// coordinator recomputes them over the bit-exact wire probabilities. The
+// answer is the one binary body of the protocol (part.go); a frame the
+// decoder refuses is re-fetched like any damaged response.
 func (l remoteLeg) Run(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+	st, t0 := l.st, time.Now()
 	req := QueryRequest{Proto: Version, Query: q.String(), Approach: string(a)}
-	resp, err := read(ctx, l.st, "/v1/shard/query", req, func(r *QueryResponse) uint64 { return r.Epoch })
+	var rs *answer.ResultSet
+	err := st.read(ctx, func(m *member) (epoch uint64, err error) {
+		err = m.c.PostBinary(ctx, "/v1/shard/query", req, func(frame []byte) (err error) {
+			d0 := time.Now()
+			rs, epoch, err = DecodePart(frame)
+			if st.reg.Enabled() {
+				st.reg.Observe("shardrpc.leg.decode_seconds", time.Since(d0).Seconds())
+			}
+			return err
+		})
+		return epoch, err
+	})
+	if st.reg.Enabled() {
+		st.reg.Observe("shardrpc.leg.seconds", time.Since(t0).Seconds())
+	}
 	if err != nil {
 		return nil, err
 	}
-	return DecodePart(resp.Part), nil
+	return rs, nil
 }
 
 func (l remoteLeg) Explain(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error) {
 	req := ExplainRequest{Proto: Version, Query: q.String(), Values: values}
-	resp, err := read(ctx, l.st, "/v1/shard/explain", req, func(r *ExplainResponse) uint64 { return r.Epoch })
+	resp, err := readJSON(ctx, l.st, "/v1/shard/explain", req, func(r *ExplainResponse) uint64 { return r.Epoch })
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +341,7 @@ func (l remoteLeg) Explain(ctx context.Context, q *sqlparse.Query, values []stri
 
 func (l remoteLeg) Candidates(ctx context.Context, limit int) ([]feedback.Candidate, error) {
 	req := CandidatesRequest{Proto: Version, Limit: limit}
-	resp, err := read(ctx, l.st, "/v1/shard/candidates", req, func(r *CandidatesResponse) uint64 { return r.Epoch })
+	resp, err := readJSON(ctx, l.st, "/v1/shard/candidates", req, func(r *CandidatesResponse) uint64 { return r.Epoch })
 	if err != nil {
 		return nil, err
 	}

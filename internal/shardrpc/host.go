@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"udi/internal/core"
 	"udi/internal/feedback"
@@ -22,6 +23,14 @@ import (
 // CodeProtocolMismatch is the envelope code a host answers when a
 // request carries a different protocol version.
 const CodeProtocolMismatch = "protocol_mismatch"
+
+// CodeBodyTooLarge is the envelope code (413) for a read request whose
+// body exceeds MaxReadRequest.
+const CodeBodyTooLarge = "body_too_large"
+
+// MaxReadRequest bounds the JSON body of a read RPC (query, explain,
+// candidates): SQL text or one answer tuple, never bulk data.
+const MaxReadRequest = 1 << 20
 
 // HostOptions configures a shard host.
 type HostOptions struct {
@@ -134,6 +143,12 @@ func (h *Host) Handler() http.Handler {
 // carried in it. Returns false after writing the error response.
 func decode(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
 	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpapi.WriteError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), nil)
+			return false
+		}
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery,
 			fmt.Sprintf("bad request body: %v", err), nil)
 		return false
@@ -178,8 +193,15 @@ type ReadHandlers struct {
 	// Status fills the member-specific status fields: durability on a
 	// primary, the replication position on a replica.
 	Status func(*StatusResponse)
-	// Obs counts served queries.
+	// Obs counts served queries and, when enabled, records what each
+	// partial-result frame cost to encode and how large it was.
 	Obs *obs.Registry
+}
+
+// decode is the package decode over a body bounded by MaxReadRequest.
+func (rh ReadHandlers) decode(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxReadRequest)
+	return decode(w, r, dst, proto)
 }
 
 // Mount registers the read routes (and the /healthz alias of status).
@@ -205,7 +227,7 @@ func (rh ReadHandlers) handleStatus(w http.ResponseWriter, _ *http.Request) {
 
 func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decode(w, r, &req, &req.Proto) {
+	if !rh.decode(w, r, &req, &req.Proto) {
 		return
 	}
 	sys := ready(w, rh.Sys())
@@ -228,16 +250,23 @@ func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rh.Obs.Add("shardrpc.host.queries", 1)
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Epoch:    sn.Epoch,
-		StateGen: rh.StateGen(),
-		Part:     EncodePart(rs),
-	})
+	t0 := time.Now()
+	enc := partEncoders.Get().(*partEncoder)
+	defer enc.release()
+	frame := enc.encode(sn.Epoch, rs)
+	if rh.Obs.Enabled() {
+		rh.Obs.Observe("shardrpc.host.encode_seconds", time.Since(t0).Seconds())
+		rh.Obs.Observe("shardrpc.host.response_bytes", float64(len(frame)))
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(frame)
 }
 
 func (rh ReadHandlers) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	if !decode(w, r, &req, &req.Proto) {
+	if !rh.decode(w, r, &req, &req.Proto) {
 		return
 	}
 	sys := ready(w, rh.Sys())
@@ -260,7 +289,7 @@ func (rh ReadHandlers) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (rh ReadHandlers) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	var req CandidatesRequest
-	if !decode(w, r, &req, &req.Proto) {
+	if !rh.decode(w, r, &req, &req.Proto) {
 		return
 	}
 	sys := ready(w, rh.Sys())

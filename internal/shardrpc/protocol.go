@@ -9,7 +9,7 @@
 // Protocol surface (all under the shard host's listener):
 //
 //	GET  /v1/shard/status     health, protocol version, epoch, state gen
-//	POST /v1/shard/query      one shard's partial result for a query
+//	POST /v1/shard/query      one shard's partial result: a binary frame (part.go)
 //	POST /v1/shard/explain    one shard's provenance contributions
 //	POST /v1/shard/candidates one shard's feedback question queue
 //	POST /v1/shard/feedback   apply feedback owned by this shard (NOT idempotent)
@@ -27,9 +27,10 @@
 // retried: a lost response leaves it unknown whether the mutation
 // landed, and re-sending could double-apply.
 //
-// Probabilities cross the wire as IEEE-754 bit patterns
-// (math.Float64bits), so merged answers are `==`-identical to the
-// in-process merge no matter what intermediaries re-encode the JSON.
+// Probabilities that feed a merge cross the wire as IEEE-754 bit
+// patterns (math.Float64bits) — raw in the query leg's binary frame,
+// integers in the JSON bodies — so merged answers are `==`-identical to
+// the in-process merge no matter what intermediaries re-encode the JSON.
 package shardrpc
 
 import (
@@ -44,10 +45,12 @@ import (
 )
 
 // Version is the shard RPC protocol version. A coordinator refuses to
-// drive a host reporting a different version: the wire DTOs below are
-// the compatibility contract, and silently mixing them would corrupt
-// merges rather than fail typed.
-const Version = 1
+// drive a host reporting a different version: the wire DTOs below and
+// the partial-result frame are the compatibility contract, and silently
+// mixing them would corrupt merges rather than fail typed. The refusal
+// is the only compatibility mechanism — nothing is negotiated. Version 2
+// replaced the JSON query response of version 1 with the frame.
+const Version = 2
 
 // StatusResponse is the GET /v1/shard/status body.
 type StatusResponse struct {
@@ -81,18 +84,12 @@ type StatusResponse struct {
 
 // QueryRequest is the POST /v1/shard/query body. The query travels as
 // SQL text and is parsed host-side: the parse is deterministic, and
-// shipping text keeps the protocol independent of parser internals.
+// shipping text keeps the protocol independent of parser internals. The
+// answer is not JSON: see part.go.
 type QueryRequest struct {
 	Proto    int    `json:"proto"`
 	Query    string `json:"query"`
 	Approach string `json:"approach,omitempty"`
-}
-
-// QueryResponse carries one shard's partial result.
-type QueryResponse struct {
-	Epoch    uint64   `json:"epoch"`
-	StateGen uint64   `json:"state_gen"`
-	Part     WirePart `json:"part"`
 }
 
 // ExplainRequest is the POST /v1/shard/explain body.
@@ -192,31 +189,6 @@ type WireSource struct {
 type WireMed struct {
 	Schemas  [][][]string `json:"schemas"`
 	ProbBits []uint64     `json:"prob_bits"`
-}
-
-// WireInstance is one answer instance with its probability bits.
-type WireInstance struct {
-	Source   string   `json:"source"`
-	Row      int      `json:"row"`
-	Values   []string `json:"values"`
-	ProbBits uint64   `json:"prob_bits"`
-}
-
-// WireSourceProbs is one source's tuple-probability map with bit-exact
-// values, keyed by the engine's tuple key.
-type WireSourceProbs struct {
-	Source   string            `json:"source"`
-	ProbBits map[string]uint64 `json:"prob_bits"`
-}
-
-// WirePart is one shard's partial ResultSet: instances plus the
-// per-source tuple probabilities the cross-source merge needs. Ranked
-// answers are NOT shipped — the coordinator recomputes them through
-// answer.MergeResultSets, which visits sources in global corpus order
-// so the IEEE disjunction is bit-identical to the single engine.
-type WirePart struct {
-	Instances []WireInstance    `json:"instances"`
-	PerSource []WireSourceProbs `json:"per_source"`
 }
 
 // WireCandidate is one feedback candidate with bit-exact scores.
@@ -326,49 +298,6 @@ func DecodeSources(ws []WireSource) ([]*schema.Source, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// EncodePart flattens one shard's partial result with bit-exact
-// probabilities.
-func EncodePart(rs *answer.ResultSet) WirePart {
-	p := WirePart{}
-	for _, in := range rs.Instances {
-		p.Instances = append(p.Instances, WireInstance{
-			Source:   in.Source,
-			Row:      in.Row,
-			Values:   in.Values,
-			ProbBits: math.Float64bits(in.Prob),
-		})
-	}
-	for _, sp := range rs.PerSource {
-		wp := WireSourceProbs{Source: sp.Source, ProbBits: make(map[string]uint64, len(sp.Probs))}
-		for k, v := range sp.Probs {
-			wp.ProbBits[k] = math.Float64bits(v)
-		}
-		p.PerSource = append(p.PerSource, wp)
-	}
-	return p
-}
-
-// DecodePart rebuilds the partial result for answer.MergeResultSets.
-func DecodePart(p WirePart) *answer.ResultSet {
-	rs := &answer.ResultSet{}
-	for _, in := range p.Instances {
-		rs.Instances = append(rs.Instances, answer.Instance{
-			Source: in.Source,
-			Row:    in.Row,
-			Values: in.Values,
-			Prob:   math.Float64frombits(in.ProbBits),
-		})
-	}
-	for _, wp := range p.PerSource {
-		sp := answer.SourceTupleProbs{Source: wp.Source, Probs: make(map[string]float64, len(wp.ProbBits))}
-		for k, v := range wp.ProbBits {
-			sp.Probs[k] = math.Float64frombits(v)
-		}
-		rs.PerSource = append(rs.PerSource, sp)
-	}
-	return rs
 }
 
 // EncodeCandidates flattens feedback candidates with bit-exact scores.
