@@ -17,6 +17,7 @@ import (
 	"udi/internal/feedback"
 	"udi/internal/obs"
 	"udi/internal/pmapping"
+	"udi/internal/reference"
 	"udi/internal/sqlparse"
 	"udi/internal/strutil"
 )
@@ -149,10 +150,10 @@ func BenchmarkTable3SchemaQuality(b *testing.B) {
 
 // BenchmarkFig7SetupScaling measures full automatic setup on the whole
 // 817-source Car corpus (the Figure 7 workload at its final sweep
-// point), contrasting the naive single-threaded pipeline against the
-// setup fast path (interned similarity matrix + schema-dedup caches +
-// parallel stages). The acceptance bar for the setup-path work is
-// fast ≥ 2× faster than naive; BENCH_setup.json snapshots the numbers.
+// point): the production pipeline single-threaded (the paper's §7.6
+// shape) and at default parallelism, beside the straight-line reference
+// oracle (direct similarity calls, every source from scratch, serial) —
+// what the interned matrix and the schema-dedup caches save.
 func BenchmarkFig7SetupScaling(b *testing.B) {
 	spec := datagen.Car(102)
 	corpus, err := datagen.Generate(spec)
@@ -160,11 +161,18 @@ func BenchmarkFig7SetupScaling(b *testing.B) {
 		b.Fatal(err)
 	}
 	full := corpus.Corpus
+	b.Run("naive-1t", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := reference.Setup(full, reference.Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, mode := range []struct {
 		name string
 		cfg  core.Config
 	}{
-		{"naive-1t", core.Config{Parallelism: 1, DisableSimMatrix: true, DisablePMapDedup: true}},
 		{"fast-1t", core.Config{Parallelism: 1}},
 		{"fast-mt", core.Config{}}, // default parallelism = GOMAXPROCS
 	} {
@@ -353,12 +361,9 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryHotPath contrasts the query-serving fast path against the
-// naive Definition 3.3 path on the Movie domain: "naive" disables the
-// plan cache and the pushdown indexes, "cold" runs the full path but
-// invalidates the cache before every query (plan build + indexed scans),
-// "warm" serves from the populated cache. The acceptance bar for the
-// serving work is warm ≥ 3× faster than naive.
+// BenchmarkQueryHotPath measures the query-serving path on the Movie
+// domain: "cold" invalidates the plan cache before every query (plan
+// build + indexed scans), "warm" serves from the populated cache.
 func BenchmarkQueryHotPath(b *testing.B) {
 	r, err := experiments.Load(datagen.Movie(101))
 	if err != nil {
@@ -368,18 +373,14 @@ func BenchmarkQueryHotPath(b *testing.B) {
 	for i, qs := range r.Spec.Queries {
 		queries[i] = sqlparse.MustParse(qs)
 	}
-	for _, mode := range []string{"naive", "cold", "warm"} {
+	for _, mode := range []string{"cold", "warm"} {
 		b.Run(mode, func(b *testing.B) {
 			sys, err := core.Setup(r.Corpus.Corpus, core.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			e := sys.Engine()
-			switch mode {
-			case "naive":
-				e.Plans = nil
-				e.SetIndexing(false)
-			case "warm":
+			if mode == "warm" {
 				for _, q := range queries {
 					if _, err := sys.QueryParsed(q); err != nil {
 						b.Fatal(err)
@@ -418,41 +419,31 @@ func BenchmarkByTupleRanking(b *testing.B) {
 	}
 }
 
-// BenchmarkSetupScale is the sub-quadratic-setup acceptance sweep: full
-// automatic setup over synthetic scale corpora of 1k/5k/10k sources
-// (vocabulary growing near-linearly with the source count), blocked
-// (default LSH-banded sparse similarity matrix) versus dense (exhaustive
-// O(V²) fill). The bars: blocked wall-clock grows near-linearly across
-// the sweep, and at 10k sources blocked beats dense by ≥5x.
-// BENCH_setup_scale.json snapshots the numbers (make bench-setup-scale).
+// BenchmarkSetupScale is the sub-quadratic-setup sweep: full automatic
+// setup over synthetic scale corpora of 1k/5k/10k sources (vocabulary
+// growing near-linearly with the source count). The bar: wall-clock grows
+// near-linearly across the sweep. The repository benchmark's
+// setup.scale5k workload (bench/) tracks the 5k point end to end.
 func BenchmarkSetupScale(b *testing.B) {
 	for _, n := range []int{1000, 5000, 10000} {
 		corpus := datagen.ScaleCorpus(n, 17)
-		for _, mode := range []struct {
-			name string
-			cfg  core.Config
-		}{
-			{"blocked", core.Config{}},
-			{"dense", core.Config{DenseSimMatrix: true}},
-		} {
-			b.Run(fmt.Sprintf("%s-%d", mode.name, n), func(b *testing.B) {
-				var last *core.System
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sys, err := core.Setup(corpus, mode.cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = sys
+		b.Run(fmt.Sprintf("blocked-%d", n), func(b *testing.B) {
+			var last *core.System
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys, err := core.Setup(corpus, core.Config{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				if tr := last.Trace.Export(); tr != nil {
-					for _, child := range tr.Children {
-						b.ReportMetric(child.DurationMS, child.Name+"-ms")
-					}
+				last = sys
+			}
+			b.StopTimer()
+			if tr := last.Trace.Export(); tr != nil {
+				for _, child := range tr.Children {
+					b.ReportMetric(child.DurationMS, child.Name+"-ms")
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -81,8 +81,7 @@
 // with codes bad_query, unknown_source, timeout, canceled, overloaded,
 // internal, shard_unavailable, read_only, not_ready. Overload answers
 // 429 + Retry-After; an expired -query-timeout answers 504. The
-// pre-/v1 unversioned aliases are retired; -legacy-api restores them
-// (with Deprecation headers) for old clients.
+// pre-/v1 unversioned paths are retired and answer 404.
 //
 // Observability:
 //
@@ -152,8 +151,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent query-path requests; excess gets 429 (0 = unlimited)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-request deadline for query-path requests; expiry gets 504 (0 = none)")
 	feedbackBatch := flag.Int("feedback-batch", 0, "max feedback submissions committed under one WAL fsync (0 = default 64)")
-	noGroupCommit := flag.Bool("no-group-commit", false, "commit every feedback submission with its own fsync and snapshot publish")
-	legacyAPI := flag.Bool("legacy-api", false, "re-enable the deprecated unversioned aliases of the /v1 endpoints")
 	verbose := flag.Bool("verbose", false, "log one line per request")
 	flag.Parse()
 
@@ -161,15 +158,11 @@ func main() {
 		DefaultTop:   *top,
 		MaxInFlight:  *maxInflight,
 		QueryTimeout: *queryTimeout,
-		LegacyAPI:    *legacyAPI,
 	}
 	if *verbose {
 		opts.Logf = log.Printf
 	}
-	cfg := core.Config{
-		FeedbackBatch:      *feedbackBatch,
-		DisableGroupCommit: *noGroupCommit,
-	}
+	cfg := core.Config{FeedbackBatch: *feedbackBatch}
 	sc := serveConfig{
 		role: *role, follow: *follow, shardAddrs: *shardAddrs, poll: *poll,
 		maxStaleness: *maxStaleness, opTimeout: *opTimeout,

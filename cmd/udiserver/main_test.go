@@ -15,6 +15,7 @@ import (
 	"udi/internal/httpapi"
 	"udi/internal/obs"
 	"udi/internal/persist"
+	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
@@ -110,7 +111,7 @@ func TestDurableRestartAllDomains(t *testing.T) {
 				t.Fatal("no correspondence to confirm")
 			}
 			extra := datagen.MustGenerate(d).Corpus.Sources[8]
-			if _, err := sys.AddSource(extra); err != nil {
+			if _, err := sys.AddSources([]*schema.Source{extra}); err != nil {
 				t.Fatal(err)
 			}
 

@@ -102,10 +102,9 @@ type Engine struct {
 	// plan_cache.invalidations. Nil disables recording. Set it through
 	// SetObs so the per-table index metrics share the registry.
 	Obs *obs.Registry
-	// Plans caches resolved AnswerPMed query plans. Non-nil (the NewEngine
-	// default) enables the fast path; nil forces the naive per-query
-	// resolution. Callers that mutate p-mappings in place must call
-	// InvalidatePlans (see the PlanCache invalidation contract).
+	// Plans caches resolved AnswerPMed query plans. Always non-nil on an
+	// Engine from NewEngine. Callers that mutate p-mappings in place must
+	// call InvalidatePlans (see the PlanCache invalidation contract).
 	Plans *PlanCache
 }
 
@@ -145,9 +144,6 @@ func (e *Engine) SetIndexing(on bool) {
 // after mutating any p-mapping in place (feedback conditioning does);
 // corpus changes instead rebuild the Engine, which starts a fresh cache.
 func (e *Engine) InvalidatePlans() {
-	if e.Plans == nil {
-		return
-	}
 	e.Plans.Invalidate()
 	if e.Obs.Enabled() {
 		e.Obs.Add("plan_cache.invalidations", 1)
@@ -285,63 +281,22 @@ func (e *Engine) AnswerPMed(in PMedInput, q *sqlparse.Query) (*ResultSet, error)
 // poll for cancellation, so a request deadline stops the query early with
 // ctx.Err() instead of serving a late answer.
 func (e *Engine) AnswerPMedCtx(ctx context.Context, in PMedInput, q *sqlparse.Query) (*ResultSet, error) {
-	if e.Plans != nil {
-		key, attrs := planKey(q)
-		if plan, ok := e.Plans.lookup(in, key); ok {
-			if e.Obs.Enabled() {
-				e.Obs.Add("plan_cache.hits", 1)
-			}
-			return e.answerWithPlan(ctx, plan, q)
-		}
-		plan, err := e.buildPlan(in, attrs)
-		if err != nil {
-			return nil, err
-		}
-		e.Plans.store(in, key, plan)
+	key, attrs := planKey(q)
+	if plan, ok := e.Plans.lookup(in, key); ok {
 		if e.Obs.Enabled() {
-			e.Obs.Add("plan_cache.misses", 1)
+			e.Obs.Add("plan_cache.hits", 1)
 		}
 		return e.answerWithPlan(ctx, plan, q)
 	}
-	// Naive path: resolve each schema's query clusters once, shared across
-	// sources, and re-derive every mapping assignment for this query.
-	type schemaPlan struct {
-		medIdxs map[string]int
-		idxList []int
+	plan, err := e.buildPlan(in, attrs)
+	if err != nil {
+		return nil, err
 	}
-	plans := make([]*schemaPlan, in.PMed.Len())
-	for l, med := range in.PMed.Schemas {
-		if medIdxs, ok := queryMedIdxs(q, med); ok {
-			pl := &schemaPlan{medIdxs: medIdxs}
-			for _, j := range medIdxs {
-				pl.idxList = append(pl.idxList, j)
-			}
-			plans[l] = pl
-		}
+	e.Plans.store(in, key, plan)
+	if e.Obs.Enabled() {
+		e.Obs.Add("plan_cache.misses", 1)
 	}
-	return e.runPerSource(ctx, func(ctx context.Context, src *schema.Source, acc *accumulator) error {
-		pms := in.Maps[src.Name]
-		if len(pms) != in.PMed.Len() {
-			return fmt.Errorf("answer: source %q has %d p-mappings for %d schemas",
-				src.Name, len(pms), in.PMed.Len())
-		}
-		for l := range in.PMed.Schemas {
-			pl := plans[l]
-			if pl == nil {
-				continue // some query attribute is not mediated by this schema
-			}
-			weight := in.PMed.Probs[l]
-			for _, asgn := range pms[l].AssignmentsFor(pl.idxList) {
-				if asgn.Prob == 0 {
-					continue
-				}
-				if err := e.scanAssignment(ctx, acc, src.Name, q, pl.medIdxs, asgn.MedToSrc, weight*asgn.Prob); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
+	return e.answerWithPlan(ctx, plan, q)
 }
 
 // AnswerConsolidated answers q over the consolidated mediated schema T and

@@ -18,10 +18,11 @@ import (
 // resolved query plan of Definition 3.3: for every source, the flat list
 // of (attribute → column) rewrites with their accumulated by-table
 // probability weights. Resolving a plan is the expensive per-query work
-// the naive path repeats on every call — mapping each query attribute to
-// its cluster in every possible mediated schema, marginalizing every
-// source's p-mapping onto those clusters (PMapping.AssignmentsFor), and
-// rewriting the query under every assignment. The plan depends only on
+// an uncached evaluator repeats on every call — mapping each query
+// attribute to its cluster in every possible mediated schema,
+// marginalizing every source's p-mapping onto those clusters
+// (PMapping.AssignmentsFor), and rewriting the query under every
+// assignment. The plan depends only on
 // the attribute *set* of the query (not on the SELECT/WHERE split,
 // operators or literals), so one plan serves every query shape over the
 // same attributes.
@@ -231,9 +232,6 @@ func splitPlanKey(key string) []string {
 // does not serve, or a resolution error, drops just that plan.
 func (e *Engine) RetargetPlans(oldMaps map[string][]*pmapping.PMapping, in PMedInput, dirty []string) {
 	c := e.Plans
-	if c == nil {
-		return
-	}
 	oldID := reflect.ValueOf(oldMaps).Pointer()
 	newID := reflect.ValueOf(in.Maps).Pointer()
 	c.mu.Lock()

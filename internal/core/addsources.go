@@ -14,34 +14,41 @@ import (
 	"udi/internal/storage"
 )
 
-// AddSources grows the system with a batch of new sources under a single
-// commit: one vocabulary extension, one mediation pass, one engine
-// rebuild, one WAL fsync (wal.AppendBatch via BatchCommitLog.BeginBatch)
-// and one published epoch for the whole batch — the bulk-import
-// counterpart of the PR 7 feedback group commit. It returns true when
-// the fast path applied (clustering unchanged, only the new sources'
-// p-mappings built).
+// AddSources grows the system with a batch of new sources, the arrival
+// pattern the pay-as-you-go vision assumes (§1: the system starts small
+// and improves over time), under a single commit: one vocabulary
+// extension, one mediation pass, one engine rebuild, one WAL fsync and
+// one published epoch for the whole batch. A single add is a one-element
+// batch. In-flight queries keep serving the previous snapshot throughout.
 //
-// The protocol is apply-before-log, like the feedback batch: the whole
-// batch is validated and the next state fully built before BeginBatch,
-// so a failed batch is rejected without ever reaching the log and needs
-// no compensating aborts. The batch is all-or-nothing — one bad source
-// rejects the batch with the writer state restored.
+// When the enlarged corpus yields the same set of possible mediated
+// schemas, only the new sources' p-mappings are built and the schema
+// probabilities are refreshed (Algorithm 2 counts the new sources'
+// consistency; the mappings of existing sources do not depend on the
+// probabilities, so they are reused verbatim) — the fast path, reported
+// by the returned bool. When the clustering itself changes — the new
+// sources shifted attribute frequencies or introduced new frequent
+// attributes — the system is rebuilt from scratch, which is what
+// correctness requires.
+//
+// The protocol is apply-before-log (see commitApplied): the whole batch
+// is validated and the next state fully built before it is logged, so a
+// failed batch is rejected without ever reaching the log. The batch is
+// all-or-nothing — one bad source rejects it with the writer state
+// untouched.
 //
 // The log records one add_source op per source: recovery replays them as
-// the equivalent sequence of single adds (see persist), which reaches
-// the same corpus, mediated schema and per-schema p-mappings. Against a
-// legacy non-batch CommitLog the batch degrades to per-op commits (one
-// fsync each), exactly as a caller looping AddSource would get.
+// the equivalent sequence of one-element batches (see persist), which
+// reaches the same corpus, mediated schema and per-schema p-mappings.
 func (s *System) AddSources(srcs []*schema.Source) (bool, error) {
 	if len(srcs) == 0 {
 		return true, nil
 	}
-	if len(srcs) == 1 {
-		return s.AddSource(srcs[0])
-	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
+	s.committing.Store(true)
+	defer s.committing.Store(false)
+	t0 := time.Now()
 
 	// Reject the whole batch up front on duplicate names — in the batch
 	// or against the corpus — before anything is applied or logged.
@@ -58,37 +65,7 @@ func (s *System) AddSources(srcs []*schema.Source) (bool, error) {
 		}
 	}
 
-	ops := make([]Op, len(srcs))
-	for i, src := range srcs {
-		ops[i] = Op{Kind: OpAddSource, Add: &SourceData{Name: src.Name, Attrs: src.Attrs, Rows: src.Rows}}
-	}
-
-	// A legacy (non-batch) commit log cannot amortize the fsync barrier;
-	// route each source through the one-commit path it was written for.
-	if s.clog != nil {
-		if _, ok := s.clog.(BatchCommitLog); !ok {
-			fastAll := true
-			for i, src := range srcs {
-				src := src
-				fast := false
-				err := s.commitLocked("add_source", &ops[i], func() error {
-					var ferr error
-					fast, ferr = s.addSourceLocked(src)
-					return ferr
-				})
-				if err != nil {
-					return false, err
-				}
-				fastAll = fastAll && fast
-			}
-			return fastAll, nil
-		}
-	}
-
-	s.committing.Store(true)
-	defer s.committing.Store(false)
-	t0 := time.Now()
-	fast, err := s.addSourcesLocked(srcs, ops)
+	fast, err := s.addSourcesLocked(srcs)
 	if err != nil {
 		return false, err
 	}
@@ -101,25 +78,13 @@ func (s *System) AddSources(srcs []*schema.Source) (bool, error) {
 	return fast, nil
 }
 
-// logAddBatch makes the batch durable under one fsync. Returns the first
-// sequence number and whether anything was logged.
-func (s *System) logAddBatch(ops []Op) (uint64, bool, error) {
-	if s.clog == nil {
-		return 0, false, nil
-	}
-	seq, err := s.clog.(BatchCommitLog).BeginBatch(ops)
-	if err != nil {
-		return 0, false, fmt.Errorf("core: commit log: %w", err)
-	}
-	return seq, true, nil
-}
-
-// addSourcesLocked is the batched analogue of addSourceLocked: the
-// per-batch stages (corpus rebuild, vocabulary extension, mediation,
-// probability refresh, engine and keyword-index rebuild) run once, the
-// per-source stages (p-mappings, consolidation) run in parallel across
-// the batch. Callers hold commitMu.
-func (s *System) addSourcesLocked(srcs []*schema.Source, ops []Op) (bool, error) {
+// addSourcesLocked plans the batch — everything that can fail, with no
+// writer field touched — then hands the infallible install to
+// commitApplied. The per-batch stages (corpus rebuild, vocabulary
+// extension, mediation, probability refresh, engine and keyword-index
+// rebuild) run once, the per-source stages (p-mappings, consolidation)
+// in parallel across the batch. Callers hold commitMu.
+func (s *System) addSourcesLocked(srcs []*schema.Source) (bool, error) {
 	newSources := make([]*schema.Source, 0, len(s.Corpus.Sources)+len(srcs))
 	newSources = append(newSources, s.Corpus.Sources...)
 	newSources = append(newSources, srcs...)
@@ -127,57 +92,43 @@ func (s *System) addSourcesLocked(srcs []*schema.Source, ops []Op) (bool, error)
 	if err != nil {
 		return false, fmt.Errorf("core: %w", err)
 	}
+	ops := make([]Op, len(srcs))
+	var attrs []string
+	for i, src := range srcs {
+		ops[i] = Op{Kind: OpAddSource, Add: &SourceData{Name: src.Name, Attrs: src.Attrs, Rows: src.Rows}}
+		attrs = append(attrs, src.Attrs...)
+	}
 
 	trace := obs.StartSpan("add_sources")
 	trace.SetAttr("batch", fmt.Sprintf("%d", len(srcs)))
-	var attrs []string
-	for _, src := range srcs {
-		attrs = append(attrs, src.Attrs...)
-	}
 	// One vocabulary extension for the whole batch, then promote any
 	// newly frequent attributes to precomputed hub rows so the blocked
-	// matrix keeps covering every pair mediation is about to read.
+	// matrix keeps covering every pair mediation is about to read. The
+	// matrices only ever gain exact entries, so this is value-neutral
+	// even if the batch is later rejected.
 	s.extendSims(attrs)
 	s.refreshSimHubs(corpus)
 
 	sp := trace.Child("mediate")
 	med, fast, err := PlanMediation(s.Med.PMed, corpus, s.medConfig())
+	tMed := sp.End()
 	if err != nil {
-		sp.End()
 		return false, fmt.Errorf("core: %w", err)
 	}
 	if !fast {
-		sp.End()
+		// The clustering set changed: full rebuild.
 		s.Cfg.Obs.Add("add_source.rebuild", 1)
 		rebuilt, err := Setup(corpus, s.Cfg)
 		if err != nil {
 			return false, err
 		}
-		// Log only after the rebuild succeeded: a failed batch must leave
-		// nothing in the log. Adopt and publish after logging so a log
-		// failure leaves the serving state untouched.
-		firstSeq, logged, err := s.logAddBatch(ops)
-		if err != nil {
-			return false, err
-		}
-		s.adopt(rebuilt)
-		s.publish()
-		if logged {
-			s.clog.(BatchCommitLog).CommittedBatch(firstSeq, len(ops))
-		}
-		return false, nil
+		return false, s.commitApplied(ops, func() { s.adopt(rebuilt) })
 	}
-	oldMed := s.Med
-	s.Med = med
-	// Probabilities shifted: cached consolidations are stale (the
-	// p-mapping dedup cache stays valid — clusterings are unchanged).
-	// Cache invalidation is value-neutral, so it may precede logging.
-	s.caches.cons.invalidate()
-	s.Timings.MedSchema += sp.End()
 
-	// Per-source p-mappings in parallel, before any other writer field is
-	// touched: a failed batch restores s.Med and leaves the state exactly
-	// as it was.
+	// Fast path: med keeps the existing schema order (Maps are indexed by
+	// it) with the probabilities refreshed to count the new sources. The
+	// p-mapping dedup cache stays valid — Build depends only on the
+	// clusterings, which are unchanged on this path.
 	sp = trace.Child("pmappings")
 	pms := make([][]*pmapping.PMapping, len(srcs))
 	errs := make([]error, len(srcs))
@@ -189,68 +140,65 @@ func (s *System) addSourcesLocked(srcs []*schema.Source, ops []Op) (bool, error)
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			pms[i], errs[i] = s.buildSourceMappings(srcs[i])
+			pms[i], errs[i] = s.buildSourceMappings(srcs[i], med.PMed)
 		}(i)
 	}
 	wg.Wait()
+	tPMap := sp.End()
 	for _, err := range errs {
 		if err != nil {
-			s.Med = oldMed
-			sp.End()
 			return false, err
 		}
 	}
-	s.Timings.PMappings += sp.End()
 
-	// Durability barrier: one fsync for the whole batch. After this point
-	// nothing can fail; recovery replays exactly what the caller was
-	// acknowledged for.
-	firstSeq, logged, err := s.logAddBatch(ops)
-	if err != nil {
-		s.Med = oldMed
-		return false, err
-	}
+	err = s.commitApplied(ops, func() {
+		s.Med = med
+		// Consolidation scales mapping probabilities by Pr(M_i), which the
+		// batch just shifted, so cached consolidations no longer match.
+		s.caches.cons.invalidate()
+		s.Timings.MedSchema += tMed
+		s.Timings.PMappings += tPMap
 
-	s.Corpus = corpus
-	sp = trace.Child("import")
-	s.engine = answer.NewEngine(corpus)
-	s.engine.Parallelism = s.Cfg.Parallelism
-	s.engine.SetObs(s.Cfg.Obs)
-	s.kwIndex = storage.BuildKeywordIndexP(corpus, s.Cfg.Parallelism)
-	s.kw = keyword.NewEngine(s.kwIndex)
-	s.Timings.Import += sp.End()
+		s.Corpus = corpus
+		sp := trace.Child("import")
+		s.engine = answer.NewEngine(corpus)
+		s.engine.Parallelism = s.Cfg.Parallelism
+		s.engine.SetObs(s.Cfg.Obs)
+		s.kwIndex = storage.BuildKeywordIndexP(corpus, s.Cfg.Parallelism)
+		s.kw = keyword.NewEngine(s.kwIndex)
+		s.Timings.Import += sp.End()
 
-	maps := clonedMaps(s.Maps)
-	for i, src := range srcs {
-		maps[src.Name] = pms[i]
-	}
-	s.Maps = maps
-
-	sp = trace.Child("consolidate")
-	cons := clonedMaps(s.ConsMaps)
-	co := s.newConsolidator()
-	cpms := make([]*consolidate.PMapping, len(srcs))
-	for i := range srcs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cpms[i], _ = s.consolidateSource(co, srcs[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, src := range srcs {
-		if cpms[i] != nil {
-			cons[src.Name] = cpms[i]
+		// Copy-on-write: published snapshots hold the old maps; grow clones.
+		maps := clonedMaps(s.Maps)
+		for i, src := range srcs {
+			maps[src.Name] = pms[i]
 		}
-	}
-	s.ConsMaps = cons
-	s.Timings.Consolidation += sp.End()
+		s.Maps = maps
 
-	s.publish()
-	if logged {
-		s.clog.(BatchCommitLog).CommittedBatch(firstSeq, len(ops))
+		sp = trace.Child("consolidate")
+		cons := clonedMaps(s.ConsMaps)
+		co := s.newConsolidator()
+		cpms := make([]*consolidate.PMapping, len(srcs))
+		for i := range srcs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				cpms[i], _ = s.consolidateSource(co, srcs[i])
+			}(i)
+		}
+		wg.Wait()
+		for i, src := range srcs {
+			if cpms[i] != nil {
+				cons[src.Name] = cpms[i]
+			}
+		}
+		s.ConsMaps = cons
+		s.Timings.Consolidation += sp.End()
+	})
+	if err != nil {
+		return false, err
 	}
 	trace.End()
 	s.Trace.Adopt(trace)

@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"udi/internal/datagen"
 	"udi/internal/obs"
+	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
@@ -28,12 +28,12 @@ func scaleQuery(t *testing.T, c interface{ FrequentAttrs(float64) []string }) *s
 // TestAddSourcesMatchesSequential: growing a system with one AddSources
 // batch must land on the same mediated schema, per-source p-mappings and
 // consolidated target as growing it with the equivalent sequence of
-// single AddSource calls, and both must answer like a naive one-shot
+// one-element batches, and both must match the reference's one-shot
 // setup over the final corpus. The scale corpus keeps the mediated
 // schema stable, so every add — batched or not — rides the fast path.
 // (Consolidated p-mappings are excluded: sequential adds consolidate
 // each source under the probabilities of its moment, the batch under the
-// final ones — the documented AddSource approximation.)
+// final ones — the documented incremental-add approximation.)
 func TestAddSourcesMatchesSequential(t *testing.T) {
 	corpus := datagen.ScaleCorpus(120, 5)
 	split := 80
@@ -57,12 +57,12 @@ func TestAddSourcesMatchesSequential(t *testing.T) {
 		t.Fatal("batch add rebuilt; scale corpus should keep the schema set stable")
 	}
 	for _, src := range rest {
-		fast, err := seqSys.AddSource(src)
+		fast, err := seqSys.AddSources([]*schema.Source{src})
 		if err != nil {
-			t.Fatalf("AddSource(%s): %v", src.Name, err)
+			t.Fatalf("AddSources(%s): %v", src.Name, err)
 		}
 		if !fast {
-			t.Fatalf("AddSource(%s) rebuilt; scale corpus should stay fast", src.Name)
+			t.Fatalf("AddSources(%s) rebuilt; scale corpus should stay fast", src.Name)
 		}
 	}
 
@@ -79,38 +79,16 @@ func TestAddSourcesMatchesSequential(t *testing.T) {
 		t.Fatalf("batch system serves %d sources, want %d", got, want)
 	}
 
-	// Both grown systems must agree with a from-scratch naive setup over
-	// the final corpus on query probabilities.
-	naive, err := Setup(corpus, naiveConfig())
-	if err != nil {
-		t.Fatalf("naive setup: %v", err)
-	}
-	q := scaleQuery(t, corpus)
-	na, err := naive.QueryParsed(q)
-	if err != nil {
-		t.Fatalf("naive query: %v", err)
-	}
-	probs := make(map[string]float64, len(na.Ranked))
-	for _, a := range na.Ranked {
-		probs[strings.Join(a.Values, "\x1f")] = a.Prob
-	}
+	// Both grown systems must agree with the reference built from scratch
+	// over the final corpus, on artifacts and on query probabilities.
+	ref := mustReference(t, 0, corpus)
+	qs := []*sqlparse.Query{scaleQuery(t, corpus)}
 	for name, sys := range map[string]*System{"batch": batchSys, "sequential": seqSys} {
-		res, err := sys.QueryParsed(q)
-		if err != nil {
-			t.Fatalf("%s query: %v", name, err)
+		diffArtifacts(t, 0, name, ref, sys, false)
+		if !reflect.DeepEqual(ref.Target, sys.Target) {
+			t.Fatalf("%s: consolidated schema differs from the reference", name)
 		}
-		if len(res.Ranked) != len(na.Ranked) {
-			t.Fatalf("%s: %d answers, naive %d", name, len(res.Ranked), len(na.Ranked))
-		}
-		for _, a := range res.Ranked {
-			p, ok := probs[strings.Join(a.Values, "\x1f")]
-			if !ok {
-				t.Fatalf("%s-only answer %v", name, a.Values)
-			}
-			if math.Abs(p-a.Prob) > 1e-12 {
-				t.Fatalf("%s: answer %v prob %g, naive %g", name, a.Values, a.Prob, p)
-			}
-		}
+		diffQueries(t, 0, name, ref, sys, qs)
 	}
 }
 

@@ -72,7 +72,7 @@ func TestConcurrentQueriesWithIncrementalAdd(t *testing.T) {
 		defer wg.Done()
 		newSrc := schema.MustNewSource("added", []string{"alpha", "bravo"},
 			[][]string{{"v1", "v2"}, {"v3", "v4"}})
-		if _, err := sys.AddSource(newSrc); err != nil {
+		if _, err := sys.AddSources([]*schema.Source{newSrc}); err != nil {
 			errs <- err
 			return
 		}
@@ -93,8 +93,10 @@ func TestConcurrentQueriesWithIncrementalAdd(t *testing.T) {
 	if counters["plan_cache.misses"] == 0 {
 		t.Fatalf("no plan cache misses: %+v", counters)
 	}
-	if counters["plan_cache.invalidations"] == 0 {
-		t.Fatalf("feedback did not invalidate the plan cache: %+v", counters)
+	// Feedback retargets the cached plans when readers repopulated the
+	// cache since the add, and flushes it when they had not yet.
+	if counters["plan_cache.invalidations"]+counters["plan_cache.retargets"] == 0 {
+		t.Fatalf("feedback neither retargeted nor invalidated the plan cache: %+v", counters)
 	}
 
 	// Invalidation observed end to end, now that no readers can race in

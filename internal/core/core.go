@@ -50,36 +50,6 @@ type Config struct {
 	// a submission waits for at most FeedbackBatch-1 peers' conditioning
 	// work before its own barrier.
 	FeedbackBatch int
-
-	// DisableSimMatrix skips the interned attribute-similarity matrix and
-	// calls the configured Sim functions directly on every comparison.
-	// DisablePMapDedup skips the schema-dedup caches so every source's
-	// p-mappings and consolidation are computed from scratch. Both exist
-	// for benchmarking and for differential tests pinning the fast path to
-	// the naive path; production setups leave them false.
-	DisableSimMatrix bool
-	DisablePMapDedup bool
-
-	// DenseSimMatrix fills the similarity matrix exhaustively (the O(V²)
-	// triangular precompute) instead of the default LSH-blocked sparse
-	// build. Lookups are bit-identical either way — the sparse matrix
-	// falls back to the exact base function for non-candidate pairs — so
-	// this exists as the baseline for the blocked-vs-dense differential
-	// tests and the setup-scaling benchmark.
-	DenseSimMatrix bool
-
-	// DisableGroupCommit routes every feedback submission through the
-	// legacy one-commit-per-op path: its own WAL fsync, its own epoch,
-	// wholesale cache invalidation. The fsync-per-commit baseline for
-	// benchmarks and the serial oracle for differential tests.
-	DisableGroupCommit bool
-	// DisableScopedInvalidation makes feedback drop the plan cache and
-	// both schema-dedup caches wholesale (the pre-group-commit behavior)
-	// and rebuild the consolidation refinement tables per commit, instead
-	// of retargeting cached plans and dropping only the entries whose
-	// p-med-schema the feedback touched. The nuke-everything baseline the
-	// scoped-vs-full differential tests compare against.
-	DisableScopedInvalidation bool
 }
 
 func (c Config) withDefaults() Config {
@@ -125,7 +95,7 @@ func (t Timings) Total() time.Duration {
 // Serving discipline: the exported fields are the writer's working state.
 // Queries never read them directly — they go through Snapshot(), an
 // atomic load of the last published epoch — so any number of readers can
-// run concurrently with one mutation (AddSource, RemoveSource, feedback),
+// run concurrently with one mutation (AddSources, RemoveSource, feedback),
 // which builds the next epoch copy-on-write under the commit lock and
 // publishes it atomically. Code that touches the fields directly (setup,
 // experiments, tests) must not run concurrently with mutations.
@@ -168,8 +138,8 @@ type System struct {
 	commitMu   sync.Mutex
 	committing atomic.Bool
 
-	// clog, when set, write-ahead-logs every commit (see CommitLog).
-	// Read under commitMu only.
+	// clog, when set, logs every commit between apply and publish (see
+	// CommitLog). Read under commitMu only.
 	clog CommitLog
 
 	// fbMu guards the group-commit feedback queue: submissions enqueue
@@ -376,7 +346,7 @@ func (s *System) buildMappings() error {
 	err := s.forEachSource(
 		func(src *schema.Source) (any, error) {
 			t0 := time.Now()
-			pms, err := s.buildSourceMappings(src)
+			pms, err := s.buildSourceMappings(src, s.Med.PMed)
 			if err != nil {
 				return nil, err
 			}
@@ -487,7 +457,7 @@ func (s *System) QueryParsed(q *sqlparse.Query) (*answer.ResultSet, error) {
 
 // Engine exposes the query engine for serving-path tuning (plan cache,
 // index toggles). The engine is replaced wholesale when the corpus
-// changes (AddSource / RemoveSource), so don't hold the pointer across
+// changes (AddSources / RemoveSource), so don't hold the pointer across
 // those calls. It is the writer-side engine: tune it before serving
 // concurrent traffic.
 func (s *System) Engine() *answer.Engine { return s.engine }

@@ -1,10 +1,10 @@
 package core
 
 // This file defines the hook a durability layer (internal/persist.Store)
-// uses to write-ahead-log the single-writer commit path. The core stays
+// uses to log the single-writer commit path. The core stays
 // storage-agnostic: it describes each mutation as a serializable Op and
-// calls the CommitLog around apply/publish; what "durable" means (WAL
-// framing, fsync, checkpoints) lives behind the interface.
+// calls the CommitLog between apply and publish; what "durable" means
+// (WAL framing, fsync, checkpoints) lives behind the interface.
 
 // Op kinds, one per mutation the commit path accepts.
 const (
@@ -23,7 +23,7 @@ type Op struct {
 	Remove   string      `json:"remove,omitempty"`
 }
 
-// SourceData is the raw content of a source (the input AddSource was
+// SourceData is the raw content of a source (the input AddSources was
 // given), sufficient to reconstruct it with schema.NewSource on replay.
 type SourceData struct {
 	Name  string     `json:"name"`
@@ -31,48 +31,26 @@ type SourceData struct {
 	Rows  [][]string `json:"rows"`
 }
 
-// CommitLog hooks a durability layer into the commit path. All three
-// methods are called with the single-writer commit lock held, in
-// write-ahead order:
+// CommitLog hooks a durability layer into the commit path. The protocol
+// is apply-before-log for every mutation kind: a commit first builds its
+// next state privately (anything that can fail, fails here, and a failed
+// mutation never reaches the log), then logs, then installs and
+// publishes. Both methods run with the single-writer commit lock held.
 //
-//	Begin(op)      before the mutation is applied — the implementation
-//	               must make the op durable (append + fsync) and assign
-//	               it a sequence number before returning; an error
-//	               fails the commit without applying anything.
-//	Abort(seq)     the mutation failed after Begin: the implementation
-//	               must durably record that seq was NOT applied (a
-//	               compensating abort record), so recovery never
-//	               replays it.
-//	Committed(seq) the mutation applied and the next epoch is
-//	               published; checkpoint rotation hangs off this.
-type CommitLog interface {
-	Begin(op Op) (seq uint64, err error)
-	Abort(seq uint64) error
-	Committed(seq uint64)
-}
-
-// BatchCommitLog extends CommitLog with a group-commit barrier: a whole
-// batch of already-applied ops is made durable under one append + fsync
-// and acknowledged under one bookkeeping call. The commit path only logs
-// ops that applied successfully (failed ops are rejected before the
-// batch is assembled), so batch mode needs no abort records: a crash at
-// any instant leaves a clean prefix of the batch's records in the log,
+//	Begin(ops)           assign the already-applied ops consecutive
+//	                     sequence numbers starting at firstSeq and make
+//	                     all of them durable under one sync barrier; an
+//	                     error fails the commit with nothing published
+//	                     and the writer state untouched.
+//	Committed(first, n)  the n ops published as one epoch; checkpoint
+//	                     rotation hangs off this.
+//
+// A crash at any instant leaves a clean prefix of the ops in the log,
 // and replaying that prefix reproduces a state every surviving op's
-// caller could have observed.
-//
-// Both methods run with the single-writer commit lock held.
-//
-//	BeginBatch(ops)           assign the ops consecutive sequence numbers
-//	                          starting at firstSeq and make all of them
-//	                          durable with a single sync barrier; an error
-//	                          fails the whole batch before anything is
-//	                          published.
-//	CommittedBatch(first, n)  the batch published as one epoch; rotation
-//	                          policy accounting for n commits.
-type BatchCommitLog interface {
-	CommitLog
-	BeginBatch(ops []Op) (firstSeq uint64, err error)
-	CommittedBatch(firstSeq uint64, n int)
+// caller could have observed — so the log needs no compensating records.
+type CommitLog interface {
+	Begin(ops []Op) (firstSeq uint64, err error)
+	Committed(firstSeq uint64, n int)
 }
 
 // SetCommitLog attaches a durability layer to the commit path. Attach it

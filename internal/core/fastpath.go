@@ -23,15 +23,12 @@ import (
 // dedup caches are additionally safe for the setup worker pool itself.
 type setupCaches struct {
 	simOnce sync.Once
-	// matMed/matPMap back simMed/simPMap when interning is enabled; they
-	// are extended (never rebuilt) on incremental source adds.
+	// matMed/matPMap are the interned matrices behind the similarity
+	// functions the pipeline calls (Matrix.Sim); they are extended, never
+	// rebuilt, on incremental source adds. One matrix serves both roles
+	// when both use the default matcher.
 	matMed  *intern.Matrix
 	matPMap *intern.Matrix
-	// simMed/simPMap are the resolved similarity functions the pipeline
-	// actually calls — matrix-backed on the fast path, the raw base
-	// functions when Config.DisableSimMatrix is set.
-	simMed  strutil.Func
-	simPMap strutil.Func
 
 	pmaps dedupCache[*pmapping.PMapping]
 	cons  dedupCache[*consolidate.PMapping]
@@ -111,17 +108,15 @@ func (s *System) simTheta() float64 {
 	return mediate.DefaultTheta
 }
 
-// ensureSims resolves the similarity functions once per System. On the
-// fast path it interns the corpus-wide attribute vocabulary and
-// precomputes base values so every subsequent Sim call across mediate,
-// pmapping and incremental re-runs is a lookup. By default the matrix is
-// LSH-blocked sparse: full rows for the frequent attributes (the one
-// side every mediate/pmapping read touches) plus band candidate pairs,
-// with an exact memoized fallback — bit-identical to the dense build at
-// O(hubs·V + candidates) instead of O(V²) cost. Config.DenseSimMatrix
-// restores the exhaustive triangular fill (the baseline the
-// blocked-vs-dense differential and the scaling bench compare against).
-// The vocabulary is frozen here; AddSource/AddSources extend it.
+// ensureSims builds the similarity matrices once per System: it interns
+// the corpus-wide attribute vocabulary and precomputes base values so
+// every subsequent Sim call across mediate, pmapping and incremental
+// re-runs is a lookup. The matrix is LSH-blocked sparse: full rows for
+// the frequent attributes (the one side every mediate/pmapping read
+// touches) plus band candidate pairs, with an exact memoized fallback —
+// bit-identical to calling the base function everywhere (which is what
+// internal/reference does) at O(hubs·V + candidates) instead of O(V²)
+// cost. The vocabulary is frozen here; AddSources extends it.
 func (s *System) ensureSims() {
 	cs := s.caches
 	cs.simOnce.Do(func() {
@@ -133,45 +128,33 @@ func (s *System) ensureSims() {
 		if basePMap == nil {
 			basePMap = strutil.AttrSim
 		}
-		if s.Cfg.DisableSimMatrix {
-			cs.simMed, cs.simPMap = baseMed, basePMap
-			return
-		}
 		t0 := time.Now()
 		names := s.Corpus.AllAttrs()
-		if s.Cfg.DenseSimMatrix {
-			cs.matMed = intern.BuildMatrix(names, baseMed, s.Cfg.Parallelism)
-			cs.matPMap = intern.BuildMatrix(names, basePMap, s.Cfg.Parallelism)
-		} else {
-			opt := intern.SparseOptions{
-				Hubs:    s.Corpus.FrequentAttrs(s.simTheta()),
-				Workers: s.Cfg.Parallelism,
-				Obs:     s.Cfg.Obs,
-			}
-			cs.matMed = intern.BuildSparse(names, baseMed, opt)
-			if s.Cfg.Mediate.Sim == nil && s.Cfg.PMap.Sim == nil {
-				// Both roles use the default matcher: one blocked matrix
-				// (and one fallback memo) serves both.
-				cs.matPMap = cs.matMed
-			} else {
-				cs.matPMap = intern.BuildSparse(names, basePMap, opt)
-			}
+		opt := intern.SparseOptions{
+			Hubs:    s.Corpus.FrequentAttrs(s.simTheta()),
+			Workers: s.Cfg.Parallelism,
+			Obs:     s.Cfg.Obs,
 		}
-		cs.simMed = cs.matMed.Sim
-		cs.simPMap = cs.matPMap.Sim
+		cs.matMed = intern.BuildSparse(names, baseMed, opt)
+		if s.Cfg.Mediate.Sim == nil && s.Cfg.PMap.Sim == nil {
+			// Both roles use the default matcher: one blocked matrix
+			// (and one fallback memo) serves both.
+			cs.matPMap = cs.matMed
+		} else {
+			cs.matPMap = intern.BuildSparse(names, basePMap, opt)
+		}
 		if r := s.Cfg.Obs; r.Enabled() {
 			r.Add("setup.sim_matrix.builds", 1)
 			r.Add("setup.sim_matrix.names", int64(len(names)))
-			if st := cs.matMed.Stats(); !st.Dense {
-				bands, cand := int64(st.Bands), int64(st.CandidatePairs)
-				if cs.matPMap != cs.matMed {
-					st2 := cs.matPMap.Stats()
-					bands += int64(st2.Bands)
-					cand += int64(st2.CandidatePairs)
-				}
-				r.Add("setup.lsh.bands", bands)
-				r.Add("setup.lsh.candidate_pairs", cand)
+			st := cs.matMed.Stats()
+			bands, cand := int64(st.Bands), int64(st.CandidatePairs)
+			if cs.matPMap != cs.matMed {
+				st2 := cs.matPMap.Stats()
+				bands += int64(st2.Bands)
+				cand += int64(st2.CandidatePairs)
 			}
+			r.Add("setup.lsh.bands", bands)
+			r.Add("setup.lsh.candidate_pairs", cand)
 			r.Observe("setup.sim_matrix.build_seconds", time.Since(t0).Seconds())
 		}
 	})
@@ -184,9 +167,6 @@ func (s *System) ensureSims() {
 func (s *System) extendSims(names []string) {
 	s.ensureSims()
 	cs := s.caches
-	if cs.matPMap == nil {
-		return // interning disabled
-	}
 	added := cs.matMed.Extend(names, s.Cfg.Parallelism)
 	if cs.matPMap != cs.matMed {
 		cs.matPMap.Extend(names, s.Cfg.Parallelism)
@@ -201,13 +181,10 @@ func (s *System) extendSims(names []string) {
 // fully precomputed hub rows in the blocked matrices, so incremental
 // growth keeps the invariant that every pair the pipeline reads has a
 // precomputed side. Values already known are reused, never recomputed.
-// Called by the add paths with the corpus about to be installed; no-op
-// for dense or disabled matrices.
+// Called by the add paths with the corpus about to be installed.
 func (s *System) refreshSimHubs(c *schema.Corpus) {
+	s.ensureSims()
 	cs := s.caches
-	if cs == nil || cs.matMed == nil {
-		return
-	}
 	hubs := c.FrequentAttrs(s.simTheta())
 	cs.matMed.EnsureHubs(hubs, s.Cfg.Parallelism)
 	if cs.matPMap != cs.matMed {
@@ -220,7 +197,7 @@ func (s *System) refreshSimHubs(c *schema.Corpus) {
 func (s *System) medConfig() mediate.Config {
 	s.ensureSims()
 	cfg := s.Cfg.Mediate
-	cfg.Sim = s.caches.simMed
+	cfg.Sim = s.caches.matMed.Sim
 	return cfg
 }
 
@@ -229,33 +206,17 @@ func (s *System) medConfig() mediate.Config {
 func (s *System) pmapConfig() pmapping.Config {
 	s.ensureSims()
 	cfg := s.Cfg.PMap
-	cfg.Sim = s.caches.simPMap
+	cfg.Sim = s.caches.matPMap.Sim
 	return cfg
 }
 
 // AttrSim returns the attribute similarity used for p-mapping
-// construction, backed by the interned matrix when enabled. External
+// construction, backed by the interned matrix. External
 // consumers (the feedback ranker) should prefer this over reading
 // Cfg.PMap.Sim so repeated evaluations hit the precomputed values.
 func (s *System) AttrSim() strutil.Func {
 	s.ensureSims()
-	return s.caches.simPMap
-}
-
-// invalidateSetupCaches drops the schema-dedup caches. Feedback
-// conditions p-mappings in place; the canonical cache entries themselves
-// are never handed out (every consumer gets a clone), but dropping the
-// caches alongside the plan cache keeps the invalidation story uniform:
-// after feedback, nothing derived from pre-feedback state is reused.
-func (s *System) invalidateSetupCaches() {
-	if s.caches == nil {
-		return
-	}
-	s.caches.pmaps.invalidate()
-	s.caches.cons.invalidate()
-	if s.Cfg.Obs.Enabled() {
-		s.Cfg.Obs.Add("setup.pmap_dedup.invalidations", 1)
-	}
+	return s.caches.matPMap.Sim
 }
 
 // dropFeedbackCacheEntries scopes the schema-dedup invalidation of one
@@ -267,13 +228,10 @@ func (s *System) invalidateSetupCaches() {
 // set and the clustering, and a consolidation entry is built from a
 // freshly cloned, unconditioned p-mapping when a new twin arrives), and
 // feedback conditions per-source clones, never the canonical values — so
-// a surviving entry hands a future source bit-for-bit what a full
-// invalidation would recompute. The scoped-vs-full differential suite
-// pins this equivalence.
-//
-// The setup.pmap_dedup.invalidations counter still advances once per
-// batch — it counts invalidation events, scoped or not — alongside
-// feedback.scoped_drops counting the entries actually removed.
+// a surviving entry hands a future source bit-for-bit what a fresh
+// pmapping.Build would compute. The feedback differential suite pins
+// this against internal/reference. feedback.scoped_drops counts the
+// entries removed.
 func (s *System) dropFeedbackCacheEntries(dirty map[string][]int) {
 	if s.caches == nil {
 		return
@@ -293,10 +251,7 @@ func (s *System) dropFeedbackCacheEntries(dirty map[string][]int) {
 			break
 		}
 	}
-	if s.Cfg.Obs.Enabled() {
-		s.Cfg.Obs.Add("setup.pmap_dedup.invalidations", 1)
-		s.Cfg.Obs.Add("feedback.scoped_drops", int64(dropped))
-	}
+	s.Cfg.Obs.Add("feedback.scoped_drops", int64(dropped))
 }
 
 // consolidator returns the refinement-table consolidator for the current
@@ -338,22 +293,16 @@ func attrSetKey(attrs []string) string {
 // canonical p-mapping, every other source receives a deep clone with its
 // own SourceName. Clones keep feedback conditioning per-source: mutating
 // one source's p-mapping never reaches another's.
-func (s *System) buildSourceMappings(src *schema.Source) ([]*pmapping.PMapping, error) {
+//
+// pmed is the p-med-schema to map onto — passed rather than read from
+// s.Med so a mutation can build against the mediation it is about to
+// install without touching the writer state first.
+func (s *System) buildSourceMappings(src *schema.Source, pmed *schema.PMedSchema) ([]*pmapping.PMapping, error) {
 	cfg := s.pmapConfig()
-	pms := make([]*pmapping.PMapping, 0, s.Med.PMed.Len())
-	if s.Cfg.DisablePMapDedup {
-		for _, m := range s.Med.PMed.Schemas {
-			pm, err := pmapping.Build(src, m, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("core: p-mapping for %q: %w", src.Name, err)
-			}
-			pms = append(pms, pm)
-		}
-		return pms, nil
-	}
+	pms := make([]*pmapping.PMapping, 0, pmed.Len())
 	key := attrSetKey(src.Attrs)
 	r := s.Cfg.Obs
-	for l, m := range s.Med.PMed.Schemas {
+	for l, m := range pmed.Schemas {
 		e, existed := s.caches.pmaps.entry(fmt.Sprintf("%s\x1e%d", key, l))
 		e.once.Do(func() {
 			e.val, e.err = pmapping.Build(src, m, cfg)
@@ -387,17 +336,8 @@ func (s *System) newConsolidator() *consolidate.Consolidator {
 // (with nil error) means materialization exceeded Cfg.ConsolidateLimit
 // for this schema shape; the p-med-schema query path remains correct
 // (Theorem 6.2), so the source is simply skipped — and so is every other
-// source sharing the shape, exactly as the naive path would.
+// source sharing the shape, exactly as a per-source rebuild would.
 func (s *System) consolidateSource(co *consolidate.Consolidator, src *schema.Source) (*consolidate.PMapping, error) {
-	if s.Cfg.DisablePMapDedup {
-		// Naive baseline: rebuild the refinement tables per source, exactly
-		// as ConsolidateMappings always did before the Consolidator hoist.
-		cpm, err := consolidate.ConsolidateMappings(s.Med.PMed, s.Target, s.Maps[src.Name], s.Cfg.ConsolidateLimit)
-		if err != nil {
-			return nil, nil
-		}
-		return cpm, nil
-	}
 	key := attrSetKey(src.Attrs)
 	e, existed := s.caches.cons.entry(key)
 	e.once.Do(func() {
@@ -411,7 +351,7 @@ func (s *System) consolidateSource(co *consolidate.Consolidator, src *schema.Sou
 		}
 	}
 	if e.err != nil {
-		return nil, nil // too large to materialize: skip, like the naive path
+		return nil, nil // too large to materialize: skip
 	}
 	cpm := e.val.Clone()
 	cpm.SourceName = src.Name

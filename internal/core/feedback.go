@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"udi/internal/answer"
-	"udi/internal/consolidate"
 	"udi/internal/pmapping"
 )
 
@@ -58,15 +57,11 @@ type feedbackReq struct {
 // leader drains the queue in batches of up to Config.FeedbackBatch,
 // conditioning every op into one working copy, making the whole batch
 // durable under a single WAL fsync, and publishing a single epoch —
-// followers just wait for their result. Per-op semantics are unchanged
-// (each op is individually all-or-nothing and individually acknowledged);
-// only the barriers are shared. Config.DisableGroupCommit restores the
-// one-commit-per-op path.
+// followers just wait for their result. Each op is individually
+// all-or-nothing and individually acknowledged; only the barriers are
+// shared, so the committed state equals the ops applied one at a time in
+// log order (internal/reference is that serial oracle).
 func (s *System) SubmitFeedback(fb Feedback) error {
-	if s.Cfg.DisableGroupCommit {
-		op := &Op{Kind: OpFeedback, Feedback: &fb}
-		return s.commit("feedback", op, func() error { return s.applyFeedbackLocked(fb) })
-	}
 	req := &feedbackReq{fb: fb, done: make(chan error, 1)}
 	s.fbMu.Lock()
 	s.fbQueue = append(s.fbQueue, req)
@@ -123,42 +118,27 @@ func (s *System) ApplyFeedbackAt(source string, schemaIdx int, srcAttr string, m
 
 // commitFeedbackBatch commits one batch of queued submissions under a
 // single acquisition of the writer lock, one durability barrier, and one
-// published epoch. The protocol is apply-before-log:
+// published epoch, following the apply-before-log protocol of
+// commitApplied:
 //
 //  1. Condition every op into a private working copy of Maps. A failed
 //     op leaves the copy as the previous op left it and is excluded —
-//     it is rejected to its caller without ever reaching the log, so
-//     batch mode needs no compensating abort records.
-//  2. BeginBatch makes every surviving op durable under one fsync. On
-//     failure the working copy is discarded: nothing was published and
-//     nothing remains in the log.
+//     it is rejected to its caller without ever reaching the log.
+//  2. Log every surviving op under one fsync. On failure the working
+//     copy is discarded: nothing was published and nothing remains in
+//     the log.
 //  3. Install the working copy, recondition the dirty sources'
 //     consolidated p-mappings, invalidate exactly what the batch
 //     touched, publish one epoch, and acknowledge the batch.
 //
 // A crash between 2 and 3 leaves durable-but-unacknowledged ops, which
-// recovery replays — the same contract single-op commits have (see
-// persist's TestCrashBetweenAppendAndPublish). A crash inside 2 leaves a
-// clean prefix of the batch's records (wal.AppendBatch's guarantee), and
-// replaying a prefix is deterministic because only successfully-applied
-// ops were logged.
+// recovery replays (see persist's TestCrashBetweenAppendAndPublish). A
+// crash inside 2 leaves a clean prefix of the batch's records
+// (wal.AppendBatch's guarantee), and replaying a prefix is deterministic
+// because only successfully-applied ops were logged.
 func (s *System) commitFeedbackBatch(batch []*feedbackReq) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-
-	// A legacy (non-batch) commit log cannot amortize the fsync barrier;
-	// route each op through the one-commit path it was written for.
-	if s.clog != nil {
-		if _, ok := s.clog.(BatchCommitLog); !ok {
-			for _, req := range batch {
-				fb := req.fb
-				op := &Op{Kind: OpFeedback, Feedback: &fb}
-				req.done <- s.commitLocked("feedback", op, func() error { return s.applyFeedbackLocked(fb) })
-			}
-			return
-		}
-	}
-
 	s.committing.Store(true)
 	defer s.committing.Store(false)
 	t0 := time.Now()
@@ -187,41 +167,23 @@ func (s *System) commitFeedbackBatch(batch []*feedbackReq) {
 		return
 	}
 
-	var firstSeq uint64
-	logged := false
-	if s.clog != nil {
-		seq, err := s.clog.(BatchCommitLog).BeginBatch(okOps)
-		if err != nil {
-			err = fmt.Errorf("core: commit log: %w", err)
-			for _, i := range okIdx {
-				results[i] = err
-			}
-			deliverFeedback(batch, results)
-			return
+	err := s.commitApplied(okOps, func() {
+		s.Maps = work
+		sources := make([]string, 0, len(dirty))
+		for name := range dirty {
+			sources = append(sources, name)
 		}
-		firstSeq, logged = seq, true
-	}
-
-	s.Maps = work
-	sources := make([]string, 0, len(dirty))
-	for name := range dirty {
-		sources = append(sources, name)
-	}
-	sort.Strings(sources)
-	if s.Cfg.DisableScopedInvalidation {
-		s.engine.InvalidatePlans()
-		s.invalidateSetupCaches()
-		for _, name := range sources {
-			_ = s.reconsolidateSource(name)
-		}
-	} else {
+		sort.Strings(sources)
 		s.reconditionSources(sources)
 		s.engine.RetargetPlans(oldMaps, answer.PMedInput{PMed: s.Med.PMed, Maps: s.Maps}, sources)
 		s.dropFeedbackCacheEntries(dirty)
-	}
-	s.publish()
-	if logged {
-		s.clog.(BatchCommitLog).CommittedBatch(firstSeq, len(okOps))
+	})
+	if err != nil {
+		for _, i := range okIdx {
+			results[i] = err
+		}
+		deliverFeedback(batch, results)
+		return
 	}
 	if r := s.Cfg.Obs; r.Enabled() {
 		r.Add("feedback.batch.commits", 1)
@@ -254,21 +216,6 @@ func mergeSchemaIdxs(have, add []int) []int {
 		have[pos] = idx
 	}
 	return have
-}
-
-// applyFeedbackLocked is the legacy one-op apply: condition into a fresh
-// Maps clone and wholesale-invalidate every derived cache. Caller holds
-// the commit lock.
-func (s *System) applyFeedbackLocked(fb Feedback) error {
-	work := clonedMaps(s.Maps)
-	if _, err := s.conditionFeedback(work, fb); err != nil {
-		return err
-	}
-	s.Maps = work
-
-	s.engine.InvalidatePlans() // cached plans resolved the pre-feedback mappings
-	s.invalidateSetupCaches()  // the canonical dedup entries predate the feedback
-	return s.reconsolidateSource(fb.Source)
 }
 
 // conditionFeedback resolves one feedback item's targets and applies it
@@ -337,17 +284,16 @@ func (s *System) conditionFeedback(work map[string][]*pmapping.PMapping, fb Feed
 }
 
 // reconditionSources rebuilds the consolidated p-mappings of the dirty
-// sources into one fresh ConsMaps clone — the incremental form of
-// reconsolidateSource for a whole batch. It reuses the cached
-// consolidation refinement tables (see System.consolidator): feedback
-// never changes the p-med-schema or the target, so the tables stay valid
-// across commits, and Consolidator.Consolidate is the exact code path
-// behind ConsolidateMappings, so the output is bit-identical to a
-// from-scratch rebuild.
+// sources into one fresh ConsMaps clone, never mutating the published
+// one. It bypasses the schema-dedup cache — conditioned p-mappings differ
+// from the canonical ones other sources with the same schema share — and
+// reuses the cached consolidation refinement tables (see
+// System.consolidator): feedback never changes the p-med-schema or the
+// target, so the tables stay valid across commits, and
+// Consolidator.Consolidate is the exact code path behind
+// ConsolidateMappings, so the output is bit-identical to the from-scratch
+// rebuild internal/reference performs.
 func (s *System) reconditionSources(sources []string) {
-	if len(sources) == 0 {
-		return
-	}
 	cons := clonedMaps(s.ConsMaps)
 	co := s.consolidator()
 	for _, name := range sources {
@@ -361,25 +307,4 @@ func (s *System) reconditionSources(sources []string) {
 		}
 	}
 	s.ConsMaps = cons
-}
-
-// reconsolidateSource rebuilds one source's consolidated p-mapping from
-// its (now conditioned) per-schema p-mappings into a fresh ConsMaps map,
-// never mutating the published one. It deliberately bypasses the
-// schema-dedup cache: conditioned p-mappings differ from the canonical
-// ones other sources with the same schema share. The legacy (full
-// invalidation) path; group commits recondition through
-// reconditionSources instead.
-func (s *System) reconsolidateSource(source string) error {
-	cons := clonedMaps(s.ConsMaps)
-	cpm, err := consolidate.ConsolidateMappings(s.Med.PMed, s.Target, s.Maps[source], s.Cfg.ConsolidateLimit)
-	if err != nil {
-		// Too large to materialize: drop the consolidated form; the
-		// p-med-schema query path remains correct.
-		delete(cons, source)
-	} else {
-		cons[source] = cpm
-	}
-	s.ConsMaps = cons
-	return nil
 }

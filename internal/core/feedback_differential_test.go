@@ -1,13 +1,13 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"udi/internal/obs"
+	"udi/internal/pmapping"
+	"udi/internal/reference"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
@@ -43,42 +43,12 @@ func gatherFeedback(sys *System, rng *rand.Rand, n int) []Feedback {
 	return ops
 }
 
-// diffQueries compares the two systems' ranked answers over qs at 1e-12.
-func diffQueries(t *testing.T, seed int, label string, a, b *System, qs []*sqlparse.Query) {
-	t.Helper()
-	for _, q := range qs {
-		ra, err := a.QueryParsed(q)
-		if err != nil {
-			t.Fatalf("seed %d: %s: baseline query: %v", seed, label, err)
-		}
-		rb, err := b.QueryParsed(q)
-		if err != nil {
-			t.Fatalf("seed %d: %s: query: %v", seed, label, err)
-		}
-		if len(ra.Ranked) != len(rb.Ranked) {
-			t.Fatalf("seed %d: %s: %d vs %d answers", seed, label, len(ra.Ranked), len(rb.Ranked))
-		}
-		probs := make(map[string]float64, len(ra.Ranked))
-		for _, ans := range ra.Ranked {
-			probs[strings.Join(ans.Values, "\x1f")] = ans.Prob
-		}
-		for _, ans := range rb.Ranked {
-			p, ok := probs[strings.Join(ans.Values, "\x1f")]
-			if !ok {
-				t.Fatalf("seed %d: %s: extra answer %v", seed, label, ans.Values)
-			}
-			if math.Abs(p-ans.Prob) > 1e-12 {
-				t.Fatalf("seed %d: %s: answer %v prob %g vs %g", seed, label, ans.Values, p, ans.Prob)
-			}
-		}
-	}
-}
-
 // TestFeedbackDifferentialScopedVsFull pins the scoped-invalidation group
-// commit to the full-invalidation and legacy serial paths over randomized
-// multi-schema corpora: after the same feedback sequence, the p-mappings
-// and consolidated p-mappings must be byte-identical across all three
-// configurations, and every answer probability must agree within 1e-12 —
+// commit to the serial reference over randomized multi-schema corpora:
+// after the same feedback sequence, the p-mappings and consolidated
+// p-mappings must be byte-identical to the reference's (which conditions
+// its own maps one op at a time and re-consolidates the source from
+// scratch), and every answer probability must agree within 1e-12 —
 // including answers served from plans that the scoped path retargeted
 // in place rather than rebuilding, and from dedup-cache entries it chose
 // to keep. Any over-narrow invalidation (a stale plan, a conditioned
@@ -96,30 +66,18 @@ func TestFeedbackDifferentialScopedVsFull(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: scoped setup: %v", seed, err)
 		}
-		full, err := Setup(corpus, Config{Parallelism: 4, Obs: obs.Disabled,
-			DisableScopedInvalidation: true})
-		if err != nil {
-			t.Fatalf("seed %d: full setup: %v", seed, err)
-		}
-		serial, err := Setup(corpus, Config{Parallelism: 1, Obs: obs.Disabled,
-			DisableGroupCommit: true})
-		if err != nil {
-			t.Fatalf("seed %d: serial setup: %v", seed, err)
-		}
-		systems := []*System{scoped, full, serial}
+		ref := mustReference(t, seed, corpus)
 
-		// Warm every plan cache before the feedback so the scoped system
+		// Warm the plan cache before the feedback so the scoped system
 		// must retarget live plans, not rebuild from empty.
 		attrs := corpus.FrequentAttrs(0.10)
 		var qs []*sqlparse.Query
 		for i := 0; i < len(attrs) && i < 3; i++ {
 			qs = append(qs, sqlparse.MustParse("SELECT "+attrs[i]+" FROM t"))
 		}
-		for _, sys := range systems {
-			for _, q := range qs {
-				if _, err := sys.QueryParsed(q); err != nil {
-					t.Fatalf("seed %d: warmup query: %v", seed, err)
-				}
+		for _, q := range qs {
+			if _, err := scoped.QueryParsed(q); err != nil {
+				t.Fatalf("seed %d: warmup query: %v", seed, err)
 			}
 		}
 
@@ -142,38 +100,19 @@ func TestFeedbackDifferentialScopedVsFull(t *testing.T) {
 			}
 		}
 		for i, fb := range ops {
-			var errs [3]error
-			for j, sys := range systems {
-				errs[j] = sys.SubmitFeedback(fb)
-			}
-			if (errs[0] == nil) != (errs[1] == nil) || (errs[0] == nil) != (errs[2] == nil) {
-				t.Fatalf("seed %d: op %d: divergent outcomes %v / %v / %v", seed, i, errs[0], errs[1], errs[2])
+			serr, rerr := scoped.SubmitFeedback(fb), ref.Feedback(reference.Feedback(fb))
+			if (serr == nil) != (rerr == nil) {
+				t.Fatalf("seed %d: op %d: divergent outcomes %v / %v", seed, i, serr, rerr)
 			}
 		}
 
-		if !reflect.DeepEqual(scoped.Med.PMed, full.Med.PMed) ||
-			!reflect.DeepEqual(scoped.Med.PMed, serial.Med.PMed) {
-			t.Fatalf("seed %d: p-med-schemas differ after feedback", seed)
-		}
-		if !reflect.DeepEqual(scoped.Maps, full.Maps) {
-			t.Fatalf("seed %d: scoped vs full p-mappings differ", seed)
-		}
-		if !reflect.DeepEqual(scoped.Maps, serial.Maps) {
-			t.Fatalf("seed %d: scoped vs serial p-mappings differ", seed)
-		}
-		if !reflect.DeepEqual(scoped.ConsMaps, full.ConsMaps) {
-			t.Fatalf("seed %d: scoped vs full consolidated p-mappings differ", seed)
-		}
-		if !reflect.DeepEqual(scoped.ConsMaps, serial.ConsMaps) {
-			t.Fatalf("seed %d: scoped vs serial consolidated p-mappings differ", seed)
-		}
-		diffQueries(t, seed, "post-feedback vs full", full, scoped, qs)
-		diffQueries(t, seed, "post-feedback vs serial", serial, scoped, qs)
+		diffArtifacts(t, seed, "post-feedback", ref, scoped, true)
+		diffQueries(t, seed, "post-feedback", ref, scoped, qs)
 
-		// Grow each system with a twin of a fed-back source: AddSource
+		// Grow the system with a twin of a fed-back source: the add
 		// consults the dedup caches the scoped path deliberately kept, so
 		// a conditioned value that leaked into a canonical entry would
-		// surface as a divergent twin here.
+		// surface as a twin that differs from a fresh pmapping.Build.
 		var fed *schema.Source
 		for _, src := range corpus.Sources {
 			if src.Name == ops[0].Source {
@@ -189,16 +128,31 @@ func TestFeedbackDifferentialScopedVsFull(t *testing.T) {
 			rows[0][j] = "twin-v"
 		}
 		twin := schema.MustNewSource("twin-of-fed", fed.Attrs, rows)
-		for _, sys := range systems {
-			if _, err := sys.AddSource(twin); err != nil {
-				t.Fatalf("seed %d: add twin: %v", seed, err)
+		fast, err := scoped.AddSources([]*schema.Source{twin})
+		if err != nil {
+			t.Fatalf("seed %d: add twin: %v", seed, err)
+		}
+		for l, m := range scoped.Med.PMed.Schemas {
+			fresh, err := pmapping.Build(twin, m, pmapping.Config{})
+			if err != nil {
+				t.Fatalf("seed %d: fresh twin p-mapping: %v", seed, err)
+			}
+			if !reflect.DeepEqual(fresh, scoped.Maps["twin-of-fed"][l]) {
+				t.Fatalf("seed %d: schema %d: twin p-mapping differs from a fresh build after scoped feedback", seed, l)
 			}
 		}
-		if !reflect.DeepEqual(scoped.Maps["twin-of-fed"], full.Maps["twin-of-fed"]) ||
-			!reflect.DeepEqual(scoped.Maps["twin-of-fed"], serial.Maps["twin-of-fed"]) {
-			t.Fatalf("seed %d: twin p-mappings differ after scoped feedback", seed)
+
+		// The grown system must still answer like the reference over the
+		// final corpus: with the same feedback replayed when the add kept
+		// the clustering (conditioning and a fast add commute), without it
+		// when the add rebuilt from scratch.
+		grown := mustReference(t, seed, mustCorpus(t, corpus.Domain, append(corpus.Sources[:len(corpus.Sources):len(corpus.Sources)], twin)))
+		if fast {
+			for _, fb := range ops {
+				_ = grown.Feedback(reference.Feedback(fb)) // outcomes compared above
+			}
 		}
-		diffQueries(t, seed, "post-twin vs full", full, scoped, qs)
-		diffQueries(t, seed, "post-twin vs serial", serial, scoped, qs)
+		diffArtifacts(t, seed, "post-twin", grown, scoped, false)
+		diffQueries(t, seed, "post-twin", grown, scoped, qs)
 	}
 }

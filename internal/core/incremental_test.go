@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"udi/internal/datagen"
+	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
@@ -29,7 +30,7 @@ func TestAddSourceMatchesBatch(t *testing.T) {
 	}
 	fastPaths := 0
 	for _, src := range all[24:] {
-		fast, err := incr.AddSource(src)
+		fast, err := incr.AddSources([]*schema.Source{src})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestAddSourceMatchesBatch(t *testing.T) {
 
 func TestAddSourceDuplicateName(t *testing.T) {
 	_, sys := peopleSystem(t)
-	if _, err := sys.AddSource(sys.Corpus.Sources[0]); err == nil {
+	if _, err := sys.AddSources([]*schema.Source{sys.Corpus.Sources[0]}); err == nil {
 		t.Error("duplicate source name accepted")
 	}
 }

@@ -8,26 +8,98 @@ import (
 	"strings"
 	"testing"
 
+	"udi/internal/answer"
 	"udi/internal/obs"
+	"udi/internal/reference"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
+	"udi/internal/strutil"
 )
 
-// naiveConfig disables every fast-path optimization: similarity comes
-// straight from the configured functions and every source's p-mappings
-// and consolidation are computed from scratch, serially.
-func naiveConfig() Config {
-	return Config{
-		Parallelism:      1,
-		DisableSimMatrix: true,
-		DisablePMapDedup: true,
-		Obs:              obs.Disabled,
+// The differential suites compare the production system against
+// internal/reference: straight-line paper code with direct similarity
+// calls, every source computed from scratch, serially. The reference has
+// no query engine of its own (it imports only the algorithm packages), so
+// answers are compared by running a fresh, cold answer.Engine over the
+// reference's artifacts.
+
+func mustReference(t *testing.T, seed int, c *schema.Corpus) *reference.System {
+	t.Helper()
+	ref, err := reference.Setup(c, reference.Config{})
+	if err != nil {
+		t.Fatalf("seed %d: reference setup: %v", seed, err)
+	}
+	return ref
+}
+
+// diffArtifacts requires sys's p-med-schema and per-source p-mappings to
+// be deeply identical to the reference's; with cons set, the consolidated
+// schema and p-mappings too.
+func diffArtifacts(t *testing.T, seed int, label string, ref *reference.System, sys *System, cons bool) {
+	t.Helper()
+	if !reflect.DeepEqual(ref.Med.PMed, sys.Med.PMed) {
+		t.Fatalf("seed %d: %s: p-med-schemas differ", seed, label)
+	}
+	if !reflect.DeepEqual(ref.Maps, sys.Maps) {
+		t.Fatalf("seed %d: %s: p-mappings differ", seed, label)
+	}
+	if !cons {
+		return
+	}
+	if !reflect.DeepEqual(ref.Target, sys.Target) {
+		t.Fatalf("seed %d: %s: consolidated schemas differ", seed, label)
+	}
+	if !reflect.DeepEqual(ref.ConsMaps, sys.ConsMaps) {
+		t.Fatalf("seed %d: %s: consolidated p-mappings differ", seed, label)
 	}
 }
 
-// TestSetupDifferentialFastVsNaive pins the fast path (interned sim
-// matrix + schema-dedup caches + parallel stages) to the naive path over
-// randomized corpora: the p-med-schemas, per-source p-mappings,
+// diffQueries compares sys's ranked answers over qs with the reference's
+// at 1e-12.
+func diffQueries(t *testing.T, seed int, label string, ref *reference.System, sys *System, qs []*sqlparse.Query) {
+	t.Helper()
+	e := answer.NewEngine(ref.Corpus)
+	for _, q := range qs {
+		ra, err := e.AnswerPMed(answer.PMedInput{PMed: ref.Med.PMed, Maps: ref.Maps}, q)
+		if err != nil {
+			t.Fatalf("seed %d: %s: reference query: %v", seed, label, err)
+		}
+		rb, err := sys.QueryParsed(q)
+		if err != nil {
+			t.Fatalf("seed %d: %s: query: %v", seed, label, err)
+		}
+		if len(ra.Ranked) != len(rb.Ranked) {
+			t.Fatalf("seed %d: %s: %d vs %d answers", seed, label, len(ra.Ranked), len(rb.Ranked))
+		}
+		probs := make(map[string]float64, len(ra.Ranked))
+		for _, ans := range ra.Ranked {
+			probs[strings.Join(ans.Values, "\x1f")] = ans.Prob
+		}
+		for _, ans := range rb.Ranked {
+			p, ok := probs[strings.Join(ans.Values, "\x1f")]
+			if !ok {
+				t.Fatalf("seed %d: %s: extra answer %v", seed, label, ans.Values)
+			}
+			if math.Abs(p-ans.Prob) > 1e-12 {
+				t.Fatalf("seed %d: %s: answer %v prob %g vs %g", seed, label, ans.Values, p, ans.Prob)
+			}
+		}
+	}
+}
+
+// randomQuery selects one random frequent attribute of the corpus, or
+// nil when it has none.
+func randomQuery(rng *rand.Rand, c *schema.Corpus) []*sqlparse.Query {
+	attrs := c.FrequentAttrs(0.10)
+	if len(attrs) == 0 {
+		return nil
+	}
+	return []*sqlparse.Query{sqlparse.MustParse("SELECT " + attrs[rng.Intn(len(attrs))] + " FROM t")}
+}
+
+// TestSetupDifferentialFastVsNaive pins the production setup (interned
+// sim matrix + schema-dedup caches + parallel stages) to the reference
+// over randomized corpora: the p-med-schemas, per-source p-mappings,
 // consolidated schema and consolidated p-mappings must be deeply
 // identical, and every query answer's probability must agree within
 // 1e-12. Any drift — a matrix entry that isn't the exact base value, a
@@ -40,138 +112,59 @@ func TestSetupDifferentialFastVsNaive(t *testing.T) {
 	for seed := 0; seed < nCorpora; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		corpus := randomCorpus(rng)
-
-		naive, err := Setup(corpus, naiveConfig())
-		if err != nil {
-			t.Fatalf("seed %d: naive setup: %v", seed, err)
-		}
+		ref := mustReference(t, seed, corpus)
 		fast, err := Setup(corpus, Config{Parallelism: 4, Obs: obs.Disabled})
 		if err != nil {
 			t.Fatalf("seed %d: fast setup: %v", seed, err)
 		}
-
-		if !reflect.DeepEqual(naive.Med.PMed, fast.Med.PMed) {
-			t.Fatalf("seed %d: p-med-schemas differ", seed)
-		}
-		if !reflect.DeepEqual(naive.Maps, fast.Maps) {
-			t.Fatalf("seed %d: p-mappings differ", seed)
-		}
-		if !reflect.DeepEqual(naive.Target, fast.Target) {
-			t.Fatalf("seed %d: consolidated schemas differ", seed)
-		}
-		if !reflect.DeepEqual(naive.ConsMaps, fast.ConsMaps) {
-			t.Fatalf("seed %d: consolidated p-mappings differ", seed)
-		}
-
-		attrs := corpus.FrequentAttrs(0.10)
-		if len(attrs) == 0 {
-			continue
-		}
-		sel := attrs[rng.Intn(len(attrs))]
-		q := sqlparse.MustParse("SELECT " + sel + " FROM t")
-		na, err := naive.QueryParsed(q)
-		if err != nil {
-			t.Fatalf("seed %d: naive query: %v", seed, err)
-		}
-		fa, err := fast.QueryParsed(q)
-		if err != nil {
-			t.Fatalf("seed %d: fast query: %v", seed, err)
-		}
-		if len(na.Ranked) != len(fa.Ranked) {
-			t.Fatalf("seed %d: %d vs %d answers", seed, len(na.Ranked), len(fa.Ranked))
-		}
-		probs := make(map[string]float64, len(na.Ranked))
-		for _, a := range na.Ranked {
-			probs[strings.Join(a.Values, "\x1f")] = a.Prob
-		}
-		for _, a := range fa.Ranked {
-			p, ok := probs[strings.Join(a.Values, "\x1f")]
-			if !ok {
-				t.Fatalf("seed %d: fast-only answer %v", seed, a.Values)
-			}
-			if math.Abs(p-a.Prob) > 1e-12 {
-				t.Fatalf("seed %d: answer %v prob %g vs %g", seed, a.Values, p, a.Prob)
-			}
-		}
+		diffArtifacts(t, seed, "setup", ref, fast, true)
+		diffQueries(t, seed, "setup", ref, fast, randomQuery(rng, corpus))
 	}
 }
 
 // TestSetupDifferentialBlockedVsDense pins the LSH-blocked sparse
-// similarity matrix (the default) to the exhaustive dense fill over the
-// same randomized battery: banding may only change which values are
-// precomputed versus memoized on demand, never a value the pipeline
-// reads. Every setup artifact must be deeply identical and every query
-// probability must agree within 1e-12.
+// similarity matrix to direct calls of the base function under a
+// non-default matcher in both roles — two separately built matrices, and
+// a similarity whose band structure the default matcher's tests never
+// see. Banding may only change which values are precomputed versus
+// memoized on demand, never a value the pipeline reads: every setup
+// artifact must be deeply identical and every query probability must
+// agree within 1e-12.
 func TestSetupDifferentialBlockedVsDense(t *testing.T) {
 	nCorpora := 100
 	if testing.Short() {
 		nCorpora = 20
 	}
+	lev := func(a, b string) float64 {
+		return strutil.LevenshteinSim(strutil.Normalize(a), strutil.Normalize(b))
+	}
 	for seed := 0; seed < nCorpora; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		corpus := randomCorpus(rng)
 
-		dense, err := Setup(corpus, Config{Parallelism: 4, DenseSimMatrix: true, Obs: obs.Disabled})
+		var rcfg reference.Config
+		rcfg.Mediate.Sim, rcfg.PMap.Sim = lev, strutil.AttrSim
+		direct, err := reference.Setup(corpus, rcfg)
 		if err != nil {
-			t.Fatalf("seed %d: dense setup: %v", seed, err)
+			t.Fatalf("seed %d: direct setup: %v", seed, err)
 		}
-		blocked, err := Setup(corpus, Config{Parallelism: 4, Obs: obs.Disabled})
+		cfg := Config{Parallelism: 4, Obs: obs.Disabled}
+		cfg.Mediate.Sim, cfg.PMap.Sim = lev, strutil.AttrSim
+		blocked, err := Setup(corpus, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: blocked setup: %v", seed, err)
 		}
-
-		if !reflect.DeepEqual(dense.Med.PMed, blocked.Med.PMed) {
-			t.Fatalf("seed %d: p-med-schemas differ", seed)
-		}
-		if !reflect.DeepEqual(dense.Maps, blocked.Maps) {
-			t.Fatalf("seed %d: p-mappings differ", seed)
-		}
-		if !reflect.DeepEqual(dense.Target, blocked.Target) {
-			t.Fatalf("seed %d: consolidated schemas differ", seed)
-		}
-		if !reflect.DeepEqual(dense.ConsMaps, blocked.ConsMaps) {
-			t.Fatalf("seed %d: consolidated p-mappings differ", seed)
-		}
-
-		attrs := corpus.FrequentAttrs(0.10)
-		if len(attrs) == 0 {
-			continue
-		}
-		sel := attrs[rng.Intn(len(attrs))]
-		q := sqlparse.MustParse("SELECT " + sel + " FROM t")
-		da, err := dense.QueryParsed(q)
-		if err != nil {
-			t.Fatalf("seed %d: dense query: %v", seed, err)
-		}
-		ba, err := blocked.QueryParsed(q)
-		if err != nil {
-			t.Fatalf("seed %d: blocked query: %v", seed, err)
-		}
-		if len(da.Ranked) != len(ba.Ranked) {
-			t.Fatalf("seed %d: %d vs %d answers", seed, len(da.Ranked), len(ba.Ranked))
-		}
-		probs := make(map[string]float64, len(da.Ranked))
-		for _, a := range da.Ranked {
-			probs[strings.Join(a.Values, "\x1f")] = a.Prob
-		}
-		for _, a := range ba.Ranked {
-			p, ok := probs[strings.Join(a.Values, "\x1f")]
-			if !ok {
-				t.Fatalf("seed %d: blocked-only answer %v", seed, a.Values)
-			}
-			if math.Abs(p-a.Prob) > 1e-12 {
-				t.Fatalf("seed %d: answer %v prob %g vs %g", seed, a.Values, p, a.Prob)
-			}
-		}
+		diffArtifacts(t, seed, "blocked", direct, blocked, true)
+		diffQueries(t, seed, "blocked", direct, blocked, randomQuery(rng, corpus))
 	}
 }
 
 // TestSetupDifferentialAfterIncrementalAdd extends the differential
-// check through the incremental path: a system grown with AddSource
-// (matrix Extend + dedup reuse + cons-cache invalidation) must answer
-// identically to a naive system built directly over the final corpus —
-// modulo the documented AddSource approximation of keeping prior
-// sources' consolidations, which the p-med-schema path does not use.
+// check through the incremental path: a system grown with a one-element
+// AddSources (matrix Extend + dedup reuse + cons-cache invalidation) must
+// answer identically to the reference built directly over the final
+// corpus — modulo the documented approximation of keeping prior sources'
+// consolidations, which the p-med-schema path does not use.
 func TestSetupDifferentialAfterIncrementalAdd(t *testing.T) {
 	nCorpora := 30
 	if testing.Short() {
@@ -191,38 +184,20 @@ func TestSetupDifferentialAfterIncrementalAdd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: fast setup: %v", seed, err)
 		}
-		if _, err := fast.AddSource(last); err != nil {
+		if _, err := fast.AddSources([]*schema.Source{last}); err != nil {
 			t.Fatalf("seed %d: add source: %v", seed, err)
 		}
-		naive, err := Setup(corpus, naiveConfig())
-		if err != nil {
-			t.Fatalf("seed %d: naive setup: %v", seed, err)
-		}
+		ref := mustReference(t, seed, corpus)
 
 		// The p-med-schema clusterings and p-mappings must agree exactly
 		// (probabilities refresh over the same counts on both paths).
-		if !reflect.DeepEqual(naive.Med.PMed, fast.Med.PMed) {
-			t.Fatalf("seed %d: p-med-schemas differ after add", seed)
-		}
-		if !reflect.DeepEqual(naive.Maps, fast.Maps) {
-			t.Fatalf("seed %d: p-mappings differ after add", seed)
-		}
+		diffArtifacts(t, seed, "after add", ref, fast, false)
 		attrs := corpus.FrequentAttrs(0.10)
 		if len(attrs) == 0 {
 			continue
 		}
-		q := sqlparse.MustParse("SELECT " + attrs[0] + " FROM t")
-		na, _ := naive.QueryParsed(q)
-		fa, _ := fast.QueryParsed(q)
-		if len(na.Ranked) != len(fa.Ranked) {
-			t.Fatalf("seed %d: %d vs %d answers after add", seed, len(na.Ranked), len(fa.Ranked))
-		}
-		for i := range na.Ranked {
-			if math.Abs(na.Ranked[i].Prob-fa.Ranked[i].Prob) > 1e-12 {
-				t.Fatalf("seed %d: answer %d prob %g vs %g", seed, i,
-					na.Ranked[i].Prob, fa.Ranked[i].Prob)
-			}
-		}
+		diffQueries(t, seed, "after add", ref, fast,
+			[]*sqlparse.Query{sqlparse.MustParse("SELECT " + attrs[0] + " FROM t")})
 	}
 }
 
@@ -236,9 +211,9 @@ func mustCorpus(t *testing.T, domain string, sources []*schema.Source) *schema.C
 }
 
 // TestSetupDifferentialAfterFeedback runs feedback through both paths
-// and requires identical conditioned marginals and answers: the fast
-// path's cloned p-mappings must condition exactly like naive ones, and
-// its cache invalidation must leave no stale state behind.
+// and requires identical conditioned marginals: the production path's
+// cloned p-mappings must condition exactly like the reference's, and its
+// scoped cache invalidation must leave no stale state behind.
 func TestSetupDifferentialAfterFeedback(t *testing.T) {
 	nCorpora := 30
 	if testing.Short() {
@@ -247,50 +222,23 @@ func TestSetupDifferentialAfterFeedback(t *testing.T) {
 	for seed := 0; seed < nCorpora; seed++ {
 		rng := rand.New(rand.NewSource(int64(2000 + seed)))
 		corpus := randomCorpus(rng)
-		naive, err := Setup(corpus, naiveConfig())
-		if err != nil {
-			t.Fatalf("seed %d: naive setup: %v", seed, err)
-		}
+		ref := mustReference(t, seed, corpus)
 		fast, err := Setup(corpus, Config{Parallelism: 4, Obs: obs.Disabled})
 		if err != nil {
 			t.Fatalf("seed %d: fast setup: %v", seed, err)
 		}
 		// Apply the same feedback to both systems.
-		applied := false
-		for _, src := range corpus.Sources {
-			for l, pm := range naive.Maps[src.Name] {
-				for _, g := range pm.Groups {
-					if len(g.Corrs) == 0 {
-						continue
-					}
-					c := g.Corrs[rng.Intn(len(g.Corrs))]
-					confirmed := rng.Float64() < 0.5
-					if err := naive.ApplyFeedbackAt(src.Name, l, c.SrcAttr, c.MedIdx, confirmed); err != nil {
-						t.Fatalf("seed %d: naive feedback: %v", seed, err)
-					}
-					if err := fast.ApplyFeedbackAt(src.Name, l, c.SrcAttr, c.MedIdx, confirmed); err != nil {
-						t.Fatalf("seed %d: fast feedback: %v", seed, err)
-					}
-					applied = true
-					break
-				}
-				if applied {
-					break
-				}
-			}
-			if applied {
-				break
-			}
-		}
-		if !applied {
+		ops := gatherFeedback(fast, rng, 1)
+		if len(ops) == 0 {
 			continue
 		}
-		if !reflect.DeepEqual(naive.Maps, fast.Maps) {
-			t.Fatalf("seed %d: p-mappings differ after feedback", seed)
+		if err := ref.Feedback(reference.Feedback(ops[0])); err != nil {
+			t.Fatalf("seed %d: reference feedback: %v", seed, err)
 		}
-		if !reflect.DeepEqual(naive.ConsMaps, fast.ConsMaps) {
-			t.Fatalf("seed %d: consolidated p-mappings differ after feedback", seed)
+		if err := fast.SubmitFeedback(ops[0]); err != nil {
+			t.Fatalf("seed %d: fast feedback: %v", seed, err)
 		}
+		diffArtifacts(t, seed, "after feedback", ref, fast, true)
 	}
 }
 

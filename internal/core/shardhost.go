@@ -10,7 +10,7 @@ package core
 // Every primitive is one commit with a nil Op: shard-coordination state
 // changes are made durable by the coordinator's journal + per-shard
 // checkpoints, not by the shard's own WAL (a WAL replay of, say, an
-// AddSource would re-derive shard-local mediation, which is exactly the
+// add would re-derive shard-local mediation, which is exactly the
 // wrong semantics). Feedback, whose replay *is* shard-local, keeps using
 // the ordinary WAL-logged SubmitFeedback path.
 
@@ -55,7 +55,7 @@ func (s *System) ShardAdoptSources(srcs []*schema.Source, med *mediate.Result) e
 	if len(srcs) == 0 {
 		return nil
 	}
-	return s.commit("shard_adopt", nil, func() error { return s.shardAdoptLocked(srcs, med) })
+	return s.commit("shard_adopt", func() error { return s.shardAdoptLocked(srcs, med) })
 }
 
 func (s *System) shardAdoptLocked(srcs []*schema.Source, med *mediate.Result) error {
@@ -76,15 +76,9 @@ func (s *System) shardAdoptLocked(srcs []*schema.Source, med *mediate.Result) er
 	s.extendSims(attrs)
 	s.refreshSimHubs(corpus)
 
-	// Same discipline as addSourcesLocked: install the new mediation, build
-	// every new source's p-mappings before touching any other writer field,
-	// and restore the old mediation if any fails so an aborted commit
-	// leaves the writer state untouched.
-	oldMed := s.Med
-	s.Med = med
-	// Probabilities shifted, so cached consolidations no longer match; the
-	// p-mapping dedup cache stays valid (clusterings unchanged).
-	s.caches.cons.invalidate()
+	// Same discipline as addSourcesLocked: build every new source's
+	// p-mappings against the incoming mediation before touching any writer
+	// field, so an aborted commit leaves the writer state untouched.
 	pms := make([][]*pmapping.PMapping, len(srcs))
 	errs := make([]error, len(srcs))
 	var wg sync.WaitGroup
@@ -95,17 +89,20 @@ func (s *System) shardAdoptLocked(srcs []*schema.Source, med *mediate.Result) er
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			pms[i], errs[i] = s.buildSourceMappings(srcs[i])
+			pms[i], errs[i] = s.buildSourceMappings(srcs[i], med.PMed)
 		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			s.Med = oldMed
 			return err
 		}
 	}
 
+	s.Med = med
+	// Probabilities shifted, so cached consolidations no longer match; the
+	// p-mapping dedup cache stays valid (clusterings unchanged).
+	s.caches.cons.invalidate()
 	s.Corpus = corpus
 	s.engine = answer.NewEngine(corpus)
 	s.engine.Parallelism = s.Cfg.Parallelism
@@ -150,7 +147,7 @@ func (s *System) shardAdoptLocked(srcs []*schema.Source, med *mediate.Result) er
 // emptying the shard: "last source" is a global property only the
 // coordinator can judge.
 func (s *System) ShardDropSource(name string, med *mediate.Result) error {
-	return s.commit("shard_drop", nil, func() error { return s.shardDropLocked(name, med) })
+	return s.commit("shard_drop", func() error { return s.shardDropLocked(name, med) })
 }
 
 func (s *System) shardDropLocked(name string, med *mediate.Result) error {
@@ -198,7 +195,7 @@ func (s *System) shardDropLocked(name string, med *mediate.Result) error {
 // distribution. Clusterings are expected to be unchanged; p-mappings are
 // therefore reused verbatim (they do not depend on the probabilities).
 func (s *System) ShardSetMediation(med *mediate.Result) error {
-	return s.commit("shard_med", nil, func() error {
+	return s.commit("shard_med", func() error {
 		if med == nil || med.PMed == nil {
 			return fmt.Errorf("core: shard mediation needs a p-med-schema")
 		}
@@ -218,7 +215,7 @@ func (s *System) ShardSetMediation(med *mediate.Result) error {
 // this shard's projection of the rebuild. Readers observe it as one more
 // epoch, exactly like the single-core rebuild path.
 func (s *System) ShardReplaceState(r *System) error {
-	return s.commit("shard_replace", nil, func() error {
+	return s.commit("shard_replace", func() error {
 		if r == nil {
 			return fmt.Errorf("core: shard replace needs a system")
 		}

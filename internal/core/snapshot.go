@@ -98,52 +98,21 @@ func (s *System) publish() *Snapshot {
 	return sn
 }
 
-// commit runs one mutation under the single-writer lock and publishes the
-// next epoch if it succeeds. A failed mutation publishes nothing: the
-// serving snapshot is untouched, so commits are all-or-nothing.
-//
-// With a CommitLog attached the order is write-ahead: the op is durably
-// logged first, then applied, then published. A mutation that fails
-// after logging writes a compensating abort record so recovery never
-// replays it; if even the abort cannot be made durable, the error
-// surfaces to the caller and recovery's replay discards the op when its
-// application fails at the log's tail.
-func (s *System) commit(kind string, op *Op, fn func() error) error {
+// commit is the lock–apply–publish helper of the shard-host verbs
+// (shardhost.go), whose durability is the coordinator's journal rather
+// than this system's CommitLog: it runs fn under the single-writer lock
+// and publishes the next epoch if it succeeds. A failed fn publishes
+// nothing, so the serving snapshot is untouched.
+func (s *System) commit(kind string, fn func() error) error {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	return s.commitLocked(kind, op, fn)
-}
-
-// commitLocked is commit's body for callers already holding commitMu
-// (the group-commit leader falling back to per-op commits against a
-// non-batch CommitLog).
-func (s *System) commitLocked(kind string, op *Op, fn func() error) error {
 	s.committing.Store(true)
 	defer s.committing.Store(false)
 	t0 := time.Now()
-	var seq uint64
-	logged := false
-	if s.clog != nil && op != nil {
-		var err error
-		if seq, err = s.clog.Begin(*op); err != nil {
-			return fmt.Errorf("core: commit log: %w", err)
-		}
-		logged = true
-	}
 	if err := fn(); err != nil {
-		if logged {
-			if aerr := s.clog.Abort(seq); aerr != nil {
-				s.Cfg.Obs.Add("commit.abort_errors", 1)
-				return fmt.Errorf("core: %w (and abort record failed: %v)", err, aerr)
-			}
-			s.Cfg.Obs.Add("commit.aborts", 1)
-		}
 		return err
 	}
 	s.publish()
-	if logged {
-		s.clog.Committed(seq)
-	}
 	if r := s.Cfg.Obs; r.Enabled() {
 		r.Observe("commit.seconds", time.Since(t0).Seconds())
 		r.Add("commit."+kind, 1)
@@ -151,8 +120,32 @@ func (s *System) commitLocked(kind string, op *Op, fn func() error) error {
 	return nil
 }
 
+// commitApplied is the back half of the one commit protocol every logged
+// mutation (feedback batch, AddSources, RemoveSource) follows —
+// apply-before-log. The caller, holding commitMu, has already built the
+// next state privately, so everything that can fail has; install only
+// swaps that state into the writer fields. The ops become durable under
+// one CommitLog barrier first: a Begin error returns with nothing
+// installed, nothing published and nothing left in the log. Committed
+// follows the publish, so rotation snapshots the epoch just served.
+func (s *System) commitApplied(ops []Op, install func()) error {
+	var firstSeq uint64
+	if s.clog != nil {
+		var err error
+		if firstSeq, err = s.clog.Begin(ops); err != nil {
+			return fmt.Errorf("core: commit log: %w", err)
+		}
+	}
+	install()
+	s.publish()
+	if s.clog != nil {
+		s.clog.Committed(firstSeq, len(ops))
+	}
+	return nil
+}
+
 // adopt moves a freshly built system's state into s (the full-rebuild
-// path of AddSource/RemoveSource). It replaces every data field but keeps
+// path of AddSources/RemoveSource). It replaces every data field but keeps
 // s's identity — epoch counter, commit lock, published snapshot — so
 // readers observe the rebuild as one more commit, not a new system.
 func (s *System) adopt(r *System) {

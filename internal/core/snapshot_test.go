@@ -90,7 +90,7 @@ func TestSnapshotIsolationSoak(t *testing.T) {
 		commits++
 		newSrc := schema.MustNewSource("soak-added", []string{"alpha", "bravo"},
 			[][]string{{"v1", "v2"}, {"v3", "v4"}})
-		if _, err := sys.AddSource(newSrc); err != nil {
+		if _, err := sys.AddSources([]*schema.Source{newSrc}); err != nil {
 			errs <- err
 			return
 		}
@@ -143,7 +143,7 @@ func TestSnapshotStableAcrossCommits(t *testing.T) {
 
 	newSrc := schema.MustNewSource("stable-added", []string{attrs[0], "zulu"},
 		[][]string{{"v1", "v2"}, {"v3", "v4"}})
-	if _, err := sys.AddSource(newSrc); err != nil {
+	if _, err := sys.AddSources([]*schema.Source{newSrc}); err != nil {
 		t.Fatal(err)
 	}
 

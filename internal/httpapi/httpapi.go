@@ -4,10 +4,9 @@
 // It turns the library into the service a dataspace deployment would
 // actually run: set up once (or restore a snapshot), then serve.
 //
-// The API is versioned: every endpoint lives under /v1, and the original
-// unversioned paths remain as deprecated aliases (they serve identically
-// but set a Deprecation header pointing at the successor). Errors use one
-// envelope everywhere:
+// The API is versioned: every endpoint lives under /v1 (the original
+// unversioned paths are retired and answer 404). Errors use one envelope
+// everywhere:
 //
 //	{"error": {"code": "bad_query", "message": "...", "details": {...}}}
 //
@@ -145,11 +144,6 @@ type Options struct {
 	// included in /v1/schema responses. Nil falls back to the backend's
 	// own Durability method (and omits the field when that is nil too).
 	Durability func() DurabilityStatus
-	// LegacyAPI re-enables the deprecated pre-/v1 route aliases (with
-	// Deprecation headers). Off by default since the /v1 surface became
-	// the only supported contract; operators still migrating opt in with
-	// `udiserver -legacy-api`.
-	LegacyAPI bool
 }
 
 // DurabilityStatus mirrors the persistence layer's recovery state for
@@ -193,37 +187,21 @@ func NewServer(sys *core.System, opts Options) *Server {
 }
 
 // Handler returns the routed HTTP handler. Every endpoint lives under
-// /v1; the original unversioned paths are retired and only register when
-// Options.LegacyAPI opts back in (serving identically but with a
-// Deprecation header). /v1/metrics serves the registry snapshot,
+// /v1. /v1/metrics serves the registry snapshot,
 // /debug/vars is expvar-compatible, and /debug/pprof/* exposes the
 // standard profiling handlers (debug routes are unversioned on purpose:
 // they are operator-facing, not part of the API contract).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	routes := []struct {
-		method string
-		path   string
-		h      http.HandlerFunc
-	}{
-		{"GET", "/healthz", s.handleHealth},
-		{"GET", "/schema", s.handleSchema},
-		{"POST", "/query", s.admitted(s.handleQuery)},
-		{"POST", "/explain", s.admitted(s.handleExplain)},
-		{"POST", "/feedback", s.handleFeedback},
-		{"POST", "/sources", s.handleAddSources},
-		{"GET", "/candidates", s.admitted(s.handleCandidates)},
-		{"GET", "/metrics", s.handleMetrics},
-	}
-	for _, rt := range routes {
-		mux.HandleFunc(rt.method+" /v1"+rt.path, rt.h)
-		if s.opts.LegacyAPI {
-			mux.HandleFunc(rt.method+" "+rt.path, s.deprecated("/v1"+rt.path, rt.h))
-		}
-	}
-	// Path-parameter routes have no legacy alias: they postdate the
-	// unversioned API.
+	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
+	mux.HandleFunc("GET /v1/schema", s.handleSchema)
+	mux.HandleFunc("POST /v1/query", s.admitted(s.handleQuery))
+	mux.HandleFunc("POST /v1/explain", s.admitted(s.handleExplain))
+	mux.HandleFunc("POST /v1/feedback", s.handleFeedback)
+	mux.HandleFunc("POST /v1/sources", s.handleAddSources)
 	mux.HandleFunc("DELETE /v1/sources/{name}", s.handleRemoveSource)
+	mux.HandleFunc("GET /v1/candidates", s.admitted(s.handleCandidates))
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -231,21 +209,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return s.instrument(mux)
-}
-
-// deprecated wraps a legacy unversioned route: it serves identically but
-// advertises the /v1 successor (RFC 8594 Deprecation header) and counts
-// remaining legacy traffic so an operator can tell when it is safe to
-// drop the aliases.
-func (s *Server) deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		if s.reg.Enabled() {
-			s.reg.Add("http.legacy_requests", 1)
-		}
-		h(w, r)
-	}
 }
 
 // admitted wraps a query-path handler with admission control and the
@@ -294,9 +257,7 @@ func (w *statusWriter) WriteHeader(status int) {
 
 // routeLabel collapses request paths onto a bounded label set so the
 // per-route counters cannot grow without bound on arbitrary URLs. The
-// /v1 prefix is stripped: a versioned and a legacy request to the same
-// endpoint count together (legacy traffic is separately visible in
-// http.legacy_requests).
+// /v1 prefix is stripped, so the labels name endpoints, not versions.
 func routeLabel(path string) string {
 	if strings.HasPrefix(path, "/debug/pprof") {
 		return "/debug/pprof"

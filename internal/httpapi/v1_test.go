@@ -29,58 +29,9 @@ func optionsServer(t *testing.T, opts Options) (*Server, *httptest.Server, *obs.
 	return api, srv, reg
 }
 
-// TestLegacyAliases checks the unversioned routes still serve when an
-// operator opts back in with Options.LegacyAPI — advertising the /v1
-// successor via the Deprecation and Link headers — and that /v1 routes
-// carry no such marker.
-func TestLegacyAliases(t *testing.T) {
-	_, srv, reg := optionsServer(t, Options{LegacyAPI: true})
-	legacy := []struct{ method, path, body string }{
-		{http.MethodGet, "/healthz", ""},
-		{http.MethodGet, "/schema", ""},
-		{http.MethodPost, "/query", `{"query": "SELECT name FROM people", "top": 1}`},
-		{http.MethodGet, "/candidates?limit=3", ""},
-		{http.MethodGet, "/metrics", ""},
-	}
-	for _, c := range legacy {
-		req, err := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(c.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s %s = %d, want 200", c.method, c.path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s missing Deprecation header", c.method, c.path)
-		}
-		want := "/v1" + strings.SplitN(c.path, "?", 2)[0]
-		if link := resp.Header.Get("Link"); !strings.Contains(link, want) {
-			t.Errorf("%s %s Link = %q, want successor %s", c.method, c.path, link, want)
-		}
-	}
-	if got := reg.Snapshot().Counters["http.legacy_requests"]; got != int64(len(legacy)) {
-		t.Errorf("http.legacy_requests = %d, want %d", got, len(legacy))
-	}
-
-	resp, err := http.Get(srv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1 route carries a Deprecation header")
-	}
-}
-
-// TestLegacyAliasesRetiredByDefault checks the pre-/v1 aliases are gone
-// unless Options.LegacyAPI opts back in: unversioned paths 404 while the
-// /v1 successors keep serving.
-func TestLegacyAliasesRetiredByDefault(t *testing.T) {
+// TestLegacyAliasesRetired checks the pre-/v1 aliases are gone:
+// unversioned paths 404 while the /v1 successors keep serving.
+func TestLegacyAliasesRetired(t *testing.T) {
 	_, srv, _ := optionsServer(t, Options{})
 	for _, path := range []string{"/healthz", "/schema", "/candidates", "/metrics"} {
 		resp, err := http.Get(srv.URL + path)

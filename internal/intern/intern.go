@@ -4,24 +4,22 @@
 // setup pipeline otherwise makes (every source × mediated-cluster pair
 // re-evaluates the same name pairs).
 //
-// Two storage modes share the Matrix API:
-//
-//   - BuildMatrix fills the dense upper triangle — O(V²) base calls.
-//     This is the exhaustive baseline; it stays exact for any lookup.
-//   - BuildSparse precomputes only a candidate-blocked subset: the full
-//     rows of designated hub names (in the pipeline, the frequent
-//     attributes — the one side every mediate/pmapping read touches)
-//     plus LSH band candidate pairs among the rest (see lsh.go). Any
-//     other interned pair falls back to the exact base function on
-//     first read and is memoized, so sparse lookups are bit-identical
-//     to dense ones everywhere, at O(hubs·V + candidates) build cost.
+// BuildSparse precomputes only a candidate-blocked subset of the
+// pairwise values: the full rows of designated hub names (in the
+// pipeline, the frequent attributes — the one side every
+// mediate/pmapping read touches) plus LSH band candidate pairs among the
+// rest (see lsh.go). Any other interned pair falls back to the exact
+// base function on first read and is memoized, so lookups are
+// bit-identical to calling the base function everywhere, at
+// O(hubs·V + candidates) build cost instead of O(V²).
 //
 // Invariants (see DESIGN.md "Setup fast path" and "Sub-quadratic
 // matching"):
 //
 //   - Every value returned by Sim — precomputed, memoized, or fallback —
 //     is the base function's value for that pair, so the interned
-//     pipeline is differentially indistinguishable from the naive one.
+//     pipeline is differentially indistinguishable from one calling the
+//     base function directly (internal/reference).
 //   - The base similarity is assumed symmetric (the same assumption
 //     wgraph.Build already makes); the matrix stores unordered pairs.
 //   - The vocabulary is frozen per corpus build. Incremental source adds
@@ -80,22 +78,16 @@ func (v *Vocab) Len() int { return len(v.names) }
 // modify the returned slice.
 func (v *Vocab) Names() []string { return v.names }
 
-// matrixState is one immutable snapshot of (vocabulary, values). Dense
-// snapshots store the upper triangle including the diagonal: for i ≤ j,
-// idx = i*n − i*(i−1)/2 + (j−i). Sparse snapshots store full rows for
-// hub IDs plus a candidate-pair map for the rest.
+// matrixState is one immutable snapshot of (vocabulary, values): full
+// rows for hub IDs plus a candidate-pair map for the rest.
 type matrixState struct {
 	vocab *Vocab
 
-	// Dense mode.
-	dense bool
-	vals  []float64
-
-	// Sparse mode. hubIdx[id] is the row index into hubRows, or -1;
-	// hubRows[k][j] is the full precomputed row for hub hubIDs[k]. extra
-	// holds LSH candidate pairs (and non-hub diagonal cells) keyed by
-	// pairKey. buckets maps LSH band keys to member IDs — read only
-	// under extendMu, shared across snapshots.
+	// hubIdx[id] is the row index into hubRows, or -1; hubRows[k][j] is
+	// the full precomputed row for hub hubIDs[k]. extra holds LSH
+	// candidate pairs (and non-hub diagonal cells) keyed by pairKey.
+	// buckets maps LSH band keys to member IDs — read only under
+	// extendMu, shared across snapshots.
 	hubIdx     []int32
 	hubIDs     []int32
 	hubRows    [][]float64
@@ -103,14 +95,6 @@ type matrixState struct {
 	buckets    map[uint64][]int32
 	bands      int
 	candidates int // precomputed entries: hub-row cells + len(extra)
-}
-
-func (st *matrixState) idx(i, j int) int {
-	if i > j {
-		i, j = j, i
-	}
-	n := st.vocab.Len()
-	return i*n - i*(i-1)/2 + (j - i)
 }
 
 // pairKey packs an unordered interned ID pair into a map key. IDs are
@@ -123,10 +107,11 @@ func pairKey(i, j int) uint64 {
 	return uint64(i)<<32 | uint64(j)
 }
 
-// Matrix is a precomputed symmetric similarity matrix over an interned
-// vocabulary. Sim is safe for concurrent use without locks; Extend and
-// EnsureHubs may run concurrently with readers (they swap in a new
-// snapshot) but are serialized against each other internally.
+// Matrix is a candidate-blocked symmetric similarity matrix over an
+// interned vocabulary (see BuildSparse). Sim is safe for concurrent use
+// without locks; Extend and EnsureHubs may run concurrently with readers
+// (they swap in a new snapshot) but are serialized against each other
+// internally.
 type Matrix struct {
 	base  func(a, b string) float64
 	state atomic.Pointer[matrixState]
@@ -139,51 +124,6 @@ type Matrix struct {
 	memo      sync.Map
 	fallbacks atomic.Int64
 	reg       *obs.Registry
-}
-
-// BuildMatrix interns names (duplicates dropped, order preserved) and
-// fills the dense triangular matrix with base values using up to workers
-// goroutines. base must be symmetric and pure.
-func BuildMatrix(names []string, base func(a, b string) float64, workers int) *Matrix {
-	m := &Matrix{base: base}
-	vocab := NewVocab(names)
-	st := &matrixState{vocab: vocab, dense: true, vals: make([]float64, triSize(vocab.Len()))}
-	fillRows(st, base, 0, workers)
-	m.state.Store(st)
-	return m
-}
-
-func triSize(n int) int { return n * (n + 1) / 2 }
-
-// fillRows computes every dense entry (i, j) with i ≥ from, j ≥ i,
-// splitting rows across workers. Cells are independent, so any schedule
-// produces the same matrix.
-func fillRows(st *matrixState, base func(a, b string) float64, from, workers int) {
-	n := st.vocab.Len()
-	rows := n - from
-	if rows <= 0 {
-		return
-	}
-	// Row i owns (i, j) for j ≥ max(i, from): old rows compute only the
-	// new columns (entries below `from` were carried over), new rows the
-	// full triangle tail. Every new cell is covered exactly once.
-	fill := func(i int) {
-		a := st.vocab.names[i]
-		lo := i
-		if lo < from {
-			lo = from
-		}
-		for j := lo; j < n; j++ {
-			st.vals[st.idx(i, j)] = base(a, st.vocab.names[j])
-		}
-	}
-	if workers <= 1 || rows == 1 {
-		for i := 0; i < n; i++ {
-			fill(i)
-		}
-		return
-	}
-	runParallel(workers, n, fill)
 }
 
 // runParallel runs fn(0..n-1) across up to workers goroutines using an
@@ -224,9 +164,6 @@ func (m *Matrix) Sim(a, b string) float64 {
 	i, ok := st.vocab.ID(a)
 	if ok {
 		if j, ok2 := st.vocab.ID(b); ok2 {
-			if st.dense {
-				return st.vals[st.idx(i, j)]
-			}
 			if hi := st.hubIdx[i]; hi >= 0 {
 				return st.hubRows[hi][j]
 			}
@@ -261,23 +198,11 @@ func (m *Matrix) fallbackSim(key uint64, a, b string) float64 {
 // Len returns the current vocabulary size.
 func (m *Matrix) Len() int { return m.state.Load().vocab.Len() }
 
-// Pairs returns the number of precomputed entries: the full triangle
-// (including the diagonal) in dense mode, hub-row cells plus candidate
-// pairs in sparse mode.
-func (m *Matrix) Pairs() int {
-	st := m.state.Load()
-	if st.dense {
-		return len(st.vals)
-	}
-	return st.candidates
-}
-
 // Vocab returns the current vocabulary snapshot.
 func (m *Matrix) Vocab() *Vocab { return m.state.Load().vocab }
 
 // Stats describes the current snapshot's blocking structure.
 type Stats struct {
-	Dense           bool
 	Bands           int   // distinct LSH band buckets
 	Hubs            int   // names with fully precomputed rows
 	CandidatePairs  int   // precomputed entries (hub cells + candidates)
@@ -287,15 +212,12 @@ type Stats struct {
 // Stats returns the blocking structure of the current snapshot.
 func (m *Matrix) Stats() Stats {
 	st := m.state.Load()
-	s := Stats{Dense: st.dense, FallbackLookups: m.fallbacks.Load()}
-	if st.dense {
-		s.CandidatePairs = len(st.vals)
-		return s
+	return Stats{
+		Bands:           st.bands,
+		Hubs:            len(st.hubIDs),
+		CandidatePairs:  st.candidates,
+		FallbackLookups: m.fallbacks.Load(),
 	}
-	s.Bands = st.bands
-	s.Hubs = len(st.hubIDs)
-	s.CandidatePairs = st.candidates
-	return s
 }
 
 // Extend interns any names not yet in the vocabulary (sorted for
@@ -323,19 +245,7 @@ func (m *Matrix) Extend(names []string, workers int) int {
 	}
 	sort.Strings(fresh)
 	vocab := NewVocab(append(append([]string{}, old.vocab.names...), fresh...))
-	var st *matrixState
-	if old.dense {
-		st = &matrixState{vocab: vocab, dense: true, vals: make([]float64, triSize(vocab.Len()))}
-		oldN := old.vocab.Len()
-		for i := 0; i < oldN; i++ {
-			for j := i; j < oldN; j++ {
-				st.vals[st.idx(i, j)] = old.vals[old.idx(i, j)]
-			}
-		}
-		fillRows(st, m.base, oldN, workers)
-	} else {
-		st = extendSparse(old, vocab, m.base, &m.memo, workers)
-	}
+	st := extendSparse(old, vocab, m.base, &m.memo, workers)
 	m.state.Store(st)
 	return len(fresh)
 }

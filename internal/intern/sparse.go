@@ -28,8 +28,8 @@ type SparseOptions struct {
 // precomputes a candidate-blocked subset of the similarity matrix: full
 // rows for opt.Hubs plus LSH band candidate pairs among the remaining
 // names (see lsh.go). Lookups outside the precomputed set are computed
-// exactly on demand and memoized, so Sim is bit-identical to a dense
-// build everywhere. base must be symmetric and pure.
+// exactly on demand and memoized, so Sim is bit-identical to the base
+// function everywhere. base must be symmetric and pure.
 func BuildSparse(names []string, base func(a, b string) float64, opt SparseOptions) *Matrix {
 	m := &Matrix{base: base, reg: opt.Obs}
 	vocab := NewVocab(names)
@@ -175,9 +175,6 @@ func reuseVal(prev *matrixState, memo *sync.Map, i, j int) (float64, bool) {
 	if prev != nil {
 		oldN := prev.vocab.Len()
 		if i < oldN && j < oldN {
-			if prev.dense {
-				return prev.vals[prev.idx(i, j)], true
-			}
 			if hi := prev.hubIdx[i]; hi >= 0 {
 				return prev.hubRows[hi][j], true
 			}
@@ -278,15 +275,11 @@ func extendSparse(old *matrixState, vocab *Vocab, base func(a, b string) float64
 // EnsureHubs promotes any interned, not-yet-hub names in hubs to hub
 // status, computing their full rows (reusing every already-known value)
 // and atomically publishing the new snapshot. The hub set only grows.
-// It returns the number of names promoted; dense matrices need no hubs
-// and always return 0.
+// It returns the number of names promoted.
 func (m *Matrix) EnsureHubs(hubs []string, workers int) int {
 	m.extendMu.Lock()
 	defer m.extendMu.Unlock()
 	old := m.state.Load()
-	if old.dense {
-		return 0
-	}
 	var promote []int32
 	seen := map[int32]bool{}
 	for _, h := range hubs {

@@ -72,9 +72,6 @@ func TestSparseMatrixMatchesBase(t *testing.T) {
 		t.Fatalf("out-of-vocab Sim = %v, base = %v", got, want)
 	}
 	st := m.Stats()
-	if st.Dense {
-		t.Fatal("BuildSparse produced a dense matrix")
-	}
 	if st.Hubs != 7 {
 		t.Fatalf("Stats.Hubs = %d, want 7", st.Hubs)
 	}
@@ -84,39 +81,29 @@ func TestSparseMatrixMatchesBase(t *testing.T) {
 }
 
 // The satellite regression: extending twice with overlapping name sets
-// must equal one BuildMatrix over the union, and the base function must
-// run at most once per unordered pair across the whole sequence — no
-// re-deriving values for the dropped-duplicate positions.
+// must equal the base function over the union, and the base function
+// must run at most once per unordered pair across the whole sequence —
+// no re-deriving values for the dropped-duplicate positions.
 func TestExtendTwiceWithOverlapEqualsOneBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	names := testNames(45, rng)
 	a, b, c := names[:20], names[10:35], names[25:]
 
-	for _, mode := range []string{"dense", "sparse"} {
-		t.Run(mode, func(t *testing.T) {
-			cb := newCountingBase()
-			var m *Matrix
-			if mode == "dense" {
-				m = BuildMatrix(a, cb.fn, 2)
-			} else {
-				m = BuildSparse(a, cb.fn, SparseOptions{Hubs: a[:4], Workers: 2})
-			}
-			// Both extensions overlap the existing vocabulary.
-			m.Extend(b, 2)
-			m.Extend(c, 2)
+	cb := newCountingBase()
+	m := BuildSparse(a, cb.fn, SparseOptions{Hubs: a[:4], Workers: 2})
+	// Both extensions overlap the existing vocabulary.
+	m.Extend(b, 2)
+	m.Extend(c, 2)
 
-			ref := BuildMatrix(names, strutil.AttrSim, 1)
-			for _, x := range names {
-				for _, y := range names {
-					if got, want := m.Sim(x, y), ref.Sim(x, y); got != want {
-						t.Fatalf("Sim(%q, %q) = %v after extends, one-build = %v", x, y, got, want)
-					}
-				}
+	for _, x := range names {
+		for _, y := range names {
+			if got, want := m.Sim(x, y), strutil.AttrSim(x, y); got != want {
+				t.Fatalf("Sim(%q, %q) = %v after extends, base = %v", x, y, got, want)
 			}
-			if max := cb.maxPerPair(); max > 1 {
-				t.Fatalf("a pair was computed %d times across build+extend+reads, want at most once", max)
-			}
-		})
+		}
+	}
+	if max := cb.maxPerPair(); max > 1 {
+		t.Fatalf("a pair was computed %d times across build+extend+reads, want at most once", max)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // (internal/intern), and the mutex a shared cache needs would serialize
 // every parallel setup worker on the hottest function. Callers outside
 // the pipeline that evaluate the same pair repeatedly should layer
-// intern.BuildMatrix on top.
+// intern.BuildSparse on top.
 type InstanceSim struct {
 	pools map[string]map[string]bool
 }

@@ -71,55 +71,3 @@ func TestAddSourcesBatchOneAppend(t *testing.T) {
 		t.Error("recovered state differs from the acknowledged batch state")
 	}
 }
-
-// TestAddSourcesLegacyLogDegrades: against a plain non-batch CommitLog
-// the batch entry point still commits every source — as individual
-// appends, the degradation AddSources documents.
-func TestAddSourcesLegacyLogDegrades(t *testing.T) {
-	spec := datagen.People(43)
-	spec.NumSources = 8
-	spec.MinRows = 2
-	spec.MaxRows = 4
-	spec.Entities = 15
-	c := datagen.MustGenerate(spec)
-	initial, err := schema.NewCorpus(c.Corpus.Domain, c.Corpus.Sources[:5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.Setup(initial, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg := &legacyLog{}
-	sys.SetCommitLog(lg)
-	if _, err := sys.AddSources(c.Corpus.Sources[5:]); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(lg.ops); got != 3 {
-		t.Fatalf("legacy log saw %d ops, want 3", got)
-	}
-	if got := len(lg.committed); got != 3 {
-		t.Fatalf("legacy log saw %d commits, want 3", got)
-	}
-	for _, op := range lg.ops {
-		if op.Kind != core.OpAddSource {
-			t.Fatalf("legacy log recorded op kind %q", op.Kind)
-		}
-	}
-}
-
-// legacyLog is a minimal non-batch core.CommitLog: it records what the
-// commit path hands it and nothing more.
-type legacyLog struct {
-	ops       []core.Op
-	committed []uint64
-}
-
-func (l *legacyLog) Begin(op core.Op) (uint64, error) {
-	l.ops = append(l.ops, op)
-	return uint64(len(l.ops)), nil
-}
-
-func (l *legacyLog) Abort(seq uint64) error { return nil }
-
-func (l *legacyLog) Committed(seq uint64) { l.committed = append(l.committed, seq) }

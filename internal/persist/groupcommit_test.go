@@ -5,19 +5,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"udi/internal/answer"
 	"udi/internal/core"
+	"udi/internal/reference"
 	"udi/internal/sqlparse"
 	"udi/internal/wal"
 )
 
-// TestGroupCommitRejectsWithoutLogging: in batch mode a failing feedback
-// op is rejected before it is logged — the WAL holds only the committed
-// ops, no op record and no compensating abort record for the failure.
-// (The legacy path's abort records are covered by TestFailedCommitReplay.)
+// TestGroupCommitRejectsWithoutLogging: a failing feedback op is rejected
+// before it is logged — the WAL holds only the committed ops, no record
+// for the failure. (Reading the abort records older binaries wrote is
+// covered by TestFailedCommitReplay.)
 func TestGroupCommitRejectsWithoutLogging(t *testing.T) {
 	dir := t.TempDir()
 	c, setup := tinySetup(t)
@@ -166,12 +169,13 @@ func TestKillAtEveryBatchOffset(t *testing.T) {
 
 // TestFeedbackSoakMatchesSerialOracle is the mixed read/write soak: many
 // writers group-committing feedback while readers query concurrently,
-// then the WAL — the authoritative commit order — is replayed into a
-// serial single-writer oracle with group commit and scoped invalidation
-// both disabled. The soaked system's answers must match the oracle's at
+// then the WAL — the authoritative commit order — is replayed, one op at
+// a time, into the serial reference oracle (internal/reference). The
+// soaked system's p-mappings and consolidated p-mappings must be deeply
+// identical to the oracle's, and its answers must match the oracle's at
 // 1e-12: batching and scoped invalidation may only change barriers and
-// cache traffic, never any committed state. Run under -race by the
-// race-feedback make target.
+// cache traffic, never any committed state. Run under -race by `make
+// soak`.
 func TestFeedbackSoakMatchesSerialOracle(t *testing.T) {
 	dir := t.TempDir()
 	c, setup := tinySetup(t)
@@ -237,13 +241,8 @@ func TestFeedbackSoakMatchesSerialOracle(t *testing.T) {
 	}
 	st.Close()
 
-	// The oracle replays the WAL's exact commit order serially through
-	// the legacy one-op full-invalidation path.
-	_, setupOracle := tinySetupCfg(t, core.Config{
-		DisableGroupCommit:        true,
-		DisableScopedInvalidation: true,
-	})
-	oracle, err := setupOracle()
+	// The oracle replays the WAL's exact commit order serially.
+	oracle, err := reference.Setup(c.Corpus, reference.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,23 +267,34 @@ func TestFeedbackSoakMatchesSerialOracle(t *testing.T) {
 		if op.Kind != core.OpFeedback || op.Feedback == nil {
 			t.Fatalf("unexpected WAL op %q", op.Kind)
 		}
-		if err := oracle.SubmitFeedback(*op.Feedback); err != nil {
+		if err := oracle.Feedback(reference.Feedback(*op.Feedback)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !sameSig(want, stateSig(t, oracle, queries)) {
-		t.Error("soaked group-commit state differs from the serial oracle replay")
+	if !reflect.DeepEqual(oracle.Maps, sys.Maps) {
+		t.Error("soaked group-commit p-mappings differ from the serial oracle replay")
+	}
+	if !reflect.DeepEqual(oracle.ConsMaps, sys.ConsMaps) {
+		t.Error("soaked group-commit consolidated p-mappings differ from the serial oracle replay")
+	}
+	// The reference has no query engine; answer over its artifacts with a
+	// fresh, cold one.
+	e := answer.NewEngine(oracle.Corpus)
+	got := answersSig(t, queries, func(q *sqlparse.Query) (*answer.ResultSet, error) {
+		return e.AnswerPMed(answer.PMedInput{PMed: oracle.Med.PMed, Maps: oracle.Maps}, q)
+	})
+	if !sameSig(want, got) {
+		t.Error("soaked group-commit answers differ from the serial oracle replay")
 	}
 }
 
 // BenchmarkFeedbackThroughput measures committed feedback ops per second
 // against a durable fsyncing store, across writer concurrencies, with
-// and without concurrent readers, and against the fsync-per-commit
-// baseline (group commit disabled) that the batched barrier amortizes.
+// and without concurrent readers.
 func BenchmarkFeedbackThroughput(b *testing.B) {
-	run := func(b *testing.B, cfg core.Config, writers int, withQueries bool) {
-		c, setup := tinySetupCfg(b, cfg)
-		sys, st, err := OpenStore(b.TempDir(), cfg,
+	run := func(b *testing.B, writers int, withQueries bool) {
+		c, setup := tinySetup(b)
+		sys, st, err := OpenStore(b.TempDir(), core.Config{},
 			StoreOptions{CheckpointEvery: 1 << 30}, setup)
 		if err != nil {
 			b.Fatal(err)
@@ -345,13 +355,10 @@ func BenchmarkFeedbackThroughput(b *testing.B) {
 	}
 	for _, writers := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("group/writers-%d", writers), func(b *testing.B) {
-			run(b, core.Config{}, writers, false)
+			run(b, writers, false)
 		})
 	}
 	b.Run("group/writers-16-with-queries", func(b *testing.B) {
-		run(b, core.Config{}, 16, true)
-	})
-	b.Run("nogroup/writers-16", func(b *testing.B) {
-		run(b, core.Config{DisableGroupCommit: true}, 16, false)
+		run(b, 16, true)
 	})
 }

@@ -64,8 +64,11 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 const DefaultCheckpointEvery = 64
 
 // opAbort marks a WAL record that compensates an earlier record of the
-// same sequence: the mutation was logged but failed to apply, so replay
-// must skip it. It is a wal-level kind, never a core.Op kind.
+// same sequence: binaries that write-ahead-logged (before the commit
+// path became apply-before-log) recorded a mutation that was logged but
+// failed to apply this way, and replay must skip the pair. Nothing writes
+// it any more — it is read-only history a data dir or a shipped tail may
+// still hold. It is a wal-level kind, never a core.Op kind.
 const opAbort = "abort"
 
 // AbortKind is the WAL record kind of a compensation record, exported so
@@ -112,8 +115,8 @@ type Status struct {
 	Replayed int `json:"replayed"`
 }
 
-// Store makes a core.System durable: it write-ahead-logs every committed
-// mutation and periodically checkpoints the full system to an atomically
+// Store makes a core.System durable: it logs every mutation before it is
+// published and periodically checkpoints the full system to an atomically
 // replaced snapshot, truncating the log. OpenStore recovers the exact
 // last-committed state after a crash by loading the snapshot and
 // replaying the WAL tail.
@@ -195,8 +198,8 @@ func openStoreOnce(dir string, cfg core.Config, opts StoreOptions, setup func() 
 	}
 
 	// Replay in two phases: collect compensated sequences first, so an
-	// op whose commit failed after logging is skipped even though its
-	// record decodes fine, then apply the survivors in order.
+	// op an older binary logged and then aborted is skipped even though
+	// its record decodes fine, then apply the survivors in order.
 	aborted := make(map[uint64]bool)
 	lastSeq := baseSeq
 	for _, r := range recs {
@@ -219,10 +222,11 @@ func openStoreOnce(dir string, cfg core.Config, opts StoreOptions, setup func() 
 		}
 		if err != nil {
 			if i == len(recs)-1 && allowRetry {
-				// The crash may have hit between this append and its
-				// abort record: the mutation was never acknowledged, so
-				// dropping it recovers the last committed state. Replay
-				// already mutated sys, so reopen from scratch.
+				// A write-ahead log from an older binary may have crashed
+				// between this append and its abort record: the mutation
+				// was never acknowledged, so dropping it recovers the last
+				// committed state. Replay already mutated sys, so reopen
+				// from scratch.
 				if terr := w.TruncateTo(r.Off); terr != nil {
 					w.Close()
 					return nil, nil, terr
@@ -294,7 +298,9 @@ func applyOp(sys *core.System, op core.Op) error {
 		if err != nil {
 			return err
 		}
-		_, err = sys.AddSource(src)
+		// A logged add replays as a one-element batch, whichever batch
+		// size originally committed it.
+		_, err = sys.AddSources([]*schema.Source{src})
 		return err
 	case core.OpRemoveSource:
 		_, err := sys.RemoveSource(op.Remove)
@@ -304,33 +310,14 @@ func applyOp(sys *core.System, op core.Op) error {
 	}
 }
 
-// Begin implements core.CommitLog: append the op durably before the
-// mutation applies. Called under the core commit lock.
-func (st *Store) Begin(op core.Op) (uint64, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	data, err := json.Marshal(&op)
-	if err != nil {
-		return 0, fmt.Errorf("persist: encode op: %w", err)
-	}
-	seq := st.lastSeq + 1
-	if err := st.w.Append(seq, op.Kind, data); err != nil {
-		return 0, err
-	}
-	st.lastSeq = seq
-	st.walRecords++
-	return seq, nil
-}
-
-// BeginBatch implements core.BatchCommitLog: every op of one group
-// commit gets a consecutive sequence number and all of them become
-// durable under a single wal.AppendBatch — one write, one fsync. Each op
-// lands as an ordinary frame, so replay needs no batch awareness: a
-// crash mid-append leaves a clean prefix of the batch (wal's torn-tail
-// truncation), and the core only batches ops that already applied, so no
-// abort records ever interleave with a batch. Called under the core
-// commit lock.
-func (st *Store) BeginBatch(ops []core.Op) (uint64, error) {
+// Begin implements core.CommitLog: every op of one commit gets a
+// consecutive sequence number and all of them become durable under a
+// single wal.AppendBatch — one write, one fsync. Each op lands as an
+// ordinary frame, so replay needs no batch awareness: a crash mid-append
+// leaves a clean prefix of the batch (wal's torn-tail truncation), and
+// the core only logs ops that already applied, so replaying any prefix
+// is deterministic. Called under the core commit lock.
+func (st *Store) Begin(ops []core.Op) (uint64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	first := st.lastSeq + 1
@@ -350,55 +337,18 @@ func (st *Store) BeginBatch(ops []core.Op) (uint64, error) {
 	return first, nil
 }
 
-// CommittedBatch implements core.BatchCommitLog: the batch published as
-// one epoch; rotation accounting advances by the number of ops, so
-// checkpoint cadence tracks mutations, not barriers. Rotation only ever
-// runs between batches (still under the core commit lock), so a
+// Committed implements core.CommitLog: the ops published as one epoch.
+// Rotation accounting advances by the number of ops, so checkpoint
+// cadence tracks mutations, not barriers. It still runs under the core
+// commit lock, so the writer state a rotation snapshots is stable and a
 // checkpoint boundary never splits a batch.
-func (st *Store) CommittedBatch(firstSeq uint64, n int) {
+func (st *Store) Committed(firstSeq uint64, n int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if end := firstSeq + uint64(n) - 1; end > st.committedSeq {
 		st.committedSeq = end
 	}
 	st.sinceCheckpoint += uint64(n)
-	if st.sinceCheckpoint < st.opts.CheckpointEvery {
-		return
-	}
-	if err := st.checkpointLocked(); err != nil {
-		st.opts.Obs.Add("checkpoint.errors", 1)
-		st.sinceCheckpoint = 0
-	}
-}
-
-// Abort implements core.CommitLog: the logged op failed to apply, so a
-// compensating record makes replay skip it.
-func (st *Store) Abort(seq uint64) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.w.Append(seq, opAbort, nil); err != nil {
-		return err
-	}
-	st.walRecords++
-	// The op is settled (compensated), so the watermark may advance past
-	// it: a shipped tail then carries both the op and its abort record,
-	// and the follower's two-phase replay skips the pair.
-	if seq > st.committedSeq {
-		st.committedSeq = seq
-	}
-	return nil
-}
-
-// Committed implements core.CommitLog: the op applied and its epoch is
-// published. Runs the rotation policy; still under the core commit lock,
-// so the writer state it snapshots is stable.
-func (st *Store) Committed(seq uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if seq > st.committedSeq {
-		st.committedSeq = seq
-	}
-	st.sinceCheckpoint++
 	if st.sinceCheckpoint < st.opts.CheckpointEvery {
 		return
 	}
@@ -458,7 +408,7 @@ func (st *Store) Checkpoint() error {
 }
 
 // LastCommittedSeq returns the newest WAL sequence whose mutation is
-// settled (applied and published, or compensated by an abort record) —
+// settled (applied and published, or found settled in the log at open) —
 // the watermark up to which the log may be shipped to followers.
 func (st *Store) LastCommittedSeq() uint64 {
 	st.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"udi/internal/answer"
 	"udi/internal/core"
 	"udi/internal/datagen"
 	"udi/internal/schema"
@@ -30,21 +31,6 @@ func tinySetup(t testing.TB) (*datagen.Corpus, func() (*core.System, error)) {
 	c := datagen.MustGenerate(spec)
 	return c, func() (*core.System, error) {
 		return core.Setup(c.Corpus, core.Config{})
-	}
-}
-
-// tinySetupCfg is tinySetup with an explicit core config (legacy-path
-// and batching-knob variants).
-func tinySetupCfg(t testing.TB, cfg core.Config) (*datagen.Corpus, func() (*core.System, error)) {
-	t.Helper()
-	spec := datagen.People(41)
-	spec.NumSources = 6
-	spec.MinRows = 2
-	spec.MaxRows = 4
-	spec.Entities = 15
-	c := datagen.MustGenerate(spec)
-	return c, func() (*core.System, error) {
-		return core.Setup(c.Corpus, cfg)
 	}
 }
 
@@ -91,9 +77,16 @@ type answerSig struct {
 // answer of the given queries, with probabilities.
 func stateSig(t testing.TB, sys *core.System, queries []string) []answerSig {
 	t.Helper()
+	return answersSig(t, queries, sys.QueryParsed)
+}
+
+// answersSig is stateSig over any answerer (the soak's reference oracle
+// answers through a bare engine).
+func answersSig(t testing.TB, queries []string, run func(*sqlparse.Query) (*answer.ResultSet, error)) []answerSig {
+	t.Helper()
 	var sig []answerSig
 	for _, qs := range queries {
-		res, err := sys.QueryParsed(sqlparse.MustParse(qs))
+		res, err := run(sqlparse.MustParse(qs))
 		if err != nil {
 			t.Fatalf("%q: %v", qs, err)
 		}
@@ -137,7 +130,7 @@ func TestStoreWarmStart(t *testing.T) {
 	}
 	src := schema.MustNewSource("late-arrival", []string{"name", "phone"},
 		[][]string{{"ada", "555-0100"}, {"grace", "555-0199"}})
-	if _, err := sys.AddSource(src); err != nil {
+	if _, err := sys.AddSources([]*schema.Source{src}); err != nil {
 		t.Fatal(err)
 	}
 	removed := sys.Corpus.Sources[0].Name
@@ -261,51 +254,134 @@ func TestKillAtEveryWALOffset(t *testing.T) {
 	}
 }
 
-// TestFailedCommitReplay (write-ahead ordering): a commit that logs its
-// op but fails to apply writes a compensating abort record, so replay
-// reproduces exactly the pre-failure committed state. Group commit is
-// disabled here deliberately: the batched path rejects a failing op
-// before it is logged (no abort records by construction — see
-// TestGroupCommitRejectsWithoutLogging), so the legacy one-commit path
-// is the only writer of abort records left to cover.
+// TestFailedCommitReplay: abort records are read-only history. Binaries
+// that write-ahead-logged left an op record plus a compensating abort
+// record for a mutation that failed to apply; nothing writes the pair any
+// more, but recovery and WAL shipping must keep skipping it in a data dir
+// an old binary wrote. The WAL is hand-written here the way such a binary
+// left it: op, failed op + its abort, op.
 func TestFailedCommitReplay(t *testing.T) {
-	dir := t.TempDir()
-	cfg := core.Config{DisableGroupCommit: true}
-	c, setup := tinySetupCfg(t, cfg)
-	sys, st, err := OpenStore(dir, cfg, StoreOptions{}, setup)
+	c, setup := tinySetup(t)
+	queries := c.Domain.Queries[:2]
+
+	// Control: the two good ops committed normally, in memory.
+	control, err := setup()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbs := feedbackOps(sys, 2)
-	if err := sys.SubmitFeedback(fbs[0]); err != nil {
+	fbs := feedbackOps(control, 2)
+	for _, fb := range fbs {
+		if err := control.SubmitFeedback(fb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := stateSig(t, control, queries)
+
+	dir := t.TempDir()
+	_, st, err := OpenStore(dir, core.Config{}, StoreOptions{}, setup)
+	if err != nil {
 		t.Fatal(err)
-	}
-	// Fails after Begin: the source does not exist.
-	if err := sys.SubmitFeedback(core.Feedback{Source: "no-such", SrcAttr: "a", MedName: "b"}); err == nil {
-		t.Fatal("feedback for unknown source succeeded")
-	}
-	if err := sys.SubmitFeedback(fbs[1]); err != nil {
-		t.Fatal(err)
-	}
-	queries := c.Domain.Queries[:2]
-	want := stateSig(t, sys, queries)
-	status := st.Status()
-	// 2 committed ops + 1 failed op + its abort record.
-	if status.WALRecords != 4 {
-		t.Errorf("WAL holds %d records, want 4 (op, op+abort, op)", status.WALRecords)
 	}
 	st.Close()
+	w, recs, err := wal.Open(filepath.Join(dir, walFile), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("fresh WAL already has %d records", len(recs))
+	}
+	failed := core.Feedback{Source: "no-such", SrcAttr: "a", MedName: "b"}
+	for seq, fb := range []core.Feedback{fbs[0], failed, fbs[1]} {
+		op := core.Op{Kind: core.OpFeedback, Feedback: &fb}
+		data, err := json.Marshal(&op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(uint64(seq+1), core.OpFeedback, data); err != nil {
+			t.Fatal(err)
+		}
+		if fb.Source == failed.Source {
+			if err := w.Append(uint64(seq+1), AbortKind, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	w.Close()
 
-	sys2, st2, err := OpenStore(dir, cfg, StoreOptions{}, noSetup(t))
+	sys2, st2, err := OpenStore(dir, core.Config{}, StoreOptions{}, noSetup(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got := st2.Status().Replayed; got != 2 {
-		t.Errorf("replayed %d mutations, want 2 (aborted op skipped)", got)
+	status := st2.Status()
+	// 2 committed ops + 1 failed op + its abort record.
+	if status.WALRecords != 4 {
+		t.Errorf("WAL holds %d records, want 4 (op, op+abort, op)", status.WALRecords)
+	}
+	if status.Replayed != 2 {
+		t.Errorf("replayed %d mutations, want 2 (aborted op skipped)", status.Replayed)
 	}
 	if !sameSig(want, stateSig(t, sys2, queries)) {
 		t.Error("state after replaying around a failed commit differs")
+	}
+	// The shipped tail carries the pair verbatim for the follower's own
+	// two-phase skip.
+	frames, tail, err := st2.TailSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := wal.ReadFrames(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail.Records != 4 || len(shipped) != 4 || shipped[2].Kind != AbortKind || shipped[2].Seq != shipped[1].Seq {
+		t.Errorf("shipped tail = %d records (header %d), want the 4 frames with the op+abort pair intact", len(shipped), tail.Records)
+	}
+}
+
+// TestRejectedMutationsLeaveWALUntouched: a mutation the core refuses
+// never reaches the log — no op record, no abort record, no fsync — so a
+// stream of rejected requests (DELETE of an unknown source, a POST with a
+// duplicate name, whose op record would carry every row) cannot grow the
+// WAL. Under the write-ahead protocol each of these appended two records
+// that no checkpoint accounting ever saw.
+func TestRejectedMutationsLeaveWALUntouched(t *testing.T) {
+	dir := t.TempDir()
+	_, setup := tinySetup(t)
+	sys, st, err := OpenStore(dir, core.Config{}, StoreOptions{}, setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := sys.SubmitFeedback(feedbackOps(sys, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Status()
+	walSize := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, walFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	sizeBefore := walSize()
+
+	for i := 0; i < 100; i++ {
+		if _, err := sys.RemoveSource("nope"); !errors.Is(err, core.ErrUnknownSource) {
+			t.Fatalf("remove of unknown source: err = %v, want ErrUnknownSource", err)
+		}
+	}
+	if _, err := sys.AddSources([]*schema.Source{sys.Corpus.Sources[0]}); err == nil {
+		t.Fatal("duplicate-name add accepted")
+	}
+
+	after := st.Status()
+	if after.WALRecords != before.WALRecords || after.LastSeq != before.LastSeq {
+		t.Errorf("rejected mutations moved the WAL: %d records / seq %d -> %d records / seq %d",
+			before.WALRecords, before.LastSeq, after.WALRecords, after.LastSeq)
+	}
+	if got := walSize(); got != sizeBefore {
+		t.Errorf("WAL file grew from %d to %d bytes under rejected mutations", sizeBefore, got)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestCrashRecoveryMultiShardOps(t *testing.T) {
 				switch opKind {
 				case "add":
 					src := randomSource(rng, "xadd", []string{"alpha", "bravo", "carrot"})
-					_, oerr = oracle.AddSource(src)
+					_, oerr = oracle.AddSources([]*schema.Source{src})
 					_, serr = sh.AddSources([]*schema.Source{src})
 				case "remove":
 					name := oracle.Corpus.Sources[0].Name

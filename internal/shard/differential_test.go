@@ -245,7 +245,7 @@ func mutateBoth(t *testing.T, rng *rand.Rand, oracle *core.System, sh *System, n
 	case 2: // add a fresh random source
 		src := randomSource(rng, fmt.Sprintf("x%02d", *nextID), []string{"alpha", "bravo", "carrot", "delta"})
 		*nextID++
-		ofast, oerr := oracle.AddSource(src)
+		ofast, oerr := oracle.AddSources([]*schema.Source{src})
 		sfast, serr := sh.AddSources([]*schema.Source{src})
 		if (oerr != nil) != (serr != nil) {
 			t.Fatalf("add %s: oracle err %v, sharded err %v", src.Name, oerr, serr)

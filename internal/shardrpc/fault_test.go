@@ -375,7 +375,7 @@ func TestStructuralRetryDoesNotDoubleApply(t *testing.T) {
 	// Drop the response of the first structural RPC AddSources issues
 	// (adopt on the fast path, replace on a rebuild — both idempotent).
 	p.set("drop-response", "", 1)
-	ofast, oerr := oracle.AddSource(src)
+	ofast, oerr := oracle.AddSources([]*schema.Source{src})
 	cfast, cerr := co.AddSources([]*schema.Source{src})
 	if oerr != nil || cerr != nil {
 		t.Fatalf("add: oracle err %v, networked err %v", oerr, cerr)

@@ -24,7 +24,6 @@ import (
 	"udi/internal/schema"
 	"udi/internal/shard"
 	"udi/internal/shardrpc"
-	"udi/internal/sqlparse"
 )
 
 // The read-routing battery: a coordinator whose shard read sets carry
@@ -517,71 +516,5 @@ func TestRouteSoak(t *testing.T) {
 	rs.co.Probe(context.Background())
 	if _, err := v.RunCtx(context.Background(), core.UDI, q); err != nil {
 		t.Fatalf("read after soak recovery: %v", err)
-	}
-}
-
-// BenchmarkRouteReplicaReads measures routed query throughput on one
-// shard with one replica, primary-only (MaxStaleness 0) against
-// replica-balanced (large bound) under parallel readers — the cost and
-// payoff of the routing layer. `make bench-route` snapshots the numbers
-// into BENCH_route.json.
-func BenchmarkRouteReplicaReads(b *testing.B) {
-	spec := datagen.Car(102)
-	spec.NumSources = 120
-	corpus, err := datagen.Generate(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := make([]*sqlparse.Query, len(spec.Queries))
-	for i, qs := range spec.Queries {
-		queries[i] = sqlparse.MustParse(qs)
-	}
-	ctx := context.Background()
-	cfg := core.Config{Obs: obs.NewRegistry()}
-
-	for _, mode := range []struct {
-		name  string
-		stale time.Duration
-	}{
-		{"primary-only/bound=0", 0},
-		{"balanced/bound=1m", time.Minute},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			h, err := shardrpc.NewHost(cfg, shardrpc.HostOptions{Obs: obs.NewRegistry()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			hostSrv := httptest.NewServer(h.Handler())
-			defer hostSrv.Close()
-			defer h.Close()
-			f := replica.New(hostSrv.URL, cfg, replica.Options{Obs: obs.NewRegistry()})
-			fsrv := httptest.NewServer(f.ShardHandler())
-			defer fsrv.Close()
-			co, err := shardrpc.NewCoordinator(corpus.Corpus, cfg,
-				[]string{hostSrv.URL + ";" + fsrv.URL},
-				shardrpc.CoordinatorOptions{Obs: obs.NewRegistry(), MaxStaleness: mode.stale})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := f.Sync(ctx); err != nil {
-				b.Fatal(err)
-			}
-			co.Probe(ctx)
-			v, err := co.View()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := v.RunCtx(ctx, core.UDI, queries[i%len(queries)]); err != nil {
-						b.Fatal(err)
-					}
-					i++
-				}
-			})
-		})
 	}
 }

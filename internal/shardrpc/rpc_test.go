@@ -294,7 +294,7 @@ func mutateNetworked(t *testing.T, rng *rand.Rand, oracle *core.System, sh *shar
 	case 2: // add a fresh random source
 		src := randomRPCSource(rng, fmt.Sprintf("x%02d", *nextID), []string{"alpha", "bravo", "carrot", "delta"})
 		*nextID++
-		ofast, oerr := oracle.AddSource(src)
+		ofast, oerr := oracle.AddSources([]*schema.Source{src})
 		sfast, serr := sh.AddSources([]*schema.Source{src})
 		cfast, cerr := co.AddSources([]*schema.Source{src})
 		if (oerr != nil) != (cerr != nil) || (oerr != nil) != (serr != nil) {
