@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race soak no-skip fuzz bench bench-compare experiments
+.PHONY: check vet build test race soak no-skip fuzz loc bench bench-compare experiments
 
 check: vet build race soak no-skip fuzz
 
@@ -44,6 +44,14 @@ no-skip:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePart -fuzztime=$(FUZZTIME) ./internal/shardrpc
+
+# Non-test lines per package and in total — the figure a simplicity PR
+# reports in CHANGES.md. The test-only oracle and the benchmark harness
+# are not the system and are left out.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './internal/reference/*' ! -path './bench/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): every
 # workload, both passes, recorded in bench/out/run.json. The Go

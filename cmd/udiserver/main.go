@@ -16,9 +16,8 @@
 //
 // A shard host (-role shard) starts empty and serves the versioned shard
 // RPC protocol (/v1/shard/*, /v1/wal); a coordinator pushes it state.
-// With -data-dir the host checkpoints structural pushes and
-// write-ahead-logs feedback, and ships its committed WAL tail to
-// replicas. The coordinator (-role coordinator) runs the global setup
+// With -data-dir the host checkpoints structural pushes, logs feedback
+// in its WAL, and ships its committed WAL tail to replicas. The coordinator (-role coordinator) runs the global setup
 // over -domain/-data and serves the public /v1 API by scatter-gather
 // over the shard hosts — answers are bit-identical to -shards N
 // in-process serving and to a single core. A replica (-role replica)
@@ -47,8 +46,8 @@
 // blocking forever.
 //
 // With -data-dir the server is durable: every committed mutation
-// (feedback, source add/remove) is write-ahead-logged and fsynced before
-// it is acknowledged, and every -checkpoint-every commits the system is
+// (feedback, source add/remove) is logged and fsynced before it is
+// published or acknowledged, and every -checkpoint-every commits the system is
 // snapshotted atomically and the log truncated. A restart with the same
 // -data-dir recovers the exact last-committed state (snapshot + WAL tail
 // replay; a torn final record from a mid-append crash is dropped, any
@@ -64,8 +63,8 @@
 // for the life of the directory. /v1/schema additionally reports the
 // per-shard epoch vector. Snapshot restore (-load) is single-core only.
 //
-// Endpoints (all under /v1; the unversioned paths remain as deprecated
-// aliases and answer with a Deprecation header):
+// Endpoints (all under /v1; the pre-/v1 unversioned paths are retired
+// and answer 404):
 //
 //	GET  /v1/healthz     liveness, source count, serving epoch
 //	GET  /v1/schema      probabilistic + consolidated mediated schemas,
@@ -80,8 +79,7 @@
 // Errors use one JSON envelope: {"error": {"code", "message", "details"}}
 // with codes bad_query, unknown_source, timeout, canceled, overloaded,
 // internal, shard_unavailable, read_only, not_ready. Overload answers
-// 429 + Retry-After; an expired -query-timeout answers 504. The
-// pre-/v1 unversioned paths are retired and answer 404.
+// 429 + Retry-After; an expired -query-timeout answers 504.
 //
 // Observability:
 //

@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"time"
 
+	"udi/internal/core"
 	"udi/internal/httpapi"
 )
 
 // The typed /v1 surface. Request and response shapes mirror the wire
-// format the handlers in internal/httpapi serve; the shared status
-// structs (DurabilityStatus, ReplicationStatus) are the httpapi types
-// themselves so the two sides cannot drift.
+// format the handlers in internal/httpapi serve; the schema response with
+// its status objects (durability, replication, routing) and the source
+// payload are the server's own types, so the two sides cannot drift.
 
 // Health is the GET /v1/healthz response.
 type Health struct {
@@ -23,26 +23,10 @@ type Health struct {
 }
 
 // Schema is the GET /v1/schema response.
-type Schema struct {
-	Schemas []SchemaEntry `json:"schemas"`
-	Target  [][]string    `json:"consolidated"`
-	Epoch   uint64        `json:"epoch"`
-	Epochs  []uint64      `json:"epochs,omitempty"`
-	Shards  int           `json:"shards,omitempty"`
-
-	CreatedAt        time.Time `json:"created_at"`
-	StalenessSeconds float64   `json:"staleness_seconds"`
-	Committing       bool      `json:"committing"`
-
-	Durability  *httpapi.DurabilityStatus  `json:"durability,omitempty"`
-	Replication *httpapi.ReplicationStatus `json:"replication,omitempty"`
-}
+type Schema = httpapi.SchemaResponse
 
 // SchemaEntry is one mediated schema with its probability.
-type SchemaEntry struct {
-	Prob     float64    `json:"prob"`
-	Clusters [][]string `json:"clusters"`
-}
+type SchemaEntry = httpapi.SchemaJSON
 
 // QueryRequest is the POST /v1/query body.
 type QueryRequest struct {
@@ -112,11 +96,7 @@ type FeedbackResponse struct {
 }
 
 // SourcePayload is one source in a POST /v1/sources batch.
-type SourcePayload struct {
-	Name  string     `json:"name"`
-	Attrs []string   `json:"attrs"`
-	Rows  [][]string `json:"rows"`
-}
+type SourcePayload = core.SourceData
 
 // AddSourcesResponse is the POST /v1/sources response.
 type AddSourcesResponse struct {

@@ -195,3 +195,50 @@ func TestAddSourcesBatchCounters(t *testing.T) {
 		t.Fatalf("corpus has %s sources, want 150", got)
 	}
 }
+
+// TestRemoveSourceCounters: the remove side reports like the add side —
+// a removal that keeps the clustering counts remove_source.fast, one that
+// changes it (the only source carrying a frequent attribute leaves)
+// counts remove_source.rebuild, and either way the removal's span is
+// adopted into System.Trace.
+func TestRemoveSourceCounters(t *testing.T) {
+	var sources []*schema.Source
+	for i := 0; i < 10; i++ {
+		attrs, row := []string{"alpha", "bravo"}, []string{"v1", "v2"}
+		if i == 9 {
+			attrs, row = append(attrs, "zulu"), append(row, "v3")
+		}
+		sources = append(sources, schema.MustNewSource(fmt.Sprintf("s%02d", i), attrs, [][]string{row}))
+	}
+	reg := obs.NewRegistry()
+	sys, err := Setup(mustCorpus(t, "test", sources), Config{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Med.PMed.Schemas[0].ClusterOf("zulu") == nil {
+		t.Fatal("zulu is not mediated; the corpus no longer sits on the frequency threshold")
+	}
+	want := map[string]int64{"remove_source.fast": 0, "remove_source.rebuild": 0, "commit.remove_source": 0}
+	for _, step := range []struct {
+		victim, counter string
+		fast            bool
+	}{{"s00", "remove_source.fast", true}, {"s09", "remove_source.rebuild", false}} {
+		fast, err := sys.RemoveSource(step.victim)
+		if err != nil || fast != step.fast {
+			t.Fatalf("RemoveSource(%s): fast=%v err=%v, want fast=%v", step.victim, fast, err, step.fast)
+		}
+		want[step.counter]++
+		want["commit.remove_source"]++
+		for name, n := range want {
+			if got := reg.Counter(name).Value(); got != n {
+				t.Errorf("after %s: %s = %d, want %d", step.victim, name, got, n)
+			}
+		}
+		if sp := sys.Trace.Find("remove_source"); sp == nil || sp.Find("mediate") == nil {
+			t.Errorf("after %s: no remove_source span with a mediate child under System.Trace", step.victim)
+		}
+	}
+	if sys.Med.PMed.Schemas[0].ClusterOf("zulu") != nil {
+		t.Error("zulu still mediated after its only source left")
+	}
+}

@@ -198,9 +198,6 @@ func (s *System) startTrace(variant string) {
 // the stage's outputs are identical at any worker count.
 func (s *System) importSources() {
 	sp := s.Trace.Child("import")
-	s.engine = answer.NewEngine(s.Corpus)
-	s.engine.Parallelism = s.Cfg.Parallelism
-	s.engine.SetObs(s.Cfg.Obs)
 	if s.Cfg.Parallelism > 1 {
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -208,14 +205,25 @@ func (s *System) importSources() {
 			defer wg.Done()
 			s.ensureSims()
 		}()
-		s.kwIndex = storage.BuildKeywordIndexP(s.Corpus, s.Cfg.Parallelism)
+		s.buildEngines()
 		wg.Wait()
 	} else {
-		s.kwIndex = storage.BuildKeywordIndexP(s.Corpus, 1)
+		s.buildEngines()
 		s.ensureSims()
 	}
-	s.kw = keyword.NewEngine(s.kwIndex)
 	s.Timings.Import = sp.End()
+}
+
+// buildEngines builds the query engine and the keyword index and engine
+// over s.Corpus — at setup, and again whenever a structural commit
+// installs a different corpus (the engines are replaced wholesale, never
+// patched, so published snapshots keep theirs).
+func (s *System) buildEngines() {
+	s.engine = answer.NewEngine(s.Corpus)
+	s.engine.Parallelism = s.Cfg.Parallelism
+	s.engine.SetObs(s.Cfg.Obs)
+	s.kwIndex = storage.BuildKeywordIndexP(s.Corpus, s.Cfg.Parallelism)
+	s.kw = keyword.NewEngine(s.kwIndex)
 }
 
 // endTrace closes the setup span, publishes the freshly built state as
@@ -277,20 +285,20 @@ func setupDeterministic(c *schema.Corpus, cfg Config, m *schema.MediatedSchema) 
 	return s, nil
 }
 
-// forEachSource runs fn over every source using up to Parallelism workers,
+// forEachSource runs fn over srcs using up to Parallelism workers,
 // collecting the first error. Results are applied through the apply
 // callback, which runs in the caller's goroutine — but in COMPLETION
 // order, not corpus order, when Parallelism > 1. Every apply callback in
 // this package must therefore be commutative (keyed map inserts, never
 // order-dependent appends) so that setup output is identical at
 // Parallelism 1 and N; parallel_test.go pins this.
-func (s *System) forEachSource(fn func(src *schema.Source) (any, error), apply func(src *schema.Source, result any)) error {
+func (s *System) forEachSource(srcs []*schema.Source, fn func(src *schema.Source) (any, error), apply func(src *schema.Source, result any)) error {
 	workers := s.Cfg.Parallelism
-	if workers > len(s.Corpus.Sources) {
-		workers = len(s.Corpus.Sources)
+	if workers > len(srcs) {
+		workers = len(srcs)
 	}
 	if workers <= 1 {
-		for _, src := range s.Corpus.Sources {
+		for _, src := range srcs {
 			res, err := fn(src)
 			if err != nil {
 				return err
@@ -312,13 +320,13 @@ func (s *System) forEachSource(fn func(src *schema.Source) (any, error), apply f
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				res, err := fn(s.Corpus.Sources[idx])
+				res, err := fn(srcs[idx])
 				results <- outcome{idx, res, err}
 			}
 		}()
 	}
 	go func() {
-		for i := range s.Corpus.Sources {
+		for i := range srcs {
 			jobs <- i
 		}
 		close(jobs)
@@ -334,7 +342,7 @@ func (s *System) forEachSource(fn func(src *schema.Source) (any, error), apply f
 			continue
 		}
 		if firstErr == nil {
-			apply(s.Corpus.Sources[o.idx], o.res)
+			apply(srcs[o.idx], o.res)
 		}
 	}
 	return firstErr
@@ -342,11 +350,20 @@ func (s *System) forEachSource(fn func(src *schema.Source) (any, error), apply f
 
 func (s *System) buildMappings() error {
 	sp := s.Trace.Child("pmappings")
-	s.Maps = make(map[string][]*pmapping.PMapping, len(s.Corpus.Sources))
-	err := s.forEachSource(
+	var err error
+	s.Maps, err = s.mapSources(s.Corpus.Sources, s.Med.PMed)
+	s.Timings.PMappings = sp.End()
+	return err
+}
+
+// mapSources builds the per-schema p-mappings of srcs onto pmed in
+// parallel: every source at setup, the newcomers when the corpus grows.
+func (s *System) mapSources(srcs []*schema.Source, pmed *schema.PMedSchema) (map[string][]*pmapping.PMapping, error) {
+	maps := make(map[string][]*pmapping.PMapping, len(srcs))
+	err := s.forEachSource(srcs,
 		func(src *schema.Source) (any, error) {
 			t0 := time.Now()
-			pms, err := s.buildSourceMappings(src, s.Med.PMed)
+			pms, err := s.buildSourceMappings(src, pmed)
 			if err != nil {
 				return nil, err
 			}
@@ -355,10 +372,9 @@ func (s *System) buildMappings() error {
 		},
 		// apply runs in completion order; the keyed insert is commutative.
 		func(src *schema.Source, res any) {
-			s.Maps[src.Name] = res.([]*pmapping.PMapping)
+			maps[src.Name] = res.([]*pmapping.PMapping)
 		})
-	s.Timings.PMappings = sp.End()
-	return err
+	return maps, err
 }
 
 func (s *System) consolidate() error {
@@ -370,24 +386,27 @@ func (s *System) consolidate() error {
 	}
 	s.Target = target
 	s.ConsMaps = make(map[string]*consolidate.PMapping, len(s.Corpus.Sources))
+	s.consolidateInto(s.ConsMaps, s.Corpus.Sources)
+	sp.SetAttr("materialized", len(s.ConsMaps))
+	s.Timings.Consolidation = sp.End()
+	return nil
+}
+
+// consolidateInto adds the consolidated p-mappings of srcs to cons in
+// parallel, under the current Med, Target and Maps. It cannot fail: a
+// source whose materialization exceeds ConsolidateLimit is skipped
+// (consolidateSource returns nil for it) and query answering uses the
+// p-med-schema path, which is equivalent (Theorem 6.2).
+func (s *System) consolidateInto(cons map[string]*consolidate.PMapping, srcs []*schema.Source) {
 	co := s.newConsolidator()
-	err = s.forEachSource(
-		func(src *schema.Source) (any, error) {
-			// consolidateSource returns nil (no error) when
-			// materialization exceeds ConsolidateLimit: the source is
-			// skipped and query answering uses the p-med-schema path,
-			// which is equivalent (Theorem 6.2).
-			return s.consolidateSource(co, src)
-		},
+	_ = s.forEachSource(srcs,
+		func(src *schema.Source) (any, error) { return s.consolidateSource(co, src), nil },
 		// apply runs in completion order; the keyed insert is commutative.
 		func(src *schema.Source, res any) {
 			if cpm := res.(*consolidate.PMapping); cpm != nil {
-				s.ConsMaps[src.Name] = cpm
+				cons[src.Name] = cpm
 			}
 		})
-	sp.SetAttr("materialized", len(s.ConsMaps))
-	s.Timings.Consolidation = sp.End()
-	return err
 }
 
 // Restore rebuilds a ready-to-query System from previously computed setup

@@ -6,6 +6,8 @@ package core
 // calls the CommitLog between apply and publish; what "durable" means
 // (WAL framing, fsync, checkpoints) lives behind the interface.
 
+import "udi/internal/schema"
+
 // Op kinds, one per mutation the commit path accepts.
 const (
 	OpFeedback     = "feedback"
@@ -23,12 +25,23 @@ type Op struct {
 	Remove   string      `json:"remove,omitempty"`
 }
 
-// SourceData is the raw content of a source (the input AddSources was
-// given), sufficient to reconstruct it with schema.NewSource on replay.
+// SourceData is the raw content of a source — the one interchange shape
+// a source table takes in WAL ops, snapshots, the coordinator journal,
+// the shard RPC and the /v1/sources body.
 type SourceData struct {
 	Name  string     `json:"name"`
 	Attrs []string   `json:"attrs"`
 	Rows  [][]string `json:"rows"`
+}
+
+// DataOf flattens a source to its interchange shape (sharing its slices).
+func DataOf(src *schema.Source) SourceData {
+	return SourceData{Name: src.Name, Attrs: src.Attrs, Rows: src.Rows}
+}
+
+// Source validates the content and rebuilds the source.
+func (d SourceData) Source() (*schema.Source, error) {
+	return schema.NewSource(d.Name, d.Attrs, d.Rows)
 }
 
 // CommitLog hooks a durability layer into the commit path. The protocol

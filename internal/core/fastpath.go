@@ -333,11 +333,11 @@ func (s *System) newConsolidator() *consolidate.Consolidator {
 
 // consolidateSource builds the consolidated p-mapping for one source,
 // deduplicated by attribute set like buildSourceMappings. A nil result
-// (with nil error) means materialization exceeded Cfg.ConsolidateLimit
+// means materialization exceeded Cfg.ConsolidateLimit
 // for this schema shape; the p-med-schema query path remains correct
 // (Theorem 6.2), so the source is simply skipped — and so is every other
 // source sharing the shape, exactly as a per-source rebuild would.
-func (s *System) consolidateSource(co *consolidate.Consolidator, src *schema.Source) (*consolidate.PMapping, error) {
+func (s *System) consolidateSource(co *consolidate.Consolidator, src *schema.Source) *consolidate.PMapping {
 	key := attrSetKey(src.Attrs)
 	e, existed := s.caches.cons.entry(key)
 	e.once.Do(func() {
@@ -351,9 +351,9 @@ func (s *System) consolidateSource(co *consolidate.Consolidator, src *schema.Sou
 		}
 	}
 	if e.err != nil {
-		return nil, nil // too large to materialize: skip
+		return nil // too large to materialize: skip
 	}
 	cpm := e.val.Clone()
 	cpm.SourceName = src.Name
-	return cpm, nil
+	return cpm
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"udi/internal/answer"
 	"udi/internal/pmapping"
@@ -116,20 +115,21 @@ func (s *System) ApplyFeedbackAt(source string, schemaIdx int, srcAttr string, m
 	return s.SubmitFeedback(Feedback{Source: source, SrcAttr: srcAttr, SchemaIdx: schemaIdx, MedIdx: medIdx, Confirmed: confirmed})
 }
 
-// commitFeedbackBatch commits one batch of queued submissions under a
-// single acquisition of the writer lock, one durability barrier, and one
-// published epoch, following the apply-before-log protocol of
-// commitApplied:
+// commitFeedbackBatch commits one batch of queued submissions as one
+// write: a single acquisition of the writer lock, one durability barrier
+// and one published epoch.
 //
-//  1. Condition every op into a private working copy of Maps. A failed
-//     op leaves the copy as the previous op left it and is excluded —
-//     it is rejected to its caller without ever reaching the log.
-//  2. Log every surviving op under one fsync. On failure the working
-//     copy is discarded: nothing was published and nothing remains in
-//     the log.
-//  3. Install the working copy, recondition the dirty sources'
-//     consolidated p-mappings, invalidate exactly what the batch
-//     touched, publish one epoch, and acknowledge the batch.
+//  1. Plan: condition every op into a private working copy of Maps. A
+//     failed op leaves the copy as the previous op left it and is
+//     excluded — it is rejected to its caller without ever reaching the
+//     log.
+//  2. The entry logs every surviving op under one fsync. On failure the
+//     working copy is discarded: nothing was published and nothing
+//     remains in the log.
+//  3. Install: swap the working copy in, recondition the dirty sources'
+//     consolidated p-mappings and invalidate exactly what the batch
+//     touched; the entry publishes one epoch and the batch is
+//     acknowledged.
 //
 // A crash between 2 and 3 leaves durable-but-unacknowledged ops, which
 // recovery replays (see persist's TestCrashBetweenAppendAndPublish). A
@@ -137,63 +137,52 @@ func (s *System) ApplyFeedbackAt(source string, schemaIdx int, srcAttr string, m
 // (wal.AppendBatch's guarantee), and replaying a prefix is deterministic
 // because only successfully-applied ops were logged.
 func (s *System) commitFeedbackBatch(batch []*feedbackReq) {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	s.committing.Store(true)
-	defer s.committing.Store(false)
-	t0 := time.Now()
-
 	results := make([]error, len(batch))
-	oldMaps := s.Maps
-	work := clonedMaps(s.Maps)
-	// dirty maps each fed-back source to the sorted schema indices its
-	// feedback conditioned — the scope of the invalidation.
-	dirty := make(map[string][]int)
-	var okOps []Op
 	var okIdx []int
-	for i, req := range batch {
-		touched, err := s.conditionFeedback(work, req.fb)
-		if err != nil {
-			results[i] = err
-			continue
+	err := s.write("feedback", func() (txn, error) {
+		oldMaps := s.Maps
+		work := clonedMaps(s.Maps)
+		// dirty maps each fed-back source to the sorted schema indices its
+		// feedback conditioned — the scope of the invalidation.
+		dirty := make(map[string][]int)
+		var ops []Op
+		for i, req := range batch {
+			touched, err := s.conditionFeedback(work, req.fb)
+			if err != nil {
+				results[i] = err
+				continue
+			}
+			fb := req.fb
+			ops = append(ops, Op{Kind: OpFeedback, Feedback: &fb})
+			okIdx = append(okIdx, i)
+			dirty[fb.Source] = mergeSchemaIdxs(dirty[fb.Source], touched)
 		}
-		fb := req.fb
-		okOps = append(okOps, Op{Kind: OpFeedback, Feedback: &fb})
-		okIdx = append(okIdx, i)
-		dirty[fb.Source] = mergeSchemaIdxs(dirty[fb.Source], touched)
-	}
-	if len(okOps) == 0 {
-		deliverFeedback(batch, results)
-		return
-	}
-
-	err := s.commitApplied(okOps, func() {
-		s.Maps = work
-		sources := make([]string, 0, len(dirty))
-		for name := range dirty {
-			sources = append(sources, name)
+		if len(ops) == 0 {
+			return txn{}, nil
 		}
-		sort.Strings(sources)
-		s.reconditionSources(sources)
-		s.engine.RetargetPlans(oldMaps, answer.PMedInput{PMed: s.Med.PMed, Maps: s.Maps}, sources)
-		s.dropFeedbackCacheEntries(dirty)
+		return txn{ops: ops, count: len(ops), install: func() {
+			s.Maps = work
+			sources := make([]string, 0, len(dirty))
+			for name := range dirty {
+				sources = append(sources, name)
+			}
+			sort.Strings(sources)
+			s.reconditionSources(sources)
+			s.engine.RetargetPlans(oldMaps, answer.PMedInput{PMed: s.Med.PMed, Maps: s.Maps}, sources)
+			s.dropFeedbackCacheEntries(dirty)
+		}}, nil
 	})
 	if err != nil {
 		for _, i := range okIdx {
 			results[i] = err
 		}
-		deliverFeedback(batch, results)
-		return
-	}
-	if r := s.Cfg.Obs; r.Enabled() {
+	} else if r := s.Cfg.Obs; len(okIdx) > 0 && r.Enabled() {
 		r.Add("feedback.batch.commits", 1)
-		r.Add("feedback.batch.ops", int64(len(okOps)))
-		if rejected := len(batch) - len(okOps); rejected > 0 {
+		r.Add("feedback.batch.ops", int64(len(okIdx)))
+		if rejected := len(batch) - len(okIdx); rejected > 0 {
 			r.Add("feedback.batch.rejected", int64(rejected))
 		}
-		r.Observe("feedback.batch.size", float64(len(okOps)))
-		r.Observe("commit.seconds", time.Since(t0).Seconds())
-		r.Add("commit.feedback", int64(len(okOps)))
+		r.Observe("feedback.batch.size", float64(len(okIdx)))
 	}
 	deliverFeedback(batch, results)
 }

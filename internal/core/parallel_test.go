@@ -136,7 +136,7 @@ func TestForEachSourceErrorPropagation(t *testing.T) {
 
 	boom := errors.New("boom")
 	var applied atomic.Int32
-	err := sys.forEachSource(
+	err := sys.forEachSource(sys.Corpus.Sources,
 		func(src *schema.Source) (any, error) {
 			if src.Name >= "s03" {
 				return nil, fmt.Errorf("%w: %s", boom, src.Name)
@@ -163,7 +163,7 @@ func TestForEachSourceErrorPropagation(t *testing.T) {
 func TestForEachSourceFirstErrorWinsSerial(t *testing.T) {
 	sys := errorSystem(t, 8, 1)
 	var calls, applied int
-	err := sys.forEachSource(
+	err := sys.forEachSource(sys.Corpus.Sources,
 		func(src *schema.Source) (any, error) {
 			calls++
 			if src.Name == "s02" {
@@ -187,7 +187,7 @@ func TestForEachSourceFirstErrorWinsSerial(t *testing.T) {
 func TestForEachSourceAllErrorsNoLeak(t *testing.T) {
 	sys := errorSystem(t, 12, 6)
 	baseline := runtime.NumGoroutine()
-	err := sys.forEachSource(
+	err := sys.forEachSource(sys.Corpus.Sources,
 		func(src *schema.Source) (any, error) { return nil, errors.New(src.Name) },
 		func(src *schema.Source, res any) { t.Errorf("apply called for %s after error", src.Name) })
 	if err == nil {

@@ -1,0 +1,167 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"udi/internal/obs"
+	"udi/internal/schema"
+	"udi/internal/sqlparse"
+)
+
+// diffTwins requires two production systems to hold deeply identical
+// artifacts and to answer every frequent-attribute query with `==`
+// probabilities.
+func diffTwins(t *testing.T, tag string, a, b *System) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Med.PMed, b.Med.PMed) {
+		t.Fatalf("%s: p-med-schemas differ", tag)
+	}
+	if !reflect.DeepEqual(a.Maps, b.Maps) {
+		t.Fatalf("%s: p-mappings differ", tag)
+	}
+	if !reflect.DeepEqual(a.Target, b.Target) || !reflect.DeepEqual(a.ConsMaps, b.ConsMaps) {
+		t.Fatalf("%s: consolidated artifacts differ", tag)
+	}
+	for _, attr := range a.Corpus.FrequentAttrs(0.10) {
+		q := sqlparse.MustParse("SELECT " + attr + " FROM t")
+		ra, err := a.QueryParsed(q)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		rb, err := b.QueryParsed(q)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if !reflect.DeepEqual(ra.Ranked, rb.Ranked) || !reflect.DeepEqual(ra.Instances, rb.Instances) {
+			t.Fatalf("%s: answers to %q differ", tag, q)
+		}
+	}
+}
+
+// TestShardVerbsMatchSingleCoreFastPath is the differential between the
+// two callers of the one structural installer: over random splits of
+// random corpora, AddSources(batch) on one system and the coordinator's
+// half — PlanMediation over the raw similarity, then
+// ShardAdoptSources(batch, med) — on its twin must agree on whether the
+// plan is fast and, when it is, leave deeply identical Maps, ConsMaps and
+// Target, `==` schema probabilities and `==` answers. Then the same for
+// removing a random source.
+func TestShardVerbsMatchSingleCoreFastPath(t *testing.T) {
+	nCorpora, compared := 60, 0
+	if testing.Short() {
+		nCorpora = 15
+	}
+	for seed := 0; seed < nCorpora; seed++ {
+		rng := rand.New(rand.NewSource(int64(7000 + seed)))
+		corpus := randomCorpus(rng)
+		split := 2 + rng.Intn(len(corpus.Sources)-2)
+		cfg := Config{Parallelism: 4, Obs: obs.Disabled}
+		single, err := Setup(mustCorpus(t, corpus.Domain, corpus.Sources[:split]), cfg)
+		if err != nil {
+			continue // the prefix has no frequent attribute
+		}
+		twin, err := Setup(mustCorpus(t, corpus.Domain, corpus.Sources[:split]), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := corpus.Sources[split:]
+
+		med, fast, err := PlanMediation(twin.Med.PMed, corpus, cfg.Mediate)
+		gotFast, gotErr := single.AddSources(batch)
+		if (err != nil) != (gotErr != nil) || gotFast != (err == nil && fast) {
+			t.Fatalf("seed %d: add: plan (fast=%v, err=%v), AddSources (fast=%v, err=%v)", seed, fast, err, gotFast, gotErr)
+		}
+		if !gotFast {
+			continue
+		}
+		if err := twin.ShardAdoptSources(batch, med); err != nil {
+			t.Fatalf("seed %d: adopt: %v", seed, err)
+		}
+		diffTwins(t, fmt.Sprintf("seed %d: after add", seed), single, twin)
+
+		victim := corpus.Sources[rng.Intn(len(corpus.Sources))].Name
+		var rest []*schema.Source
+		for _, src := range corpus.Sources {
+			if src.Name != victim {
+				rest = append(rest, src)
+			}
+		}
+		med, fast, err = PlanMediation(twin.Med.PMed, mustCorpus(t, corpus.Domain, rest), cfg.Mediate)
+		gotFast, gotErr = single.RemoveSource(victim)
+		if (err != nil) != (gotErr != nil) || gotFast != (err == nil && fast) {
+			t.Fatalf("seed %d: remove: plan (fast=%v, err=%v), RemoveSource (fast=%v, err=%v)", seed, fast, err, gotFast, gotErr)
+		}
+		if !gotFast {
+			continue
+		}
+		if err := twin.ShardDropSource(victim, med); err != nil {
+			t.Fatalf("seed %d: drop: %v", seed, err)
+		}
+		diffTwins(t, fmt.Sprintf("seed %d: after remove", seed), single, twin)
+		compared++
+	}
+	if compared < nCorpora/4 {
+		t.Fatalf("only %d of %d corpora reached the fast remove comparison", compared, nCorpora)
+	}
+}
+
+// TestStructuralVerbsAllOrNothing: a structural verb that cannot be
+// planned — one unbuildable source in the batch, an unknown name, a nil
+// mediation or replacement — publishes nothing and leaves the epoch, the
+// snapshot pointer and the identity of every writer field untouched.
+func TestStructuralVerbsAllOrNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	sys, err := Setup(randomCorpus(rng), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := schema.MustNewSource("new-good", []string{"alpha", "bravo"}, [][]string{{"v1", "v2"}})
+	bad := schema.MustNewSource("new-bad", []string{"alpha", "unbuildable"}, [][]string{{"v1", "v2"}})
+	// Poison the dedup entries bad's p-mappings would be built through, so
+	// its build fails the way an entropy-maximization failure would.
+	boom := errors.New("boom")
+	for l := range sys.Med.PMed.Schemas {
+		e, _ := sys.caches.pmaps.entry(fmt.Sprintf("%s\x1e%d", attrSetKey(bad.Attrs), l))
+		e.once.Do(func() { e.err = boom })
+	}
+	batch := []*schema.Source{good, bad}
+
+	verbs := map[string]func() error{
+		"ShardAdoptSources unbuildable": func() error { return sys.ShardAdoptSources(batch, sys.Med) },
+		"RemoveSource unknown":          func() error { _, err := sys.RemoveSource("nope"); return err },
+		"RemoveSource empty name":       func() error { _, err := sys.RemoveSource(""); return err },
+		"ShardAdoptSources nil med":     func() error { return sys.ShardAdoptSources([]*schema.Source{good}, nil) },
+		"ShardDropSource nil med":       func() error { return sys.ShardDropSource(sys.Corpus.Sources[0].Name, nil) },
+		"ShardSetMediation nil med":     func() error { return sys.ShardSetMediation(nil) },
+		"ShardReplaceState nil":         func() error { return sys.ShardReplaceState(nil) },
+	}
+	for name, verb := range verbs {
+		epoch, snap := sys.Epoch(), sys.Snapshot()
+		corpus, med, engine := sys.Corpus, sys.Med, sys.Engine()
+		maps, cons := reflect.ValueOf(sys.Maps).Pointer(), reflect.ValueOf(sys.ConsMaps).Pointer()
+		if err := verb(); err == nil {
+			t.Fatalf("%s: succeeded", name)
+		}
+		if got := sys.Epoch(); got != epoch || sys.Snapshot() != snap {
+			t.Errorf("%s: failed verb published: epoch %d -> %d", name, epoch, got)
+		}
+		if sys.Corpus != corpus || sys.Med != med || sys.Engine() != engine ||
+			reflect.ValueOf(sys.Maps).Pointer() != maps || reflect.ValueOf(sys.ConsMaps).Pointer() != cons {
+			t.Errorf("%s: failed verb changed the writer state", name)
+		}
+	}
+	if sys.Committing() {
+		t.Error("committing flag left set")
+	}
+	// The system still commits: the good source alone goes in.
+	if err := sys.ShardAdoptSources([]*schema.Source{good}, sys.Med); err != nil {
+		t.Fatalf("clean adopt after failures: %v", err)
+	}
+	if !sys.holds("new-good") || sys.holds("new-bad") {
+		t.Fatal("clean adopt did not install exactly the good source")
+	}
+}

@@ -98,54 +98,9 @@ func (s *System) publish() *Snapshot {
 	return sn
 }
 
-// commit is the lock–apply–publish helper of the shard-host verbs
-// (shardhost.go), whose durability is the coordinator's journal rather
-// than this system's CommitLog: it runs fn under the single-writer lock
-// and publishes the next epoch if it succeeds. A failed fn publishes
-// nothing, so the serving snapshot is untouched.
-func (s *System) commit(kind string, fn func() error) error {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	s.committing.Store(true)
-	defer s.committing.Store(false)
-	t0 := time.Now()
-	if err := fn(); err != nil {
-		return err
-	}
-	s.publish()
-	if r := s.Cfg.Obs; r.Enabled() {
-		r.Observe("commit.seconds", time.Since(t0).Seconds())
-		r.Add("commit."+kind, 1)
-	}
-	return nil
-}
-
-// commitApplied is the back half of the one commit protocol every logged
-// mutation (feedback batch, AddSources, RemoveSource) follows —
-// apply-before-log. The caller, holding commitMu, has already built the
-// next state privately, so everything that can fail has; install only
-// swaps that state into the writer fields. The ops become durable under
-// one CommitLog barrier first: a Begin error returns with nothing
-// installed, nothing published and nothing left in the log. Committed
-// follows the publish, so rotation snapshots the epoch just served.
-func (s *System) commitApplied(ops []Op, install func()) error {
-	var firstSeq uint64
-	if s.clog != nil {
-		var err error
-		if firstSeq, err = s.clog.Begin(ops); err != nil {
-			return fmt.Errorf("core: commit log: %w", err)
-		}
-	}
-	install()
-	s.publish()
-	if s.clog != nil {
-		s.clog.Committed(firstSeq, len(ops))
-	}
-	return nil
-}
-
 // adopt moves a freshly built system's state into s (the full-rebuild
-// path of AddSources/RemoveSource). It replaces every data field but keeps
+// path of AddSources/RemoveSource, and a shard's state replacement). It
+// replaces every data field but keeps
 // s's identity — epoch counter, commit lock, published snapshot — so
 // readers observe the rebuild as one more commit, not a new system.
 func (s *System) adopt(r *System) {

@@ -442,8 +442,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type schemaResponse struct {
-	Schemas []schemaJSON `json:"schemas"`
+// SchemaResponse is the GET /v1/schema body. Exported so the typed
+// client decodes into this very struct and the two sides cannot drift.
+type SchemaResponse struct {
+	Schemas []SchemaJSON `json:"schemas"`
 	Target  [][]string   `json:"consolidated"`
 	// Epoch identifies the serving snapshot; it increases with every
 	// committed mutation (feedback, source add/remove). A sharded server
@@ -475,7 +477,8 @@ type schemaResponse struct {
 	Routing *RoutingStatus `json:"routing,omitempty"`
 }
 
-type schemaJSON struct {
+// SchemaJSON is one possible mediated schema with its probability.
+type SchemaJSON struct {
 	Prob     float64    `json:"prob"`
 	Clusters [][]string `json:"clusters"`
 }
@@ -485,7 +488,8 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	if v == nil {
 		return
 	}
-	resp := schemaResponse{
+	resp := SchemaResponse{
+		Target:           v.Target().Clusters(),
 		Epoch:            v.Epoch(),
 		Epochs:           v.EpochVector(),
 		Shards:           s.be.Shards(),
@@ -503,16 +507,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	}
 	pmed := v.PMed()
 	for i, m := range pmed.Schemas {
-		sj := schemaJSON{Prob: pmed.Probs[i]}
-		for _, a := range m.Attrs {
-			sj.Clusters = append(sj.Clusters, []string(a))
-		}
-		resp.Schemas = append(resp.Schemas, sj)
-	}
-	if target := v.Target(); target != nil {
-		for _, a := range target.Attrs {
-			resp.Target = append(resp.Target, []string(a))
-		}
+		resp.Schemas = append(resp.Schemas, SchemaJSON{Prob: pmed.Probs[i], Clusters: m.Clusters()})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -711,13 +706,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // addSourcesRequest is the POST /v1/sources body: a batch of sources to
 // add under one group commit (one fsync, one published epoch).
 type addSourcesRequest struct {
-	Sources []sourcePayload `json:"sources"`
-}
-
-type sourcePayload struct {
-	Name  string     `json:"name"`
-	Attrs []string   `json:"attrs"`
-	Rows  [][]string `json:"rows"`
+	Sources []core.SourceData `json:"sources"`
 }
 
 func (s *Server) handleAddSources(w http.ResponseWriter, r *http.Request) {
@@ -732,7 +721,7 @@ func (s *Server) handleAddSources(w http.ResponseWriter, r *http.Request) {
 	}
 	srcs := make([]*schema.Source, len(req.Sources))
 	for i, p := range req.Sources {
-		src, err := schema.NewSource(p.Name, p.Attrs, p.Rows)
+		src, err := p.Source()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadQuery,
 				fmt.Sprintf("source %d: %v", i, err), nil)

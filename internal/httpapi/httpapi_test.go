@@ -74,7 +74,7 @@ func TestSchemaEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out schemaResponse
+	var out SchemaResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSchemaDurabilityStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out schemaResponse
+	var out SchemaResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ func shardedPair(t *testing.T) (single, sharded *httptest.Server) {
 // scalar epoch, with the schema payload unchanged from single-core.
 func TestShardedSchemaReportsEpochVector(t *testing.T) {
 	single, sharded := shardedPair(t)
-	var sgl, shd schemaResponse
-	for url, out := range map[string]*schemaResponse{
+	var sgl, shd SchemaResponse
+	for url, out := range map[string]*SchemaResponse{
 		single.URL + "/v1/schema":  &sgl,
 		sharded.URL + "/v1/schema": &shd,
 	} {
@@ -90,7 +90,7 @@ func TestShardedQueryMatchesSingleCore(t *testing.T) {
 // and checks it is acknowledged and bumps only the owning shard.
 func TestShardedFeedbackRoutes(t *testing.T) {
 	_, sharded := shardedPair(t)
-	var before schemaResponse
+	var before SchemaResponse
 	resp, err := http.Get(sharded.URL + "/v1/schema")
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestShardedFeedbackRoutes(t *testing.T) {
 		t.Fatalf("feedback status %d: %v", fresp.StatusCode, out)
 	}
 
-	var after schemaResponse
+	var after SchemaResponse
 	resp2, err := http.Get(sharded.URL + "/v1/schema")
 	if err != nil {
 		t.Fatal(err)

@@ -148,7 +148,7 @@ func TestFeedbackAdvancesEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var out schemaResponse
+		var out SchemaResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}

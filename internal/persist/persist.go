@@ -33,23 +33,17 @@ const FormatVersion = 1
 var ErrCorrupt = errors.New("persist: corrupt snapshot")
 
 type snapshot struct {
-	Version int          `json:"version"`
-	Domain  string       `json:"domain"`
-	Sources []sourceDTO  `json:"sources"`
-	PMed    pmedDTO      `json:"p_med_schema"`
-	Maps    []sourceMaps `json:"p_mappings"`
-	Target  [][]string   `json:"consolidated_schema"`
-	Cons    []consDTO    `json:"consolidated_mappings"`
+	Version int               `json:"version"`
+	Domain  string            `json:"domain"`
+	Sources []core.SourceData `json:"sources"`
+	PMed    pmedDTO           `json:"p_med_schema"`
+	Maps    []sourceMaps      `json:"p_mappings"`
+	Target  [][]string        `json:"consolidated_schema"`
+	Cons    []consDTO         `json:"consolidated_mappings"`
 	// WALSeq is the sequence number of the last write-ahead-log record
 	// this snapshot covers (see Store); recovery replays only records
 	// with a higher sequence. Zero for standalone snapshots.
 	WALSeq uint64 `json:"wal_seq,omitempty"`
-}
-
-type sourceDTO struct {
-	Name  string     `json:"name"`
-	Attrs []string   `json:"attrs"`
-	Rows  [][]string `json:"rows"`
 }
 
 type pmedDTO struct {
@@ -97,18 +91,12 @@ func saveSnapshot(w io.Writer, sys *core.System, walSeq uint64) error {
 	snap := snapshot{
 		Version: FormatVersion,
 		Domain:  sys.Corpus.Domain,
+		PMed:    pmedDTO{Schemas: sys.Med.PMed.Clusters(), Probs: sys.Med.PMed.Probs},
+		Target:  sys.Target.Clusters(),
 		WALSeq:  walSeq,
 	}
 	for _, s := range sys.Corpus.Sources {
-		snap.Sources = append(snap.Sources, sourceDTO{Name: s.Name, Attrs: s.Attrs, Rows: s.Rows})
-	}
-	for i, m := range sys.Med.PMed.Schemas {
-		var clusters [][]string
-		for _, a := range m.Attrs {
-			clusters = append(clusters, []string(a))
-		}
-		snap.PMed.Schemas = append(snap.PMed.Schemas, clusters)
-		snap.PMed.Probs = append(snap.PMed.Probs, sys.Med.PMed.Probs[i])
+		snap.Sources = append(snap.Sources, core.DataOf(s))
 	}
 	for _, s := range sys.Corpus.Sources {
 		sm := sourceMaps{Source: s.Name}
@@ -124,11 +112,6 @@ func saveSnapshot(w io.Writer, sys *core.System, walSeq uint64) error {
 			sm.PerMed = append(sm.PerMed, dto)
 		}
 		snap.Maps = append(snap.Maps, sm)
-	}
-	if sys.Target != nil {
-		for _, a := range sys.Target.Attrs {
-			snap.Target = append(snap.Target, []string(a))
-		}
 	}
 	for _, s := range sys.Corpus.Sources {
 		cpm, ok := sys.ConsMaps[s.Name]
@@ -202,7 +185,7 @@ func load(r io.Reader, cfg core.Config) (*core.System, uint64, error) {
 
 	var sources []*schema.Source
 	for _, s := range snap.Sources {
-		src, err := schema.NewSource(s.Name, s.Attrs, s.Rows)
+		src, err := s.Source()
 		if err != nil {
 			return nil, 0, corrupt(err)
 		}
@@ -213,19 +196,7 @@ func load(r io.Reader, cfg core.Config) (*core.System, uint64, error) {
 		return nil, 0, corrupt(err)
 	}
 
-	var schemas []*schema.MediatedSchema
-	for _, clusters := range snap.PMed.Schemas {
-		var attrs []schema.MediatedAttr
-		for _, c := range clusters {
-			attrs = append(attrs, schema.NewMediatedAttr(c...))
-		}
-		m, err := schema.NewMediatedSchema(attrs)
-		if err != nil {
-			return nil, 0, corrupt(err)
-		}
-		schemas = append(schemas, m)
-	}
-	pmed, err := schema.NewPMedSchema(schemas, snap.PMed.Probs)
+	pmed, err := schema.PMedFromClusters(snap.PMed.Schemas, snap.PMed.Probs)
 	if err != nil {
 		return nil, 0, corrupt(err)
 	}
@@ -240,7 +211,7 @@ func load(r io.Reader, cfg core.Config) (*core.System, uint64, error) {
 		for l, dto := range sm.PerMed {
 			pm := &pmapping.PMapping{
 				SourceName:   sm.Source,
-				Med:          schemas[l],
+				Med:          pmed.Schemas[l],
 				DroppedCorrs: dto.Dropped,
 			}
 			for _, gd := range dto.Groups {
@@ -258,16 +229,9 @@ func load(r io.Reader, cfg core.Config) (*core.System, uint64, error) {
 		maps[sm.Source] = pms
 	}
 
-	var target *schema.MediatedSchema
-	if len(snap.Target) > 0 {
-		var attrs []schema.MediatedAttr
-		for _, c := range snap.Target {
-			attrs = append(attrs, schema.NewMediatedAttr(c...))
-		}
-		target, err = schema.NewMediatedSchema(attrs)
-		if err != nil {
-			return nil, 0, corrupt(err)
-		}
+	target, err := schema.FromClusters(snap.Target)
+	if err != nil {
+		return nil, 0, corrupt(err)
 	}
 
 	consMaps := make(map[string]*consolidate.PMapping, len(snap.Cons))

@@ -63,19 +63,13 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 // automatic checkpoints when StoreOptions leaves CheckpointEvery zero.
 const DefaultCheckpointEvery = 64
 
-// opAbort marks a WAL record that compensates an earlier record of the
+// AbortKind marks a WAL record that compensates an earlier record of the
 // same sequence: binaries that write-ahead-logged (before the commit
 // path became apply-before-log) recorded a mutation that was logged but
-// failed to apply this way, and replay must skip the pair. Nothing writes
-// it any more — it is read-only history a data dir or a shipped tail may
+// failed to apply this way, and Replay skips the pair. Nothing writes it
+// any more — it is read-only history a data dir or a shipped tail may
 // still hold. It is a wal-level kind, never a core.Op kind.
-const opAbort = "abort"
-
-// AbortKind is the WAL record kind of a compensation record, exported so
-// WAL-shipping consumers (read replicas) apply the same two-phase skip
-// the store's own recovery applies: collect aborted sequences first,
-// then replay only uncompensated ops.
-const AbortKind = opAbort
+const AbortKind = "abort"
 
 // ErrTruncated reports a WAL tail request from a sequence the log no
 // longer holds: a checkpoint rotation folded it into the snapshot. The
@@ -197,48 +191,23 @@ func openStoreOnce(dir string, cfg core.Config, opts StoreOptions, setup func() 
 		return nil, nil, err
 	}
 
-	// Replay in two phases: collect compensated sequences first, so an
-	// op an older binary logged and then aborted is skipped even though
-	// its record decodes fine, then apply the survivors in order.
-	aborted := make(map[uint64]bool)
-	lastSeq := baseSeq
-	for _, r := range recs {
-		if r.Kind == opAbort {
-			aborted[r.Seq] = true
-		}
-		if r.Seq > lastSeq {
-			lastSeq = r.Seq
-		}
-	}
-	replayed := 0
-	for i, r := range recs {
-		if r.Kind == opAbort || r.Seq <= baseSeq || aborted[r.Seq] {
-			continue
-		}
-		var op core.Op
-		err := json.Unmarshal(r.Data, &op)
-		if err == nil {
-			err = applyOp(sys, op)
-		}
-		if err != nil {
-			if i == len(recs)-1 && allowRetry {
-				// A write-ahead log from an older binary may have crashed
-				// between this append and its abort record: the mutation
-				// was never acknowledged, so dropping it recovers the last
-				// committed state. Replay already mutated sys, so reopen
-				// from scratch.
-				if terr := w.TruncateTo(r.Off); terr != nil {
-					w.Close()
-					return nil, nil, terr
-				}
-				w.Close()
-				return openStoreOnce(dir, cfg, opts, setup, false)
-			}
+	lastSeq, replayed, failed, err := Replay(sys, recs, baseSeq)
+	if err != nil {
+		if failed == len(recs)-1 && allowRetry {
+			// A write-ahead log from an older binary may have crashed
+			// between this append and its abort record: the mutation was
+			// never acknowledged, so dropping it recovers the last
+			// committed state. Replay already mutated sys, so reopen from
+			// scratch.
+			terr := w.TruncateTo(recs[failed].Off)
 			w.Close()
-			return nil, nil, fmt.Errorf("persist: wal replay: record %d (seq %d, kind %q): %w (%v)",
-				i, r.Seq, r.Kind, ErrCorrupt, err)
+			if terr != nil {
+				return nil, nil, terr
+			}
+			return openStoreOnce(dir, cfg, opts, setup, false)
 		}
-		replayed++
+		w.Close()
+		return nil, nil, fmt.Errorf("persist: wal replay: %w (%v)", ErrCorrupt, err)
 	}
 	if r := opts.Obs; r.Enabled() {
 		r.Add("wal.replay.applied", int64(replayed))
@@ -274,11 +243,45 @@ func openStoreOnce(dir string, cfg core.Config, opts StoreOptions, setup func() 
 	return sys, st, nil
 }
 
-// Apply replays one logged mutation through the system's public mutation
-// API — the exact path store recovery uses, exported so a WAL-shipped
-// read replica replays its primary's records through identical code. The
-// target system must not have a CommitLog attached (nothing re-logs).
-func Apply(sys *core.System, op core.Op) error { return applyOp(sys, op) }
+// Replay applies the logged mutations in recs whose sequence is above
+// after to sys, in order — the one loop behind store recovery and a read
+// replica's tail replay, so both run a primary's records through
+// identical code. It runs in two phases: compensated sequences are
+// collected first, so an op an older binary logged and then aborted is
+// skipped even though its record decodes fine, then the survivors are
+// applied. sys must not have a CommitLog attached (nothing re-logs).
+//
+// It returns the last sequence settled (applied, compensated or already
+// covered; at least after), the number of mutations applied and, with
+// the error, the index in recs of the record that failed to decode or
+// apply — everything before it has been applied.
+func Replay(sys *core.System, recs []wal.Record, after uint64) (last uint64, applied, failed int, err error) {
+	aborted := make(map[uint64]bool)
+	for _, r := range recs {
+		if r.Kind == AbortKind {
+			aborted[r.Seq] = true
+		}
+	}
+	last = after
+	for i, r := range recs {
+		if r.Seq <= after {
+			continue
+		}
+		if r.Kind != AbortKind && !aborted[r.Seq] {
+			var op core.Op
+			err := json.Unmarshal(r.Data, &op)
+			if err == nil {
+				err = applyOp(sys, op)
+			}
+			if err != nil {
+				return last, applied, i, fmt.Errorf("record %d (seq %d, kind %q): %w", i, r.Seq, r.Kind, err)
+			}
+			applied++
+		}
+		last = r.Seq
+	}
+	return last, applied, -1, nil
+}
 
 // applyOp replays one logged mutation through the system's public
 // mutation API. The caller has not yet attached the store as the
@@ -294,7 +297,7 @@ func applyOp(sys *core.System, op core.Op) error {
 		if op.Add == nil {
 			return fmt.Errorf("add_source op without payload")
 		}
-		src, err := schema.NewSource(op.Add.Name, op.Add.Attrs, op.Add.Rows)
+		src, err := op.Add.Source()
 		if err != nil {
 			return err
 		}

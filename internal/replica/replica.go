@@ -2,7 +2,7 @@
 // bootstraps from a shard host's snapshot endpoint, then tails the
 // host's committed write-ahead log over HTTP and replays each record
 // through the exact code path the host's own crash recovery uses
-// (persist.Apply). Reads are served lock-free from the replayed system's
+// (persist.Replay). Reads are served lock-free from the replayed system's
 // epoch-stamped snapshots; every mutation is refused with a typed
 // read_only error pointing at the primary.
 //
@@ -26,7 +26,6 @@ package replica
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -229,43 +228,21 @@ func (f *Follower) replayTail(ctx context.Context) error {
 	}
 }
 
-// apply replays one fetched batch with recovery's two-phase discipline:
-// collect compensated sequences first, then apply survivors in order,
-// skipping anything at or below the applied watermark (idempotence
-// across overlapping fetches).
+// apply replays one fetched batch through persist.Replay — recovery's own
+// loop: compensated sequences skipped, anything at or below the applied
+// watermark skipped (idempotence across overlapping fetches). The
+// watermark advances past whatever was applied even when a later record
+// fails, so a retry never applies a record twice.
 func (f *Follower) apply(recs []wal.Record) error {
-	sys := f.sys.Load()
 	st := f.state.Load()
-	applied := st.appliedSeq
-	aborted := make(map[uint64]bool)
-	for _, r := range recs {
-		if r.Kind == persist.AbortKind {
-			aborted[r.Seq] = true
-		}
-	}
-	replayed := 0
-	for _, r := range recs {
-		if r.Seq <= applied {
-			continue
-		}
-		if r.Kind == persist.AbortKind || aborted[r.Seq] {
-			applied = r.Seq
-			continue
-		}
-		var op core.Op
-		if err := json.Unmarshal(r.Data, &op); err != nil {
-			return fmt.Errorf("replica: wal record seq %d: %w", r.Seq, err)
-		}
-		if err := persist.Apply(sys, op); err != nil {
-			return fmt.Errorf("replica: replay seq %d (%s): %w", r.Seq, op.Kind, err)
-		}
-		applied = r.Seq
-		replayed++
-	}
+	applied, replayed, _, err := persist.Replay(f.sys.Load(), recs, st.appliedSeq)
 	next := *st
 	next.appliedSeq = applied
 	f.state.Store(&next)
 	f.reg.Add("replica.records_applied", int64(replayed))
+	if err != nil {
+		return fmt.Errorf("replica: replay: %w", err)
+	}
 	return nil
 }
 

@@ -232,6 +232,35 @@ func MustNewMediatedSchema(attrs []MediatedAttr) *MediatedSchema {
 	return m
 }
 
+// Clusters flattens the schema into its interchange form — one plain
+// string slice per mediated attribute, in canonical order, sharing the
+// attributes' backing arrays. It is the shape a clustering takes in
+// snapshots, the shard journal, the shard RPC and /v1/schema. A nil
+// schema has nil clusters.
+func (m *MediatedSchema) Clusters() [][]string {
+	if m == nil {
+		return nil
+	}
+	out := make([][]string, len(m.Attrs))
+	for i, a := range m.Attrs {
+		out[i] = a
+	}
+	return out
+}
+
+// FromClusters is the validating inverse of Clusters: NewMediatedSchema
+// over clusters read from outside the program. No clusters is no schema.
+func FromClusters(clusters [][]string) (*MediatedSchema, error) {
+	if len(clusters) == 0 {
+		return nil, nil
+	}
+	attrs := make([]MediatedAttr, len(clusters))
+	for i, c := range clusters {
+		attrs[i] = c
+	}
+	return NewMediatedSchema(attrs)
+}
+
 // ClusterOf returns the mediated attribute containing name, or nil. A query
 // attribute a is replaced by its cluster when answering (paper §3).
 func (m *MediatedSchema) ClusterOf(name string) MediatedAttr {
@@ -327,6 +356,33 @@ func NewPMedSchema(schemas []*MediatedSchema, probs []float64) (*PMedSchema, err
 		return nil, fmt.Errorf("schema: probabilities sum to %g, want 1", sum)
 	}
 	return &PMedSchema{Schemas: schemas, Probs: probs}, nil
+}
+
+// Clusters flattens every possible schema (see MediatedSchema.Clusters).
+func (p *PMedSchema) Clusters() [][][]string {
+	out := make([][][]string, len(p.Schemas))
+	for i, m := range p.Schemas {
+		out[i] = m.Clusters()
+	}
+	return out
+}
+
+// PMedFromClusters is the validating inverse of PMedSchema.Clusters plus
+// the probabilities: every clustering must be a non-empty partition and
+// the whole must satisfy Definition 3.1.
+func PMedFromClusters(schemas [][][]string, probs []float64) (*PMedSchema, error) {
+	ms := make([]*MediatedSchema, len(schemas))
+	for i, clusters := range schemas {
+		m, err := FromClusters(clusters)
+		if err != nil {
+			return nil, fmt.Errorf("schema %d: %w", i, err)
+		}
+		if m == nil {
+			return nil, fmt.Errorf("schema: schema %d has no clusters", i)
+		}
+		ms[i] = m
+	}
+	return NewPMedSchema(ms, probs)
 }
 
 // Len returns the number of possible mediated schemas.

@@ -82,20 +82,13 @@ func (s *System) journalWrite(ch *change, pre *servingMeta) error {
 	if !s.durable() {
 		return nil
 	}
-	rec := journalRecord{Order: pre.order, Probs: pre.med.PMed.Probs}
+	rec := journalRecord{Order: pre.order, Schemas: pre.med.PMed.Clusters(), Probs: pre.med.PMed.Probs}
 	for _, src := range ch.adds {
-		rec.Ops = append(rec.Ops, core.Op{Kind: core.OpAddSource,
-			Add: &core.SourceData{Name: src.Name, Attrs: src.Attrs, Rows: src.Rows}})
+		d := core.DataOf(src)
+		rec.Ops = append(rec.Ops, core.Op{Kind: core.OpAddSource, Add: &d})
 	}
 	if ch.remove != "" {
 		rec.Ops = append(rec.Ops, core.Op{Kind: core.OpRemoveSource, Remove: ch.remove})
-	}
-	for _, m := range pre.med.PMed.Schemas {
-		clusters := make([][]string, len(m.Attrs))
-		for i, a := range m.Attrs {
-			clusters[i] = []string(a)
-		}
-		rec.Schemas = append(rec.Schemas, clusters)
 	}
 	return persist.WriteFileAtomic(filepath.Join(s.opts.DataDir, journalFile), func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(&rec)
@@ -200,32 +193,20 @@ func Open(dir string, cfg core.Config, opts Options, setup func() (*schema.Corpu
 	s := &System{cfg: cfg, opts: opts, domain: man.Domain}
 	r := &recovery{s: s}
 
-	// Load every shard that has a checkpoint; note the rest as empty.
+	// Load every shard that has a checkpoint; the rest are empty. (A crash
+	// between deleting an emptied shard's snapshot and its WAL can strand
+	// the WAL; the shard's next first-source checkpoint resets the
+	// directory before opening a store in it.)
 	var seed *core.System
 	for i := 0; i < n; i++ {
 		l := s.newLocal(i)
 		r.locals, s.shards = append(r.locals, l), append(s.shards, l)
-		if !persist.HasSnapshot(l.dir) {
-			// A crash between deleting a snapshot and its WAL (an emptied
-			// shard's Checkpoint) can strand a WAL in an empty shard
-			// directory; clean it so a later store open does not replay it
-			// against a fresh corpus.
-			if _, err := os.Stat(l.dir); err == nil {
-				if err := persist.RemoveStoreFiles(l.dir); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		l.sys, l.store, err = persist.OpenStore(l.dir, cfg, l.sopts, func() (*core.System, error) {
-			return nil, fmt.Errorf("shard: %w: shard %d snapshot disappeared", persist.ErrCorrupt, i)
-		})
-		if err != nil {
+		if err := l.Open(); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		if seed == nil {
-			seed = l.sys
+			seed = l.Sys()
 		}
 	}
 	if seed == nil {
@@ -234,10 +215,14 @@ func Open(dir string, cfg core.Config, opts Options, setup func() (*schema.Corpu
 	// Empty shards get zero-source cores seeded with an arbitrary loaded
 	// shard's mediation; redo/reconcile pushes the authoritative one.
 	for _, l := range r.locals {
-		if l.sys != nil {
+		if l.Sys() != nil {
 			continue
 		}
-		if l.sys, err = core.NewEmptyShard(man.Domain, cfg, seed.Med, seed.Target); err != nil {
+		empty, err := core.NewEmptyShard(man.Domain, cfg, seed.Med, seed.Target)
+		if err == nil {
+			err = l.Replace(empty)
+		}
+		if err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -265,12 +250,17 @@ func Open(dir string, cfg core.Config, opts Options, setup func() (*schema.Corpu
 // concrete in-process shards, whose loaded corpora recovery must read.
 type recovery struct {
 	s      *System
-	locals []*localShard
+	locals []*Local
 }
 
 // find returns the named source from the shard it hashes to, or nil.
 func (r *recovery) find(name string) *schema.Source {
-	return r.locals[ShardOf(name, len(r.locals))].find(name)
+	for _, src := range r.locals[ShardOf(name, len(r.locals))].Sys().Corpus.Sources {
+		if src.Name == name {
+			return src
+		}
+	}
+	return nil
 }
 
 // reconcile rebuilds the shared serving mediation after a restart: all
@@ -296,14 +286,15 @@ func (r *recovery) reconcile(order []string) error {
 	// it, and the recounted probabilities are assigned positionally.
 	var ref *core.System
 	for _, l := range r.locals {
-		if len(l.sys.Corpus.Sources) == 0 {
+		sys := l.Sys()
+		if len(sys.Corpus.Sources) == 0 {
 			continue
 		}
 		if ref == nil {
-			ref = l.sys
+			ref = sys
 			continue
 		}
-		if !sameSchemaSequence(ref.Med.PMed, l.sys.Med.PMed) {
+		if !sameSchemaSequence(ref.Med.PMed, sys.Med.PMed) {
 			return fmt.Errorf("shard: %w: shards disagree on the mediated clustering", persist.ErrCorrupt)
 		}
 	}
@@ -346,19 +337,7 @@ func sameSchemaSequence(a, b *schema.PMedSchema) bool {
 // global order.
 func (r *recovery) redo(jr *journalRecord, target *schema.MediatedSchema) ([]string, error) {
 	s := r.s
-	preSchemas := make([]*schema.MediatedSchema, len(jr.Schemas))
-	for i, clusters := range jr.Schemas {
-		attrs := make([]schema.MediatedAttr, len(clusters))
-		for j, c := range clusters {
-			attrs[j] = schema.NewMediatedAttr(c...)
-		}
-		m, err := schema.NewMediatedSchema(attrs)
-		if err != nil {
-			return nil, fmt.Errorf("shard: %w: journal schema %d: %v", persist.ErrCorrupt, i, err)
-		}
-		preSchemas[i] = m
-	}
-	prePMed, err := schema.NewPMedSchema(preSchemas, jr.Probs)
+	prePMed, err := schema.PMedFromClusters(jr.Schemas, jr.Probs)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w: journal p-med-schema: %v", persist.ErrCorrupt, err)
 	}
@@ -374,7 +353,7 @@ func (r *recovery) redo(jr *journalRecord, target *schema.MediatedSchema) ([]str
 	for i, op := range jr.Ops {
 		switch {
 		case op.Kind == core.OpAddSource && op.Add != nil && remove == "":
-			src, err := schema.NewSource(op.Add.Name, op.Add.Attrs, op.Add.Rows)
+			src, err := op.Add.Source()
 			if err != nil {
 				return nil, fmt.Errorf("shard: %w: journal source %q: %v", persist.ErrCorrupt, op.Add.Name, err)
 			}
@@ -431,7 +410,7 @@ func (r *recovery) validate(order []string) error {
 	}
 	total := 0
 	for i, l := range r.locals {
-		for _, src := range l.sys.Corpus.Sources {
+		for _, src := range l.Sys().Corpus.Sources {
 			if !want[src.Name] {
 				return fmt.Errorf("shard: %w: shard %d holds unlisted source %q", persist.ErrCorrupt, i, src.Name)
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"udi/internal/answer"
@@ -17,115 +18,131 @@ import (
 	"udi/internal/sqlparse"
 )
 
-// localShard is the in-process transport: an ordinary core.System over
-// the shard's sources, driven through core's shard-host primitives, plus
-// — when the coordinator is durable — the shard's own persist.Store.
+// Local is the in-process transport and the one implementation of the
+// Shard verbs: an ordinary core.System over the shard's sources, driven
+// through core's shard verbs (which carry the idempotence the contract
+// asks for), plus — given a directory — the shard's own persist.Store.
 // Feedback rides that store's WAL exactly like a single-core store;
-// structural state is checkpointed when the coordinator asks.
-type localShard struct {
-	// sys is nil until the first Replace (a freshly set-up system) or set
-	// by recovery; the in-place verbs keep the pointer, and with it the
-	// attached store and a monotone epoch, for the shard's whole life.
-	sys *core.System
+// structural state is checkpointed when the coordinator asks. The
+// coordinator in this package holds one per shard; a shard host
+// (internal/shardrpc) serves one over HTTP.
+//
+// The verbs are called one at a time (under the coordinator's write lock,
+// or the host's mutex); Sys and Store are safe from any goroutine.
+type Local struct {
 	cfg core.Config
-	// dir is the shard's store directory, "" when in-memory. store is nil
-	// while the shard holds no source: an empty corpus has no
-	// checkpointable state, so an empty shard keeps no files at all.
+	// dir is the shard's store directory, "" when in-memory.
 	dir   string
 	sopts persist.StoreOptions
-	store *persist.Store
+	// sys is nil until the first Replace (a freshly set-up system) or
+	// Open; the in-place verbs keep the pointer, and with it the attached
+	// store and a monotone epoch, for the shard's whole life.
+	sys atomic.Pointer[core.System]
+	// store is nil while the shard holds no source: an empty corpus has
+	// no checkpointable state, so an empty shard keeps no files at all.
+	store atomic.Pointer[persist.Store]
+}
+
+// NewLocal builds a shard with no state yet; it arrives with the first
+// Replace, or from dir (when set) on Open.
+func NewLocal(cfg core.Config, dir string, sopts persist.StoreOptions) *Local {
+	return &Local{cfg: cfg, dir: dir, sopts: sopts}
 }
 
 func shardDir(base string, i int) string {
 	return filepath.Join(base, fmt.Sprintf("shard-%03d", i))
 }
 
-// newLocal builds shard i's transport; its state arrives with the first
-// Replace, or from disk during recovery.
-func (s *System) newLocal(i int) *localShard {
-	l := &localShard{cfg: s.cfg}
-	if s.durable() {
-		l.dir = shardDir(s.opts.DataDir, i)
-		l.sopts = persist.StoreOptions{CheckpointEvery: s.opts.CheckpointEvery, NoSync: s.opts.NoSync, Obs: s.cfg.Obs}
+// newLocal builds shard i's transport.
+func (s *System) newLocal(i int) *Local {
+	if !s.durable() {
+		return NewLocal(s.cfg, "", persist.StoreOptions{})
 	}
-	return l
+	return NewLocal(s.cfg, shardDir(s.opts.DataDir, i),
+		persist.StoreOptions{CheckpointEvery: s.opts.CheckpointEvery, NoSync: s.opts.NoSync, Obs: s.cfg.Obs})
 }
 
-func (l *localShard) Pin() Leg { return localLeg{sn: l.sys.Snapshot(), sys: l.sys} }
-
-func (l *localShard) Feedback(fb core.Feedback) error { return l.sys.SubmitFeedback(fb) }
-
-// find returns the named source from the shard's corpus, or nil. Only
-// called under the coordinator's write lock (or during recovery), where
-// reading the writer-side corpus is safe.
-func (l *localShard) find(name string) *schema.Source {
-	for _, src := range l.sys.Corpus.Sources {
-		if src.Name == name {
-			return src
-		}
+// Open warm-starts the shard from its directory: snapshot plus WAL-tail
+// replay of the feedback logged since. A directory without a snapshot
+// (in-memory, never written, or emptied) leaves the shard stateless.
+func (l *Local) Open() error {
+	if l.dir == "" || !persist.HasSnapshot(l.dir) {
+		return nil
 	}
+	sys, st, err := persist.OpenStore(l.dir, l.cfg, l.sopts, func() (*core.System, error) {
+		return nil, fmt.Errorf("shard: %w: snapshot in %s disappeared during open", persist.ErrCorrupt, l.dir)
+	})
+	if err != nil {
+		return err
+	}
+	l.sys.Store(sys)
+	l.store.Store(st)
 	return nil
 }
 
-func (l *localShard) Adopt(srcs []*schema.Source, med *mediate.Result) error {
-	missing := make([]*schema.Source, 0, len(srcs))
-	for _, src := range srcs {
-		if l.find(src.Name) == nil {
-			missing = append(missing, src)
-		}
-	}
-	if len(missing) == 0 {
-		return l.sys.ShardSetMediation(med)
-	}
-	return l.sys.ShardAdoptSources(missing, med)
+// Sys returns the served system, nil before any state arrived.
+func (l *Local) Sys() *core.System { return l.sys.Load() }
+
+// Store returns the attached store, nil when in-memory or empty.
+func (l *Local) Store() *persist.Store { return l.store.Load() }
+
+func (l *Local) Pin() Leg {
+	sys := l.Sys()
+	return localLeg{sn: sys.Snapshot(), sys: sys}
 }
 
-func (l *localShard) Drop(name string, med *mediate.Result) error {
-	if l.find(name) == nil {
-		return l.sys.ShardSetMediation(med)
-	}
-	return l.sys.ShardDropSource(name, med)
+func (l *Local) Feedback(fb core.Feedback) error { return l.Sys().SubmitFeedback(fb) }
+
+func (l *Local) Adopt(srcs []*schema.Source, med *mediate.Result) error {
+	return l.Sys().ShardAdoptSources(srcs, med)
 }
 
-func (l *localShard) SetMediation(med *mediate.Result) error { return l.sys.ShardSetMediation(med) }
-
-func (l *localShard) Replace(proj *core.System) error {
-	if l.sys == nil {
-		l.sys = proj
-		return nil
-	}
-	return l.sys.ShardReplaceState(proj)
+func (l *Local) Drop(name string, med *mediate.Result) error {
+	return l.Sys().ShardDropSource(name, med)
 }
 
-// Checkpoint makes the shard's in-memory state its on-disk snapshot:
-// opening the store (first checkpoint included) when the shard just
-// gained its first source, and deleting its files when the last one left
-// — persist.HasSnapshot then classifies the directory as empty.
-func (l *localShard) Checkpoint() error {
+func (l *Local) SetMediation(med *mediate.Result) error { return l.Sys().ShardSetMediation(med) }
+
+func (l *Local) Replace(proj *core.System) error {
+	if sys := l.Sys(); sys != nil {
+		return sys.ShardReplaceState(proj)
+	}
+	l.sys.Store(proj)
+	return nil
+}
+
+// Checkpoint makes the shard's in-memory state its on-disk snapshot. The
+// first source opens the store (first checkpoint included) over a
+// directory reset first, so a WAL stranded there by a crash is never
+// replayed against the fresh state; the last source leaving deletes the
+// files — persist.HasSnapshot then classifies the directory as empty.
+func (l *Local) Checkpoint() error {
+	sys := l.Sys()
 	switch {
-	case l.dir == "":
+	case l.dir == "" || sys == nil:
 		return nil
-	case len(l.sys.Corpus.Sources) == 0:
+	case len(sys.Snapshot().Corpus.Sources) == 0:
 		if err := l.Close(); err != nil {
 			return err
 		}
 		return persist.RemoveStoreFiles(l.dir)
-	case l.store != nil:
-		return l.store.Checkpoint()
+	case l.Store() != nil:
+		return l.Store().Checkpoint()
 	}
-	_, st, err := persist.OpenStore(l.dir, l.cfg, l.sopts, func() (*core.System, error) { return l.sys, nil })
-	l.store = st
+	if err := persist.RemoveStoreFiles(l.dir); err != nil {
+		return err
+	}
+	_, st, err := persist.OpenStore(l.dir, l.cfg, l.sopts, func() (*core.System, error) { return sys, nil })
+	l.store.Store(st)
 	return err
 }
 
 // Close releases the store's WAL file.
-func (l *localShard) Close() error {
-	if l.store == nil {
-		return nil
+func (l *Local) Close() error {
+	if st := l.store.Swap(nil); st != nil {
+		return st.Close()
 	}
-	st := l.store
-	l.store = nil
-	return st.Close()
+	return nil
 }
 
 // localLeg pins one epoch snapshot: every read of the view sees it.
@@ -166,11 +183,12 @@ func sourcesFor(sources []*schema.Source, i, n int) []*schema.Source {
 	return out
 }
 
-// project builds one shard's core from a globally set-up blueprint: the
+// Project builds one shard's core from a globally set-up blueprint: the
 // sub-corpus in global order, the blueprint's p-mappings and consolidated
 // mappings for exactly those sources, and the shared global mediation. An
-// empty subset yields a servable zero-source core.
-func project(domain string, cfg core.Config, blue *core.System, subs []*schema.Source) (*core.System, error) {
+// empty subset yields a servable zero-source core. It is what the
+// coordinator hands Shard.Replace.
+func Project(domain string, cfg core.Config, blue *core.System, subs []*schema.Source) (*core.System, error) {
 	if len(subs) == 0 {
 		return core.NewEmptyShard(domain, cfg, blue.Med, blue.Target)
 	}

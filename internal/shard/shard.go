@@ -8,9 +8,10 @@
 //
 // The coordinator is written against the small Shard interface and knows
 // nothing about where a shard runs. Two transports implement it: the
-// in-process one in this package (a core.System plus, when durable, that
-// shard's persist.Store) and the networked one in internal/shardrpc (an
-// RPC stub over a shard host's read set).
+// in-process one in this package (Local: a core.System plus, when
+// durable, that shard's persist.Store) and the networked one in
+// internal/shardrpc (an RPC stub over a shard host's read set — and the
+// host at the other end serves a Local).
 //
 // The package's contract is differential: for every query, approach, and
 // mutation history, the scatter-gather answer is bit-identical to the
@@ -220,7 +221,7 @@ func (s *System) setup(c *schema.Corpus) error {
 func (s *System) install(blue *core.System, srcs []*schema.Source) error {
 	n := len(s.shards)
 	for i, sh := range s.shards {
-		proj, err := project(s.domain, s.cfg, blue, sourcesFor(srcs, i, n))
+		proj, err := Project(s.domain, s.cfg, blue, sourcesFor(srcs, i, n))
 		if err != nil {
 			return err
 		}
@@ -452,7 +453,7 @@ func (v *View) Candidates(ctx context.Context, limit int) ([]feedback.Candidate,
 // --- mutation path ----------------------------------------------------
 
 // SubmitFeedback routes one feedback item to the shard owning the source.
-// The owning shard's commit path write-ahead-logs it (when durable) and
+// The owning shard's commit path applies it, logs it (when durable) and
 // publishes the shard's next epoch; no other shard is touched. Feedback
 // conditions only the source's p-mappings, never the global mediation,
 // so shard-local application is value-identical to the single-core path.

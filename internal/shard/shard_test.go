@@ -150,7 +150,7 @@ func TestEmptyShards(t *testing.T) {
 
 	stores := 0
 	for _, s := range sh.shards {
-		if s.(*localShard).store != nil {
+		if s.(*Local).Store() != nil {
 			stores++
 		}
 	}

@@ -207,8 +207,8 @@ func (st *stub) Feedback(fb core.Feedback) error {
 	return st.opDo("/v1/shard/feedback", FeedbackRequest{Proto: Version, Feedback: fb}, false)
 }
 
-// Adopt, Drop, SetMediation and Replace are idempotent on the host (its
-// handlers run the presence checks the Shard contract asks for), so
+// Adopt, Drop, SetMediation and Replace are idempotent on the host (it
+// drives the same shard.Local the in-process transport is), so
 // transport-level retries cannot double-apply. The host checkpoints
 // inside each of them.
 func (st *stub) Adopt(srcs []*schema.Source, med *mediate.Result) error {
@@ -231,7 +231,7 @@ func (st *stub) Replace(proj *core.System) error {
 	sn := proj.Snapshot()
 	if len(sn.Corpus.Sources) == 0 {
 		return st.opDo("/v1/shard/replace", ReplaceEmptyRequest{Proto: Version, Empty: true,
-			Domain: sn.Corpus.Domain, Med: EncodeMed(sn.Med), Target: EncodeTarget(sn.Target)}, true)
+			Domain: sn.Corpus.Domain, Med: EncodeMed(sn.Med), Target: sn.Target.Clusters()}, true)
 	}
 	var buf bytes.Buffer
 	if err := persist.Save(&buf, proj); err != nil {

@@ -17,6 +17,7 @@ import (
 	"udi/internal/obs"
 	"udi/internal/persist"
 	"udi/internal/schema"
+	"udi/internal/shard"
 	"udi/internal/sqlparse"
 )
 
@@ -35,8 +36,8 @@ const MaxReadRequest = 1 << 20
 // HostOptions configures a shard host.
 type HostOptions struct {
 	// DataDir, when set, makes the shard durable: the pushed state is
-	// checkpointed there, feedback is write-ahead-logged, and the host
-	// serves /v1/wal to read replicas. Empty means in-memory.
+	// checkpointed there, feedback is logged, and the host serves /v1/wal
+	// to read replicas. Empty means in-memory.
 	DataDir string
 	// Store configures the persist layer (checkpoint cadence, fsync).
 	Store persist.StoreOptions
@@ -44,27 +45,27 @@ type HostOptions struct {
 	Obs *obs.Registry
 }
 
-// Host serves one shard's core.System over the shard RPC protocol. It
-// starts empty (every read answers CodeNotReady) until a coordinator
-// pushes state via /v1/shard/replace — or, in durable mode, until it
-// warm-starts from its own data directory.
+// Host serves one shard over the shard RPC protocol. It is an HTTP codec
+// over a shard.Local — the same implementation of the shard verbs, their
+// idempotence and the store lifecycle the in-process coordinator drives —
+// and owns only what the wire adds: request decoding, the error envelope
+// and the state generation counter. It starts empty (every read answers
+// CodeNotReady) until a coordinator pushes state via /v1/shard/replace —
+// or, in durable mode, until it warm-starts from its own data directory.
 //
-// Structural mutations (adopt, drop, mediation, replace) commit with a
-// nil Op on the core — they are NOT write-ahead-logged, because their
-// replay semantics are coordinator-global. Durability for them is a
-// forced checkpoint after apply; visibility for WAL followers is the
+// Structural mutations (adopt, drop, mediation, replace) are NOT logged —
+// their replay semantics are coordinator-global. Durability for them is
+// a forced checkpoint after apply; visibility for WAL followers is the
 // state generation counter, which tells a replica that replay alone
 // cannot reproduce the change and it must re-bootstrap.
 type Host struct {
-	cfg  core.Config
-	opts HostOptions
-	reg  *obs.Registry
+	cfg   core.Config
+	reg   *obs.Registry
+	local *shard.Local
 
-	// mu serializes mutations (structural ops and store swaps). Reads
-	// are lock-free via the atomic pointers.
+	// mu serializes the structural verbs (and Close); feedback and reads
+	// do not take it.
 	mu       sync.Mutex
-	sys      atomic.Pointer[core.System]
-	store    atomic.Pointer[persist.Store]
 	stateGen atomic.Uint64
 }
 
@@ -80,38 +81,28 @@ func NewHost(cfg core.Config, opts HostOptions) (*Host, error) {
 	if cfg.Obs == nil {
 		cfg.Obs = reg
 	}
-	h := &Host{cfg: cfg, opts: opts, reg: reg}
-	if opts.DataDir != "" && persist.HasSnapshot(opts.DataDir) {
-		sys, st, err := persist.OpenStore(opts.DataDir, cfg, opts.Store, func() (*core.System, error) {
-			return nil, fmt.Errorf("shardrpc: snapshot disappeared during open")
-		})
-		if err != nil {
-			return nil, err
-		}
-		h.sys.Store(sys)
-		h.store.Store(st)
+	h := &Host{cfg: cfg, reg: reg, local: shard.NewLocal(cfg, opts.DataDir, opts.Store)}
+	if err := h.local.Open(); err != nil {
+		return nil, err
 	}
 	return h, nil
 }
 
 // Sys returns the currently served system (nil before the first push).
-func (h *Host) Sys() *core.System { return h.sys.Load() }
+func (h *Host) Sys() *core.System { return h.local.Sys() }
 
 // StateGen returns the structural-change counter.
 func (h *Host) StateGen() uint64 { return h.stateGen.Load() }
 
 // Store returns the attached persist store (nil when in-memory or
 // empty).
-func (h *Host) Store() *persist.Store { return h.store.Load() }
+func (h *Host) Store() *persist.Store { return h.local.Store() }
 
 // Close releases the WAL file handle, if any.
 func (h *Host) Close() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if st := h.store.Load(); st != nil {
-		return st.Close()
-	}
-	return nil
+	return h.local.Close()
 }
 
 // Handler returns the shard RPC routes. Mount it on the shard server's
@@ -119,10 +110,10 @@ func (h *Host) Close() error {
 func (h *Host) Handler() http.Handler {
 	mux := http.NewServeMux()
 	ReadHandlers{
-		Sys:      h.sys.Load,
+		Sys:      h.local.Sys,
 		StateGen: h.stateGen.Load,
 		Status: func(st *StatusResponse) {
-			if store := h.store.Load(); store != nil {
+			if store := h.local.Store(); store != nil {
 				st.Durable = true
 				st.CommittedSeq = store.LastCommittedSeq()
 			}
@@ -170,7 +161,7 @@ func ready(w http.ResponseWriter, sys *core.System) *core.System {
 	return sys
 }
 
-func (h *Host) ready(w http.ResponseWriter) *core.System { return ready(w, h.sys.Load()) }
+func (h *Host) ready(w http.ResponseWriter) *core.System { return ready(w, h.local.Sys()) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -303,160 +294,101 @@ func (rh ReadHandlers) handleCandidates(w http.ResponseWriter, r *http.Request) 
 
 func (h *Host) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req FeedbackRequest
-	if !decode(w, r, &req, &req.Proto) {
+	if !decode(w, r, &req, &req.Proto) || h.ready(w) == nil {
 		return
 	}
-	sys := h.ready(w)
-	if sys == nil {
-		return
-	}
-	if err := sys.SubmitFeedback(req.Feedback); err != nil {
+	if err := h.local.Feedback(req.Feedback); err != nil {
 		if errors.Is(err, core.ErrUnknownSource) {
 			httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeUnknownSource, err.Error(), nil)
 		} else {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
+			badRequest(w, err)
 		}
 		return
 	}
 	h.reg.Add("shardrpc.host.feedback", 1)
-	writeJSON(w, http.StatusOK, FeedbackResponse{Epoch: sys.Snapshot().Epoch})
+	writeJSON(w, http.StatusOK, FeedbackResponse{Epoch: h.local.Sys().Snapshot().Epoch})
 }
 
-// handleAdopt applies a coordinator adoption idempotently: sources
-// already present (a retry after a lost response) are skipped, and the
-// pushed mediation is installed either way — exactly the durable
-// coordinator's redo discipline, which makes retrying this endpoint
-// safe.
+func badRequest(w http.ResponseWriter, err error) {
+	httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
+}
+
+// structural is the one shape of the four structural handlers once the
+// request is decoded: run the shard.Local verb, checkpoint (structural
+// changes are never logged, so durability is a forced checkpoint — or,
+// for a shard left empty, no store files at all), advance the state
+// generation, acknowledge. A verb that fails changed nothing and answers
+// 400. Retrying any of them is safe: the verbs are idempotent (see
+// shard.Shard).
+func (h *Host) structural(w http.ResponseWriter, counter string, verb func() error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := verb(); err != nil {
+		badRequest(w, err)
+		return
+	}
+	if err := h.local.Checkpoint(); err != nil {
+		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, fmt.Sprintf("checkpoint: %v", err), nil)
+		return
+	}
+	gen := h.stateGen.Add(1)
+	h.reg.Add("shardrpc.host."+counter, 1)
+	writeJSON(w, http.StatusOK, MutationResponse{Epoch: h.local.Sys().Snapshot().Epoch, StateGen: gen})
+}
+
 func (h *Host) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	var req AdoptRequest
-	if !decode(w, r, &req, &req.Proto) {
+	if !decode(w, r, &req, &req.Proto) || h.ready(w) == nil {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	sys := h.ready(w)
-	if sys == nil {
-		return
-	}
-	med, err := DecodeMed(req.Med)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	srcs, err := DecodeSources(req.Sources)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	have := make(map[string]bool)
-	for _, s := range sys.Snapshot().Corpus.Sources {
-		have[s.Name] = true
-	}
-	missing := make([]*schema.Source, 0, len(srcs))
-	for _, s := range srcs {
-		if !have[s.Name] {
-			missing = append(missing, s)
+	h.structural(w, "adopts", func() error {
+		med, err := DecodeMed(req.Med)
+		if err != nil {
+			return err
 		}
-	}
-	if len(missing) > 0 {
-		err = sys.ShardAdoptSources(missing, med)
-	} else {
-		err = sys.ShardSetMediation(med)
-	}
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	if err := h.persistStructuralLocked(); err != nil {
-		httpapi.WriteStatusError(w, err)
-		return
-	}
-	h.stateGen.Add(1)
-	h.reg.Add("shardrpc.host.adopts", 1)
-	writeJSON(w, http.StatusOK, MutationResponse{Epoch: sys.Snapshot().Epoch, StateGen: h.stateGen.Load()})
+		srcs, err := DecodeSources(req.Sources)
+		if err != nil {
+			return err
+		}
+		return h.local.Adopt(srcs, med)
+	})
 }
 
-// handleDrop drops a source idempotently: an absent name (a retry)
-// still installs the pushed mediation.
 func (h *Host) handleDrop(w http.ResponseWriter, r *http.Request) {
 	var req DropRequest
-	if !decode(w, r, &req, &req.Proto) {
+	if !decode(w, r, &req, &req.Proto) || h.ready(w) == nil {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	sys := h.ready(w)
-	if sys == nil {
-		return
-	}
-	med, err := DecodeMed(req.Med)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	present := false
-	for _, s := range sys.Snapshot().Corpus.Sources {
-		if s.Name == req.Name {
-			present = true
-			break
+	h.structural(w, "drops", func() error {
+		med, err := DecodeMed(req.Med)
+		if err != nil {
+			return err
 		}
-	}
-	if present {
-		err = sys.ShardDropSource(req.Name, med)
-	} else {
-		err = sys.ShardSetMediation(med)
-	}
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	if err := h.persistStructuralLocked(); err != nil {
-		httpapi.WriteStatusError(w, err)
-		return
-	}
-	h.stateGen.Add(1)
-	h.reg.Add("shardrpc.host.drops", 1)
-	writeJSON(w, http.StatusOK, MutationResponse{Epoch: sys.Snapshot().Epoch, StateGen: h.stateGen.Load()})
+		return h.local.Drop(req.Name, med)
+	})
 }
 
 func (h *Host) handleMediation(w http.ResponseWriter, r *http.Request) {
 	var req MediationRequest
-	if !decode(w, r, &req, &req.Proto) {
+	if !decode(w, r, &req, &req.Proto) || h.ready(w) == nil {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	sys := h.ready(w)
-	if sys == nil {
-		return
-	}
-	med, err := DecodeMed(req.Med)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	if err := sys.ShardSetMediation(med); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-		return
-	}
-	if err := h.persistStructuralLocked(); err != nil {
-		httpapi.WriteStatusError(w, err)
-		return
-	}
-	h.stateGen.Add(1)
-	h.reg.Add("shardrpc.host.mediations", 1)
-	writeJSON(w, http.StatusOK, MutationResponse{Epoch: sys.Snapshot().Epoch, StateGen: h.stateGen.Load()})
+	h.structural(w, "mediations", func() error {
+		med, err := DecodeMed(req.Med)
+		if err != nil {
+			return err
+		}
+		return h.local.SetMediation(med)
+	})
 }
 
 // handleReplace installs a wholesale state replacement: either a persist
 // snapshot stream (Content-Type application/octet-stream) or the JSON
-// empty-projection form. Idempotent by construction — re-applying the
-// same replacement converges to the same state.
+// empty-projection form. It is the one structural verb a stateless host
+// accepts.
 func (h *Host) handleReplace(w http.ResponseWriter, r *http.Request) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var next *core.System
-	if ct := r.Header.Get("Content-Type"); ct == "application/json" {
+	var next func() (*core.System, error)
+	if r.Header.Get("Content-Type") == "application/json" {
 		var req ReplaceEmptyRequest
 		if !decode(w, r, &req, &req.Proto) {
 			return
@@ -466,20 +398,16 @@ func (h *Host) handleReplace(w http.ResponseWriter, r *http.Request) {
 				"JSON replace form is only for empty projections; ship a snapshot stream otherwise", nil)
 			return
 		}
-		med, err := DecodeMed(req.Med)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-			return
-		}
-		target, err := DecodeTarget(req.Target)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-			return
-		}
-		next, err = core.NewEmptyShard(req.Domain, h.cfg, med, target)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-			return
+		next = func() (*core.System, error) {
+			med, err := DecodeMed(req.Med)
+			if err != nil {
+				return nil, err
+			}
+			target, err := schema.FromClusters(req.Target)
+			if err != nil {
+				return nil, fmt.Errorf("shardrpc: wire target: %w", err)
+			}
+			return core.NewEmptyShard(req.Domain, h.cfg, med, target)
 		}
 	} else {
 		if v := r.Header.Get("X-UDI-Proto"); v != strconv.Itoa(Version) {
@@ -487,84 +415,21 @@ func (h *Host) handleReplace(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("protocol version %q, host speaks %d", v, Version), nil)
 			return
 		}
-		sys, _, err := persist.LoadWithSeq(r.Body, h.cfg)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery,
-				fmt.Sprintf("bad snapshot stream: %v", err), nil)
-			return
-		}
-		next = sys
-	}
-
-	cur := h.sys.Load()
-	if cur != nil {
-		// In-place replacement keeps the epoch monotone and the persist
-		// store attached to the same System.
-		if err := cur.ShardReplaceState(next); err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
-			return
-		}
-	} else {
-		h.sys.Store(next)
-		cur = next
-	}
-	if err := h.persistStructuralLocked(); err != nil {
-		httpapi.WriteStatusError(w, err)
-		return
-	}
-	h.stateGen.Add(1)
-	h.reg.Add("shardrpc.host.replaces", 1)
-	writeJSON(w, http.StatusOK, MutationResponse{Epoch: cur.Snapshot().Epoch, StateGen: h.stateGen.Load()})
-}
-
-// persistStructuralLocked makes a structural change durable. Structural
-// ops commit with a nil Op (never WAL-logged), so durability is a forced
-// checkpoint; an empty shard cannot be checkpointed and holds no store
-// files at all (the internal/shard convention). Caller holds h.mu.
-func (h *Host) persistStructuralLocked() error {
-	if h.opts.DataDir == "" {
-		return nil
-	}
-	sys := h.sys.Load()
-	if sys == nil {
-		return nil
-	}
-	empty := len(sys.Snapshot().Corpus.Sources) == 0
-	st := h.store.Load()
-	if empty {
-		if st != nil {
-			st.Close()
-			h.store.Store(nil)
-		}
-		if err := persist.RemoveStoreFiles(h.opts.DataDir); err != nil {
-			return &httpapi.StatusError{Status: http.StatusInternalServerError, Code: httpapi.CodeInternal,
-				Message: fmt.Sprintf("drop store: %v", err)}
-		}
-		return nil
-	}
-	if st == nil {
-		// First non-empty state on a durable host: initialize the store
-		// around the served system (writes the first checkpoint and
-		// attaches the WAL for feedback).
-		if err := persist.RemoveStoreFiles(h.opts.DataDir); err != nil {
-			return &httpapi.StatusError{Status: http.StatusInternalServerError, Code: httpapi.CodeInternal,
-				Message: fmt.Sprintf("reset store: %v", err)}
-		}
-		_, newSt, err := persist.OpenStore(h.opts.DataDir, h.cfg, h.opts.Store, func() (*core.System, error) {
+		next = func() (*core.System, error) {
+			sys, _, err := persist.LoadWithSeq(r.Body, h.cfg)
+			if err != nil {
+				return nil, fmt.Errorf("bad snapshot stream: %v", err)
+			}
 			return sys, nil
-		})
-		if err != nil {
-			return &httpapi.StatusError{Status: http.StatusInternalServerError, Code: httpapi.CodeInternal,
-				Message: fmt.Sprintf("open store: %v", err)}
 		}
-		h.store.Store(newSt)
-		return nil
 	}
-	if err := st.Checkpoint(); err != nil {
-		return &httpapi.StatusError{Status: http.StatusInternalServerError, Code: httpapi.CodeInternal,
-			Message: fmt.Sprintf("checkpoint: %v", err)}
-	}
-	return nil
+	h.structural(w, "replaces", func() error {
+		proj, err := next()
+		if err != nil {
+			return err
+		}
+		return h.local.Replace(proj)
+	})
 }
 
 // handleState streams the bootstrap snapshot a replica loads before
@@ -584,7 +449,7 @@ func (h *Host) handleState(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	var seq uint64
 	var err error
-	if st := h.store.Load(); st != nil {
+	if st := h.local.Store(); st != nil {
 		seq, err = st.SaveSnapshotAt(&buf)
 	} else {
 		err = persist.Save(&buf, sys)
@@ -599,7 +464,7 @@ func (h *Host) handleState(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-UDI-Seq", strconv.FormatUint(seq, 10))
 	w.Header().Set("X-UDI-State-Gen", strconv.FormatUint(h.stateGen.Load(), 10))
 	w.Header().Set("X-UDI-Epoch", strconv.FormatUint(sn.Epoch, 10))
-	w.Header().Set("X-UDI-Durable", strconv.FormatBool(h.store.Load() != nil))
+	w.Header().Set("X-UDI-Durable", strconv.FormatBool(h.local.Store() != nil))
 	h.reg.Add("shardrpc.host.state_bootstraps", 1)
 	_, _ = w.Write(buf.Bytes())
 }
@@ -610,7 +475,7 @@ func (h *Host) handleState(w http.ResponseWriter, r *http.Request) {
 // when a checkpoint folded the range away (re-bootstrap), 416/
 // wal_beyond_tail when the follower is ahead of the primary.
 func (h *Host) handleWAL(w http.ResponseWriter, r *http.Request) {
-	st := h.store.Load()
+	st := h.local.Store()
 	if st == nil {
 		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeNotReady,
 			"no WAL on this host (in-memory or empty shard)", nil)
@@ -652,7 +517,7 @@ func (h *Host) handleWAL(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-UDI-Checkpoint-Seq", strconv.FormatUint(tail.CheckpointSeq, 10))
 	w.Header().Set("X-UDI-Records", strconv.Itoa(tail.Records))
 	w.Header().Set("X-UDI-State-Gen", strconv.FormatUint(h.stateGen.Load(), 10))
-	if sys := h.sys.Load(); sys != nil {
+	if sys := h.local.Sys(); sys != nil {
 		w.Header().Set("X-UDI-Epoch", strconv.FormatUint(sys.Snapshot().Epoch, 10))
 	}
 	h.reg.Add("shardrpc.host.wal_fetches", 1)

@@ -20,9 +20,9 @@
 //	GET  /v1/shard/state      bootstrap snapshot for replicas
 //	GET  /v1/wal?from=N       committed WAL tail frames for replicas
 //
-// Mutating endpoints are idempotent on the server side (presence checks
-// mirror the durable coordinator's crash redo), so the coordinator may
-// retry them after an ambiguous failure — except feedback, which
+// Mutating endpoints are idempotent on the server side (the host drives
+// the same shard.Local verbs the durable coordinator's crash redo relies
+// on), so the coordinator may retry them after an ambiguous failure — except feedback, which
 // conditions probabilities multiplicatively and is therefore never
 // retried: a lost response leaves it unknown whether the mutation
 // landed, and re-sending could double-apply.
@@ -177,11 +177,7 @@ type MutationResponse struct {
 // --- wire value types -------------------------------------------------
 
 // WireSource is one source table on the wire.
-type WireSource struct {
-	Name  string     `json:"name"`
-	Attrs []string   `json:"attrs"`
-	Rows  [][]string `json:"rows"`
-}
+type WireSource = core.SourceData
 
 // WireMed is a p-med-schema on the wire: clusterings as string arrays
 // (the journal format the durable coordinator already proves out) and
@@ -208,81 +204,31 @@ type WireCandidate struct {
 // reconciliation path in internal/shard already proves a PMed-only
 // mediate.Result drives them correctly.
 func EncodeMed(med *mediate.Result) WireMed {
-	w := WireMed{ProbBits: make([]uint64, len(med.PMed.Probs))}
+	w := WireMed{Schemas: med.PMed.Clusters(), ProbBits: make([]uint64, len(med.PMed.Probs))}
 	for i, p := range med.PMed.Probs {
 		w.ProbBits[i] = math.Float64bits(p)
-	}
-	for _, m := range med.PMed.Schemas {
-		clusters := make([][]string, len(m.Attrs))
-		for i, a := range m.Attrs {
-			clusters[i] = []string(a)
-		}
-		w.Schemas = append(w.Schemas, clusters)
 	}
 	return w
 }
 
-// DecodeMed rebuilds the mediation result.
+// DecodeMed rebuilds (and validates) the mediation result.
 func DecodeMed(w WireMed) (*mediate.Result, error) {
-	if len(w.Schemas) != len(w.ProbBits) {
-		return nil, fmt.Errorf("shardrpc: mediation wire mismatch: %d schemas, %d probs", len(w.Schemas), len(w.ProbBits))
-	}
-	schemas := make([]*schema.MediatedSchema, len(w.Schemas))
-	for i, clusters := range w.Schemas {
-		attrs := make([]schema.MediatedAttr, len(clusters))
-		for j, c := range clusters {
-			attrs[j] = schema.NewMediatedAttr(c...)
-		}
-		m, err := schema.NewMediatedSchema(attrs)
-		if err != nil {
-			return nil, fmt.Errorf("shardrpc: wire schema %d: %w", i, err)
-		}
-		schemas[i] = m
-	}
 	probs := make([]float64, len(w.ProbBits))
 	for i, b := range w.ProbBits {
 		probs[i] = math.Float64frombits(b)
 	}
-	pmed, err := schema.NewPMedSchema(schemas, probs)
+	pmed, err := schema.PMedFromClusters(w.Schemas, probs)
 	if err != nil {
 		return nil, fmt.Errorf("shardrpc: wire p-med-schema: %w", err)
 	}
 	return &mediate.Result{PMed: pmed}, nil
 }
 
-// EncodeTarget flattens a consolidated mediated schema (nil → nil).
-func EncodeTarget(t *schema.MediatedSchema) [][]string {
-	if t == nil {
-		return nil
-	}
-	out := make([][]string, len(t.Attrs))
-	for i, a := range t.Attrs {
-		out[i] = []string(a)
-	}
-	return out
-}
-
-// DecodeTarget rebuilds a consolidated mediated schema (nil → nil).
-func DecodeTarget(clusters [][]string) (*schema.MediatedSchema, error) {
-	if clusters == nil {
-		return nil, nil
-	}
-	attrs := make([]schema.MediatedAttr, len(clusters))
-	for i, c := range clusters {
-		attrs[i] = schema.NewMediatedAttr(c...)
-	}
-	m, err := schema.NewMediatedSchema(attrs)
-	if err != nil {
-		return nil, fmt.Errorf("shardrpc: wire target: %w", err)
-	}
-	return m, nil
-}
-
 // EncodeSources flattens source tables.
 func EncodeSources(srcs []*schema.Source) []WireSource {
 	out := make([]WireSource, len(srcs))
 	for i, s := range srcs {
-		out[i] = WireSource{Name: s.Name, Attrs: s.Attrs, Rows: s.Rows}
+		out[i] = core.DataOf(s)
 	}
 	return out
 }
@@ -291,7 +237,7 @@ func EncodeSources(srcs []*schema.Source) []WireSource {
 func DecodeSources(ws []WireSource) ([]*schema.Source, error) {
 	out := make([]*schema.Source, len(ws))
 	for i, w := range ws {
-		s, err := schema.NewSource(w.Name, w.Attrs, w.Rows)
+		s, err := w.Source()
 		if err != nil {
 			return nil, fmt.Errorf("shardrpc: wire source %d: %w", i, err)
 		}
