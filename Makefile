@@ -13,11 +13,14 @@ check: vet build race soak no-skip fuzz
 vet:
 	$(GO) vet ./...
 
-# Also the guard that the test-only oracle never ships: no binary under
-# cmd/ or examples/ may link internal/reference.
+# Also the never-ships guards: no binary under cmd/ or examples/ may link
+# the test-only oracle, and the serving binaries link none of the paper's
+# evaluation harness either (the §7.3 baselines, the keyword index, the
+# matcher ablation).
 build:
 	$(GO) build ./...
 	! $(GO) list -deps ./cmd/... ./examples/... | grep -q internal/reference
+	! $(GO) list -deps ./cmd/udiserver ./cmd/udi | grep -E -q 'internal/(reference|keyword|experiments|matching)$$'
 
 test:
 	$(GO) test ./...

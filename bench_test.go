@@ -79,13 +79,13 @@ func BenchmarkFig4Baselines(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := sqlparse.MustParse(r.Spec.Queries[0])
-	approaches := []core.Approach{core.UDI, core.KeywordNaive, core.KeywordStruct,
-		core.KeywordStrict, core.SourceOnly, core.TopMapping}
+	approaches := []core.Approach{core.UDI, experiments.KeywordNaive, experiments.KeywordStruct,
+		experiments.KeywordStrict, experiments.SourceOnly, experiments.TopMapping}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, a := range approaches {
-			if _, err := sys.Run(a, q); err != nil {
+			if _, err := experiments.Run(sys, a, q); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,7 +5,7 @@
 //
 //	udi -domain People -show-schema
 //	udi -domain Car -query "SELECT make, model FROM Car WHERE price < 15000"
-//	udi -domain People -query "SELECT name, phone FROM People" -approach Source
+//	udi -domain People -query "SELECT name, phone FROM People" -approach UDI-Consolidated
 //	udi -domain Bib -sources 100 -query "SELECT author, title FROM Bib" -top 5
 //
 // With -remote the command is a thin client of a running udiserver (any
@@ -43,7 +43,7 @@ func main() {
 	importBatch := flag.Int("import-batch", 0, "stream the -data directory into the system in group-committed batches of N sources (flat memory) instead of loading it whole")
 	sources := flag.Int("sources", 0, "limit the number of sources (0 = full domain)")
 	query := flag.String("query", "", "query to answer (SELECT ... FROM ... [WHERE ...])")
-	approach := flag.String("approach", "UDI", "answering approach (UDI|UDI-Consolidated|Source|TopMapping|KeywordNaive|KeywordStruct|KeywordStrict)")
+	approach := flag.String("approach", "UDI", "answering approach (UDI|UDI-Consolidated)")
 	top := flag.Int("top", 10, "number of ranked answers to print")
 	showSchema := flag.Bool("show-schema", false, "print the probabilistic and consolidated mediated schemas")
 	save := flag.String("save", "", "after setup, snapshot the configured system to this file")
@@ -179,7 +179,11 @@ func runRemoteREPL(c *client.Client, approach string, top int) error {
 	return scanner.Err()
 }
 
-func run(domain, data string, importBatch, sources int, query, approach string, top int, showSchema bool, save, load string, explain bool, dot string, repl bool, questions int, reportPath string) error {
+func run(domain, data string, importBatch, sources int, query, approachName string, top int, showSchema bool, save, load string, explain bool, dot string, repl bool, questions int, reportPath string) error {
+	approach, err := core.ParseApproach(approachName)
+	if err != nil {
+		return err
+	}
 	var sys *core.System
 	switch {
 	case load != "":
@@ -315,7 +319,7 @@ func run(domain, data string, importBatch, sources int, query, approach string, 
 	if err != nil {
 		return err
 	}
-	rs, err := sys.Run(core.Approach(approach), q)
+	rs, err := sys.Run(approach, q)
 	if err != nil {
 		return err
 	}
@@ -342,16 +346,6 @@ func run(domain, data string, importBatch, sources int, query, approach string, 
 			fmt.Printf("   %s\n", c)
 		}
 	}
-	if len(rs.Ranked) == 0 && len(rs.Instances) > 0 {
-		// Keyword baselines return unranked row instances.
-		for i, inst := range rs.Instances {
-			if i >= top {
-				fmt.Printf("... %d more\n", len(rs.Instances)-top)
-				break
-			}
-			fmt.Printf("%2d. %s row %d: %v\n", i+1, inst.Source, inst.Row, inst.Values)
-		}
-	}
 	return nil
 }
 
@@ -364,7 +358,7 @@ func printTimings(sys *core.System) {
 // runREPL reads queries from stdin, one per line, until EOF. Lines
 // starting with '#' are comments; ".schema" prints the mediated schemas;
 // ".explain <query>" prints the top answer's provenance.
-func runREPL(sys *core.System, approach string, top int) error {
+func runREPL(sys *core.System, approach core.Approach, top int) error {
 	fmt.Fprintln(os.Stderr, "enter SELECT queries, one per line (.schema to inspect, ctrl-D to exit)")
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<16), 1<<20)
@@ -391,7 +385,7 @@ func runREPL(sys *core.System, approach string, top int) error {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			continue
 		}
-		rs, err := sys.Run(core.Approach(approach), q)
+		rs, err := sys.Run(approach, q)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			continue

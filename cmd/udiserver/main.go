@@ -69,8 +69,9 @@
 //	GET  /v1/healthz     liveness, source count, serving epoch
 //	GET  /v1/schema      probabilistic + consolidated mediated schemas,
 //	                     epoch, staleness
-//	POST /v1/query       {"query": "SELECT ...", "approach": "UDI",
-//	                     "top": 10, "semantics": "by-table"|"by-tuple"}
+//	POST /v1/query       {"query": "SELECT ...", "approach": "UDI"|
+//	                     "UDI-Consolidated", "top": 10,
+//	                     "semantics": "by-table"|"by-tuple"}
 //	POST /v1/explain     {"query": "...", "values": [...]} — provenance
 //	POST /v1/feedback    {"source": "...", "attr": "...", "med_name":
 //	                     "...", "confirmed": true} — pay-as-you-go loop

@@ -2,11 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"udi/internal/core"
@@ -166,35 +168,43 @@ func TestDurableRestartAllDomains(t *testing.T) {
 
 // TestServeObservability drives the full server stack end to end: build a
 // system, serve it, run a query, then check the observability endpoints
-// report live counters for it.
+// report live counters for it. Every response is read to EOF: the server
+// counts and logs a request after its handler returns, before it ends the
+// body, so EOF orders each request's bookkeeping before the next check.
 func TestServeObservability(t *testing.T) {
 	sys, err := buildSystem("People", "", "", 12, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	api := httpapi.NewServer(sys, httpapi.Options{})
-	var logged int
-	api.Logf = func(format string, args ...any) { logged++ }
+	var logged atomic.Int64
+	api.Logf = func(format string, args ...any) { logged.Add(1) }
 	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()
+	do := func(method, path, body string) (int, []byte) {
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		return resp.StatusCode, raw
+	}
 
-	body := strings.NewReader(`{"query": "SELECT name FROM people"}`)
-	resp, err := http.Post(srv.URL+"/v1/query", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status %d", resp.StatusCode)
+	if status, _ := do(http.MethodPost, "/v1/query", `{"query": "SELECT name FROM people"}`); status != http.StatusOK {
+		t.Fatalf("query status %d", status)
 	}
 
-	resp, err = http.Get(srv.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	_, raw := do(http.MethodGet, "/v1/metrics", "")
 	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
 	if snap.Counters["http.requests./query"] < 1 {
@@ -204,29 +214,20 @@ func TestServeObservability(t *testing.T) {
 		t.Errorf("query.count = %d, want >= 1", snap.Counters["query.count"])
 	}
 
-	resp, err = http.Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	_, raw = do(http.MethodGet, "/debug/vars", "")
 	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+	if err := json.Unmarshal(raw, &vars); err != nil {
 		t.Fatalf("/debug/vars: %v", err)
 	}
 	if _, ok := vars["udi"]; !ok {
 		t.Error("/debug/vars is missing the udi key")
 	}
 
-	resp, err = http.Get(srv.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/debug/pprof/ status %d", resp.StatusCode)
+	if status, _ := do(http.MethodGet, "/debug/pprof/", ""); status != http.StatusOK {
+		t.Errorf("/debug/pprof/ status %d", status)
 	}
 
-	if logged < 4 {
-		t.Errorf("%d log lines, want >= 4", logged)
+	if n := logged.Load(); n < 4 {
+		t.Errorf("%d log lines, want >= 4", n)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"udi/internal/core"
 	"udi/internal/datagen"
 	"udi/internal/eval"
+	"udi/internal/experiments"
 	"udi/internal/sqlparse"
 )
 
@@ -42,7 +43,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srcRS := sys.QuerySource(q)
+	srcRS, err := experiments.Run(sys, experiments.SourceOnly, q)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	udiScore := eval.InstancePRF(udiRS.Instances, golden, true)
 	srcScore := eval.InstancePRF(srcRS.Instances, golden, true)

@@ -330,61 +330,6 @@ func (e *Engine) AnswerConsolidatedCtx(ctx context.Context, target *schema.Media
 	})
 }
 
-// DeterministicMaps carries, per source, a single mapping from mediated
-// attribute index to source attribute (used by the TopMapping baseline).
-type DeterministicMaps map[string]map[int]string
-
-// AnswerTopMapping answers q using only the given deterministic mapping
-// per source over schema target (§7.3's TopMapping baseline). Matching
-// answers get probability 1.
-func (e *Engine) AnswerTopMapping(target *schema.MediatedSchema, maps DeterministicMaps, q *sqlparse.Query) (*ResultSet, error) {
-	return e.AnswerTopMappingCtx(context.Background(), target, maps, q)
-}
-
-// AnswerTopMappingCtx is AnswerTopMapping under a context (see
-// AnswerPMedCtx).
-func (e *Engine) AnswerTopMappingCtx(ctx context.Context, target *schema.MediatedSchema, maps DeterministicMaps, q *sqlparse.Query) (*ResultSet, error) {
-	medIdxs, ok := queryMedIdxs(q, target)
-	if !ok {
-		return newAccumulator(0).results(), nil
-	}
-	return e.runPerSource(ctx, func(ctx context.Context, src *schema.Source, acc *accumulator) error {
-		if m := maps[src.Name]; m != nil {
-			return e.scanAssignment(ctx, acc, src.Name, q, medIdxs, m, 1)
-		}
-		return nil
-	})
-}
-
-// AnswerSource implements the Source baseline (§7.3): the query is posed
-// directly on every source whose schema literally contains all query
-// attributes; answers are certain (probability 1) and combined by union.
-func (e *Engine) AnswerSource(q *sqlparse.Query) *ResultSet {
-	rs, _ := e.AnswerSourceCtx(context.Background(), q)
-	return rs
-}
-
-// AnswerSourceCtx is AnswerSource under a context; the only possible
-// error is a context cancellation.
-func (e *Engine) AnswerSourceCtx(ctx context.Context, q *sqlparse.Query) (*ResultSet, error) {
-	return e.runPerSource(ctx, func(ctx context.Context, src *schema.Source, acc *accumulator) error {
-		for _, a := range q.Attrs() {
-			if !src.HasAttr(a) {
-				return nil
-			}
-		}
-		idxs, rows, err := e.tables[src.Name].SelectIdxCtx(ctx, q.Select, q.Where)
-		if err != nil {
-			if isCancellation(err) {
-				return err
-			}
-			return nil // attribute presence was checked; defensive
-		}
-		acc.addAssignment(src.Name, idxs, rows, 1)
-		return nil
-	})
-}
-
 // scanAssignment rewrites q under one (mediated→source) assignment, scans
 // the source table and accumulates weight for each matching row. An
 // assignment that leaves any query attribute unmapped contributes nothing

@@ -207,48 +207,6 @@ func TestAnswerPMedMismatchedMaps(t *testing.T) {
 	}
 }
 
-func TestAnswerSourceBaseline(t *testing.T) {
-	s1 := schema.MustNewSource("s1", []string{"name", "phone"},
-		[][]string{{"Alice", "111"}, {"Bob", "222"}})
-	s2 := schema.MustNewSource("s2", []string{"name", "telephone"},
-		[][]string{{"Carol", "333"}})
-	corpus, _ := schema.NewCorpus("d", []*schema.Source{s1, s2})
-	e := NewEngine(corpus)
-	rs := e.AnswerSource(sqlparse.MustParse("SELECT name FROM t WHERE phone = '111'"))
-	// Only s1 has both attrs literally; Carol's source is skipped.
-	if len(rs.Ranked) != 1 || rs.Ranked[0].Values[0] != "Alice" || rs.Ranked[0].Prob != 1 {
-		t.Errorf("Source baseline = %v", rs.Ranked)
-	}
-	rs = e.AnswerSource(sqlparse.MustParse("SELECT name FROM t"))
-	if len(rs.Ranked) != 3 {
-		t.Errorf("full projection = %v", rs.Ranked)
-	}
-}
-
-func TestAnswerTopMapping(t *testing.T) {
-	corpus, in := figure1Fixture()
-	e := NewEngine(corpus)
-	target := in.PMed.Schemas[0] // use M3 directly as target
-	maps := DeterministicMaps{
-		"S1": {
-			clusterIdx(target, "name"):    "name",
-			clusterIdx(target, "phone"):   "hPhone",
-			clusterIdx(target, "address"): "hAddr",
-		},
-	}
-	rs, err := e.AnswerTopMapping(target, maps, sqlparse.MustParse("SELECT name, phone, address FROM People"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Ranked) != 1 {
-		t.Fatalf("TopMapping answers = %v", rs.Ranked)
-	}
-	want := []string{"Alice", "123-4567", "123, A Ave."}
-	if !reflect.DeepEqual(rs.Ranked[0].Values, want) || rs.Ranked[0].Prob != 1 {
-		t.Errorf("TopMapping = %v", rs.Ranked[0])
-	}
-}
-
 func TestCrossSourceDisjunction(t *testing.T) {
 	// Two sources each containing the same tuple; per-source probability
 	// p1 and p2 must combine to 1-(1-p1)(1-p2).
@@ -571,7 +529,16 @@ func TestEmptyStringAnswerKeepsItsColumn(t *testing.T) {
 			[][]string{{"", "x"}}))
 	}
 	corpus, _ := schema.NewCorpus("Car", sources)
-	rs := NewEngine(corpus).AnswerSource(sqlparse.MustParse("SELECT make FROM Car"))
+	target := medSchema([]string{"make"})
+	maps := map[string]*consolidate.PMapping{}
+	for _, src := range sources {
+		maps[src.Name] = &consolidate.PMapping{SourceName: src.Name, Target: target,
+			Mappings: []consolidate.OneToMany{{SrcToMed: map[string][]int{"make": {0}}, Prob: 1}}}
+	}
+	rs, err := NewEngine(corpus).AnswerConsolidated(target, maps, sqlparse.MustParse("SELECT make FROM Car"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rs.Ranked) != 1 || !reflect.DeepEqual(rs.Ranked[0].Values, []string{""}) {
 		t.Fatalf("Ranked = %#v, want one answer with Values [\"\"]", rs.Ranked)
 	}

@@ -1,8 +1,9 @@
 // Package core assembles the complete UDI system of the paper: fully
 // automatic setup (attribute matching → probabilistic mediated schema →
 // probabilistic schema mappings → consolidation, Figure 2) and
-// probabilistic query answering, plus every competing approach evaluated
-// in §7.3–7.4 (Keyword variants, Source, TopMapping, SingleMed, UnionAll).
+// probabilistic query answering over the p-med-schema or its
+// consolidation, plus the deterministic mediated-schema variants of §7.4
+// (SingleMed, UnionAll). The §7.3 baselines live in internal/experiments.
 package core
 
 import (
@@ -15,13 +16,11 @@ import (
 
 	"udi/internal/answer"
 	"udi/internal/consolidate"
-	"udi/internal/keyword"
 	"udi/internal/mediate"
 	"udi/internal/obs"
 	"udi/internal/pmapping"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
-	"udi/internal/storage"
 )
 
 // Config carries all setup parameters (§7.1 defaults apply to zero
@@ -79,7 +78,7 @@ func (c Config) withDefaults() Config {
 // the identically-staged span in System.Trace (import, mediate, pmappings,
 // consolidate nested under setup). New reporting should prefer the trace.
 type Timings struct {
-	Import        time.Duration // importing source schemas (table + index build)
+	Import        time.Duration // importing source schemas (tables + similarity matrices)
 	MedSchema     time.Duration // creating the p-med-schema
 	PMappings     time.Duration // creating p-mappings per source per schema
 	Consolidation time.Duration // consolidating schema and mappings
@@ -122,9 +121,7 @@ type System struct {
 	// Timings is derived from these spans.
 	Trace *obs.Span
 
-	engine  *answer.Engine
-	kwIndex *storage.KeywordIndex
-	kw      *keyword.Engine
+	engine *answer.Engine
 
 	// caches holds the setup fast path's interned similarity matrices and
 	// schema-dedup caches (see fastpath.go).
@@ -190,40 +187,23 @@ func (s *System) startTrace(variant string) {
 	s.Trace.SetAttr("parallelism", s.Cfg.Parallelism)
 }
 
-// importSources builds the query engine, keyword index and similarity
-// matrices (the "import" stage: tables + indexes over every source
-// schema, plus the interned vocabulary every later stage reads). With
-// Parallelism > 1 the keyword index shards per source and the matrices
-// fill concurrently with it; both constructions are deterministic, so
-// the stage's outputs are identical at any worker count.
+// importSources builds the query engine and the similarity matrices (the
+// "import" stage: one table per source schema, plus the interned
+// vocabulary every later stage reads).
 func (s *System) importSources() {
 	sp := s.Trace.Child("import")
-	if s.Cfg.Parallelism > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.ensureSims()
-		}()
-		s.buildEngines()
-		wg.Wait()
-	} else {
-		s.buildEngines()
-		s.ensureSims()
-	}
+	s.buildEngine()
+	s.ensureSims()
 	s.Timings.Import = sp.End()
 }
 
-// buildEngines builds the query engine and the keyword index and engine
-// over s.Corpus — at setup, and again whenever a structural commit
-// installs a different corpus (the engines are replaced wholesale, never
-// patched, so published snapshots keep theirs).
-func (s *System) buildEngines() {
+// buildEngine builds the query engine over s.Corpus — at setup, and again
+// whenever a structural commit installs a different corpus (the engine is
+// replaced wholesale, never patched, so published snapshots keep theirs).
+func (s *System) buildEngine() {
 	s.engine = answer.NewEngine(s.Corpus)
 	s.engine.Parallelism = s.Cfg.Parallelism
 	s.engine.SetObs(s.Cfg.Obs)
-	s.kwIndex = storage.BuildKeywordIndexP(s.Corpus, s.Cfg.Parallelism)
-	s.kw = keyword.NewEngine(s.kwIndex)
 }
 
 // endTrace closes the setup span, publishes the freshly built state as
@@ -411,8 +391,8 @@ func (s *System) consolidateInto(cons map[string]*consolidate.PMapping, srcs []*
 
 // Restore rebuilds a ready-to-query System from previously computed setup
 // artifacts (used by the persistence layer): it reconstructs the query
-// engine and keyword index but does not re-run matching, enumeration or
-// entropy maximization.
+// engine but does not re-run matching, enumeration or entropy
+// maximization.
 func Restore(c *schema.Corpus, cfg Config, med *mediate.Result,
 	maps map[string][]*pmapping.PMapping, target *schema.MediatedSchema,
 	consMaps map[string]*consolidate.PMapping) (*System, error) {
@@ -442,30 +422,35 @@ func Restore(c *schema.Corpus, cfg Config, med *mediate.Result,
 	return s, nil
 }
 
-// Approach names one of the paper's query-answering systems.
+// Approach names one of the system's two query-answering semantics.
 type Approach string
 
 const (
-	UDI           Approach = "UDI"
-	Consolidated  Approach = "UDI-Consolidated"
-	SourceOnly    Approach = "Source"
-	TopMapping    Approach = "TopMapping"
-	KeywordNaive  Approach = "KeywordNaive"
-	KeywordStruct Approach = "KeywordStruct"
-	KeywordStrict Approach = "KeywordStrict"
+	// UDI answers over the p-med-schema (Definition 3.3).
+	UDI Approach = "UDI"
+	// Consolidated answers over the consolidated schema and p-mappings
+	// (§6); Theorem 6.2 makes the answers equal to UDI's.
+	Consolidated Approach = "UDI-Consolidated"
 )
+
+// ParseApproach reads an approach name from outside the program: "" is
+// UDI, and anything but the two approach names is an error.
+func ParseApproach(name string) (Approach, error) {
+	switch a := Approach(name); a {
+	case "":
+		return UDI, nil
+	case UDI, Consolidated:
+		return a, nil
+	}
+	return "", fmt.Errorf("core: unknown approach %q (want %s or %s)", name, UDI, Consolidated)
+}
 
 // Query parses and answers q with the UDI semantics (Definition 3.3 over
 // the p-med-schema; answers ranked by probability). It serves from the
-// current snapshot; use QueryCtx to bound the work with a deadline.
+// current snapshot; the Snapshot methods take a context to bound the work
+// with a deadline.
 func (s *System) Query(q string) (*answer.ResultSet, error) {
 	return s.Snapshot().QueryCtx(context.Background(), q)
-}
-
-// QueryCtx is Query under a context: the scan loops poll for
-// cancellation, so an expired deadline stops the query with ctx.Err().
-func (s *System) QueryCtx(ctx context.Context, q string) (*answer.ResultSet, error) {
-	return s.Snapshot().QueryCtx(ctx, q)
 }
 
 // QueryParsed answers an already-parsed query with UDI semantics against
@@ -481,38 +466,9 @@ func (s *System) QueryParsed(q *sqlparse.Query) (*answer.ResultSet, error) {
 // concurrent traffic.
 func (s *System) Engine() *answer.Engine { return s.engine }
 
-// QueryConsolidated answers over the consolidated schema and p-mappings.
-// It requires every source to have a materialized consolidated p-mapping.
-func (s *System) QueryConsolidated(q *sqlparse.Query) (*answer.ResultSet, error) {
-	return s.Snapshot().QueryConsolidatedCtx(context.Background(), q)
-}
-
-// QuerySource runs the Source baseline (§7.3).
-func (s *System) QuerySource(q *sqlparse.Query) *answer.ResultSet {
-	rs, _ := s.Snapshot().QuerySourceCtx(context.Background(), q)
-	return rs
-}
-
-// QueryTopMapping runs the TopMapping baseline (§7.3): the consolidated
-// mediated schema with only the highest-probability mapping per source.
-func (s *System) QueryTopMapping(q *sqlparse.Query) (*answer.ResultSet, error) {
-	return s.Snapshot().QueryTopMappingCtx(context.Background(), q)
-}
-
-// QueryKeyword runs one of the keyword baselines (§7.3).
-func (s *System) QueryKeyword(q *sqlparse.Query, v keyword.Variant) []answer.Instance {
-	return s.Snapshot().QueryKeyword(q, v)
-}
-
-// Run dispatches an approach by name; keyword approaches return instance
-// lists wrapped in a ResultSet without ranking.
+// Run answers q under approach a against the current snapshot.
 func (s *System) Run(a Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
 	return s.Snapshot().RunCtx(context.Background(), a, q)
-}
-
-// RunCtx is Run under a context (see QueryCtx).
-func (s *System) RunCtx(ctx context.Context, a Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
-	return s.Snapshot().RunCtx(ctx, a, q)
 }
 
 // ExplainAnswer returns the provenance of one answer tuple under the UDI

@@ -89,7 +89,6 @@ func meanPRF(t *testing.T, c *datagen.Corpus, run func(q *sqlparse.Query) (*eval
 
 func approachPRF(t *testing.T, c *datagen.Corpus, sys *System, a Approach) eval.PRF {
 	t.Helper()
-	requireValues := a != KeywordNaive && a != KeywordStruct && a != KeywordStrict
 	return meanPRF(t, c, func(q *sqlparse.Query) (*eval.PRF, error) {
 		g, err := c.GoldenAnswers(q)
 		if err != nil {
@@ -99,7 +98,7 @@ func approachPRF(t *testing.T, c *datagen.Corpus, sys *System, a Approach) eval.
 		if err != nil {
 			return nil, err
 		}
-		s := eval.InstancePRF(rs.Instances, g, requireValues)
+		s := eval.InstancePRF(rs.Instances, g, true)
 		return &s, nil
 	})
 }
@@ -148,30 +147,6 @@ func TestUDIQualityVsGolden(t *testing.T) {
 	}
 }
 
-// Figure 4's shape: UDI beats Source, TopMapping and every keyword
-// variant; Source has perfect precision but low recall.
-func TestUDIVsBaselines(t *testing.T) {
-	c, sys := peopleSystem(t)
-	udi := approachPRF(t, c, sys, UDI)
-	src := approachPRF(t, c, sys, SourceOnly)
-	top := approachPRF(t, c, sys, TopMapping)
-	for _, kv := range []Approach{KeywordNaive, KeywordStruct, KeywordStrict} {
-		kw := approachPRF(t, c, sys, kv)
-		if kw.F >= udi.F {
-			t.Errorf("%s F %.3f >= UDI F %.3f", kv, kw.F, udi.F)
-		}
-	}
-	if src.Precision < 0.999 {
-		t.Errorf("Source precision %.3f < 1", src.Precision)
-	}
-	if src.Recall >= udi.Recall-0.2 {
-		t.Errorf("Source recall %.3f not far below UDI %.3f", src.Recall, udi.Recall)
-	}
-	if top.F >= udi.F {
-		t.Errorf("TopMapping F %.3f >= UDI F %.3f", top.F, udi.F)
-	}
-}
-
 // Figure 5's shape: the probabilistic mediated schema buys recall over
 // SingleMed on ambiguous-attribute queries, and UnionAll loses recall by
 // not grouping.
@@ -204,7 +179,7 @@ func TestConsolidatedEquivalenceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cons, err := sys.QueryConsolidated(q)
+		cons, err := sys.Run(Consolidated, q)
 		if err != nil {
 			t.Fatal(err)
 		}

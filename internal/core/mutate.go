@@ -159,7 +159,7 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, remove strin
 		}
 		s.Corpus = corpus
 		sp := trace.Child("import")
-		s.buildEngines()
+		s.buildEngine()
 		s.Timings.Import += sp.End()
 		// Copy-on-write: published snapshots hold the old maps, and keep a
 		// departed source's entries.

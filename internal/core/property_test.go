@@ -106,7 +106,7 @@ func TestEndToEndRandomCorpora(t *testing.T) {
 		}
 		// Theorem 6.2 on the same query, when consolidation materialized.
 		if len(sys.ConsMaps) == len(corpus.Sources) {
-			cons, err := sys.QueryConsolidated(q)
+			cons, err := sys.Run(Consolidated, q)
 			if err != nil {
 				t.Logf("seed %d: consolidated: %v", seed, err)
 				return false

@@ -7,7 +7,6 @@ import (
 
 	"udi/internal/answer"
 	"udi/internal/consolidate"
-	"udi/internal/keyword"
 	"udi/internal/mediate"
 	"udi/internal/pmapping"
 	"udi/internal/schema"
@@ -16,7 +15,7 @@ import (
 
 // Snapshot is one immutable epoch of the serving state: the p-med-schema,
 // every source's p-mappings, the consolidated schema and mappings, and
-// the query/keyword engines built over exactly that corpus. Queries run
+// the query engine built over exactly that corpus. Queries run
 // against a Snapshot obtained with a single atomic load, so every reader
 // sees a consistent (PMed, Maps) pair by construction — no lock, no
 // identity guard — while mutations build the next snapshot copy-on-write
@@ -44,7 +43,6 @@ type Snapshot struct {
 	ConsMaps map[string]*consolidate.PMapping
 
 	engine *answer.Engine
-	kw     *keyword.Engine
 	sys    *System
 }
 
@@ -88,7 +86,6 @@ func (s *System) publish() *Snapshot {
 		Target:    s.Target,
 		ConsMaps:  s.ConsMaps,
 		engine:    s.engine,
-		kw:        s.kw,
 		sys:       s,
 	}
 	s.snap.Store(sn)
@@ -113,8 +110,6 @@ func (s *System) adopt(r *System) {
 	s.Timings = r.Timings
 	s.Trace = r.Trace
 	s.engine = r.engine
-	s.kwIndex = r.kwIndex
-	s.kw = r.kw
 	s.caches = r.caches
 }
 
@@ -157,73 +152,13 @@ func (sn *Snapshot) QueryConsolidatedCtx(ctx context.Context, q *sqlparse.Query)
 	return sn.engine.AnswerConsolidatedCtx(ctx, sn.Target, sn.ConsMaps, q)
 }
 
-// QuerySourceCtx runs the Source baseline (§7.3).
-func (sn *Snapshot) QuerySourceCtx(ctx context.Context, q *sqlparse.Query) (*answer.ResultSet, error) {
-	return sn.engine.AnswerSourceCtx(ctx, q)
-}
-
-// QueryTopMappingCtx runs the TopMapping baseline (§7.3): the
-// consolidated mediated schema with only the highest-probability mapping
-// per source.
-func (sn *Snapshot) QueryTopMappingCtx(ctx context.Context, q *sqlparse.Query) (*answer.ResultSet, error) {
-	maps := make(answer.DeterministicMaps, len(sn.Corpus.Sources))
-	for _, src := range sn.Corpus.Sources {
-		if cpm, ok := sn.ConsMaps[src.Name]; ok {
-			best := -1
-			for i, m := range cpm.Mappings {
-				if best < 0 || m.Prob > cpm.Mappings[best].Prob {
-					best = i
-				}
-			}
-			if best >= 0 {
-				maps[src.Name] = cpm.Mappings[best].MedToSrc()
-			}
-			continue
-		}
-		// Fallback for sources whose consolidation was skipped: the top
-		// mapping of the most probable schema, rewritten into T-space by
-		// cluster containment.
-		top, _ := sn.Maps[src.Name][0].TopMapping()
-		rewritten := make(map[int]string)
-		for mi, srcAttr := range top {
-			cluster := sn.Med.PMed.Schemas[0].Attrs[mi]
-			for ti, tAttr := range sn.Target.Attrs {
-				if cluster.Contains(tAttr[0]) {
-					rewritten[ti] = srcAttr
-				}
-			}
-		}
-		maps[src.Name] = rewritten
-	}
-	return sn.engine.AnswerTopMappingCtx(ctx, sn.Target, maps, q)
-}
-
-// QueryKeyword runs one of the keyword baselines (§7.3). Keyword lookups
-// are index probes, not scans, so they take no context.
-func (sn *Snapshot) QueryKeyword(q *sqlparse.Query, v keyword.Variant) []answer.Instance {
-	return sn.kw.Answer(q, v)
-}
-
-// RunCtx dispatches an approach by name; keyword approaches return
-// instance lists wrapped in a ResultSet without ranking.
+// RunCtx dispatches an approach by name.
 func (sn *Snapshot) RunCtx(ctx context.Context, a Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
 	switch a {
 	case UDI:
 		return sn.QueryParsedCtx(ctx, q)
 	case Consolidated:
 		return sn.QueryConsolidatedCtx(ctx, q)
-	case SourceOnly:
-		return sn.QuerySourceCtx(ctx, q)
-	case TopMapping:
-		return sn.QueryTopMappingCtx(ctx, q)
-	case KeywordNaive, KeywordStruct, KeywordStrict:
-		v := keyword.Naive
-		if a == KeywordStruct {
-			v = keyword.Struct
-		} else if a == KeywordStrict {
-			v = keyword.Strict
-		}
-		return &answer.ResultSet{Instances: sn.QueryKeyword(q, v)}, nil
 	}
 	return nil, fmt.Errorf("core: unknown approach %q", a)
 }

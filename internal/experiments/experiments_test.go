@@ -98,7 +98,7 @@ func TestFig4Shape(t *testing.T) {
 		byApproach[row.Approach] = row
 	}
 	udi := byApproach[core.UDI].PRF
-	for _, a := range []core.Approach{core.KeywordNaive, core.KeywordStruct, core.KeywordStrict, core.SourceOnly, core.TopMapping} {
+	for _, a := range []core.Approach{KeywordNaive, KeywordStruct, KeywordStrict, SourceOnly, TopMapping} {
 		if byApproach[a].PRF.F >= udi.F {
 			t.Errorf("%s F %.3f >= UDI F %.3f", a, byApproach[a].PRF.F, udi.F)
 		}

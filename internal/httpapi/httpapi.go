@@ -10,8 +10,8 @@
 //
 //	{"error": {"code": "bad_query", "message": "...", "details": {...}}}
 //
-// with codes bad_query, unknown_source, timeout, canceled, overloaded,
-// and internal.
+// with codes bad_query, body_too_large, unknown_source, timeout, canceled,
+// overloaded, and internal.
 //
 // Each request serves one epoch: handlers capture the system's current
 // snapshot with an atomic load and never touch mutable state, so queries
@@ -67,7 +67,14 @@ const (
 	// CodeWALBeyondTail (416): the requested WAL tail starts past the
 	// primary's last sequence — a desynchronized follower, not lag.
 	CodeWALBeyondTail = "wal_beyond_tail"
+	// CodeBodyTooLarge (413): a request body over MaxRequestBody.
+	CodeBodyTooLarge = "body_too_large"
 )
+
+// MaxRequestBody bounds every JSON body that carries SQL text, one answer
+// tuple or one feedback item — never bulk rows: /v1/query, /v1/explain
+// and /v1/feedback here, and the shard RPC's read requests.
+const MaxRequestBody = 1 << 20
 
 // statusClientClosedRequest is the de-facto status for "the client went
 // away before we finished" (nginx's 499); Go has no name for it.
@@ -320,7 +327,7 @@ func writeError(w http.ResponseWriter, status int, code, message string, details
 // backends) is written verbatim, deadline expiry is 504/timeout, client
 // disconnect is 499/canceled, an unknown source is 404/unknown_source,
 // and everything else is a 400/bad_query (query-path errors are
-// user-input-shaped: unparsable SQL, unknown approach, missing
+// user-input-shaped: a query the semantics cannot answer, missing
 // consolidated mappings).
 func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
 	var se *StatusError
@@ -386,6 +393,30 @@ func (s *Server) internalError(w http.ResponseWriter, r *http.Request, err error
 		s.Logf("internal error: %s %s: %v", r.Method, r.URL.Path, err)
 	}
 	writeError(w, http.StatusInternalServerError, CodeInternal, "internal error", nil)
+}
+
+// DecodeJSON decodes r's JSON body into dst. On failure it writes the
+// envelope — 413 body_too_large when the body overran an
+// http.MaxBytesReader, 400 bad_query otherwise — and returns false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+	err := json.NewDecoder(r.Body).Decode(dst)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), nil)
+	default:
+		writeError(w, http.StatusBadRequest, CodeBadQuery, fmt.Sprintf("bad request body: %v", err), nil)
+	}
+	return false
+}
+
+// decodeBounded is DecodeJSON over a body capped at MaxRequestBody.
+func decodeBounded(w http.ResponseWriter, r *http.Request, dst any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBody)
+	return DecodeJSON(w, r, dst)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -538,8 +569,7 @@ type queryResponse struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadQuery, fmt.Sprintf("bad request body: %v", err), nil)
+	if !decodeBounded(w, r, &req) {
 		return
 	}
 	q, err := sqlparse.Parse(req.Query)
@@ -547,9 +577,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadQuery, err.Error(), nil)
 		return
 	}
-	approach := core.Approach(req.Approach)
-	if req.Approach == "" {
-		approach = core.UDI
+	// The request is fully validated before a view is captured, so a bad
+	// one never reaches a shard.
+	approach, err := core.ParseApproach(req.Approach)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadQuery, err.Error(), nil)
+		return
 	}
 	var ranked []answer.Answer
 	switch req.Semantics {
@@ -600,8 +633,7 @@ type contributionJSON struct {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req explainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadQuery, fmt.Sprintf("bad request body: %v", err), nil)
+	if !decodeBounded(w, r, &req) {
 		return
 	}
 	q, err := sqlparse.Parse(req.Query)
@@ -682,8 +714,7 @@ type feedbackRequest struct {
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req feedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadQuery, fmt.Sprintf("bad request body: %v", err), nil)
+	if !decodeBounded(w, r, &req) {
 		return
 	}
 	if req.MedName == "" {
@@ -711,8 +742,7 @@ type addSourcesRequest struct {
 
 func (s *Server) handleAddSources(w http.ResponseWriter, r *http.Request) {
 	var req addSourcesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadQuery, fmt.Sprintf("bad request body: %v", err), nil)
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Sources) == 0 {

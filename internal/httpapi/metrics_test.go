@@ -83,6 +83,29 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestRequestBodiesAreBounded: every front-door route whose body is SQL
+// text, one answer tuple or one feedback item refuses a body over
+// MaxRequestBody with a typed 413.
+func TestRequestBodiesAreBounded(t *testing.T) {
+	srv := testServer(t)
+	body := `{"query": "SELECT name FROM people WHERE name = '` + strings.Repeat("x", 2<<20) + `'"}`
+	for _, path := range []string{"/v1/query", "/v1/explain", "/v1/feedback"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var out errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode envelope: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || out.Error.Code != CodeBodyTooLarge {
+			t.Errorf("%s: got %d %q, want 413 %q", path, resp.StatusCode, out.Error.Code, CodeBodyTooLarge)
+		}
+	}
+}
+
 // TestMetricsEndpoint checks that a served query shows up in /metrics:
 // request counters, the latency histogram, and the query-path metrics
 // recorded by the answer engine.

@@ -1,15 +1,20 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"udi/internal/answer"
 	"udi/internal/core"
 	"udi/internal/datagen"
+	"udi/internal/persist"
 	"udi/internal/shard"
+	"udi/internal/sqlparse"
 )
 
 // shardedPair serves the same corpus twice: once through the single-core
@@ -146,5 +151,57 @@ func TestShardedFeedbackRoutes(t *testing.T) {
 	if bumped != 1 {
 		t.Fatalf("feedback bumped %d shards, want exactly the owner (%v -> %v)",
 			bumped, before.Epochs, after.Epochs)
+	}
+}
+
+// countingShard is an in-process shard whose read legs count the queries
+// they run.
+type countingShard struct {
+	shard.Shard
+	runs *atomic.Int64
+}
+
+func (c countingShard) Pin() shard.Leg { return countingLeg{Leg: c.Shard.Pin(), runs: c.runs} }
+
+type countingLeg struct {
+	shard.Leg
+	runs *atomic.Int64
+}
+
+func (l countingLeg) Run(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+	l.runs.Add(1)
+	return l.Leg.Run(ctx, a, q)
+}
+
+// TestUnknownApproachNeverFansOut: an approach the server does not serve —
+// an unknown name, or one of the §7.3 baselines — is refused with 400
+// bad_query before any shard runs the query.
+func TestUnknownApproachNeverFansOut(t *testing.T) {
+	spec := datagen.People(103)
+	spec.NumSources = 20
+	var runs atomic.Int64
+	shards := make([]shard.Shard, 4)
+	for i := range shards {
+		shards[i] = countingShard{Shard: shard.NewLocal(core.Config{}, "", persist.StoreOptions{}), runs: &runs}
+	}
+	sh, err := shard.NewOver(datagen.MustGenerate(spec).Corpus, core.Config{}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewShardedServer(sh, Options{}).Handler())
+	defer srv.Close()
+	for _, approach := range []string{"Bogus", "Source"} {
+		resp, out := postJSON(t, srv.URL+"/v1/query", queryRequest{Query: "SELECT name FROM people", Approach: approach})
+		envelope, _ := out["error"].(map[string]any)
+		if resp.StatusCode != http.StatusBadRequest || envelope["code"] != CodeBadQuery {
+			t.Errorf("approach %q: %d %v, want 400 %s", approach, resp.StatusCode, envelope, CodeBadQuery)
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("refused approaches ran %d shard legs, want 0", n)
+	}
+	resp, _ := postJSON(t, srv.URL+"/v1/query", queryRequest{Query: "SELECT name FROM people", Approach: string(core.Consolidated)})
+	if resp.StatusCode != http.StatusOK || runs.Load() != 4 {
+		t.Fatalf("served approach: status %d after %d legs, want 200 after 4", resp.StatusCode, runs.Load())
 	}
 }

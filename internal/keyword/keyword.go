@@ -15,7 +15,6 @@ package keyword
 import (
 	"udi/internal/answer"
 	"udi/internal/sqlparse"
-	"udi/internal/storage"
 	"udi/internal/strutil"
 )
 
@@ -42,11 +41,11 @@ func (v Variant) String() string {
 
 // Engine evaluates keyword queries over a prebuilt index.
 type Engine struct {
-	index *storage.KeywordIndex
+	index *Index
 }
 
 // NewEngine wraps a keyword index.
-func NewEngine(ix *storage.KeywordIndex) *Engine { return &Engine{index: ix} }
+func NewEngine(ix *Index) *Engine { return &Engine{index: ix} }
 
 // Keywords extracts the keyword query Q′ from a structured query:
 // attribute names in the SELECT clause and values in the WHERE clause.
@@ -64,7 +63,7 @@ func Keywords(q *sqlparse.Query) []string {
 // uncertainty.
 func (e *Engine) Answer(q *sqlparse.Query, v Variant) []answer.Instance {
 	keywords := Keywords(q)
-	var refs []storage.RowRef
+	var refs []RowRef
 	switch v {
 	case Naive:
 		refs = e.index.RowsWithAny(keywords)
@@ -88,11 +87,11 @@ func (e *Engine) Answer(q *sqlparse.Query, v Variant) []answer.Instance {
 // keyword is a structure term when it occurs in that source's attribute
 // names; the remaining value terms are matched with OR (Struct) or AND
 // (Strict) semantics against the source's rows.
-func (e *Engine) answerClassified(keywords []string, v Variant) []storage.RowRef {
+func (e *Engine) answerClassified(keywords []string, v Variant) []RowRef {
 	// Candidate rows come from the union; we then re-check per source with
 	// the source-specific classification.
 	candidates := e.index.RowsWithAny(keywords)
-	var out []storage.RowRef
+	var out []RowRef
 	for _, ref := range candidates {
 		valueTerms := e.valueTermsFor(keywords, ref.Source)
 		if len(valueTerms) == 0 {
@@ -122,7 +121,7 @@ func (e *Engine) valueTermsFor(keywords []string, source string) []string {
 	return out
 }
 
-func (e *Engine) rowMatches(ref storage.RowRef, valueTerms []string, requireAll bool) bool {
+func (e *Engine) rowMatches(ref RowRef, valueTerms []string, requireAll bool) bool {
 	row := e.index.Row(ref)
 	if row == nil {
 		return false

@@ -5,7 +5,6 @@ import (
 
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
-	"udi/internal/storage"
 )
 
 func fixture() *Engine {
@@ -19,7 +18,7 @@ func fixture() *Engine {
 			{"Year One", "2009"}, // contains the token "year" as a value
 		}),
 	})
-	return NewEngine(storage.BuildKeywordIndex(c))
+	return NewEngine(BuildIndex(c, 1))
 }
 
 func TestKeywords(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -70,15 +71,16 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("consolidated maps %d vs %d", len(restored.ConsMaps), len(sys.ConsMaps))
 	}
 	q := sqlparse.MustParse(c.Domain.Queries[0])
-	if _, err := restored.QueryConsolidated(q); err != nil {
-		t.Errorf("consolidated querying after restore: %v", err)
+	want, err := sys.Run(core.Consolidated, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := restored.QueryTopMapping(q); err != nil {
-		t.Errorf("top-mapping querying after restore: %v", err)
+	got, err := restored.Run(core.Consolidated, q)
+	if err != nil {
+		t.Fatalf("consolidated querying after restore: %v", err)
 	}
-	// Keyword index is rebuilt on load.
-	if rs, _ := restored.Run(core.KeywordNaive, q); rs == nil {
-		t.Error("keyword answering after restore failed")
+	if !reflect.DeepEqual(got.Ranked, want.Ranked) {
+		t.Errorf("consolidated answers changed across restore:\n got %v\nwant %v", got.Ranked, want.Ranked)
 	}
 }
 

@@ -21,10 +21,7 @@ import (
 // with ==, not a tolerance — because the merge revisits IEEE disjunction
 // factors in the oracle's order (see MergeResultSets).
 
-var diffApproaches = []core.Approach{
-	core.UDI, core.SourceOnly, core.TopMapping, core.Consolidated,
-	core.KeywordNaive, core.KeywordStruct,
-}
+var diffApproaches = []core.Approach{core.UDI, core.Consolidated}
 
 // randomShardCorpus mirrors the core package's property-test corpus
 // generator: a small vocabulary with plural variants and random

@@ -40,7 +40,7 @@ func TestScatterGatherSoak(t *testing.T) {
 		sqlparse.MustParse("SELECT " + attrs[0] + " FROM t"),
 		sqlparse.MustParse(fmt.Sprintf("SELECT %s FROM t WHERE %s != 'v999'", attrs[0], attrs[len(attrs)-1])),
 	}
-	approaches := []core.Approach{core.UDI, core.SourceOnly, core.TopMapping, core.KeywordStruct}
+	approaches := []core.Approach{core.UDI}
 
 	ctx := context.Background()
 	var done atomic.Bool

@@ -25,14 +25,6 @@ import (
 // request carries a different protocol version.
 const CodeProtocolMismatch = "protocol_mismatch"
 
-// CodeBodyTooLarge is the envelope code (413) for a read request whose
-// body exceeds MaxReadRequest.
-const CodeBodyTooLarge = "body_too_large"
-
-// MaxReadRequest bounds the JSON body of a read RPC (query, explain,
-// candidates): SQL text or one answer tuple, never bulk data.
-const MaxReadRequest = 1 << 20
-
 // HostOptions configures a shard host.
 type HostOptions struct {
 	// DataDir, when set, makes the shard durable: the pushed state is
@@ -133,15 +125,7 @@ func (h *Host) Handler() http.Handler {
 // decode unmarshals a JSON body and enforces the protocol version
 // carried in it. Returns false after writing the error response.
 func decode(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpapi.WriteError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), nil)
-			return false
-		}
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery,
-			fmt.Sprintf("bad request body: %v", err), nil)
+	if !httpapi.DecodeJSON(w, r, dst) {
 		return false
 	}
 	if *proto != Version {
@@ -189,9 +173,10 @@ type ReadHandlers struct {
 	Obs *obs.Registry
 }
 
-// decode is the package decode over a body bounded by MaxReadRequest.
+// decode is the package decode over a body bounded by
+// httpapi.MaxRequestBody.
 func (rh ReadHandlers) decode(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxReadRequest)
+	r.Body = http.MaxBytesReader(w, r.Body, httpapi.MaxRequestBody)
 	return decode(w, r, dst, proto)
 }
 
@@ -221,6 +206,11 @@ func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !rh.decode(w, r, &req, &req.Proto) {
 		return
 	}
+	approach, err := core.ParseApproach(req.Approach)
+	if err != nil {
+		badRequest(w, err)
+		return
+	}
 	sys := ready(w, rh.Sys())
 	if sys == nil {
 		return
@@ -229,10 +219,6 @@ func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
 		return
-	}
-	approach := core.Approach(req.Approach)
-	if req.Approach == "" {
-		approach = core.UDI
 	}
 	sn := sys.Snapshot()
 	rs, err := sn.RunCtx(r.Context(), approach, q)

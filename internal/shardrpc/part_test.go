@@ -88,12 +88,13 @@ func roundTrip(t *testing.T, tag string, epoch uint64, rs *answer.ResultSet) {
 }
 
 // TestPartRoundTripProperty: decode(encode(rs)) is rs, over the
-// differential generator's corpora, every approach (the keyword ones
-// return instances only), queries with and without matches, and the
-// hand-built edge result.
+// differential generator's corpora, every approach, queries with and
+// without matches, the hand-built edge result and its instances alone (a
+// result set with no per-source section, which no approach produces).
 func TestPartRoundTripProperty(t *testing.T) {
 	roundTrip(t, "empty", 0, &answer.ResultSet{})
 	roundTrip(t, "edge", math.MaxUint64, edgePart())
+	roundTrip(t, "instances only", 3, &answer.ResultSet{Instances: edgePart().Instances})
 
 	trials := 24
 	if testing.Short() {
@@ -286,6 +287,43 @@ func TestDamagedBodyIsARetryableTransportError(t *testing.T) {
 	}
 }
 
+// TestUnknownApproachNeverFansOut: the coordinator's front door refuses
+// an approach it does not serve — an unknown name, or one of the §7.3
+// baselines — with 400 bad_query before a single shard query leg is sent.
+func TestUnknownApproachNeverFansOut(t *testing.T) {
+	cfg := core.Config{Obs: obs.NewRegistry()}
+	tr := &corruptingTransport{base: &http.Transport{}}
+	co, err := shardrpc.NewCoordinator(faultCorpus(t), cfg, startHosts(t, 2, cfg), shardrpc.CoordinatorOptions{
+		Obs:    obs.NewRegistry(),
+		Client: client.Options{HTTPClient: &http.Client{Transport: tr}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(httpapi.NewBackendServer(co, obs.NewRegistry(), httpapi.Options{}).Handler())
+	defer srv.Close()
+	query := func(approach string) int {
+		body, _ := json.Marshal(client.QueryRequest{Query: "SELECT name FROM People", Approach: approach})
+		resp, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, approach := range []string{"Bogus", "Source"} {
+		if status := query(approach); status != http.StatusBadRequest {
+			t.Errorf("approach %q: status %d, want 400", approach, status)
+		}
+	}
+	if n := tr.queries.Load(); n != 0 {
+		t.Fatalf("refused approaches sent %d shard query legs, want 0", n)
+	}
+	if status := query(string(core.Consolidated)); status != http.StatusOK || tr.queries.Load() != 2 {
+		t.Fatalf("served approach: status %d after %d legs, want 200 after 2", status, tr.queries.Load())
+	}
+}
+
 // frameOf closes a hand-written header-less body into a frame the
 // trailer checks accept, so the decoder's structural checks are reached.
 func frameOf(body ...byte) []byte {
@@ -353,12 +391,12 @@ func TestDecodePartBoundsDeclaredCounts(t *testing.T) {
 }
 
 // TestReadRequestBodiesAreBounded: the read handlers refuse a body over
-// MaxReadRequest with a typed 413, before parsing it.
+// httpapi.MaxRequestBody with a typed 413, before parsing it.
 func TestReadRequestBodiesAreBounded(t *testing.T) {
 	cfg := core.Config{Obs: obs.NewRegistry()}
 	addrs := startHosts(t, 1, cfg)
 	body, _ := json.Marshal(shardrpc.QueryRequest{Proto: shardrpc.Version,
-		Query: "SELECT a FROM t WHERE a = '" + strings.Repeat("x", shardrpc.MaxReadRequest) + "'"})
+		Query: "SELECT a FROM t WHERE a = '" + strings.Repeat("x", httpapi.MaxRequestBody) + "'"})
 	for _, path := range []string{"/v1/shard/query", "/v1/shard/explain", "/v1/shard/candidates"} {
 		resp, err := http.Post(addrs[0]+path, "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -374,8 +412,8 @@ func TestReadRequestBodiesAreBounded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode envelope: %v", path, err)
 		}
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != shardrpc.CodeBodyTooLarge {
-			t.Errorf("%s: got %d %q, want 413 %q", path, resp.StatusCode, env.Error.Code, shardrpc.CodeBodyTooLarge)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != httpapi.CodeBodyTooLarge {
+			t.Errorf("%s: got %d %q, want 413 %q", path, resp.StatusCode, env.Error.Code, httpapi.CodeBodyTooLarge)
 		}
 	}
 }

@@ -29,10 +29,7 @@ import (
 // protocol ships IEEE bit patterns and the merge re-runs the oracle's
 // disjunction order, so nothing may drift.
 
-var rpcApproaches = []core.Approach{
-	core.UDI, core.SourceOnly, core.TopMapping, core.Consolidated,
-	core.KeywordNaive, core.KeywordStruct,
-}
+var rpcApproaches = []core.Approach{core.UDI, core.Consolidated}
 
 // startHosts brings up n empty shard hosts over loopback HTTP and
 // returns their base URLs. Servers and WAL handles close with the test.

@@ -1,8 +1,7 @@
 // Package storage is the relational-store substrate that replaces MySQL in
 // the paper's evaluation (§7.1): it stores each data source as a single
 // in-memory table and supports select-project scans with comparison and
-// LIKE predicates, plus an inverted keyword index used by the keyword
-// baselines (§7.3).
+// LIKE predicates.
 package storage
 
 import (
