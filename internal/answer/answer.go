@@ -21,9 +21,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"udi/internal/consolidate"
@@ -178,63 +178,61 @@ func (e *Engine) runPerSourceInner(ctx context.Context, work func(ctx context.Co
 	}
 	n := len(e.corpus.Sources)
 	accs := make([]*accumulator, n)
-	workers := e.Parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, src := range e.corpus.Sources {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		firstErr error
+	)
+	// run evaluates sources in turn until none is left or one fails. A
+	// source that matched no row leaves its accumulator untouched, and the
+	// next source reuses it.
+	run := func() {
+		acc := newAccumulator(0)
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			err := ctx.Err()
+			if err == nil {
+				err = work(ctx, e.corpus.Sources[i], acc)
 			}
-			acc := newAccumulator(0)
-			if err := work(ctx, src, acc); err != nil {
-				return nil, err
-			}
-			acc.finishSource()
-			accs[i] = acc
-		}
-	} else {
-		var (
-			wg       sync.WaitGroup
-			sem      = make(chan struct{}, workers)
-			mu       sync.Mutex
-			firstErr error
-		)
-		for i := range e.corpus.Sources {
-			if err := ctx.Err(); err != nil {
+			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
 				mu.Unlock()
-				break
+				return
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				acc := newAccumulator(0)
-				if err := work(ctx, e.corpus.Sources[i], acc); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				acc.finishSource()
-				accs[i] = acc
-			}(i)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+			if len(acc.instList) == 0 {
+				continue
+			}
+			acc.finishSource()
+			accs[i] = acc
+			acc = newAccumulator(0)
 		}
 	}
+	if workers := min(e.Parallelism, n); workers <= 1 {
+		run()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		wg.Wait()
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
 	tRank := time.Now()
-	merged := newAccumulator(0)
+	merged, total := newAccumulator(0), 0
+	for _, acc := range accs {
+		if acc != nil {
+			total += len(acc.instList)
+		}
+	}
+	merged.instList = make([]Instance, 0, total)
 	for _, acc := range accs {
 		if acc != nil {
 			merged.merge(acc)
@@ -371,8 +369,11 @@ func queryMedIdxs(q *sqlparse.Query, med *schema.MediatedSchema) (map[string]int
 // accumulator gathers per-row instance probabilities and per-source tuple
 // probabilities, then combines sources by disjunction.
 type accumulator struct {
-	instances map[string]*Instance // key: source|row|values
-	instOrder []string
+	// instances finds an instance's index in instList, which holds them
+	// in first-seen order, by (source, row, values). Keys never collide
+	// across sources, so merge concatenates lists and needs no lookup.
+	instances map[instKey]int
+	instList  []Instance
 
 	// curTupleProb accumulates the current source's per-tuple by-table
 	// probability: within one assignment a tuple counts once (set
@@ -381,27 +382,32 @@ type accumulator struct {
 	curTupleProb map[string]float64
 	tupleProbs   []SourceTupleProbs // one entry per finished source
 	tupleOrder   []string
-	tupleSeen    map[string]bool
+	tupleSeen    map[string]bool // merge's dedup of tupleOrder across sources
+	// seen is the tuple set of the assignment being added, reused across
+	// assignments.
+	seen map[string]bool
 }
 
-func newAccumulator(_ int) *accumulator {
-	return &accumulator{
-		instances:    make(map[string]*Instance),
-		curTupleProb: make(map[string]float64),
-		tupleSeen:    make(map[string]bool),
-	}
+type instKey struct {
+	source string
+	row    int
+	tuple  string
 }
+
+// newAccumulator returns an empty accumulator; addAssignment and merge
+// allocate the maps they write, sized to what they first see.
+func newAccumulator(_ int) *accumulator { return &accumulator{} }
 
 // merge folds a finished per-source accumulator into the receiver.
 // Instance keys are disjoint across sources (they embed the source name),
 // so instances concatenate; per-source tuple-probability maps append for
 // the cross-source disjunction; tuple order dedupes globally.
 func (a *accumulator) merge(b *accumulator) {
-	for _, ik := range b.instOrder {
-		a.instances[ik] = b.instances[ik]
-		a.instOrder = append(a.instOrder, ik)
-	}
+	a.instList = append(a.instList, b.instList...)
 	a.tupleProbs = append(a.tupleProbs, b.tupleProbs...)
+	if a.tupleSeen == nil {
+		a.tupleSeen = make(map[string]bool, len(b.tupleOrder))
+	}
 	for _, tk := range b.tupleOrder {
 		if !a.tupleSeen[tk] {
 			a.tupleSeen[tk] = true
@@ -415,29 +421,40 @@ func tupleKey(values []string) string { return strings.Join(values, "\x1f") }
 // addAssignment records the result of scanning one source under one
 // mapping assignment carrying the given probability weight: every matching
 // (row, values) occurrence accumulates the weight, and each distinct tuple
-// accumulates it once (by-table set semantics).
+// accumulates it once (by-table set semantics). rows are the scan's own
+// projections, which a new instance keeps as its Values. An accumulator
+// adds one source's assignments, between finishSource calls.
 func (a *accumulator) addAssignment(source string, rowIdxs []int, rows [][]string, weight float64) {
+	if len(rowIdxs) == 0 {
+		return
+	}
 	a.curSource = source
-	seen := make(map[string]bool, len(rows))
+	if a.instances == nil {
+		// The source's first assignment sizes the maps once instead of
+		// growing them row by row.
+		a.instances = make(map[instKey]int, len(rows))
+		a.instList = make([]Instance, 0, len(rows))
+		a.curTupleProb = make(map[string]float64, len(rows))
+		a.tupleOrder = make([]string, 0, len(rows))
+		a.seen = make(map[string]bool, len(rows))
+	}
+	clear(a.seen)
 	for i, r := range rowIdxs {
 		values := rows[i]
 		tk := tupleKey(values)
-		ik := source + "\x1e" + strconv.Itoa(r) + "\x1e" + tk
-		if inst, ok := a.instances[ik]; ok {
-			inst.Prob += weight
+		ik := instKey{source, r, tk}
+		if j, ok := a.instances[ik]; ok {
+			a.instList[j].Prob += weight
 		} else {
-			v := make([]string, len(values))
-			copy(v, values)
-			a.instances[ik] = &Instance{Source: source, Row: r, Values: v, Prob: weight}
-			a.instOrder = append(a.instOrder, ik)
+			a.instances[ik] = len(a.instList)
+			a.instList = append(a.instList, Instance{Source: source, Row: r, Values: values, Prob: weight})
 		}
-		if !seen[tk] {
-			seen[tk] = true
-			a.curTupleProb[tk] += weight
-			if !a.tupleSeen[tk] {
-				a.tupleSeen[tk] = true
+		if !a.seen[tk] {
+			a.seen[tk] = true
+			if _, ok := a.curTupleProb[tk]; !ok {
 				a.tupleOrder = append(a.tupleOrder, tk)
 			}
+			a.curTupleProb[tk] += weight
 		}
 	}
 }
@@ -456,8 +473,8 @@ func (a *accumulator) finishSource() {
 func (a *accumulator) results() *ResultSet {
 	a.finishSource()
 	rs := &ResultSet{}
-	for _, ik := range a.instOrder {
-		rs.Instances = append(rs.Instances, *a.instances[ik])
+	if len(a.instList) > 0 {
+		rs.Instances = a.instList
 	}
 	// Combine across sources: p = 1 − Π(1 − p_s), clamping per-source
 	// probabilities to [0,1] (within a source the same tuple may occur in

@@ -16,6 +16,13 @@ import (
 	"udi/internal/schema"
 )
 
+// MaxMappings bounds the explicit mappings the production pipeline
+// materializes per source schema when it consolidates. A source that
+// exceeds it keeps only its factored per-schema p-mappings and goes
+// unconsolidated; answering over the p-med-schema is unaffected (Theorem
+// 6.2 makes the answers equal either way).
+const MaxMappings int64 = 100000
+
 // Schema implements Algorithm 3. Two attributes share a cluster in the
 // result T iff they share a cluster in every M_i of the p-med-schema.
 // Attributes absent from some M_i are treated as singletons there (the
@@ -163,8 +170,8 @@ type PMapping struct {
 
 // Consolidator precomputes the schema-refinement tables shared by every
 // source's consolidation against one (p-med-schema, target) pair. The
-// setup pipeline consolidates hundreds of sources against the same pair,
-// so hoisting the refinement out of the per-source call removes the
+// pipeline consolidates hundreds of sources against the same pair, so
+// hoisting the refinement out of the per-source call removes the
 // dominant repeated work (cluster scans and key construction).
 type Consolidator struct {
 	pmed   *schema.PMedSchema
@@ -268,12 +275,9 @@ func (co *Consolidator) Consolidate(pms []*pmapping.PMapping, maxMappings int64)
 	return out, nil
 }
 
-// Clone returns a deep copy of the consolidated p-mapping. The
-// schema-dedup cache in core shares one canonical consolidation across
-// sources with identical schemas and hands each a clone, so later
-// per-source rewrites (feedback re-consolidation replaces the entry
-// wholesale, but callers may also edit mappings) cannot leak between
-// sources. The target schema is shared — it is immutable.
+// Clone returns a deep copy of the consolidated p-mapping, so a caller
+// can edit mappings without touching a published one. The target schema
+// is shared — it is immutable.
 func (pm *PMapping) Clone() *PMapping {
 	cp := &PMapping{SourceName: pm.SourceName, Target: pm.Target}
 	if pm.Mappings != nil {

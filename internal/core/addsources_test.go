@@ -26,14 +26,12 @@ func scaleQuery(t *testing.T, c interface{ FrequentAttrs(float64) []string }) *s
 }
 
 // TestAddSourcesMatchesSequential: growing a system with one AddSources
-// batch must land on the same mediated schema, per-source p-mappings and
-// consolidated target as growing it with the equivalent sequence of
-// one-element batches, and both must match the reference's one-shot
-// setup over the final corpus. The scale corpus keeps the mediated
-// schema stable, so every add — batched or not — rides the fast path.
-// (Consolidated p-mappings are excluded: sequential adds consolidate
-// each source under the probabilities of its moment, the batch under the
-// final ones — the documented incremental-add approximation.)
+// batch must land on the same mediated schema, per-source p-mappings,
+// consolidated target and consolidated p-mappings as growing it with the
+// equivalent sequence of one-element batches, and both must match the
+// reference's one-shot setup over the final corpus. The scale corpus
+// keeps the mediated schema stable, so every add — batched or not —
+// rides the fast path.
 func TestAddSourcesMatchesSequential(t *testing.T) {
 	corpus := datagen.ScaleCorpus(120, 5)
 	split := 80
@@ -75,6 +73,9 @@ func TestAddSourcesMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(seqSys.Target, batchSys.Target) {
 		t.Fatal("consolidated schemas differ between batch and sequential adds")
 	}
+	if !reflect.DeepEqual(seqSys.Snapshot().ConsMaps(), batchSys.Snapshot().ConsMaps()) {
+		t.Fatal("consolidated p-mappings differ between batch and sequential adds")
+	}
 	if got, want := len(batchSys.Corpus.Sources), len(corpus.Sources); got != want {
 		t.Fatalf("batch system serves %d sources, want %d", got, want)
 	}
@@ -84,7 +85,7 @@ func TestAddSourcesMatchesSequential(t *testing.T) {
 	ref := mustReference(t, 0, corpus)
 	qs := []*sqlparse.Query{scaleQuery(t, corpus)}
 	for name, sys := range map[string]*System{"batch": batchSys, "sequential": seqSys} {
-		diffArtifacts(t, 0, name, ref, sys, false)
+		diffArtifacts(t, 0, name, ref, sys)
 		if !reflect.DeepEqual(ref.Target, sys.Target) {
 			t.Fatalf("%s: consolidated schema differs from the reference", name)
 		}

@@ -1,9 +1,12 @@
 // Package core assembles the complete UDI system of the paper: fully
 // automatic setup (attribute matching → probabilistic mediated schema →
-// probabilistic schema mappings → consolidation, Figure 2) and
+// probabilistic schema mappings → consolidated schema, Figure 2) and
 // probabilistic query answering over the p-med-schema or its
 // consolidation, plus the deterministic mediated-schema variants of §7.4
-// (SingleMed, UnionAll). The §7.3 baselines live in internal/experiments.
+// (SingleMed, UnionAll). The consolidated p-mappings are built on first
+// use, once per published epoch (Snapshot.ConsMaps): only the
+// UDI-Consolidated approach reads them. The §7.3 baselines live in
+// internal/experiments.
 package core
 
 import (
@@ -28,14 +31,9 @@ import (
 type Config struct {
 	Mediate mediate.Config
 	PMap    pmapping.Config
-	// ConsolidateLimit bounds the explicit mappings materialized per
-	// source during consolidation (default 100000). Sources exceeding it
-	// keep only the factored per-schema p-mappings; query answering over
-	// the p-med-schema is unaffected (Theorem 6.2 guarantees equal
-	// answers either way).
-	ConsolidateLimit int64
 	// Parallelism bounds the worker goroutines used for the per-source
-	// setup phases (p-mapping construction and consolidation). Default:
+	// phases (p-mapping construction, and the consolidation a
+	// UDI-Consolidated query triggers). Default:
 	// GOMAXPROCS. Set to 1 for fully serial setup (the paper's §7.6
 	// timings are single-threaded).
 	Parallelism int
@@ -52,9 +50,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ConsolidateLimit == 0 {
-		c.ConsolidateLimit = 100000
-	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -81,7 +76,7 @@ type Timings struct {
 	Import        time.Duration // importing source schemas (tables + similarity matrices)
 	MedSchema     time.Duration // creating the p-med-schema
 	PMappings     time.Duration // creating p-mappings per source per schema
-	Consolidation time.Duration // consolidating schema and mappings
+	Consolidation time.Duration // consolidating the schema (Algorithm 3); mappings consolidate on first use
 }
 
 // Total sums the phases.
@@ -109,11 +104,9 @@ type System struct {
 	// schema.
 	Maps map[string][]*pmapping.PMapping
 
-	// Target is the consolidated mediated schema (§6).
+	// Target is the consolidated mediated schema (§6). The consolidated
+	// p-mappings onto it belong to each published epoch (Snapshot.ConsMaps).
 	Target *schema.MediatedSchema
-	// ConsMaps holds the consolidated one-to-many p-mappings; a source is
-	// absent when materialization exceeded Cfg.ConsolidateLimit.
-	ConsMaps map[string]*consolidate.PMapping
 
 	Timings Timings
 	// Trace is the setup span tree (setup → import, mediate, pmappings,
@@ -265,15 +258,20 @@ func setupDeterministic(c *schema.Corpus, cfg Config, m *schema.MediatedSchema) 
 	return s, nil
 }
 
-// forEachSource runs fn over srcs using up to Parallelism workers,
+// forEachSource runs fn over srcs on the system's Parallelism workers
+// (see eachSource).
+func (s *System) forEachSource(srcs []*schema.Source, fn func(src *schema.Source) (any, error), apply func(src *schema.Source, result any)) error {
+	return eachSource(s.Cfg.Parallelism, srcs, fn, apply)
+}
+
+// eachSource runs fn over srcs using up to workers goroutines,
 // collecting the first error. Results are applied through the apply
 // callback, which runs in the caller's goroutine — but in COMPLETION
-// order, not corpus order, when Parallelism > 1. Every apply callback in
+// order, not corpus order, when workers > 1. Every apply callback in
 // this package must therefore be commutative (keyed map inserts, never
-// order-dependent appends) so that setup output is identical at
-// Parallelism 1 and N; parallel_test.go pins this.
-func (s *System) forEachSource(srcs []*schema.Source, fn func(src *schema.Source) (any, error), apply func(src *schema.Source, result any)) error {
-	workers := s.Cfg.Parallelism
+// order-dependent appends) so that output is identical at any worker
+// count; parallel_test.go pins this.
+func eachSource(workers int, srcs []*schema.Source, fn func(src *schema.Source) (any, error), apply func(src *schema.Source, result any)) error {
 	if workers > len(srcs) {
 		workers = len(srcs)
 	}
@@ -357,6 +355,9 @@ func (s *System) mapSources(srcs []*schema.Source, pmed *schema.PMedSchema) (map
 	return maps, err
 }
 
+// consolidate builds the consolidated schema (Algorithm 3). The
+// consolidated p-mappings onto it wait for the first UDI-Consolidated
+// query of each epoch (see consolidateOnce).
 func (s *System) consolidate() error {
 	sp := s.Trace.Child("consolidate")
 	target, err := consolidate.SchemaP(s.Med.PMed, s.Cfg.Parallelism)
@@ -365,28 +366,8 @@ func (s *System) consolidate() error {
 		return fmt.Errorf("core: %w", err)
 	}
 	s.Target = target
-	s.ConsMaps = make(map[string]*consolidate.PMapping, len(s.Corpus.Sources))
-	s.consolidateInto(s.ConsMaps, s.Corpus.Sources)
-	sp.SetAttr("materialized", len(s.ConsMaps))
 	s.Timings.Consolidation = sp.End()
 	return nil
-}
-
-// consolidateInto adds the consolidated p-mappings of srcs to cons in
-// parallel, under the current Med, Target and Maps. It cannot fail: a
-// source whose materialization exceeds ConsolidateLimit is skipped
-// (consolidateSource returns nil for it) and query answering uses the
-// p-med-schema path, which is equivalent (Theorem 6.2).
-func (s *System) consolidateInto(cons map[string]*consolidate.PMapping, srcs []*schema.Source) {
-	co := s.newConsolidator()
-	_ = s.forEachSource(srcs,
-		func(src *schema.Source) (any, error) { return s.consolidateSource(co, src), nil },
-		// apply runs in completion order; the keyed insert is commutative.
-		func(src *schema.Source, res any) {
-			if cpm := res.(*consolidate.PMapping); cpm != nil {
-				cons[src.Name] = cpm
-			}
-		})
 }
 
 // Restore rebuilds a ready-to-query System from previously computed setup
@@ -394,8 +375,7 @@ func (s *System) consolidateInto(cons map[string]*consolidate.PMapping, srcs []*
 // engine but does not re-run matching, enumeration or entropy
 // maximization.
 func Restore(c *schema.Corpus, cfg Config, med *mediate.Result,
-	maps map[string][]*pmapping.PMapping, target *schema.MediatedSchema,
-	consMaps map[string]*consolidate.PMapping) (*System, error) {
+	maps map[string][]*pmapping.PMapping, target *schema.MediatedSchema) (*System, error) {
 	if med == nil || med.PMed == nil {
 		return nil, fmt.Errorf("core: restore needs a p-med-schema")
 	}
@@ -406,18 +386,14 @@ func Restore(c *schema.Corpus, cfg Config, med *mediate.Result,
 		}
 	}
 	s := &System{
-		Corpus:   c,
-		Cfg:      cfg.withDefaults(),
-		Med:      med,
-		Maps:     maps,
-		Target:   target,
-		ConsMaps: consMaps,
+		Corpus: c,
+		Cfg:    cfg.withDefaults(),
+		Med:    med,
+		Maps:   maps,
+		Target: target,
 	}
 	s.startTrace("restore")
 	s.importSources()
-	if s.ConsMaps == nil {
-		s.ConsMaps = map[string]*consolidate.PMapping{}
-	}
 	s.endTrace()
 	return s, nil
 }

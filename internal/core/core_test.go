@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"udi/internal/answer"
 	"udi/internal/datagen"
 	"udi/internal/eval"
+	"udi/internal/obs"
+	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
@@ -126,8 +130,8 @@ func TestSetupStructure(t *testing.T) {
 	if sys.Timings.Total() <= 0 {
 		t.Error("timings not recorded")
 	}
-	if len(sys.ConsMaps) != len(sys.Corpus.Sources) {
-		t.Errorf("consolidated %d of %d sources", len(sys.ConsMaps), len(sys.Corpus.Sources))
+	if len(sys.Snapshot().ConsMaps()) != len(sys.Corpus.Sources) {
+		t.Errorf("consolidated %d of %d sources", len(sys.Snapshot().ConsMaps()), len(sys.Corpus.Sources))
 	}
 }
 
@@ -169,41 +173,86 @@ func TestUDIVsDeterministicSchemas(t *testing.T) {
 	}
 }
 
-// Theorem 6.2 end to end on the real corpus: answers over the consolidated
-// schema equal answers over the p-med-schema.
+// Theorem 6.2 end to end: answers over the consolidated schema equal
+// answers over the p-med-schema — on the real corpus, and on a
+// telephone~tel corpus (two possible schemas) at every step of a fast
+// AddSources and a fast RemoveSource, each of which shifts Pr(Mᵢ).
 func TestConsolidatedEquivalenceEndToEnd(t *testing.T) {
+	agree := func(label string, sys *System, queries []string, tol float64) {
+		t.Helper()
+		for _, qs := range queries {
+			q := sqlparse.MustParse(qs)
+			over, err := sys.QueryParsed(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cons, err := sys.Run(Consolidated, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(over.Ranked) != len(cons.Ranked) {
+				t.Fatalf("%s: %q: %d vs %d ranked answers", label, qs, len(over.Ranked), len(cons.Ranked))
+			}
+			// Compare as (tuple → probability) maps: probabilities agree to
+			// floating-point noise, which can reorder exact ties.
+			toMap := func(rs []answerTuple) map[string]float64 {
+				out := make(map[string]float64, len(rs))
+				for _, a := range rs {
+					out[strings.Join(a.Values, "\x1f")] = a.Prob
+				}
+				return out
+			}
+			mo, mc := toMap(asTuples(over.Ranked)), toMap(asTuples(cons.Ranked))
+			if len(mo) != len(mc) {
+				t.Fatalf("%s: %q: distinct tuples differ: %d vs %d", label, qs, len(mo), len(mc))
+			}
+			for k, p := range mo {
+				if q, ok := mc[k]; !ok || math.Abs(p-q) > tol {
+					t.Errorf("%s: %q: tuple %q prob %v vs %v", label, qs, k, p, q)
+				}
+			}
+		}
+	}
+
 	c, sys := peopleSystem(t)
-	for _, qs := range c.Domain.Queries[:5] {
-		q := sqlparse.MustParse(qs)
-		over, err := sys.QueryParsed(q)
+	agree("People", sys, c.Domain.Queries[:5], 1e-6)
+
+	var srcs []*schema.Source
+	for i, attrs := range [][]string{
+		{"telephone", "bravo"}, {"tel", "bravo"}, {"telephone", "tel", "bravo"}, {"telephone", "bravo"}, {"tel", "bravo"},
+		{"tel", "telephone", "bravo"}, {"tel", "bravo"},
+	} {
+		row := make([]string, len(attrs))
+		for j := range row {
+			row[j] = fmt.Sprintf("v%d", (i+j)%3)
+		}
+		srcs = append(srcs, schema.MustNewSource(fmt.Sprintf("g%02d", i), attrs, [][]string{row}))
+	}
+	tel, err := Setup(mustCorpus(t, "tel", srcs[:5]), Config{Obs: obs.Disabled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tel.Med.PMed.Len() < 2 {
+		t.Fatalf("telephone~tel corpus has %d possible schemas, want an uncertain edge", tel.Med.PMed.Len())
+	}
+	queries := []string{"SELECT tel, bravo FROM t", "SELECT telephone, bravo FROM t", "SELECT tel FROM t"}
+	agree("setup", tel, queries, 1e-12)
+	for _, step := range []struct {
+		label  string
+		mutate func() (bool, error)
+	}{
+		{"add", func() (bool, error) { return tel.AddSources(srcs[5:]) }},
+		{"remove", func() (bool, error) { return tel.RemoveSource("g01") }},
+	} {
+		probs := tel.Med.PMed.Probs
+		fast, err := step.mutate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cons, err := sys.Run(Consolidated, q)
-		if err != nil {
-			t.Fatal(err)
+		if !fast || reflect.DeepEqual(probs, tel.Med.PMed.Probs) {
+			t.Fatalf("%s: fast=%v, Pr(M) %v -> %v; want a fast path that shifts Pr(M)", step.label, fast, probs, tel.Med.PMed.Probs)
 		}
-		if len(over.Ranked) != len(cons.Ranked) {
-			t.Fatalf("%q: %d vs %d ranked answers", qs, len(over.Ranked), len(cons.Ranked))
-		}
-		// Compare as (tuple → probability) maps: probabilities agree to
-		// floating-point noise, which can reorder exact ties.
-		toMap := func(rs []answerTuple) map[string]float64 {
-			out := make(map[string]float64, len(rs))
-			for _, a := range rs {
-				out[strings.Join(a.Values, "\x1f")] = a.Prob
-			}
-			return out
-		}
-		mo, mc := toMap(asTuples(over.Ranked)), toMap(asTuples(cons.Ranked))
-		if len(mo) != len(mc) {
-			t.Fatalf("%q: distinct tuples differ: %d vs %d", qs, len(mo), len(mc))
-		}
-		for k, p := range mo {
-			if q, ok := mc[k]; !ok || math.Abs(p-q) > 1e-6 {
-				t.Errorf("%q: tuple %q prob %f vs %f", qs, k, p, q)
-			}
-		}
+		agree(step.label, tel, queries, 1e-12)
 	}
 }
 
@@ -284,7 +333,7 @@ func TestExplainAnswerCore(t *testing.T) {
 
 func TestRestoreRoundTripCore(t *testing.T) {
 	c, sys := peopleSystem(t)
-	restored, err := Restore(sys.Corpus, sys.Cfg, sys.Med, sys.Maps, sys.Target, sys.ConsMaps)
+	restored, err := Restore(sys.Corpus, sys.Cfg, sys.Med, sys.Maps, sys.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +350,10 @@ func TestRestoreRoundTripCore(t *testing.T) {
 		t.Errorf("restored system answers differ: %d vs %d", len(a.Ranked), len(b.Ranked))
 	}
 	// Restore validates its inputs.
-	if _, err := Restore(sys.Corpus, sys.Cfg, nil, nil, nil, nil); err == nil {
+	if _, err := Restore(sys.Corpus, sys.Cfg, nil, nil, nil); err == nil {
 		t.Error("nil p-med-schema accepted")
 	}
-	if _, err := Restore(sys.Corpus, sys.Cfg, sys.Med, nil, sys.Target, nil); err == nil {
+	if _, err := Restore(sys.Corpus, sys.Cfg, sys.Med, nil, sys.Target); err == nil {
 		t.Error("missing p-mappings accepted")
 	}
 }

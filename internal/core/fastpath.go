@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"udi/internal/consolidate"
 	"udi/internal/intern"
 	"udi/internal/mediate"
 	"udi/internal/pmapping"
@@ -16,11 +15,11 @@ import (
 )
 
 // setupCaches holds the setup fast path's shared state: the interned
-// similarity matrices and the schema-dedup caches for p-mappings and
-// consolidated p-mappings. One instance lives per System; a full rebuild
-// (Setup) starts fresh. All members are safe under the system's
-// concurrency discipline (queries share, mutations exclude) and the
-// dedup caches are additionally safe for the setup worker pool itself.
+// similarity matrices and the schema-dedup cache for p-mappings. One
+// instance lives per System; a full rebuild (Setup) starts fresh. All
+// members are safe under the system's concurrency discipline (queries
+// share, mutations exclude) and the dedup cache is additionally safe for
+// the setup worker pool itself.
 type setupCaches struct {
 	simOnce sync.Once
 	// matMed/matPMap are the interned matrices behind the similarity
@@ -31,17 +30,6 @@ type setupCaches struct {
 	matPMap *intern.Matrix
 
 	pmaps dedupCache[*pmapping.PMapping]
-	cons  dedupCache[*consolidate.PMapping]
-
-	// consol caches the consolidation refinement tables for one
-	// (p-med-schema, target) identity, checked by pointer: feedback
-	// reconditioning reuses the tables across commits, and any mediation
-	// swap (incremental add/remove fast path, shard mediation push)
-	// rebuilds them on first use via the pointer mismatch.
-	consolMu   sync.Mutex
-	consol     *consolidate.Consolidator
-	consolPMed *schema.PMedSchema
-	consolTgt  *schema.MediatedSchema
 }
 
 // dedupEntry computes its value exactly once; concurrent requesters for
@@ -76,15 +64,7 @@ func (c *dedupCache[T]) entry(key string) (*dedupEntry[T], bool) {
 	return e, ok
 }
 
-// invalidate drops every entry.
-func (c *dedupCache[T]) invalidate() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
-}
-
-// drop removes one entry (no-op for absent keys) — the scoped form of
-// invalidate.
+// drop removes one entry (no-op for absent keys).
 func (c *dedupCache[T]) drop(key string) {
 	c.mu.Lock()
 	delete(c.m, key)
@@ -222,14 +202,12 @@ func (s *System) AttrSim() strutil.Func {
 // dropFeedbackCacheEntries scopes the schema-dedup invalidation of one
 // feedback batch: for each fed-back source, drop the canonical p-mapping
 // entries of exactly the (attribute set, schema) pairs the feedback
-// conditioned, plus the attribute set's consolidation entry. Every other
-// entry stays valid: canonical values are only ever computed from
-// unconditioned state (pmapping.Build depends solely on the attribute
-// set and the clustering, and a consolidation entry is built from a
-// freshly cloned, unconditioned p-mapping when a new twin arrives), and
-// feedback conditions per-source clones, never the canonical values — so
-// a surviving entry hands a future source bit-for-bit what a fresh
-// pmapping.Build would compute. The feedback differential suite pins
+// conditioned. Every other entry stays valid: canonical values are only
+// ever computed from unconditioned state (pmapping.Build depends solely
+// on the attribute set and the clustering), and feedback conditions
+// per-source clones, never the canonical values — so a surviving entry
+// hands a future source bit-for-bit what a fresh pmapping.Build would
+// compute. The feedback differential suite pins
 // this against internal/reference. feedback.scoped_drops counts the
 // entries removed.
 func (s *System) dropFeedbackCacheEntries(dirty map[string][]int) {
@@ -246,38 +224,16 @@ func (s *System) dropFeedbackCacheEntries(dirty map[string][]int) {
 			for _, l := range schemas {
 				s.caches.pmaps.drop(fmt.Sprintf("%s\x1e%d", key, l))
 			}
-			s.caches.cons.drop(key)
-			dropped += len(schemas) + 1
+			dropped += len(schemas)
 			break
 		}
 	}
 	s.Cfg.Obs.Add("feedback.scoped_drops", int64(dropped))
 }
 
-// consolidator returns the refinement-table consolidator for the current
-// (p-med-schema, target) pair, rebuilding it only when either pointer
-// changed — the cache that lets feedback recondition incrementally
-// instead of re-deriving the tables on every commit. Callers hold the
-// commit lock (the only writer); the consolMu guard additionally covers
-// systems assembled without caches mid-flight.
-func (s *System) consolidator() *consolidate.Consolidator {
-	cs := s.caches
-	if cs == nil {
-		return s.newConsolidator()
-	}
-	cs.consolMu.Lock()
-	defer cs.consolMu.Unlock()
-	if cs.consol == nil || cs.consolPMed != s.Med.PMed || cs.consolTgt != s.Target {
-		cs.consol = s.newConsolidator()
-		cs.consolPMed = s.Med.PMed
-		cs.consolTgt = s.Target
-	}
-	return cs.consol
-}
-
 // attrSetKey canonicalizes a source schema as an order-free attribute
-// set: the dedup caches key on it because pmapping.Build and
-// ConsolidateMappings provably depend only on the attribute set (see
+// set: the dedup cache keys on it because pmapping.Build provably
+// depends only on the attribute set (see
 // pmapping.TestBuildCanonicalUnderAttrOrder), not on column order, rows
 // or the source name.
 func attrSetKey(attrs []string) string {
@@ -322,38 +278,4 @@ func (s *System) buildSourceMappings(src *schema.Source, pmed *schema.PMedSchema
 		pms = append(pms, pm)
 	}
 	return pms, nil
-}
-
-// newConsolidator precomputes the refinement tables for the current
-// (p-med-schema, target) pair; one per consolidation stage, shared by
-// every source in it.
-func (s *System) newConsolidator() *consolidate.Consolidator {
-	return consolidate.NewConsolidator(s.Med.PMed, s.Target)
-}
-
-// consolidateSource builds the consolidated p-mapping for one source,
-// deduplicated by attribute set like buildSourceMappings. A nil result
-// means materialization exceeded Cfg.ConsolidateLimit
-// for this schema shape; the p-med-schema query path remains correct
-// (Theorem 6.2), so the source is simply skipped — and so is every other
-// source sharing the shape, exactly as a per-source rebuild would.
-func (s *System) consolidateSource(co *consolidate.Consolidator, src *schema.Source) *consolidate.PMapping {
-	key := attrSetKey(src.Attrs)
-	e, existed := s.caches.cons.entry(key)
-	e.once.Do(func() {
-		e.val, e.err = co.Consolidate(s.Maps[src.Name], s.Cfg.ConsolidateLimit)
-	})
-	if r := s.Cfg.Obs; r.Enabled() {
-		if existed {
-			r.Add("setup.cons_dedup.hits", 1)
-		} else {
-			r.Add("setup.cons_dedup.misses", 1)
-		}
-	}
-	if e.err != nil {
-		return nil // too large to materialize: skip
-	}
-	cpm := e.val.Clone()
-	cpm.SourceName = src.Name
-	return cpm
 }

@@ -70,7 +70,7 @@ func TestDedupCloneIsolation(t *testing.T) {
 			t.Fatalf("schema %d: twin p-mappings alias the same Probs slice", l)
 		}
 	}
-	ca, cb := sys.ConsMaps["s00"], sys.ConsMaps["s01"]
+	ca, cb := sys.Snapshot().ConsMaps()["s00"], sys.Snapshot().ConsMaps()["s01"]
 	if ca == nil || cb == nil {
 		t.Fatal("missing consolidated p-mappings for twins")
 	}
@@ -92,7 +92,7 @@ func TestFeedbackDoesNotLeakAcrossTwins(t *testing.T) {
 	for l, pm := range sys.Maps["s01"] {
 		before[l] = pm.Clone()
 	}
-	consBefore := sys.ConsMaps["s01"].Clone()
+	consBefore := sys.Snapshot().ConsMaps()["s01"].Clone()
 
 	// Condition every correspondence of s00 in every schema.
 	for l, pm := range sys.Maps["s00"] {
@@ -110,7 +110,7 @@ func TestFeedbackDoesNotLeakAcrossTwins(t *testing.T) {
 			t.Fatalf("schema %d: feedback on s00 mutated s01's p-mapping", l)
 		}
 	}
-	if !reflect.DeepEqual(consBefore, sys.ConsMaps["s01"]) {
+	if !reflect.DeepEqual(consBefore, sys.Snapshot().ConsMaps()["s01"]) {
 		t.Fatal("feedback on s00 mutated s01's consolidated p-mapping")
 	}
 }
@@ -211,9 +211,9 @@ func TestScopedInvalidationNoTwinLeak(t *testing.T) {
 			t.Fatalf("schema %d: twin added after scoped feedback differs from clean twin", l)
 		}
 	}
-	gc := sys.ConsMaps["s99"].Clone()
+	gc := sys.Snapshot().ConsMaps()["s99"].Clone()
 	gc.SourceName = "s01"
-	if !reflect.DeepEqual(gc, sys.ConsMaps["s01"]) {
+	if !reflect.DeepEqual(gc, sys.Snapshot().ConsMaps()["s01"]) {
 		t.Fatal("twin consolidated p-mapping differs from clean twin after scoped feedback")
 	}
 }

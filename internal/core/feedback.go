@@ -45,12 +45,12 @@ type feedbackReq struct {
 }
 
 // SubmitFeedback incorporates one feedback item. The affected p-mappings
-// are conditioned (see pmapping.Condition) and the source's consolidated
-// p-mapping is rebuilt — all copy-on-write behind the single-writer
-// commit lock, so in-flight queries keep serving the previous epoch and
-// the new state becomes visible atomically. A failed submission (unknown
-// source, bad target, conditioning error) publishes nothing. This is the
-// pay-as-you-go improvement loop the paper leaves as future work (§9).
+// are conditioned (see pmapping.Condition) copy-on-write behind the
+// single-writer commit lock, so in-flight queries keep serving the
+// previous epoch and the new state becomes visible atomically. A failed
+// submission (unknown source, bad target, conditioning error) publishes
+// nothing. This is the pay-as-you-go improvement loop the paper leaves as
+// future work (§9).
 //
 // Concurrent submissions group-commit: the first submission to find no
 // leader drains the queue in batches of up to Config.FeedbackBatch,
@@ -126,10 +126,9 @@ func (s *System) ApplyFeedbackAt(source string, schemaIdx int, srcAttr string, m
 //  2. The entry logs every surviving op under one fsync. On failure the
 //     working copy is discarded: nothing was published and nothing
 //     remains in the log.
-//  3. Install: swap the working copy in, recondition the dirty sources'
-//     consolidated p-mappings and invalidate exactly what the batch
-//     touched; the entry publishes one epoch and the batch is
-//     acknowledged.
+//  3. Install: swap the working copy in and invalidate exactly what the
+//     batch touched; the entry publishes one epoch (whose consolidation
+//     memo starts empty) and the batch is acknowledged.
 //
 // A crash between 2 and 3 leaves durable-but-unacknowledged ops, which
 // recovery replays (see persist's TestCrashBetweenAppendAndPublish). A
@@ -167,7 +166,6 @@ func (s *System) commitFeedbackBatch(batch []*feedbackReq) {
 				sources = append(sources, name)
 			}
 			sort.Strings(sources)
-			s.reconditionSources(sources)
 			s.engine.RetargetPlans(oldMaps, answer.PMedInput{PMed: s.Med.PMed, Maps: s.Maps}, sources)
 			s.dropFeedbackCacheEntries(dirty)
 		}}, nil
@@ -270,30 +268,4 @@ func (s *System) conditionFeedback(work map[string][]*pmapping.PMapping, fb Feed
 	work[fb.Source] = next
 	sort.Ints(touched)
 	return touched, nil
-}
-
-// reconditionSources rebuilds the consolidated p-mappings of the dirty
-// sources into one fresh ConsMaps clone, never mutating the published
-// one. It bypasses the schema-dedup cache — conditioned p-mappings differ
-// from the canonical ones other sources with the same schema share — and
-// reuses the cached consolidation refinement tables (see
-// System.consolidator): feedback never changes the p-med-schema or the
-// target, so the tables stay valid across commits, and
-// Consolidator.Consolidate is the exact code path behind
-// ConsolidateMappings, so the output is bit-identical to the from-scratch
-// rebuild internal/reference performs.
-func (s *System) reconditionSources(sources []string) {
-	cons := clonedMaps(s.ConsMaps)
-	co := s.consolidator()
-	for _, name := range sources {
-		cpm, err := co.Consolidate(s.Maps[name], s.Cfg.ConsolidateLimit)
-		if err != nil {
-			// Too large to materialize: drop the consolidated form; the
-			// p-med-schema query path remains correct.
-			delete(cons, name)
-		} else {
-			cons[name] = cpm
-		}
-	}
-	s.ConsMaps = cons
 }

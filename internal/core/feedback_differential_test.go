@@ -106,7 +106,7 @@ func TestFeedbackDifferentialScopedVsFull(t *testing.T) {
 			}
 		}
 
-		diffArtifacts(t, seed, "post-feedback", ref, scoped, true)
+		diffArtifacts(t, seed, "post-feedback", ref, scoped)
 		diffQueries(t, seed, "post-feedback", ref, scoped, qs)
 
 		// Grow the system with a twin of a fed-back source: the add
@@ -152,7 +152,7 @@ func TestFeedbackDifferentialScopedVsFull(t *testing.T) {
 				_ = grown.Feedback(reference.Feedback(fb)) // outcomes compared above
 			}
 		}
-		diffArtifacts(t, seed, "post-twin", grown, scoped, false)
+		diffArtifacts(t, seed, "post-twin", grown, scoped)
 		diffQueries(t, seed, "post-twin", grown, scoped, qs)
 	}
 }

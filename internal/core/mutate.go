@@ -86,14 +86,14 @@ func (s *System) holds(name string) bool {
 // fail and touches no writer field; the returned install cannot fail.
 //
 // When decide keeps the clusterings (fast), the mutation is incremental,
-// as §5–§6 allow: existing sources' p-mappings are reused verbatim
+// as §5 allows: existing sources' p-mappings are reused verbatim
 // (Theorem 5.2: a p-mapping depends on its source and the clustering, not
 // on Pr(Mᵢ)) and the dedup cache stays valid, so only the newcomers'
 // p-mappings are built — in parallel, against med rather than the served
-// s.Med — and install consolidates the newcomers only (Algorithm 3);
-// existing sources keep consolidated entries computed under the previous
-// probabilities, the documented incremental-add approximation. Otherwise
-// the system is set up afresh over the new corpus and adopted whole.
+// s.Med. Nothing consolidated is carried over: the next epoch
+// consolidates every source under the new Pr(Mᵢ) on first use.
+// Otherwise the system is set up afresh over the new corpus and adopted
+// whole.
 func (s *System) restructure(trace *obs.Span, add []*schema.Source, remove string,
 	decide func(*schema.Corpus) (med *mediate.Result, fast bool, err error)) (fast bool, install func(), err error) {
 	srcs := make([]*schema.Source, 0, len(s.Corpus.Sources)+len(add))
@@ -148,9 +148,6 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, remove strin
 		s.Timings.MedSchema += tMed
 		s.Timings.PMappings += tPMap
 		s.Med = med
-		// Consolidation scales mapping probabilities by Pr(Mᵢ), which just
-		// shifted, so cached consolidations no longer match.
-		s.caches.cons.invalidate()
 		if unchanged {
 			// The plan cache keys on (PMed, Maps) identity, so the swap alone
 			// invalidates cached plans; dropping them now frees them.
@@ -163,17 +160,12 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, remove strin
 		s.Timings.Import += sp.End()
 		// Copy-on-write: published snapshots hold the old maps, and keep a
 		// departed source's entries.
-		maps, cons := clonedMaps(s.Maps), clonedMaps(s.ConsMaps)
+		maps := clonedMaps(s.Maps)
 		delete(maps, remove)
-		delete(cons, remove)
 		for name, pm := range pms {
 			maps[name] = pm
 		}
 		s.Maps = maps
-		sp = trace.Child("consolidate")
-		s.consolidateInto(cons, add)
-		s.ConsMaps = cons
-		s.Timings.Consolidation += sp.End()
 	}, nil
 }
 
@@ -329,7 +321,7 @@ func NewEmptyShard(domain string, cfg Config, med *mediate.Result, target *schem
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return Restore(corpus, cfg, med, map[string][]*pmapping.PMapping{}, target, nil)
+	return Restore(corpus, cfg, med, map[string][]*pmapping.PMapping{}, target)
 }
 
 // pushed commits one coordinator-directed verb: restructure under the

@@ -62,11 +62,11 @@ func TestDeterminismUnderParallelism(t *testing.T) {
 	if !reflect.DeepEqual(serial.Target, parallel.Target) {
 		t.Fatalf("consolidated schema differs:\n%v\nvs\n%v", serial.Target, parallel.Target)
 	}
-	if len(serial.ConsMaps) != len(parallel.ConsMaps) {
-		t.Fatalf("consolidated p-mapping counts differ: %d vs %d", len(serial.ConsMaps), len(parallel.ConsMaps))
+	if len(serial.Snapshot().ConsMaps()) != len(parallel.Snapshot().ConsMaps()) {
+		t.Fatalf("consolidated p-mapping counts differ: %d vs %d", len(serial.Snapshot().ConsMaps()), len(parallel.Snapshot().ConsMaps()))
 	}
-	for name, spm := range serial.ConsMaps {
-		ppm, ok := parallel.ConsMaps[name]
+	for name, spm := range serial.Snapshot().ConsMaps() {
+		ppm, ok := parallel.Snapshot().ConsMaps()[name]
 		if !ok {
 			t.Fatalf("parallel setup is missing the consolidated p-mapping for %q", name)
 		}

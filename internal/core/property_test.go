@@ -105,7 +105,7 @@ func TestEndToEndRandomCorpora(t *testing.T) {
 			}
 		}
 		// Theorem 6.2 on the same query, when consolidation materialized.
-		if len(sys.ConsMaps) == len(corpus.Sources) {
+		if len(sys.Snapshot().ConsMaps()) == len(corpus.Sources) {
 			cons, err := sys.Run(Consolidated, q)
 			if err != nil {
 				t.Logf("seed %d: consolidated: %v", seed, err)

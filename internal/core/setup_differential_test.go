@@ -32,10 +32,10 @@ func mustReference(t *testing.T, seed int, c *schema.Corpus) *reference.System {
 	return ref
 }
 
-// diffArtifacts requires sys's p-med-schema and per-source p-mappings to
-// be deeply identical to the reference's; with cons set, the consolidated
-// schema and p-mappings too.
-func diffArtifacts(t *testing.T, seed int, label string, ref *reference.System, sys *System, cons bool) {
+// diffArtifacts requires sys's p-med-schema, per-source p-mappings,
+// consolidated schema and (current epoch's) consolidated p-mappings to be
+// deeply identical to the reference's.
+func diffArtifacts(t *testing.T, seed int, label string, ref *reference.System, sys *System) {
 	t.Helper()
 	if !reflect.DeepEqual(ref.Med.PMed, sys.Med.PMed) {
 		t.Fatalf("seed %d: %s: p-med-schemas differ", seed, label)
@@ -43,13 +43,10 @@ func diffArtifacts(t *testing.T, seed int, label string, ref *reference.System, 
 	if !reflect.DeepEqual(ref.Maps, sys.Maps) {
 		t.Fatalf("seed %d: %s: p-mappings differ", seed, label)
 	}
-	if !cons {
-		return
-	}
 	if !reflect.DeepEqual(ref.Target, sys.Target) {
 		t.Fatalf("seed %d: %s: consolidated schemas differ", seed, label)
 	}
-	if !reflect.DeepEqual(ref.ConsMaps, sys.ConsMaps) {
+	if !reflect.DeepEqual(ref.ConsMaps, sys.Snapshot().ConsMaps()) {
 		t.Fatalf("seed %d: %s: consolidated p-mappings differ", seed, label)
 	}
 }
@@ -117,7 +114,7 @@ func TestSetupDifferentialFastVsNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: fast setup: %v", seed, err)
 		}
-		diffArtifacts(t, seed, "setup", ref, fast, true)
+		diffArtifacts(t, seed, "setup", ref, fast)
 		diffQueries(t, seed, "setup", ref, fast, randomQuery(rng, corpus))
 	}
 }
@@ -154,17 +151,16 @@ func TestSetupDifferentialBlockedVsDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: blocked setup: %v", seed, err)
 		}
-		diffArtifacts(t, seed, "blocked", direct, blocked, true)
+		diffArtifacts(t, seed, "blocked", direct, blocked)
 		diffQueries(t, seed, "blocked", direct, blocked, randomQuery(rng, corpus))
 	}
 }
 
 // TestSetupDifferentialAfterIncrementalAdd extends the differential
 // check through the incremental path: a system grown with a one-element
-// AddSources (matrix Extend + dedup reuse + cons-cache invalidation) must
-// answer identically to the reference built directly over the final
-// corpus — modulo the documented approximation of keeping prior sources'
-// consolidations, which the p-med-schema path does not use.
+// AddSources (matrix Extend + dedup reuse) must hold the same artifacts,
+// consolidated ones included, and answer identically to the reference
+// built directly over the final corpus.
 func TestSetupDifferentialAfterIncrementalAdd(t *testing.T) {
 	nCorpora := 30
 	if testing.Short() {
@@ -189,9 +185,10 @@ func TestSetupDifferentialAfterIncrementalAdd(t *testing.T) {
 		}
 		ref := mustReference(t, seed, corpus)
 
-		// The p-med-schema clusterings and p-mappings must agree exactly
-		// (probabilities refresh over the same counts on both paths).
-		diffArtifacts(t, seed, "after add", ref, fast, false)
+		// The p-med-schema clusterings, p-mappings and consolidations must
+		// agree exactly (probabilities refresh over the same counts on both
+		// paths).
+		diffArtifacts(t, seed, "after add", ref, fast)
 		attrs := corpus.FrequentAttrs(0.10)
 		if len(attrs) == 0 {
 			continue
@@ -238,13 +235,13 @@ func TestSetupDifferentialAfterFeedback(t *testing.T) {
 		if err := fast.SubmitFeedback(ops[0]); err != nil {
 			t.Fatalf("seed %d: fast feedback: %v", seed, err)
 		}
-		diffArtifacts(t, seed, "after feedback", ref, fast, true)
+		diffArtifacts(t, seed, "after feedback", ref, fast)
 	}
 }
 
 // TestSetupFastPathCounters checks the obs accounting of one fast setup
 // over a corpus with repeated schemas: the matrix builds once, and the
-// dedup caches record one miss per distinct (attr set, schema) pair with
+// dedup cache records one miss per distinct (attr set, schema) pair with
 // everything else a hit.
 func TestSetupFastPathCounters(t *testing.T) {
 	sources := make([]*schema.Source, 0, 9)
@@ -279,11 +276,5 @@ func TestSetupFastPathCounters(t *testing.T) {
 	}
 	if got := reg.Counter("setup.pmap_dedup.hits").Value(); got != wantTotal-wantMisses {
 		t.Errorf("pmap_dedup.hits = %d, want %d", got, wantTotal-wantMisses)
-	}
-	if got := reg.Counter("setup.cons_dedup.misses").Value(); got != 3 {
-		t.Errorf("cons_dedup.misses = %d, want 3", got)
-	}
-	if got := reg.Counter("setup.cons_dedup.hits").Value(); got != 6 {
-		t.Errorf("cons_dedup.hits = %d, want 6", got)
 	}
 }

@@ -3,19 +3,22 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"udi/internal/answer"
 	"udi/internal/consolidate"
 	"udi/internal/mediate"
+	"udi/internal/obs"
 	"udi/internal/pmapping"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
 // Snapshot is one immutable epoch of the serving state: the p-med-schema,
-// every source's p-mappings, the consolidated schema and mappings, and
-// the query engine built over exactly that corpus. Queries run
+// every source's p-mappings, the consolidated schema, the memo that
+// consolidates the mappings onto it on first use, and the query engine
+// built over exactly that corpus. Queries run
 // against a Snapshot obtained with a single atomic load, so every reader
 // sees a consistent (PMed, Maps) pair by construction — no lock, no
 // identity guard — while mutations build the next snapshot copy-on-write
@@ -38,12 +41,11 @@ type Snapshot struct {
 	Maps map[string][]*pmapping.PMapping
 	// Target is the consolidated mediated schema (§6).
 	Target *schema.MediatedSchema
-	// ConsMaps holds the consolidated one-to-many p-mappings; a source is
-	// absent when materialization exceeded Cfg.ConsolidateLimit.
-	ConsMaps map[string]*consolidate.PMapping
 
-	engine *answer.Engine
-	sys    *System
+	// consMaps is the epoch's consolidation memo (see ConsMaps).
+	consMaps func() map[string]*consolidate.PMapping
+	engine   *answer.Engine
+	sys      *System
 }
 
 // Snapshot returns the current serving snapshot with one atomic load.
@@ -84,7 +86,7 @@ func (s *System) publish() *Snapshot {
 		Med:       s.Med,
 		Maps:      s.Maps,
 		Target:    s.Target,
-		ConsMaps:  s.ConsMaps,
+		consMaps:  consolidateOnce(s.Med.PMed, s.Target, s.Maps, s.Corpus.Sources, s.Cfg.Parallelism, s.Cfg.Obs),
 		engine:    s.engine,
 		sys:       s,
 	}
@@ -106,11 +108,45 @@ func (s *System) adopt(r *System) {
 	s.Med = r.Med
 	s.Maps = r.Maps
 	s.Target = r.Target
-	s.ConsMaps = r.ConsMaps
 	s.Timings = r.Timings
 	s.Trace = r.Trace
 	s.engine = r.engine
 	s.caches = r.caches
+}
+
+// consolidateOnce returns the consolidation memo of one epoch: its first
+// call consolidates every source's p-mappings onto target (§6, the
+// three-step consolidation) with one shared Consolidator on up to
+// workers goroutines, and every call returns that one frozen map. It
+// captures the epoch's values, never the writer's fields, so commits
+// racing the first call cannot change what it builds. A source whose
+// materialization exceeds consolidate.MaxMappings is absent.
+func consolidateOnce(pmed *schema.PMedSchema, target *schema.MediatedSchema, maps map[string][]*pmapping.PMapping,
+	srcs []*schema.Source, workers int, r *obs.Registry) func() map[string]*consolidate.PMapping {
+	return sync.OnceValue(func() map[string]*consolidate.PMapping {
+		t0 := time.Now()
+		co := consolidate.NewConsolidator(pmed, target)
+		cons := make(map[string]*consolidate.PMapping, len(srcs))
+		_ = eachSource(workers, srcs,
+			func(src *schema.Source) (any, error) {
+				cpm, err := co.Consolidate(maps[src.Name], consolidate.MaxMappings)
+				if err != nil {
+					cpm = nil // too large to materialize: absent
+				}
+				return cpm, nil
+			},
+			// apply runs in completion order; the keyed insert is commutative.
+			func(src *schema.Source, res any) {
+				if cpm := res.(*consolidate.PMapping); cpm != nil {
+					cons[src.Name] = cpm
+				}
+			})
+		if r.Enabled() {
+			r.Add("consolidate.materializations", 1)
+			r.Observe("consolidate.materialize_seconds", time.Since(t0).Seconds())
+		}
+		return cons
+	})
 }
 
 // clonedMaps returns a shallow copy of a snapshot-published map so the
@@ -141,15 +177,24 @@ func (sn *Snapshot) QueryParsedCtx(ctx context.Context, q *sqlparse.Query) (*ans
 	return sn.engine.AnswerPMedCtx(ctx, answer.PMedInput{PMed: sn.Med.PMed, Maps: sn.Maps}, q)
 }
 
+// ConsMaps returns this epoch's consolidated one-to-many p-mappings, a
+// source absent when its materialization exceeded
+// consolidate.MaxMappings. The first call of an epoch builds them — every
+// caller of that epoch waits for the one build, which does not watch any
+// request context — and later calls return the same frozen map.
+func (sn *Snapshot) ConsMaps() map[string]*consolidate.PMapping { return sn.consMaps() }
+
 // QueryConsolidatedCtx answers over the consolidated schema and
 // p-mappings. It requires every source to have a materialized
-// consolidated p-mapping.
+// consolidated p-mapping; the epoch's first call pays for building them
+// (see ConsMaps) before ctx bounds the scans.
 func (sn *Snapshot) QueryConsolidatedCtx(ctx context.Context, q *sqlparse.Query) (*answer.ResultSet, error) {
-	if len(sn.ConsMaps) != len(sn.Corpus.Sources) {
+	cons := sn.ConsMaps()
+	if len(cons) != len(sn.Corpus.Sources) {
 		return nil, fmt.Errorf("core: %d of %d sources lack consolidated p-mappings",
-			len(sn.Corpus.Sources)-len(sn.ConsMaps), len(sn.Corpus.Sources))
+			len(sn.Corpus.Sources)-len(cons), len(sn.Corpus.Sources))
 	}
-	return sn.engine.AnswerConsolidatedCtx(ctx, sn.Target, sn.ConsMaps, q)
+	return sn.engine.AnswerConsolidatedCtx(ctx, sn.Target, cons, q)
 }
 
 // RunCtx dispatches an approach by name.

@@ -14,9 +14,11 @@ import (
 
 // TestSnapshotIsolationSoak hammers the snapshot serving core: reader
 // goroutines query lock-free through System.Snapshot while one writer
-// commits feedback and source add/remove. Run under -race this pins down
-// the copy-on-write discipline end to end. Each reader asserts the two
-// serving invariants on every load:
+// commits feedback and source add/remove. Readers alternate between the
+// two approaches, so concurrent UDI-Consolidated queries race each
+// epoch's consolidation memo against the committing writer. Run under
+// -race this pins down the copy-on-write discipline end to end. Each
+// reader asserts the two serving invariants on every load:
 //
 //   - epochs are monotonically non-decreasing (commits are totally
 //     ordered and publication is atomic), and
@@ -68,7 +70,11 @@ func TestSnapshotIsolationSoak(t *testing.T) {
 						return
 					}
 				}
-				if _, err := sn.QueryParsedCtx(context.Background(), queries[(r+i)%len(queries)]); err != nil {
+				a := UDI
+				if i%2 == 1 {
+					a = Consolidated
+				}
+				if _, err := sn.RunCtx(context.Background(), a, queries[(r+i)%len(queries)]); err != nil {
 					errs <- err
 					return
 				}
@@ -187,5 +193,78 @@ func TestFailedCommitPublishesNothing(t *testing.T) {
 	}
 	if got := sys.Epoch(); got != epoch {
 		t.Errorf("failed commit advanced the epoch: %d -> %d", epoch, got)
+	}
+}
+
+// TestConsolidationOnFirstUse: setup, every mutation path and UDI queries
+// never build consolidated p-mappings; the first UDI-Consolidated query
+// of an epoch builds them exactly once, even when two race for it.
+func TestConsolidationOnFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	corpus := randomCorpus(rng)
+	reg := obs.NewRegistry()
+	sys, err := Setup(corpus, Config{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := corpus.FrequentAttrs(0.10)
+	if len(attrs) == 0 {
+		t.Fatal("random corpus has no frequent attributes")
+	}
+	q := sqlparse.MustParse("SELECT " + attrs[0] + " FROM t")
+	materializations := func() int64 { return reg.Counter("consolidate.materializations").Value() }
+
+	if err := applyAnyFeedback(sys); err != nil {
+		t.Fatal(err)
+	}
+	added := schema.MustNewSource("lazy-added", []string{"alpha", "bravo"}, [][]string{{"v1", "v2"}})
+	if _, err := sys.AddSources([]*schema.Source{added}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RemoveSource("lazy-added"); err != nil {
+		t.Fatal(err)
+	}
+	proj, err := Restore(sys.Corpus, sys.Cfg, sys.Med, sys.Maps, sys.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ShardReplaceState(proj); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := sys.QueryParsed(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := materializations(); got != 0 {
+		t.Fatalf("consolidate.materializations = %d before any UDI-Consolidated query, want 0", got)
+	}
+
+	sn := sys.Snapshot()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, err := sn.RunCtx(context.Background(), Consolidated, q)
+			errs <- err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.Run(Consolidated, q); err != nil {
+		t.Fatal(err)
+	}
+	if got := materializations(); got != 1 {
+		t.Fatalf("consolidate.materializations = %d after three UDI-Consolidated queries of one epoch, want 1", got)
 	}
 }

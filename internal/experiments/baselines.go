@@ -40,7 +40,7 @@ func run(sys *core.System, a core.Approach, q *sqlparse.Query, kw func() *keywor
 	case SourceOnly:
 		return answerSource(sys.Engine(), sn.Corpus, q)
 	case TopMapping:
-		return answerTopMapping(sys.Engine(), sn, q)
+		return answerTopMapping(sys.Engine(), sn, sn.ConsMaps(), q)
 	case KeywordNaive, KeywordStruct, KeywordStrict:
 		v := map[core.Approach]keyword.Variant{KeywordNaive: keyword.Naive, KeywordStruct: keyword.Struct, KeywordStrict: keyword.Strict}[a]
 		// Keyword engines return matching rows, unranked.
@@ -90,13 +90,13 @@ outer:
 
 // answerTopMapping is the TopMapping baseline (§7.3): the consolidated
 // mediated schema with only the highest-probability mapping per source,
-// taken as certain.
-func answerTopMapping(e *answer.Engine, sn *core.Snapshot, q *sqlparse.Query) (*answer.ResultSet, error) {
+// taken as certain. cons holds sn's consolidated p-mappings.
+func answerTopMapping(e *answer.Engine, sn *core.Snapshot, cons map[string]*consolidate.PMapping, q *sqlparse.Query) (*answer.ResultSet, error) {
 	maps := make(map[string]*consolidate.PMapping, len(sn.Corpus.Sources))
 	for _, src := range sn.Corpus.Sources {
 		pm := &consolidate.PMapping{SourceName: src.Name, Target: sn.Target}
 		maps[src.Name] = pm
-		if cpm, ok := sn.ConsMaps[src.Name]; ok {
+		if cpm, ok := cons[src.Name]; ok {
 			best := -1
 			for i, m := range cpm.Mappings {
 				if best < 0 || m.Prob > cpm.Mappings[best].Prob {

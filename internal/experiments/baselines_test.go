@@ -120,8 +120,8 @@ func TestAnswerTopMapping(t *testing.T) {
 	want := []string{"Alice", "123-4567", "123, A Ave."}
 	for arm, consMaps := range map[string]map[string]*consolidate.PMapping{"consolidated": cons, "fallback": {}} {
 		sn := &core.Snapshot{Corpus: corpus, Med: &mediate.Result{PMed: pmed},
-			Maps: map[string][]*pmapping.PMapping{"S1": {pm}}, Target: m3, ConsMaps: consMaps}
-		rs, err := answerTopMapping(answer.NewEngine(corpus), sn, q)
+			Maps: map[string][]*pmapping.PMapping{"S1": {pm}}, Target: m3}
+		rs, err := answerTopMapping(answer.NewEngine(corpus), sn, consMaps, q)
 		if err != nil {
 			t.Fatalf("%s: %v", arm, err)
 		}

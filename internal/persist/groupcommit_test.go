@@ -274,7 +274,7 @@ func TestFeedbackSoakMatchesSerialOracle(t *testing.T) {
 	if !reflect.DeepEqual(oracle.Maps, sys.Maps) {
 		t.Error("soaked group-commit p-mappings differ from the serial oracle replay")
 	}
-	if !reflect.DeepEqual(oracle.ConsMaps, sys.ConsMaps) {
+	if !reflect.DeepEqual(oracle.ConsMaps, sys.Snapshot().ConsMaps()) {
 		t.Error("soaked group-commit consolidated p-mappings differ from the serial oracle replay")
 	}
 	// The reference has no query engine; answer over its artifacts with a

@@ -1,6 +1,6 @@
 // Package persist serializes a fully configured integration system — the
 // corpus, the probabilistic mediated schema, every p-mapping and the
-// consolidated artifacts — to a versioned JSON snapshot, and restores it
+// consolidated schema — to a versioned JSON snapshot, and restores it
 // into a ready-to-query core.System without re-running attribute matching
 // or entropy maximization. A pay-as-you-go deployment sets up once,
 // snapshots, and serves queries from the snapshot thereafter.
@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"udi/internal/consolidate"
 	"udi/internal/core"
 	"udi/internal/mediate"
 	"udi/internal/pmapping"
@@ -23,8 +22,12 @@ import (
 )
 
 // FormatVersion identifies the snapshot layout; Load rejects snapshots
-// written by an incompatible version.
-const FormatVersion = 1
+// written by an incompatible version. Version 1 also carried every
+// source's consolidated p-mappings ("consolidated_mappings"); version 2
+// drops them, because a restored system consolidates on first use. Load
+// still reads version 1 and ignores that field, while a version-1 reader
+// refuses version 2 rather than serve a system without them.
+const FormatVersion = 2
 
 // ErrCorrupt reports a snapshot whose bytes do not decode into a loadable
 // system — a truncated or damaged file must fail loudly at startup, never
@@ -39,7 +42,6 @@ type snapshot struct {
 	PMed    pmedDTO           `json:"p_med_schema"`
 	Maps    []sourceMaps      `json:"p_mappings"`
 	Target  [][]string        `json:"consolidated_schema"`
-	Cons    []consDTO         `json:"consolidated_mappings"`
 	// WALSeq is the sequence number of the last write-ahead-log record
 	// this snapshot covers (see Store); recovery replays only records
 	// with a higher sequence. Zero for standalone snapshots.
@@ -73,16 +75,6 @@ type corrDTO struct {
 	Weight  float64 `json:"w"`
 }
 
-type consDTO struct {
-	Source   string         `json:"source"`
-	Mappings []oneToManyDTO `json:"mappings"`
-}
-
-type oneToManyDTO struct {
-	SrcToMed map[string][]int `json:"src_to_med"`
-	Prob     float64          `json:"prob"`
-}
-
 // Save writes a gzip-compressed JSON snapshot of the system.
 func Save(w io.Writer, sys *core.System) error { return saveSnapshot(w, sys, 0) }
 
@@ -112,17 +104,6 @@ func saveSnapshot(w io.Writer, sys *core.System, walSeq uint64) error {
 			sm.PerMed = append(sm.PerMed, dto)
 		}
 		snap.Maps = append(snap.Maps, sm)
-	}
-	for _, s := range sys.Corpus.Sources {
-		cpm, ok := sys.ConsMaps[s.Name]
-		if !ok {
-			continue
-		}
-		cd := consDTO{Source: s.Name}
-		for _, m := range cpm.Mappings {
-			cd.Mappings = append(cd.Mappings, oneToManyDTO{SrcToMed: m.SrcToMed, Prob: m.Prob})
-		}
-		snap.Cons = append(snap.Cons, cd)
 	}
 
 	gz := gzip.NewWriter(w)
@@ -170,7 +151,7 @@ func load(r io.Reader, cfg core.Config) (*core.System, uint64, error) {
 	if err := json.NewDecoder(gz).Decode(&snap); err != nil {
 		return nil, 0, fmt.Errorf("persist: decode at byte %d: %w (%v)", cr.n, ErrCorrupt, err)
 	}
-	if snap.Version != FormatVersion {
+	if snap.Version != FormatVersion && snap.Version != 1 {
 		return nil, 0, fmt.Errorf("persist: snapshot version %d, want %d", snap.Version, FormatVersion)
 	}
 	// A snapshot that decodes but describes no sources is damage (Save
@@ -234,16 +215,7 @@ func load(r io.Reader, cfg core.Config) (*core.System, uint64, error) {
 		return nil, 0, corrupt(err)
 	}
 
-	consMaps := make(map[string]*consolidate.PMapping, len(snap.Cons))
-	for _, cd := range snap.Cons {
-		cpm := &consolidate.PMapping{SourceName: cd.Source, Target: target}
-		for _, m := range cd.Mappings {
-			cpm.Mappings = append(cpm.Mappings, consolidate.OneToMany{SrcToMed: m.SrcToMed, Prob: m.Prob})
-		}
-		consMaps[cd.Source] = cpm
-	}
-
-	sys, err := core.Restore(corpus, cfg, &mediate.Result{PMed: pmed}, maps, target, consMaps)
+	sys, err := core.Restore(corpus, cfg, &mediate.Result{PMed: pmed}, maps, target)
 	if err != nil {
 		return nil, 0, err
 	}

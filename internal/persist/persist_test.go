@@ -67,8 +67,8 @@ func TestRoundTrip(t *testing.T) {
 	if !restored.Target.Equal(sys.Target) {
 		t.Errorf("target schema changed: %s vs %s", restored.Target, sys.Target)
 	}
-	if len(restored.ConsMaps) != len(sys.ConsMaps) {
-		t.Errorf("consolidated maps %d vs %d", len(restored.ConsMaps), len(sys.ConsMaps))
+	if len(restored.Snapshot().ConsMaps()) != len(sys.Snapshot().ConsMaps()) {
+		t.Errorf("consolidated maps %d vs %d", len(restored.Snapshot().ConsMaps()), len(sys.Snapshot().ConsMaps()))
 	}
 	q := sqlparse.MustParse(c.Domain.Queries[0])
 	want, err := sys.Run(core.Consolidated, q)

@@ -43,7 +43,7 @@ func TestReferenceMatchesProductionOnPaperDomains(t *testing.T) {
 			if !reflect.DeepEqual(ref.Target, sys.Target) {
 				t.Error("consolidated schemas differ")
 			}
-			if !reflect.DeepEqual(ref.ConsMaps, sys.ConsMaps) {
+			if !reflect.DeepEqual(ref.ConsMaps, sys.Snapshot().ConsMaps()) {
 				t.Error("consolidated p-mappings differ")
 			}
 		})

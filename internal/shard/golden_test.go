@@ -89,16 +89,25 @@ func TestGoldenSnapshotAndJournalBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "snapshot.golden.json", doc)
-	var zipped bytes.Buffer
-	zw := gzip.NewWriter(&zipped)
-	zw.Write(doc)
-	zw.Close()
-	loaded, err := persist.Load(&zipped, cfg)
+	// snapshot.v1.json is read-only: the version-1 layout, which also
+	// carried consolidated_mappings, must still load and answer both
+	// approaches like the oracle.
+	v1, err := os.ReadFile(filepath.Join("testdata", "snapshot.v1.json"))
 	if err != nil {
-		t.Fatalf("golden snapshot does not load: %v", err)
+		t.Fatal(err)
 	}
 	q := sqlparse.MustParse("SELECT tel, bravo FROM t")
-	compareSystems(t, "loaded golden snapshot", loaded, mustSingleShard(t, corpus, cfg), []*sqlparse.Query{q})
+	for name, doc := range map[string][]byte{"golden": doc, "version-1": v1} {
+		var zipped bytes.Buffer
+		zw := gzip.NewWriter(&zipped)
+		zw.Write(doc)
+		zw.Close()
+		loaded, err := persist.Load(&zipped, cfg)
+		if err != nil {
+			t.Fatalf("%s snapshot does not load: %v", name, err)
+		}
+		compareSystems(t, "loaded "+name+" snapshot", loaded, mustSingleShard(t, corpus, cfg), []*sqlparse.Query{q})
+	}
 
 	// A mutation that crashes right after its journal write leaves the
 	// record on disk; reopening redoes it.

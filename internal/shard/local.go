@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"udi/internal/answer"
-	"udi/internal/consolidate"
 	"udi/internal/core"
 	"udi/internal/feedback"
 	"udi/internal/mediate"
@@ -184,8 +183,8 @@ func sourcesFor(sources []*schema.Source, i, n int) []*schema.Source {
 }
 
 // Project builds one shard's core from a globally set-up blueprint: the
-// sub-corpus in global order, the blueprint's p-mappings and consolidated
-// mappings for exactly those sources, and the shared global mediation. An
+// sub-corpus in global order, the blueprint's p-mappings for exactly
+// those sources, and the shared global mediation and target. An
 // empty subset yields a servable zero-source core. It is what the
 // coordinator hands Shard.Replace.
 func Project(domain string, cfg core.Config, blue *core.System, subs []*schema.Source) (*core.System, error) {
@@ -197,12 +196,8 @@ func Project(domain string, cfg core.Config, blue *core.System, subs []*schema.S
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	maps := make(map[string][]*pmapping.PMapping, len(subs))
-	cons := make(map[string]*consolidate.PMapping, len(subs))
 	for _, src := range subs {
 		maps[src.Name] = blue.Maps[src.Name]
-		if cpm, ok := blue.ConsMaps[src.Name]; ok {
-			cons[src.Name] = cpm
-		}
 	}
-	return core.Restore(subCorpus, cfg, blue.Med, maps, blue.Target, cons)
+	return core.Restore(subCorpus, cfg, blue.Med, maps, blue.Target)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,20 @@ func TestCompareValuesNumeric(t *testing.T) {
 	for _, c := range cases {
 		if got := CompareValues(c.a, c.b); got != c.want {
 			t.Errorf("CompareValues(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// parseNumber must accept exactly what strconv.ParseFloat accepts.
+func TestParseNumberMatchesParseFloat(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "7", " 7 ", "-3.5", "+.5", ".5", "5.", "1e9", "1E-9", "0x1p-2", "0x_1p0", "1_000",
+		"inf", "+Inf", "-infinity", "NaN", "nan", "in", "na", "abc", "v7", "ñ1", "_1", "e5", "--1", "1-", "0",
+	} {
+		want, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		got, ok := parseNumber(s)
+		if ok != (err == nil) || (ok && !(got == want || got != got && want != want)) {
+			t.Errorf("parseNumber(%q) = %v, %v; ParseFloat gives %v, %v", s, got, ok, want, err)
 		}
 	}
 }

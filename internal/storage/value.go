@@ -46,7 +46,10 @@ func EqualValues(a, b string) bool { return CompareValues(a, b) == 0 }
 
 func parseNumber(s string) (float64, bool) {
 	s = strings.TrimSpace(s)
-	if s == "" {
+	// Everything ParseFloat accepts starts with a sign, a digit, a point
+	// or the first letter of inf or nan. Refusing the rest here spares
+	// the error ParseFloat would allocate for every text cell compared.
+	if s == "" || !strings.ContainsRune("+-.0123456789iInN", rune(s[0])) {
 		return 0, false
 	}
 	f, err := strconv.ParseFloat(s, 64)
