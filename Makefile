@@ -1,7 +1,8 @@
 # Development entry points. `make check` is the tier-1 gate: vet, build,
 # the full test suite under the race detector, the named soaks rerun, the
 # no-skip and oracle-never-ships guards, and a short fuzzing pass over the
-# SQL parser and the shard RPC partial-result decoder.
+# SQL parser, the shard RPC partial-result decoder and the cross-source
+# combine.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -47,6 +48,7 @@ no-skip:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePart -fuzztime=$(FUZZTIME) ./internal/shardrpc
+	$(GO) test -run '^$$' -fuzz=FuzzRankMatchesQuadratic -fuzztime=$(FUZZTIME) ./internal/answer
 
 # Non-test lines per package and in total — the figure a simplicity PR
 # reports in CHANGES.md. The test-only oracle and the benchmark harness

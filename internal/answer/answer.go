@@ -9,11 +9,14 @@
 //   - across sources, probabilities combine by independent disjunction
 //     p = 1 − Π(1 − p_i).
 //
-// The engine produces both per-occurrence instances (one per matching
-// source row, used by the precision/recall evaluation which keeps
-// duplicates, §7.1) and a ranked deduplicated answer list (used for the
-// R-P curves of §7.4, where duplicates are eliminated and probabilities
-// combined).
+// A scan (ScanPMed, ScanConsolidated) produces a part: per-occurrence
+// instances (one per matching source row, used by the precision/recall
+// evaluation which keeps duplicates, §7.1) and every contributing
+// source's tuple probabilities. Rank alone combines a part's sources into
+// the ranked deduplicated answer list (used for the R-P curves of §7.4,
+// where duplicates are eliminated and probabilities combined), and
+// MergeResultSets gathers the parts of a partitioned corpus into one
+// before ranking it the same way.
 package answer
 
 import (
@@ -62,14 +65,18 @@ type SourceTupleProbs struct {
 // TupleKey joins tuple values into the key used by SourceTupleProbs.
 func TupleKey(values []string) string { return tupleKey(values) }
 
-// ResultSet bundles the views of a query result.
+// ResultSet bundles the views of a query result. A part — what a scan
+// returns, and what a shard leg hands the merge — carries Instances and
+// PerSource only; Ranked is nil on it until Rank sets it.
 type ResultSet struct {
-	Instances []Instance // per-occurrence, duplicates preserved
-	Ranked    []Answer   // deduplicated, sorted by descending probability
+	// Instances is per-occurrence, duplicates preserved, in (source, row,
+	// values) order.
+	Instances []Instance
+	// Ranked is deduplicated, sorted by descending probability.
+	Ranked []Answer
 	// PerSource lists each contributing source's tuple probabilities, in
 	// source order; the Ranked probabilities are their independent
-	// disjunction. Extensions with different independence assumptions
-	// (e.g. multi-table sites) recombine from here.
+	// disjunction.
 	PerSource []SourceTupleProbs
 }
 
@@ -95,14 +102,14 @@ type Engine struct {
 	// query answering (sources are independent; results merge in source
 	// order, so answers are deterministic). Defaults to GOMAXPROCS.
 	Parallelism int
-	// Obs receives per-query metrics: histograms query.seconds (total
-	// latency), query.rank_seconds (merge + ranking), query.tuples
-	// (distinct ranked answers), query.instances (answer occurrences), and
-	// counters query.count, plan_cache.hits, plan_cache.misses,
-	// plan_cache.invalidations. Nil disables recording. Set it through
+	// Obs receives per-scan metrics: histograms query.seconds (scan
+	// latency) and query.instances (answer occurrences), and counters
+	// query.count, query.canceled, plan_cache.hits, plan_cache.misses,
+	// plan_cache.invalidations. Ranking is not a scan: whoever calls Rank
+	// times it. Nil disables recording. Set it through
 	// SetObs so the per-table index metrics share the registry.
 	Obs *obs.Registry
-	// Plans caches resolved AnswerPMed query plans. Always non-nil on an
+	// Plans caches resolved ScanPMed query plans. Always non-nil on an
 	// Engine from NewEngine. Callers that mutate p-mappings in place must
 	// call InvalidatePlans (see the PlanCache invalidation contract).
 	Plans *PlanCache
@@ -151,8 +158,9 @@ func (e *Engine) InvalidatePlans() {
 }
 
 // runPerSource evaluates work for every source — in parallel when
-// Parallelism allows — into per-source accumulators, then merges them in
-// source order so results are identical to a serial run. The context is
+// Parallelism allows — into per-source accumulators, then concatenates
+// them in source order into one part, identical to a serial run's. It
+// does not combine sources: that is Rank's job. The context is
 // checked before each source is dispatched (and, via the table scans,
 // every cancelCheckRows rows inside one), so an expired deadline stops
 // the query instead of letting it run to completion; cancellation is
@@ -187,7 +195,7 @@ func (e *Engine) runPerSourceInner(ctx context.Context, work func(ctx context.Co
 	// source that matched no row leaves its accumulator untouched, and the
 	// next source reuses it.
 	run := func() {
-		acc := newAccumulator(0)
+		acc := newAccumulator()
 		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			err := ctx.Err()
 			if err == nil {
@@ -206,7 +214,7 @@ func (e *Engine) runPerSourceInner(ctx context.Context, work func(ctx context.Co
 			}
 			acc.finishSource()
 			accs[i] = acc
-			acc = newAccumulator(0)
+			acc = newAccumulator()
 		}
 	}
 	if workers := min(e.Parallelism, n); workers <= 1 {
@@ -225,28 +233,28 @@ func (e *Engine) runPerSourceInner(ctx context.Context, work func(ctx context.Co
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	tRank := time.Now()
-	merged, total := newAccumulator(0), 0
+	part, total := &ResultSet{}, 0
 	for _, acc := range accs {
 		if acc != nil {
 			total += len(acc.instList)
 		}
 	}
-	merged.instList = make([]Instance, 0, total)
+	if total > 0 {
+		part.Instances = make([]Instance, 0, total)
+	}
 	for _, acc := range accs {
 		if acc != nil {
-			merged.merge(acc)
+			part.Instances = append(part.Instances, acc.instList...)
+			part.PerSource = append(part.PerSource, acc.tupleProbs...)
 		}
 	}
-	rs := merged.results()
+	sortInstances(part.Instances)
 	if e.Obs.Enabled() {
 		e.Obs.Add("query.count", 1)
 		e.Obs.Observe("query.seconds", time.Since(t0).Seconds())
-		e.Obs.Observe("query.rank_seconds", time.Since(tRank).Seconds())
-		e.Obs.Observe("query.tuples", float64(len(rs.Ranked)))
-		e.Obs.Observe("query.instances", float64(len(rs.Instances)))
+		e.Obs.Observe("query.instances", float64(len(part.Instances)))
 	}
-	return rs, nil
+	return part, nil
 }
 
 // Corpus returns the engine's corpus.
@@ -267,18 +275,24 @@ type PMedInput struct {
 }
 
 // AnswerPMed answers q over the probabilistic mediated schema per
-// Definition 3.3. Query attributes are source-attribute names; each is
-// replaced by the mediated attribute (cluster) containing it. A possible
-// schema that does not mediate some query attribute contributes nothing; a
-// mapping that leaves some query attribute unmapped contributes nothing.
+// Definition 3.3: the ranked ScanPMed part.
 func (e *Engine) AnswerPMed(in PMedInput, q *sqlparse.Query) (*ResultSet, error) {
-	return e.AnswerPMedCtx(context.Background(), in, q)
+	rs, err := e.ScanPMed(context.Background(), in, q)
+	if err != nil {
+		return nil, err
+	}
+	return Rank(rs), nil
 }
 
-// AnswerPMedCtx is AnswerPMed under a context: the per-source scan loops
-// poll for cancellation, so a request deadline stops the query early with
-// ctx.Err() instead of serving a late answer.
-func (e *Engine) AnswerPMedCtx(ctx context.Context, in PMedInput, q *sqlparse.Query) (*ResultSet, error) {
+// ScanPMed evaluates q over the probabilistic mediated schema per
+// Definition 3.3 into a part (see ResultSet). Query attributes are
+// source-attribute names; each is replaced by the mediated attribute
+// (cluster) containing it. A possible schema that does not mediate some
+// query attribute contributes nothing; a mapping that leaves some query
+// attribute unmapped contributes nothing. The per-source scan loops poll
+// ctx, so a request deadline stops the query early with ctx.Err() instead
+// of serving a late answer.
+func (e *Engine) ScanPMed(ctx context.Context, in PMedInput, q *sqlparse.Query) (*ResultSet, error) {
 	key, attrs := planKey(q)
 	if plan, ok := e.Plans.lookup(in, key); ok {
 		if e.Obs.Enabled() {
@@ -298,18 +312,23 @@ func (e *Engine) AnswerPMedCtx(ctx context.Context, in PMedInput, q *sqlparse.Qu
 }
 
 // AnswerConsolidated answers q over the consolidated mediated schema T and
-// the consolidated one-to-many p-mappings (§6). By Theorem 6.2 the result
-// equals AnswerPMed on the originating p-med-schema.
+// the consolidated one-to-many p-mappings (§6): the ranked
+// ScanConsolidated part. By Theorem 6.2 the result equals AnswerPMed on
+// the originating p-med-schema.
 func (e *Engine) AnswerConsolidated(target *schema.MediatedSchema, maps map[string]*consolidate.PMapping, q *sqlparse.Query) (*ResultSet, error) {
-	return e.AnswerConsolidatedCtx(context.Background(), target, maps, q)
+	rs, err := e.ScanConsolidated(context.Background(), target, maps, q)
+	if err != nil {
+		return nil, err
+	}
+	return Rank(rs), nil
 }
 
-// AnswerConsolidatedCtx is AnswerConsolidated under a context (see
-// AnswerPMedCtx).
-func (e *Engine) AnswerConsolidatedCtx(ctx context.Context, target *schema.MediatedSchema, maps map[string]*consolidate.PMapping, q *sqlparse.Query) (*ResultSet, error) {
+// ScanConsolidated evaluates q over the consolidated schema and
+// p-mappings into a part, under a context (see ScanPMed).
+func (e *Engine) ScanConsolidated(ctx context.Context, target *schema.MediatedSchema, maps map[string]*consolidate.PMapping, q *sqlparse.Query) (*ResultSet, error) {
 	medIdxs, ok := queryMedIdxs(q, target)
 	if !ok {
-		return newAccumulator(0).results(), nil // query attribute not mediated
+		return &ResultSet{}, nil // query attribute not mediated
 	}
 	return e.runPerSource(ctx, func(ctx context.Context, src *schema.Source, acc *accumulator) error {
 		cpm := maps[src.Name]
@@ -366,12 +385,12 @@ func queryMedIdxs(q *sqlparse.Query, med *schema.MediatedSchema) (map[string]int
 	return attrsMedIdxs(q.Attrs(), med)
 }
 
-// accumulator gathers per-row instance probabilities and per-source tuple
-// probabilities, then combines sources by disjunction.
+// accumulator gathers one source's per-row instance probabilities and
+// tuple probabilities.
 type accumulator struct {
 	// instances finds an instance's index in instList, which holds them
 	// in first-seen order, by (source, row, values). Keys never collide
-	// across sources, so merge concatenates lists and needs no lookup.
+	// across sources, so a part concatenates lists and needs no lookup.
 	instances map[instKey]int
 	instList  []Instance
 
@@ -381,8 +400,6 @@ type accumulator struct {
 	curSource    string
 	curTupleProb map[string]float64
 	tupleProbs   []SourceTupleProbs // one entry per finished source
-	tupleOrder   []string
-	tupleSeen    map[string]bool // merge's dedup of tupleOrder across sources
 	// seen is the tuple set of the assignment being added, reused across
 	// assignments.
 	seen map[string]bool
@@ -394,27 +411,9 @@ type instKey struct {
 	tuple  string
 }
 
-// newAccumulator returns an empty accumulator; addAssignment and merge
-// allocate the maps they write, sized to what they first see.
-func newAccumulator(_ int) *accumulator { return &accumulator{} }
-
-// merge folds a finished per-source accumulator into the receiver.
-// Instance keys are disjoint across sources (they embed the source name),
-// so instances concatenate; per-source tuple-probability maps append for
-// the cross-source disjunction; tuple order dedupes globally.
-func (a *accumulator) merge(b *accumulator) {
-	a.instList = append(a.instList, b.instList...)
-	a.tupleProbs = append(a.tupleProbs, b.tupleProbs...)
-	if a.tupleSeen == nil {
-		a.tupleSeen = make(map[string]bool, len(b.tupleOrder))
-	}
-	for _, tk := range b.tupleOrder {
-		if !a.tupleSeen[tk] {
-			a.tupleSeen[tk] = true
-			a.tupleOrder = append(a.tupleOrder, tk)
-		}
-	}
-}
+// newAccumulator returns an empty accumulator; addAssignment allocates
+// the maps it writes, sized to what it first sees.
+func newAccumulator() *accumulator { return &accumulator{} }
 
 func tupleKey(values []string) string { return strings.Join(values, "\x1f") }
 
@@ -435,7 +434,6 @@ func (a *accumulator) addAssignment(source string, rowIdxs []int, rows [][]strin
 		a.instances = make(map[instKey]int, len(rows))
 		a.instList = make([]Instance, 0, len(rows))
 		a.curTupleProb = make(map[string]float64, len(rows))
-		a.tupleOrder = make([]string, 0, len(rows))
 		a.seen = make(map[string]bool, len(rows))
 	}
 	clear(a.seen)
@@ -451,16 +449,13 @@ func (a *accumulator) addAssignment(source string, rowIdxs []int, rows [][]strin
 		}
 		if !a.seen[tk] {
 			a.seen[tk] = true
-			if _, ok := a.curTupleProb[tk]; !ok {
-				a.tupleOrder = append(a.tupleOrder, tk)
-			}
 			a.curTupleProb[tk] += weight
 		}
 	}
 }
 
-// finishSource closes the per-source tuple accumulation so that
-// cross-source combination can apply the disjunction.
+// finishSource closes the per-source tuple accumulation into the
+// source's SourceTupleProbs entry.
 func (a *accumulator) finishSource() {
 	if len(a.curTupleProb) == 0 {
 		return
@@ -468,34 +463,4 @@ func (a *accumulator) finishSource() {
 	a.tupleProbs = append(a.tupleProbs, SourceTupleProbs{Source: a.curSource, Probs: a.curTupleProb})
 	a.curTupleProb = make(map[string]float64)
 	a.curSource = ""
-}
-
-func (a *accumulator) results() *ResultSet {
-	a.finishSource()
-	rs := &ResultSet{}
-	if len(a.instList) > 0 {
-		rs.Instances = a.instList
-	}
-	// Combine across sources: p = 1 − Π(1 − p_s), clamping per-source
-	// probabilities to [0,1] (within a source the same tuple may occur in
-	// several rows; by-table set semantics caps its probability at 1).
-	rs.PerSource = a.tupleProbs
-	tuples := make([]rankedTuple, 0, len(a.tupleOrder))
-	for _, tk := range a.tupleOrder {
-		q := 1.0
-		for _, m := range a.tupleProbs {
-			p := m.Probs[tk]
-			if p > 1 {
-				p = 1
-			}
-			q *= 1 - p
-		}
-		tuples = append(tuples, rankedTuple{key: tk, prob: 1 - q})
-	}
-	// selectTopK applies the one pinned total order (probability
-	// descending, tuple key ascending) every ranking in this package
-	// shares; MergeResultSets relies on it for shard-merge determinism.
-	rs.Ranked = selectTopK(tuples, 0)
-	sortInstances(rs.Instances)
-	return rs
 }

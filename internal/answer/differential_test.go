@@ -145,7 +145,7 @@ func naiveAnswerPMed(e *Engine, in PMedInput, q *sqlparse.Query) (*ResultSet, er
 			plans[l] = pl
 		}
 	}
-	return e.runPerSource(context.Background(), func(ctx context.Context, src *schema.Source, acc *accumulator) error {
+	part, err := e.runPerSource(context.Background(), func(ctx context.Context, src *schema.Source, acc *accumulator) error {
 		pms := in.Maps[src.Name]
 		if len(pms) != in.PMed.Len() {
 			return fmt.Errorf("answer: source %q has %d p-mappings for %d schemas",
@@ -168,6 +168,10 @@ func naiveAnswerPMed(e *Engine, in PMedInput, q *sqlparse.Query) (*ResultSet, er
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return Rank(part), nil
 }
 
 // diffCompare asserts two result sets agree: identical instance

@@ -426,13 +426,17 @@ func ParseApproach(name string) (Approach, error) {
 // current snapshot; the Snapshot methods take a context to bound the work
 // with a deadline.
 func (s *System) Query(q string) (*answer.ResultSet, error) {
-	return s.Snapshot().QueryCtx(context.Background(), q)
+	parsed, err := sqlparse.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	return s.QueryParsed(parsed)
 }
 
 // QueryParsed answers an already-parsed query with UDI semantics against
 // the current snapshot.
 func (s *System) QueryParsed(q *sqlparse.Query) (*answer.ResultSet, error) {
-	return s.Snapshot().QueryParsedCtx(context.Background(), q)
+	return s.Snapshot().RunCtx(context.Background(), UDI, q)
 }
 
 // Engine exposes the query engine for serving-path tuning (plan cache,

@@ -162,21 +162,6 @@ func clonedMaps[V any](m map[string]V) map[string]V {
 
 // --- query path -------------------------------------------------------
 
-// QueryCtx parses and answers q against this snapshot with the UDI
-// semantics. The context's deadline/cancellation stops the scan loops.
-func (sn *Snapshot) QueryCtx(ctx context.Context, q string) (*answer.ResultSet, error) {
-	parsed, err := sqlparse.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return sn.QueryParsedCtx(ctx, parsed)
-}
-
-// QueryParsedCtx answers an already-parsed query with UDI semantics.
-func (sn *Snapshot) QueryParsedCtx(ctx context.Context, q *sqlparse.Query) (*answer.ResultSet, error) {
-	return sn.engine.AnswerPMedCtx(ctx, answer.PMedInput{PMed: sn.Med.PMed, Maps: sn.Maps}, q)
-}
-
 // ConsMaps returns this epoch's consolidated one-to-many p-mappings, a
 // source absent when its materialization exceeded
 // consolidate.MaxMappings. The first call of an epoch builds them — every
@@ -184,28 +169,43 @@ func (sn *Snapshot) QueryParsedCtx(ctx context.Context, q *sqlparse.Query) (*ans
 // request context — and later calls return the same frozen map.
 func (sn *Snapshot) ConsMaps() map[string]*consolidate.PMapping { return sn.consMaps() }
 
-// QueryConsolidatedCtx answers over the consolidated schema and
-// p-mappings. It requires every source to have a materialized
-// consolidated p-mapping; the epoch's first call pays for building them
-// (see ConsMaps) before ctx bounds the scans.
-func (sn *Snapshot) QueryConsolidatedCtx(ctx context.Context, q *sqlparse.Query) (*answer.ResultSet, error) {
-	cons := sn.ConsMaps()
-	if len(cons) != len(sn.Corpus.Sources) {
-		return nil, fmt.Errorf("core: %d of %d sources lack consolidated p-mappings",
-			len(sn.Corpus.Sources)-len(cons), len(sn.Corpus.Sources))
-	}
-	return sn.engine.AnswerConsolidatedCtx(ctx, sn.Target, cons, q)
-}
-
-// RunCtx dispatches an approach by name.
-func (sn *Snapshot) RunCtx(ctx context.Context, a Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+// ScanCtx evaluates q under approach a into an unranked part (see
+// answer.ResultSet): the merge input a shard leg returns, and what
+// RunCtx ranks. UDI scans the p-med-schema (Definition 3.3);
+// Consolidated scans the consolidated schema and p-mappings (§6), which
+// requires every source to have a materialized consolidated p-mapping —
+// the epoch's first such scan pays for building them (see ConsMaps)
+// before ctx bounds the scans.
+func (sn *Snapshot) ScanCtx(ctx context.Context, a Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
 	switch a {
 	case UDI:
-		return sn.QueryParsedCtx(ctx, q)
+		return sn.engine.ScanPMed(ctx, answer.PMedInput{PMed: sn.Med.PMed, Maps: sn.Maps}, q)
 	case Consolidated:
-		return sn.QueryConsolidatedCtx(ctx, q)
+		cons := sn.ConsMaps()
+		if len(cons) != len(sn.Corpus.Sources) {
+			return nil, fmt.Errorf("core: %d of %d sources lack consolidated p-mappings",
+				len(sn.Corpus.Sources)-len(cons), len(sn.Corpus.Sources))
+		}
+		return sn.engine.ScanConsolidated(ctx, sn.Target, cons, q)
 	}
 	return nil, fmt.Errorf("core: unknown approach %q", a)
+}
+
+// RunCtx answers q under approach a: the ranked ScanCtx part. It records
+// the ranking's cost as query.rank_seconds and its distinct answers as
+// query.tuples.
+func (sn *Snapshot) RunCtx(ctx context.Context, a Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+	rs, err := sn.ScanCtx(ctx, a, q)
+	if err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	answer.Rank(rs)
+	if r := sn.engine.Obs; r.Enabled() {
+		r.Observe("query.rank_seconds", time.Since(t0).Seconds())
+		r.Observe("query.tuples", float64(len(rs.Ranked)))
+	}
+	return rs, nil
 }
 
 // ExplainCtx returns the provenance of one answer tuple under this

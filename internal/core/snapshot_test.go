@@ -141,7 +141,7 @@ func TestSnapshotStableAcrossCommits(t *testing.T) {
 	q := sqlparse.MustParse("SELECT " + attrs[0] + " FROM t")
 
 	old := sys.Snapshot()
-	before, err := old.QueryParsedCtx(context.Background(), q)
+	before, err := old.RunCtx(context.Background(), UDI, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSnapshotStableAcrossCommits(t *testing.T) {
 	if got := len(old.Corpus.Sources); got != oldSources {
 		t.Fatalf("held snapshot's corpus changed: %d -> %d sources", oldSources, got)
 	}
-	after, err := old.QueryParsedCtx(context.Background(), q)
+	after, err := old.RunCtx(context.Background(), UDI, q)
 	if err != nil {
 		t.Fatal(err)
 	}

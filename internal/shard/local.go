@@ -154,7 +154,7 @@ func (l localLeg) Epoch() uint64        { return l.sn.Epoch }
 func (l localLeg) CreatedAt() time.Time { return l.sn.CreatedAt }
 
 func (l localLeg) Run(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
-	return l.sn.RunCtx(ctx, a, q)
+	return l.sn.ScanCtx(ctx, a, q)
 }
 
 func (l localLeg) Explain(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error) {

@@ -114,11 +114,9 @@ type Leg interface {
 	// CreatedAt is when the pinned state was published, or the zero time
 	// when the leg pins none.
 	CreatedAt() time.Time
-	// Run answers the query over this shard's sources. Instances and
-	// PerSource are the merge inputs and are always set; Ranked is the
-	// shard-local ranking, read only when the leg is alone in its view —
-	// a transport that does not ship it leaves it nil and the coordinator
-	// ranks by merging.
+	// Run scans the query over this shard's sources and returns merge
+	// inputs only: a part (Instances and PerSource, Ranked nil) that the
+	// coordinator's merge ranks with every other leg's.
 	Run(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error)
 	// Explain reports this shard's contributions behind one answer.
 	Explain(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error)
@@ -288,11 +286,12 @@ func (s *System) crash(stage string) error {
 type View struct {
 	meta *servingMeta
 	legs []Leg
+	obs  *obs.Registry
 }
 
 // View captures the current cross-shard read view.
 func (s *System) View() *View {
-	v := &View{meta: s.meta.Load(), legs: make([]Leg, len(s.shards))}
+	v := &View{meta: s.meta.Load(), legs: make([]Leg, len(s.shards)), obs: s.cfg.Obs}
 	for i, sh := range s.shards {
 		v.legs[i] = sh.Pin()
 	}
@@ -393,10 +392,11 @@ func firstError(errs []error) error {
 }
 
 // RunCtx fans the query out to every shard and merges the partial
-// results in global source order: answer.MergeResultSets recomputes the
-// IEEE disjunction over the shards' exact per-source probabilities, so
-// the merged ranking is `==`-identical to a single engine over the whole
-// corpus.
+// results in global source order: answer.MergeResultSets ranks the
+// shards' exact per-source probabilities with the single engine's one
+// combine, so the merged ranking is `==`-identical to a single engine
+// over the whole corpus. The merge's cost is recorded as
+// shard.merge_seconds.
 func (v *View) RunCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
 	parts, err := gather(ctx, v.legs, func(ctx context.Context, l Leg) (*answer.ResultSet, error) {
 		return l.Run(ctx, a, q)
@@ -404,13 +404,12 @@ func (v *View) RunCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (
 	if err != nil {
 		return nil, err
 	}
-	// A lone leg that ranked its own answer is the answer (the shard IS
-	// the system). One that carries only the merge inputs is ranked by the
-	// merge like any other part set.
-	if len(parts) == 1 && parts[0].Ranked != nil {
-		return parts[0], nil
+	t0 := time.Now()
+	rs := answer.MergeResultSets(v.meta.order, parts)
+	if v.obs.Enabled() {
+		v.obs.Observe("shard.merge_seconds", time.Since(t0).Seconds())
 	}
-	return answer.MergeResultSets(v.meta.order, parts), nil
+	return rs, nil
 }
 
 // ExplainCtx fans provenance out to every shard and merges the

@@ -289,20 +289,12 @@ func TestGatherFailureCancelsPeersAndNeverMerges(t *testing.T) {
 	}
 }
 
-// TestLoneLegResult pins the one-shard dispatch: a lone leg that ranked
-// its own answer is returned as is (the same *ResultSet, no merge, no
-// goroutine), while a lone leg carrying only the merge inputs — the wire
-// form — is ranked by the merge.
+// TestLoneLegResult pins the one-shard dispatch: a lone leg carrying
+// only the merge inputs is ranked by the merge.
 func TestLoneLegResult(t *testing.T) {
 	probs := []answer.SourceTupleProbs{{Source: "a", Probs: map[string]float64{answer.TupleKey([]string{"v"}): 0.5}}}
-	ranked := &answer.ResultSet{PerSource: probs, Ranked: []answer.Answer{{Values: []string{"v"}, Prob: 0.5}}}
-	got, err := fakeView([]string{"a"}, func(context.Context) (*answer.ResultSet, error) { return ranked, nil }).
-		RunCtx(context.Background(), core.UDI, nil)
-	if err != nil || got != ranked {
-		t.Fatalf("lone ranked leg: got %p (err %v), want the leg's own result set %p", got, err, ranked)
-	}
 	inputs := &answer.ResultSet{PerSource: probs}
-	got, err = fakeView([]string{"a"}, func(context.Context) (*answer.ResultSet, error) { return inputs, nil }).
+	got, err := fakeView([]string{"a"}, func(context.Context) (*answer.ResultSet, error) { return inputs, nil }).
 		RunCtx(context.Background(), core.UDI, nil)
 	if err != nil || len(got.Ranked) != 1 || got.Ranked[0].Prob != 0.5 {
 		t.Fatalf("lone unranked leg: got %+v (err %v), want it ranked by the merge", got, err)

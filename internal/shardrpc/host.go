@@ -221,7 +221,7 @@ func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sn := sys.Snapshot()
-	rs, err := sn.RunCtx(r.Context(), approach, q)
+	rs, err := sn.ScanCtx(r.Context(), approach, q)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
 		return

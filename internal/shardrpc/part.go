@@ -13,12 +13,13 @@ import (
 	"udi/internal/answer"
 )
 
-// This file is the POST /v1/shard/query response body: one shard's
-// partial ResultSet — its instances plus the per-source tuple
-// probabilities the cross-source merge needs — as one binary frame.
-// Ranked answers are NOT shipped: the coordinator recomputes them through
-// answer.MergeResultSets, which visits sources in global corpus order so
-// the IEEE disjunction is bit-identical to the single engine.
+// This file is the POST /v1/shard/query response body: one shard's part
+// — the merge inputs its Snapshot.ScanCtx returns, instances plus the
+// per-source tuple probabilities — as one binary frame. A host never
+// ranks, so there is no ranking to ship: the coordinator ranks the
+// gathered parts once through answer.MergeResultSets, which puts sources
+// in global corpus order so answer.Rank's IEEE disjunction is
+// bit-identical to the single engine.
 //
 // Frame layout (fixed-width integers little-endian, `uv` an unsigned and
 // `sv` a zig-zag signed LEB128 varint, as encoding/binary writes them):
