@@ -1,8 +1,8 @@
-# Development entry points. `make check` is the tier-1 gate: vet, build,
-# the full test suite under the race detector, the named soaks rerun, the
-# no-skip and oracle-never-ships guards, and a short fuzzing pass over the
-# SQL parser, the shard RPC partial-result decoder and the cross-source
-# combine.
+# Development entry points. `make check` is the tier-1 gate: vet and the
+# gofmt check, build, the full test suite under the race detector, the
+# named soaks rerun, the no-skip and oracle-never-ships guards, and a
+# short fuzzing pass over the SQL parser, the shard RPC partial-result
+# decoder and the cross-source combine.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -11,8 +11,12 @@ FUZZTIME ?= 10s
 
 check: vet build race soak no-skip fuzz
 
+# Also the formatting gate: any tracked .go file gofmt would rewrite
+# fails it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Also the never-ships guards: no binary under cmd/ or examples/ may link
 # the test-only oracle, and the serving binaries link none of the paper's

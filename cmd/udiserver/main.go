@@ -17,33 +17,32 @@
 // A shard host (-role shard) starts empty and serves the versioned shard
 // RPC protocol (/v1/shard/*, /v1/wal); a coordinator pushes it state.
 // With -data-dir the host checkpoints structural pushes, logs feedback
-// in its WAL, and ships its committed WAL tail to replicas. The coordinator (-role coordinator) runs the global setup
-// over -domain/-data and serves the public /v1 API by scatter-gather
-// over the shard hosts — answers are bit-identical to -shards N
+// in its WAL, and ships its committed WAL tail to replicas. The
+// coordinator (-role coordinator) runs the global setup over
+// -domain/-data and serves the public /v1 API by scatter-gather over the
+// shard hosts — answers are bit-identical to -shards N
 // in-process serving and to a single core. A replica (-role replica)
 // bootstraps from -follow's snapshot, tails its WAL every -poll, and
 // serves read-only /v1 (mutations answer 403 read_only) plus the
-// read-only shard RPC surface, so a coordinator can route reads to it;
+// read-only shard RPC surface, so a coordinator can fail reads over to it;
 // /v1/schema reports the replication position and staleness.
 //
-// Replica read routing: each -shard-addrs entry may append that shard's
+// Replica failover: each -shard-addrs entry may append that shard's
 // replicas after the primary, semicolon-separated —
 //
 //	udiserver -role coordinator -domain Car \
 //	  -shard-addrs 'http://h1:9001;http://r1:9003,http://h2:9001' \
-//	  -max-staleness 2s -op-timeout 10s
+//	  -op-timeout 10s
 //
-// The coordinator probes every member's /v1/shard/status and routes each
-// query's fan-out legs to the least-loaded member whose replication
-// state is synced and whose probe is fresher than -max-staleness. The
-// default -max-staleness 0 keeps reads primary-only; with any bound, a
-// failed primary fails reads over to a synced replica (bit-identical
-// answers — a dead primary commits nothing) while writes answer a typed
+// The coordinator probes every member's /v1/shard/status and sends each
+// query's fan-out legs to the primary. A failed primary fails reads over
+// to the first replica, in configured order, whose replication state is
+// synced to the primary's last-known committed state (bit-identical
+// answers — a dead primary commits nothing), while writes answer a typed
 // 503 shard_unavailable. /v1/schema's "routing" object reports which
-// member served each shard's last read leg and the
-// replica-read/failover/stale-refused counters. -op-timeout bounds every
-// coordinator mutation RPC so a hung host fails typed instead of
-// blocking forever.
+// member served each shard's last read leg and the failover and
+// stale-refused counters. -op-timeout bounds every coordinator mutation
+// RPC so a hung host fails typed instead of blocking forever.
 //
 // With -data-dir the server is durable: every committed mutation
 // (feedback, source add/remove) is logged and fsynced before it is
@@ -119,7 +118,6 @@ type serveConfig struct {
 	follow          string
 	shardAddrs      string
 	poll            time.Duration
-	maxStaleness    time.Duration
 	opTimeout       time.Duration
 	domain          string
 	data            string
@@ -141,7 +139,6 @@ func main() {
 	follow := flag.String("follow", "", "replica mode: primary address to bootstrap from and tail (e.g. http://host:9001)")
 	shardAddrs := flag.String("shard-addrs", "", "coordinator mode: comma-separated shard entries, one per shard; an entry may append semicolon-separated replica addresses after the primary (primary;replica1;replica2)")
 	poll := flag.Duration("poll", 500*time.Millisecond, "replica mode: WAL polling interval")
-	maxStaleness := flag.Duration("max-staleness", 0, "coordinator mode: route read legs to replicas probed synced within this bound; 0 = primary-only reads (replicas serve only on primary failover)")
 	opTimeout := flag.Duration("op-timeout", 0, "coordinator mode: per-RPC timeout for mutations (feedback, source changes); a hung shard host fails typed instead of blocking (0 = no bound)")
 	dataDir := flag.String("data-dir", "", "durable mode: WAL + checkpoints in this directory; restarts recover the last committed state")
 	shards := flag.Int("shards", 1, "partition the sources across this many in-process shards and answer by scatter-gather")
@@ -163,8 +160,7 @@ func main() {
 	}
 	cfg := core.Config{FeedbackBatch: *feedbackBatch}
 	sc := serveConfig{
-		role: *role, follow: *follow, shardAddrs: *shardAddrs, poll: *poll,
-		maxStaleness: *maxStaleness, opTimeout: *opTimeout,
+		role: *role, follow: *follow, shardAddrs: *shardAddrs, poll: *poll, opTimeout: *opTimeout,
 		domain: *domain, data: *data, load: *load, sources: *sources,
 		shards: *shards, addr: *addr, dataDir: *dataDir, checkpointEvery: *checkpointEvery,
 	}
@@ -219,8 +215,7 @@ func runCoordinator(sc serveConfig, cfg core.Config, opts httpapi.Options) error
 	}
 	fmt.Fprintf(os.Stderr, "pushing %d sources across %d shard hosts...\n", len(corpus.Sources), len(addrs))
 	co, err := shardrpc.NewCoordinator(corpus, cfg, addrs, shardrpc.CoordinatorOptions{
-		MaxStaleness: sc.maxStaleness,
-		OpTimeout:    sc.opTimeout,
+		OpTimeout: sc.opTimeout,
 	})
 	if err != nil {
 		return err

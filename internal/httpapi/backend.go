@@ -116,20 +116,16 @@ type ReplicationStatus struct {
 	SyncedOnce bool `json:"synced_once"`
 }
 
-// RoutingStatus describes a coordinator's replica read tier for
-// /v1/schema: the staleness bound in force, cumulative routing counters,
-// and each shard's read set with per-member health and sync position.
-// It is the typed degradation report — a client can see exactly which
-// legs are being served by replicas and how far behind they are.
+// RoutingStatus describes a coordinator's replica failover tier for
+// /v1/schema: cumulative routing counters and each shard's read set with
+// per-member health and sync position. It is the typed degradation
+// report — a client can see exactly which legs are being served by
+// replicas and how far behind they are.
 type RoutingStatus struct {
-	// MaxStalenessMS is the configured bound in milliseconds; 0 means
-	// primary-only load balancing (replicas serve only on failover).
-	MaxStalenessMS int64 `json:"max_staleness_ms"`
-	// ReplicaReads counts fan-out legs served by a replica; Failovers
-	// counts the subset served by a replica because the primary was
-	// failed; StaleRefused counts legs where a failover was needed but a
-	// replica was refused for lagging the primary's committed state.
-	ReplicaReads int64 `json:"replica_reads"`
+	// Failovers counts fan-out legs served by a replica because the
+	// primary was failed; StaleRefused counts legs where a failover was
+	// needed but a replica was refused for lagging the primary's
+	// committed state.
 	Failovers    int64 `json:"failovers"`
 	StaleRefused int64 `json:"stale_refused"`
 	// Shards is one entry per shard read set.
@@ -141,12 +137,10 @@ type RouteShardStatus struct {
 	Shard   int    `json:"shard"`
 	Primary string `json:"primary"`
 	// LastReadBy identifies the member that served this shard's most
-	// recent routed read leg; LastReadStale marks it as a replica serve,
-	// LastReadFailover as a replica serve forced by a failed primary.
+	// recent routed read leg; LastReadFailover marks it as a replica
+	// serve, which only a failed primary forces.
 	LastReadBy       string              `json:"last_read_by,omitempty"`
-	LastReadStale    bool                `json:"last_read_stale,omitempty"`
 	LastReadFailover bool                `json:"last_read_failover,omitempty"`
-	ReplicaReads     int64               `json:"replica_reads"`
 	Failovers        int64               `json:"failovers"`
 	StaleRefused     int64               `json:"stale_refused"`
 	Members          []RouteMemberStatus `json:"members"`

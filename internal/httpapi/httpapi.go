@@ -501,10 +501,10 @@ type SchemaResponse struct {
 	// replica: which primary it follows, the last applied sequence, and
 	// how stale it is; omitted on primaries.
 	Replication *ReplicationStatus `json:"replication,omitempty"`
-	// Routing is present when the server routes reads across replica read
-	// sets (a coordinator with configured replicas): the staleness bound,
-	// which member served each shard's last read leg, and the
-	// failover/staleness counters; omitted otherwise.
+	// Routing is present when the server fails reads over to replica read
+	// sets (a coordinator with configured replicas): which member served
+	// each shard's last read leg, and the failover/stale-refused counters;
+	// omitted otherwise.
 	Routing *RoutingStatus `json:"routing,omitempty"`
 }
 

@@ -10,11 +10,10 @@ import (
 // ShardHandler returns the read-only half of the shard RPC surface,
 // served from the follower's replayed state by the same handlers a shard
 // host uses (shardrpc.ReadHandlers). Mounting it beside the public /v1
-// API turns a passive replica into routable serving capacity: a
-// coordinator with this replica in a shard's read set can send
-// query/explain/candidates legs here under its staleness bound, and the
-// status endpoint reports the replication position those routing
-// decisions are made from. Every mutating shard RPC answers the typed
+// API turns a passive replica into a failover target: a coordinator
+// with this replica in a shard's read set sends query/explain/candidates
+// legs here when the primary fails, and the status endpoint reports the
+// replication position those failover decisions are made from. Every mutating shard RPC answers the typed
 // read_only envelope — writes only ever touch the primary.
 func (f *Follower) ShardHandler() http.Handler {
 	mux := http.NewServeMux()

@@ -16,7 +16,7 @@ import (
 
 // TestScatterGatherSoak hammers one sharded system with concurrent
 // scatter-gather readers and two mutators (feedback, add, remove) — the
-// workload `make race-topology` runs under -race. Readers take lock-free
+// workload `make soak` reruns under -race. Readers take lock-free
 // Views mid-mutation, so the run exercises every snapshot/publish edge;
 // correctness here is "no race, no panic, and every successful answer is
 // a valid probability", while bit-level equivalence is pinned separately

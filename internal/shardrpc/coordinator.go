@@ -27,15 +27,6 @@ type CoordinatorOptions struct {
 	Client client.Options
 	// Obs receives coordinator metrics; nil uses obs.Default.
 	Obs *obs.Registry
-	// MaxStaleness bounds how old a replica's probed-and-synced
-	// observation may be for it to serve routine (load-balanced) read
-	// legs. 0 — the default — means primary-only reads: replicas serve
-	// only on primary failover, preserving the pre-routing semantics
-	// exactly. Failover eligibility is not age-bounded; it requires the
-	// replica to be synced to the primary's last-known committed state,
-	// which keeps answers bit-identical (see routing.go). The background
-	// prober's cadence follows from it (StartProber).
-	MaxStaleness time.Duration
 	// OpTimeout bounds each mutation RPC (feedback, adopt, drop,
 	// mediation, replace). A hung shard host then fails the mutation with
 	// a typed shard_unavailable instead of blocking forever. 0 means no
@@ -62,8 +53,7 @@ type CoordinatorOptions struct {
 // incomplete result set.
 type Coordinator struct {
 	httpapi.Backend
-	stubs        []*stub
-	maxStaleness time.Duration
+	stubs []*stub
 }
 
 // NewCoordinator sets up a networked sharded system over the corpus: the
@@ -73,8 +63,9 @@ type Coordinator struct {
 // the shard index is the position in addrs, and source→shard routing is
 // shard.ShardOf. An entry may carry a replica read set after the
 // primary, semicolon-separated ("primary;replica1;replica2"): replicas
-// receive no pushes and no writes, but serve read legs under the
-// bounded-staleness routing in routing.go.
+// receive no pushes and no writes, and serve read legs only on primary
+// failover, and only when synced to the primary's last-known committed
+// state (routing.go).
 func NewCoordinator(c *schema.Corpus, cfg core.Config, addrs []string, opts CoordinatorOptions) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("shardrpc: coordinator needs at least one shard address")
@@ -82,7 +73,7 @@ func NewCoordinator(c *schema.Corpus, cfg core.Config, addrs []string, opts Coor
 	if opts.Obs == nil {
 		opts.Obs = obs.Default
 	}
-	co := &Coordinator{maxStaleness: opts.MaxStaleness}
+	co := &Coordinator{}
 	shards := make([]shard.Shard, len(addrs))
 	for i, spec := range addrs {
 		st := newStub(i, spec, opts)
@@ -264,8 +255,8 @@ type remoteLeg struct {
 func (l remoteLeg) Epoch() uint64        { return l.epoch }
 func (l remoteLeg) CreatedAt() time.Time { return time.Time{} }
 
-// read runs one read RPC through readLeg (bounded-staleness load
-// balancing plus failover). call answers with the epoch its response
+// read runs one read RPC through readLeg (primary first, synced-replica
+// failover). call answers with the epoch its response
 // carried; it feeds the shard's epoch only when the primary served, so
 // replica-local epochs never pollute the vector. A leg that exhausts its
 // read set fails typed.

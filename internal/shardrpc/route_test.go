@@ -28,10 +28,11 @@ import (
 
 // The read-routing battery: a coordinator whose shard read sets carry
 // WAL-following replicas must keep every answer `==`-bit-identical to
-// the primary-only system — balanced reads only within the staleness
-// bound, failover reads only from replicas synced to the primary's
-// last-known committed state, lagging replicas refused rather than
-// served wrong, and writes never touching a replica.
+// the primary-only system — the primary serves every read it can,
+// failover reads come only from replicas synced to the primary's
+// last-known committed state and in configured order, lagging replicas
+// are refused rather than served wrong, and writes never touch a
+// replica.
 
 // routedSystem is one shard with a fault proxy in front of the primary
 // (the coordinator's only path to it) and a WAL-following replica that
@@ -44,8 +45,6 @@ type routedSystem struct {
 	f          *replica.Follower
 	replicaURL string
 	co         *shardrpc.Coordinator
-	corpus     *schema.Corpus
-	cfg        core.Config
 }
 
 func startRoutedSystem(t *testing.T, durable bool, copts shardrpc.CoordinatorOptions) *routedSystem {
@@ -70,9 +69,8 @@ func startRoutedSystem(t *testing.T, durable bool, copts shardrpc.CoordinatorOpt
 	replicaSrv := httptest.NewServer(f.ShardHandler())
 	t.Cleanup(replicaSrv.Close)
 
-	corpus := faultCorpus(t)
 	copts.Obs = obs.NewRegistry()
-	co, err := shardrpc.NewCoordinator(corpus, cfg, []string{proxyURL + ";" + replicaSrv.URL}, copts)
+	co, err := shardrpc.NewCoordinator(faultCorpus(t), cfg, []string{proxyURL + ";" + replicaSrv.URL}, copts)
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
@@ -82,7 +80,7 @@ func startRoutedSystem(t *testing.T, durable bool, copts shardrpc.CoordinatorOpt
 	}
 	co.Probe(ctx)
 	return &routedSystem{host: h, hostURL: hostSrv.URL, proxy: p, f: f,
-		replicaURL: replicaSrv.URL, co: co, corpus: corpus, cfg: cfg}
+		replicaURL: replicaSrv.URL, co: co}
 }
 
 func routingStatus(t *testing.T, co *shardrpc.Coordinator) *httpapi.RoutingStatus {
@@ -106,8 +104,8 @@ func firstCandidateFeedback(t *testing.T, v httpapi.View) core.Feedback {
 
 // TestReplicaFailoverServesReads: with the primary dead and a synced
 // replica in the read set, reads keep succeeding with bit-identical
-// answers — even at MaxStaleness 0, since a dead primary commits
-// nothing — while writes fail with the typed shard_unavailable.
+// answers — a dead primary commits nothing — while writes fail with the
+// typed shard_unavailable.
 func TestReplicaFailoverServesReads(t *testing.T) {
 	rs := startRoutedSystem(t, true, shardrpc.CoordinatorOptions{})
 	ctx := context.Background()
@@ -132,11 +130,11 @@ func TestReplicaFailoverServesReads(t *testing.T) {
 	wantShardUnavailable(t, rs.co.SubmitFeedback(fb))
 
 	st := routingStatus(t, rs.co)
-	if st.ReplicaReads == 0 || st.Failovers == 0 {
-		t.Fatalf("replica_reads=%d failovers=%d, want both > 0", st.ReplicaReads, st.Failovers)
+	if st.Failovers == 0 {
+		t.Fatalf("failovers=%d, want > 0", st.Failovers)
 	}
 	sh0 := st.Shards[0]
-	if sh0.LastReadBy != rs.replicaURL || !sh0.LastReadFailover || !sh0.LastReadStale {
+	if sh0.LastReadBy != rs.replicaURL || !sh0.LastReadFailover {
 		t.Fatalf("last read record %+v, want failover read served by %s", sh0, rs.replicaURL)
 	}
 }
@@ -166,8 +164,8 @@ func TestLaggingReplicaRefused(t *testing.T) {
 	if st.StaleRefused == 0 {
 		t.Fatal("lagging replica was not counted stale_refused")
 	}
-	if st.ReplicaReads != 0 {
-		t.Fatalf("lagging replica served %d reads", st.ReplicaReads)
+	if st.Failovers != 0 {
+		t.Fatalf("lagging replica served %d reads", st.Failovers)
 	}
 
 	// The primary comes back, the replica replays the WAL tail, and the
@@ -194,44 +192,95 @@ func TestLaggingReplicaRefused(t *testing.T) {
 	}
 }
 
-// TestBalancedReplicaReadsWithinBound: with a generous staleness bound
-// and a synced replica, routine reads spread across the read set and
-// every routed answer stays bit-identical to the single-core oracle.
-func TestBalancedReplicaReadsWithinBound(t *testing.T) {
-	rs := startRoutedSystem(t, true, shardrpc.CoordinatorOptions{MaxStaleness: time.Minute})
+// TestFailoverOrderTwoReplicas: with a primary and replicas r1, r2, a
+// failed primary's reads go to the first synced replica in configured
+// order. While r1 lags the committed feedback, r2 serves the
+// post-feedback bits and r1 is counted stale_refused; once r1 catches
+// up, every read is r1's.
+func TestFailoverOrderTwoReplicas(t *testing.T) {
+	cfg := core.Config{Obs: obs.NewRegistry()}
+	h, err := shardrpc.NewHost(cfg, shardrpc.HostOptions{Obs: obs.NewRegistry(), DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("host: %v", err)
+	}
+	hostSrv := httptest.NewServer(h.Handler())
+	t.Cleanup(hostSrv.Close)
+	t.Cleanup(func() { h.Close() })
+	p, proxyURL := newFaultProxy(t, hostSrv.URL)
+	followers := make([]*replica.Follower, 2)
+	urls := make([]string, 2)
+	for i := range followers {
+		followers[i] = replica.New(hostSrv.URL, cfg, replica.Options{Obs: obs.NewRegistry()})
+		srv := httptest.NewServer(followers[i].ShardHandler())
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	r1, r2 := followers[0], followers[1]
+	co, err := shardrpc.NewCoordinator(faultCorpus(t), cfg,
+		[]string{proxyURL + ";" + urls[0] + ";" + urls[1]}, shardrpc.CoordinatorOptions{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
 	ctx := context.Background()
-	oracle, err := core.Setup(rs.corpus, rs.cfg)
-	if err != nil {
-		t.Fatalf("oracle: %v", err)
-	}
-	v, q := probeQuery(t, rs.co)
-	sn := oracle.Snapshot()
-	ors, err := sn.RunCtx(ctx, core.UDI, q)
-	if err != nil {
-		t.Fatalf("oracle query: %v", err)
-	}
-	for i := 0; i < 8; i++ {
-		crs, err := v.RunCtx(ctx, core.UDI, q)
-		if err != nil {
-			t.Fatalf("routed read %d: %v", i, err)
+	for i, f := range followers {
+		if err := f.Sync(ctx); err != nil {
+			t.Fatalf("replica r%d sync: %v", i+1, err)
 		}
-		compareRPCResultSets(t, fmt.Sprintf("balanced read %d", i), ors, crs)
 	}
-	st := routingStatus(t, rs.co)
-	if st.ReplicaReads == 0 {
-		t.Fatal("no read was balanced onto the synced replica")
+
+	// Commit feedback; only r2 replays it, then the primary dies.
+	v, q := probeQuery(t, co)
+	if err := co.SubmitFeedback(firstCandidateFeedback(t, v)); err != nil {
+		t.Fatalf("feedback: %v", err)
 	}
-	if st.Failovers != 0 || st.StaleRefused != 0 {
-		t.Fatalf("healthy-primary run recorded failovers=%d stale_refused=%d", st.Failovers, st.StaleRefused)
+	want, err := v.RunCtx(ctx, core.UDI, q)
+	if err != nil {
+		t.Fatalf("read with healthy primary: %v", err)
+	}
+	if err := r2.Sync(ctx); err != nil {
+		t.Fatalf("replica r2 catch-up sync: %v", err)
+	}
+	co.Probe(ctx)
+	p.set("refuse", "", -1)
+	co.Probe(ctx)
+
+	got, err := v.RunCtx(ctx, core.UDI, q)
+	if err != nil {
+		t.Fatalf("failover read with r1 lagging: %v", err)
+	}
+	compareRPCResultSets(t, "failover to r2", want, got)
+	st := routingStatus(t, co)
+	if st.StaleRefused == 0 {
+		t.Fatal("lagging r1 was not counted stale_refused")
+	}
+	if by := st.Shards[0].LastReadBy; by != urls[1] {
+		t.Fatalf("failover read served by %s, want r2 %s", by, urls[1])
+	}
+
+	// r1 catches up: it is first in configured order, so it serves every
+	// read from now on.
+	if err := r1.Sync(ctx); err != nil {
+		t.Fatalf("replica r1 catch-up sync: %v", err)
+	}
+	co.Probe(ctx)
+	for i := 0; i < 6; i++ {
+		got, err := v.RunCtx(ctx, core.UDI, q)
+		if err != nil {
+			t.Fatalf("failover read %d with r1 synced: %v", i, err)
+		}
+		compareRPCResultSets(t, fmt.Sprintf("failover read %d to r1", i), want, got)
+		if by := routingStatus(t, co).Shards[0].LastReadBy; by != urls[0] {
+			t.Fatalf("failover read %d served by %s, want r1 %s", i, by, urls[0])
+		}
 	}
 }
 
 // TestRoutedDifferentialBoundZero is the acceptance bar for the default
 // configuration: at shard counts {1,2,4,8} with a replica beside every
-// shard and MaxStaleness 0, the routed coordinator must stay
+// shard and every primary healthy, the routed coordinator must stay
 // `==`-bit-identical to the single-core oracle and the in-process
 // sharded system through interleaved mutations, and no replica may
-// serve a single routine read.
+// serve a single read.
 func TestRoutedDifferentialBoundZero(t *testing.T) {
 	for ti, shards := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
@@ -280,8 +329,8 @@ func TestRoutedDifferentialBoundZero(t *testing.T) {
 				compareNetworked(t, fmt.Sprintf("after mutation %d", m),
 					oracle, sh, co, rpcTrialQueries(rng, oracle.Corpus))
 			}
-			if st := routingStatus(t, co); st.ReplicaReads != 0 {
-				t.Fatalf("bound-0 healthy-primary run served %d replica reads", st.ReplicaReads)
+			if st := routingStatus(t, co); st.Failovers != 0 {
+				t.Fatalf("healthy-primary run served %d replica reads", st.Failovers)
 			}
 		})
 	}
@@ -440,14 +489,13 @@ func TestMutationOpTimeout(t *testing.T) {
 }
 
 // TestRouteSoak drives concurrent routed readers, a feedback writer,
-// the background prober, the follower's sync loop, and a fault toggler
-// that repeatedly kills and revives the primary — the race-detector
-// soak behind `make race-route`. Reads and writes may fail only with
-// typed errors, and the system must serve again after recovery.
+// the background prober plus a probe loop, the follower's sync loop, and
+// a fault toggler that repeatedly kills and revives the primary — the
+// race-detector soak `make soak` reruns. Reads and writes may fail only
+// with typed errors, and the system must serve again after recovery.
 func TestRouteSoak(t *testing.T) {
 	rs := startRoutedSystem(t, true, shardrpc.CoordinatorOptions{
-		MaxStaleness: 100 * time.Millisecond,
-		OpTimeout:    2 * time.Second,
+		OpTimeout: 2 * time.Second,
 	})
 	stopProber := rs.co.StartProber()
 	defer stopProber()
@@ -466,6 +514,16 @@ func TestRouteSoak(t *testing.T) {
 	}
 	deadline := time.Now().Add(dur)
 	var wg sync.WaitGroup
+	// The background prober ticks once a second, never inside the soak;
+	// probe in a loop so routed reads race member-status updates.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for time.Now().Before(deadline) {
+			rs.co.Probe(ctx)
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {

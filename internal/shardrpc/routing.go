@@ -18,57 +18,40 @@ import (
 // This file is the coordinator's read-routing layer: each shard is a
 // read set (one primary plus WAL-following replicas), every member's
 // health and replication position is tracked via /v1/shard/status
-// probes, and read-side fan-out legs route to the least-loaded member
-// whose staleness is inside the configured bound. Writes always go to
-// the primary; replicas never see a mutating RPC.
+// probes, and read-side fan-out legs go to the primary, failing over to
+// a replica only when the primary fails. Writes always go to the
+// primary; replicas never see a mutating RPC.
 //
-// Eligibility is two-tiered:
-//
-//   - Balanced reads (MaxStaleness > 0): a replica may serve a routine
-//     read leg when its last probe is fresher than the bound AND it was
-//     synced to the primary's committed state at that probe. With the
-//     default bound of 0 no replica ever serves a routine read — the
-//     primary-only semantics of the pre-routing coordinator.
-//   - Failover reads (any bound, primary failed): a replica may serve
-//     when it is synced to the primary's last-known committed state. A
-//     failed primary accepts no writes, so a synced replica holds the
-//     same committed bits and failover cannot change answers — even at
-//     bound 0. Replicas lagging that watermark are refused and counted
-//     (shardrpc.route.stale_refused) rather than served wrong.
+// A replica may serve a read leg only when it is synced to the
+// primary's last-known committed state. A failed primary accepts no
+// writes, so a synced replica holds the same committed bits and
+// failover cannot change answers. Replicas lagging that watermark are
+// refused and counted (shardrpc.route.stale_refused) rather than served
+// wrong.
 
 // member is one read-set member (the primary or a replica) with its
-// last-probed status. load counts in-flight routed legs; healthy flips
-// false on probe/serve failures and back on the next successful probe.
+// last-probed status. healthy flips false on probe/serve failures and
+// back on the next successful probe.
 type member struct {
 	addr    string
 	c       *client.Client
 	replica bool
-	load    atomic.Int64
 	healthy atomic.Bool
 	status  atomic.Pointer[memberStatus]
 }
 
 // memberStatus is one successful status probe, timestamped so the
-// router can bound how stale the observation itself is.
+// routing report can say how stale the observation itself is.
 type memberStatus struct {
-	at               time.Time
-	ready            bool
-	epoch            uint64
-	stateGen         uint64
-	durable          bool
-	committedSeq     uint64
-	appliedSeq       uint64
-	primaryCommitted uint64
-	primaryEpoch     uint64
-	synced           bool
-}
-
-// readRecord remembers which member served a shard's last routed read
-// leg — the /v1/schema degradation report.
-type readRecord struct {
-	addr     string
-	replica  bool
-	failover bool
+	at           time.Time
+	ready        bool
+	epoch        uint64
+	stateGen     uint64
+	durable      bool
+	committedSeq uint64
+	appliedSeq   uint64
+	primaryEpoch uint64
+	synced       bool
 }
 
 // stub is one shard as the coordinator sees it — its shard.Shard (the
@@ -81,25 +64,21 @@ type stub struct {
 	primary *member
 	members []*member
 	reg     *obs.Registry
-	// maxStaleness and opTimeout are the coordinator's options (see
-	// CoordinatorOptions).
-	maxStaleness time.Duration
+	// opTimeout is the coordinator's option (see CoordinatorOptions).
 	opTimeout    time.Duration
 	epoch        atomic.Uint64
-	// rr breaks least-loaded ties round-robin so sequential reads still
-	// spread across an idle read set.
-	rr           atomic.Uint64
-	replicaReads atomic.Int64
 	failovers    atomic.Int64
 	staleRefused atomic.Int64
-	lastRead     atomic.Pointer[readRecord]
+	// lastRead is the member that served the shard's last routed read
+	// leg — the /v1/schema degradation report.
+	lastRead atomic.Pointer[member]
 }
 
 // newStub parses one -shard-addrs entry: "primary" or
 // "primary;replica1;replica2". Empty segments are skipped, so a
 // trailing semicolon is harmless.
 func newStub(shard int, spec string, opts CoordinatorOptions) *stub {
-	st := &stub{shard: shard, reg: opts.Obs, maxStaleness: opts.MaxStaleness, opTimeout: opts.OpTimeout}
+	st := &stub{shard: shard, reg: opts.Obs, opTimeout: opts.OpTimeout}
 	for _, a := range strings.Split(spec, ";") {
 		a = strings.TrimSpace(a)
 		if a == "" {
@@ -131,20 +110,20 @@ func syncedTo(ps, ms *memberStatus) bool {
 }
 
 // pick assembles the ordered attempt list for one read leg. With a
-// healthy primary: the least-loaded of {primary + in-bound synced
-// replicas} first, the rest of that set next, remaining synced replicas
-// as failover fallbacks. With a failed primary: synced replicas first
-// (lagging ones refused and counted), the primary itself last in case
-// it recovered since the last probe.
-func (st *stub) pick(maxStale time.Duration) (try []*member, primHealthy bool, refused int) {
-	prim := st.primary
-	primHealthy = prim.healthy.Load()
+// healthy primary: the primary, then the synced replicas in configured
+// order as failover fallbacks. With a failed primary: the synced
+// replicas in configured order (lagging ones refused and counted), then
+// the primary itself last in case it recovered since the last probe.
+func (st *stub) pick() (try []*member, refused int) {
 	if len(st.members) == 1 {
-		return st.members, primHealthy, 0
+		return st.members, 0
 	}
-	now := time.Now()
+	prim := st.primary
+	primHealthy := prim.healthy.Load()
+	if primHealthy {
+		try = append(try, prim)
+	}
 	ps := prim.status.Load()
-	var balanced, failover []*member
 	for _, m := range st.members[1:] {
 		if !m.healthy.Load() {
 			continue
@@ -159,61 +138,12 @@ func (st *stub) pick(maxStale time.Duration) (try []*member, primHealthy bool, r
 			}
 			continue
 		}
-		failover = append(failover, m)
-		if maxStale > 0 && now.Sub(ms.at) <= maxStale {
-			balanced = append(balanced, m)
-		}
+		try = append(try, m)
 	}
-	if primHealthy {
-		cands := append(make([]*member, 0, 1+len(balanced)), prim)
-		cands = append(cands, balanced...)
-		chosen := st.leastLoaded(cands)
-		try = append(try, chosen)
-		for _, m := range cands {
-			if m != chosen {
-				try = append(try, m)
-			}
-		}
-		for _, m := range failover {
-			if !containsMember(try, m) {
-				try = append(try, m)
-			}
-		}
-		return try, true, refused
+	if !primHealthy {
+		try = append(try, prim)
 	}
-	if len(failover) > 0 {
-		chosen := st.leastLoaded(failover)
-		try = append(try, chosen)
-		for _, m := range failover {
-			if m != chosen {
-				try = append(try, m)
-			}
-		}
-	}
-	try = append(try, prim)
-	return try, false, refused
-}
-
-// leastLoaded picks the member with the fewest in-flight routed legs,
-// rotating round-robin among ties (loads are a heuristic snapshot; a
-// concurrent change just shifts the tie-break).
-func (st *stub) leastLoaded(cands []*member) *member {
-	min := cands[0].load.Load()
-	for _, m := range cands[1:] {
-		if l := m.load.Load(); l < min {
-			min = l
-		}
-	}
-	tied := cands[:0:0]
-	for _, m := range cands {
-		if m.load.Load() <= min {
-			tied = append(tied, m)
-		}
-	}
-	if len(tied) == 0 {
-		return cands[0]
-	}
-	return tied[int(st.rr.Add(1)-1)%len(tied)]
+	return try, refused
 }
 
 // errProtocolMismatch marks a member answering status with a different
@@ -224,15 +154,6 @@ var errProtocolMismatch = errors.New("protocol mismatch")
 func protocolMismatch(shard int, addr string, got int) error {
 	return fmt.Errorf("shardrpc: shard %d (%s) speaks protocol %d, coordinator speaks %d: %w",
 		shard, addr, got, Version, errProtocolMismatch)
-}
-
-func containsMember(ms []*member, m *member) bool {
-	for _, x := range ms {
-		if x == m {
-			return true
-		}
-	}
-	return false
 }
 
 // failoverable reports whether a leg failure should move on to the next
@@ -249,29 +170,26 @@ func failoverable(err error) bool {
 	return true
 }
 
-// readLeg runs one read-side RPC against the shard's routed member,
-// walking the attempt list on failoverable errors. fn must be safe to
-// re-run against a different member (all read RPCs are). The returned
-// member is the one that served; the caller only updates the shard's
-// epoch vector when it is the primary, so replica-local epochs never
-// pollute the primary epoch vector.
+// readLeg runs one read-side RPC against the shard's read set, walking
+// the attempt list on failoverable errors. fn must be safe to re-run
+// against a different member (all read RPCs are). The returned member is
+// the one that served; the caller only updates the shard's epoch vector
+// when it is the primary, so replica-local epochs never pollute the
+// primary epoch vector.
 func (st *stub) readLeg(ctx context.Context, fn func(m *member) error) (*member, error) {
-	try, primHealthy, refused := st.pick(st.maxStaleness)
+	try, refused := st.pick()
 	if refused > 0 {
 		st.staleRefused.Add(int64(refused))
 		st.reg.Add("shardrpc.route.stale_refused", int64(refused))
 	}
-	primaryFailed := !primHealthy
 	var last error
 	for _, m := range try {
 		if last != nil && ctx.Err() != nil {
 			return nil, last
 		}
-		m.load.Add(1)
 		err := fn(m)
-		m.load.Add(-1)
 		if err == nil {
-			st.recordRead(m, primaryFailed)
+			st.recordRead(m)
 			return m, nil
 		}
 		last = err
@@ -279,23 +197,15 @@ func (st *stub) readLeg(ctx context.Context, fn func(m *member) error) (*member,
 			return nil, err
 		}
 		m.healthy.Store(false)
-		if m == st.primary {
-			primaryFailed = true
-		}
 		st.reg.Add("shardrpc.route.member_errors", 1)
 	}
 	return nil, last
 }
 
-// recordRead publishes who served a leg and bumps the routing counters.
-func (st *stub) recordRead(m *member, failover bool) {
-	st.lastRead.Store(&readRecord{addr: m.addr, replica: m.replica, failover: failover && m.replica})
-	if !m.replica {
-		return
-	}
-	st.replicaReads.Add(1)
-	st.reg.Add("shardrpc.route.replica_reads", 1)
-	if failover {
+// recordRead publishes who served a leg; a replica serve is a failover.
+func (st *stub) recordRead(m *member) {
+	st.lastRead.Store(m)
+	if m.replica {
 		st.failovers.Add(1)
 		st.reg.Add("shardrpc.route.failovers", 1)
 	}
@@ -316,16 +226,15 @@ func (st *stub) probeMember(ctx context.Context, m *member) error {
 		return protocolMismatch(st.shard, m.addr, status.Proto)
 	}
 	m.status.Store(&memberStatus{
-		at:               time.Now(),
-		ready:            status.Ready,
-		epoch:            status.Epoch,
-		stateGen:         status.StateGen,
-		durable:          status.Durable,
-		committedSeq:     status.CommittedSeq,
-		appliedSeq:       status.AppliedSeq,
-		primaryCommitted: status.PrimaryCommittedSeq,
-		primaryEpoch:     status.PrimaryEpoch,
-		synced:           status.Synced,
+		at:           time.Now(),
+		ready:        status.Ready,
+		epoch:        status.Epoch,
+		stateGen:     status.StateGen,
+		durable:      status.Durable,
+		committedSeq: status.CommittedSeq,
+		appliedSeq:   status.AppliedSeq,
+		primaryEpoch: status.PrimaryEpoch,
+		synced:       status.Synced,
 	})
 	m.healthy.Store(true)
 	if !m.replica && status.Ready {
@@ -351,31 +260,28 @@ func (co *Coordinator) Probe(ctx context.Context) {
 	wg.Wait()
 }
 
-// StartProber runs periodic Probe passes in the background and returns
-// a stop function. With no replicas configured it is a no-op: the plain
-// primary-only coordinator keeps its zero-goroutine footprint. The
-// cadence is half the staleness bound — a replica's observation must be
-// refreshed well inside the window in which it may serve — capped at 1s,
-// which is also the cadence at bound 0 (failover-only).
+// proberEvery is the background prober's cadence: how soon a failed
+// member is re-admitted and a replica's sync position refreshed.
+const proberEvery = time.Second
+
+// StartProber runs a Probe pass every proberEvery in the background and
+// returns a stop function. With no replicas configured it is a no-op:
+// the plain primary-only coordinator keeps its zero-goroutine footprint.
 func (co *Coordinator) StartProber() (stop func()) {
 	if !co.hasReplicas() {
 		return func() {}
 	}
-	every := time.Second
-	if half := co.maxStaleness / 2; half > 0 && half < every {
-		every = half
-	}
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {
-		t := time.NewTicker(every)
+		t := time.NewTicker(proberEvery)
 		defer t.Stop()
 		for {
 			select {
 			case <-done:
 				return
 			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), every)
+				ctx, cancel := context.WithTimeout(context.Background(), proberEvery)
 				co.Probe(ctx)
 				cancel()
 			}
@@ -401,19 +307,17 @@ func (co *Coordinator) Routing() *httpapi.RoutingStatus {
 		return nil
 	}
 	now := time.Now()
-	rs := &httpapi.RoutingStatus{MaxStalenessMS: co.maxStaleness.Milliseconds()}
+	rs := &httpapi.RoutingStatus{}
 	for _, st := range co.stubs {
 		ss := httpapi.RouteShardStatus{
 			Shard:        st.shard,
 			Primary:      st.primary.addr,
-			ReplicaReads: st.replicaReads.Load(),
 			Failovers:    st.failovers.Load(),
 			StaleRefused: st.staleRefused.Load(),
 		}
-		if rec := st.lastRead.Load(); rec != nil {
-			ss.LastReadBy = rec.addr
-			ss.LastReadStale = rec.replica
-			ss.LastReadFailover = rec.failover
+		if m := st.lastRead.Load(); m != nil {
+			ss.LastReadBy = m.addr
+			ss.LastReadFailover = m.replica
 		}
 		ps := st.primary.status.Load()
 		for _, m := range st.members {
@@ -433,7 +337,6 @@ func (co *Coordinator) Routing() *httpapi.RoutingStatus {
 			}
 			ss.Members = append(ss.Members, rm)
 		}
-		rs.ReplicaReads += ss.ReplicaReads
 		rs.Failovers += ss.Failovers
 		rs.StaleRefused += ss.StaleRefused
 		rs.Shards = append(rs.Shards, ss)
