@@ -2,7 +2,8 @@
 # gofmt check, build, the full test suite under the race detector, the
 # named soaks rerun, the no-skip and oracle-never-ships guards, and a
 # short fuzzing pass over the SQL parser, the shard RPC partial-result
-# decoder and the cross-source combine.
+# decoder, the shard RPC restructure body's decoders and the cross-source
+# combine.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -52,6 +53,7 @@ no-skip:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePart -fuzztime=$(FUZZTIME) ./internal/shardrpc
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeRestructure -fuzztime=$(FUZZTIME) ./internal/shardrpc
 	$(GO) test -run '^$$' -fuzz=FuzzRankMatchesQuadratic -fuzztime=$(FUZZTIME) ./internal/answer
 
 # Non-test lines per package and in total — the figure a simplicity PR

@@ -98,7 +98,7 @@ func TestDurableRestartAllDomains(t *testing.T) {
 				for l, pm := range sys.Maps[src.Name] {
 					if len(pm.Groups) > 0 && len(pm.Groups[0].Corrs) > 0 {
 						c := pm.Groups[0].Corrs[0]
-						if err := sys.ApplyFeedbackAt(src.Name, l, c.SrcAttr, c.MedIdx, true); err != nil {
+						if err := sys.SubmitFeedback(core.Feedback{Source: src.Name, SchemaIdx: l, SrcAttr: c.SrcAttr, MedIdx: c.MedIdx, Confirmed: true}); err != nil {
 							t.Fatal(err)
 						}
 						fed = true

@@ -122,7 +122,7 @@ func applyAnyFeedback(s *System) error {
 					continue
 				}
 				c := g.Corrs[0]
-				return s.ApplyFeedbackAt(src.Name, l, c.SrcAttr, c.MedIdx, true)
+				return s.SubmitFeedback(Feedback{Source: src.Name, SchemaIdx: l, SrcAttr: c.SrcAttr, MedIdx: c.MedIdx, Confirmed: true})
 			}
 		}
 	}

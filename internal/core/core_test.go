@@ -387,7 +387,7 @@ func TestSerialSetupEquivalent(t *testing.T) {
 	}
 }
 
-func TestApplyFeedbackCore(t *testing.T) {
+func TestSubmitFeedbackCore(t *testing.T) {
 	c, _ := peopleSystem(t)
 	// Fresh system: feedback mutates state shared by other tests.
 	sys, err := Setup(c.Corpus, Config{})
@@ -404,13 +404,13 @@ func TestApplyFeedbackCore(t *testing.T) {
 	if generic == "" {
 		t.Skip("no generic source in sample")
 	}
-	if err := sys.ApplyFeedback(generic, "phone", "phone", true); err != nil {
+	if err := sys.SubmitFeedback(Feedback{Source: generic, SrcAttr: "phone", MedName: "phone", Confirmed: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.ApplyFeedback(generic, "phone", "no-such-cluster-name", true); err == nil {
+	if err := sys.SubmitFeedback(Feedback{Source: generic, SrcAttr: "phone", MedName: "no-such-cluster-name", Confirmed: true}); err == nil {
 		t.Error("unknown mediated name accepted")
 	}
-	if err := sys.ApplyFeedback("ghost", "phone", "phone", true); err == nil {
+	if err := sys.SubmitFeedback(Feedback{Source: "ghost", SrcAttr: "phone", MedName: "phone", Confirmed: true}); err == nil {
 		t.Error("unknown source accepted")
 	}
 }

@@ -98,7 +98,7 @@ func TestFeedbackDoesNotLeakAcrossTwins(t *testing.T) {
 	for l, pm := range sys.Maps["s00"] {
 		for _, g := range pm.Groups {
 			for _, c := range g.Corrs {
-				if err := sys.ApplyFeedbackAt("s00", l, c.SrcAttr, c.MedIdx, true); err != nil {
+				if err := sys.SubmitFeedback(Feedback{Source: "s00", SchemaIdx: l, SrcAttr: c.SrcAttr, MedIdx: c.MedIdx, Confirmed: true}); err != nil {
 					t.Fatalf("feedback: %v", err)
 				}
 			}
@@ -171,7 +171,7 @@ func TestScopedInvalidationNoTwinLeak(t *testing.T) {
 		t.Skip("no correspondences to condition")
 	}
 	c := pm.Groups[0].Corrs[0]
-	if err := sys.ApplyFeedbackAt("s00", 0, c.SrcAttr, c.MedIdx, true); err != nil {
+	if err := sys.SubmitFeedback(Feedback{Source: "s00", SchemaIdx: 0, SrcAttr: c.SrcAttr, MedIdx: c.MedIdx, Confirmed: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("feedback.scoped_drops").Value(); got == 0 {

@@ -101,20 +101,6 @@ func (s *System) feedbackBatchMax() int {
 	return defaultFeedbackBatch
 }
 
-// ApplyFeedback is the name-based convenience form of SubmitFeedback.
-func (s *System) ApplyFeedback(source, srcAttr, medName string, confirmed bool) error {
-	if medName == "" {
-		return fmt.Errorf("core: feedback needs a mediated attribute name")
-	}
-	return s.SubmitFeedback(Feedback{Source: source, SrcAttr: srcAttr, MedName: medName, Confirmed: confirmed})
-}
-
-// ApplyFeedbackAt is the exact-index form of SubmitFeedback: the feedback
-// applies to mediated attribute medIdx of possible schema schemaIdx only.
-func (s *System) ApplyFeedbackAt(source string, schemaIdx int, srcAttr string, medIdx int, confirmed bool) error {
-	return s.SubmitFeedback(Feedback{Source: source, SrcAttr: srcAttr, SchemaIdx: schemaIdx, MedIdx: medIdx, Confirmed: confirmed})
-}
-
 // commitFeedbackBatch commits one batch of queued submissions as one
 // write: a single acquisition of the writer lock, one durability barrier
 // and one published epoch.

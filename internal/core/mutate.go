@@ -3,7 +3,7 @@ package core
 // The writer side: one entry every mutation commits through (write), and
 // one structural installer (restructure) behind every way a source
 // arrives or leaves — AddSources/RemoveSource deciding their own
-// mediation, the shard verbs installing the coordinator's.
+// mediation, ShardRestructure installing the coordinator's.
 
 import (
 	"fmt"
@@ -78,31 +78,35 @@ func (s *System) holds(name string) bool {
 	return ok
 }
 
-// restructure plans the one way a source arrives or leaves: the corpus
-// gains add and loses the source named remove (either may be empty, and
-// an absent name removes nothing), and decide says what to serve over the
-// result — the system's own PlanMediation on a single core, the
-// coordinator's pushed mediation on a shard. It does everything that can
-// fail and touches no writer field; the returned install cannot fail.
+// restructure plans the one way sources arrive or leave: the corpus
+// loses the sources named in drop (a name it does not hold drops
+// nothing) and gains add (either may be empty), and decide says what to
+// serve over the result — the system's own PlanMediation on a single
+// core, the coordinator's pushed mediation on a shard. It does everything
+// that can fail and touches no writer field; the returned install cannot
+// fail.
 //
 // When decide keeps the clusterings (fast), the mutation is incremental,
 // as §5 allows: existing sources' p-mappings are reused verbatim
 // (Theorem 5.2: a p-mapping depends on its source and the clustering, not
 // on Pr(Mᵢ)) and the dedup cache stays valid, so only the newcomers'
 // p-mappings are built — in parallel, against med rather than the served
-// s.Med. Nothing consolidated is carried over: the next epoch
-// consolidates every source under the new Pr(Mᵢ) on first use.
-// Otherwise the system is set up afresh over the new corpus and adopted
-// whole.
-func (s *System) restructure(trace *obs.Span, add []*schema.Source, remove string,
+// s.Med. Reuse needs med to list the served clusterings in the served
+// order, since Maps are indexed by it: a fast med that does not is
+// refused while any held source is kept. Nothing consolidated is carried
+// over: the next epoch consolidates every source under the new Pr(Mᵢ) on
+// first use. Otherwise the system is set up afresh over the new corpus
+// and adopted whole.
+func (s *System) restructure(trace *obs.Span, add []*schema.Source, drop map[string]bool,
 	decide func(*schema.Corpus) (med *mediate.Result, fast bool, err error)) (fast bool, install func(), err error) {
 	srcs := make([]*schema.Source, 0, len(s.Corpus.Sources)+len(add))
 	for _, src := range s.Corpus.Sources {
-		if src.Name != remove {
+		if !drop[src.Name] {
 			srcs = append(srcs, src)
 		}
 	}
-	unchanged := len(add) == 0 && len(srcs) == len(s.Corpus.Sources)
+	kept := len(srcs)
+	unchanged := len(add) == 0 && kept == len(s.Corpus.Sources)
 	// A duplicate name, in add or against the corpus, is refused here.
 	corpus, err := schema.NewCorpus(s.Corpus.Domain, append(srcs, add...))
 	if err != nil {
@@ -137,6 +141,9 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, remove strin
 		}
 		return false, func() { s.adopt(rebuilt) }, nil
 	}
+	if kept > 0 && !med.PMed.SameSequence(s.Med.PMed) {
+		return false, nil, fmt.Errorf("core: the mediation's schema sequence is not the one the held p-mappings are indexed by")
+	}
 	sp = trace.Child("pmappings")
 	pms, err := s.mapSources(add, med.PMed)
 	tPMap := sp.End()
@@ -161,7 +168,9 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, remove strin
 		// Copy-on-write: published snapshots hold the old maps, and keep a
 		// departed source's entries.
 		maps := clonedMaps(s.Maps)
-		delete(maps, remove)
+		for name := range drop {
+			delete(maps, name)
+		}
 		for name, pm := range pms {
 			maps[name] = pm
 		}
@@ -177,6 +186,10 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, remove strin
 // install closes trace, adopts it into System.Trace and counts
 // <counter>.fast — by the sources that rode it — or <counter>.rebuild.
 func (s *System) replan(kind, counter string, trace *obs.Span, ops []Op, add []*schema.Source, remove string) (fast bool, err error) {
+	drop := map[string]bool{}
+	if remove != "" {
+		drop[remove] = true
+	}
 	err = s.write(kind, func() (txn, error) {
 		if len(add) == 0 && !s.holds(remove) {
 			return txn{}, fmt.Errorf("core: %w %q", ErrUnknownSource, remove)
@@ -185,7 +198,7 @@ func (s *System) replan(kind, counter string, trace *obs.Span, ops []Op, add []*
 			return txn{}, fmt.Errorf("core: cannot remove the last source")
 		}
 		var install func()
-		fast, install, err = s.restructure(trace, add, remove, func(c *schema.Corpus) (*mediate.Result, bool, error) {
+		fast, install, err = s.restructure(trace, add, drop, func(c *schema.Corpus) (*mediate.Result, bool, error) {
 			return PlanMediation(s.Med.PMed, c, s.medConfig())
 		})
 		if err != nil {
@@ -307,10 +320,11 @@ func sameSchemaSet(a, b *schema.PMedSchema) bool {
 // cores it owns. A shard core is an ordinary System over the sources
 // hashed to it, except that mediation is a function of the whole corpus:
 // the coordinator computes it globally and pushes it down, and a shard
-// never derives it from its own slice. So the verbs are restructure under
-// the pushed mediation, with no ops (see txn.ops) — feedback, whose
-// replay *is* shard-local, keeps the logged SubmitFeedback path — and
-// each is idempotent, as shard.Shard requires of a verb that may be redone.
+// never derives it from its own slice. So a fast-path change is
+// restructure under the pushed mediation, with no ops (see txn.ops) —
+// feedback, whose replay *is* shard-local, keeps the logged
+// SubmitFeedback path — and a rebuild is a wholesale replacement. Both
+// are idempotent, as shard.Shard requires of a verb that may be redone.
 
 // NewEmptyShard builds a servable System over zero sources: the state of
 // a shard no source hashes to. It carries the global mediation so its
@@ -324,15 +338,36 @@ func NewEmptyShard(domain string, cfg Config, med *mediate.Result, target *schem
 	return Restore(corpus, cfg, med, map[string][]*pmapping.PMapping{}, target)
 }
 
-// pushed commits one coordinator-directed verb: restructure under the
-// mediation the coordinator decided, unlogged, counted as <counter> += n.
-func (s *System) pushed(kind, counter string, med *mediate.Result, plan func() (add []*schema.Source, remove string, n int)) error {
-	return s.write(kind, func() (txn, error) {
+// ShardRestructure commits one coordinator-directed fast-path change
+// under one commit and one published epoch: the shard's corpus becomes
+// held − drop + (add − held), and it serves med, the coordinator's
+// globally planned mediation (same clusterings, recounted probabilities).
+// The shard builds only what is local to it (see restructure). Each part
+// is idempotent: an add the shard already holds is skipped, and a drop of
+// a name it does not hold is a no-op that still installs med. Unlike
+// RemoveSource it may empty the shard: "last source" is a global property
+// only the coordinator can judge. All-or-nothing: an unbuildable source,
+// or a med whose schema sequence is not the served one while a held
+// source is kept, fails the commit with the writer state untouched. An
+// empty result may take any sequence.
+func (s *System) ShardRestructure(add []*schema.Source, drop []string, med *mediate.Result) error {
+	return s.write("shard_restructure", func() (txn, error) {
 		if med == nil || med.PMed == nil {
-			return txn{}, fmt.Errorf("core: %s needs a p-med-schema", kind)
+			return txn{}, fmt.Errorf("core: shard_restructure needs a p-med-schema")
 		}
-		add, remove, n := plan()
-		_, install, err := s.restructure(nil, add, remove, func(*schema.Corpus) (*mediate.Result, bool, error) {
+		gone := make(map[string]bool, len(drop))
+		for _, name := range drop {
+			if s.holds(name) {
+				gone[name] = true
+			}
+		}
+		var missing []*schema.Source
+		for _, src := range add {
+			if !s.holds(src.Name) {
+				missing = append(missing, src)
+			}
+		}
+		_, install, err := s.restructure(nil, missing, gone, func(*schema.Corpus) (*mediate.Result, bool, error) {
 			return med, true, nil
 		})
 		if err != nil {
@@ -340,52 +375,9 @@ func (s *System) pushed(kind, counter string, med *mediate.Result, plan func() (
 		}
 		return txn{install: func() {
 			install()
-			s.Cfg.Obs.Add(counter, int64(n))
+			s.Cfg.Obs.Add("shard.adopt", int64(len(missing)))
+			s.Cfg.Obs.Add("shard.drop", int64(len(gone)))
 		}}, nil
-	})
-}
-
-// ShardAdoptSources commits a coordinator-directed adoption: the shard
-// gains the sources in srcs it does not already hold and switches to the
-// coordinator's refreshed mediation (same clusterings, recounted
-// probabilities — the AddSources fast path evaluated globally) under one
-// commit and one published epoch. The shard builds only what is local to
-// it (see restructure). All-or-nothing: one unbuildable source fails the
-// commit with the writer state untouched. A redo over sources all already
-// held installs the mediation only.
-func (s *System) ShardAdoptSources(srcs []*schema.Source, med *mediate.Result) error {
-	return s.pushed("shard_adopt", "shard.adopt", med, func() (missing []*schema.Source, _ string, n int) {
-		for _, src := range srcs {
-			if !s.holds(src.Name) {
-				missing = append(missing, src)
-			}
-		}
-		return missing, "", len(missing)
-	})
-}
-
-// ShardDropSource commits a coordinator-directed source removal with the
-// coordinator's refreshed mediation. Unlike RemoveSource it permits
-// emptying the shard: "last source" is a global property only the
-// coordinator can judge. A redo over a name already gone installs the
-// mediation only.
-func (s *System) ShardDropSource(name string, med *mediate.Result) error {
-	return s.pushed("shard_drop", "shard.drop", med, func() (_ []*schema.Source, remove string, n int) {
-		if s.holds(name) {
-			n = 1
-		}
-		return nil, name, n
-	})
-}
-
-// ShardSetMediation commits a mediation swap with no corpus change: the
-// coordinator refreshed schema probabilities because a source arrived at
-// (or left) a *different* shard, and every peer must serve the new
-// distribution. Clusterings are expected to be unchanged; p-mappings are
-// therefore reused verbatim (they do not depend on the probabilities).
-func (s *System) ShardSetMediation(med *mediate.Result) error {
-	return s.pushed("shard_med", "shard.set_mediation", med, func() ([]*schema.Source, string, int) {
-		return nil, "", 1
 	})
 }
 

@@ -157,7 +157,7 @@ func TestFeedbackInvariantsRandom(t *testing.T) {
 					}
 					c := g.Corrs[rng.Intn(len(g.Corrs))]
 					confirmed := rng.Float64() < 0.5
-					if err := sys.ApplyFeedbackAt(src.Name, l, c.SrcAttr, c.MedIdx, confirmed); err != nil {
+					if err := sys.SubmitFeedback(Feedback{Source: src.Name, SchemaIdx: l, SrcAttr: c.SrcAttr, MedIdx: c.MedIdx, Confirmed: confirmed}); err != nil {
 						t.Logf("seed %d: feedback: %v", seed, err)
 						return false
 					}

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 
+	"udi/internal/answer"
+	"udi/internal/mediate"
 	"udi/internal/obs"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
@@ -46,7 +48,7 @@ func diffTwins(t *testing.T, tag string, a, b *System) {
 // two callers of the one structural installer: over random splits of
 // random corpora, AddSources(batch) on one system and the coordinator's
 // half — PlanMediation over the raw similarity, then
-// ShardAdoptSources(batch, med) — on its twin must agree on whether the
+// ShardRestructure(batch, nil, med) — on its twin must agree on whether the
 // plan is fast and, when it is, leave deeply identical Maps, ConsMaps and
 // Target, `==` schema probabilities and `==` answers. Then the same for
 // removing a random source.
@@ -78,7 +80,7 @@ func TestShardVerbsMatchSingleCoreFastPath(t *testing.T) {
 		if !gotFast {
 			continue
 		}
-		if err := twin.ShardAdoptSources(batch, med); err != nil {
+		if err := twin.ShardRestructure(batch, nil, med); err != nil {
 			t.Fatalf("seed %d: adopt: %v", seed, err)
 		}
 		diffTwins(t, fmt.Sprintf("seed %d: after add", seed), single, twin)
@@ -98,7 +100,7 @@ func TestShardVerbsMatchSingleCoreFastPath(t *testing.T) {
 		if !gotFast {
 			continue
 		}
-		if err := twin.ShardDropSource(victim, med); err != nil {
+		if err := twin.ShardRestructure(nil, []string{victim}, med); err != nil {
 			t.Fatalf("seed %d: drop: %v", seed, err)
 		}
 		diffTwins(t, fmt.Sprintf("seed %d: after remove", seed), single, twin)
@@ -131,13 +133,15 @@ func TestStructuralVerbsAllOrNothing(t *testing.T) {
 	batch := []*schema.Source{good, bad}
 
 	verbs := map[string]func() error{
-		"ShardAdoptSources unbuildable": func() error { return sys.ShardAdoptSources(batch, sys.Med) },
-		"RemoveSource unknown":          func() error { _, err := sys.RemoveSource("nope"); return err },
-		"RemoveSource empty name":       func() error { _, err := sys.RemoveSource(""); return err },
-		"ShardAdoptSources nil med":     func() error { return sys.ShardAdoptSources([]*schema.Source{good}, nil) },
-		"ShardDropSource nil med":       func() error { return sys.ShardDropSource(sys.Corpus.Sources[0].Name, nil) },
-		"ShardSetMediation nil med":     func() error { return sys.ShardSetMediation(nil) },
-		"ShardReplaceState nil":         func() error { return sys.ShardReplaceState(nil) },
+		"ShardRestructure unbuildable": func() error { return sys.ShardRestructure(batch, nil, sys.Med) },
+		"RemoveSource unknown":         func() error { _, err := sys.RemoveSource("nope"); return err },
+		"RemoveSource empty name":      func() error { _, err := sys.RemoveSource(""); return err },
+		"ShardRestructure add nil med": func() error { return sys.ShardRestructure([]*schema.Source{good}, nil, nil) },
+		"ShardRestructure drop nil med": func() error {
+			return sys.ShardRestructure(nil, []string{sys.Corpus.Sources[0].Name}, nil)
+		},
+		"ShardRestructure nil med": func() error { return sys.ShardRestructure(nil, nil, nil) },
+		"ShardReplaceState nil":    func() error { return sys.ShardReplaceState(nil) },
 	}
 	for name, verb := range verbs {
 		epoch, snap := sys.Epoch(), sys.Snapshot()
@@ -158,10 +162,79 @@ func TestStructuralVerbsAllOrNothing(t *testing.T) {
 		t.Error("committing flag left set")
 	}
 	// The system still commits: the good source alone goes in.
-	if err := sys.ShardAdoptSources([]*schema.Source{good}, sys.Med); err != nil {
+	if err := sys.ShardRestructure([]*schema.Source{good}, nil, sys.Med); err != nil {
 		t.Fatalf("clean adopt after failures: %v", err)
 	}
 	if !sys.holds("new-good") || sys.holds("new-bad") {
 		t.Fatal("clean adopt did not install exactly the good source")
+	}
+}
+
+// TestShardRestructureRefusesForeignSequence: held p-mappings are indexed
+// by the served schema sequence, so a pushed mediation listing the same
+// clusterings in another order is refused while any held source is kept —
+// nothing published, the served mediation and the answers unchanged —
+// and accepted by a call that drops every source, after which the shard
+// builds newcomers' p-mappings against it.
+func TestShardRestructureRefusesForeignSequence(t *testing.T) {
+	c, _ := peopleSystem(t)
+	sys, err := Setup(c.Corpus, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pmed := sys.Med.PMed
+	if pmed.Len() < 2 {
+		t.Fatalf("the People corpus has %d possible schemas; a reorder needs two", pmed.Len())
+	}
+	n := pmed.Len()
+	schemas, probs := make([]*schema.MediatedSchema, n), make([]float64, n)
+	for i := range schemas {
+		schemas[i], probs[i] = pmed.Schemas[n-1-i], pmed.Probs[n-1-i]
+	}
+	reversed, err := schema.NewPMedSchema(schemas, probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := &mediate.Result{PMed: reversed}
+
+	q := sqlparse.MustParse("SELECT name, phone FROM People")
+	answers := func() *answer.ResultSet {
+		t.Helper()
+		rs, err := sys.QueryParsed(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	before, epoch, med := answers(), sys.Epoch(), sys.Med
+	held := sys.Corpus.Sources
+	names := make([]string, len(held))
+	for i, src := range held {
+		names[i] = src.Name
+	}
+	for what, verb := range map[string]func() error{
+		"mediation only":   func() error { return sys.ShardRestructure(nil, nil, foreign) },
+		"drop all but one": func() error { return sys.ShardRestructure(nil, names[1:], foreign) },
+		"re-add the held":  func() error { return sys.ShardRestructure(held, nil, foreign) },
+	} {
+		if err := verb(); err == nil {
+			t.Fatalf("%s: a reordered schema sequence was accepted over kept sources", what)
+		}
+		if sys.Epoch() != epoch || sys.Med != med {
+			t.Fatalf("%s: the refused push published or installed something", what)
+		}
+		if after := answers(); !reflect.DeepEqual(before.Ranked, after.Ranked) {
+			t.Fatalf("%s: the refused push moved the answers", what)
+		}
+	}
+
+	if err := sys.ShardRestructure(nil, names, foreign); err != nil {
+		t.Fatalf("dropping every source under a reordered sequence: %v", err)
+	}
+	if err := sys.ShardRestructure(held[:1], nil, foreign); err != nil {
+		t.Fatalf("adopting into the emptied shard under a reordered sequence: %v", err)
+	}
+	if sys.Med.PMed != reversed || len(sys.Maps[held[0].Name]) != n {
+		t.Fatal("the emptied shard does not serve the reordered sequence with p-mappings built for it")
 	}
 }

@@ -359,7 +359,7 @@ func (s *Session) Step() (Candidate, bool, error) {
 			if a.Key() != key {
 				continue
 			}
-			if err := s.Sys.ApplyFeedbackAt(c.Source, l, c.SrcAttr, j, confirmed); err != nil {
+			if err := s.Sys.SubmitFeedback(core.Feedback{Source: c.Source, SchemaIdx: l, SrcAttr: c.SrcAttr, MedIdx: j, Confirmed: confirmed}); err != nil {
 				return c, false, fmt.Errorf("feedback: %w", err)
 			}
 			s.asked[candidateKey(c.Source, l, c.SrcAttr, j)] = true

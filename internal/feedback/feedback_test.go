@@ -164,30 +164,30 @@ func TestRunStopsWhenDecided(t *testing.T) {
 	_ = c
 }
 
-func TestApplyFeedbackErrors(t *testing.T) {
+func TestSubmitFeedbackErrors(t *testing.T) {
 	_, sys := buildSystem(t)
-	if err := sys.ApplyFeedbackAt("nope", 0, "a", 0, true); err == nil {
+	if err := sys.SubmitFeedback(core.Feedback{Source: "nope", SchemaIdx: 0, SrcAttr: "a", MedIdx: 0, Confirmed: true}); err == nil {
 		t.Error("unknown source accepted")
 	}
-	if err := sys.ApplyFeedbackAt(sys.Corpus.Sources[0].Name, 999, "a", 0, true); err == nil {
+	if err := sys.SubmitFeedback(core.Feedback{Source: sys.Corpus.Sources[0].Name, SchemaIdx: 999, SrcAttr: "a", MedIdx: 0, Confirmed: true}); err == nil {
 		t.Error("bad schema index accepted")
 	}
-	if err := sys.ApplyFeedbackAt(sys.Corpus.Sources[0].Name, 0, "a", 999, true); err == nil {
+	if err := sys.SubmitFeedback(core.Feedback{Source: sys.Corpus.Sources[0].Name, SchemaIdx: 0, SrcAttr: "a", MedIdx: 999, Confirmed: true}); err == nil {
 		t.Error("bad mediated index accepted")
 	}
-	if err := sys.ApplyFeedback(sys.Corpus.Sources[0].Name, "a", "not-an-attr", true); err == nil {
+	if err := sys.SubmitFeedback(core.Feedback{Source: sys.Corpus.Sources[0].Name, SrcAttr: "a", MedName: "not-an-attr", Confirmed: true}); err == nil {
 		t.Error("unknown mediated name accepted")
 	}
 }
 
-func TestApplyFeedbackByName(t *testing.T) {
+func TestSubmitFeedbackByName(t *testing.T) {
 	c, sys := buildSystem(t)
 	// Find a generic source and confirm its phone column against the
 	// generic cluster name.
 	for _, src := range c.Corpus.Sources {
 		if src.HasAttr("phone") {
-			if err := sys.ApplyFeedback(src.Name, "phone", "phone", true); err != nil {
-				t.Fatalf("ApplyFeedback: %v", err)
+			if err := sys.SubmitFeedback(core.Feedback{Source: src.Name, SrcAttr: "phone", MedName: "phone", Confirmed: true}); err != nil {
+				t.Fatalf("SubmitFeedback: %v", err)
 			}
 			// Confirmed in every schema: marginal 1 everywhere the cluster
 			// exists.

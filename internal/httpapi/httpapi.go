@@ -73,7 +73,7 @@ const (
 
 // MaxRequestBody bounds every JSON body that carries SQL text, one answer
 // tuple or one feedback item — never bulk rows: /v1/query, /v1/explain
-// and /v1/feedback here, and the shard RPC's read requests.
+// and /v1/feedback here, and the shard RPC's read requests and feedback.
 const MaxRequestBody = 1 << 20
 
 // statusClientClosedRequest is the de-facto status for "the client went

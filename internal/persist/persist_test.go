@@ -158,7 +158,7 @@ func TestRoundTripAfterFeedback(t *testing.T) {
 					continue
 				}
 				cr := g.Corrs[0]
-				if err := sys.ApplyFeedbackAt(src.Name, l, cr.SrcAttr, cr.MedIdx, true); err != nil {
+				if err := sys.SubmitFeedback(core.Feedback{Source: src.Name, SchemaIdx: l, SrcAttr: cr.SrcAttr, MedIdx: cr.MedIdx, Confirmed: true}); err != nil {
 					t.Fatal(err)
 				}
 				applied++

@@ -342,7 +342,8 @@ func NewPMedSchema(schemas []*MediatedSchema, probs []float64) (*PMedSchema, err
 	sum := 0.0
 	seen := make(map[string]bool)
 	for i, p := range probs {
-		if p <= 0 || p > 1 {
+		// Both checks are written in the accepting form, so NaN fails them.
+		if !(p > 0 && p <= 1) {
 			return nil, fmt.Errorf("schema: probability %g out of (0,1]", p)
 		}
 		sum += p
@@ -352,7 +353,7 @@ func NewPMedSchema(schemas []*MediatedSchema, probs []float64) (*PMedSchema, err
 		}
 		seen[k] = true
 	}
-	if sum < 1-1e-6 || sum > 1+1e-6 {
+	if !(sum >= 1-1e-6 && sum <= 1+1e-6) {
 		return nil, fmt.Errorf("schema: probabilities sum to %g, want 1", sum)
 	}
 	return &PMedSchema{Schemas: schemas, Probs: probs}, nil
@@ -383,6 +384,22 @@ func PMedFromClusters(schemas [][][]string, probs []float64) (*PMedSchema, error
 		ms[i] = m
 	}
 	return NewPMedSchema(ms, probs)
+}
+
+// SameSequence reports whether two p-med-schemas list the same
+// clusterings in the same order (probabilities ignored). P-mappings are
+// indexed by that sequence, so it is what a mediation swap over held
+// p-mappings must keep.
+func (p *PMedSchema) SameSequence(o *PMedSchema) bool {
+	if len(p.Schemas) != len(o.Schemas) {
+		return false
+	}
+	for i := range p.Schemas {
+		if p.Schemas[i].Key() != o.Schemas[i].Key() {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of possible mediated schemas.

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -191,6 +192,37 @@ func TestPMedSchemaValidation(t *testing.T) {
 	}
 	if _, err := NewPMedSchema([]*MediatedSchema{m1, m1}, []float64{0.5, 0.5}); err == nil {
 		t.Error("duplicate clustering accepted")
+	}
+}
+
+// TestPMedSchemaRefusesNaN: a NaN probability fails both range checks,
+// whether it is the only one or sits beside a valid one.
+func TestPMedSchemaRefusesNaN(t *testing.T) {
+	m1 := MustNewMediatedSchema([]MediatedAttr{NewMediatedAttr("a", "b")})
+	m2 := MustNewMediatedSchema([]MediatedAttr{NewMediatedAttr("a"), NewMediatedAttr("b")})
+	nan := math.NaN()
+	if _, err := PMedFromClusters([][][]string{{{"a"}}}, []float64{nan}); err == nil {
+		t.Error("one schema with a NaN probability accepted")
+	}
+	for _, probs := range [][]float64{{nan, 1}, {1, nan}, {nan, nan}} {
+		if _, err := NewPMedSchema([]*MediatedSchema{m1, m2}, probs); err == nil {
+			t.Errorf("two schemas with probabilities %v accepted", probs)
+		}
+	}
+}
+
+func TestSameSequence(t *testing.T) {
+	m1 := MustNewMediatedSchema([]MediatedAttr{NewMediatedAttr("a", "b")})
+	m2 := MustNewMediatedSchema([]MediatedAttr{NewMediatedAttr("a"), NewMediatedAttr("b")})
+	p, _ := NewPMedSchema([]*MediatedSchema{m1, m2}, []float64{0.7, 0.3})
+	q, _ := NewPMedSchema([]*MediatedSchema{m1, m2}, []float64{0.4, 0.6})
+	r, _ := NewPMedSchema([]*MediatedSchema{m2, m1}, []float64{0.3, 0.7})
+	one, _ := NewPMedSchema([]*MediatedSchema{m1}, []float64{1})
+	if !p.SameSequence(q) {
+		t.Error("same clusterings in the same order, other probabilities: not the same sequence")
+	}
+	if p.SameSequence(r) || p.SameSequence(one) {
+		t.Error("a reordered or shorter sequence counts as the same")
 	}
 }
 

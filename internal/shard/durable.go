@@ -294,7 +294,7 @@ func (r *recovery) reconcile(order []string) error {
 			ref = sys
 			continue
 		}
-		if !sameSchemaSequence(ref.Med.PMed, sys.Med.PMed) {
+		if !ref.Med.PMed.SameSequence(sys.Med.PMed) {
 			return fmt.Errorf("shard: %w: shards disagree on the mediated clustering", persist.ErrCorrupt)
 		}
 	}
@@ -305,24 +305,12 @@ func (r *recovery) reconcile(order []string) error {
 	}
 	med := &mediate.Result{PMed: pmed}
 	for _, sh := range r.s.shards {
-		if err := sh.SetMediation(med); err != nil {
+		if err := sh.Restructure(nil, nil, med); err != nil {
 			return err
 		}
 	}
 	r.s.publish(srcs, med, ref.Target)
 	return nil
-}
-
-func sameSchemaSequence(a, b *schema.PMedSchema) bool {
-	if len(a.Schemas) != len(b.Schemas) {
-		return false
-	}
-	for i := range a.Schemas {
-		if a.Schemas[i].Key() != b.Schemas[i].Key() {
-			return false
-		}
-	}
-	return true
 }
 
 // redo rolls a journaled multi-shard op forward by running it through

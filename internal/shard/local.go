@@ -19,12 +19,12 @@ import (
 
 // Local is the in-process transport and the one implementation of the
 // Shard verbs: an ordinary core.System over the shard's sources, driven
-// through core's shard verbs (which carry the idempotence the contract
-// asks for), plus — given a directory — the shard's own persist.Store.
-// Feedback rides that store's WAL exactly like a single-core store;
-// structural state is checkpointed when the coordinator asks. The
-// coordinator in this package holds one per shard; a shard host
-// (internal/shardrpc) serves one over HTTP.
+// through core's shard verbs (which carry the idempotence and the checks
+// the contract asks for), plus — given a directory — the shard's own
+// persist.Store. Feedback rides that store's WAL exactly like a
+// single-core store; structural state is checkpointed when the
+// coordinator asks. The coordinator in this package holds one per shard;
+// a shard host (internal/shardrpc) serves one over HTTP.
 //
 // The verbs are called one at a time (under the coordinator's write lock,
 // or the host's mutex); Sys and Store are safe from any goroutine.
@@ -92,15 +92,9 @@ func (l *Local) Pin() Leg {
 
 func (l *Local) Feedback(fb core.Feedback) error { return l.Sys().SubmitFeedback(fb) }
 
-func (l *Local) Adopt(srcs []*schema.Source, med *mediate.Result) error {
-	return l.Sys().ShardAdoptSources(srcs, med)
+func (l *Local) Restructure(add []*schema.Source, drop []string, med *mediate.Result) error {
+	return l.Sys().ShardRestructure(add, drop, med)
 }
-
-func (l *Local) Drop(name string, med *mediate.Result) error {
-	return l.Sys().ShardDropSource(name, med)
-}
-
-func (l *Local) SetMediation(med *mediate.Result) error { return l.Sys().ShardSetMediation(med) }
 
 func (l *Local) Replace(proj *core.System) error {
 	if sys := l.Sys(); sys != nil {

@@ -68,13 +68,13 @@ func ShardOf(name string, shards int) int {
 }
 
 // Shard is one partition as the coordinator drives it — the whole
-// contract a transport must meet. The structural verbs (Adopt, Drop,
-// SetMediation, Replace) are only ever called under the coordinator's
-// write lock, one at a time per shard, and must be idempotent: Adopt
-// skips sources the shard already holds, Drop of an absent name still
-// installs the mediation, and re-applying a Replace converges. That is
-// what lets a transport retry a lost response and lets crash recovery
-// redo a journaled mutation over shards that may already reflect it.
+// contract a transport must meet. The structural verbs (Restructure,
+// Replace) are only ever called under the coordinator's write lock, one
+// at a time per shard, and must be idempotent: Restructure skips sources
+// the shard already holds and a drop of an absent name still installs
+// the mediation, and re-applying a Replace converges. That is what lets a
+// transport retry a lost response and lets crash recovery redo a
+// journaled mutation over shards that may already reflect it.
 type Shard interface {
 	// Pin captures the read leg one View fans out to.
 	Pin() Leg
@@ -82,16 +82,14 @@ type Shard interface {
 	// one verb that is not idempotent: feedback conditions probabilities
 	// multiplicatively, so a transport sends it exactly once.
 	Feedback(fb core.Feedback) error
-	// Adopt adds the sources this shard owns out of one mutation and
-	// installs the globally refreshed mediation, all-or-nothing.
-	Adopt(srcs []*schema.Source, med *mediate.Result) error
-	// Drop removes a source and installs the refreshed mediation. Unlike
-	// a system-level remove it may empty the shard: "last source" is a
-	// global property only the coordinator can judge.
-	Drop(name string, med *mediate.Result) error
-	// SetMediation installs refreshed schema probabilities with no corpus
-	// change: a source arrived at (or left) a different shard.
-	SetMediation(med *mediate.Result) error
+	// Restructure is the one fast-path structural change, all-or-nothing
+	// under one commit: the shard's corpus becomes held − drop + (add −
+	// held) and it serves med, the globally refreshed mediation. Unlike a
+	// system-level remove it may empty the shard: "last source" is a
+	// global property only the coordinator can judge. It refuses a med
+	// whose schema sequence is not the served one while a held source is
+	// kept: held p-mappings are indexed by that sequence.
+	Restructure(add []*schema.Source, drop []string, med *mediate.Result) error
 	// Replace installs proj, this shard's projection of a global rebuild
 	// (or of the initial setup), as its whole state.
 	Replace(proj *core.System) error
@@ -640,8 +638,9 @@ func (s *System) apply(pre *servingMeta, ch *change, journaled bool) error {
 	return s.finishDurable(touched)
 }
 
-// applyFast is apply's incremental path; it returns the owner shards,
-// whose corpora changed.
+// applyFast is apply's incremental path: one Restructure per shard, the
+// owners in ascending order and then every other shard with no corpus
+// change. It returns the owner shards, whose corpora changed.
 func (s *System) applyFast(pre *servingMeta, ch *change) ([]int, error) {
 	// byOwner keys the shards whose corpus changes: each add's owner with
 	// the sources it adopts, or the removed source's owner with none.
@@ -651,7 +650,9 @@ func (s *System) applyFast(pre *servingMeta, ch *change) ([]int, error) {
 		o := ShardOf(src.Name, n)
 		byOwner[o] = append(byOwner[o], src)
 	}
+	var drop []string
 	if ch.remove != "" {
+		drop = []string{ch.remove}
 		byOwner[ShardOf(ch.remove, n)] = nil
 	}
 	owners := make([]int, 0, len(byOwner))
@@ -660,20 +661,17 @@ func (s *System) applyFast(pre *servingMeta, ch *change) ([]int, error) {
 	}
 	sort.Ints(owners)
 	for done, o := range owners {
-		var err error
-		if ch.remove != "" {
-			err = s.shards[o].Drop(ch.remove, ch.med)
-		} else {
-			err = s.shards[o].Adopt(byOwner[o], ch.med)
-		}
-		if err != nil {
-			// Nothing may stay applied: undo the owners before this one, then
-			// clear the journal on the spot.
+		if err := s.shards[o].Restructure(byOwner[o], drop, ch.med); err != nil {
+			// Nothing may stay applied: undo the owners before this one (only
+			// a batch add has more than one), then clear the journal on the
+			// spot.
 			for _, t := range owners[:done] {
-				for _, src := range byOwner[t] {
-					if derr := s.shards[t].Drop(src.Name, pre.med); derr != nil {
-						return nil, derr
-					}
+				names := make([]string, len(byOwner[t]))
+				for i, src := range byOwner[t] {
+					names[i] = src.Name
+				}
+				if derr := s.shards[t].Restructure(nil, names, pre.med); derr != nil {
+					return nil, derr
 				}
 			}
 			s.journalDrop()
@@ -684,7 +682,7 @@ func (s *System) applyFast(pre *servingMeta, ch *change) ([]int, error) {
 		if _, owner := byOwner[i]; owner {
 			continue
 		}
-		if err := sh.SetMediation(ch.med); err != nil {
+		if err := sh.Restructure(nil, nil, ch.med); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package shardrpc_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -26,7 +27,8 @@ import (
 
 // The shard.Shard contract as one suite over both transports — the
 // in-process shard.Local and a stub driving a Host over HTTP (which serves
-// a Local): the idempotence of the structural verbs and the
+// a Local): the idempotence of the structural verbs, the refusal of a
+// mediation the held p-mappings were not built for, and the
 // empty↔non-empty store lifecycle, warm restart included.
 
 // transport starts one shard over dir ("" = in-memory) and returns it:
@@ -180,12 +182,12 @@ func shardContract(t *testing.T, start transport) {
 		sh := start(t, f.cfg, "")
 		verb(t, sh, "replace", sh.Replace(f.project(t, f.held)))
 		before := f.answers(t, sh)
-		verb(t, sh, "adopt", sh.Adopt(f.batch, f.grown))
+		verb(t, sh, "adopt", sh.Restructure(f.batch, nil, f.grown))
 		epoch, once := sh.Pin().Epoch(), f.answers(t, sh)
 		if reflect.DeepEqual(before, once) {
 			t.Fatal("adopting the batch moved no answer; the fixture cannot see an adopt")
 		}
-		verb(t, sh, "adopt again", sh.Adopt(f.batch, f.grown))
+		verb(t, sh, "adopt again", sh.Restructure(f.batch, nil, f.grown))
 		if got := sh.Pin().Epoch(); got != epoch+1 {
 			t.Errorf("second adopt: epoch %d -> %d, want one commit", epoch, got)
 		}
@@ -194,8 +196,8 @@ func shardContract(t *testing.T, start transport) {
 		// A redo that finds part of the batch already held adopts the rest.
 		part := start(t, f.cfg, "")
 		verb(t, part, "replace", part.Replace(f.project(t, f.held)))
-		verb(t, part, "adopt part", part.Adopt(f.batch[:1], f.grown))
-		verb(t, part, "adopt all", part.Adopt(f.batch, f.grown))
+		verb(t, part, "adopt part", part.Restructure(f.batch[:1], nil, f.grown))
+		verb(t, part, "adopt all", part.Restructure(f.batch, nil, f.grown))
 		wantSame(t, "adopt over a partly held batch", once, f.answers(t, part))
 	})
 
@@ -204,14 +206,43 @@ func shardContract(t *testing.T, start transport) {
 		verb(t, sh, "replace", sh.Replace(f.project(t, f.held)))
 		verb(t, twin, "replace", twin.Replace(f.project(t, f.held)))
 		before := f.answers(t, sh)
-		verb(t, sh, "drop", sh.Drop("no-such-source", f.grown))
-		verb(t, twin, "mediation", twin.SetMediation(f.grown))
+		verb(t, sh, "drop", sh.Restructure(nil, []string{"no-such-source"}, f.grown))
+		verb(t, twin, "mediation", twin.Restructure(nil, nil, f.grown))
 		if reflect.DeepEqual(before, f.answers(t, twin)) {
 			t.Fatal("the mediation push moved no answer; the fixture cannot see one")
 		}
 		wantSame(t, "drop of an absent name vs mediation push", f.answers(t, twin), f.answers(t, sh))
 		if a, b := sh.Pin().Epoch(), twin.Pin().Epoch(); a != b {
 			t.Errorf("epochs %d vs %d: the drop did not commit exactly once", a, b)
+		}
+	})
+
+	t.Run("ForeignClusteringRefused", func(t *testing.T) {
+		// The refreshed mediation with its schema sequence reversed: the
+		// same clusterings, but not the order the held p-mappings are
+		// indexed by.
+		n := f.grown.PMed.Len()
+		schemas, probs := make([]*schema.MediatedSchema, n), make([]float64, n)
+		for i := range schemas {
+			schemas[i], probs[i] = f.grown.PMed.Schemas[n-1-i], f.grown.PMed.Probs[n-1-i]
+		}
+		reversed, err := schema.NewPMedSchema(schemas, probs)
+		must(t, "reverse", err)
+
+		sh := start(t, f.cfg, "")
+		verb(t, sh, "replace", sh.Replace(f.project(t, f.held)))
+		before, epoch := f.answers(t, sh), sh.Pin().Epoch()
+		err = sh.Restructure(nil, nil, &mediate.Result{PMed: reversed})
+		if err == nil {
+			t.Fatal("a reordered schema sequence was accepted over held sources")
+		}
+		var se *httpapi.StatusError
+		if _, remote := sh.(hostedShard); remote && (!errors.As(err, &se) || se.Status != http.StatusBadRequest || se.Code != httpapi.CodeBadQuery) {
+			t.Fatalf("remote refusal: %v, want 400 %s", err, httpapi.CodeBadQuery)
+		}
+		wantSame(t, "after the refusal", before, f.answers(t, sh))
+		if got := sh.Pin().Epoch(); got != epoch {
+			t.Errorf("refused restructure moved the epoch %d -> %d", epoch, got)
 		}
 	})
 
@@ -260,7 +291,7 @@ func shardContract(t *testing.T, start transport) {
 		// first source opens a store and checkpoints — without replaying it.
 		must(t, "plant stale wal", os.MkdirAll(dir, 0o755))
 		must(t, "plant stale wal", os.WriteFile(filepath.Join(dir, "wal.log"), staleWAL, 0o644))
-		verb(t, sh, "first sources", sh.Adopt(f.held, f.blue.Med))
+		verb(t, sh, "first sources", sh.Restructure(f.held, nil, f.blue.Med))
 		if !persist.HasSnapshot(dir) {
 			t.Fatalf("first source wrote no checkpoint; files: %v", storeFiles(t, dir))
 		}
@@ -275,7 +306,7 @@ func shardContract(t *testing.T, start transport) {
 
 		// The last source leaving takes the store files with it.
 		for _, src := range f.held {
-			verb(t, sh, "drop "+src.Name, sh.Drop(src.Name, f.blue.Med))
+			verb(t, sh, "drop "+src.Name, sh.Restructure(nil, []string{src.Name}, f.blue.Med))
 		}
 		if got := storeFiles(t, dir); len(got) != 0 {
 			t.Fatalf("emptied shard keeps files: %v", got)

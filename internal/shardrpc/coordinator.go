@@ -27,10 +27,10 @@ type CoordinatorOptions struct {
 	Client client.Options
 	// Obs receives coordinator metrics; nil uses obs.Default.
 	Obs *obs.Registry
-	// OpTimeout bounds each mutation RPC (feedback, adopt, drop,
-	// mediation, replace). A hung shard host then fails the mutation with
-	// a typed shard_unavailable instead of blocking forever. 0 means no
-	// bound (the previous behavior).
+	// OpTimeout bounds each mutation RPC (feedback, restructure,
+	// replace). A hung shard host then fails the mutation with a typed
+	// shard_unavailable instead of blocking forever. 0 means no bound
+	// (the previous behavior).
 	OpTimeout time.Duration
 }
 
@@ -198,20 +198,12 @@ func (st *stub) Feedback(fb core.Feedback) error {
 	return st.opDo("/v1/shard/feedback", FeedbackRequest{Proto: Version, Feedback: fb}, false)
 }
 
-// Adopt, Drop, SetMediation and Replace are idempotent on the host (it
-// drives the same shard.Local the in-process transport is), so
-// transport-level retries cannot double-apply. The host checkpoints
-// inside each of them.
-func (st *stub) Adopt(srcs []*schema.Source, med *mediate.Result) error {
-	return st.opDo("/v1/shard/adopt", AdoptRequest{Proto: Version, Sources: EncodeSources(srcs), Med: EncodeMed(med)}, true)
-}
-
-func (st *stub) Drop(name string, med *mediate.Result) error {
-	return st.opDo("/v1/shard/drop", DropRequest{Proto: Version, Name: name, Med: EncodeMed(med)}, true)
-}
-
-func (st *stub) SetMediation(med *mediate.Result) error {
-	return st.opDo("/v1/shard/mediation", MediationRequest{Proto: Version, Med: EncodeMed(med)}, true)
+// Restructure and Replace are idempotent on the host (it drives the same
+// shard.Local the in-process transport is), so transport-level retries
+// cannot double-apply. The host checkpoints inside each of them.
+func (st *stub) Restructure(add []*schema.Source, drop []string, med *mediate.Result) error {
+	return st.opDo("/v1/shard/restructure", RestructureRequest{Proto: Version,
+		Sources: EncodeSources(add), Drop: drop, Med: EncodeMed(med)}, true)
 }
 
 // Replace ships the shard's full projection: persist snapshot bytes for a

@@ -45,7 +45,7 @@ type HostOptions struct {
 // CodeNotReady) until a coordinator pushes state via /v1/shard/replace —
 // or, in durable mode, until it warm-starts from its own data directory.
 //
-// Structural mutations (adopt, drop, mediation, replace) are NOT logged —
+// Structural mutations (restructure, replace) are NOT logged —
 // their replay semantics are coordinator-global. Durability for them is
 // a forced checkpoint after apply; visibility for WAL followers is the
 // state generation counter, which tells a replica that replay alone
@@ -113,9 +113,7 @@ func (h *Host) Handler() http.Handler {
 		Obs: h.reg,
 	}.Mount(mux)
 	mux.HandleFunc("POST /v1/shard/feedback", h.handleFeedback)
-	mux.HandleFunc("POST /v1/shard/adopt", h.handleAdopt)
-	mux.HandleFunc("POST /v1/shard/drop", h.handleDrop)
-	mux.HandleFunc("POST /v1/shard/mediation", h.handleMediation)
+	mux.HandleFunc("POST /v1/shard/restructure", h.handleRestructure)
 	mux.HandleFunc("POST /v1/shard/replace", h.handleReplace)
 	mux.HandleFunc("GET /v1/shard/state", h.handleState)
 	mux.HandleFunc("GET /v1/wal", h.handleWAL)
@@ -134,6 +132,14 @@ func decode(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
 		return false
 	}
 	return true
+}
+
+// decodeBounded is decode over a body bounded by httpapi.MaxRequestBody:
+// the read requests and feedback, which carry SQL text or one feedback
+// item, never rows.
+func decodeBounded(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, httpapi.MaxRequestBody)
+	return decode(w, r, dst, proto)
 }
 
 // ready passes sys through, or answers CodeNotReady when there is none.
@@ -173,13 +179,6 @@ type ReadHandlers struct {
 	Obs *obs.Registry
 }
 
-// decode is the package decode over a body bounded by
-// httpapi.MaxRequestBody.
-func (rh ReadHandlers) decode(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, httpapi.MaxRequestBody)
-	return decode(w, r, dst, proto)
-}
-
 // Mount registers the read routes (and the /healthz alias of status).
 func (rh ReadHandlers) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/shard/status", rh.handleStatus)
@@ -203,7 +202,7 @@ func (rh ReadHandlers) handleStatus(w http.ResponseWriter, _ *http.Request) {
 
 func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !rh.decode(w, r, &req, &req.Proto) {
+	if !decodeBounded(w, r, &req, &req.Proto) {
 		return
 	}
 	approach, err := core.ParseApproach(req.Approach)
@@ -243,7 +242,7 @@ func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (rh ReadHandlers) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	if !rh.decode(w, r, &req, &req.Proto) {
+	if !decodeBounded(w, r, &req, &req.Proto) {
 		return
 	}
 	sys := ready(w, rh.Sys())
@@ -266,7 +265,7 @@ func (rh ReadHandlers) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (rh ReadHandlers) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	var req CandidatesRequest
-	if !rh.decode(w, r, &req, &req.Proto) {
+	if !decodeBounded(w, r, &req, &req.Proto) {
 		return
 	}
 	sys := ready(w, rh.Sys())
@@ -280,7 +279,7 @@ func (rh ReadHandlers) handleCandidates(w http.ResponseWriter, r *http.Request) 
 
 func (h *Host) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req FeedbackRequest
-	if !decode(w, r, &req, &req.Proto) || h.ready(w) == nil {
+	if !decodeBounded(w, r, &req, &req.Proto) || h.ready(w) == nil {
 		return
 	}
 	if err := h.local.Feedback(req.Feedback); err != nil {
@@ -299,7 +298,7 @@ func badRequest(w http.ResponseWriter, err error) {
 	httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
 }
 
-// structural is the one shape of the four structural handlers once the
+// structural is the one shape of the two structural handlers once the
 // request is decoded: run the shard.Local verb, checkpoint (structural
 // changes are never logged, so durability is a forced checkpoint — or,
 // for a shard left empty, no store files at all), advance the state
@@ -322,12 +321,16 @@ func (h *Host) structural(w http.ResponseWriter, counter string, verb func() err
 	writeJSON(w, http.StatusOK, MutationResponse{Epoch: h.local.Sys().Snapshot().Epoch, StateGen: gen})
 }
 
-func (h *Host) handleAdopt(w http.ResponseWriter, r *http.Request) {
-	var req AdoptRequest
+// handleRestructure runs the one fast-path structural verb. A body the
+// decoders refuse, or a change the shard refuses (an unbuildable source, a
+// mediation the held p-mappings were not built for), answers 400 with
+// nothing changed.
+func (h *Host) handleRestructure(w http.ResponseWriter, r *http.Request) {
+	var req RestructureRequest
 	if !decode(w, r, &req, &req.Proto) || h.ready(w) == nil {
 		return
 	}
-	h.structural(w, "adopts", func() error {
+	h.structural(w, "restructures", func() error {
 		med, err := DecodeMed(req.Med)
 		if err != nil {
 			return err
@@ -336,35 +339,7 @@ func (h *Host) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		return h.local.Adopt(srcs, med)
-	})
-}
-
-func (h *Host) handleDrop(w http.ResponseWriter, r *http.Request) {
-	var req DropRequest
-	if !decode(w, r, &req, &req.Proto) || h.ready(w) == nil {
-		return
-	}
-	h.structural(w, "drops", func() error {
-		med, err := DecodeMed(req.Med)
-		if err != nil {
-			return err
-		}
-		return h.local.Drop(req.Name, med)
-	})
-}
-
-func (h *Host) handleMediation(w http.ResponseWriter, r *http.Request) {
-	var req MediationRequest
-	if !decode(w, r, &req, &req.Proto) || h.ready(w) == nil {
-		return
-	}
-	h.structural(w, "mediations", func() error {
-		med, err := DecodeMed(req.Med)
-		if err != nil {
-			return err
-		}
-		return h.local.SetMediation(med)
+		return h.local.Restructure(srcs, req.Drop, med)
 	})
 }
 

@@ -1,12 +1,14 @@
 package shardrpc_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"udi/internal/core"
@@ -138,5 +140,32 @@ func TestWALEndpointErrorPaths(t *testing.T) {
 	status, env, _, _ = getEnvelope(t, memSrv.URL+"/v1/wal?from=0")
 	if status != http.StatusServiceUnavailable || env.Error.Code != httpapi.CodeNotReady {
 		t.Fatalf("no-WAL host: got %d %q, want 503 %q", status, env.Error.Code, httpapi.CodeNotReady)
+	}
+}
+
+// TestShardFeedbackBodyIsBounded: /v1/shard/feedback carries one feedback
+// item, the same core.Feedback the public /v1/feedback caps, so a body
+// over httpapi.MaxRequestBody answers the typed 413 and commits nothing.
+func TestShardFeedbackBodyIsBounded(t *testing.T) {
+	cfg := core.Config{Obs: obs.NewRegistry()}
+	addr := startHosts(t, 1, cfg)[0]
+	if _, err := shardrpc.NewCoordinator(faultCorpus(t), cfg, []string{addr}, shardrpc.CoordinatorOptions{Obs: obs.NewRegistry()}); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	epoch := hostStatus(t, addr).Epoch
+	body, _ := json.Marshal(shardrpc.FeedbackRequest{Proto: shardrpc.Version,
+		Feedback: core.Feedback{Source: strings.Repeat("x", httpapi.MaxRequestBody), SrcAttr: "phone", MedName: "phone"}})
+	resp, err := http.Post(addr+"/v1/shard/feedback", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env errEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != httpapi.CodeBodyTooLarge {
+		t.Fatalf("oversized feedback: %d %q (%v), want 413 %q", resp.StatusCode, env.Error.Code, err, httpapi.CodeBodyTooLarge)
+	}
+	if got := hostStatus(t, addr).Epoch; got != epoch {
+		t.Errorf("refused feedback moved the epoch %d -> %d", epoch, got)
 	}
 }

@@ -8,17 +8,15 @@
 //
 // Protocol surface (all under the shard host's listener):
 //
-//	GET  /v1/shard/status     health, protocol version, epoch, state gen
-//	POST /v1/shard/query      one shard's partial result: a binary frame (part.go)
-//	POST /v1/shard/explain    one shard's provenance contributions
-//	POST /v1/shard/candidates one shard's feedback question queue
-//	POST /v1/shard/feedback   apply feedback owned by this shard (NOT idempotent)
-//	POST /v1/shard/adopt      adopt sources + refreshed mediation (idempotent)
-//	POST /v1/shard/drop       drop a source + refreshed mediation (idempotent)
-//	POST /v1/shard/mediation  swap mediation only (idempotent)
-//	POST /v1/shard/replace    wholesale state replacement (idempotent)
-//	GET  /v1/shard/state      bootstrap snapshot for replicas
-//	GET  /v1/wal?from=N       committed WAL tail frames for replicas
+//	GET  /v1/shard/status      health, protocol version, epoch, state gen
+//	POST /v1/shard/query       one shard's partial result: a binary frame (part.go)
+//	POST /v1/shard/explain     one shard's provenance contributions
+//	POST /v1/shard/candidates  one shard's feedback question queue
+//	POST /v1/shard/feedback    apply feedback owned by this shard (NOT idempotent)
+//	POST /v1/shard/restructure add and drop sources, install the refreshed mediation (idempotent)
+//	POST /v1/shard/replace     wholesale state replacement (idempotent)
+//	GET  /v1/shard/state       bootstrap snapshot for replicas
+//	GET  /v1/wal?from=N        committed WAL tail frames for replicas
 //
 // Mutating endpoints are idempotent on the server side (the host drives
 // the same shard.Local verbs the durable coordinator's crash redo relies
@@ -49,17 +47,17 @@ import (
 // the partial-result frame are the compatibility contract, and silently
 // mixing them would corrupt merges rather than fail typed. The refusal
 // is the only compatibility mechanism — nothing is negotiated. Version 2
-// replaced the JSON query response of version 1 with the frame.
-const Version = 2
+// replaced the JSON query response of version 1 with the frame; version
+// 3 replaced the adopt, drop and mediation routes with restructure.
+const Version = 3
 
 // StatusResponse is the GET /v1/shard/status body.
 type StatusResponse struct {
 	Proto int  `json:"proto"`
 	Ready bool `json:"ready"`
 	// Epoch is the shard core's commit counter; StateGen counts
-	// structural (non-WAL-logged) state changes — adopt, drop, mediation
-	// swap, replace — so WAL followers know when replay alone cannot
-	// catch them up.
+	// structural (non-WAL-logged) state changes — restructure, replace —
+	// so WAL followers know when replay alone cannot catch them up.
 	Epoch      uint64 `json:"epoch"`
 	StateGen   uint64 `json:"state_gen"`
 	NumSources int    `json:"num_sources"`
@@ -131,29 +129,17 @@ type FeedbackResponse struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// AdoptRequest is the POST /v1/shard/adopt body: the sources this shard
-// owns out of one coordinator mutation, plus the globally refreshed
-// mediation. Idempotent: sources already present are skipped and the
-// mediation is (re)installed regardless, mirroring the durable
-// coordinator's redo.
-type AdoptRequest struct {
+// RestructureRequest is the POST /v1/shard/restructure body: the
+// sources this shard gains and the names it loses out of one coordinator
+// mutation, plus the globally refreshed mediation it serves afterwards
+// (shard.Shard.Restructure). Idempotent: sources already present are
+// skipped, absent names drop nothing, and the mediation is (re)installed
+// regardless, mirroring the durable coordinator's redo.
+type RestructureRequest struct {
 	Proto   int          `json:"proto"`
 	Sources []WireSource `json:"sources"`
+	Drop    []string     `json:"drop"`
 	Med     WireMed      `json:"med"`
-}
-
-// DropRequest is the POST /v1/shard/drop body. Idempotent: an absent
-// name still installs the mediation.
-type DropRequest struct {
-	Proto int     `json:"proto"`
-	Name  string  `json:"name"`
-	Med   WireMed `json:"med"`
-}
-
-// MediationRequest is the POST /v1/shard/mediation body.
-type MediationRequest struct {
-	Proto int     `json:"proto"`
-	Med   WireMed `json:"med"`
 }
 
 // ReplaceEmptyRequest is the JSON POST /v1/shard/replace body for the
