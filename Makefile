@@ -2,8 +2,8 @@
 # gofmt check, build, the full test suite under the race detector, the
 # named soaks rerun, the no-skip and oracle-never-ships guards, and a
 # short fuzzing pass over the SQL parser, the shard RPC partial-result
-# decoder, the shard RPC restructure body's decoders and the cross-source
-# combine.
+# decoder, the shard RPC restructure body's decoders, the cross-source
+# combine and the CSV round trip.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -19,13 +19,13 @@ vet:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
-# Also the never-ships guards: no binary under cmd/ or examples/ may link
+# Also the never-ships guards: no binary under cmd/ may link
 # the test-only oracle, and the serving binaries link none of the paper's
 # evaluation harness either (the §7.3 baselines, the keyword index, the
 # matcher ablation).
 build:
 	$(GO) build ./...
-	! $(GO) list -deps ./cmd/... ./examples/... | grep -q internal/reference
+	! $(GO) list -deps ./cmd/... | grep -q internal/reference
 	! $(GO) list -deps ./cmd/udiserver ./cmd/udi | grep -E -q 'internal/(reference|keyword|experiments|matching)$$'
 
 test:
@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePart -fuzztime=$(FUZZTIME) ./internal/shardrpc
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeRestructure -fuzztime=$(FUZZTIME) ./internal/shardrpc
 	$(GO) test -run '^$$' -fuzz=FuzzRankMatchesQuadratic -fuzztime=$(FUZZTIME) ./internal/answer
+	$(GO) test -run '^$$' -fuzz=FuzzCSVRoundTrip -fuzztime=$(FUZZTIME) ./internal/csvio
 
 # Non-test lines per package and in total — the figure a simplicity PR
 # reports in CHANGES.md. The test-only oracle and the benchmark harness

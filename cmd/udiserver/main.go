@@ -101,9 +101,8 @@ import (
 	"syscall"
 	"time"
 
+	"udi/cmd/internal/boot"
 	"udi/internal/core"
-	"udi/internal/csvio"
-	"udi/internal/datagen"
 	"udi/internal/httpapi"
 	"udi/internal/persist"
 	"udi/internal/replica"
@@ -209,7 +208,7 @@ func runCoordinator(sc serveConfig, cfg core.Config, opts httpapi.Options) error
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
-	corpus, err := buildCorpus(sc.domain, sc.data, sc.sources)
+	corpus, err := boot.Corpus(sc.domain, sc.data, sc.sources)
 	if err != nil {
 		return err
 	}
@@ -356,7 +355,7 @@ func openSharded(domain, data, load string, sources, shards int, dataDir string,
 	if load != "" {
 		return nil, fmt.Errorf("-load serves a single-core snapshot; it cannot be combined with -shards %d", shards)
 	}
-	setup := func() (*schema.Corpus, error) { return buildCorpus(domain, data, sources) }
+	setup := func() (*schema.Corpus, error) { return boot.Corpus(domain, data, sources) }
 	if dataDir == "" {
 		corpus, err := setup()
 		if err != nil {
@@ -372,52 +371,20 @@ func openSharded(domain, data, load string, sources, shards int, dataDir string,
 	return sh, nil
 }
 
-// buildCorpus loads the raw corpus for sharded mode (the shard system
-// runs its own setup so it can project per-shard state).
-func buildCorpus(domain, data string, sources int) (*schema.Corpus, error) {
-	var corpus *schema.Corpus
-	if data != "" {
-		fmt.Fprintf(os.Stderr, "loading CSV tables from %s...\n", data)
-		c, err := csvio.LoadCorpus(domain, data)
-		if err != nil {
-			return nil, err
-		}
-		corpus = c
-	} else {
-		spec := datagen.DomainByName(domain)
-		if spec == nil {
-			return nil, fmt.Errorf("unknown domain %q", domain)
-		}
-		if sources > 0 {
-			spec.NumSources = sources
-		}
-		fmt.Fprintf(os.Stderr, "generating %s (%d sources)...\n", spec.Name, spec.NumSources)
-		c, err := datagen.Generate(spec)
-		if err != nil {
-			return nil, err
-		}
-		corpus = c.Corpus
-	}
-	if sources > 0 && sources < len(corpus.Sources) {
-		corpus = corpus.Prefix(sources)
-	}
-	return corpus, nil
-}
-
 // openSystem builds or recovers the serving system. Without a data
-// directory it is the in-memory buildSystem; with one, the durable store
+// directory it is the in-memory boot.System; with one, the durable store
 // owns the lifecycle: setup runs only when the directory is empty, and a
 // corrupt snapshot or WAL refuses startup with persist.ErrCorrupt /
 // wal.ErrCorrupt rather than serving a state that was never committed.
 func openSystem(domain, data, load string, sources int, dataDir string, checkpointEvery uint64, cfg core.Config) (*core.System, *persist.Store, error) {
 	if dataDir == "" {
-		sys, err := buildSystem(domain, data, load, sources, cfg)
+		sys, err := boot.System(domain, data, load, sources, cfg)
 		return sys, nil, err
 	}
 	sys, store, err := persist.OpenStore(dataDir, cfg,
 		persist.StoreOptions{CheckpointEvery: checkpointEvery},
 		func() (*core.System, error) {
-			return buildSystem(domain, data, load, sources, cfg)
+			return boot.System(domain, data, load, sources, cfg)
 		})
 	if err != nil {
 		return nil, nil, fmt.Errorf("data dir %s: %w", dataDir, err)
@@ -427,40 +394,4 @@ func openSystem(domain, data, load string, sources int, dataDir string, checkpoi
 			dataDir, s.Replayed, s.CheckpointSeq)
 	}
 	return sys, store, nil
-}
-
-func buildSystem(domain, data, load string, sources int, cfg core.Config) (*core.System, error) {
-	switch {
-	case load != "":
-		fmt.Fprintf(os.Stderr, "restoring snapshot %s...\n", load)
-		return persist.LoadFile(load, cfg)
-	case data != "":
-		fmt.Fprintf(os.Stderr, "loading CSV tables from %s...\n", data)
-		corpus, err := csvio.LoadCorpus(domain, data)
-		if err != nil {
-			return nil, err
-		}
-		return setupLimited(corpus, sources, cfg)
-	default:
-		spec := datagen.DomainByName(domain)
-		if spec == nil {
-			return nil, fmt.Errorf("unknown domain %q", domain)
-		}
-		if sources > 0 {
-			spec.NumSources = sources
-		}
-		fmt.Fprintf(os.Stderr, "generating %s (%d sources) and setting up...\n", spec.Name, spec.NumSources)
-		c, err := datagen.Generate(spec)
-		if err != nil {
-			return nil, err
-		}
-		return core.Setup(c.Corpus, cfg)
-	}
-}
-
-func setupLimited(corpus *schema.Corpus, sources int, cfg core.Config) (*core.System, error) {
-	if sources > 0 && sources < len(corpus.Sources) {
-		corpus = corpus.Prefix(sources)
-	}
-	return core.Setup(corpus, cfg)
 }

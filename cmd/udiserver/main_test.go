@@ -6,77 +6,18 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"udi/cmd/internal/boot"
 	"udi/internal/core"
-	"udi/internal/csvio"
 	"udi/internal/datagen"
 	"udi/internal/httpapi"
 	"udi/internal/obs"
-	"udi/internal/persist"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
-
-func TestBuildSystemDomain(t *testing.T) {
-	sys, err := buildSystem("People", "", "", 12, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sys.Corpus.Sources) != 12 {
-		t.Errorf("sources = %d", len(sys.Corpus.Sources))
-	}
-	if _, err := buildSystem("Atlantis", "", "", 0, core.Config{}); err == nil {
-		t.Error("unknown domain accepted")
-	}
-}
-
-func TestBuildSystemData(t *testing.T) {
-	dir := t.TempDir()
-	spec := datagen.People(103)
-	spec.NumSources = 10
-	c := datagen.MustGenerate(spec)
-	if err := csvio.WriteCorpus(c.Corpus, dir); err != nil {
-		t.Fatal(err)
-	}
-	sys, err := buildSystem("csv", dir, "", 5, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sys.Corpus.Sources) != 5 {
-		t.Errorf("sources = %d", len(sys.Corpus.Sources))
-	}
-	if _, err := buildSystem("csv", filepath.Join(dir, "missing"), "", 0, core.Config{}); err == nil {
-		t.Error("missing data dir accepted")
-	}
-}
-
-func TestBuildSystemSnapshot(t *testing.T) {
-	spec := datagen.People(103)
-	spec.NumSources = 10
-	c := datagen.MustGenerate(spec)
-	sys, err := core.Setup(c.Corpus, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "s.udi.gz")
-	if err := persist.SaveFile(path, sys); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := buildSystem("", "", path, 0, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(restored.Corpus.Sources) != 10 {
-		t.Errorf("sources = %d", len(restored.Corpus.Sources))
-	}
-	if _, err := buildSystem("", "", filepath.Join(t.TempDir(), "none.gz"), 0, core.Config{}); err == nil {
-		t.Error("missing snapshot accepted")
-	}
-}
 
 // TestDurableRestartAllDomains is the acceptance gate for -data-dir: for
 // every evaluation domain, a server that took feedback and a new source,
@@ -172,7 +113,7 @@ func TestDurableRestartAllDomains(t *testing.T) {
 // counts and logs a request after its handler returns, before it ends the
 // body, so EOF orders each request's bookkeeping before the next check.
 func TestServeObservability(t *testing.T) {
-	sys, err := buildSystem("People", "", "", 12, core.Config{})
+	sys, err := boot.System("People", "", "", 12, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,9 @@
 // mappings.
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); cmd/udi and cmd/experiments are the executables, and
-// examples/ holds runnable walkthroughs. The benchmarks in bench_test.go
-// regenerate every table and figure of the paper's evaluation.
+// inventory); cmd/udi (the CLI), cmd/udiserver (the HTTP server) and
+// cmd/experiments (the paper's evaluation) are the executables. The
+// paper's motivating example is a checked Example in internal/core and a
+// test in internal/answer. The benchmarks in bench_test.go regenerate
+// every table and figure of the paper's evaluation.
 package udi

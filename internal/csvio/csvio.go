@@ -6,7 +6,9 @@
 package csvio
 
 import (
+	"bufio"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,28 +23,12 @@ import (
 // attribute names. Ragged rows are padded or truncated to the header
 // width, matching how web tables are cleaned in practice.
 func LoadCorpus(domain, dir string) (*schema.Corpus, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("csvio: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(strings.ToLower(e.Name()), ".csv") {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("csvio: no .csv files in %s", dir)
-	}
-	sort.Strings(names)
 	var sources []*schema.Source
-	for _, name := range names {
-		src, err := LoadSource(strings.TrimSuffix(name, filepath.Ext(name)), filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		sources = append(sources, src)
+	if err := StreamCorpus(dir, 0, func(all []*schema.Source) error {
+		sources = all
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return schema.NewCorpus(domain, sources)
 }
@@ -159,19 +145,24 @@ func WriteSource(src *schema.Source, path string) error {
 	if err != nil {
 		return fmt.Errorf("csvio: %w", err)
 	}
-	w := csv.NewWriter(f)
-	if err := w.Write(src.Attrs); err != nil {
-		f.Close()
-		return fmt.Errorf("csvio: %w", err)
-	}
-	for _, row := range src.Rows {
-		if err := w.Write(row); err != nil {
+	bw := bufio.NewWriter(f)
+	w := csv.NewWriter(bw)
+	for _, rec := range append([][]string{src.Attrs}, src.Rows...) {
+		// encoding/csv writes a lone empty field as a blank line, which its
+		// reader skips; quote it so the row survives the round trip.
+		if len(rec) == 1 && rec[0] == "" {
+			w.Flush()
+			_, err = bw.WriteString("\"\"\n")
+		} else {
+			err = w.Write(rec)
+		}
+		if err != nil {
 			f.Close()
 			return fmt.Errorf("csvio: %w", err)
 		}
 	}
 	w.Flush()
-	if err := w.Error(); err != nil {
+	if err := errors.Join(w.Error(), bw.Flush()); err != nil {
 		f.Close()
 		return fmt.Errorf("csvio: %w", err)
 	}

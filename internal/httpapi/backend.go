@@ -33,8 +33,10 @@ import (
 //     backends (replicas) reject them with CodeReadOnly.
 //   - Epochs are monotone: a successful mutation makes a later View
 //     observe a strictly larger Epoch.
-//   - Durability and Replication report topology-specific state for
+//   - Replication and Routing report topology-specific state for
 //     /v1/schema; nil means "not applicable" and the field is omitted.
+//     Durability is process-level wiring, not backend state: the server
+//     reports it through Options.Durability.
 //
 // The conformance suite (internal/httpapi/conformance) checks these
 // invariants against every implementation.
@@ -56,10 +58,6 @@ type Backend interface {
 	// Shards reports the partition count; 0 means unsharded (the
 	// /v1/schema response then omits the shard fields).
 	Shards() int
-	// Durability reports the persistence layer's state, or nil for
-	// in-memory serving. (Options.Durability, when set, overrides this
-	// for process-level wiring.)
-	Durability() *DurabilityStatus
 	// Replication reports WAL-follower state (primary address, applied
 	// sequence, staleness), or nil when this backend is a primary.
 	Replication() *ReplicationStatus
@@ -183,7 +181,6 @@ func (b coreBackend) View() (View, error) {
 func (b coreBackend) Committing() bool                      { return b.sys.Committing() }
 func (b coreBackend) SubmitFeedback(fb core.Feedback) error { return b.sys.SubmitFeedback(fb) }
 func (b coreBackend) Shards() int                           { return 0 }
-func (b coreBackend) Durability() *DurabilityStatus         { return nil }
 func (b coreBackend) Replication() *ReplicationStatus       { return nil }
 func (b coreBackend) Routing() *RoutingStatus               { return nil }
 
@@ -239,7 +236,6 @@ type shardBackend struct{ *shard.System }
 
 func (b shardBackend) View() (View, error)             { return b.System.View(), nil }
 func (b shardBackend) Shards() int                     { return b.NumShards() }
-func (b shardBackend) Durability() *DurabilityStatus   { return nil }
 func (b shardBackend) Replication() *ReplicationStatus { return nil }
 func (b shardBackend) Routing() *RoutingStatus         { return nil }
 

@@ -148,8 +148,8 @@ type Options struct {
 	// and one line per internal error. Nil disables logging.
 	Logf func(format string, args ...any)
 	// Durability, when set, reports the persistence layer's state; it is
-	// included in /v1/schema responses. Nil falls back to the backend's
-	// own Durability method (and omits the field when that is nil too).
+	// included in /v1/schema responses. Nil (in-memory serving) omits the
+	// field.
 	Durability func() DurabilityStatus
 }
 
@@ -533,8 +533,6 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Durability != nil {
 		d := s.opts.Durability()
 		resp.Durability = &d
-	} else {
-		resp.Durability = s.be.Durability()
 	}
 	pmed := v.PMed()
 	for i, m := range pmed.Schemas {

@@ -8,8 +8,8 @@
 //
 // It must stay obviously correct rather than fast, and it must never
 // ship: it imports only the algorithm packages (never core, answer or
-// intern), and `make check` fails if any binary under cmd/ or examples/
-// links it.
+// intern), and `make check` fails if any binary under cmd/ links
+// it.
 package reference
 
 import (

@@ -290,7 +290,6 @@ func (b replicaBackend) SubmitFeedback(core.Feedback) error        { return read
 func (b replicaBackend) AddSources([]*schema.Source) (bool, error) { return false, readOnly() }
 func (b replicaBackend) RemoveSource(string) (bool, error)         { return false, readOnly() }
 func (b replicaBackend) Shards() int                               { return 0 }
-func (b replicaBackend) Durability() *httpapi.DurabilityStatus     { return nil }
 func (b replicaBackend) Routing() *httpapi.RoutingStatus           { return nil }
 
 func (b replicaBackend) Replication() *httpapi.ReplicationStatus {
