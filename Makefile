@@ -3,7 +3,8 @@
 # named soaks rerun, the no-skip and oracle-never-ships guards, and a
 # short fuzzing pass over the SQL parser, the shard RPC partial-result
 # decoder, the shard RPC restructure body's decoders, the cross-source
-# combine and the CSV round trip.
+# combine, the CSV round trip and the compiled attribute-name similarity
+# against its string definition.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeRestructure -fuzztime=$(FUZZTIME) ./internal/shardrpc
 	$(GO) test -run '^$$' -fuzz=FuzzRankMatchesQuadratic -fuzztime=$(FUZZTIME) ./internal/answer
 	$(GO) test -run '^$$' -fuzz=FuzzCSVRoundTrip -fuzztime=$(FUZZTIME) ./internal/csvio
+	$(GO) test -run '^$$' -fuzz=FuzzAttrSimCompiled -fuzztime=$(FUZZTIME) ./internal/strutil
 
 # Non-test lines per package and in total — the figure a simplicity PR
 # reports in CHANGES.md. The test-only oracle and the benchmark harness

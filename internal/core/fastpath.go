@@ -97,17 +97,13 @@ func (s *System) simTheta() float64 {
 // bit-identical to calling the base function everywhere (which is what
 // internal/reference does) at O(hubs·V + candidates) instead of O(V²)
 // cost. The vocabulary is frozen here; AddSources extends it.
+//
+// An unset Cfg.Mediate.Sim / Cfg.PMap.Sim reaches intern as nil, the
+// default matcher scored on names compiled once; a configured function,
+// strutil.AttrSim included, is called on the strings.
 func (s *System) ensureSims() {
 	cs := s.caches
 	cs.simOnce.Do(func() {
-		baseMed := s.Cfg.Mediate.Sim
-		if baseMed == nil {
-			baseMed = strutil.AttrSim
-		}
-		basePMap := s.Cfg.PMap.Sim
-		if basePMap == nil {
-			basePMap = strutil.AttrSim
-		}
 		t0 := time.Now()
 		names := s.Corpus.AllAttrs()
 		opt := intern.SparseOptions{
@@ -115,13 +111,13 @@ func (s *System) ensureSims() {
 			Workers: s.Cfg.Parallelism,
 			Obs:     s.Cfg.Obs,
 		}
-		cs.matMed = intern.BuildSparse(names, baseMed, opt)
+		cs.matMed = intern.BuildSparse(names, s.Cfg.Mediate.Sim, opt)
 		if s.Cfg.Mediate.Sim == nil && s.Cfg.PMap.Sim == nil {
 			// Both roles use the default matcher: one blocked matrix
 			// (and one fallback memo) serves both.
 			cs.matPMap = cs.matMed
 		} else {
-			cs.matPMap = intern.BuildSparse(names, basePMap, opt)
+			cs.matPMap = intern.BuildSparse(names, s.Cfg.PMap.Sim, opt)
 		}
 		if r := s.Cfg.Obs; r.Enabled() {
 			r.Add("setup.sim_matrix.builds", 1)

@@ -13,6 +13,11 @@
 // bit-identical to calling the base function everywhere, at
 // O(hubs·V + candidates) build cost instead of O(V²).
 //
+// A nil base means the default matcher, strutil.AttrSim, scored on
+// names compiled once per interned ID (strutil.Compile) rather than
+// re-normalized on every pair; strutil's tests and fuzz target pin the
+// two front ends bit for bit.
+//
 // Invariants (see DESIGN.md "Setup fast path" and "Sub-quadratic
 // matching"):
 //
@@ -31,35 +36,59 @@
 //     (copied, never recomputed): the base function is called at most
 //     once per unordered pair over the matrix's whole lifetime.
 //   - Names outside the vocabulary fall back to the base function
-//     directly (no stable ID to memoize under).
+//     directly (no stable ID to memoize under); with the default
+//     matcher that is the string strutil.AttrSim.
 package intern
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"udi/internal/obs"
+	"udi/internal/strutil"
 )
 
-// Vocab maps attribute names to dense IDs. It is immutable after
-// construction; Matrix.Extend builds a fresh Vocab rather than mutating.
+// Vocab maps attribute names to dense IDs and keeps each name compiled
+// for scoring and banding. It is immutable after construction;
+// Matrix.Extend builds a fresh Vocab rather than mutating.
 type Vocab struct {
-	ids   map[string]int
-	names []string
+	ids      map[string]int
+	names    []string
+	compiled []strutil.Name
 }
 
 // NewVocab interns the given names in order, dropping duplicates.
 func NewVocab(names []string) *Vocab {
 	v := &Vocab{ids: make(map[string]int, len(names))}
+	v.add(names)
+	return v
+}
+
+// extend returns a vocabulary holding v's names, with their IDs and
+// compiled forms, followed by the unseen names of fresh.
+func (v *Vocab) extend(fresh []string) *Vocab {
+	w := &Vocab{
+		ids:      maps.Clone(v.ids),
+		names:    slices.Clip(v.names),
+		compiled: slices.Clip(v.compiled),
+	}
+	w.add(fresh)
+	return w
+}
+
+// add interns and compiles the names not yet present, in order.
+func (v *Vocab) add(names []string) {
 	for _, n := range names {
 		if _, ok := v.ids[n]; ok {
 			continue
 		}
 		v.ids[n] = len(v.names)
 		v.names = append(v.names, n)
+		v.compiled = append(v.compiled, strutil.Compile(n))
 	}
-	return v
 }
 
 // ID returns the dense ID of name and whether it is interned.
@@ -113,7 +142,7 @@ func pairKey(i, j int) uint64 {
 // (they swap in a new snapshot) but are serialized against each other
 // internally.
 type Matrix struct {
-	base  func(a, b string) float64
+	base  func(a, b string) float64 // nil: the default matcher (see pair)
 	state atomic.Pointer[matrixState]
 
 	extendMu sync.Mutex
@@ -174,19 +203,32 @@ func (m *Matrix) Sim(a, b string) float64 {
 			if v, ok := st.extra[k]; ok {
 				return v
 			}
-			return m.fallbackSim(k, a, b)
+			return m.fallbackSim(st.vocab, k, i, j)
 		}
+	}
+	if m.base == nil {
+		return strutil.AttrSim(a, b)
 	}
 	return m.base(a, b)
 }
 
+// pair is the one place the matrix evaluates its base similarity for
+// two interned IDs: the default matcher on their compiled names, or the
+// configured base on the strings.
+func (m *Matrix) pair(v *Vocab, i, j int) float64 {
+	if m.base == nil {
+		return strutil.AttrSimNames(&v.compiled[i], &v.compiled[j])
+	}
+	return m.base(v.names[i], v.names[j])
+}
+
 // fallbackSim computes an interned pair the candidate set missed and
 // memoizes it under the stable ID-pair key.
-func (m *Matrix) fallbackSim(key uint64, a, b string) float64 {
+func (m *Matrix) fallbackSim(vocab *Vocab, key uint64, i, j int) float64 {
 	if v, ok := m.memo.Load(key); ok {
 		return v.(float64)
 	}
-	v := m.base(a, b)
+	v := m.pair(vocab, i, j)
 	m.memo.Store(key, v)
 	m.fallbacks.Add(1)
 	if m.reg != nil && m.reg.Enabled() {
@@ -244,8 +286,7 @@ func (m *Matrix) Extend(names []string, workers int) int {
 		return 0
 	}
 	sort.Strings(fresh)
-	vocab := NewVocab(append(append([]string{}, old.vocab.names...), fresh...))
-	st := extendSparse(old, vocab, m.base, &m.memo, workers)
+	st := m.extendSparse(old, old.vocab.extend(fresh), workers)
 	m.state.Store(st)
 	return len(fresh)
 }

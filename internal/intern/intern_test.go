@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"udi/internal/datagen"
+	"udi/internal/mediate"
 	"udi/internal/strutil"
 )
 
@@ -84,5 +86,30 @@ func BenchmarkMatrixSim(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Sim(names[i%64], names[(i*7)%64])
+	}
+}
+
+// BenchmarkBuildSparseScale5k builds the setup matrix over the 5k-source
+// scale vocabulary with the frequent attributes as hubs, the way setup
+// does: "compiled" passes a nil base (the default matcher on names
+// compiled once), "string" passes strutil.AttrSim, which normalizes both
+// names on every pair. The two arms produce bit-identical matrices.
+func BenchmarkBuildSparseScale5k(b *testing.B) {
+	c := datagen.ScaleCorpus(5000, 102)
+	names := c.AllAttrs()
+	opt := SparseOptions{Hubs: c.FrequentAttrs(mediate.DefaultTheta), Workers: 1}
+	for _, arm := range []struct {
+		name string
+		base func(a, b string) float64
+	}{
+		{"compiled", nil},
+		{"string", strutil.AttrSim},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildSparse(names, arm.base, opt)
+			}
+		})
 	}
 }

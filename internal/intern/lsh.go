@@ -1,12 +1,13 @@
-// LSH banding over attribute names. Names are reduced to the same
-// canonical form strutil.AttrSim compares (Normalize, separators
-// stripped), minhashed over character 3-grams, and the minhash vector is
-// cut into bands: two names that share any band key become a candidate
-// pair. With lshHashes=8 signatures in lshBands=4 bands of 2 rows, a
-// pair with 3-gram Jaccard similarity s collides with probability
-// 1-(1-s²)⁴ — near-certain for the close spelling variants attribute
-// matching cares about, near-zero for unrelated names — so the candidate
-// set stays linear in the vocabulary while catching the pairs whose base
+// LSH banding over attribute names. Each name is read in the canonical
+// form strutil.AttrSim compares (normalized, separators stripped), which
+// the vocabulary compiles once per name. The canonical form is minhashed
+// over character 3-grams, and the minhash vector is cut into bands: two
+// names that share any band key become a candidate pair. With
+// lshHashes=8 signatures in lshBands=4 bands of 2 rows, a pair with
+// 3-gram Jaccard similarity s collides with probability 1-(1-s²)⁴ —
+// near-certain for the close spelling variants attribute matching cares
+// about, near-zero for unrelated names — so the candidate set stays
+// linear in the vocabulary while catching the pairs whose base
 // similarity is worth precomputing.
 //
 // Banding is a recall heuristic only: correctness never depends on it,
@@ -14,11 +15,7 @@
 // for any pair the blocking missed.
 package intern
 
-import (
-	"strings"
-
-	"udi/internal/strutil"
-)
+import "udi/internal/strutil"
 
 const (
 	lshHashes = 8                   // minhash signature length
@@ -42,13 +39,6 @@ func init() {
 	}
 }
 
-// canon reduces an attribute name to the form strutil.AttrSim compares:
-// lowercased, punctuation and spacing removed. Banding over this form
-// makes "Zip-Code" and "zip code" share a signature.
-func canon(name string) string {
-	return strings.ReplaceAll(strutil.Normalize(name), " ", "")
-}
-
 func fnv64(s string) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(s); i++ {
@@ -70,13 +60,14 @@ func mix64(v uint64) uint64 {
 	return v
 }
 
-// bandKeys returns the lshBands bucket keys for a name: minhash the
-// canonical form's character 3-grams under lshHashes seeded hash
+// bandKeys returns the lshBands bucket keys for a compiled name: minhash
+// the canonical form's character 3-grams under lshHashes seeded hash
 // functions, then hash each band of lshRows minima (salted with the band
 // index so identical minima in different bands land in different
-// buckets). Deterministic: depends only on the name.
-func bandKeys(name string) [lshBands]uint64 {
-	c := canon(name)
+// buckets). Banding over the canonical form makes "Zip-Code" and
+// "zip code" share a signature. Deterministic: depends only on the name.
+func bandKeys(name *strutil.Name) [lshBands]uint64 {
+	c := name.Canon()
 	var mh [lshHashes]uint64
 	for i := range mh {
 		mh[i] = ^uint64(0)

@@ -29,7 +29,8 @@ type SparseOptions struct {
 // rows for opt.Hubs plus LSH band candidate pairs among the remaining
 // names (see lsh.go). Lookups outside the precomputed set are computed
 // exactly on demand and memoized, so Sim is bit-identical to the base
-// function everywhere. base must be symmetric and pure.
+// function everywhere. base must be symmetric and pure; nil means
+// strutil.AttrSim, scored on names compiled once.
 func BuildSparse(names []string, base func(a, b string) float64, opt SparseOptions) *Matrix {
 	m := &Matrix{base: base, reg: opt.Obs}
 	vocab := NewVocab(names)
@@ -51,7 +52,7 @@ func BuildSparse(names []string, base func(a, b string) float64, opt SparseOptio
 	// Band every name; same-bucket membership defines candidate pairs.
 	st.buckets = make(map[uint64][]int32)
 	for i := 0; i < n; i++ {
-		for _, bk := range bandKeys(vocab.names[i]) {
+		for _, bk := range bandKeys(&vocab.compiled[i]) {
 			st.buckets[bk] = append(st.buckets[bk], int32(i))
 		}
 	}
@@ -86,7 +87,7 @@ func BuildSparse(names []string, base func(a, b string) float64, opt SparseOptio
 		}
 	}
 
-	fillSparse(st, base, nil, nil, extraSet, opt.Workers)
+	m.fillSparse(st, nil, nil, extraSet, opt.Workers)
 	m.state.Store(st)
 	return m
 }
@@ -95,7 +96,7 @@ func BuildSparse(names []string, base func(a, b string) float64, opt SparseOptio
 // extraSet, reusing any value already present in prev or memo (Extend
 // and EnsureHubs carry values forward; a fresh build passes nil). Rows
 // already present in st.hubRows (carried over by the caller) are kept.
-func fillSparse(st *matrixState, base func(a, b string) float64, prev *matrixState, memo *sync.Map, extraSet map[uint64]struct{}, workers int) {
+func (m *Matrix) fillSparse(st *matrixState, prev *matrixState, memo *sync.Map, extraSet map[uint64]struct{}, workers int) {
 	vocab := st.vocab
 	n := vocab.Len()
 	if st.hubRows == nil {
@@ -104,13 +105,12 @@ func fillSparse(st *matrixState, base func(a, b string) float64, prev *matrixSta
 	// A hub×hub cell appears in both hubs' rows; compute each such pair
 	// once up front (serially — the hub set is small) so the parallel row
 	// fill only reuses it.
-	hubPair := hubPairVals(st.hubIDs, vocab, base, prev, memo)
+	hubPair := m.hubPairVals(st.hubIDs, vocab, prev, memo)
 	runParallel(workers, len(st.hubIDs), func(k int) {
 		if st.hubRows[k] != nil {
 			return
 		}
 		id := int(st.hubIDs[k])
-		a := vocab.names[id]
 		row := make([]float64, n)
 		for j := 0; j < n; j++ {
 			if v, ok := hubPair[pairKey(id, j)]; ok {
@@ -118,7 +118,7 @@ func fillSparse(st *matrixState, base func(a, b string) float64, prev *matrixSta
 			} else if v, ok := reuseVal(prev, memo, id, j); ok {
 				row[j] = v
 			} else {
-				row[j] = base(a, vocab.names[j])
+				row[j] = m.pair(vocab, id, j)
 			}
 		}
 		st.hubRows[k] = row
@@ -134,7 +134,7 @@ func fillSparse(st *matrixState, base func(a, b string) float64, prev *matrixSta
 		if v, ok := reuseVal(prev, memo, i, j); ok {
 			vals[x] = v
 		} else {
-			vals[x] = base(vocab.names[i], vocab.names[j])
+			vals[x] = m.pair(vocab, i, j)
 		}
 	})
 	if st.extra == nil {
@@ -149,7 +149,7 @@ func fillSparse(st *matrixState, base func(a, b string) float64, prev *matrixSta
 // hubPairVals computes (or reuses) the value of every unordered pair of
 // hub IDs whose rows are about to be filled, so the row fill never
 // computes the same cell from both sides.
-func hubPairVals(hubIDs []int32, vocab *Vocab, base func(a, b string) float64, prev *matrixState, memo *sync.Map) map[uint64]float64 {
+func (m *Matrix) hubPairVals(hubIDs []int32, vocab *Vocab, prev *matrixState, memo *sync.Map) map[uint64]float64 {
 	out := make(map[uint64]float64, len(hubIDs)*(len(hubIDs)-1)/2)
 	for x := 0; x < len(hubIDs); x++ {
 		for y := x + 1; y < len(hubIDs); y++ {
@@ -161,7 +161,7 @@ func hubPairVals(hubIDs []int32, vocab *Vocab, base func(a, b string) float64, p
 			if v, ok := reuseVal(prev, memo, i, j); ok {
 				out[k] = v
 			} else {
-				out[k] = base(vocab.names[i], vocab.names[j])
+				out[k] = m.pair(vocab, i, j)
 			}
 		}
 	}
@@ -198,7 +198,7 @@ func reuseVal(prev *matrixState, memo *sync.Map, i, j int) (float64, bool) {
 // keep their IDs, bucket membership, hub status, and every computed
 // value; only the fresh names (IDs ≥ old vocabulary size) are banded and
 // only pairs touching them are computed. Called under extendMu.
-func extendSparse(old *matrixState, vocab *Vocab, base func(a, b string) float64, memo *sync.Map, workers int) *matrixState {
+func (m *Matrix) extendSparse(old *matrixState, vocab *Vocab, workers int) *matrixState {
 	oldN, n := old.vocab.Len(), vocab.Len()
 	st := &matrixState{vocab: vocab, buckets: old.buckets}
 
@@ -216,7 +216,7 @@ func extendSparse(old *matrixState, vocab *Vocab, base func(a, b string) float64
 	// on the name.
 	extraSet := make(map[uint64]struct{})
 	for i := oldN; i < n; i++ {
-		for _, bk := range bandKeys(vocab.names[i]) {
+		for _, bk := range bandKeys(&vocab.compiled[i]) {
 			members := st.buckets[bk]
 			if len(members) <= maxBucketFan {
 				for _, other := range members {
@@ -235,14 +235,13 @@ func extendSparse(old *matrixState, vocab *Vocab, base func(a, b string) float64
 	st.hubRows = make([][]float64, len(st.hubIDs))
 	runParallel(workers, len(st.hubIDs), func(k int) {
 		id := int(st.hubIDs[k])
-		a := vocab.names[id]
 		row := make([]float64, n)
 		copy(row, old.hubRows[k])
 		for j := oldN; j < n; j++ {
-			if v, ok := reuseVal(nil, memo, id, j); ok {
+			if v, ok := reuseVal(nil, &m.memo, id, j); ok {
 				row[j] = v
 			} else {
-				row[j] = base(a, vocab.names[j])
+				row[j] = m.pair(vocab, id, j)
 			}
 		}
 		st.hubRows[k] = row
@@ -259,10 +258,10 @@ func extendSparse(old *matrixState, vocab *Vocab, base func(a, b string) float64
 	vals := make([]float64, len(keys))
 	runParallel(workers, len(keys), func(x int) {
 		i, j := int(keys[x]>>32), int(keys[x]&0xffffffff)
-		if v, ok := reuseVal(nil, memo, i, j); ok {
+		if v, ok := reuseVal(nil, &m.memo, i, j); ok {
 			vals[x] = v
 		} else {
-			vals[x] = base(vocab.names[i], vocab.names[j])
+			vals[x] = m.pair(vocab, i, j)
 		}
 	})
 	for x, k := range keys {
@@ -311,11 +310,10 @@ func (m *Matrix) EnsureHubs(hubs []string, workers int) int {
 	copy(st.hubRows, old.hubRows)
 	// Pairs among the newly promoted names appear in both their rows;
 	// compute each once (promoted×existing-hub pairs reuse the old rows).
-	promoPair := hubPairVals(promote, st.vocab, m.base, old, &m.memo)
+	promoPair := m.hubPairVals(promote, st.vocab, old, &m.memo)
 	runParallel(workers, len(promote), func(x int) {
 		k := len(old.hubIDs) + x
 		id := int(st.hubIDs[k])
-		a := st.vocab.names[id]
 		row := make([]float64, n)
 		for j := 0; j < n; j++ {
 			if v, ok := promoPair[pairKey(id, j)]; ok {
@@ -323,7 +321,7 @@ func (m *Matrix) EnsureHubs(hubs []string, workers int) int {
 			} else if v, ok := reuseVal(old, &m.memo, id, j); ok {
 				row[j] = v
 			} else {
-				row[j] = m.base(a, st.vocab.names[j])
+				row[j] = m.pair(st.vocab, id, j)
 			}
 		}
 		st.hubRows[k] = row

@@ -183,3 +183,43 @@ func TestSparseExtendConcurrentReaders(t *testing.T) {
 		t.Fatalf("vocabulary size %d after extends", m.Len())
 	}
 }
+
+// The nil-base matrix scores the default matcher on compiled names:
+// every Sim answer — hub row, LSH candidate, memoized fallback, or
+// out-of-vocabulary — must equal strutil.AttrSim bit for bit, before and
+// after Extend and EnsureHubs.
+func TestDefaultMatrixMatchesAttrSim(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	names := append(testNames(50, rng), "Phone-No.", "phone no", "Straße", "İndex", "名前", "---", "")
+	check := func(stage string, m *Matrix, names []string) {
+		t.Helper()
+		for _, a := range names {
+			for _, b := range names {
+				if got, want := m.Sim(a, b), strutil.AttrSim(a, b); got != want {
+					t.Fatalf("%s: Sim(%q, %q) = %v, AttrSim = %v", stage, a, b, got, want)
+				}
+			}
+		}
+		if got, want := m.Sim(names[0], "never interned"), strutil.AttrSim(names[0], "never interned"); got != want {
+			t.Fatalf("%s: out-of-vocab Sim = %v, AttrSim = %v", stage, got, want)
+		}
+	}
+	m := BuildSparse(names[:30], nil, SparseOptions{Hubs: names[:4], Workers: 2})
+	if st := m.Stats(); st.Hubs != 4 || st.CandidatePairs == 0 {
+		t.Fatalf("blocking structure %+v, want 4 hubs and candidates", st)
+	}
+	check("build", m, names[:30])
+	if m.Stats().FallbackLookups == 0 {
+		t.Fatal("no read took the memoized fallback; the check missed that path")
+	}
+	// Read the memoized fallbacks again: served from the memo.
+	check("memo", m, names[:30])
+
+	m.Extend(names[20:], 2)
+	check("extend", m, names)
+	m.EnsureHubs(names[25:40], 1)
+	check("hubs", m, names)
+	if got := m.Stats().Hubs; got != 4+15 {
+		t.Fatalf("Stats.Hubs = %d after EnsureHubs, want 19", got)
+	}
+}

@@ -7,7 +7,9 @@
 package strutil
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -44,10 +46,40 @@ func Tokens(s string) []string {
 // standard definition: matches within a window of
 // max(len1,len2)/2 - 1, transpositions counted as half-swaps.
 func Jaro(s1, s2 string) float64 {
-	if s1 == s2 {
+	return jaro([]rune(s1), []rune(s2))
+}
+
+// JaroWinkler returns the Jaro-Winkler similarity with the standard scaling
+// factor p = 0.1 and a common-prefix length capped at 4. This is the
+// similarity the paper uses for pairwise attribute comparison (§7.1).
+func JaroWinkler(s1, s2 string) float64 {
+	return jaroWinkler([]rune(s1), []rune(s2))
+}
+
+// jaroWinkler is the one Jaro-Winkler loop: the string functions and the
+// compiled-name path both score through it.
+func jaroWinkler(r1, r2 []rune) float64 {
+	const (
+		prefixScale = 0.1
+		maxPrefix   = 4
+	)
+	j := jaro(r1, r2)
+	prefix := 0
+	for prefix < len(r1) && prefix < len(r2) && prefix < maxPrefix && r1[prefix] == r2[prefix] {
+		prefix++
+	}
+	return j + float64(prefix)*prefixScale*(1-j)
+}
+
+// flagWords is the rune (or token) count per side up to which jaro and
+// tokenHybrid keep their flags on the stack; attribute names are far
+// shorter.
+const flagWords = 64
+
+func jaro(r1, r2 []rune) float64 {
+	if slices.Equal(r1, r2) {
 		return 1
 	}
-	r1, r2 := []rune(s1), []rune(s2)
 	n1, n2 := len(r1), len(r2)
 	if n1 == 0 || n2 == 0 {
 		return 0
@@ -56,8 +88,9 @@ func Jaro(s1, s2 string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	m1 := make([]bool, n1)
-	m2 := make([]bool, n2)
+	var flagBuf [2 * flagWords]bool
+	matched := flags(flagBuf[:], n1+n2)
+	m1, m2 := matched[:n1], matched[n1:]
 	matches := 0
 	for i := 0; i < n1; i++ {
 		lo := max(0, i-window)
@@ -93,21 +126,12 @@ func Jaro(s1, s2 string) float64 {
 	return (m/float64(n1) + m/float64(n2) + (m-t)/m) / 3
 }
 
-// JaroWinkler returns the Jaro-Winkler similarity with the standard scaling
-// factor p = 0.1 and a common-prefix length capped at 4. This is the
-// similarity the paper uses for pairwise attribute comparison (§7.1).
-func JaroWinkler(s1, s2 string) float64 {
-	const (
-		prefixScale = 0.1
-		maxPrefix   = 4
-	)
-	j := Jaro(s1, s2)
-	prefix := 0
-	r1, r2 := []rune(s1), []rune(s2)
-	for prefix < len(r1) && prefix < len(r2) && prefix < maxPrefix && r1[prefix] == r2[prefix] {
-		prefix++
+// flags returns n cleared flags, in buf when it is large enough.
+func flags(buf []bool, n int) []bool {
+	if n <= len(buf) {
+		return buf[:n]
 	}
-	return j + float64(prefix)*prefixScale*(1-j)
+	return make([]bool, n)
 }
 
 // Levenshtein returns the edit distance between s1 and s2 (unit insert,
@@ -202,47 +226,48 @@ type Func func(a, b string) float64
 // recipe). The concatenated comparison keeps "phone" close to "phone-no";
 // the hybrid keeps multi-token names comparable. Identical normalized names
 // score 1 exactly.
+//
+// AttrSim normalizes both names on every call. It is the definition:
+// AttrSimNames scores the same names compiled once and must agree with it
+// bit for bit.
 func AttrSim(a, b string) float64 {
-	ca := strings.ReplaceAll(Normalize(a), " ", "")
-	cb := strings.ReplaceAll(Normalize(b), " ", "")
+	na, nb := Normalize(a), Normalize(b)
+	ca, cb := strings.ReplaceAll(na, " ", ""), strings.ReplaceAll(nb, " ", "")
 	if ca == "" || cb == "" {
 		return 0
 	}
 	whole := JaroWinkler(ca, cb)
-	hybrid := TokenHybrid(a, b, JaroWinkler)
+	hybrid := 1.0
+	if na != nb {
+		ta, tb := strings.Fields(na), strings.Fields(nb)
+		hybrid = tokenHybrid(len(ta), len(tb), func(i, j int) float64 {
+			return JaroWinkler(ta[i], tb[j])
+		})
+	}
 	return math.Max(whole, hybrid)
 }
 
-// TokenHybrid normalizes both names, aligns their token multisets greedily
-// by descending pairwise similarity under base, and averages the aligned
-// scores weighted by token count. Unmatched tokens contribute zero. This
-// makes "home phone" vs "phone" score high while "email address" vs
-// "address" is dampened by the unmatched token.
-func TokenHybrid(a, b string, base Func) float64 {
-	na, nb := Normalize(a), Normalize(b)
-	if na == nb {
-		if na == "" {
-			return 0
-		}
-		return 1
+// tokenHybrid aligns two token lists of lengths na and nb (both > 0)
+// greedily by descending pairwise similarity sim(i, j), and averages the
+// aligned scores over the larger token count. Unmatched tokens contribute
+// zero. This makes "home phone" vs "phone" score high while
+// "email address" vs "address" is dampened by the unmatched token.
+func tokenHybrid(na, nb int, sim func(i, j int) float64) float64 {
+	if na == 1 && nb == 1 {
+		return sim(0, 0)
 	}
-	ta, tb := strings.Fields(na), strings.Fields(nb)
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	if len(ta) == 1 && len(tb) == 1 {
-		return base(ta[0], tb[0])
-	}
-	pairs := make([]tokenPair, 0, len(ta)*len(tb))
-	for i, x := range ta {
-		for j, y := range tb {
-			pairs = append(pairs, tokenPair{i, j, base(x, y)})
+	var pairBuf [16]tokenPair
+	pairs := pairBuf[:0]
+	for i := 0; i < na; i++ {
+		for j := 0; j < nb; j++ {
+			pairs = append(pairs, tokenPair{i, j, sim(i, j)})
 		}
 	}
 	// Greedy maximum alignment: repeatedly take the best remaining pair.
-	sortPairs(pairs)
-	usedA := make([]bool, len(ta))
-	usedB := make([]bool, len(tb))
+	slices.SortFunc(pairs, comparePairs)
+	var usedBuf [2 * flagWords]bool
+	used := flags(usedBuf[:], na+nb)
+	usedA, usedB := used[:na], used[na:]
 	total := 0.0
 	for _, p := range pairs {
 		if usedA[p.i] || usedB[p.j] {
@@ -252,7 +277,7 @@ func TokenHybrid(a, b string, base Func) float64 {
 		total += p.sim
 	}
 	// Average over the larger token count so extra tokens dilute the score.
-	return total / float64(max(len(ta), len(tb)))
+	return total / float64(max(na, nb))
 }
 
 type tokenPair struct {
@@ -260,27 +285,9 @@ type tokenPair struct {
 	sim  float64
 }
 
-// sortPairs sorts by descending similarity with deterministic tie-breaking
-// on indices so results do not depend on iteration order. Insertion sort:
-// pair lists are tiny (token counts are small).
-func sortPairs(pairs []tokenPair) {
-	for k := 1; k < len(pairs); k++ {
-		p := pairs[k]
-		m := k - 1
-		for m >= 0 && less(p, pairs[m]) {
-			pairs[m+1] = pairs[m]
-			m--
-		}
-		pairs[m+1] = p
-	}
-}
-
-func less(a, b tokenPair) bool {
-	if a.sim != b.sim {
-		return a.sim > b.sim
-	}
-	if a.i != b.i {
-		return a.i < b.i
-	}
-	return a.j < b.j
+// comparePairs orders by descending similarity with deterministic
+// tie-breaking on indices, a total order, so the alignment does not
+// depend on iteration order or on the sort algorithm.
+func comparePairs(a, b tokenPair) int {
+	return cmp.Or(cmp.Compare(b.sim, a.sim), cmp.Compare(a.i, b.i), cmp.Compare(a.j, b.j))
 }

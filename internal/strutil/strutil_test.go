@@ -165,12 +165,18 @@ func TestAttrSimSemantics(t *testing.T) {
 	}
 }
 
-func TestTokenHybridEmpty(t *testing.T) {
-	if s := TokenHybrid("", "", JaroWinkler); s != 0 {
-		t.Errorf("both empty = %f, want 0", s)
-	}
-	if s := TokenHybrid("a", "", JaroWinkler); s != 0 {
-		t.Errorf("one empty = %f, want 0", s)
+func TestAttrSimEmpty(t *testing.T) {
+	for _, c := range []struct{ a, b, what string }{
+		{"", "", "both empty"},
+		{"a", "", "one empty"},
+	} {
+		if s := AttrSim(c.a, c.b); s != 0 {
+			t.Errorf("%s = %f, want 0", c.what, s)
+		}
+		na, nb := Compile(c.a), Compile(c.b)
+		if s := AttrSimNames(&na, &nb); s != 0 {
+			t.Errorf("compiled %s = %f, want 0", c.what, s)
+		}
 	}
 }
 
