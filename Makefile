@@ -3,8 +3,9 @@
 # named soaks rerun, the no-skip and oracle-never-ships guards, and a
 # short fuzzing pass over the SQL parser, the shard RPC partial-result
 # decoder, the shard RPC restructure body's decoders, the cross-source
-# combine, the CSV round trip and the compiled attribute-name similarity
-# against its string definition.
+# combine, the CSV round trip, the compiled attribute-name similarity
+# against its string definition and the p-mapping group split against
+# its string-keyed predecessor.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzRankMatchesQuadratic -fuzztime=$(FUZZTIME) ./internal/answer
 	$(GO) test -run '^$$' -fuzz=FuzzCSVRoundTrip -fuzztime=$(FUZZTIME) ./internal/csvio
 	$(GO) test -run '^$$' -fuzz=FuzzAttrSimCompiled -fuzztime=$(FUZZTIME) ./internal/strutil
+	$(GO) test -run '^$$' -fuzz=FuzzSplitGroups -fuzztime=$(FUZZTIME) ./internal/pmapping
 
 # Non-test lines per package and in total — the figure a simplicity PR
 # reports in CHANGES.md. The test-only oracle and the benchmark harness

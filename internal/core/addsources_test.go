@@ -135,31 +135,6 @@ func TestAddSourcesAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestSetupBlockedCountersOnPaperCorpora is the fallback-rarity check:
-// on every evaluation domain the blocked matrix must do its work through
-// bands and hub rows — the exact-fallback memo is a correctness net, not
-// a load-bearing path, so setup must record zero fallback lookups.
-func TestSetupBlockedCountersOnPaperCorpora(t *testing.T) {
-	for _, d := range datagen.AllDomains() {
-		t.Run(d.Name, func(t *testing.T) {
-			c := datagen.MustGenerate(d)
-			reg := obs.NewRegistry()
-			if _, err := Setup(c.Corpus, Config{Obs: reg}); err != nil {
-				t.Fatal(err)
-			}
-			if got := reg.Counter("setup.lsh.bands").Value(); got == 0 {
-				t.Error("setup.lsh.bands = 0; blocked matrix not in play")
-			}
-			if got := reg.Counter("setup.lsh.candidate_pairs").Value(); got == 0 {
-				t.Error("setup.lsh.candidate_pairs = 0; no band collisions on a real corpus")
-			}
-			if got := reg.Counter("setup.lsh.fallback_lookups").Value(); got != 0 {
-				t.Errorf("setup.lsh.fallback_lookups = %d, want 0 (every pipeline read hub-covered)", got)
-			}
-		})
-	}
-}
-
 // TestAddSourcesBatchCounters: one batch advances the batch counters
 // exactly once, every source rides the fast path, and bulk growth keeps
 // the zero-fallback invariant (hub rows are refreshed before mediation
@@ -189,8 +164,8 @@ func TestAddSourcesBatchCounters(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if got := reg.Counter("setup.lsh.fallback_lookups").Value(); got != 0 {
-		t.Errorf("setup.lsh.fallback_lookups = %d after batch add, want 0", got)
+	if got := reg.Counter("setup.sim_matrix.fallback_lookups").Value(); got != 0 {
+		t.Errorf("setup.sim_matrix.fallback_lookups = %d after batch add, want 0", got)
 	}
 	if got := fmt.Sprint(len(sys.Corpus.Sources)); got != "150" {
 		t.Fatalf("corpus has %s sources, want 150", got)

@@ -337,6 +337,8 @@ func (s *System) buildMappings() error {
 // mapSources builds the per-schema p-mappings of srcs onto pmed in
 // parallel: every source at setup, the newcomers when the corpus grows.
 func (s *System) mapSources(srcs []*schema.Source, pmed *schema.PMedSchema) (map[string][]*pmapping.PMapping, error) {
+	s.caches.forSequence(pmed)
+	s.caches.fillRows(srcs, pmed, s.pmapConfig())
 	maps := make(map[string][]*pmapping.PMapping, len(srcs))
 	err := s.forEachSource(srcs,
 		func(src *schema.Source) (any, error) {

@@ -15,11 +15,12 @@ import (
 )
 
 // setupCaches holds the setup fast path's shared state: the interned
-// similarity matrices and the schema-dedup cache for p-mappings. One
-// instance lives per System; a full rebuild (Setup) starts fresh. All
-// members are safe under the system's concurrency discipline (queries
-// share, mutations exclude) and the dedup cache is additionally safe for
-// the setup worker pool itself.
+// similarity matrices, the correspondence-row memo and the schema-dedup
+// cache for p-mappings. One instance lives per System; a full rebuild
+// (Setup) starts fresh. All members are safe under the system's
+// concurrency discipline (queries share, mutations exclude) and the
+// memo and dedup cache are additionally safe for the setup worker pool
+// itself.
 type setupCaches struct {
 	simOnce sync.Once
 	// matMed/matPMap are the interned matrices behind the similarity
@@ -29,46 +30,120 @@ type setupCaches struct {
 	matMed  *intern.Matrix
 	matPMap *intern.Matrix
 
-	pmaps dedupCache[*pmapping.PMapping]
+	// rows memoizes pmapping.AttrCorrs: rows[l][attr] is the attribute's
+	// correspondence row onto the l-th mediated schema. A row depends
+	// only on the name and the clustering, so every source holding the
+	// attribute shares it. Like the dedup cache it is valid for the
+	// clustering sequence it was built against (see forSequence).
+	rows []map[string][]pmapping.Corr
+
+	pmaps dedupCache
+
+	// pmed is the p-med-schema the memo and the dedup cache were last
+	// filled against; their keys index its schemas.
+	pmed *schema.PMedSchema
+}
+
+// dedupKey names one canonical p-mapping: an order-free attribute set
+// (attrSetKey) against the schema-th mediated schema.
+type dedupKey struct {
+	attrs  string
+	schema int
 }
 
 // dedupEntry computes its value exactly once; concurrent requesters for
-// the same key block on the winner.
-type dedupEntry[T any] struct {
-	once sync.Once
-	val  T
-	err  error
+// the same key block on the winner. owner is the source that created the
+// entry: the canonical value carries its name, and it alone keeps the
+// value uncloned.
+type dedupEntry struct {
+	once  sync.Once
+	owner string
+	val   *pmapping.PMapping
+	err   error
 }
 
 // dedupCache is a keyed once-cache shared by the setup worker pool.
-type dedupCache[T any] struct {
+type dedupCache struct {
 	mu sync.Mutex
-	m  map[string]*dedupEntry[T]
+	m  map[dedupKey]*dedupEntry
 }
 
-// entry returns the entry for key, creating it if needed, and reports
-// whether it already existed (an existing entry is a cache hit for
-// accounting — the value may still be under construction by another
-// worker, in which case once.Do blocks until it is ready).
-func (c *dedupCache[T]) entry(key string) (*dedupEntry[T], bool) {
+// entry returns the entry for key, creating it with owner if needed,
+// and reports whether it already existed (an existing entry is a cache
+// hit for accounting — the value may still be under construction by
+// another worker, in which case once.Do blocks until it is ready).
+func (c *dedupCache) entry(key dedupKey, owner string) (*dedupEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {
-		c.m = make(map[string]*dedupEntry[T])
+		c.m = make(map[dedupKey]*dedupEntry)
 	}
 	e, ok := c.m[key]
 	if !ok {
-		e = &dedupEntry[T]{}
+		e = &dedupEntry{owner: owner}
 		c.m[key] = e
 	}
 	return e, ok
 }
 
 // drop removes one entry (no-op for absent keys).
-func (c *dedupCache[T]) drop(key string) {
+func (c *dedupCache) drop(key dedupKey) {
 	c.mu.Lock()
 	delete(c.m, key)
 	c.mu.Unlock()
+}
+
+// forSequence keeps the row memo and the dedup cache valid for pmed:
+// both key on schema indices, so a p-med-schema whose clustering
+// sequence differs from the one they were filled against (an emptied
+// shard may take any sequence) empties them first. Called by the single
+// goroutine that maps sources, before its workers start.
+func (cs *setupCaches) forSequence(pmed *schema.PMedSchema) {
+	if cs.pmed != nil && !cs.pmed.SameSequence(pmed) {
+		cs.rows = nil
+		cs.pmaps = dedupCache{}
+	}
+	cs.pmed = pmed
+}
+
+// fillRows memoizes the correspondence row of every attribute of srcs
+// onto every schema of pmed that the memo lacks. Each row is read off
+// the cluster members' hub rows by interned ID — one name lookup per
+// attribute, not one per member pair — with the matrix's Sim for any
+// member or attribute the hub rows do not cover, so every value is the
+// one pmapping.WeightedCorrespondencesAgg computes. Called by the single
+// goroutine that maps sources, before its workers start: they read the
+// memo without locks.
+func (cs *setupCaches) fillRows(srcs []*schema.Source, pmed *schema.PMedSchema, cfg pmapping.Config) {
+	for len(cs.rows) < pmed.Len() {
+		cs.rows = append(cs.rows, make(map[string][]pmapping.Corr))
+	}
+	for l, m := range pmed.Schemas {
+		// The members of m in (cluster, member) order; off[j] is where
+		// cluster j starts.
+		var members []string
+		off := make([]int, len(m.Attrs))
+		for j, a := range m.Attrs {
+			off[j] = len(members)
+			members = append(members, a...)
+		}
+		vocab, hub := cs.matPMap.HubRows(members)
+		rows := cs.rows[l]
+		for _, src := range srcs {
+			for _, a := range src.Attrs {
+				if _, ok := rows[a]; ok {
+					continue
+				}
+				id, interned := vocab.ID(a)
+				rows[a] = pmapping.AttrCorrs(a, m, func(j, k int) float64 {
+					if r := hub[off[j]+k]; r != nil && interned {
+						return r[id]
+					}
+					return cfg.Sim(a, m.Attrs[j][k])
+				}, cfg)
+			}
+		}
+	}
 }
 
 // initCaches attaches a fresh cache set; called from every System
@@ -78,9 +153,9 @@ func (s *System) initCaches() {
 	s.caches = &setupCaches{}
 }
 
-// simTheta mirrors mediate's frequency threshold default: the hub rows
-// of the blocked matrix must cover exactly the attributes mediation will
-// treat as frequent.
+// simTheta mirrors mediate's frequency threshold default: the matrix's
+// hub rows must cover exactly the attributes mediation will treat as
+// frequent.
 func (s *System) simTheta() float64 {
 	if t := s.Cfg.Mediate.Theta; t != 0 {
 		return t
@@ -89,14 +164,14 @@ func (s *System) simTheta() float64 {
 }
 
 // ensureSims builds the similarity matrices once per System: it interns
-// the corpus-wide attribute vocabulary and precomputes base values so
-// every subsequent Sim call across mediate, pmapping and incremental
-// re-runs is a lookup. The matrix is LSH-blocked sparse: full rows for
-// the frequent attributes (the one side every mediate/pmapping read
-// touches) plus band candidate pairs, with an exact memoized fallback —
-// bit-identical to calling the base function everywhere (which is what
-// internal/reference does) at O(hubs·V + candidates) instead of O(V²)
-// cost. The vocabulary is frozen here; AddSources extends it.
+// the corpus-wide attribute vocabulary and precomputes the full rows of
+// the frequent attributes — the one side every mediate/pmapping read
+// touches — so every subsequent Sim call across mediate, pmapping and
+// incremental re-runs is a lookup. A pair with no frequent side takes
+// the exact memoized fallback, so the matrix is bit-identical to calling
+// the base function everywhere (which is what internal/reference does)
+// at O(hubs·V) instead of O(V²) cost. The vocabulary is frozen here;
+// AddSources extends it.
 //
 // An unset Cfg.Mediate.Sim / Cfg.PMap.Sim reaches intern as nil, the
 // default matcher scored on names compiled once; a configured function,
@@ -113,8 +188,8 @@ func (s *System) ensureSims() {
 		}
 		cs.matMed = intern.BuildSparse(names, s.Cfg.Mediate.Sim, opt)
 		if s.Cfg.Mediate.Sim == nil && s.Cfg.PMap.Sim == nil {
-			// Both roles use the default matcher: one blocked matrix
-			// (and one fallback memo) serves both.
+			// Both roles use the default matcher: one matrix (and one
+			// fallback memo) serves both.
 			cs.matPMap = cs.matMed
 		} else {
 			cs.matPMap = intern.BuildSparse(names, s.Cfg.PMap.Sim, opt)
@@ -122,15 +197,6 @@ func (s *System) ensureSims() {
 		if r := s.Cfg.Obs; r.Enabled() {
 			r.Add("setup.sim_matrix.builds", 1)
 			r.Add("setup.sim_matrix.names", int64(len(names)))
-			st := cs.matMed.Stats()
-			bands, cand := int64(st.Bands), int64(st.CandidatePairs)
-			if cs.matPMap != cs.matMed {
-				st2 := cs.matPMap.Stats()
-				bands += int64(st2.Bands)
-				cand += int64(st2.CandidatePairs)
-			}
-			r.Add("setup.lsh.bands", bands)
-			r.Add("setup.lsh.candidate_pairs", cand)
 			r.Observe("setup.sim_matrix.build_seconds", time.Since(t0).Seconds())
 		}
 	})
@@ -154,7 +220,7 @@ func (s *System) extendSims(names []string) {
 }
 
 // refreshSimHubs promotes any attributes of c that are (now) frequent to
-// fully precomputed hub rows in the blocked matrices, so incremental
+// fully precomputed hub rows in the matrices, so incremental
 // growth keeps the invariant that every pair the pipeline reads has a
 // precomputed side. Values already known are reused, never recomputed.
 // Called by the add paths with the corpus about to be installed.
@@ -218,7 +284,7 @@ func (s *System) dropFeedbackCacheEntries(dirty map[string][]int) {
 			}
 			key := attrSetKey(src.Attrs)
 			for _, l := range schemas {
-				s.caches.pmaps.drop(fmt.Sprintf("%s\x1e%d", key, l))
+				s.caches.pmaps.drop(dedupKey{key, l})
 			}
 			dropped += len(schemas)
 			break
@@ -242,22 +308,31 @@ func attrSetKey(attrs []string) string {
 // buildSourceMappings constructs the per-schema p-mappings for one
 // source, sharing work across sources with identical attribute sets: the
 // first source with a given (attr set, schema) pair computes the
-// canonical p-mapping, every other source receives a deep clone with its
-// own SourceName. Clones keep feedback conditioning per-source: mutating
-// one source's p-mapping never reaches another's.
+// canonical p-mapping from its attributes' memoized correspondence rows
+// (mapSources has filled them) and keeps it; every other source receives
+// a deep clone with its own SourceName. Feedback conditions clones
+// (copy-on-write, see conditionFeedback), never the canonical value, so
+// conditioning one source's p-mapping never reaches another's.
 //
 // pmed is the p-med-schema to map onto — passed rather than read from
 // s.Med so a mutation can build against the mediation it is about to
 // install without touching the writer state first.
 func (s *System) buildSourceMappings(src *schema.Source, pmed *schema.PMedSchema) ([]*pmapping.PMapping, error) {
 	cfg := s.pmapConfig()
+	cs := s.caches
 	pms := make([]*pmapping.PMapping, 0, pmed.Len())
 	key := attrSetKey(src.Attrs)
 	r := s.Cfg.Obs
 	for l, m := range pmed.Schemas {
-		e, existed := s.caches.pmaps.entry(fmt.Sprintf("%s\x1e%d", key, l))
+		e, existed := cs.pmaps.entry(dedupKey{key, l}, src.Name)
 		e.once.Do(func() {
-			e.val, e.err = pmapping.Build(src, m, cfg)
+			// The source's rows joined in attribute order: exactly
+			// pmapping.WeightedCorrespondencesAgg over the source.
+			var raw []pmapping.Corr
+			for _, a := range src.Attrs {
+				raw = append(raw, cs.rows[l][a]...)
+			}
+			e.val, e.err = pmapping.BuildCorrs(e.owner, m, raw, cfg)
 		})
 		if r.Enabled() {
 			if existed {
@@ -269,8 +344,11 @@ func (s *System) buildSourceMappings(src *schema.Source, pmed *schema.PMedSchema
 		if e.err != nil {
 			return nil, fmt.Errorf("core: p-mapping for %q: %w", src.Name, e.err)
 		}
-		pm := e.val.Clone()
-		pm.SourceName = src.Name
+		pm := e.val
+		if existed {
+			pm = pm.Clone()
+			pm.SourceName = src.Name
+		}
 		pms = append(pms, pm)
 	}
 	return pms, nil

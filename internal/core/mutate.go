@@ -115,7 +115,7 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, drop map[str
 	if len(add) > 0 {
 		// One vocabulary extension for the whole batch, then any newly
 		// frequent attribute promoted to a precomputed hub row, so the
-		// blocked matrix keeps covering every pair mediation and p-mapping
+		// hub rows keep covering every pair mediation and p-mapping
 		// construction are about to read. The matrices only ever gain exact
 		// entries, so this is value-neutral even if the batch is rejected —
 		// and a departed source's names simply stay.

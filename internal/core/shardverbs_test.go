@@ -127,7 +127,7 @@ func TestStructuralVerbsAllOrNothing(t *testing.T) {
 	// its build fails the way an entropy-maximization failure would.
 	boom := errors.New("boom")
 	for l := range sys.Med.PMed.Schemas {
-		e, _ := sys.caches.pmaps.entry(fmt.Sprintf("%s\x1e%d", attrSetKey(bad.Attrs), l))
+		e, _ := sys.caches.pmaps.entry(dedupKey{attrSetKey(bad.Attrs), l}, bad.Name)
 		e.once.Do(func() { e.err = boom })
 	}
 	batch := []*schema.Source{good, bad}

@@ -13,7 +13,7 @@ package datagen
 //     Zipf-skewed stem vocabulary with a uniform suffix, so the distinct
 //     vocabulary grows near-linearly with the source count (the O(V²)
 //     dense similarity matrix grows quadratically in wall-clock) while
-//     shared stems give the LSH bands real n-gram collisions to block on;
+//     shared stems make many tail names near-duplicates of each other;
 //   - two rows per source, keeping row ingestion a constant factor.
 //
 // Generation is fully deterministic given (numSources, seed).
@@ -46,7 +46,7 @@ var scaleHead = []scaleConcept{
 
 // scaleStems seeds the tail vocabulary. Stems are drawn Zipf-skewed, so a
 // handful dominate and their character n-grams recur across thousands of
-// distinct tail names — the collision structure LSH banding exploits.
+// distinct tail names.
 var scaleStems = []string{
 	"budget", "studio", "genre", "rating", "review", "critic", "award",
 	"festival", "distributor", "producer", "writer", "composer", "editor",

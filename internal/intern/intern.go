@@ -4,14 +4,12 @@
 // setup pipeline otherwise makes (every source × mediated-cluster pair
 // re-evaluates the same name pairs).
 //
-// BuildSparse precomputes only a candidate-blocked subset of the
-// pairwise values: the full rows of designated hub names (in the
-// pipeline, the frequent attributes — the one side every
-// mediate/pmapping read touches) plus LSH band candidate pairs among the
-// rest (see lsh.go). Any other interned pair falls back to the exact
-// base function on first read and is memoized, so lookups are
-// bit-identical to calling the base function everywhere, at
-// O(hubs·V + candidates) build cost instead of O(V²).
+// BuildSparse precomputes the full rows of designated hub names — in the
+// pipeline, the frequent attributes, the one side every mediate/pmapping
+// read touches — and nothing else. Any other interned pair falls back to
+// the exact base function on first read and is memoized, so lookups are
+// bit-identical to calling the base function everywhere, at O(hubs·V)
+// build cost instead of O(V²).
 //
 // A nil base means the default matcher, strutil.AttrSim, scored on
 // names compiled once per interned ID (strutil.Compile) rather than
@@ -19,12 +17,12 @@
 // two front ends bit for bit.
 //
 // Invariants (see DESIGN.md "Setup fast path" and "Sub-quadratic
-// matching"):
+// setup"):
 //
-//   - Every value returned by Sim — precomputed, memoized, or fallback —
-//     is the base function's value for that pair, so the interned
-//     pipeline is differentially indistinguishable from one calling the
-//     base function directly (internal/reference).
+//   - Every value returned by Sim — hub row, memoized fallback, or
+//     out-of-vocabulary — is the base function's value for that pair, so
+//     the interned pipeline is differentially indistinguishable from one
+//     calling the base function directly (internal/reference).
 //   - The base similarity is assumed symmetric (the same assumption
 //     wgraph.Build already makes); the matrix stores unordered pairs.
 //   - The vocabulary is frozen per corpus build. Incremental source adds
@@ -52,8 +50,8 @@ import (
 )
 
 // Vocab maps attribute names to dense IDs and keeps each name compiled
-// for scoring and banding. It is immutable after construction;
-// Matrix.Extend builds a fresh Vocab rather than mutating.
+// for scoring. It is immutable after construction; Matrix.Extend builds
+// a fresh Vocab rather than mutating.
 type Vocab struct {
 	ids      map[string]int
 	names    []string
@@ -107,23 +105,16 @@ func (v *Vocab) Len() int { return len(v.names) }
 // modify the returned slice.
 func (v *Vocab) Names() []string { return v.names }
 
-// matrixState is one immutable snapshot of (vocabulary, values): full
-// rows for hub IDs plus a candidate-pair map for the rest.
+// matrixState is one immutable snapshot of (vocabulary, values): the
+// full precomputed rows of the hub IDs.
 type matrixState struct {
 	vocab *Vocab
 
 	// hubIdx[id] is the row index into hubRows, or -1; hubRows[k][j] is
-	// the full precomputed row for hub hubIDs[k]. extra holds LSH
-	// candidate pairs (and non-hub diagonal cells) keyed by pairKey.
-	// buckets maps LSH band keys to member IDs — read only under
-	// extendMu, shared across snapshots.
-	hubIdx     []int32
-	hubIDs     []int32
-	hubRows    [][]float64
-	extra      map[uint64]float64
-	buckets    map[uint64][]int32
-	bands      int
-	candidates int // precomputed entries: hub-row cells + len(extra)
+	// the full precomputed row for hub hubIDs[k].
+	hubIdx  []int32
+	hubIDs  []int32
+	hubRows [][]float64
 }
 
 // pairKey packs an unordered interned ID pair into a map key. IDs are
@@ -136,8 +127,8 @@ func pairKey(i, j int) uint64 {
 	return uint64(i)<<32 | uint64(j)
 }
 
-// Matrix is a candidate-blocked symmetric similarity matrix over an
-// interned vocabulary (see BuildSparse). Sim is safe for concurrent use
+// Matrix is a hub-row symmetric similarity matrix over an interned
+// vocabulary (see BuildSparse). Sim is safe for concurrent use
 // without locks; Extend and EnsureHubs may run concurrently with readers
 // (they swap in a new snapshot) but are serialized against each other
 // internally.
@@ -147,9 +138,9 @@ type Matrix struct {
 
 	extendMu sync.Mutex
 
-	// memo holds exact-fallback values for interned pairs the sparse
-	// candidate set missed, keyed by pairKey. A racing double-compute
-	// stores the same pure value twice, which is benign.
+	// memo holds exact-fallback values for interned pairs with no hub
+	// side, keyed by pairKey. A racing double-compute stores the same
+	// pure value twice, which is benign.
 	memo      sync.Map
 	fallbacks atomic.Int64
 	reg       *obs.Registry
@@ -183,27 +174,22 @@ func runParallel(workers, n int, fn func(int)) {
 	wg.Wait()
 }
 
-// Sim returns the similarity of a and b: the precomputed value when
-// available, the memoized exact fallback for interned pairs the sparse
-// candidate set missed, and the base function directly for names outside
-// the vocabulary. Every path returns exactly base(a, b). It is the
-// drop-in replacement for the base in mediate/pmapping configs.
+// Sim returns the similarity of a and b: the precomputed hub-row value
+// when either name is a hub, the memoized exact fallback for other
+// interned pairs, and the base function directly for names outside the
+// vocabulary. Every path returns exactly base(a, b). It is the drop-in
+// replacement for the base in mediate/pmapping configs.
 func (m *Matrix) Sim(a, b string) float64 {
 	st := m.state.Load()
-	i, ok := st.vocab.ID(a)
-	if ok {
-		if j, ok2 := st.vocab.ID(b); ok2 {
+	if i, ok := st.vocab.ID(a); ok {
+		if j, ok := st.vocab.ID(b); ok {
 			if hi := st.hubIdx[i]; hi >= 0 {
 				return st.hubRows[hi][j]
 			}
 			if hj := st.hubIdx[j]; hj >= 0 {
 				return st.hubRows[hj][i]
 			}
-			k := pairKey(i, j)
-			if v, ok := st.extra[k]; ok {
-				return v
-			}
-			return m.fallbackSim(st.vocab, k, i, j)
+			return m.fallbackSim(st.vocab, i, j)
 		}
 	}
 	if m.base == nil {
@@ -222,9 +208,10 @@ func (m *Matrix) pair(v *Vocab, i, j int) float64 {
 	return m.base(v.names[i], v.names[j])
 }
 
-// fallbackSim computes an interned pair the candidate set missed and
-// memoizes it under the stable ID-pair key.
-func (m *Matrix) fallbackSim(vocab *Vocab, key uint64, i, j int) float64 {
+// fallbackSim computes an interned pair with no hub side and memoizes
+// it under the stable ID-pair key.
+func (m *Matrix) fallbackSim(vocab *Vocab, i, j int) float64 {
+	key := pairKey(i, j)
 	if v, ok := m.memo.Load(key); ok {
 		return v.(float64)
 	}
@@ -232,9 +219,27 @@ func (m *Matrix) fallbackSim(vocab *Vocab, key uint64, i, j int) float64 {
 	m.memo.Store(key, v)
 	m.fallbacks.Add(1)
 	if m.reg != nil && m.reg.Enabled() {
-		m.reg.Add("setup.lsh.fallback_lookups", 1)
+		m.reg.Add("setup.sim_matrix.fallback_lookups", 1)
 	}
 	return v
+}
+
+// HubRows returns, from one snapshot, the vocabulary and each name's
+// precomputed row — indexed by that vocabulary's IDs, so row[id] is
+// Sim(name, vocab.Name(id)) — or nil for a name that is not a hub. It
+// lets a caller scoring many names against a few hubs resolve each name
+// once and read the rest by ID. The caller must not modify the rows.
+func (m *Matrix) HubRows(names []string) (*Vocab, [][]float64) {
+	st := m.state.Load()
+	rows := make([][]float64, len(names))
+	for x, name := range names {
+		if id, ok := st.vocab.ID(name); ok {
+			if hi := st.hubIdx[id]; hi >= 0 {
+				rows[x] = st.hubRows[hi]
+			}
+		}
+	}
+	return st.vocab, rows
 }
 
 // Len returns the current vocabulary size.
@@ -243,21 +248,19 @@ func (m *Matrix) Len() int { return m.state.Load().vocab.Len() }
 // Vocab returns the current vocabulary snapshot.
 func (m *Matrix) Vocab() *Vocab { return m.state.Load().vocab }
 
-// Stats describes the current snapshot's blocking structure.
+// Stats describes the current snapshot's precomputed structure.
 type Stats struct {
-	Bands           int   // distinct LSH band buckets
 	Hubs            int   // names with fully precomputed rows
-	CandidatePairs  int   // precomputed entries (hub cells + candidates)
+	CandidatePairs  int   // precomputed cells: hubs × vocabulary
 	FallbackLookups int64 // exact-fallback computations since construction
 }
 
-// Stats returns the blocking structure of the current snapshot.
+// Stats returns the precomputed structure of the current snapshot.
 func (m *Matrix) Stats() Stats {
 	st := m.state.Load()
 	return Stats{
-		Bands:           st.bands,
 		Hubs:            len(st.hubIDs),
-		CandidatePairs:  st.candidates,
+		CandidatePairs:  len(st.hubIDs) * st.vocab.Len(),
 		FallbackLookups: m.fallbacks.Load(),
 	}
 }
@@ -265,10 +268,10 @@ func (m *Matrix) Stats() Stats {
 // Extend interns any names not yet in the vocabulary (sorted for
 // deterministic IDs), computes the new entries with up to workers
 // goroutines, and atomically publishes the enlarged snapshot. It returns
-// the number of names added. Existing values are carried over — copied
-// from the previous snapshot or the fallback memo, never recomputed — so
-// old and new snapshots agree bit-for-bit on old pairs and the base
-// function runs at most once per pair across any Build/Extend sequence.
+// the number of names added. Existing values are carried over — hub
+// columns copied, the fallback memo shared, never recomputed — so old and
+// new snapshots agree bit-for-bit on old pairs and the base function runs
+// at most once per pair across any Build/Extend sequence.
 func (m *Matrix) Extend(names []string, workers int) int {
 	m.extendMu.Lock()
 	defer m.extendMu.Unlock()
@@ -286,7 +289,6 @@ func (m *Matrix) Extend(names []string, workers int) int {
 		return 0
 	}
 	sort.Strings(fresh)
-	st := m.extendSparse(old, old.vocab.extend(fresh), workers)
-	m.state.Store(st)
+	m.state.Store(m.extended(old, old.vocab.extend(fresh), workers))
 	return len(fresh)
 }

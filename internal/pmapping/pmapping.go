@@ -18,9 +18,12 @@
 package pmapping
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"udi/internal/maxent"
 	"udi/internal/schema"
@@ -170,15 +173,26 @@ func cloneSlice[T any](s []T) []T {
 // Build constructs the p-mapping between src and med per §5.
 func Build(src *schema.Source, med *schema.MediatedSchema, cfg Config) (*PMapping, error) {
 	cfg = cfg.withDefaults()
+	return BuildCorrs(src.Name, med, WeightedCorrespondencesAgg(src, med, cfg.Sim, cfg.CorrThreshold, cfg.Aggregate), cfg)
+}
 
-	corrs := WeightedCorrespondencesAgg(src, med, cfg.Sim, cfg.CorrThreshold, cfg.Aggregate)
-	corrs = Normalize(corrs)
-
-	pm := &PMapping{SourceName: src.Name, Med: med}
-	for _, groupCorrs := range splitGroups(corrs) {
+// BuildCorrs constructs the p-mapping named name onto med from raw, a
+// source's thresholded weighted correspondences: what
+// WeightedCorrespondencesAgg returns for the source, or equally the
+// AttrCorrs rows of its attributes joined in attribute order. It
+// normalizes raw (§5.1), splits it into independent groups and solves
+// each group (§5.2).
+func BuildCorrs(name string, med *schema.MediatedSchema, raw []Corr, cfg Config) (*PMapping, error) {
+	cfg = cfg.withDefaults()
+	pm := &PMapping{SourceName: name, Med: med}
+	groups := splitGroups(Normalize(raw))
+	if len(groups) > 0 {
+		pm.Groups = make([]Group, 0, len(groups))
+	}
+	for _, groupCorrs := range groups {
 		g, dropped, err := solveGroup(groupCorrs, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("pmapping: source %q: %w", src.Name, err)
+			return nil, fmt.Errorf("pmapping: source %q: %w", name, err)
 		}
 		pm.DroppedCorrs += dropped
 		pm.Groups = append(pm.Groups, g)
@@ -205,31 +219,48 @@ func WeightedCorrespondences(src *schema.Source, med *schema.MediatedSchema, sim
 func WeightedCorrespondencesAgg(src *schema.Source, med *schema.MediatedSchema, sim strutil.Func, threshold float64, agg Aggregate) []Corr {
 	var out []Corr
 	for _, ai := range src.Attrs {
-		for j, Aj := range med.Attrs {
-			w, n := 0.0, 0
-			for _, a := range Aj {
-				s := sim(ai, a)
-				if s < threshold {
-					continue
-				}
-				n++
-				switch agg {
-				case AggMax:
-					if s > w {
-						w = s
-					}
-				default:
-					w += s
-				}
-			}
-			if n == 0 {
+		out = appendAttrCorrs(out, ai, med, func(j, k int) float64 { return sim(ai, med.Attrs[j][k]) }, threshold, agg)
+	}
+	return out
+}
+
+// AttrCorrs returns the raw correspondences of one source attribute onto
+// med, in mediated-attribute order — its row of WeightedCorrespondencesAgg
+// — given sim(j, k), the attribute's similarity to member k of mediated
+// attribute j. cfg supplies the threshold and aggregate; its Sim is not
+// read. A row depends only on the attribute and the clustering, so a
+// caller may compute it once for every source holding the attribute.
+func AttrCorrs(attr string, med *schema.MediatedSchema, sim func(j, k int) float64, cfg Config) []Corr {
+	cfg = cfg.withDefaults()
+	return appendAttrCorrs(nil, attr, med, sim, cfg.CorrThreshold, cfg.Aggregate)
+}
+
+// appendAttrCorrs appends the correspondences of source attribute ai.
+func appendAttrCorrs(out []Corr, ai string, med *schema.MediatedSchema, sim func(j, k int) float64, threshold float64, agg Aggregate) []Corr {
+	for j, Aj := range med.Attrs {
+		w, n := 0.0, 0
+		for k := range Aj {
+			s := sim(j, k)
+			if s < threshold {
 				continue
 			}
-			if agg == AggAvg {
-				w /= float64(n)
+			n++
+			switch agg {
+			case AggMax:
+				if s > w {
+					w = s
+				}
+			default:
+				w += s
 			}
-			out = append(out, Corr{SrcAttr: ai, MedIdx: j, Weight: w})
 		}
+		if n == 0 {
+			continue
+		}
+		if agg == AggAvg {
+			w /= float64(n)
+		}
+		out = append(out, Corr{SrcAttr: ai, MedIdx: j, Weight: w})
 	}
 	return out
 }
@@ -270,58 +301,77 @@ func Normalize(corrs []Corr) []Corr {
 // cache in core relies on this to share p-mappings across sources whose
 // schemas are equal as sets.
 func splitGroups(corrs []Corr) [][]Corr {
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] == "" || parent[x] == x {
-			parent[x] = x
-			return x
+	n := len(corrs)
+	// Union-find over dense vertex IDs: each distinct source attribute
+	// and each distinct mediated index is one vertex, so at most 2n.
+	ints := make([]int, 6*n)
+	srcOf, parent, groupOf, sizes := ints[:n], ints[n:n:3*n], ints[3*n:5*n], ints[5*n:5*n]
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		r := find(parent[x])
-		parent[x] = r
-		return r
+		return x
 	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
+	srcIDs := make(map[string]int)
+	medIDs := make(map[int]int)
+	for i, c := range corrs {
+		s, ok := srcIDs[c.SrcAttr]
+		if !ok {
+			s = len(parent)
+			srcIDs[c.SrcAttr] = s
+			parent = append(parent, s)
+		}
+		m, ok := medIDs[c.MedIdx]
+		if !ok {
+			m = len(parent)
+			medIDs[c.MedIdx] = m
+			parent = append(parent, m)
+		}
+		srcOf[i] = s
+		if rs, rm := find(s), find(m); rs != rm {
+			parent[rm] = rs
 		}
 	}
-	srcKey := func(a string) string { return "s\x00" + a }
-	medKey := func(j int) string { return fmt.Sprintf("m\x00%d", j) }
-	for _, c := range corrs {
-		union(srcKey(c.SrcAttr), medKey(c.MedIdx))
+	// Number the groups in order of first appearance and size them, then
+	// fill each group's share of one backing array in input order.
+	for i := range groupOf {
+		groupOf[i] = -1
 	}
-	byRoot := make(map[string][]Corr)
-	var roots []string
-	for _, c := range corrs {
-		r := find(srcKey(c.SrcAttr))
-		if _, ok := byRoot[r]; !ok {
-			roots = append(roots, r)
+	for i := range corrs {
+		r := find(srcOf[i])
+		if groupOf[r] < 0 {
+			groupOf[r] = len(sizes)
+			sizes = append(sizes, 0)
 		}
-		byRoot[r] = append(byRoot[r], c)
+		srcOf[i] = groupOf[r]
+		sizes[srcOf[i]]++
 	}
-	out := make([][]Corr, 0, len(roots))
-	for _, r := range roots {
-		g := byRoot[r]
-		sort.Slice(g, func(i, j int) bool {
-			if g[i].SrcAttr != g[j].SrcAttr {
-				return g[i].SrcAttr < g[j].SrcAttr
-			}
-			return g[i].MedIdx < g[j].MedIdx
-		})
-		out = append(out, g)
+	backing := make([]Corr, n)
+	out := make([][]Corr, len(sizes))
+	start := 0
+	for g, size := range sizes {
+		out[g] = backing[start : start : start+size]
+		start += size
+	}
+	for i, c := range corrs {
+		out[srcOf[i]] = append(out[srcOf[i]], c)
+	}
+	for _, g := range out {
+		slices.SortFunc(g, compareCorrs)
 	}
 	// Sort groups by their smallest correspondence — the groups are
 	// already internally sorted, so this order is input-order-free.
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i][0], out[j][0]
-		if a.SrcAttr != b.SrcAttr {
-			return a.SrcAttr < b.SrcAttr
-		}
-		return a.MedIdx < b.MedIdx
-	})
+	slices.SortFunc(out, func(a, b []Corr) int { return compareCorrs(a[0], b[0]) })
 	return out
+}
+
+// compareCorrs orders correspondences by (SrcAttr, MedIdx).
+func compareCorrs(a, b Corr) int {
+	if c := strings.Compare(a.SrcAttr, b.SrcAttr); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.MedIdx, b.MedIdx)
 }
 
 // solveGroup enumerates one-to-one mappings over the group's
@@ -375,10 +425,30 @@ func solveGroup(corrs []Corr, cfg Config) (Group, int, error) {
 // one-to-one mapping (no source attribute or mediated attribute repeated),
 // including the empty mapping. Returns nil if the count would exceed cap.
 func enumerateMatchings(corrs []Corr, cap int) [][]int {
+	// Dense vertex IDs for the attributes on both sides, so the search
+	// marks them in one slice: correspondence i touches vertices srcOf[i]
+	// and medOf[i].
+	n := len(corrs)
+	ids := make([]int, 2*n)
+	srcOf, medOf := ids[:n], ids[n:]
+	srcIDs := make(map[string]int)
+	medIDs := make(map[int]int)
+	for i, c := range corrs {
+		s, ok := srcIDs[c.SrcAttr]
+		if !ok {
+			s = len(srcIDs) + len(medIDs)
+			srcIDs[c.SrcAttr] = s
+		}
+		m, ok := medIDs[c.MedIdx]
+		if !ok {
+			m = len(srcIDs) + len(medIDs)
+			medIDs[c.MedIdx] = m
+		}
+		srcOf[i], medOf[i] = s, m
+	}
+	used := make([]bool, len(srcIDs)+len(medIDs))
 	var out [][]int
 	var cur []int
-	usedSrc := make(map[string]bool)
-	usedMed := make(map[int]bool)
 	overflow := false
 	var rec func(start int)
 	rec = func(start int) {
@@ -393,15 +463,15 @@ func enumerateMatchings(corrs []Corr, cap int) [][]int {
 			return
 		}
 		for i := start; i < len(corrs); i++ {
-			c := corrs[i]
-			if usedSrc[c.SrcAttr] || usedMed[c.MedIdx] {
+			s, t := srcOf[i], medOf[i]
+			if used[s] || used[t] {
 				continue
 			}
-			usedSrc[c.SrcAttr], usedMed[c.MedIdx] = true, true
+			used[s], used[t] = true, true
 			cur = append(cur, i)
 			rec(i + 1)
 			cur = cur[:len(cur)-1]
-			usedSrc[c.SrcAttr], usedMed[c.MedIdx] = false, false
+			used[s], used[t] = false, false
 		}
 	}
 	rec(0)
