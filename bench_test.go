@@ -99,10 +99,10 @@ func BenchmarkFig5MediatedVariants(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SetupSingleMed(r.Corpus.Corpus, core.Config{}); err != nil {
+		if _, err := experiments.SetupSingleMed(r.Corpus.Corpus, core.Config{}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.SetupUnionAll(r.Corpus.Corpus, core.Config{}); err != nil {
+		if _, err := experiments.SetupUnionAll(r.Corpus.Corpus, core.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -114,22 +114,13 @@ func (c *Client) Do(ctx context.Context, method, path string, in, out any, idemp
 		return err
 	}
 	return c.retry(ctx, idempotent, func() error {
-		return c.attempt(ctx, method, path, contentType, body, nil, jsonInto(out))
+		return c.attempt(ctx, method, path, contentType, body, jsonInto(out))
 	})
 }
 
 // Get performs an idempotent GET.
 func (c *Client) Get(ctx context.Context, path string, out any) error {
 	return c.Do(ctx, http.MethodGet, path, nil, out, true)
-}
-
-// DoRaw performs one request with a preassembled body, explicit content
-// type, and extra headers — the coordinator's snapshot-shipping path.
-// Error handling and the retry policy match Do.
-func (c *Client) DoRaw(ctx context.Context, method, path, contentType string, body []byte, hdr map[string]string, out any, idempotent bool) error {
-	return c.retry(ctx, idempotent, func() error {
-		return c.attempt(ctx, method, path, contentType, body, hdr, jsonInto(out))
-	})
 }
 
 // GetBinary performs an idempotent GET and returns the raw 2xx body with
@@ -139,7 +130,7 @@ func (c *Client) GetBinary(ctx context.Context, path string) ([]byte, http.Heade
 	var body []byte
 	var header http.Header
 	err := c.retry(ctx, true, func() error {
-		return c.attempt(ctx, http.MethodGet, path, "", nil, nil, func(data []byte, h http.Header) error {
+		return c.attempt(ctx, http.MethodGet, path, "", nil, func(data []byte, h http.Header) error {
 			body, header = data, h
 			return nil
 		})
@@ -157,7 +148,7 @@ func (c *Client) PostBinary(ctx context.Context, path string, in any, decode fun
 		return err
 	}
 	return c.retry(ctx, true, func() error {
-		return c.attempt(ctx, http.MethodPost, path, contentType, body, nil,
+		return c.attempt(ctx, http.MethodPost, path, contentType, body,
 			func(data []byte, _ http.Header) error { return decode(data) })
 	})
 }
@@ -225,7 +216,7 @@ func readBody(resp *http.Response) ([]byte, error) {
 // attempt is a single wire attempt shared by every entry point. A 2xx
 // body goes to sink (nil discards it); a sink that refuses it is a
 // transport failure.
-func (c *Client) attempt(ctx context.Context, method, path, contentType string, body []byte, hdr map[string]string, sink func(data []byte, h http.Header) error) error {
+func (c *Client) attempt(ctx context.Context, method, path, contentType string, body []byte, sink func(data []byte, h http.Header) error) error {
 	// caller is the pre-timeout context: only its expiry is the caller's
 	// own deadline. The per-attempt timeout expiring is a server fault
 	// (a slow shard), reported as a retryable transport failure.
@@ -245,9 +236,6 @@ func (c *Client) attempt(ctx context.Context, method, path, contentType string, 
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
-	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

@@ -2,11 +2,12 @@
 // automatic setup (attribute matching → probabilistic mediated schema →
 // probabilistic schema mappings → consolidated schema, Figure 2) and
 // probabilistic query answering over the p-med-schema or its
-// consolidation, plus the deterministic mediated-schema variants of §7.4
-// (SingleMed, UnionAll). The consolidated p-mappings are built on first
-// use, once per published epoch (Snapshot.ConsMaps): only the
-// UDI-Consolidated approach reads them. The §7.3 baselines live in
-// internal/experiments.
+// consolidation. SetupUnder runs the same pipeline under a mediation
+// decided elsewhere; internal/experiments sets the deterministic
+// mediated-schema variants of §7.4 (SingleMed, UnionAll) up through it,
+// beside the §7.3 baselines. The consolidated p-mappings are built on
+// first use, once per published epoch (Snapshot.ConsMaps): only the
+// UDI-Consolidated approach reads them.
 package core
 
 import (
@@ -144,22 +145,54 @@ type System struct {
 
 // Setup runs the full automatic configuration of Figure 2 over the corpus.
 func Setup(c *schema.Corpus, cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
-	s := &System{Corpus: c, Cfg: cfg}
-	s.startTrace("UDI")
-
-	s.importSources()
-
+	s := importing(c, cfg, "UDI")
 	sp := s.Trace.Child("mediate")
 	med, err := mediate.Generate(c, s.medConfig())
 	if err != nil {
 		sp.End()
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	s.Med = med
 	sp.SetAttr("schemas", med.PMed.Len())
 	s.Timings.MedSchema = sp.End()
+	return s.setUpUnder(med)
+}
 
+// SetupUnder runs the configuration of Figure 2 over the corpus under
+// med, a mediation decided elsewhere: the same import, p-mapping and
+// consolidation stages Setup runs after generating its own. It is how
+// the §7.4 deterministic variants are set up, and how a shard
+// coordinator builds newcomers' p-mappings under the global mediation.
+func SetupUnder(c *schema.Corpus, cfg Config, med *mediate.Result) (*System, error) {
+	if med == nil || med.PMed == nil {
+		return nil, fmt.Errorf("core: setup needs a p-med-schema")
+	}
+	return importing(c, cfg, "given").setUpUnder(med)
+}
+
+// importing starts a system over c: the setup trace, fresh fast-path
+// caches and the import stage.
+func importing(c *schema.Corpus, cfg Config, variant string) *System {
+	s := &System{Corpus: c, Cfg: cfg.withDefaults()}
+	s.startTrace(variant)
+	s.importSources()
+	return s
+}
+
+// setUpUnder runs the stages after mediation: every source's p-mappings
+// onto med and the consolidated schema. The similarity matrices first
+// learn med's member names as hub rows — a no-op when med was generated
+// over this corpus, whose frequent attributes they already are — so
+// every read p-mapping construction makes stays hub-covered.
+func (s *System) setUpUnder(med *mediate.Result) (*System, error) {
+	s.Med = med
+	var members []string
+	for _, m := range med.PMed.Schemas {
+		for _, a := range m.Attrs {
+			members = append(members, a...)
+		}
+	}
+	s.extendSims(members)
+	s.ensureSimHubs(members)
 	if err := s.buildMappings(); err != nil {
 		return nil, err
 	}
@@ -215,47 +248,6 @@ func (s *System) endTrace() {
 	r.Observe("setup.mediate_seconds", s.Timings.MedSchema.Seconds())
 	r.Observe("setup.pmappings_seconds", s.Timings.PMappings.Seconds())
 	r.Observe("setup.consolidate_seconds", s.Timings.Consolidation.Seconds())
-}
-
-// SetupSingleMed configures the §7.4 SingleMed variant: the single
-// deterministic mediated schema of §4.1 with probability 1.
-func SetupSingleMed(c *schema.Corpus, cfg Config) (*System, error) {
-	m, err := mediate.SingleSchema(c, cfg.Mediate)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return setupDeterministic(c, cfg, m)
-}
-
-// SetupUnionAll configures the §7.4 UnionAll variant: one singleton
-// cluster per frequent source attribute.
-func SetupUnionAll(c *schema.Corpus, cfg Config) (*System, error) {
-	m, err := mediate.UnionAll(c, cfg.Mediate)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return setupDeterministic(c, cfg, m)
-}
-
-func setupDeterministic(c *schema.Corpus, cfg Config, m *schema.MediatedSchema) (*System, error) {
-	cfg = cfg.withDefaults()
-	pmed, err := schema.NewPMedSchema([]*schema.MediatedSchema{m}, []float64{1})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	s := &System{Corpus: c, Cfg: cfg, Med: &mediate.Result{PMed: pmed}}
-	s.startTrace("deterministic")
-
-	s.importSources()
-
-	if err := s.buildMappings(); err != nil {
-		return nil, err
-	}
-	if err := s.consolidate(); err != nil {
-		return nil, err
-	}
-	s.endTrace()
-	return s, nil
 }
 
 // forEachSource runs fn over srcs on the system's Parallelism workers
@@ -337,7 +329,6 @@ func (s *System) buildMappings() error {
 // mapSources builds the per-schema p-mappings of srcs onto pmed in
 // parallel: every source at setup, the newcomers when the corpus grows.
 func (s *System) mapSources(srcs []*schema.Source, pmed *schema.PMedSchema) (map[string][]*pmapping.PMapping, error) {
-	s.caches.forSequence(pmed)
 	s.caches.fillRows(srcs, pmed, s.pmapConfig())
 	maps := make(map[string][]*pmapping.PMapping, len(srcs))
 	err := s.forEachSource(srcs,
@@ -387,15 +378,8 @@ func Restore(c *schema.Corpus, cfg Config, med *mediate.Result,
 				src.Name, len(maps[src.Name]), med.PMed.Len())
 		}
 	}
-	s := &System{
-		Corpus: c,
-		Cfg:    cfg.withDefaults(),
-		Med:    med,
-		Maps:   maps,
-		Target: target,
-	}
-	s.startTrace("restore")
-	s.importSources()
+	s := importing(c, cfg, "restore")
+	s.Med, s.Maps, s.Target = med, maps, target
 	s.endTrace()
 	return s, nil
 }

@@ -10,6 +10,7 @@ import (
 	"udi/internal/answer"
 	"udi/internal/datagen"
 	"udi/internal/eval"
+	"udi/internal/mediate"
 	"udi/internal/obs"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
@@ -55,7 +56,7 @@ func singleMedSystem(t *testing.T) *System {
 	t.Helper()
 	c, _ := peopleSystem(t)
 	if peopleCache.single == nil {
-		sys, err := SetupSingleMed(c.Corpus, Config{})
+		sys, err := setupDeterministic(t, c.Corpus, mediate.SingleSchema)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,13 +69,28 @@ func unionAllSystem(t *testing.T) *System {
 	t.Helper()
 	c, _ := peopleSystem(t)
 	if peopleCache.union == nil {
-		sys, err := SetupUnionAll(c.Corpus, Config{})
+		sys, err := setupDeterministic(t, c.Corpus, mediate.UnionAll)
 		if err != nil {
 			t.Fatal(err)
 		}
 		peopleCache.union = sys
 	}
 	return peopleCache.union
+}
+
+// setupDeterministic sets a §7.4 variant up the way internal/experiments
+// does: under the one mediated schema build returns, with probability 1.
+func setupDeterministic(t *testing.T, c *schema.Corpus, build func(*schema.Corpus, mediate.Config) (*schema.MediatedSchema, error)) (*System, error) {
+	t.Helper()
+	m, err := build(c, mediate.Config{})
+	if err != nil {
+		return nil, err
+	}
+	pmed, err := schema.NewPMedSchema([]*schema.MediatedSchema{m}, []float64{1})
+	if err != nil {
+		return nil, err
+	}
+	return SetupUnder(c, Config{}, &mediate.Result{PMed: pmed})
 }
 
 func meanPRF(t *testing.T, c *datagen.Corpus, run func(q *sqlparse.Query) (*eval.PRF, error)) eval.PRF {

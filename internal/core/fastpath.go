@@ -33,15 +33,13 @@ type setupCaches struct {
 	// rows memoizes pmapping.AttrCorrs: rows[l][attr] is the attribute's
 	// correspondence row onto the l-th mediated schema. A row depends
 	// only on the name and the clustering, so every source holding the
-	// attribute shares it. Like the dedup cache it is valid for the
-	// clustering sequence it was built against (see forSequence).
+	// attribute shares it. Like the dedup cache it keys on schema
+	// indices: a System maps sources onto one schema sequence for its
+	// whole life (a fast mutation keeps the served sequence, a rebuild
+	// adopts a fresh cache set with the rebuilt system).
 	rows []map[string][]pmapping.Corr
 
 	pmaps dedupCache
-
-	// pmed is the p-med-schema the memo and the dedup cache were last
-	// filled against; their keys index its schemas.
-	pmed *schema.PMedSchema
 }
 
 // dedupKey names one canonical p-mapping: an order-free attribute set
@@ -86,26 +84,6 @@ func (c *dedupCache) entry(key dedupKey, owner string) (*dedupEntry, bool) {
 	return e, ok
 }
 
-// drop removes one entry (no-op for absent keys).
-func (c *dedupCache) drop(key dedupKey) {
-	c.mu.Lock()
-	delete(c.m, key)
-	c.mu.Unlock()
-}
-
-// forSequence keeps the row memo and the dedup cache valid for pmed:
-// both key on schema indices, so a p-med-schema whose clustering
-// sequence differs from the one they were filled against (an emptied
-// shard may take any sequence) empties them first. Called by the single
-// goroutine that maps sources, before its workers start.
-func (cs *setupCaches) forSequence(pmed *schema.PMedSchema) {
-	if cs.pmed != nil && !cs.pmed.SameSequence(pmed) {
-		cs.rows = nil
-		cs.pmaps = dedupCache{}
-	}
-	cs.pmed = pmed
-}
-
 // fillRows memoizes the correspondence row of every attribute of srcs
 // onto every schema of pmed that the memo lacks. Each row is read off
 // the cluster members' hub rows by interned ID — one name lookup per
@@ -147,8 +125,7 @@ func (cs *setupCaches) fillRows(srcs []*schema.Source, pmed *schema.PMedSchema, 
 }
 
 // initCaches attaches a fresh cache set; called from every System
-// construction path (Setup, setupDeterministic, Restore) before any
-// stage runs.
+// construction path (Setup, SetupUnder, Restore) before any stage runs.
 func (s *System) initCaches() {
 	s.caches = &setupCaches{}
 }
@@ -225,9 +202,13 @@ func (s *System) extendSims(names []string) {
 // precomputed side. Values already known are reused, never recomputed.
 // Called by the add paths with the corpus about to be installed.
 func (s *System) refreshSimHubs(c *schema.Corpus) {
+	s.ensureSimHubs(c.FrequentAttrs(s.simTheta()))
+}
+
+// ensureSimHubs promotes the named (interned) attributes to hub rows.
+func (s *System) ensureSimHubs(hubs []string) {
 	s.ensureSims()
 	cs := s.caches
-	hubs := c.FrequentAttrs(s.simTheta())
 	cs.matMed.EnsureHubs(hubs, s.Cfg.Parallelism)
 	if cs.matPMap != cs.matMed {
 		cs.matPMap.EnsureHubs(hubs, s.Cfg.Parallelism)
@@ -259,38 +240,6 @@ func (s *System) pmapConfig() pmapping.Config {
 func (s *System) AttrSim() strutil.Func {
 	s.ensureSims()
 	return s.caches.matPMap.Sim
-}
-
-// dropFeedbackCacheEntries scopes the schema-dedup invalidation of one
-// feedback batch: for each fed-back source, drop the canonical p-mapping
-// entries of exactly the (attribute set, schema) pairs the feedback
-// conditioned. Every other entry stays valid: canonical values are only
-// ever computed from unconditioned state (pmapping.Build depends solely
-// on the attribute set and the clustering), and feedback conditions
-// per-source clones, never the canonical values — so a surviving entry
-// hands a future source bit-for-bit what a fresh pmapping.Build would
-// compute. The feedback differential suite pins
-// this against internal/reference. feedback.scoped_drops counts the
-// entries removed.
-func (s *System) dropFeedbackCacheEntries(dirty map[string][]int) {
-	if s.caches == nil {
-		return
-	}
-	dropped := 0
-	for name, schemas := range dirty {
-		for _, src := range s.Corpus.Sources {
-			if src.Name != name {
-				continue
-			}
-			key := attrSetKey(src.Attrs)
-			for _, l := range schemas {
-				s.caches.pmaps.drop(dedupKey{key, l})
-			}
-			dropped += len(schemas)
-			break
-		}
-	}
-	s.Cfg.Obs.Add("feedback.scoped_drops", int64(dropped))
 }
 
 // attrSetKey canonicalizes a source schema as an order-free attribute

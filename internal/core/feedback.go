@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"udi/internal/answer"
 	"udi/internal/pmapping"
@@ -112,9 +112,12 @@ func (s *System) feedbackBatchMax() int {
 //  2. The entry logs every surviving op under one fsync. On failure the
 //     working copy is discarded: nothing was published and nothing
 //     remains in the log.
-//  3. Install: swap the working copy in and invalidate exactly what the
-//     batch touched; the entry publishes one epoch (whose consolidation
-//     memo starts empty) and the batch is acknowledged.
+//  3. Install: swap the working copy in and retarget the cached plans of
+//     exactly the fed-back sources; the entry publishes one epoch (whose
+//     consolidation memo starts empty) and the batch is acknowledged.
+//     The schema-dedup cache needs nothing: feedback conditions
+//     per-source clones, never a canonical value, so every entry still
+//     holds what a fresh pmapping.Build computes.
 //
 // A crash between 2 and 3 leaves durable-but-unacknowledged ops, which
 // recovery replays (see persist's TestCrashBetweenAppendAndPublish). A
@@ -127,33 +130,25 @@ func (s *System) commitFeedbackBatch(batch []*feedbackReq) {
 	err := s.write("feedback", func() (txn, error) {
 		oldMaps := s.Maps
 		work := clonedMaps(s.Maps)
-		// dirty maps each fed-back source to the sorted schema indices its
-		// feedback conditioned — the scope of the invalidation.
-		dirty := make(map[string][]int)
 		var ops []Op
+		var fedBack []string
 		for i, req := range batch {
-			touched, err := s.conditionFeedback(work, req.fb)
-			if err != nil {
+			if err := s.conditionFeedback(work, req.fb); err != nil {
 				results[i] = err
 				continue
 			}
 			fb := req.fb
 			ops = append(ops, Op{Kind: OpFeedback, Feedback: &fb})
 			okIdx = append(okIdx, i)
-			dirty[fb.Source] = mergeSchemaIdxs(dirty[fb.Source], touched)
+			fedBack = append(fedBack, fb.Source)
 		}
 		if len(ops) == 0 {
 			return txn{}, nil
 		}
 		return txn{ops: ops, count: len(ops), install: func() {
 			s.Maps = work
-			sources := make([]string, 0, len(dirty))
-			for name := range dirty {
-				sources = append(sources, name)
-			}
-			sort.Strings(sources)
-			s.engine.RetargetPlans(oldMaps, answer.PMedInput{PMed: s.Med.PMed, Maps: s.Maps}, sources)
-			s.dropFeedbackCacheEntries(dirty)
+			slices.Sort(fedBack)
+			s.engine.RetargetPlans(oldMaps, answer.PMedInput{PMed: s.Med.PMed, Maps: s.Maps}, slices.Compact(fedBack))
 		}}, nil
 	})
 	if err != nil {
@@ -177,30 +172,16 @@ func deliverFeedback(batch []*feedbackReq, results []error) {
 	}
 }
 
-// mergeSchemaIdxs unions two sorted, deduplicated index slices.
-func mergeSchemaIdxs(have, add []int) []int {
-	for _, idx := range add {
-		pos := sort.SearchInts(have, idx)
-		if pos < len(have) && have[pos] == idx {
-			continue
-		}
-		have = append(have, 0)
-		copy(have[pos+1:], have[pos:])
-		have[pos] = idx
-	}
-	return have
-}
-
 // conditionFeedback resolves one feedback item's targets and applies it
 // to cloned p-mappings inside work, the batch's private working copy of
-// Maps. On success work[fb.Source] points at the conditioned p-mappings
-// and the touched schema indices are returned (sorted); on error work is
+// Maps. On success work[fb.Source] points at the conditioned p-mappings;
+// on error work is
 // exactly as the caller left it, so ops stay individually all-or-nothing
 // even mid-batch. Caller holds the commit lock.
-func (s *System) conditionFeedback(work map[string][]*pmapping.PMapping, fb Feedback) ([]int, error) {
+func (s *System) conditionFeedback(work map[string][]*pmapping.PMapping, fb Feedback) error {
 	pms, ok := work[fb.Source]
 	if !ok {
-		return nil, fmt.Errorf("core: %w %q", ErrUnknownSource, fb.Source)
+		return fmt.Errorf("core: %w %q", ErrUnknownSource, fb.Source)
 	}
 
 	// Resolve the (schema, mediated attribute) pairs the feedback touches.
@@ -220,14 +201,14 @@ func (s *System) conditionFeedback(work map[string][]*pmapping.PMapping, fb Feed
 			}
 		}
 		if len(targets) == 0 {
-			return nil, fmt.Errorf("core: no mediated attribute contains %q", fb.MedName)
+			return fmt.Errorf("core: no mediated attribute contains %q", fb.MedName)
 		}
 	} else {
 		if fb.SchemaIdx < 0 || fb.SchemaIdx >= len(pms) {
-			return nil, fmt.Errorf("core: schema index %d out of range [0,%d)", fb.SchemaIdx, len(pms))
+			return fmt.Errorf("core: schema index %d out of range [0,%d)", fb.SchemaIdx, len(pms))
 		}
 		if fb.MedIdx < 0 || fb.MedIdx >= len(s.Med.PMed.Schemas[fb.SchemaIdx].Attrs) {
-			return nil, fmt.Errorf("core: mediated attribute %d out of range", fb.MedIdx)
+			return fmt.Errorf("core: mediated attribute %d out of range", fb.MedIdx)
 		}
 		targets = append(targets, target{fb.SchemaIdx, fb.MedIdx})
 	}
@@ -240,18 +221,15 @@ func (s *System) conditionFeedback(work map[string][]*pmapping.PMapping, fb Feed
 	next := make([]*pmapping.PMapping, len(pms))
 	copy(next, pms)
 	cloned := make(map[int]bool, len(targets))
-	var touched []int
 	for _, t := range targets {
 		if !cloned[t.schemaIdx] {
 			next[t.schemaIdx] = next[t.schemaIdx].Clone()
 			cloned[t.schemaIdx] = true
-			touched = append(touched, t.schemaIdx)
 		}
 		if err := next[t.schemaIdx].Condition(fb.SrcAttr, t.medIdx, fb.Confirmed, s.Cfg.PMap); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	work[fb.Source] = next
-	sort.Ints(touched)
-	return touched, nil
+	return nil
 }

@@ -1,12 +1,13 @@
 package core
 
-// The writer side: one entry every mutation commits through (write), and
-// one structural installer (restructure) behind every way a source
-// arrives or leaves — AddSources/RemoveSource deciding their own
-// mediation, ShardRestructure installing the coordinator's.
+// The writer side: one entry every mutation commits through (write); the
+// single-core structural path (restructure) behind AddSources and
+// RemoveSource, which decide their own mediation; and ShardRestructure,
+// which installs what a shard coordinator decided.
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"udi/internal/mediate"
@@ -19,9 +20,9 @@ import (
 // writer field has been touched yet.
 type txn struct {
 	// ops describe the mutation replayably; they become durable under one
-	// CommitLog barrier before anything is installed. The shard verbs log
-	// none: their replay is coordinator-global, so their durability is the
-	// coordinator's journal plus the shard's checkpoints.
+	// CommitLog barrier before anything is installed. ShardRestructure
+	// logs none: its replay is coordinator-global, so its durability is
+	// the coordinator's journal plus the shard's checkpoints.
 	ops []Op
 	// install swaps the planned state into the writer fields and cannot
 	// fail. Nil commits nothing (every op of a feedback batch was rejected).
@@ -69,7 +70,7 @@ func (s *System) write(kind string, plan func() (txn, error)) error {
 	return nil
 }
 
-// --- the structural installer -----------------------------------------
+// --- single core: the system decides its own mediation ----------------
 
 // holds reports whether the writer's corpus has a source of that name:
 // every held source has its p-mappings in Maps, and nothing else does.
@@ -78,35 +79,28 @@ func (s *System) holds(name string) bool {
 	return ok
 }
 
-// restructure plans the one way sources arrive or leave: the corpus
-// loses the sources named in drop (a name it does not hold drops
-// nothing) and gains add (either may be empty), and decide says what to
-// serve over the result — the system's own PlanMediation on a single
-// core, the coordinator's pushed mediation on a shard. It does everything
-// that can fail and touches no writer field; the returned install cannot
-// fail.
+// restructure plans the one way sources arrive or leave a single core:
+// the corpus loses the sources named in drop (a name it does not hold
+// drops nothing) and gains add (either may be empty), and PlanMediation
+// decides what to serve over the result. It does everything that can
+// fail and touches no writer field; the returned install cannot fail.
 //
-// When decide keeps the clusterings (fast), the mutation is incremental,
-// as §5 allows: existing sources' p-mappings are reused verbatim
-// (Theorem 5.2: a p-mapping depends on its source and the clustering, not
-// on Pr(Mᵢ)) and the dedup cache stays valid, so only the newcomers'
-// p-mappings are built — in parallel, against med rather than the served
-// s.Med. Reuse needs med to list the served clusterings in the served
-// order, since Maps are indexed by it: a fast med that does not is
-// refused while any held source is kept. Nothing consolidated is carried
-// over: the next epoch consolidates every source under the new Pr(Mᵢ) on
-// first use. Otherwise the system is set up afresh over the new corpus
-// and adopted whole.
-func (s *System) restructure(trace *obs.Span, add []*schema.Source, drop map[string]bool,
-	decide func(*schema.Corpus) (med *mediate.Result, fast bool, err error)) (fast bool, install func(), err error) {
+// When the plan keeps the clusterings (fast), the mutation is
+// incremental, as §5 allows: existing sources' p-mappings are reused
+// verbatim (Theorem 5.2: a p-mapping depends on its source and the
+// clustering, not on Pr(Mᵢ)) and the dedup cache stays valid, so only
+// the newcomers' p-mappings are built — in parallel, against the planned
+// med, whose schema sequence is the served one. Nothing consolidated is
+// carried over: the next epoch consolidates every source under the new
+// Pr(Mᵢ) on first use. Otherwise the system is set up afresh over the
+// new corpus and adopted whole.
+func (s *System) restructure(trace *obs.Span, add []*schema.Source, drop map[string]bool) (fast bool, install func(), err error) {
 	srcs := make([]*schema.Source, 0, len(s.Corpus.Sources)+len(add))
 	for _, src := range s.Corpus.Sources {
 		if !drop[src.Name] {
 			srcs = append(srcs, src)
 		}
 	}
-	kept := len(srcs)
-	unchanged := len(add) == 0 && kept == len(s.Corpus.Sources)
 	// A duplicate name, in add or against the corpus, is refused here.
 	corpus, err := schema.NewCorpus(s.Corpus.Domain, append(srcs, add...))
 	if err != nil {
@@ -128,7 +122,7 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, drop map[str
 	}
 
 	sp := trace.Child("mediate")
-	med, fast, err := decide(corpus)
+	med, fast, err := PlanMediation(s.Med.PMed, corpus, s.medConfig())
 	tMed := sp.End()
 	if err != nil {
 		// E.g. the shrunken corpus no longer has frequent attributes.
@@ -141,9 +135,6 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, drop map[str
 		}
 		return false, func() { s.adopt(rebuilt) }, nil
 	}
-	if kept > 0 && !med.PMed.SameSequence(s.Med.PMed) {
-		return false, nil, fmt.Errorf("core: the mediation's schema sequence is not the one the held p-mappings are indexed by")
-	}
 	sp = trace.Child("pmappings")
 	pms, err := s.mapSources(add, med.PMed)
 	tPMap := sp.End()
@@ -155,12 +146,6 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, drop map[str
 		s.Timings.MedSchema += tMed
 		s.Timings.PMappings += tPMap
 		s.Med = med
-		if unchanged {
-			// The plan cache keys on (PMed, Maps) identity, so the swap alone
-			// invalidates cached plans; dropping them now frees them.
-			s.engine.InvalidatePlans()
-			return
-		}
 		s.Corpus = corpus
 		sp := trace.Child("import")
 		s.buildEngine()
@@ -177,8 +162,6 @@ func (s *System) restructure(trace *obs.Span, add []*schema.Source, drop map[str
 		s.Maps = maps
 	}, nil
 }
-
-// --- single core: the system decides its own mediation ----------------
 
 // replan commits one single-core structural mutation: restructure under
 // the system's own PlanMediation, logged as ops. A removal must name a
@@ -198,9 +181,7 @@ func (s *System) replan(kind, counter string, trace *obs.Span, ops []Op, add []*
 			return txn{}, fmt.Errorf("core: cannot remove the last source")
 		}
 		var install func()
-		fast, install, err = s.restructure(trace, add, drop, func(c *schema.Corpus) (*mediate.Result, bool, error) {
-			return PlanMediation(s.Med.PMed, c, s.medConfig())
-		})
+		fast, install, err = s.restructure(trace, add, drop)
 		if err != nil {
 			return txn{}, err
 		}
@@ -316,83 +297,140 @@ func sameSchemaSet(a, b *schema.PMedSchema) bool {
 
 // --- shard host: the coordinator decides ------------------------------
 //
-// The verbs a shard coordinator (internal/shard) drives on the per-shard
-// cores it owns. A shard core is an ordinary System over the sources
-// hashed to it, except that mediation is a function of the whole corpus:
-// the coordinator computes it globally and pushes it down, and a shard
-// never derives it from its own slice. So a fast-path change is
-// restructure under the pushed mediation, with no ops (see txn.ops) —
-// feedback, whose replay *is* shard-local, keeps the logged
-// SubmitFeedback path — and a rebuild is a wholesale replacement. Both
-// are idempotent, as shard.Shard requires of a verb that may be redone.
+// A shard core is an ordinary System over the sources hashed to it,
+// except that everything schema-level is a function of the whole corpus:
+// the coordinator (internal/shard) plans the mediation, the consolidated
+// schema and every p-mapping, and a shard only installs them beside the
+// rows it stores and scans. It never runs matching, mediation or
+// p-mapping construction.
 
-// NewEmptyShard builds a servable System over zero sources: the state of
-// a shard no source hashes to. It carries the global mediation so its
-// /v1-visible schema agrees with its peers; queries over it return empty
-// results and mutations addressed to unknown sources fail as usual.
-func NewEmptyShard(domain string, cfg Config, med *mediate.Result, target *schema.MediatedSchema) (*System, error) {
-	corpus, err := schema.NewCorpus(domain, nil)
+// ShardChange is the one structural change a coordinator pushes to a
+// shard: "become this". Its semantics make it idempotent by
+// construction, as shard.Shard requires of a verb that may be redone.
+type ShardChange struct {
+	// Domain names the shard's corpus.
+	Domain string
+	// Sources is the shard's whole corpus afterwards, in global order. A
+	// held source it does not list leaves.
+	Sources []string
+	// Add carries the rows of the listed sources the shard may lack; an
+	// added source replaces a held one of the same name. A source's rows
+	// cross to its shard in the change that adds it, never again.
+	Add []*schema.Source
+	// Med and Target are the mediation and consolidated schema to serve.
+	Med    *mediate.Result
+	Target *schema.MediatedSchema
+	// Maps holds p-mappings, indexed by Med's schema sequence, for every
+	// added source and for any held source whose p-mappings change (every
+	// source, on a rebuild). A held source without an entry keeps its
+	// own, which requires Med to list the served schema sequence.
+	Maps map[string][]*pmapping.PMapping
+}
+
+// resolve lays the change out over held (nil when the shard has no
+// state): the listed sources in order with the p-mappings each serves,
+// and how many held sources keep their own p-mappings. It refuses a
+// change without a mediation or target, a listed name that is neither
+// held nor added, an added source without p-mappings, p-mappings or rows
+// for a source the change does not list, and p-mappings of the wrong
+// width.
+func (ch *ShardChange) resolve(held *System) ([]*schema.Source, map[string][]*pmapping.PMapping, int, error) {
+	if ch.Med == nil || ch.Med.PMed == nil || ch.Target == nil {
+		return nil, nil, 0, fmt.Errorf("core: a shard change needs a p-med-schema and a target")
+	}
+	added := make(map[string]*schema.Source, len(ch.Add))
+	for _, src := range ch.Add {
+		added[src.Name] = src
+	}
+	var have map[string]*schema.Source
+	if held != nil {
+		have = make(map[string]*schema.Source, len(held.Corpus.Sources))
+		for _, src := range held.Corpus.Sources {
+			have[src.Name] = src
+		}
+	}
+	srcs := make([]*schema.Source, 0, len(ch.Sources))
+	maps := make(map[string][]*pmapping.PMapping, len(ch.Sources))
+	kept, nAdded, nMaps := 0, 0, 0
+	for _, name := range ch.Sources {
+		src, pms := added[name], ch.Maps[name]
+		switch {
+		case src != nil:
+			nAdded++
+		case have[name] != nil:
+			src = have[name]
+		default:
+			return nil, nil, 0, fmt.Errorf("core: source %q is neither held nor added", name)
+		}
+		switch {
+		case pms != nil:
+			nMaps++
+		case added[name] != nil:
+			return nil, nil, 0, fmt.Errorf("core: added source %q has no p-mappings", name)
+		default:
+			pms = held.Maps[name]
+			kept++
+		}
+		if len(pms) != ch.Med.PMed.Len() {
+			return nil, nil, 0, fmt.Errorf("core: source %q has %d p-mappings for %d schemas", name, len(pms), ch.Med.PMed.Len())
+		}
+		srcs = append(srcs, src)
+		maps[name] = pms
+	}
+	if nAdded != len(added) || nMaps != len(ch.Maps) {
+		return nil, nil, 0, fmt.Errorf("core: a shard change carries rows or p-mappings for a source it does not list")
+	}
+	return srcs, maps, kept, nil
+}
+
+// RestoreShard bootstraps a shard that has no state yet from ch: the
+// corpus is ch.Add in ch.Sources order (possibly empty), served under
+// the pushed mediation, target and p-mappings.
+func RestoreShard(ch ShardChange, cfg Config) (*System, error) {
+	srcs, maps, _, err := ch.resolve(nil)
+	if err != nil {
+		return nil, err
+	}
+	corpus, err := schema.NewCorpus(ch.Domain, srcs)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return Restore(corpus, cfg, med, map[string][]*pmapping.PMapping{}, target)
+	return Restore(corpus, cfg, ch.Med, maps, ch.Target)
 }
 
-// ShardRestructure commits one coordinator-directed fast-path change
-// under one commit and one published epoch: the shard's corpus becomes
-// held − drop + (add − held), and it serves med, the coordinator's
-// globally planned mediation (same clusterings, recounted probabilities).
-// The shard builds only what is local to it (see restructure). Each part
-// is idempotent: an add the shard already holds is skipped, and a drop of
-// a name it does not hold is a no-op that still installs med. Unlike
-// RemoveSource it may empty the shard: "last source" is a global property
-// only the coordinator can judge. All-or-nothing: an unbuildable source,
-// or a med whose schema sequence is not the served one while a held
-// source is kept, fails the commit with the writer state untouched. An
-// empty result may take any sequence.
-func (s *System) ShardRestructure(add []*schema.Source, drop []string, med *mediate.Result) error {
+// ShardRestructure installs ch under one commit and one published epoch;
+// it builds nothing. Unlike RemoveSource it may empty the shard: "last
+// source" is a global property only the coordinator can judge.
+// All-or-nothing: a change resolve refuses, or a held source kept with
+// its own p-mappings under a Med whose schema sequence is not the served
+// one (they are indexed by it), fails the commit with the writer state
+// untouched.
+func (s *System) ShardRestructure(ch ShardChange) error {
 	return s.write("shard_restructure", func() (txn, error) {
-		if med == nil || med.PMed == nil {
-			return txn{}, fmt.Errorf("core: shard_restructure needs a p-med-schema")
-		}
-		gone := make(map[string]bool, len(drop))
-		for _, name := range drop {
-			if s.holds(name) {
-				gone[name] = true
-			}
-		}
-		var missing []*schema.Source
-		for _, src := range add {
-			if !s.holds(src.Name) {
-				missing = append(missing, src)
-			}
-		}
-		_, install, err := s.restructure(nil, missing, gone, func(*schema.Corpus) (*mediate.Result, bool, error) {
-			return med, true, nil
-		})
+		srcs, maps, kept, err := ch.resolve(s)
 		if err != nil {
 			return txn{}, err
 		}
-		return txn{install: func() {
-			install()
-			s.Cfg.Obs.Add("shard.adopt", int64(len(missing)))
-			s.Cfg.Obs.Add("shard.drop", int64(len(gone)))
-		}}, nil
-	})
-}
-
-// ShardReplaceState commits a wholesale state replacement: the
-// coordinator rebuilt the global system (the clustering changed) and r is
-// this shard's projection of the rebuild. Readers observe it as one more
-// epoch, exactly like the single-core rebuild path.
-func (s *System) ShardReplaceState(r *System) error {
-	return s.write("shard_replace", func() (txn, error) {
-		if r == nil {
-			return txn{}, fmt.Errorf("core: shard_replace needs a system")
+		if kept > 0 && !ch.Med.PMed.SameSequence(s.Med.PMed) {
+			return txn{}, fmt.Errorf("core: the mediation's schema sequence is not the one the held p-mappings are indexed by")
+		}
+		var corpus *schema.Corpus
+		if ch.Domain != s.Corpus.Domain || !slices.Equal(srcs, s.Corpus.Sources) {
+			if corpus, err = schema.NewCorpus(ch.Domain, srcs); err != nil {
+				return txn{}, fmt.Errorf("core: %w", err)
+			}
 		}
 		return txn{install: func() {
-			s.adopt(r)
-			s.Cfg.Obs.Add("shard.replace", 1)
+			s.Med, s.Target, s.Maps = ch.Med, ch.Target, maps
+			if corpus == nil {
+				// The plan cache keys on (PMed, Maps) identity, so the swap
+				// alone invalidates cached plans; dropping them now frees them.
+				s.engine.InvalidatePlans()
+			} else {
+				s.Corpus = corpus
+				s.buildEngine()
+			}
+			s.Cfg.Obs.Add("shard.adopt", int64(len(ch.Add)))
 		}}, nil
 	})
 }

@@ -173,10 +173,13 @@ func TestCreatorKeepsCanonicalUnaliased(t *testing.T) {
 	}
 }
 
-// TestEmptiedShardTakesNewSequence: the row memo and the dedup cache key
-// on schema indices, so a shard emptied in the same restructure that
-// hands it a different clustering sequence — which an empty shard may
-// take — must not serve rows or p-mappings built for the old one.
+// TestEmptiedShardTakesNewSequence: a shard emptied in the same
+// restructure that hands it a different clustering sequence — which an
+// empty shard may take — serves the newcomer's p-mappings the
+// coordinator built for that sequence, never anything built for the old
+// one: they equal a fresh pmapping.Build under the new sequence, bit for
+// bit, although the shard's own caches hold rows and canonical values of
+// the newcomer's attribute set for the old sequence.
 func TestEmptiedShardTakesNewSequence(t *testing.T) {
 	sys := twinSystem(t, Config{Obs: obs.Disabled})
 	var other []*schema.Source
@@ -199,7 +202,7 @@ func TestEmptiedShardTakesNewSequence(t *testing.T) {
 	// A twin of the held sources, whose (attr set, schema) entries and
 	// rows the caches already hold for the old sequence.
 	late := schema.MustNewSource("s99", []string{"name", "phone", "address"}, [][]string{{"x", "y", "z"}})
-	if err := sys.ShardRestructure([]*schema.Source{late}, drop, med); err != nil {
+	if err := sys.ShardRestructure(coordinate(t, sys, []*schema.Source{late}, drop, med)); err != nil {
 		t.Fatal(err)
 	}
 	for l, m := range med.PMed.Schemas {

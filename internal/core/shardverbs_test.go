@@ -1,15 +1,16 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"udi/internal/answer"
 	"udi/internal/mediate"
 	"udi/internal/obs"
+	"udi/internal/pmapping"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
@@ -44,14 +45,40 @@ func diffTwins(t *testing.T, tag string, a, b *System) {
 	}
 }
 
-// TestShardVerbsMatchSingleCoreFastPath is the differential between the
-// two callers of the one structural installer: over random splits of
-// random corpora, AddSources(batch) on one system and the coordinator's
-// half — PlanMediation over the raw similarity, then
-// ShardRestructure(batch, nil, med) — on its twin must agree on whether the
-// plan is fast and, when it is, leave deeply identical Maps, ConsMaps and
-// Target, `==` schema probabilities and `==` answers. Then the same for
-// removing a random source.
+// coordinate is the coordinator's half of a fast-path change over sys:
+// the corpus loses drop and gains add, the newcomers' p-mappings are
+// built under med through SetupUnder, and the served target is kept.
+func coordinate(t *testing.T, sys *System, add []*schema.Source, drop []string, med *mediate.Result) ShardChange {
+	t.Helper()
+	gone := map[string]bool{}
+	for _, name := range drop {
+		gone[name] = true
+	}
+	ch := ShardChange{Domain: sys.Corpus.Domain, Add: add, Med: med, Target: sys.Target}
+	for _, src := range append(slices.Clip(sys.Corpus.Sources), add...) {
+		if !gone[src.Name] {
+			ch.Sources = append(ch.Sources, src.Name)
+		}
+	}
+	if len(add) > 0 {
+		built, err := SetupUnder(mustCorpus(t, sys.Corpus.Domain, add), sys.Cfg, med)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch.Maps = built.Maps
+	}
+	return ch
+}
+
+// TestShardVerbsMatchSingleCoreFastPath is the differential between a
+// single core deciding its own structural change and a shard installing
+// the coordinator's: over random splits of random corpora,
+// AddSources(batch) on one system and the coordinator's half —
+// PlanMediation over the raw similarity, the newcomers' p-mappings built
+// apart through SetupUnder, then ShardRestructure — on its twin must
+// agree on whether the plan is fast and, when it is, leave deeply
+// identical Maps, ConsMaps and Target, `==` schema probabilities and `==`
+// answers. Then the same for removing a random source.
 func TestShardVerbsMatchSingleCoreFastPath(t *testing.T) {
 	nCorpora, compared := 60, 0
 	if testing.Short() {
@@ -80,7 +107,7 @@ func TestShardVerbsMatchSingleCoreFastPath(t *testing.T) {
 		if !gotFast {
 			continue
 		}
-		if err := twin.ShardRestructure(batch, nil, med); err != nil {
+		if err := twin.ShardRestructure(coordinate(t, twin, batch, nil, med)); err != nil {
 			t.Fatalf("seed %d: adopt: %v", seed, err)
 		}
 		diffTwins(t, fmt.Sprintf("seed %d: after add", seed), single, twin)
@@ -100,7 +127,7 @@ func TestShardVerbsMatchSingleCoreFastPath(t *testing.T) {
 		if !gotFast {
 			continue
 		}
-		if err := twin.ShardRestructure(nil, []string{victim}, med); err != nil {
+		if err := twin.ShardRestructure(coordinate(t, twin, nil, []string{victim}, med)); err != nil {
 			t.Fatalf("seed %d: drop: %v", seed, err)
 		}
 		diffTwins(t, fmt.Sprintf("seed %d: after remove", seed), single, twin)
@@ -112,8 +139,9 @@ func TestShardVerbsMatchSingleCoreFastPath(t *testing.T) {
 }
 
 // TestStructuralVerbsAllOrNothing: a structural verb that cannot be
-// planned — one unbuildable source in the batch, an unknown name, a nil
-// mediation or replacement — publishes nothing and leaves the epoch, the
+// planned — an unknown name, an added source without p-mappings,
+// p-mappings of the wrong width or for an unlisted source, a missing
+// mediation or target — publishes nothing and leaves the epoch, the
 // snapshot pointer and the identity of every writer field untouched.
 func TestStructuralVerbsAllOrNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -122,26 +150,33 @@ func TestStructuralVerbsAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := schema.MustNewSource("new-good", []string{"alpha", "bravo"}, [][]string{{"v1", "v2"}})
-	bad := schema.MustNewSource("new-bad", []string{"alpha", "unbuildable"}, [][]string{{"v1", "v2"}})
-	// Poison the dedup entries bad's p-mappings would be built through, so
-	// its build fails the way an entropy-maximization failure would.
-	boom := errors.New("boom")
-	for l := range sys.Med.PMed.Schemas {
-		e, _ := sys.caches.pmaps.entry(dedupKey{attrSetKey(bad.Attrs), l}, bad.Name)
-		e.once.Do(func() { e.err = boom })
+	change := func(edit func(*ShardChange)) func() error {
+		return func() error {
+			ch := coordinate(t, sys, []*schema.Source{good}, nil, sys.Med)
+			edit(&ch)
+			return sys.ShardRestructure(ch)
+		}
 	}
-	batch := []*schema.Source{good, bad}
 
 	verbs := map[string]func() error{
-		"ShardRestructure unbuildable": func() error { return sys.ShardRestructure(batch, nil, sys.Med) },
-		"RemoveSource unknown":         func() error { _, err := sys.RemoveSource("nope"); return err },
-		"RemoveSource empty name":      func() error { _, err := sys.RemoveSource(""); return err },
-		"ShardRestructure add nil med": func() error { return sys.ShardRestructure([]*schema.Source{good}, nil, nil) },
-		"ShardRestructure drop nil med": func() error {
-			return sys.ShardRestructure(nil, []string{sys.Corpus.Sources[0].Name}, nil)
-		},
-		"ShardRestructure nil med": func() error { return sys.ShardRestructure(nil, nil, nil) },
-		"ShardReplaceState nil":    func() error { return sys.ShardReplaceState(nil) },
+		"RemoveSource unknown":    func() error { _, err := sys.RemoveSource("nope"); return err },
+		"RemoveSource empty name": func() error { _, err := sys.RemoveSource(""); return err },
+		"ShardRestructure unknown name": change(func(ch *ShardChange) {
+			ch.Sources = append(ch.Sources, "nope")
+		}),
+		"ShardRestructure added without p-mappings": change(func(ch *ShardChange) { ch.Maps = nil }),
+		"ShardRestructure p-mappings of the wrong width": change(func(ch *ShardChange) {
+			ch.Maps = map[string][]*pmapping.PMapping{good.Name: ch.Maps[good.Name][:0]}
+		}),
+		"ShardRestructure p-mappings for an unlisted source": change(func(ch *ShardChange) {
+			ch.Maps["unlisted"] = ch.Maps[good.Name]
+		}),
+		"ShardRestructure rows for an unlisted source": change(func(ch *ShardChange) {
+			ch.Sources = ch.Sources[:len(ch.Sources)-1]
+			delete(ch.Maps, good.Name)
+		}),
+		"ShardRestructure nil med":    change(func(ch *ShardChange) { ch.Med = nil }),
+		"ShardRestructure nil target": change(func(ch *ShardChange) { ch.Target = nil }),
 	}
 	for name, verb := range verbs {
 		epoch, snap := sys.Epoch(), sys.Snapshot()
@@ -161,21 +196,21 @@ func TestStructuralVerbsAllOrNothing(t *testing.T) {
 	if sys.Committing() {
 		t.Error("committing flag left set")
 	}
-	// The system still commits: the good source alone goes in.
-	if err := sys.ShardRestructure([]*schema.Source{good}, nil, sys.Med); err != nil {
+	// The system still commits: the good source goes in.
+	if err := change(func(*ShardChange) {})(); err != nil {
 		t.Fatalf("clean adopt after failures: %v", err)
 	}
-	if !sys.holds("new-good") || sys.holds("new-bad") {
-		t.Fatal("clean adopt did not install exactly the good source")
+	if !sys.holds("new-good") {
+		t.Fatal("clean adopt did not install the good source")
 	}
 }
 
 // TestShardRestructureRefusesForeignSequence: held p-mappings are indexed
 // by the served schema sequence, so a pushed mediation listing the same
-// clusterings in another order is refused while any held source is kept —
-// nothing published, the served mediation and the answers unchanged —
-// and accepted by a call that drops every source, after which the shard
-// builds newcomers' p-mappings against it.
+// clusterings in another order is refused while any held source keeps
+// its own p-mappings — nothing published, the served mediation and the
+// answers unchanged — and accepted by a change that drops every source,
+// after which the shard serves newcomers' p-mappings built for it.
 func TestShardRestructureRefusesForeignSequence(t *testing.T) {
 	c, _ := peopleSystem(t)
 	sys, err := Setup(c.Corpus, Config{})
@@ -212,10 +247,11 @@ func TestShardRestructureRefusesForeignSequence(t *testing.T) {
 	for i, src := range held {
 		names[i] = src.Name
 	}
+	late := schema.MustNewSource("late", held[0].Attrs, held[0].Rows)
 	for what, verb := range map[string]func() error{
-		"mediation only":   func() error { return sys.ShardRestructure(nil, nil, foreign) },
-		"drop all but one": func() error { return sys.ShardRestructure(nil, names[1:], foreign) },
-		"re-add the held":  func() error { return sys.ShardRestructure(held, nil, foreign) },
+		"mediation only":      func() error { return sys.ShardRestructure(coordinate(t, sys, nil, nil, foreign)) },
+		"drop all but one":    func() error { return sys.ShardRestructure(coordinate(t, sys, nil, names[1:], foreign)) },
+		"add beside the held": func() error { return sys.ShardRestructure(coordinate(t, sys, []*schema.Source{late}, nil, foreign)) },
 	} {
 		if err := verb(); err == nil {
 			t.Fatalf("%s: a reordered schema sequence was accepted over kept sources", what)
@@ -228,10 +264,10 @@ func TestShardRestructureRefusesForeignSequence(t *testing.T) {
 		}
 	}
 
-	if err := sys.ShardRestructure(nil, names, foreign); err != nil {
+	if err := sys.ShardRestructure(coordinate(t, sys, nil, names, foreign)); err != nil {
 		t.Fatalf("dropping every source under a reordered sequence: %v", err)
 	}
-	if err := sys.ShardRestructure(held[:1], nil, foreign); err != nil {
+	if err := sys.ShardRestructure(coordinate(t, sys, held[:1], nil, foreign)); err != nil {
 		t.Fatalf("adopting into the emptied shard under a reordered sequence: %v", err)
 	}
 	if sys.Med.PMed != reversed || len(sys.Maps[held[0].Name]) != n {

@@ -224,11 +224,11 @@ func TestConsolidationOnFirstUse(t *testing.T) {
 	if _, err := sys.RemoveSource("lazy-added"); err != nil {
 		t.Fatal(err)
 	}
-	proj, err := Restore(sys.Corpus, sys.Cfg, sys.Med, sys.Maps, sys.Target)
-	if err != nil {
-		t.Fatal(err)
+	rebuild := ShardChange{Domain: sys.Corpus.Domain, Med: sys.Med, Target: sys.Target, Maps: sys.Maps}
+	for _, src := range sys.Corpus.Sources {
+		rebuild.Sources = append(rebuild.Sources, src.Name)
 	}
-	if err := sys.ShardReplaceState(proj); err != nil {
+	if err := sys.ShardRestructure(rebuild); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {

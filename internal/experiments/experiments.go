@@ -19,7 +19,9 @@ import (
 	"udi/internal/datagen"
 	"udi/internal/eval"
 	"udi/internal/keyword"
+	"udi/internal/mediate"
 	"udi/internal/obs"
+	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
@@ -61,7 +63,7 @@ func (r *DomainRun) UDI() (*core.System, error) {
 // SingleMed returns the §7.4 SingleMed system.
 func (r *DomainRun) SingleMed() (*core.System, error) {
 	if r.single == nil {
-		sys, err := core.SetupSingleMed(r.Corpus.Corpus, core.Config{})
+		sys, err := SetupSingleMed(r.Corpus.Corpus, core.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.Spec.Name, err)
 		}
@@ -73,13 +75,42 @@ func (r *DomainRun) SingleMed() (*core.System, error) {
 // UnionAll returns the §7.4 UnionAll system.
 func (r *DomainRun) UnionAll() (*core.System, error) {
 	if r.union == nil {
-		sys, err := core.SetupUnionAll(r.Corpus.Corpus, core.Config{})
+		sys, err := SetupUnionAll(r.Corpus.Corpus, core.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.Spec.Name, err)
 		}
 		r.union = sys
 	}
 	return r.union, nil
+}
+
+// SetupSingleMed configures the §7.4 SingleMed variant: the single
+// deterministic mediated schema of §4.1 with probability 1.
+func SetupSingleMed(c *schema.Corpus, cfg core.Config) (*core.System, error) {
+	m, err := mediate.SingleSchema(c, cfg.Mediate)
+	if err != nil {
+		return nil, err
+	}
+	return setupDeterministic(c, cfg, m)
+}
+
+// SetupUnionAll configures the §7.4 UnionAll variant: one singleton
+// cluster per frequent source attribute.
+func SetupUnionAll(c *schema.Corpus, cfg core.Config) (*core.System, error) {
+	m, err := mediate.UnionAll(c, cfg.Mediate)
+	if err != nil {
+		return nil, err
+	}
+	return setupDeterministic(c, cfg, m)
+}
+
+// setupDeterministic sets the system up under m with probability 1.
+func setupDeterministic(c *schema.Corpus, cfg core.Config, m *schema.MediatedSchema) (*core.System, error) {
+	pmed, err := schema.NewPMedSchema([]*schema.MediatedSchema{m}, []float64{1})
+	if err != nil {
+		return nil, err
+	}
+	return core.SetupUnder(c, cfg, &mediate.Result{PMed: pmed})
 }
 
 // Traces exports the setup span trees of every system built so far,

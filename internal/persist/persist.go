@@ -40,7 +40,7 @@ type snapshot struct {
 	Domain  string            `json:"domain"`
 	Sources []core.SourceData `json:"sources"`
 	PMed    pmedDTO           `json:"p_med_schema"`
-	Maps    []sourceMaps      `json:"p_mappings"`
+	Maps    []SourceMaps      `json:"p_mappings"`
 	Target  [][]string        `json:"consolidated_schema"`
 	// WALSeq is the sequence number of the last write-ahead-log record
 	// this snapshot covers (see Store); recovery replays only records
@@ -53,26 +53,96 @@ type pmedDTO struct {
 	Probs   []float64    `json:"probs"`
 }
 
-type sourceMaps struct {
+// SourceMaps is one source's p-mappings as the snapshot stores them, one
+// per schema of the p-med-schema they are indexed by. It is the repo's
+// one p-mapping codec: the shard RPC's restructure body carries the same
+// DTO. Weights and probabilities travel as JSON numbers, which
+// encoding/json writes in the shortest form that parses back to the
+// same float64, so a round trip is bit-exact.
+type SourceMaps struct {
 	Source string    `json:"source"`
-	PerMed []pmapDTO `json:"per_schema"`
+	PerMed []PMapDTO `json:"per_schema"`
 }
 
-type pmapDTO struct {
-	Groups  []groupDTO `json:"groups"`
+// PMapDTO is one p-mapping on the wire.
+type PMapDTO struct {
+	Groups  []GroupDTO `json:"groups"`
 	Dropped int        `json:"dropped_corrs,omitempty"`
 }
 
-type groupDTO struct {
-	Corrs    []corrDTO `json:"corrs"`
+// GroupDTO is one correspondence group with its possible mappings.
+type GroupDTO struct {
+	Corrs    []CorrDTO `json:"corrs"`
 	Mappings [][]int   `json:"mappings"`
 	Probs    []float64 `json:"probs"`
 }
 
-type corrDTO struct {
+// CorrDTO is one weighted correspondence.
+type CorrDTO struct {
 	SrcAttr string  `json:"src"`
 	MedIdx  int     `json:"med"`
 	Weight  float64 `json:"w"`
+}
+
+// EncodeMaps flattens the p-mappings of the named sources, in that
+// order; a name without p-mappings is skipped.
+func EncodeMaps(names []string, maps map[string][]*pmapping.PMapping) []SourceMaps {
+	var out []SourceMaps
+	for _, name := range names {
+		pms, ok := maps[name]
+		if !ok {
+			continue
+		}
+		sm := SourceMaps{Source: name}
+		for _, pm := range pms {
+			dto := PMapDTO{Dropped: pm.DroppedCorrs}
+			for _, g := range pm.Groups {
+				gd := GroupDTO{Mappings: g.Mappings, Probs: g.Probs}
+				for _, c := range g.Corrs {
+					gd.Corrs = append(gd.Corrs, CorrDTO{c.SrcAttr, c.MedIdx, c.Weight})
+				}
+				dto.Groups = append(dto.Groups, gd)
+			}
+			sm.PerMed = append(sm.PerMed, dto)
+		}
+		out = append(out, sm)
+	}
+	return out
+}
+
+// DecodeMaps rebuilds p-mappings onto pmed's schemas, validating each:
+// one per schema, no source twice, and every group passing
+// ValidateGroup against the schema it maps onto. Bytes that do not
+// describe servable p-mappings fail here, never at query time.
+func DecodeMaps(sms []SourceMaps, pmed *schema.PMedSchema) (map[string][]*pmapping.PMapping, error) {
+	maps := make(map[string][]*pmapping.PMapping, len(sms))
+	for _, sm := range sms {
+		if _, dup := maps[sm.Source]; dup {
+			return nil, fmt.Errorf("source %q has p-mappings twice", sm.Source)
+		}
+		if len(sm.PerMed) != pmed.Len() {
+			return nil, fmt.Errorf("source %q has %d p-mappings for %d schemas",
+				sm.Source, len(sm.PerMed), pmed.Len())
+		}
+		pms := make([]*pmapping.PMapping, 0, len(sm.PerMed))
+		for l, dto := range sm.PerMed {
+			m := pmed.Schemas[l]
+			pm := &pmapping.PMapping{SourceName: sm.Source, Med: m, DroppedCorrs: dto.Dropped}
+			for _, gd := range dto.Groups {
+				g := pmapping.Group{Mappings: gd.Mappings, Probs: gd.Probs}
+				for _, c := range gd.Corrs {
+					g.Corrs = append(g.Corrs, pmapping.Corr{SrcAttr: c.SrcAttr, MedIdx: c.MedIdx, Weight: c.Weight})
+				}
+				if err := ValidateGroup(g, len(m.Attrs)); err != nil {
+					return nil, fmt.Errorf("source %q schema %d: %w", sm.Source, l, err)
+				}
+				pm.Groups = append(pm.Groups, g)
+			}
+			pms = append(pms, pm)
+		}
+		maps[sm.Source] = pms
+	}
+	return maps, nil
 }
 
 // Save writes a gzip-compressed JSON snapshot of the system.
@@ -90,21 +160,11 @@ func saveSnapshot(w io.Writer, sys *core.System, walSeq uint64) error {
 	for _, s := range sys.Corpus.Sources {
 		snap.Sources = append(snap.Sources, core.DataOf(s))
 	}
-	for _, s := range sys.Corpus.Sources {
-		sm := sourceMaps{Source: s.Name}
-		for _, pm := range sys.Maps[s.Name] {
-			dto := pmapDTO{Dropped: pm.DroppedCorrs}
-			for _, g := range pm.Groups {
-				gd := groupDTO{Mappings: g.Mappings, Probs: g.Probs}
-				for _, c := range g.Corrs {
-					gd.Corrs = append(gd.Corrs, corrDTO{c.SrcAttr, c.MedIdx, c.Weight})
-				}
-				dto.Groups = append(dto.Groups, gd)
-			}
-			sm.PerMed = append(sm.PerMed, dto)
-		}
-		snap.Maps = append(snap.Maps, sm)
+	names := make([]string, len(sys.Corpus.Sources))
+	for i, s := range sys.Corpus.Sources {
+		names[i] = s.Name
 	}
+	snap.Maps = EncodeMaps(names, sys.Maps)
 
 	gz := gzip.NewWriter(w)
 	enc := json.NewEncoder(gz)
@@ -182,32 +242,9 @@ func load(r io.Reader, cfg core.Config) (*core.System, uint64, error) {
 		return nil, 0, corrupt(err)
 	}
 
-	maps := make(map[string][]*pmapping.PMapping, len(snap.Maps))
-	for _, sm := range snap.Maps {
-		if len(sm.PerMed) != pmed.Len() {
-			return nil, 0, corrupt(fmt.Errorf("source %q has %d p-mappings for %d schemas",
-				sm.Source, len(sm.PerMed), pmed.Len()))
-		}
-		var pms []*pmapping.PMapping
-		for l, dto := range sm.PerMed {
-			pm := &pmapping.PMapping{
-				SourceName:   sm.Source,
-				Med:          pmed.Schemas[l],
-				DroppedCorrs: dto.Dropped,
-			}
-			for _, gd := range dto.Groups {
-				g := pmapping.Group{Mappings: gd.Mappings, Probs: gd.Probs}
-				for _, c := range gd.Corrs {
-					g.Corrs = append(g.Corrs, pmapping.Corr{SrcAttr: c.SrcAttr, MedIdx: c.MedIdx, Weight: c.Weight})
-				}
-				if err := validateGroup(g); err != nil {
-					return nil, 0, corrupt(fmt.Errorf("source %q schema %d: %w", sm.Source, l, err))
-				}
-				pm.Groups = append(pm.Groups, g)
-			}
-			pms = append(pms, pm)
-		}
-		maps[sm.Source] = pms
+	maps, err := DecodeMaps(snap.Maps, pmed)
+	if err != nil {
+		return nil, 0, corrupt(err)
 	}
 
 	target, err := schema.FromClusters(snap.Target)
@@ -222,20 +259,24 @@ func load(r io.Reader, cfg core.Config) (*core.System, uint64, error) {
 	return sys, snap.WALSeq, nil
 }
 
-// validateGroup checks structural sanity of a deserialized group so a
-// corrupted snapshot fails fast instead of panicking at query time.
-func validateGroup(g pmapping.Group) error {
+// ValidateGroup checks the structural sanity of a decoded group mapping
+// onto a mediated schema of width attributes, so damaged bytes fail fast
+// instead of panicking or misranking at query time: one probability per
+// mapping, each in [0, 1] (NaN refused), summing to 1 ± 1e-6; every
+// mapping index naming one of the group's correspondences; every
+// correspondence naming one of the schema's attributes.
+func ValidateGroup(g pmapping.Group, width int) error {
 	if len(g.Mappings) != len(g.Probs) {
 		return fmt.Errorf("group has %d mappings but %d probabilities", len(g.Mappings), len(g.Probs))
 	}
 	sum := 0.0
 	for _, p := range g.Probs {
-		if p < 0 || p > 1+1e-9 {
+		if !(p >= 0 && p <= 1+1e-9) {
 			return fmt.Errorf("probability %g out of range", p)
 		}
 		sum += p
 	}
-	if sum < 1-1e-6 || sum > 1+1e-6 {
+	if !(sum >= 1-1e-6 && sum <= 1+1e-6) {
 		return fmt.Errorf("group probabilities sum to %g", sum)
 	}
 	for _, m := range g.Mappings {
@@ -243,6 +284,11 @@ func validateGroup(g pmapping.Group) error {
 			if ci < 0 || ci >= len(g.Corrs) {
 				return fmt.Errorf("mapping references correspondence %d of %d", ci, len(g.Corrs))
 			}
+		}
+	}
+	for _, c := range g.Corrs {
+		if c.MedIdx < 0 || c.MedIdx >= width {
+			return fmt.Errorf("correspondence names mediated attribute %d of %d", c.MedIdx, width)
 		}
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 
 	"udi/internal/core"
 	"udi/internal/datagen"
+	"udi/internal/pmapping"
 	"udi/internal/sqlparse"
 )
 
@@ -280,6 +281,41 @@ func TestLoadRejectsCorruptGroup(t *testing.T) {
 	w.Close()
 	if _, err := Load(&out, core.Config{}); err == nil {
 		t.Error("corrupted snapshot accepted")
+	}
+}
+
+// TestValidateGroupRefusesDamage: every damage the validator names is
+// refused — a NaN probability included, which the comparisons the check
+// is built from would otherwise let through (NaN compares false both
+// ways, so NaN also passes a sum test written as two "out of range"
+// comparisons).
+func TestValidateGroupRefusesDamage(t *testing.T) {
+	ok := func() pmapping.Group {
+		return pmapping.Group{
+			Corrs:    []pmapping.Corr{{SrcAttr: "a", MedIdx: 0, Weight: 0.5}, {SrcAttr: "a", MedIdx: 1, Weight: 0.5}},
+			Mappings: [][]int{{}, {0}, {1}},
+			Probs:    []float64{0, 0.5, 0.5},
+		}
+	}
+	if err := ValidateGroup(ok(), 2); err != nil {
+		t.Fatalf("a sound group refused: %v", err)
+	}
+	for what, damage := range map[string]func(*pmapping.Group){
+		"NaN probability":         func(g *pmapping.Group) { g.Probs[1] = math.NaN() },
+		"all probabilities NaN":   func(g *pmapping.Group) { g.Probs = []float64{math.NaN(), math.NaN(), math.NaN()} },
+		"negative probability":    func(g *pmapping.Group) { g.Probs = []float64{-0.5, 1, 0.5} },
+		"probabilities not one":   func(g *pmapping.Group) { g.Probs[1] = 0.25 },
+		"mapping count":           func(g *pmapping.Group) { g.Mappings = g.Mappings[:2] },
+		"correspondence too high": func(g *pmapping.Group) { g.Mappings[2] = []int{2} },
+		"correspondence negative": func(g *pmapping.Group) { g.Mappings[2] = []int{-1} },
+		"mediated attribute":      func(g *pmapping.Group) { g.Corrs[1].MedIdx = 2 },
+		"negative mediated index": func(g *pmapping.Group) { g.Corrs[0].MedIdx = -1 },
+	} {
+		g := ok()
+		damage(&g)
+		if err := ValidateGroup(g, 2); err == nil {
+			t.Errorf("%s: accepted", what)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@
 //   - Replay is idempotent across polls: a record with a sequence at or
 //     below the applied watermark is skipped, so a re-fetched frame is
 //     never applied twice.
-//   - Structural changes on the primary (restructure, replace) are not
+//   - Structural changes on the primary (restructures) are not
 //     WAL-logged; they bump the primary's state generation, which the
 //     follower detects and answers with a full re-bootstrap. The same applies to a WAL truncated by checkpoint
 //     rotation (HTTP 410) and to a desynchronized watermark (HTTP 416).

@@ -35,7 +35,7 @@ func (f *Follower) ShardHandler() http.Handler {
 		},
 		Obs: f.reg,
 	}.Mount(mux)
-	for _, p := range []string{"feedback", "restructure", "replace"} {
+	for _, p := range []string{"feedback", "restructure"} {
 		mux.HandleFunc("POST /v1/shard/"+p, func(w http.ResponseWriter, _ *http.Request) {
 			httpapi.WriteStatusError(w, readOnly())
 		})

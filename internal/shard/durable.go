@@ -212,17 +212,13 @@ func Open(dir string, cfg core.Config, opts Options, setup func() (*schema.Corpu
 	if seed == nil {
 		return nil, fmt.Errorf("shard: %w: no shard has a snapshot", persist.ErrCorrupt)
 	}
-	// Empty shards get zero-source cores seeded with an arbitrary loaded
-	// shard's mediation; redo/reconcile pushes the authoritative one.
+	// Empty shards bootstrap zero-source cores seeded with an arbitrary
+	// loaded shard's mediation; redo/reconcile pushes the authoritative one.
 	for _, l := range r.locals {
 		if l.Sys() != nil {
 			continue
 		}
-		empty, err := core.NewEmptyShard(man.Domain, cfg, seed.Med, seed.Target)
-		if err == nil {
-			err = l.Replace(empty)
-		}
-		if err != nil {
+		if err := l.Restructure(Change{Domain: man.Domain, Med: seed.Med, Target: seed.Target}); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -304,8 +300,8 @@ func (r *recovery) reconcile(order []string) error {
 		return fmt.Errorf("shard: %w: reconciled probabilities invalid: %v", persist.ErrCorrupt, err)
 	}
 	med := &mediate.Result{PMed: pmed}
-	for _, sh := range r.s.shards {
-		if err := sh.Restructure(nil, nil, med); err != nil {
+	for i, sh := range r.s.shards {
+		if err := sh.Restructure(Change{Domain: r.s.domain, Sources: sliceOf(order, i, len(r.s.shards)), Med: med, Target: ref.Target}); err != nil {
 			return err
 		}
 	}
@@ -316,13 +312,12 @@ func (r *recovery) reconcile(order []string) error {
 // redo rolls a journaled multi-shard op forward by running it through
 // the live mutation path again. The journal holds the pre-op order and
 // mediation; the shards on disk hold either the pre-op state (crash
-// before a checkpoint) or the post-op state (crash after), and the
-// idempotent shard verbs absorb that difference: a source an owner
-// already holds is not adopted twice, one already gone is not dropped
-// twice. The plan recomputes the same deterministic fast/rebuild
-// decision the original made, so recovery lands on the fully-applied
-// state no matter which stage the crash hit. Returns the committed
-// global order.
+// before a checkpoint) or the post-op state (crash after), and
+// Restructure absorbs that difference: a Change says what each shard
+// becomes, whichever state it starts from. The plan recomputes the same
+// deterministic fast/rebuild decision the original made, so recovery
+// lands on the fully-applied state no matter which stage the crash hit.
+// Returns the committed global order.
 func (r *recovery) redo(jr *journalRecord, target *schema.MediatedSchema) ([]string, error) {
 	s := r.s
 	prePMed, err := schema.PMedFromClusters(jr.Schemas, jr.Probs)

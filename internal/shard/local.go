@@ -10,20 +10,16 @@ import (
 	"udi/internal/answer"
 	"udi/internal/core"
 	"udi/internal/feedback"
-	"udi/internal/mediate"
 	"udi/internal/persist"
-	"udi/internal/pmapping"
-	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
 // Local is the in-process transport and the one implementation of the
 // Shard verbs: an ordinary core.System over the shard's sources, driven
-// through core's shard verbs (which carry the idempotence and the checks
-// the contract asks for), plus — given a directory — the shard's own
-// persist.Store. Feedback rides that store's WAL exactly like a
-// single-core store; structural state is checkpointed when the
-// coordinator asks. The coordinator in this package holds one per shard;
+// through core.ShardRestructure (which carries the checks the contract
+// asks for), plus — given a directory — the shard's own persist.Store.
+// Feedback rides that store's WAL exactly like a single-core store;
+// structural state is checkpointed when the coordinator asks. The coordinator in this package holds one per shard;
 // a shard host (internal/shardrpc) serves one over HTTP.
 //
 // The verbs are called one at a time (under the coordinator's write lock,
@@ -33,9 +29,9 @@ type Local struct {
 	// dir is the shard's store directory, "" when in-memory.
 	dir   string
 	sopts persist.StoreOptions
-	// sys is nil until the first Replace (a freshly set-up system) or
-	// Open; the in-place verbs keep the pointer, and with it the attached
-	// store and a monotone epoch, for the shard's whole life.
+	// sys is nil until the first Restructure bootstraps it or Open loads
+	// it; the verbs keep the pointer, and with it the attached store and a
+	// monotone epoch, for the shard's whole life.
 	sys atomic.Pointer[core.System]
 	// store is nil while the shard holds no source: an empty corpus has
 	// no checkpointable state, so an empty shard keeps no files at all.
@@ -43,7 +39,7 @@ type Local struct {
 }
 
 // NewLocal builds a shard with no state yet; it arrives with the first
-// Replace, or from dir (when set) on Open.
+// Restructure, or from dir (when set) on Open.
 func NewLocal(cfg core.Config, dir string, sopts persist.StoreOptions) *Local {
 	return &Local{cfg: cfg, dir: dir, sopts: sopts}
 }
@@ -92,15 +88,15 @@ func (l *Local) Pin() Leg {
 
 func (l *Local) Feedback(fb core.Feedback) error { return l.Sys().SubmitFeedback(fb) }
 
-func (l *Local) Restructure(add []*schema.Source, drop []string, med *mediate.Result) error {
-	return l.Sys().ShardRestructure(add, drop, med)
-}
-
-func (l *Local) Replace(proj *core.System) error {
+func (l *Local) Restructure(ch Change) error {
 	if sys := l.Sys(); sys != nil {
-		return sys.ShardReplaceState(proj)
+		return sys.ShardRestructure(ch)
 	}
-	l.sys.Store(proj)
+	sys, err := core.RestoreShard(ch, l.cfg)
+	if err != nil {
+		return err
+	}
+	l.sys.Store(sys)
 	return nil
 }
 
@@ -162,36 +158,4 @@ func (l localLeg) Candidates(ctx context.Context, limit int) ([]feedback.Candida
 		return nil, err
 	}
 	return feedback.NewSession(l.sys, nil).CandidatesIn(l.sn, limit), nil
-}
-
-// sourcesFor filters the global source list down to shard i of n,
-// preserving global order.
-func sourcesFor(sources []*schema.Source, i, n int) []*schema.Source {
-	var out []*schema.Source
-	for _, src := range sources {
-		if ShardOf(src.Name, n) == i {
-			out = append(out, src)
-		}
-	}
-	return out
-}
-
-// Project builds one shard's core from a globally set-up blueprint: the
-// sub-corpus in global order, the blueprint's p-mappings for exactly
-// those sources, and the shared global mediation and target. An
-// empty subset yields a servable zero-source core. It is what the
-// coordinator hands Shard.Replace.
-func Project(domain string, cfg core.Config, blue *core.System, subs []*schema.Source) (*core.System, error) {
-	if len(subs) == 0 {
-		return core.NewEmptyShard(domain, cfg, blue.Med, blue.Target)
-	}
-	subCorpus, err := schema.NewCorpus(domain, subs)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	maps := make(map[string][]*pmapping.PMapping, len(subs))
-	for _, src := range subs {
-		maps[src.Name] = blue.Maps[src.Name]
-	}
-	return core.Restore(subCorpus, cfg, blue.Med, maps, blue.Target)
 }

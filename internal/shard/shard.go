@@ -2,9 +2,10 @@
 // integration system across N shards and gathers query answers back into
 // exactly what the single system would have produced. Mediation stays a
 // corpus-global artifact — the p-med-schema is a function of the whole
-// corpus — so the coordinator plans it once per structural mutation and
-// pushes it to every shard; each shard serves the subset of sources that
-// hash to it.
+// corpus — so the coordinator plans it once per structural mutation,
+// together with every p-mapping that changes, and pushes it to every
+// shard; each shard stores and scans the subset of sources that hash to
+// it, and receives a source's rows once, in the change that adds it.
 //
 // The coordinator is written against the small Shard interface and knows
 // nothing about where a shard runs. Two transports implement it: the
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,6 +39,7 @@ import (
 	"udi/internal/feedback"
 	"udi/internal/mediate"
 	"udi/internal/obs"
+	"udi/internal/pmapping"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
@@ -67,13 +68,19 @@ func ShardOf(name string, shards int) int {
 	return int(h.Sum64() % uint64(shards))
 }
 
+// Change is the one structural change a coordinator pushes to a shard:
+// the shard's corpus, mediation, target and p-mappings afterwards, with
+// the rows of only the sources it may lack (see core.ShardChange). The
+// coordinator plans all of it; a shard never runs matching, mediation or
+// p-mapping construction.
+type Change = core.ShardChange
+
 // Shard is one partition as the coordinator drives it — the whole
-// contract a transport must meet. The structural verbs (Restructure,
-// Replace) are only ever called under the coordinator's write lock, one
-// at a time per shard, and must be idempotent: Restructure skips sources
-// the shard already holds and a drop of an absent name still installs
-// the mediation, and re-applying a Replace converges. That is what lets a
-// transport retry a lost response and lets crash recovery redo a
+// contract a transport must meet. Restructure, the one structural verb,
+// is only ever called under the coordinator's write lock, one at a time
+// per shard, and is idempotent by construction: a Change says what to
+// become, not what to do, so re-applying one converges. That is what lets
+// a transport retry a lost response and lets crash recovery redo a
 // journaled mutation over shards that may already reflect it.
 type Shard interface {
 	// Pin captures the read leg one View fans out to.
@@ -82,21 +89,17 @@ type Shard interface {
 	// one verb that is not idempotent: feedback conditions probabilities
 	// multiplicatively, so a transport sends it exactly once.
 	Feedback(fb core.Feedback) error
-	// Restructure is the one fast-path structural change, all-or-nothing
-	// under one commit: the shard's corpus becomes held − drop + (add −
-	// held) and it serves med, the globally refreshed mediation. Unlike a
-	// system-level remove it may empty the shard: "last source" is a
-	// global property only the coordinator can judge. It refuses a med
-	// whose schema sequence is not the served one while a held source is
-	// kept: held p-mappings are indexed by that sequence.
-	Restructure(add []*schema.Source, drop []string, med *mediate.Result) error
-	// Replace installs proj, this shard's projection of a global rebuild
-	// (or of the initial setup), as its whole state.
-	Replace(proj *core.System) error
+	// Restructure installs ch all-or-nothing under one commit; a shard
+	// with no state yet bootstraps from it, an empty corpus included.
+	// Unlike a system-level remove it may empty the shard: "last source"
+	// is a global property only the coordinator can judge. It refuses a
+	// change that keeps a held source's own p-mappings under a Med whose
+	// schema sequence is not the served one: they are indexed by it.
+	Restructure(ch Change) error
 	// Checkpoint makes the shard's current state its on-disk state; the
 	// coordinator calls it on the shards a journaled mutation touched. A
-	// shard that is not durable, or that persists inside its structural
-	// verbs, returns nil.
+	// shard that is not durable, or that persists inside Restructure,
+	// returns nil.
 	Checkpoint() error
 	// Close releases what the shard holds open.
 	Close() error
@@ -187,8 +190,8 @@ func New(c *schema.Corpus, cfg core.Config, opts Options) (*System, error) {
 }
 
 // NewOver sets up a sharded system over shards some other transport
-// provides (internal/shardrpc hands in its remote stubs). The shards
-// start empty; setup pushes each its projection.
+// provides (internal/shardrpc hands in its remote stubs). Whatever state
+// the shards hold, setup makes each hold exactly its slice.
 func NewOver(c *schema.Corpus, cfg core.Config, shards []Shard) (*System, error) {
 	s := &System{cfg: cfg, domain: c.Domain, shards: shards}
 	if err := s.setup(c); err != nil {
@@ -197,35 +200,20 @@ func NewOver(c *schema.Corpus, cfg core.Config, shards []Shard) (*System, error)
 	return s, nil
 }
 
-// setup runs the one global core.Setup — mediation and every per-source
-// artifact — and installs each shard's projection of it.
+// setup runs the one global core.Setup — mediation and every p-mapping —
+// and pushes each shard its slice: every source's rows (a shard may lack
+// any of them) with the blueprint's p-mappings.
 func (s *System) setup(c *schema.Corpus) error {
 	blue, err := core.Setup(c, s.cfg)
 	if err != nil {
 		return err
 	}
-	if err := s.install(blue, c.Sources); err != nil {
+	ch := &change{adds: c.Sources, srcs: c.Sources, med: blue.Med, target: blue.Target, maps: blue.Maps, rebuild: true}
+	if err := s.push(nil, ch, s.allShards()); err != nil {
 		return err
 	}
 	s.publish(c.Sources, blue.Med, blue.Target)
 	return s.finishDurable(s.allShards())
-}
-
-// install re-projects a globally set-up blueprint onto every shard as a
-// state replacement — the initial setup and the rebuild path share it.
-// Readers observe a rebuild as one more epoch per shard.
-func (s *System) install(blue *core.System, srcs []*schema.Source) error {
-	n := len(s.shards)
-	for i, sh := range s.shards {
-		proj, err := Project(s.domain, s.cfg, blue, sourcesFor(srcs, i, n))
-		if err != nil {
-			return err
-		}
-		if err := sh.Replace(proj); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // publish records the committed corpus and makes it, with the shared
@@ -474,9 +462,10 @@ func (s *System) SubmitFeedback(fb core.Feedback) error {
 // AddSources grows the sharded system with a batch of sources under one
 // coordination round, reproducing the single-core AddSources decision
 // exactly: the global mediation is planned once (core.PlanMediation); on
-// the fast path each owner shard adopts its sources in bulk and every
-// other shard swaps in the refreshed mediation, otherwise the whole
-// system is rebuilt and re-projected. Returns true when the fast path
+// the fast path the coordinator builds the newcomers' p-mappings, each
+// owner shard adopts its sources in bulk and every other shard swaps in
+// the refreshed mediation, otherwise the whole system is set up again
+// and every shard receives its new p-mappings. Returns true when the fast path
 // applied for the whole batch. A one-element batch is the single add.
 //
 // The batch is all-or-nothing (see apply); duplicate names — in the batch
@@ -529,28 +518,34 @@ func (s *System) mutate(adds []*schema.Source, remove string) (bool, error) {
 	if err := s.apply(pre, ch, false); err != nil {
 		return false, err
 	}
-	return ch.blue == nil, nil
+	return !ch.rebuild, nil
 }
 
-// change is one planned structural mutation: grow by adds or shrink by
-// remove (exactly one is set), the post-op corpus in global order, and
-// the mediation decision — the med and target the system serves
-// afterwards, pushed as they are on the fast path, or carried by blue, the
-// global rebuild to re-project, when the clustering changed.
+// change is one planned structural mutation, or the initial setup: the
+// sources whose rows the shards may lack (the batch grown by, or the
+// whole corpus at setup), the one source removed, the corpus afterwards
+// in global order, and the schema-level state every shard serves
+// afterwards — the mediation, the consolidated target, and the
+// p-mappings that change: every source's when the clustering changed
+// (rebuild), otherwise only the newcomers'.
 type change struct {
-	adds   []*schema.Source
-	remove string
-	srcs   []*schema.Source
-	med    *mediate.Result
-	target *schema.MediatedSchema
-	blue   *core.System
+	adds    []*schema.Source
+	remove  string
+	srcs    []*schema.Source
+	med     *mediate.Result
+	target  *schema.MediatedSchema
+	maps    map[string][]*pmapping.PMapping
+	rebuild bool
 }
 
 // plan computes everything a mutation needs before any shard or file is
 // touched, so a planning failure (the shrunken corpus has no frequent
-// attributes, the rebuild's Setup fails) leaves memory and disk as they
-// were. pre is the state the mutation starts from: the served meta on the
-// live path, the journaled one on redo.
+// attributes, a newcomer's p-mappings cannot be built, the rebuild's
+// Setup fails) leaves memory and disk as they were. pre is the state the
+// mutation starts from: the served meta on the live path, the journaled
+// one on redo. A fast plan keeps the target and builds only the
+// newcomers' p-mappings, through the pipeline Setup runs; a rebuild takes
+// everything from a global Setup over the new corpus.
 func (s *System) plan(pre *servingMeta, adds []*schema.Source, remove string) (*change, error) {
 	ch := &change{adds: adds, remove: remove}
 	for _, name := range pre.order {
@@ -567,13 +562,25 @@ func (s *System) plan(pre *servingMeta, adds []*schema.Source, remove string) (*
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	// The fast path keeps the consolidated target; a rebuild replaces it.
-	ch.med, ch.target = med, pre.target
 	if !fast {
-		if ch.blue, err = core.Setup(corpus, s.cfg); err != nil {
+		blue, err := core.Setup(corpus, s.cfg)
+		if err != nil {
 			return nil, err
 		}
-		ch.med, ch.target = ch.blue.Med, ch.blue.Target
+		ch.med, ch.target, ch.maps, ch.rebuild = blue.Med, blue.Target, blue.Maps, true
+		return ch, nil
+	}
+	ch.med, ch.target = med, pre.target
+	if len(adds) > 0 {
+		added, err := schema.NewCorpus(s.domain, adds)
+		if err != nil {
+			return nil, fmt.Errorf("shard: %w", err)
+		}
+		built, err := core.SetupUnder(added, s.cfg, med)
+		if err != nil {
+			return nil, err
+		}
+		ch.maps = built.Maps
 	}
 	return ch, nil
 }
@@ -584,25 +591,17 @@ func (s *System) plan(pre *servingMeta, adds []*schema.Source, remove string) (*
 // applied.
 var errRolledBack = errors.New("shard: mutation rolled back")
 
-// apply carries a planned change out on the shards. On the fast path each
-// owner adopts (or drops) its sources and every other shard swaps in the
-// refreshed mediation — the same floats the oracle computes, since the
-// plan counted over the identical corpus; on the rebuild path every shard
-// is replaced with its projection of the new global setup.
+// apply carries a planned change out on the shards: each gets its slice
+// of it (see push) — the same floats the oracle computes, since the plan
+// ran over the identical corpus.
 //
 // Durability protocol (DataDir mode): the coordinator journals the op
 // before mutating any shard, checkpoints the shards it touched after
 // applying, then rewrites the manifest and drops the journal. A crash at
 // any stage recovers by running the journaled op through this same
 // function (journaled = true: the record is already on disk), which the
-// idempotent shard verbs make safe, so the mutation is atomic across
+// idempotent Restructure makes safe, so the mutation is atomic across
 // shards: after recovery it is either fully applied or fully absent.
-//
-// A batch is all-or-nothing in memory too: a failed owner adoption rolls
-// back every owner that already adopted (dropping its batch sources under
-// the previous mediation) and clears the journal — the failure is
-// deterministic, so a redo after a crash there fails and rolls back the
-// same way.
 func (s *System) apply(pre *servingMeta, ch *change, journaled bool) error {
 	if !journaled {
 		if err := s.journalWrite(ch, pre); err != nil {
@@ -612,23 +611,35 @@ func (s *System) apply(pre *servingMeta, ch *change, journaled bool) error {
 	if err := s.crash("journal"); err != nil {
 		return err
 	}
-	var touched []int
-	if ch.blue != nil {
-		if err := s.install(ch.blue, ch.srcs); err != nil {
-			return err
+	// touched are the shards whose corpus or p-mappings change: every
+	// shard on a rebuild, the owners of the added and removed sources on
+	// the fast path.
+	touched := s.allShards()
+	if !ch.rebuild {
+		n, owner := len(s.shards), make(map[int]bool)
+		for _, src := range ch.adds {
+			owner[ShardOf(src.Name, n)] = true
 		}
-		touched = s.allShards()
-		s.Obs().Add("shard.rebuild", 1)
-	} else {
-		var err error
-		if touched, err = s.applyFast(pre, ch); err != nil {
-			return err
+		if ch.remove != "" {
+			owner[ShardOf(ch.remove, n)] = true
 		}
+		touched = touched[:0]
+		for i := range s.shards {
+			if owner[i] {
+				touched = append(touched, i)
+			}
+		}
+	}
+	if err := s.push(pre, ch, touched); err != nil {
+		return err
 	}
 	if err := s.crash("applied"); err != nil {
 		return err
 	}
 	s.publish(ch.srcs, ch.med, ch.target)
+	if ch.rebuild {
+		s.Obs().Add("shard.rebuild", 1)
+	}
 	if ch.remove != "" {
 		s.Obs().Add("shard.remove_source", 1)
 	} else {
@@ -638,53 +649,73 @@ func (s *System) apply(pre *servingMeta, ch *change, journaled bool) error {
 	return s.finishDurable(touched)
 }
 
-// applyFast is apply's incremental path: one Restructure per shard, the
-// owners in ascending order and then every other shard with no corpus
-// change. It returns the owner shards, whose corpora changed.
-func (s *System) applyFast(pre *servingMeta, ch *change) ([]int, error) {
-	// byOwner keys the shards whose corpus changes: each add's owner with
-	// the sources it adopts, or the removed source's owner with none.
-	n := len(s.shards)
-	byOwner := make(map[int][]*schema.Source)
-	for _, src := range ch.adds {
-		o := ShardOf(src.Name, n)
-		byOwner[o] = append(byOwner[o], src)
-	}
-	var drop []string
-	if ch.remove != "" {
-		drop = []string{ch.remove}
-		byOwner[ShardOf(ch.remove, n)] = nil
-	}
-	owners := make([]int, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	for done, o := range owners {
-		if err := s.shards[o].Restructure(byOwner[o], drop, ch.med); err != nil {
-			// Nothing may stay applied: undo the owners before this one (only
-			// a batch add has more than one), then clear the journal on the
-			// spot.
-			for _, t := range owners[:done] {
-				names := make([]string, len(byOwner[t]))
-				for i, src := range byOwner[t] {
-					names[i] = src.Name
-				}
-				if derr := s.shards[t].Restructure(nil, names, pre.med); derr != nil {
-					return nil, derr
-				}
-			}
-			s.journalDrop()
-			return nil, fmt.Errorf("%w: %w", errRolledBack, err)
-		}
-	}
-	for i, sh := range s.shards {
-		if _, owner := byOwner[i]; owner {
+// push sends every shard its slice of ch, the touched ones first in
+// ascending order. On the fast path a batch is all-or-nothing in memory
+// too: a touched shard that fails rolls back every touched shard before
+// it (each returns to its pre-op corpus under pre's mediation, keeping
+// its own p-mappings) and the journal is cleared — the failure is
+// deterministic, so a redo after a crash there fails and rolls back the
+// same way. A failed rebuild (or setup) is left to the journal's redo.
+func (s *System) push(pre *servingMeta, ch *change, touched []int) error {
+	seen := make(map[int]bool, len(touched))
+	for done, i := range touched {
+		seen[i] = true
+		err := s.shards[i].Restructure(s.slice(ch, i))
+		if err == nil {
 			continue
 		}
-		if err := sh.Restructure(nil, nil, ch.med); err != nil {
-			return nil, err
+		if ch.rebuild {
+			return err
+		}
+		for _, t := range touched[:done] {
+			undo := Change{Domain: s.domain, Sources: sliceOf(pre.order, t, len(s.shards)), Med: pre.med, Target: pre.target}
+			if derr := s.shards[t].Restructure(undo); derr != nil {
+				return derr
+			}
+		}
+		s.journalDrop()
+		return fmt.Errorf("%w: %w", errRolledBack, err)
+	}
+	for i, sh := range s.shards {
+		if seen[i] {
+			continue
+		}
+		if err := sh.Restructure(s.slice(ch, i)); err != nil {
+			return err
 		}
 	}
-	return owners, nil
+	return nil
+}
+
+// slice is shard i's Change out of ch: its sources in global order, the
+// rows of its newcomers, and the p-mappings of its sources that change.
+func (s *System) slice(ch *change, i int) Change {
+	n := len(s.shards)
+	out := Change{Domain: s.domain, Med: ch.med, Target: ch.target, Maps: map[string][]*pmapping.PMapping{}}
+	for _, src := range ch.srcs {
+		if ShardOf(src.Name, n) != i {
+			continue
+		}
+		out.Sources = append(out.Sources, src.Name)
+		if pms, ok := ch.maps[src.Name]; ok {
+			out.Maps[src.Name] = pms
+		}
+	}
+	for _, src := range ch.adds {
+		if ShardOf(src.Name, n) == i {
+			out.Add = append(out.Add, src)
+		}
+	}
+	return out
+}
+
+// sliceOf filters a global source order down to shard i of n.
+func sliceOf(order []string, i, n int) []string {
+	var out []string
+	for _, name := range order {
+		if ShardOf(name, n) == i {
+			out = append(out, name)
+		}
+	}
+	return out
 }

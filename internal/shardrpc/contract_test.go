@@ -18,6 +18,7 @@ import (
 	"udi/internal/mediate"
 	"udi/internal/obs"
 	"udi/internal/persist"
+	"udi/internal/pmapping"
 	"udi/internal/schema"
 	"udi/internal/shard"
 	"udi/internal/shardrpc"
@@ -27,9 +28,10 @@ import (
 
 // The shard.Shard contract as one suite over both transports — the
 // in-process shard.Local and a stub driving a Host over HTTP (which serves
-// a Local): the idempotence of the structural verbs, the refusal of a
-// mediation the held p-mappings were not built for, and the
-// empty↔non-empty store lifecycle, warm restart included.
+// a Local): a stateless shard bootstrapping from a change (an empty one
+// included), the idempotence of Restructure, the refusal of a mediation
+// the held p-mappings were not built for, and the empty↔non-empty store
+// lifecycle, warm restart included.
 
 // transport starts one shard over dir ("" = in-memory) and returns it:
 // stateless unless dir holds a checkpoint, in which case it warm-starts —
@@ -109,15 +111,42 @@ func corpusOf(t *testing.T, srcs []*schema.Source) *schema.Corpus {
 	return c
 }
 
-// project is the shard's projection of the held corpus restricted to
-// srcs (none = the empty projection).
-func (f *contractFixture) project(t *testing.T, srcs []*schema.Source) *core.System {
+func names(srcs []*schema.Source) []string {
+	out := make([]string, len(srcs))
+	for i, src := range srcs {
+		out[i] = src.Name
+	}
+	return out
+}
+
+// setup is the change a coordinator's setup (or a rebuild) sends a shard
+// that is to hold srcs: their rows and the blueprint's p-mappings.
+func (f *contractFixture) setup(srcs []*schema.Source) shard.Change {
+	ch := shard.Change{Domain: "contract", Sources: names(srcs), Add: srcs, Med: f.blue.Med, Target: f.blue.Target,
+		Maps: map[string][]*pmapping.PMapping{}}
+	for _, src := range srcs {
+		ch.Maps[src.Name] = f.blue.Maps[src.Name]
+	}
+	return ch
+}
+
+// adopt is the fast-path change that grows the held corpus by add under
+// the grown mediation, the newcomers' p-mappings built the coordinator's
+// way.
+func (f *contractFixture) adopt(t *testing.T, add []*schema.Source) shard.Change {
 	t.Helper()
-	p, err := shard.Project("contract", f.cfg, f.blue, srcs)
+	built, err := core.SetupUnder(corpusOf(t, add), f.cfg, f.grown)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return shard.Change{Domain: "contract", Sources: names(append(f.held[:len(f.held):len(f.held)], add...)), Add: add,
+		Med: f.grown, Target: f.blue.Target, Maps: built.Maps}
+}
+
+// keep is the change that leaves the shard holding exactly srcs, with
+// their own p-mappings, under med.
+func (f *contractFixture) keep(srcs []*schema.Source, med *mediate.Result) shard.Change {
+	return shard.Change{Domain: "contract", Sources: names(srcs), Med: med, Target: f.blue.Target}
 }
 
 func must(t *testing.T, what string, err error) {
@@ -178,16 +207,53 @@ func TestShardContract(t *testing.T) {
 func shardContract(t *testing.T, start transport) {
 	f := newFixture(t)
 
+	t.Run("Bootstrap", func(t *testing.T) {
+		sh := start(t, f.cfg, "")
+		// A stateless shard holds nothing, so a change naming sources
+		// without their rows is refused — and leaves it stateless.
+		if err := sh.Restructure(f.keep(f.held, f.blue.Med)); err == nil {
+			t.Fatal("a stateless shard accepted sources it has no rows for")
+		}
+		verb(t, sh, "bootstrap", sh.Restructure(f.setup(f.held)))
+		var want [][]answer.Answer
+		for _, q := range f.queries {
+			rs, err := f.blue.Snapshot().ScanCtx(context.Background(), core.UDI, q)
+			must(t, q.String(), err)
+			want = append(want, answer.MergeResultSets(f.order, []*answer.ResultSet{rs}).Ranked)
+		}
+		wantSame(t, "bootstrapped shard vs the blueprint", want, f.answers(t, sh))
+	})
+
+	t.Run("Empty", func(t *testing.T) {
+		sh := start(t, f.cfg, "")
+		verb(t, sh, "empty bootstrap", sh.Restructure(f.keep(nil, f.blue.Med)))
+		for _, ranked := range f.answers(t, sh) {
+			if len(ranked) != 0 {
+				t.Fatalf("an empty shard answered %v", ranked)
+			}
+		}
+		verb(t, sh, "first sources", sh.Restructure(f.setup(f.held)))
+		pristine := f.answers(t, sh)
+		verb(t, sh, "emptied", sh.Restructure(f.keep(nil, f.blue.Med)))
+		for _, ranked := range f.answers(t, sh) {
+			if len(ranked) != 0 {
+				t.Fatalf("an emptied shard answered %v", ranked)
+			}
+		}
+		verb(t, sh, "refilled", sh.Restructure(f.setup(f.held)))
+		wantSame(t, "refilled shard", pristine, f.answers(t, sh))
+	})
+
 	t.Run("AdoptTwiceIsAdoptOnce", func(t *testing.T) {
 		sh := start(t, f.cfg, "")
-		verb(t, sh, "replace", sh.Replace(f.project(t, f.held)))
+		verb(t, sh, "bootstrap", sh.Restructure(f.setup(f.held)))
 		before := f.answers(t, sh)
-		verb(t, sh, "adopt", sh.Restructure(f.batch, nil, f.grown))
+		verb(t, sh, "adopt", sh.Restructure(f.adopt(t, f.batch)))
 		epoch, once := sh.Pin().Epoch(), f.answers(t, sh)
 		if reflect.DeepEqual(before, once) {
 			t.Fatal("adopting the batch moved no answer; the fixture cannot see an adopt")
 		}
-		verb(t, sh, "adopt again", sh.Restructure(f.batch, nil, f.grown))
+		verb(t, sh, "adopt again", sh.Restructure(f.adopt(t, f.batch)))
 		if got := sh.Pin().Epoch(); got != epoch+1 {
 			t.Errorf("second adopt: epoch %d -> %d, want one commit", epoch, got)
 		}
@@ -195,25 +261,29 @@ func shardContract(t *testing.T, start transport) {
 
 		// A redo that finds part of the batch already held adopts the rest.
 		part := start(t, f.cfg, "")
-		verb(t, part, "replace", part.Replace(f.project(t, f.held)))
-		verb(t, part, "adopt part", part.Restructure(f.batch[:1], nil, f.grown))
-		verb(t, part, "adopt all", part.Restructure(f.batch, nil, f.grown))
+		verb(t, part, "bootstrap", part.Restructure(f.setup(f.held)))
+		verb(t, part, "adopt part", part.Restructure(f.adopt(t, f.batch[:1])))
+		verb(t, part, "adopt all", part.Restructure(f.adopt(t, f.batch)))
 		wantSame(t, "adopt over a partly held batch", once, f.answers(t, part))
 	})
 
 	t.Run("DropOfAbsentNameInstallsTheMediation", func(t *testing.T) {
+		// A drop is a change that no longer lists the name; its redo finds
+		// the name already absent and must still install the mediation,
+		// as one more commit.
 		sh, twin := start(t, f.cfg, ""), start(t, f.cfg, "")
-		verb(t, sh, "replace", sh.Replace(f.project(t, f.held)))
-		verb(t, twin, "replace", twin.Replace(f.project(t, f.held)))
+		verb(t, sh, "bootstrap", sh.Restructure(f.setup(f.held)))
+		verb(t, twin, "bootstrap", twin.Restructure(f.setup(f.held)))
 		before := f.answers(t, sh)
-		verb(t, sh, "drop", sh.Restructure(nil, []string{"no-such-source"}, f.grown))
-		verb(t, twin, "mediation", twin.Restructure(nil, nil, f.grown))
+		verb(t, twin, "mediation", twin.Restructure(f.keep(f.held[1:], f.grown)))
 		if reflect.DeepEqual(before, f.answers(t, twin)) {
 			t.Fatal("the mediation push moved no answer; the fixture cannot see one")
 		}
+		verb(t, sh, "drop", sh.Restructure(f.keep(f.held[1:], f.blue.Med)))
+		verb(t, sh, "drop of the absent name", sh.Restructure(f.keep(f.held[1:], f.grown)))
 		wantSame(t, "drop of an absent name vs mediation push", f.answers(t, twin), f.answers(t, sh))
-		if a, b := sh.Pin().Epoch(), twin.Pin().Epoch(); a != b {
-			t.Errorf("epochs %d vs %d: the drop did not commit exactly once", a, b)
+		if a, b := sh.Pin().Epoch(), twin.Pin().Epoch(); a != b+1 {
+			t.Errorf("epochs %d vs %d: the redone drop did not commit exactly once", a, b)
 		}
 	})
 
@@ -230,9 +300,9 @@ func shardContract(t *testing.T, start transport) {
 		must(t, "reverse", err)
 
 		sh := start(t, f.cfg, "")
-		verb(t, sh, "replace", sh.Replace(f.project(t, f.held)))
+		verb(t, sh, "bootstrap", sh.Restructure(f.setup(f.held)))
 		before, epoch := f.answers(t, sh), sh.Pin().Epoch()
-		err = sh.Restructure(nil, nil, &mediate.Result{PMed: reversed})
+		err = sh.Restructure(f.keep(f.held, &mediate.Result{PMed: reversed}))
 		if err == nil {
 			t.Fatal("a reordered schema sequence was accepted over held sources")
 		}
@@ -246,22 +316,27 @@ func shardContract(t *testing.T, start transport) {
 		}
 	})
 
-	t.Run("ReplaceTwiceConverges", func(t *testing.T) {
+	t.Run("RestructureTwiceConverges", func(t *testing.T) {
 		sh := start(t, f.cfg, "")
-		verb(t, sh, "replace", sh.Replace(f.project(t, f.held)))
+		verb(t, sh, "bootstrap", sh.Restructure(f.setup(f.held)))
 		epoch, once := sh.Pin().Epoch(), f.answers(t, sh)
-		verb(t, sh, "replace again", sh.Replace(f.project(t, f.held)))
+		verb(t, sh, "again", sh.Restructure(f.setup(f.held)))
 		if got := sh.Pin().Epoch(); got != epoch+1 {
-			t.Errorf("second replace: epoch %d -> %d, want one commit", epoch, got)
+			t.Errorf("second restructure: epoch %d -> %d, want one commit", epoch, got)
 		}
-		wantSame(t, "second replace", once, f.answers(t, sh))
+		wantSame(t, "second restructure", once, f.answers(t, sh))
+		// A rebuild's change carries no rows for sources the shard holds.
+		rebuild := f.setup(f.held)
+		rebuild.Add = nil
+		verb(t, sh, "rows-less rebuild", sh.Restructure(rebuild))
+		wantSame(t, "rows-less rebuild", once, f.answers(t, sh))
 	})
 
 	t.Run("StoreLifecycle", func(t *testing.T) {
 		// A donor shard produces a real WAL holding one feedback record.
 		donorDir := t.TempDir()
 		donor := start(t, f.cfg, donorDir)
-		verb(t, donor, "donor replace", donor.Replace(f.project(t, f.held)))
+		verb(t, donor, "donor bootstrap", donor.Restructure(f.setup(f.held)))
 		pristine := f.answers(t, donor)
 		cands, err := donor.Pin().Candidates(context.Background(), 1)
 		if err != nil || len(cands) == 0 {
@@ -283,7 +358,7 @@ func shardContract(t *testing.T, start transport) {
 		// An empty shard keeps no store files.
 		dir := t.TempDir()
 		sh := start(t, f.cfg, dir)
-		verb(t, sh, "empty replace", sh.Replace(f.project(t, nil)))
+		verb(t, sh, "empty bootstrap", sh.Restructure(f.keep(nil, f.blue.Med)))
 		if got := storeFiles(t, dir); len(got) != 0 {
 			t.Fatalf("empty shard keeps files: %v", got)
 		}
@@ -291,7 +366,7 @@ func shardContract(t *testing.T, start transport) {
 		// first source opens a store and checkpoints — without replaying it.
 		must(t, "plant stale wal", os.MkdirAll(dir, 0o755))
 		must(t, "plant stale wal", os.WriteFile(filepath.Join(dir, "wal.log"), staleWAL, 0o644))
-		verb(t, sh, "first sources", sh.Restructure(f.held, nil, f.blue.Med))
+		verb(t, sh, "first sources", sh.Restructure(f.setup(f.held)))
 		if !persist.HasSnapshot(dir) {
 			t.Fatalf("first source wrote no checkpoint; files: %v", storeFiles(t, dir))
 		}
@@ -305,8 +380,8 @@ func shardContract(t *testing.T, start transport) {
 		wantSame(t, "after restart", fedBack, f.answers(t, sh))
 
 		// The last source leaving takes the store files with it.
-		for _, src := range f.held {
-			verb(t, sh, "drop "+src.Name, sh.Restructure(nil, []string{src.Name}, f.blue.Med))
+		for i, src := range f.held {
+			verb(t, sh, "drop "+src.Name, sh.Restructure(f.keep(f.held[i+1:], f.blue.Med)))
 		}
 		if got := storeFiles(t, dir); len(got) != 0 {
 			t.Fatalf("emptied shard keeps files: %v", got)

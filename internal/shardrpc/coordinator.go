@@ -1,7 +1,6 @@
 package shardrpc
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,9 +12,7 @@ import (
 	"udi/internal/core"
 	"udi/internal/feedback"
 	"udi/internal/httpapi"
-	"udi/internal/mediate"
 	"udi/internal/obs"
-	"udi/internal/persist"
 	"udi/internal/schema"
 	"udi/internal/shard"
 	"udi/internal/sqlparse"
@@ -27,10 +24,10 @@ type CoordinatorOptions struct {
 	Client client.Options
 	// Obs receives coordinator metrics; nil uses obs.Default.
 	Obs *obs.Registry
-	// OpTimeout bounds each mutation RPC (feedback, restructure,
-	// replace). A hung shard host then fails the mutation with a typed
-	// shard_unavailable instead of blocking forever. 0 means no bound
-	// (the previous behavior).
+	// OpTimeout bounds each mutation RPC (feedback, restructure). A hung
+	// shard host then fails the mutation with a typed shard_unavailable
+	// instead of blocking forever. 0 means no bound (the previous
+	// behavior).
 	OpTimeout time.Duration
 }
 
@@ -44,9 +41,8 @@ type CoordinatorOptions struct {
 //
 // The coordinator journals nothing: durability lives on the shard hosts
 // (each checkpoints structural state and write-ahead-logs feedback). A
-// coordinator restart re-runs setup and pushes fresh state; the
-// structural RPCs are idempotent, so a re-push over surviving hosts
-// converges.
+// coordinator restart re-runs setup and pushes fresh state; restructure
+// says what a host becomes, so a re-push over surviving hosts converges.
 //
 // Partial failure is never silent: if any shard cannot answer, the read
 // fails with a typed shard_unavailable error instead of merging an
@@ -57,9 +53,9 @@ type Coordinator struct {
 }
 
 // NewCoordinator sets up a networked sharded system over the corpus: the
-// coordinator's one global setup computes the mediation and per-source
-// artifacts locally, and each shard host receives the projection
-// covering its sources via a replace push. One address entry per shard;
+// coordinator's one global setup computes the mediation and every
+// p-mapping locally, and each shard host receives its sources' rows and
+// p-mappings in one restructure. One address entry per shard;
 // the shard index is the position in addrs, and source→shard routing is
 // shard.ShardOf. An entry may carry a replica read set after the
 // primary, semicolon-separated ("primary;replica1;replica2"): replicas
@@ -124,30 +120,23 @@ func (co *Coordinator) checkProtocol(ctx context.Context) error {
 // go to the read set's primary, each under its own OpTimeout; reads go
 // through readLeg (routing.go).
 
-// op runs one mutation RPC under its own per-op timeout and records the
-// epoch the host answers with. Mutations are coordinator-initiated (no
+// opDo runs one JSON mutation RPC against the primary under its own
+// per-op timeout and records the epoch the host answers with; retry is
+// false only for feedback. Mutations are coordinator-initiated (no
 // caller context), so a deadline expiry here is the op timeout and
 // opError maps it to a typed shard_unavailable.
-func (st *stub) op(do func(ctx context.Context, out *MutationResponse) error) error {
+func (st *stub) opDo(path string, in any, retry bool) error {
 	ctx, cancel := context.Background(), context.CancelFunc(func() {})
 	if st.opTimeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, st.opTimeout)
 	}
 	defer cancel()
 	var out MutationResponse
-	if err := do(ctx, &out); err != nil {
+	if err := st.primary.c.Do(ctx, http.MethodPost, path, in, &out, retry); err != nil {
 		return st.opError(err)
 	}
 	st.epoch.Store(out.Epoch)
 	return nil
-}
-
-// opDo is op for a JSON request to the primary; retry is false only for
-// feedback.
-func (st *stub) opDo(path string, in any, retry bool) error {
-	return st.op(func(ctx context.Context, out *MutationResponse) error {
-		return st.primary.c.Do(ctx, http.MethodPost, path, in, out, retry)
-	})
 }
 
 // opError is rpcError for mutation paths: the per-op timeout expiring
@@ -198,32 +187,13 @@ func (st *stub) Feedback(fb core.Feedback) error {
 	return st.opDo("/v1/shard/feedback", FeedbackRequest{Proto: Version, Feedback: fb}, false)
 }
 
-// Restructure and Replace are idempotent on the host (it drives the same
-// shard.Local the in-process transport is), so transport-level retries
-// cannot double-apply. The host checkpoints inside each of them.
-func (st *stub) Restructure(add []*schema.Source, drop []string, med *mediate.Result) error {
-	return st.opDo("/v1/shard/restructure", RestructureRequest{Proto: Version,
-		Sources: EncodeSources(add), Drop: drop, Med: EncodeMed(med)}, true)
-}
-
-// Replace ships the shard's full projection: persist snapshot bytes for a
-// non-empty projection, the JSON empty form otherwise. Always addressed
-// to the primary: replicas pick the new state up by re-bootstrapping when
-// the primary's state generation moves.
-func (st *stub) Replace(proj *core.System) error {
-	sn := proj.Snapshot()
-	if len(sn.Corpus.Sources) == 0 {
-		return st.opDo("/v1/shard/replace", ReplaceEmptyRequest{Proto: Version, Empty: true,
-			Domain: sn.Corpus.Domain, Med: EncodeMed(sn.Med), Target: sn.Target.Clusters()}, true)
-	}
-	var buf bytes.Buffer
-	if err := persist.Save(&buf, proj); err != nil {
-		return err
-	}
-	hdr := map[string]string{"X-UDI-Proto": fmt.Sprintf("%d", Version)}
-	return st.op(func(ctx context.Context, out *MutationResponse) error {
-		return st.primary.c.DoRaw(ctx, http.MethodPost, "/v1/shard/replace", "application/octet-stream", buf.Bytes(), hdr, out, true)
-	})
+// Restructure is idempotent on the host (it drives the same shard.Local
+// the in-process transport is), so transport-level retries cannot
+// double-apply. The host checkpoints inside it. Always addressed to the
+// primary: replicas pick the new state up by re-bootstrapping when the
+// primary's state generation moves.
+func (st *stub) Restructure(ch shard.Change) error {
+	return st.opDo("/v1/shard/restructure", EncodeChange(ch), true)
 }
 
 // Checkpoint and Close have nothing to do: durability is the host's (it

@@ -373,7 +373,7 @@ func TestStructuralRetryDoesNotDoubleApply(t *testing.T) {
 	src := schema.MustNewSource("fresh01", []string{"name", "phone"},
 		[][]string{{"ada", "555-0100"}, {"lin", "555-0101"}})
 	// Drop the response of the first structural RPC AddSources issues
-	// (adopt on the fast path, replace on a rebuild — both idempotent).
+	// (a restructure on either path — idempotent).
 	p.set("drop-response", "", 1)
 	ofast, oerr := oracle.AddSources([]*schema.Source{src})
 	cfast, cerr := co.AddSources([]*schema.Source{src})

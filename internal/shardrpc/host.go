@@ -16,7 +16,6 @@ import (
 	"udi/internal/httpapi"
 	"udi/internal/obs"
 	"udi/internal/persist"
-	"udi/internal/schema"
 	"udi/internal/shard"
 	"udi/internal/sqlparse"
 )
@@ -42,14 +41,14 @@ type HostOptions struct {
 // idempotence and the store lifecycle the in-process coordinator drives —
 // and owns only what the wire adds: request decoding, the error envelope
 // and the state generation counter. It starts empty (every read answers
-// CodeNotReady) until a coordinator pushes state via /v1/shard/replace —
+// CodeNotReady) until a coordinator's first restructure bootstraps it —
 // or, in durable mode, until it warm-starts from its own data directory.
 //
-// Structural mutations (restructure, replace) are NOT logged —
-// their replay semantics are coordinator-global. Durability for them is
-// a forced checkpoint after apply; visibility for WAL followers is the
-// state generation counter, which tells a replica that replay alone
-// cannot reproduce the change and it must re-bootstrap.
+// Restructures are NOT logged — their replay semantics are
+// coordinator-global. Durability for them is a forced checkpoint after
+// apply; visibility for WAL followers is the state generation counter,
+// which tells a replica that replay alone cannot reproduce the change
+// and it must re-bootstrap.
 type Host struct {
 	cfg   core.Config
 	reg   *obs.Registry
@@ -114,7 +113,6 @@ func (h *Host) Handler() http.Handler {
 	}.Mount(mux)
 	mux.HandleFunc("POST /v1/shard/feedback", h.handleFeedback)
 	mux.HandleFunc("POST /v1/shard/restructure", h.handleRestructure)
-	mux.HandleFunc("POST /v1/shard/replace", h.handleReplace)
 	mux.HandleFunc("GET /v1/shard/state", h.handleState)
 	mux.HandleFunc("GET /v1/wal", h.handleWAL)
 	return mux
@@ -298,17 +296,26 @@ func badRequest(w http.ResponseWriter, err error) {
 	httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
 }
 
-// structural is the one shape of the two structural handlers once the
-// request is decoded: run the shard.Local verb, checkpoint (structural
-// changes are never logged, so durability is a forced checkpoint — or,
-// for a shard left empty, no store files at all), advance the state
-// generation, acknowledge. A verb that fails changed nothing and answers
-// 400. Retrying any of them is safe: the verbs are idempotent (see
-// shard.Shard).
-func (h *Host) structural(w http.ResponseWriter, counter string, verb func() error) {
+// handleRestructure runs the one structural verb, the one mutation a
+// stateless host accepts. It checkpoints after the verb (a restructure
+// is never logged, so durability is a forced checkpoint — or, for a
+// shard left empty, no store files at all), advances the state
+// generation and acknowledges. A body the decoders refuse, or a change
+// the shard refuses (a listed name neither held nor added, a mediation
+// the held p-mappings were not built for), answers 400 with nothing
+// changed. Retrying is safe: the verb is idempotent (see shard.Shard).
+func (h *Host) handleRestructure(w http.ResponseWriter, r *http.Request) {
+	var req RestructureRequest
+	if !decode(w, r, &req, &req.Proto) {
+		return
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := verb(); err != nil {
+	ch, err := DecodeChange(req)
+	if err == nil {
+		err = h.local.Restructure(ch)
+	}
+	if err != nil {
 		badRequest(w, err)
 		return
 	}
@@ -317,80 +324,8 @@ func (h *Host) structural(w http.ResponseWriter, counter string, verb func() err
 		return
 	}
 	gen := h.stateGen.Add(1)
-	h.reg.Add("shardrpc.host."+counter, 1)
+	h.reg.Add("shardrpc.host.restructures", 1)
 	writeJSON(w, http.StatusOK, MutationResponse{Epoch: h.local.Sys().Snapshot().Epoch, StateGen: gen})
-}
-
-// handleRestructure runs the one fast-path structural verb. A body the
-// decoders refuse, or a change the shard refuses (an unbuildable source, a
-// mediation the held p-mappings were not built for), answers 400 with
-// nothing changed.
-func (h *Host) handleRestructure(w http.ResponseWriter, r *http.Request) {
-	var req RestructureRequest
-	if !decode(w, r, &req, &req.Proto) || h.ready(w) == nil {
-		return
-	}
-	h.structural(w, "restructures", func() error {
-		med, err := DecodeMed(req.Med)
-		if err != nil {
-			return err
-		}
-		srcs, err := DecodeSources(req.Sources)
-		if err != nil {
-			return err
-		}
-		return h.local.Restructure(srcs, req.Drop, med)
-	})
-}
-
-// handleReplace installs a wholesale state replacement: either a persist
-// snapshot stream (Content-Type application/octet-stream) or the JSON
-// empty-projection form. It is the one structural verb a stateless host
-// accepts.
-func (h *Host) handleReplace(w http.ResponseWriter, r *http.Request) {
-	var next func() (*core.System, error)
-	if r.Header.Get("Content-Type") == "application/json" {
-		var req ReplaceEmptyRequest
-		if !decode(w, r, &req, &req.Proto) {
-			return
-		}
-		if !req.Empty {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery,
-				"JSON replace form is only for empty projections; ship a snapshot stream otherwise", nil)
-			return
-		}
-		next = func() (*core.System, error) {
-			med, err := DecodeMed(req.Med)
-			if err != nil {
-				return nil, err
-			}
-			target, err := schema.FromClusters(req.Target)
-			if err != nil {
-				return nil, fmt.Errorf("shardrpc: wire target: %w", err)
-			}
-			return core.NewEmptyShard(req.Domain, h.cfg, med, target)
-		}
-	} else {
-		if v := r.Header.Get("X-UDI-Proto"); v != strconv.Itoa(Version) {
-			httpapi.WriteError(w, http.StatusBadRequest, CodeProtocolMismatch,
-				fmt.Sprintf("protocol version %q, host speaks %d", v, Version), nil)
-			return
-		}
-		next = func() (*core.System, error) {
-			sys, _, err := persist.LoadWithSeq(r.Body, h.cfg)
-			if err != nil {
-				return nil, fmt.Errorf("bad snapshot stream: %v", err)
-			}
-			return sys, nil
-		}
-	}
-	h.structural(w, "replaces", func() error {
-		proj, err := next()
-		if err != nil {
-			return err
-		}
-		return h.local.Replace(proj)
-	})
 }
 
 // handleState streams the bootstrap snapshot a replica loads before

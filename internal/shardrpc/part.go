@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -70,10 +71,18 @@ var ErrBadPart = errors.New("shardrpc: bad partial-result frame")
 // entries, so each part is built in its own buffer and assembled last.
 type partEncoder struct {
 	strs, tups, body, frame []byte
-	key                     []byte // scratch: the tuple key being looked up
+	key                     []byte      // scratch: the tuple key being looked up
+	keys                    []string    // scratch: one source's tuple keys no instance carried
+	ents                    []partEntry // scratch: one source's tuple entries
 	strIDs                  map[string]uint32
 	tupIDs                  map[string]uint32 // by answer.TupleKey
 	tuples                  [][]string        // tuple id → values
+}
+
+// partEntry is one per-source tuple probability awaiting its place.
+type partEntry struct {
+	id uint32
+	p  float64
 }
 
 var partEncoders = sync.Pool{New: func() any {
@@ -92,7 +101,8 @@ func (e *partEncoder) release() {
 	clear(e.strIDs)
 	clear(e.tupIDs)
 	clear(e.tuples)
-	e.strs, e.tups, e.body, e.tuples = e.strs[:0], e.tups[:0], e.body[:0], e.tuples[:0]
+	clear(e.keys[:cap(e.keys)])
+	e.strs, e.tups, e.body, e.tuples, e.keys, e.ents = e.strs[:0], e.tups[:0], e.body[:0], e.tuples[:0], e.keys[:0], e.ents[:0]
 	partEncoders.Put(e)
 }
 
@@ -161,15 +171,26 @@ func (e *partEncoder) encode(epoch uint64, rs *answer.ResultSet) []byte {
 	for _, sp := range rs.PerSource {
 		b = binary.AppendUvarint(b, e.str(sp.Source))
 		b = binary.AppendUvarint(b, uint64(len(sp.Probs)))
+		// Tuple-id order, not map order: the same result encodes to the
+		// same bytes, so a checked-in frame regenerates byte for byte. A
+		// tuple no instance carried takes its id here, in key order.
+		e.ents, e.keys = e.ents[:0], e.keys[:0]
 		for key, p := range sp.Probs {
-			id, ok := e.tupIDs[key]
-			if !ok {
-				// No instance carried this tuple; any split that joins
-				// back to the key names it.
-				id = uint32(e.tuple(strings.Split(key, "\x1f")))
+			if id, ok := e.tupIDs[key]; ok {
+				e.ents = append(e.ents, partEntry{id, p})
+			} else {
+				e.keys = append(e.keys, key)
 			}
-			b = binary.AppendUvarint(b, uint64(id))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p))
+		}
+		slices.Sort(e.keys)
+		for _, key := range e.keys {
+			// Any split that joins back to the key names it.
+			e.ents = append(e.ents, partEntry{uint32(e.tuple(strings.Split(key, "\x1f"))), sp.Probs[key]})
+		}
+		slices.SortFunc(e.ents, func(a, b partEntry) int { return cmp.Compare(a.id, b.id) })
+		for _, en := range e.ents {
+			b = binary.AppendUvarint(b, uint64(en.id))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(en.p))
 		}
 	}
 	e.body = b

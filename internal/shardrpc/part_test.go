@@ -539,6 +539,27 @@ func TestPartCorpusIsCarFrames(t *testing.T) {
 	}
 }
 
+// TestPartFrameIsByteStable: one result encodes to one byte string —
+// per-source entries follow the tuple table, not map order — so every
+// checked-in seed is exactly what this build writes for its query.
+func TestPartFrameIsByteStable(t *testing.T) {
+	for name, rs := range carFrames(t) {
+		raw, err := os.ReadFile(filepath.Join(partCorpusDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(shardrpc.EncodePart(1, rs))) + ")\n"
+		if string(raw) != want {
+			t.Errorf("%s: this build encodes its query to other bytes (rerun with -update-corpus after a format change)", name)
+		}
+		for i := 0; i < 5; i++ {
+			if again := shardrpc.EncodePart(1, rs); !bytes.Equal(again, shardrpc.EncodePart(1, rs)) {
+				t.Fatalf("%s: two encodings of one result differ", name)
+			}
+		}
+	}
+}
+
 // sameBits is DeepEqual on the merge inputs with probabilities compared
 // as bit patterns, so a NaN a fuzzer wrote equals itself.
 func sameBits(a, b *answer.ResultSet) bool {

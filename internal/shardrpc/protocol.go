@@ -13,8 +13,7 @@
 //	POST /v1/shard/explain     one shard's provenance contributions
 //	POST /v1/shard/candidates  one shard's feedback question queue
 //	POST /v1/shard/feedback    apply feedback owned by this shard (NOT idempotent)
-//	POST /v1/shard/restructure add and drop sources, install the refreshed mediation (idempotent)
-//	POST /v1/shard/replace     wholesale state replacement (idempotent)
+//	POST /v1/shard/restructure become the pushed corpus, mediation, target and p-mappings (idempotent)
 //	GET  /v1/shard/state       bootstrap snapshot for replicas
 //	GET  /v1/wal?from=N        committed WAL tail frames for replicas
 //
@@ -29,6 +28,8 @@
 // patterns (math.Float64bits) — raw in the query leg's binary frame,
 // integers in the JSON bodies — so merged answers are `==`-identical to
 // the in-process merge no matter what intermediaries re-encode the JSON.
+// The p-mappings a restructure carries use the persist snapshot's codec,
+// whose JSON numbers encoding/json writes in round-trip-exact form.
 package shardrpc
 
 import (
@@ -39,7 +40,9 @@ import (
 	"udi/internal/core"
 	"udi/internal/feedback"
 	"udi/internal/mediate"
+	"udi/internal/persist"
 	"udi/internal/schema"
+	"udi/internal/shard"
 )
 
 // Version is the shard RPC protocol version. A coordinator refuses to
@@ -48,16 +51,18 @@ import (
 // mixing them would corrupt merges rather than fail typed. The refusal
 // is the only compatibility mechanism — nothing is negotiated. Version 2
 // replaced the JSON query response of version 1 with the frame; version
-// 3 replaced the adopt, drop and mediation routes with restructure.
-const Version = 3
+// 3 replaced the adopt, drop and mediation routes with restructure;
+// version 4 folded replace into restructure, whose body now carries the
+// shard's corpus, target and p-mappings.
+const Version = 4
 
 // StatusResponse is the GET /v1/shard/status body.
 type StatusResponse struct {
 	Proto int  `json:"proto"`
 	Ready bool `json:"ready"`
 	// Epoch is the shard core's commit counter; StateGen counts
-	// structural (non-WAL-logged) state changes — restructure, replace —
-	// so WAL followers know when replay alone cannot catch them up.
+	// structural (non-WAL-logged) state changes — restructures — so WAL
+	// followers know when replay alone cannot catch them up.
 	Epoch      uint64 `json:"epoch"`
 	StateGen   uint64 `json:"state_gen"`
 	NumSources int    `json:"num_sources"`
@@ -129,29 +134,19 @@ type FeedbackResponse struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// RestructureRequest is the POST /v1/shard/restructure body: the
-// sources this shard gains and the names it loses out of one coordinator
-// mutation, plus the globally refreshed mediation it serves afterwards
-// (shard.Shard.Restructure). Idempotent: sources already present are
-// skipped, absent names drop nothing, and the mediation is (re)installed
-// regardless, mirroring the durable coordinator's redo.
+// RestructureRequest is the POST /v1/shard/restructure body: one
+// shard.Change. Sources names the shard's corpus afterwards in global
+// order, Add carries rows only for the sources the shard may lack, and
+// Maps the p-mappings that change, indexed by Med's schema sequence.
+// Idempotent: it says what the shard becomes, so re-sending converges.
 type RestructureRequest struct {
-	Proto   int          `json:"proto"`
-	Sources []WireSource `json:"sources"`
-	Drop    []string     `json:"drop"`
-	Med     WireMed      `json:"med"`
-}
-
-// ReplaceEmptyRequest is the JSON POST /v1/shard/replace body for the
-// zero-source projection (an empty corpus cannot be snapshotted). A
-// non-empty replacement ships the persist snapshot bytes instead, with
-// Content-Type application/octet-stream.
-type ReplaceEmptyRequest struct {
-	Proto  int        `json:"proto"`
-	Empty  bool       `json:"empty"`
-	Domain string     `json:"domain"`
-	Med    WireMed    `json:"med"`
-	Target [][]string `json:"target"`
+	Proto   int                  `json:"proto"`
+	Domain  string               `json:"domain"`
+	Sources []string             `json:"sources"`
+	Add     []WireSource         `json:"add"`
+	Med     WireMed              `json:"med"`
+	Target  [][]string           `json:"target"`
+	Maps    []persist.SourceMaps `json:"maps"`
 }
 
 // MutationResponse acknowledges an applied structural mutation.
@@ -208,6 +203,35 @@ func DecodeMed(w WireMed) (*mediate.Result, error) {
 		return nil, fmt.Errorf("shardrpc: wire p-med-schema: %w", err)
 	}
 	return &mediate.Result{PMed: pmed}, nil
+}
+
+// EncodeChange flattens one shard.Change to its restructure body.
+func EncodeChange(ch shard.Change) RestructureRequest {
+	return RestructureRequest{Proto: Version, Domain: ch.Domain, Sources: ch.Sources,
+		Add: EncodeSources(ch.Add), Med: EncodeMed(ch.Med), Target: ch.Target.Clusters(),
+		Maps: persist.EncodeMaps(ch.Sources, ch.Maps)}
+}
+
+// DecodeChange rebuilds (and validates) the change a restructure body
+// carries; whether it fits the shard's state is the verb's to judge.
+func DecodeChange(req RestructureRequest) (shard.Change, error) {
+	med, err := DecodeMed(req.Med)
+	if err != nil {
+		return shard.Change{}, err
+	}
+	target, err := schema.FromClusters(req.Target)
+	if err != nil {
+		return shard.Change{}, fmt.Errorf("shardrpc: wire target: %w", err)
+	}
+	add, err := DecodeSources(req.Add)
+	if err != nil {
+		return shard.Change{}, err
+	}
+	maps, err := persist.DecodeMaps(req.Maps, med.PMed)
+	if err != nil {
+		return shard.Change{}, fmt.Errorf("shardrpc: wire p-mappings: %w", err)
+	}
+	return shard.Change{Domain: req.Domain, Sources: req.Sources, Add: add, Med: med, Target: target, Maps: maps}, nil
 }
 
 // EncodeSources flattens source tables.
