@@ -2,10 +2,10 @@
 # gofmt check, build, the full test suite under the race detector, the
 # named soaks rerun, the no-skip and oracle-never-ships guards, and a
 # short fuzzing pass over the SQL parser, the shard RPC partial-result
-# decoder, the shard RPC restructure body's decoders, the cross-source
-# combine, the CSV round trip, the compiled attribute-name similarity
-# against its string definition and the p-mapping group split against
-# its string-keyed predecessor.
+# decoder, the shard RPC restructure body's decoders, the WAL shipping
+# stream's frame reader, the cross-source combine, the CSV round trip,
+# the compiled attribute-name similarity against its string definition
+# and the p-mapping group split against its string-keyed predecessor.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePart -fuzztime=$(FUZZTIME) ./internal/shardrpc
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeRestructure -fuzztime=$(FUZZTIME) ./internal/shardrpc
+	$(GO) test -run '^$$' -fuzz=FuzzReadFrames -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz=FuzzRankMatchesQuadratic -fuzztime=$(FUZZTIME) ./internal/answer
 	$(GO) test -run '^$$' -fuzz=FuzzCSVRoundTrip -fuzztime=$(FUZZTIME) ./internal/csvio
 	$(GO) test -run '^$$' -fuzz=FuzzAttrSimCompiled -fuzztime=$(FUZZTIME) ./internal/strutil

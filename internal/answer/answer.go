@@ -9,12 +9,14 @@
 //   - across sources, probabilities combine by independent disjunction
 //     p = 1 − Π(1 − p_i).
 //
-// A scan (ScanPMed, ScanConsolidated) produces a part: per-occurrence
-// instances (one per matching source row, used by the precision/recall
-// evaluation which keeps duplicates, §7.1) and every contributing
-// source's tuple probabilities. Rank alone combines a part's sources into
-// the ranked deduplicated answer list (used for the R-P curves of §7.4,
-// where duplicates are eliminated and probabilities combined), and
+// A scan (ScanPMed, ScanConsolidated) produces a part: every contributing
+// source's tuple probabilities and its occurrence count — the distinct
+// (row, tuple) pairs it produced — and, only when the caller asks for
+// them (WithInstances), the occurrences themselves as instances (used by
+// by-tuple ranking and by the precision/recall evaluation, which keeps
+// duplicates, §7.1). Rank alone combines a part's sources into the
+// ranked deduplicated answer list (used for the R-P curves of §7.4, where
+// duplicates are eliminated and probabilities combined), and
 // MergeResultSets gathers the parts of a partitioned corpus into one
 // before ranking it the same way.
 package answer
@@ -60,17 +62,33 @@ type Answer struct {
 type SourceTupleProbs struct {
 	Source string
 	Probs  map[string]float64
+	// Occurrences counts the source's distinct (row, tuple) pairs: its
+	// instances, whether or not the scan listed them.
+	Occurrences int
 }
 
 // TupleKey joins tuple values into the key used by SourceTupleProbs.
 func TupleKey(values []string) string { return tupleKey(values) }
 
+// Detail says what a scan keeps of the answer occurrences it finds.
+type Detail uint8
+
+const (
+	// CountOnly keeps each source's occurrence count: all the by-table
+	// answer (Definition 3.3) and its /v1/query response read.
+	CountOnly Detail = iota
+	// WithInstances also lists every occurrence as an Instance: what
+	// by-tuple ranking and the §7.1 evaluation read.
+	WithInstances
+)
+
 // ResultSet bundles the views of a query result. A part — what a scan
-// returns, and what a shard leg hands the merge — carries Instances and
-// PerSource only; Ranked is nil on it until Rank sets it.
+// returns, and what a shard leg hands the merge — carries PerSource and,
+// when the scan listed them, Instances; Ranked is nil on it until Rank
+// sets it.
 type ResultSet struct {
 	// Instances is per-occurrence, duplicates preserved, in (source, row,
-	// values) order.
+	// values) order. Nil unless the scan ran WithInstances.
 	Instances []Instance
 	// Ranked is deduplicated, sorted by descending probability.
 	Ranked []Answer
@@ -80,11 +98,23 @@ type ResultSet struct {
 	PerSource []SourceTupleProbs
 }
 
+// Occurrences is the number of answer occurrences — distinct (source
+// row, tuple) pairs — in the result: the sum of the per-source counts,
+// which equals len(Instances) when the scan listed them.
+func (rs *ResultSet) Occurrences() int {
+	n := 0
+	for _, sp := range rs.PerSource {
+		n += sp.Occurrences
+	}
+	return n
+}
+
 // ByTupleRanking recomputes the ranked answers under by-tuple semantics
 // (Dong et al.'s alternative to the by-table semantics the paper adopts,
-// §3): instead of one mapping applying to a whole source table, every
-// tuple draws its mapping independently, so a tuple appearing in several
-// rows combines by disjunction across rows as well as across sources:
+// §3) from the instances, so it needs a WithInstances scan: instead of
+// one mapping applying to a whole source table, every tuple draws its
+// mapping independently, so a tuple appearing in several rows combines
+// by disjunction across rows as well as across sources:
 // p(t) = 1 − Π_{(source,row)} (1 − p_{row,t}).
 //
 // By-tuple probabilities dominate by-table ones (more independent chances
@@ -103,7 +133,8 @@ type Engine struct {
 	// order, so answers are deterministic). Defaults to GOMAXPROCS.
 	Parallelism int
 	// Obs receives per-scan metrics: histograms query.seconds (scan
-	// latency) and query.instances (answer occurrences), and counters
+	// latency) and query.instances (answer occurrences, counted whether
+	// or not the scan lists them), and counters
 	// query.count, query.canceled, plan_cache.hits, plan_cache.misses,
 	// plan_cache.invalidations. Ranking is not a scan: whoever calls Rank
 	// times it. Nil disables recording. Set it through
@@ -158,15 +189,16 @@ func (e *Engine) InvalidatePlans() {
 }
 
 // runPerSource evaluates work for every source — in parallel when
-// Parallelism allows — into per-source accumulators, then concatenates
-// them in source order into one part, identical to a serial run's. It
-// does not combine sources: that is Rank's job. The context is
-// checked before each source is dispatched (and, via the table scans,
-// every cancelCheckRows rows inside one), so an expired deadline stops
-// the query instead of letting it run to completion; cancellation is
-// reported through the query.canceled counter.
-func (e *Engine) runPerSource(ctx context.Context, work func(ctx context.Context, src *schema.Source, acc *accumulator) error) (*ResultSet, error) {
-	rs, err := e.runPerSourceInner(ctx, work)
+// Parallelism allows — into per-source results, then gathers them in
+// source order into one part, identical to a serial run's. It does not
+// combine sources: that is Rank's job. d says whether the part lists
+// instances. The context is checked before each source is dispatched
+// (and, via the table scans, every cancelCheckRows rows inside one), so
+// an expired deadline stops the query instead of letting it run to
+// completion; cancellation is reported through the query.canceled
+// counter.
+func (e *Engine) runPerSource(ctx context.Context, d Detail, work func(ctx context.Context, src *schema.Source, acc *accumulator) error) (*ResultSet, error) {
+	rs, err := e.runPerSourceInner(ctx, d, work)
 	if err != nil && isCancellation(err) && e.Obs.Enabled() {
 		e.Obs.Add("query.canceled", 1)
 	}
@@ -179,23 +211,29 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func (e *Engine) runPerSourceInner(ctx context.Context, work func(ctx context.Context, src *schema.Source, acc *accumulator) error) (*ResultSet, error) {
+// sourceResult is what one source contributes to a part; a source that
+// matched no row leaves it zero.
+type sourceResult struct {
+	probs SourceTupleProbs
+	insts []Instance
+}
+
+func (e *Engine) runPerSourceInner(ctx context.Context, d Detail, work func(ctx context.Context, src *schema.Source, acc *accumulator) error) (*ResultSet, error) {
 	t0 := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	n := len(e.corpus.Sources)
-	accs := make([]*accumulator, n)
+	results := make([]sourceResult, n)
 	var (
 		next     atomic.Int64
 		mu       sync.Mutex
 		firstErr error
 	)
-	// run evaluates sources in turn until none is left or one fails. A
-	// source that matched no row leaves its accumulator untouched, and the
-	// next source reuses it.
+	// run evaluates sources in turn until none is left or one fails, on
+	// one accumulator whose scratch every source it takes reuses.
 	run := func() {
-		acc := newAccumulator()
+		acc := newAccumulator(d)
 		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			err := ctx.Err()
 			if err == nil {
@@ -209,12 +247,7 @@ func (e *Engine) runPerSourceInner(ctx context.Context, work func(ctx context.Co
 				mu.Unlock()
 				return
 			}
-			if len(acc.instList) == 0 {
-				continue
-			}
-			acc.finishSource()
-			accs[i] = acc
-			acc = newAccumulator()
+			results[i] = acc.finishSource()
 		}
 	}
 	if workers := min(e.Parallelism, n); workers <= 1 {
@@ -234,25 +267,23 @@ func (e *Engine) runPerSourceInner(ctx context.Context, work func(ctx context.Co
 		return nil, firstErr
 	}
 	part, total := &ResultSet{}, 0
-	for _, acc := range accs {
-		if acc != nil {
-			total += len(acc.instList)
+	for _, r := range results {
+		if r.probs.Occurrences > 0 {
+			part.PerSource = append(part.PerSource, r.probs)
+			total += r.probs.Occurrences
 		}
 	}
-	if total > 0 {
+	if d == WithInstances && total > 0 {
 		part.Instances = make([]Instance, 0, total)
-	}
-	for _, acc := range accs {
-		if acc != nil {
-			part.Instances = append(part.Instances, acc.instList...)
-			part.PerSource = append(part.PerSource, acc.tupleProbs...)
+		for _, r := range results {
+			part.Instances = append(part.Instances, r.insts...)
 		}
+		sortInstances(part.Instances)
 	}
-	sortInstances(part.Instances)
 	if e.Obs.Enabled() {
 		e.Obs.Add("query.count", 1)
 		e.Obs.Observe("query.seconds", time.Since(t0).Seconds())
-		e.Obs.Observe("query.instances", float64(len(part.Instances)))
+		e.Obs.Observe("query.instances", float64(total))
 	}
 	return part, nil
 }
@@ -275,9 +306,9 @@ type PMedInput struct {
 }
 
 // AnswerPMed answers q over the probabilistic mediated schema per
-// Definition 3.3: the ranked ScanPMed part.
+// Definition 3.3: the ranked ScanPMed part, instances listed.
 func (e *Engine) AnswerPMed(in PMedInput, q *sqlparse.Query) (*ResultSet, error) {
-	rs, err := e.ScanPMed(context.Background(), in, q)
+	rs, err := e.ScanPMed(context.Background(), in, q, WithInstances)
 	if err != nil {
 		return nil, err
 	}
@@ -289,16 +320,16 @@ func (e *Engine) AnswerPMed(in PMedInput, q *sqlparse.Query) (*ResultSet, error)
 // source-attribute names; each is replaced by the mediated attribute
 // (cluster) containing it. A possible schema that does not mediate some
 // query attribute contributes nothing; a mapping that leaves some query
-// attribute unmapped contributes nothing. The per-source scan loops poll
-// ctx, so a request deadline stops the query early with ctx.Err() instead
-// of serving a late answer.
-func (e *Engine) ScanPMed(ctx context.Context, in PMedInput, q *sqlparse.Query) (*ResultSet, error) {
+// attribute unmapped contributes nothing. d says whether the part lists
+// instances. The per-source scan loops poll ctx, so a request deadline
+// stops the query early with ctx.Err() instead of serving a late answer.
+func (e *Engine) ScanPMed(ctx context.Context, in PMedInput, q *sqlparse.Query, d Detail) (*ResultSet, error) {
 	key, attrs := planKey(q)
 	if plan, ok := e.Plans.lookup(in, key); ok {
 		if e.Obs.Enabled() {
 			e.Obs.Add("plan_cache.hits", 1)
 		}
-		return e.answerWithPlan(ctx, plan, q)
+		return e.answerWithPlan(ctx, plan, q, d)
 	}
 	plan, err := e.buildPlan(in, attrs)
 	if err != nil {
@@ -308,15 +339,15 @@ func (e *Engine) ScanPMed(ctx context.Context, in PMedInput, q *sqlparse.Query) 
 	if e.Obs.Enabled() {
 		e.Obs.Add("plan_cache.misses", 1)
 	}
-	return e.answerWithPlan(ctx, plan, q)
+	return e.answerWithPlan(ctx, plan, q, d)
 }
 
 // AnswerConsolidated answers q over the consolidated mediated schema T and
 // the consolidated one-to-many p-mappings (§6): the ranked
-// ScanConsolidated part. By Theorem 6.2 the result equals AnswerPMed on
-// the originating p-med-schema.
+// ScanConsolidated part, instances listed. By Theorem 6.2 the result
+// equals AnswerPMed on the originating p-med-schema.
 func (e *Engine) AnswerConsolidated(target *schema.MediatedSchema, maps map[string]*consolidate.PMapping, q *sqlparse.Query) (*ResultSet, error) {
-	rs, err := e.ScanConsolidated(context.Background(), target, maps, q)
+	rs, err := e.ScanConsolidated(context.Background(), target, maps, q, WithInstances)
 	if err != nil {
 		return nil, err
 	}
@@ -325,12 +356,12 @@ func (e *Engine) AnswerConsolidated(target *schema.MediatedSchema, maps map[stri
 
 // ScanConsolidated evaluates q over the consolidated schema and
 // p-mappings into a part, under a context (see ScanPMed).
-func (e *Engine) ScanConsolidated(ctx context.Context, target *schema.MediatedSchema, maps map[string]*consolidate.PMapping, q *sqlparse.Query) (*ResultSet, error) {
+func (e *Engine) ScanConsolidated(ctx context.Context, target *schema.MediatedSchema, maps map[string]*consolidate.PMapping, q *sqlparse.Query, d Detail) (*ResultSet, error) {
 	medIdxs, ok := queryMedIdxs(q, target)
 	if !ok {
 		return &ResultSet{}, nil // query attribute not mediated
 	}
-	return e.runPerSource(ctx, func(ctx context.Context, src *schema.Source, acc *accumulator) error {
+	return e.runPerSource(ctx, d, func(ctx context.Context, src *schema.Source, acc *accumulator) error {
 		cpm := maps[src.Name]
 		if cpm == nil {
 			return fmt.Errorf("answer: no consolidated p-mapping for source %q", src.Name)
@@ -385,35 +416,57 @@ func queryMedIdxs(q *sqlparse.Query, med *schema.MediatedSchema) (map[string]int
 	return attrsMedIdxs(q.Attrs(), med)
 }
 
-// accumulator gathers one source's per-row instance probabilities and
-// tuple probabilities.
+// accumulator gathers the answer occurrences of one source at a time —
+// between finishSource calls — into its tuple probabilities, its
+// occurrence count and, WithInstances, its instance list. Everything but
+// what finishSource hands out is scratch the next source reuses.
 type accumulator struct {
-	// instances finds an instance's index in instList, which holds them
-	// in first-seen order, by (source, row, values). Keys never collide
-	// across sources, so a part concatenates lists and needs no lookup.
-	instances map[instKey]int
-	instList  []Instance
-
-	// curTupleProb accumulates the current source's per-tuple by-table
-	// probability: within one assignment a tuple counts once (set
-	// semantics), across assignments its weights sum.
-	curSource    string
-	curTupleProb map[string]float64
-	tupleProbs   []SourceTupleProbs // one entry per finished source
-	// seen is the tuple set of the assignment being added, reused across
-	// assignments.
-	seen map[string]bool
-}
-
-type instKey struct {
+	detail Detail
 	source string
-	row    int
-	tuple  string
+
+	// tuples finds a tuple's index in tups by its key.
+	tuples map[string]int32
+	tups   []tupleAcc
+	// occs are the source's occurrences, its distinct (row, tuple) pairs,
+	// in first-seen order. rowOcc[r] is 1 + the index of row r's first
+	// occurrence (0: none yet); a row that projects to a second tuple
+	// under another assignment finds that occurrence through extra.
+	occs   []occurrence
+	rowOcc []int32
+	extra  map[occKey]int32
+
+	// assignment numbers the added assignments, so a tuple adds each
+	// assignment's weight once however many rows produce it.
+	assignment int
+	key        []byte // scratch: the tuple key being looked up
 }
 
-// newAccumulator returns an empty accumulator; addAssignment allocates
-// the maps it writes, sized to what it first sees.
-func newAccumulator() *accumulator { return &accumulator{} }
+// tupleAcc is one distinct tuple of the current source.
+type tupleAcc struct {
+	key    string
+	values []string
+	// prob is the source's by-table probability for the tuple: within one
+	// assignment the tuple counts once (set semantics), across
+	// assignments its weights sum. stamp is the last assignment added.
+	prob  float64
+	stamp int
+}
+
+// occurrence is one (row, tuple) pair with its accumulated probability.
+type occurrence struct {
+	row   int
+	tuple int32
+	prob  float64
+}
+
+type occKey struct {
+	row   int
+	tuple int32
+}
+
+func newAccumulator(d Detail) *accumulator {
+	return &accumulator{detail: d, tuples: make(map[string]int32)}
+}
 
 func tupleKey(values []string) string { return strings.Join(values, "\x1f") }
 
@@ -421,46 +474,88 @@ func tupleKey(values []string) string { return strings.Join(values, "\x1f") }
 // mapping assignment carrying the given probability weight: every matching
 // (row, values) occurrence accumulates the weight, and each distinct tuple
 // accumulates it once (by-table set semantics). rows are the scan's own
-// projections, which a new instance keeps as its Values. An accumulator
-// adds one source's assignments, between finishSource calls.
+// projections; a tuple keeps its first row's as its Values.
 func (a *accumulator) addAssignment(source string, rowIdxs []int, rows [][]string, weight float64) {
 	if len(rowIdxs) == 0 {
 		return
 	}
-	a.curSource = source
-	if a.instances == nil {
-		// The source's first assignment sizes the maps once instead of
-		// growing them row by row.
-		a.instances = make(map[instKey]int, len(rows))
-		a.instList = make([]Instance, 0, len(rows))
-		a.curTupleProb = make(map[string]float64, len(rows))
-		a.seen = make(map[string]bool, len(rows))
-	}
-	clear(a.seen)
+	a.source = source
+	a.assignment++
 	for i, r := range rowIdxs {
 		values := rows[i]
-		tk := tupleKey(values)
-		ik := instKey{source, r, tk}
-		if j, ok := a.instances[ik]; ok {
-			a.instList[j].Prob += weight
-		} else {
-			a.instances[ik] = len(a.instList)
-			a.instList = append(a.instList, Instance{Source: source, Row: r, Values: values, Prob: weight})
+		a.key = a.key[:0]
+		for j, v := range values {
+			if j > 0 {
+				a.key = append(a.key, '\x1f')
+			}
+			a.key = append(a.key, v...)
 		}
-		if !a.seen[tk] {
-			a.seen[tk] = true
-			a.curTupleProb[tk] += weight
+		t, ok := a.tuples[string(a.key)]
+		if !ok {
+			t = int32(len(a.tups))
+			k := string(a.key)
+			a.tuples[k] = t
+			a.tups = append(a.tups, tupleAcc{key: k, values: values})
 		}
+		if tu := &a.tups[t]; tu.stamp != a.assignment {
+			tu.stamp = a.assignment
+			tu.prob += weight
+		}
+		a.addOccurrence(r, t, weight)
 	}
 }
 
-// finishSource closes the per-source tuple accumulation into the
-// source's SourceTupleProbs entry.
-func (a *accumulator) finishSource() {
-	if len(a.curTupleProb) == 0 {
-		return
+// addOccurrence adds weight to the (row, tuple) occurrence, creating it
+// on first sight.
+func (a *accumulator) addOccurrence(row int, t int32, weight float64) {
+	if row >= len(a.rowOcc) {
+		grown := make([]int32, max(row+1, 2*len(a.rowOcc)))
+		copy(grown, a.rowOcc)
+		a.rowOcc = grown
 	}
-	a.tupleProbs = append(a.tupleProbs, SourceTupleProbs{Source: a.curSource, Probs: a.curTupleProb})
-	a.curTupleProb = make(map[string]float64)
-	a.curSource = ""
+	first := a.rowOcc[row]
+	switch {
+	case first == 0:
+		a.rowOcc[row] = int32(len(a.occs)) + 1
+	case a.occs[first-1].tuple == t:
+		a.occs[first-1].prob += weight
+		return
+	default:
+		k := occKey{row, t}
+		if j, ok := a.extra[k]; ok {
+			a.occs[j].prob += weight
+			return
+		}
+		if a.extra == nil {
+			a.extra = make(map[occKey]int32)
+		}
+		a.extra[k] = int32(len(a.occs))
+	}
+	a.occs = append(a.occs, occurrence{row: row, tuple: t, prob: weight})
+}
+
+// finishSource hands out the current source's result — zero when it
+// matched no row — and resets the scratch for the next source.
+func (a *accumulator) finishSource() sourceResult {
+	if len(a.occs) == 0 {
+		return sourceResult{}
+	}
+	probs := make(map[string]float64, len(a.tups))
+	for _, tu := range a.tups {
+		probs[tu.key] = tu.prob
+	}
+	res := sourceResult{probs: SourceTupleProbs{Source: a.source, Probs: probs, Occurrences: len(a.occs)}}
+	if a.detail == WithInstances {
+		res.insts = make([]Instance, len(a.occs))
+		for i, o := range a.occs {
+			res.insts[i] = Instance{Source: a.source, Row: o.row, Values: a.tups[o.tuple].values, Prob: o.prob}
+		}
+	}
+	for _, o := range a.occs {
+		a.rowOcc[o.row] = 0
+	}
+	clear(a.tuples)
+	clear(a.extra)
+	a.tups, a.occs, a.source = a.tups[:0], a.occs[:0], ""
+	return res
 }

@@ -21,7 +21,7 @@ func TestAnswerPMedCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := sqlparse.MustParse("SELECT name, phone FROM people")
-	if _, err := e.ScanPMed(ctx, in, q); !errors.Is(err, context.Canceled) {
+	if _, err := e.ScanPMed(ctx, in, q, CountOnly); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got := reg.Snapshot().Counters["query.canceled"]; got != 1 {
@@ -37,7 +37,7 @@ func TestAnswerPMedDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	q := sqlparse.MustParse("SELECT name, phone FROM people")
-	if _, err := e.ScanPMed(ctx, in, q); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.ScanPMed(ctx, in, q, CountOnly); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestAnswerPMedBackgroundUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := e.ScanPMed(context.Background(), in, q)
+	part, err := e.ScanPMed(context.Background(), in, q, CountOnly)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"udi/internal/mediate"
@@ -12,6 +13,7 @@ import (
 	"udi/internal/pmapping"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
+	"udi/internal/storage"
 )
 
 // Differential harness for the query-serving fast path. The plan cache,
@@ -126,10 +128,11 @@ func diffQuery(rng *rand.Rand, attrs []string) *sqlparse.Query {
 }
 
 // naiveAnswerPMed is the oracle of this harness: Definition 3.3 evaluated
-// straight off the p-mappings, with no plan, no cache and no merging of
-// identical rewrites. Each possible schema's query clusters are resolved
-// once, then every source re-derives every mapping assignment and scans
-// once per assignment.
+// straight off the p-mappings, with no plan, no cache, no merging of
+// identical rewrites and none of the engine's accumulator. Each possible
+// schema's query clusters are resolved once, then every source re-derives
+// every mapping assignment, scans once per assignment and keeps its
+// occurrences and tuple probabilities in plain maps.
 func naiveAnswerPMed(e *Engine, in PMedInput, q *sqlparse.Query) (*ResultSet, error) {
 	type schemaPlan struct {
 		medIdxs map[string]int
@@ -145,39 +148,98 @@ func naiveAnswerPMed(e *Engine, in PMedInput, q *sqlparse.Query) (*ResultSet, er
 			plans[l] = pl
 		}
 	}
-	part, err := e.runPerSource(context.Background(), func(ctx context.Context, src *schema.Source, acc *accumulator) error {
+	type occKey struct {
+		row   int
+		tuple string
+	}
+	part := &ResultSet{}
+	for _, src := range e.corpus.Sources {
 		pms := in.Maps[src.Name]
 		if len(pms) != in.PMed.Len() {
-			return fmt.Errorf("answer: source %q has %d p-mappings for %d schemas",
+			return nil, fmt.Errorf("answer: source %q has %d p-mappings for %d schemas",
 				src.Name, len(pms), in.PMed.Len())
 		}
+		occs := map[occKey]*Instance{}
+		probs := map[string]float64{}
 		for l := range in.PMed.Schemas {
 			pl := plans[l]
 			if pl == nil {
 				continue // some query attribute is not mediated by this schema
 			}
-			weight := in.PMed.Probs[l]
 			for _, asgn := range pms[l].AssignmentsFor(pl.idxList) {
 				if asgn.Prob == 0 {
 					continue
 				}
-				if err := e.scanAssignment(ctx, acc, src.Name, q, pl.medIdxs, asgn.MedToSrc, weight*asgn.Prob); err != nil {
-					return err
+				weight := in.PMed.Probs[l] * asgn.Prob
+				project := make([]string, len(q.Select))
+				preds := make([]storage.Pred, len(q.Where))
+				mapped := true
+				for i, a := range q.Select {
+					project[i], mapped = asgn.MedToSrc[pl.medIdxs[a]]
+					if !mapped {
+						break
+					}
+				}
+				for i, p := range q.Where {
+					if !mapped {
+						break
+					}
+					var attr string
+					attr, mapped = asgn.MedToSrc[pl.medIdxs[p.Attr]]
+					preds[i] = storage.Pred{Attr: attr, Op: p.Op, Literal: p.Literal}
+				}
+				if !mapped {
+					continue // the assignment leaves a query attribute unmapped
+				}
+				idxs, rows, err := e.tables[src.Name].SelectIdxCtx(context.Background(), project, preds)
+				if err != nil {
+					return nil, err
+				}
+				seen := map[string]bool{}
+				for i, r := range idxs {
+					tk := tupleKey(rows[i])
+					if inst, ok := occs[occKey{r, tk}]; ok {
+						inst.Prob += weight
+					} else {
+						occs[occKey{r, tk}] = &Instance{Source: src.Name, Row: r, Values: rows[i], Prob: weight}
+					}
+					if !seen[tk] {
+						seen[tk] = true
+						probs[tk] += weight
+					}
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		if len(occs) == 0 {
+			continue
+		}
+		part.PerSource = append(part.PerSource, SourceTupleProbs{Source: src.Name, Probs: probs, Occurrences: len(occs)})
+		for _, inst := range occs {
+			part.Instances = append(part.Instances, *inst)
+		}
 	}
+	sort.Slice(part.Instances, func(i, j int) bool {
+		a, b := part.Instances[i], part.Instances[j]
+		if a.Source != b.Source {
+			return a.Source < b.Source
+		}
+		if a.Row != b.Row {
+			return a.Row < b.Row
+		}
+		return tupleKey(a.Values) < tupleKey(b.Values)
+	})
 	return Rank(part), nil
 }
 
 // diffCompare asserts two result sets agree: identical instance
-// occurrences and ranked values/order, probabilities within probTol.
+// occurrences and occurrence counts, ranked values/order, probabilities
+// within probTol.
 func diffCompare(t *testing.T, label string, want, got *ResultSet) {
 	t.Helper()
+	if got.Occurrences() != len(want.Instances) || want.Occurrences() != len(want.Instances) {
+		t.Fatalf("%s: %d occurrences counted, want %d (the oracle counts %d)",
+			label, got.Occurrences(), len(want.Instances), want.Occurrences())
+	}
 	if len(got.Instances) != len(want.Instances) {
 		t.Fatalf("%s: %d instances, want %d", label, len(got.Instances), len(want.Instances))
 	}
@@ -208,9 +270,9 @@ func diffCompare(t *testing.T, label string, want, got *ResultSet) {
 	}
 	for i, w := range want.PerSource {
 		g := got.PerSource[i]
-		if g.Source != w.Source || len(g.Probs) != len(w.Probs) {
-			t.Fatalf("%s: per-source %d: got %s (%d tuples), want %s (%d tuples)",
-				label, i, g.Source, len(g.Probs), w.Source, len(w.Probs))
+		if g.Source != w.Source || len(g.Probs) != len(w.Probs) || g.Occurrences != w.Occurrences {
+			t.Fatalf("%s: per-source %d: got %s (%d tuples, %d occurrences), want %s (%d tuples, %d occurrences)",
+				label, i, g.Source, len(g.Probs), g.Occurrences, w.Source, len(w.Probs), w.Occurrences)
 		}
 		for tk, wp := range w.Probs {
 			if math.Abs(g.Probs[tk]-wp) > probTol {
@@ -263,6 +325,22 @@ func TestDifferentialFastPath(t *testing.T) {
 				t.Fatalf("%s: fast warm: %v", label, err)
 			}
 			diffCompare(t, label+" [warm]", want, warm)
+			// The by-table scan counts what the instance scan lists and
+			// ranks to the same bits.
+			part, err := fast.ScanPMed(context.Background(), in, q, CountOnly)
+			if err != nil {
+				t.Fatalf("%s: fast counts: %v", label, err)
+			}
+			counted := Rank(part)
+			if counted.Instances != nil {
+				t.Fatalf("%s: a CountOnly scan listed %d instances", label, len(counted.Instances))
+			}
+			diffCompare(t, label+" [counts]", want, &ResultSet{Instances: warm.Instances, Ranked: counted.Ranked, PerSource: counted.PerSource})
+			for i, a := range counted.Ranked {
+				if a.Prob != warm.Ranked[i].Prob {
+					t.Fatalf("%s: counted rank %d prob %v, instance path %v", label, i, a.Prob, warm.Ranked[i].Prob)
+				}
+			}
 
 			// Bounded top-k must be the exact prefix of the full ranking
 			// ((prob desc, key asc) is a total order, so prefixes are

@@ -45,7 +45,9 @@ func Rank(rs *ResultSet) *ResultSet {
 // the whole corpus, and ranks it. sourceOrder is the global corpus source
 // order: the merged PerSource follows it, which is Rank's contract for
 // probabilities bit-identical to the single engine's, not merely close.
-// Instances sort by (source, row, values), the single-engine order.
+// Each source's occurrence count travels in its PerSource entry, so the
+// merged Occurrences is the whole corpus's. Instances, when the parts
+// list them, sort by (source, row, values), the single-engine order.
 //
 // Nil entries in parts are skipped, so a caller may pass a sparse slice.
 func MergeResultSets(sourceOrder []string, parts []*ResultSet) *ResultSet {

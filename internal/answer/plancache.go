@@ -295,8 +295,8 @@ func (e *Engine) RetargetPlans(oldMaps map[string][]*pmapping.PMapping, in PMedI
 // the plan's attribute→column maps, and the table scan pushes equality
 // predicates down to its postings indexes. Scans poll ctx so an expired
 // deadline stops the query mid-plan.
-func (e *Engine) answerWithPlan(ctx context.Context, plan *queryPlan, q *sqlparse.Query) (*ResultSet, error) {
-	return e.runPerSource(ctx, func(ctx context.Context, src *schema.Source, acc *accumulator) error {
+func (e *Engine) answerWithPlan(ctx context.Context, plan *queryPlan, q *sqlparse.Query, d Detail) (*ResultSet, error) {
+	return e.runPerSource(ctx, d, func(ctx context.Context, src *schema.Source, acc *accumulator) error {
 		ops := plan.bySource[src.Name]
 		if len(ops) == 0 {
 			return nil

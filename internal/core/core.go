@@ -160,13 +160,27 @@ func Setup(c *schema.Corpus, cfg Config) (*System, error) {
 // SetupUnder runs the configuration of Figure 2 over the corpus under
 // med, a mediation decided elsewhere: the same import, p-mapping and
 // consolidation stages Setup runs after generating its own. It is how
-// the §7.4 deterministic variants are set up, and how a shard
-// coordinator builds newcomers' p-mappings under the global mediation.
+// the §7.4 deterministic variants are set up.
 func SetupUnder(c *schema.Corpus, cfg Config, med *mediate.Result) (*System, error) {
 	if med == nil || med.PMed == nil {
 		return nil, fmt.Errorf("core: setup needs a p-med-schema")
 	}
 	return importing(c, cfg, "given").setUpUnder(med)
+}
+
+// MapUnder builds the p-mappings SetupUnder would build for c's sources
+// under med, and nothing else: no query engine, no consolidated schema,
+// no published epoch and no setup metrics. It is how a shard coordinator
+// builds newcomers' p-mappings under the global mediation.
+func MapUnder(c *schema.Corpus, cfg Config, med *mediate.Result) (map[string][]*pmapping.PMapping, error) {
+	if med == nil || med.PMed == nil {
+		return nil, fmt.Errorf("core: mapping needs a p-med-schema")
+	}
+	s := &System{Corpus: c, Cfg: cfg.withDefaults()}
+	s.initCaches()
+	s.ensureSims()
+	s.coverMembers(med)
+	return s.mapSources(c.Sources, med.PMed)
 }
 
 // importing starts a system over c: the setup trace, fresh fast-path
@@ -185,14 +199,7 @@ func importing(c *schema.Corpus, cfg Config, variant string) *System {
 // every read p-mapping construction makes stays hub-covered.
 func (s *System) setUpUnder(med *mediate.Result) (*System, error) {
 	s.Med = med
-	var members []string
-	for _, m := range med.PMed.Schemas {
-		for _, a := range m.Attrs {
-			members = append(members, a...)
-		}
-	}
-	s.extendSims(members)
-	s.ensureSimHubs(members)
+	s.coverMembers(med)
 	if err := s.buildMappings(); err != nil {
 		return nil, err
 	}
@@ -201,6 +208,19 @@ func (s *System) setUpUnder(med *mediate.Result) (*System, error) {
 	}
 	s.endTrace()
 	return s, nil
+}
+
+// coverMembers has the similarity matrices learn med's member names as
+// hub rows.
+func (s *System) coverMembers(med *mediate.Result) {
+	var members []string
+	for _, m := range med.PMed.Schemas {
+		for _, a := range m.Attrs {
+			members = append(members, a...)
+		}
+	}
+	s.extendSims(members)
+	s.ensureSimHubs(members)
 }
 
 // startTrace roots the setup span tree and attaches fresh fast-path
@@ -331,6 +351,7 @@ func (s *System) buildMappings() error {
 func (s *System) mapSources(srcs []*schema.Source, pmed *schema.PMedSchema) (map[string][]*pmapping.PMapping, error) {
 	s.caches.fillRows(srcs, pmed, s.pmapConfig())
 	maps := make(map[string][]*pmapping.PMapping, len(srcs))
+	perSource := s.Cfg.Obs.Histogram("setup.pmapping_source_seconds")
 	err := s.forEachSource(srcs,
 		func(src *schema.Source) (any, error) {
 			t0 := time.Now()
@@ -338,7 +359,7 @@ func (s *System) mapSources(srcs []*schema.Source, pmed *schema.PMedSchema) (map
 			if err != nil {
 				return nil, err
 			}
-			s.Cfg.Obs.Observe("setup.pmapping_source_seconds", time.Since(t0).Seconds())
+			perSource.Observe(time.Since(t0).Seconds())
 			return pms, nil
 		},
 		// apply runs in completion order; the keyed insert is commutative.
@@ -410,7 +431,9 @@ func ParseApproach(name string) (Approach, error) {
 // Query parses and answers q with the UDI semantics (Definition 3.3 over
 // the p-med-schema; answers ranked by probability). It serves from the
 // current snapshot; the Snapshot methods take a context to bound the work
-// with a deadline.
+// with a deadline. Query, QueryParsed and Run are the evaluation entry
+// points: their results list the instances §7.1 scores, which the
+// serving path (Snapshot.RunCtx) does not build.
 func (s *System) Query(q string) (*answer.ResultSet, error) {
 	parsed, err := sqlparse.Parse(q)
 	if err != nil {
@@ -422,7 +445,7 @@ func (s *System) Query(q string) (*answer.ResultSet, error) {
 // QueryParsed answers an already-parsed query with UDI semantics against
 // the current snapshot.
 func (s *System) QueryParsed(q *sqlparse.Query) (*answer.ResultSet, error) {
-	return s.Snapshot().RunCtx(context.Background(), UDI, q)
+	return s.Snapshot().RunInstancesCtx(context.Background(), UDI, q)
 }
 
 // Engine exposes the query engine for serving-path tuning (plan cache,
@@ -432,9 +455,10 @@ func (s *System) QueryParsed(q *sqlparse.Query) (*answer.ResultSet, error) {
 // concurrent traffic.
 func (s *System) Engine() *answer.Engine { return s.engine }
 
-// Run answers q under approach a against the current snapshot.
+// Run answers q under approach a against the current snapshot, instances
+// listed.
 func (s *System) Run(a Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
-	return s.Snapshot().RunCtx(context.Background(), a, q)
+	return s.Snapshot().RunInstancesCtx(context.Background(), a, q)
 }
 
 // ExplainAnswer returns the provenance of one answer tuple under the UDI

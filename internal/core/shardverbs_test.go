@@ -47,7 +47,7 @@ func diffTwins(t *testing.T, tag string, a, b *System) {
 
 // coordinate is the coordinator's half of a fast-path change over sys:
 // the corpus loses drop and gains add, the newcomers' p-mappings are
-// built under med through SetupUnder, and the served target is kept.
+// built under med through MapUnder, and the served target is kept.
 func coordinate(t *testing.T, sys *System, add []*schema.Source, drop []string, med *mediate.Result) ShardChange {
 	t.Helper()
 	gone := map[string]bool{}
@@ -61,11 +61,11 @@ func coordinate(t *testing.T, sys *System, add []*schema.Source, drop []string, 
 		}
 	}
 	if len(add) > 0 {
-		built, err := SetupUnder(mustCorpus(t, sys.Corpus.Domain, add), sys.Cfg, med)
+		maps, err := MapUnder(mustCorpus(t, sys.Corpus.Domain, add), sys.Cfg, med)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch.Maps = built.Maps
+		ch.Maps = maps
 	}
 	return ch
 }
@@ -75,7 +75,7 @@ func coordinate(t *testing.T, sys *System, add []*schema.Source, drop []string, 
 // the coordinator's: over random splits of random corpora,
 // AddSources(batch) on one system and the coordinator's half —
 // PlanMediation over the raw similarity, the newcomers' p-mappings built
-// apart through SetupUnder, then ShardRestructure — on its twin must
+// apart through MapUnder, then ShardRestructure — on its twin must
 // agree on whether the plan is fast and, when it is, leave deeply
 // identical Maps, ConsMaps and Target, `==` schema probabilities and `==`
 // answers. Then the same for removing a random source.

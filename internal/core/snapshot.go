@@ -171,31 +171,42 @@ func (sn *Snapshot) ConsMaps() map[string]*consolidate.PMapping { return sn.cons
 
 // ScanCtx evaluates q under approach a into an unranked part (see
 // answer.ResultSet): the merge input a shard leg returns, and what
-// RunCtx ranks. UDI scans the p-med-schema (Definition 3.3);
-// Consolidated scans the consolidated schema and p-mappings (§6), which
-// requires every source to have a materialized consolidated p-mapping —
-// the epoch's first such scan pays for building them (see ConsMaps)
-// before ctx bounds the scans.
-func (sn *Snapshot) ScanCtx(ctx context.Context, a Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+// RunCtx ranks; d says whether it lists instances. UDI scans the
+// p-med-schema (Definition 3.3); Consolidated scans the consolidated
+// schema and p-mappings (§6), which requires every source to have a
+// materialized consolidated p-mapping — the epoch's first such scan pays
+// for building them (see ConsMaps) before ctx bounds the scans.
+func (sn *Snapshot) ScanCtx(ctx context.Context, a Approach, q *sqlparse.Query, d answer.Detail) (*answer.ResultSet, error) {
 	switch a {
 	case UDI:
-		return sn.engine.ScanPMed(ctx, answer.PMedInput{PMed: sn.Med.PMed, Maps: sn.Maps}, q)
+		return sn.engine.ScanPMed(ctx, answer.PMedInput{PMed: sn.Med.PMed, Maps: sn.Maps}, q, d)
 	case Consolidated:
 		cons := sn.ConsMaps()
 		if len(cons) != len(sn.Corpus.Sources) {
 			return nil, fmt.Errorf("core: %d of %d sources lack consolidated p-mappings",
 				len(sn.Corpus.Sources)-len(cons), len(sn.Corpus.Sources))
 		}
-		return sn.engine.ScanConsolidated(ctx, sn.Target, cons, q)
+		return sn.engine.ScanConsolidated(ctx, sn.Target, cons, q, d)
 	}
 	return nil, fmt.Errorf("core: unknown approach %q", a)
 }
 
-// RunCtx answers q under approach a: the ranked ScanCtx part. It records
+// RunCtx answers q under approach a by table: the ranked ScanCtx part,
+// with each source's occurrence count and no instance list. It records
 // the ranking's cost as query.rank_seconds and its distinct answers as
 // query.tuples.
 func (sn *Snapshot) RunCtx(ctx context.Context, a Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
-	rs, err := sn.ScanCtx(ctx, a, q)
+	return sn.run(ctx, a, q, answer.CountOnly)
+}
+
+// RunInstancesCtx is RunCtx with the instances listed: what by-tuple
+// ranking and the §7.1 evaluation read.
+func (sn *Snapshot) RunInstancesCtx(ctx context.Context, a Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+	return sn.run(ctx, a, q, answer.WithInstances)
+}
+
+func (sn *Snapshot) run(ctx context.Context, a Approach, q *sqlparse.Query, d answer.Detail) (*answer.ResultSet, error) {
+	rs, err := sn.ScanCtx(ctx, a, q, d)
 	if err != nil {
 		return nil, err
 	}

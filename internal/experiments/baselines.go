@@ -36,7 +36,7 @@ func run(sys *core.System, a core.Approach, q *sqlparse.Query, kw func() *keywor
 	sn := sys.Snapshot()
 	switch a {
 	case core.UDI, core.Consolidated:
-		return sn.RunCtx(context.Background(), a, q)
+		return sn.RunInstancesCtx(context.Background(), a, q)
 	case SourceOnly:
 		return answerSource(sys.Engine(), sn.Corpus, q)
 	case TopMapping:

@@ -87,8 +87,12 @@ type View interface {
 	// Target is the consolidated mediated schema (may be nil before
 	// consolidation).
 	Target() *schema.MediatedSchema
-	// RunCtx answers a query under this view's epoch.
+	// RunCtx answers a query by table under this view's epoch: ranked
+	// answers and per-source occurrence counts, no instance list.
 	RunCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error)
+	// RunInstancesCtx is RunCtx with the instances listed, which by-tuple
+	// ranking reads.
+	RunInstancesCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error)
 	// ExplainCtx reports the per-source contributions behind one answer.
 	ExplainCtx(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error)
 	// Candidates ranks the correspondences most worth human confirmation.
@@ -206,6 +210,10 @@ func (v coreView) Target() *schema.MediatedSchema { return v.sn.Target }
 
 func (v coreView) RunCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
 	return v.sn.RunCtx(ctx, a, q)
+}
+
+func (v coreView) RunInstancesCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+	return v.sn.RunInstancesCtx(ctx, a, q)
 }
 
 func (v coreView) ExplainCtx(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error) {

@@ -6,14 +6,22 @@
 package conformance
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 
+	"udi/internal/answer"
 	"udi/internal/core"
 	"udi/internal/feedback"
 	"udi/internal/httpapi"
+	"udi/internal/obs"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
@@ -27,8 +35,11 @@ import (
 // The backend must already hold a configured corpus (a view with at
 // least one source and a consolidated target); the suite derives its
 // probe query and feedback from the backend's own schema, so it is
-// corpus-agnostic.
-func Run(t *testing.T, be httpapi.Backend) {
+// corpus-agnostic. oracle is a single-core system over the corpus the
+// backend serves: before any mutation, one by-table and one by-tuple
+// query through the /v1 handler must answer exactly what its instance
+// path computes.
+func Run(t *testing.T, be httpapi.Backend, oracle *core.System) {
 	t.Helper()
 	readOnly := be.Replication() != nil
 
@@ -66,6 +77,7 @@ func Run(t *testing.T, be httpapi.Backend) {
 	if len(rs.Ranked) == 0 {
 		t.Error("probe query returned no answers")
 	}
+	checkAnswers(t, be, oracle, q)
 
 	// Explain must work for a returned answer.
 	if len(rs.Ranked) > 0 {
@@ -229,4 +241,56 @@ func runWritable(t *testing.T, be httpapi.Backend, v httpapi.View, cands []feedb
 func isCode(err error, code string) bool {
 	var se *httpapi.StatusError
 	return errors.As(err, &se) && se.Code == code
+}
+
+// checkAnswers posts q to the backend's /v1/query handler under both
+// semantics, every answer asked for, and requires the response to equal
+// the oracle's instance path: the same answers in the same order with
+// the same probability bits, every distinct tuple counted, and every
+// instance counted as an occurrence.
+func checkAnswers(t *testing.T, be httpapi.Backend, oracle *core.System, q *sqlparse.Query) {
+	t.Helper()
+	want, err := oracle.Snapshot().RunInstancesCtx(context.Background(), core.UDI, q)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	if len(want.Instances) == 0 {
+		t.Fatalf("oracle: probe query %q lists no instances", q)
+	}
+	h := httpapi.NewBackendServer(be, obs.NewRegistry(), httpapi.Options{}).Handler()
+	for sem, answers := range map[string][]answer.Answer{
+		"by-table": want.TopK(-1),
+		"by-tuple": want.ByTupleRankingTopK(-1),
+	} {
+		body, _ := json.Marshal(map[string]any{"query": q.String(), "semantics": sem, "top": -1})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s query: status %d: %s", sem, rec.Code, rec.Body)
+		}
+		var got struct {
+			Answers []struct {
+				Values []string `json:"values"`
+				Prob   float64  `json:"prob"`
+			} `json:"answers"`
+			Distinct    int `json:"distinct"`
+			Occurrences int `json:"occurrences"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%s query: %v", sem, err)
+		}
+		if got.Distinct != len(want.Ranked) || got.Occurrences != len(want.Instances) {
+			t.Errorf("%s: distinct %d, occurrences %d; the single core has %d and %d",
+				sem, got.Distinct, got.Occurrences, len(want.Ranked), len(want.Instances))
+		}
+		if len(got.Answers) != len(answers) {
+			t.Fatalf("%s: %d answers, the single core has %d", sem, len(got.Answers), len(answers))
+		}
+		for i, a := range answers {
+			g := got.Answers[i]
+			if !slices.Equal(g.Values, a.Values) || math.Float64bits(g.Prob) != math.Float64bits(a.Prob) {
+				t.Fatalf("%s: answer %d is %q %v, the single core's %q %v", sem, i, g.Values, g.Prob, a.Values, a.Prob)
+			}
+		}
+	}
 }

@@ -20,7 +20,7 @@ func TestCoreBackendConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Run(t, httpapi.CoreBackend(sys))
+	Run(t, httpapi.CoreBackend(sys), sys)
 }
 
 // TestShardBackendConformance runs the suite over the in-process
@@ -35,7 +35,11 @@ func TestShardBackendConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			Run(t, httpapi.ShardBackend(sh))
+			oracle, err := core.Setup(c.Corpus, core.Config{Obs: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			Run(t, httpapi.ShardBackend(sh), oracle)
 		})
 	}
 }

@@ -593,7 +593,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if v == nil {
 		return
 	}
-	rs, err := v.RunCtx(r.Context(), approach, q)
+	// Only by-tuple ranking reads the instances; a by-table answer is the
+	// ranking plus each source's occurrence count.
+	byTuple := req.Semantics == "by-tuple"
+	var rs *answer.ResultSet
+	if byTuple {
+		rs, err = v.RunInstancesCtx(r.Context(), approach, q)
+	} else {
+		rs, err = v.RunCtx(r.Context(), approach, q)
+	}
 	if err != nil {
 		s.writeQueryError(w, r, err)
 		return
@@ -602,14 +610,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if top == 0 {
 		top = s.opts.DefaultTop
 	}
-	if req.Semantics == "by-tuple" {
+	if byTuple {
 		ranked = rs.ByTupleRankingTopK(top)
 	} else {
 		ranked = rs.TopK(top)
 	}
 	// Distinct counts every distinct answer tuple, not just the top-k
 	// returned ones (the tuple sets coincide under both semantics).
-	resp := queryResponse{Distinct: len(rs.Ranked), Occurrences: len(rs.Instances), Epoch: v.Epoch()}
+	resp := queryResponse{Distinct: len(rs.Ranked), Occurrences: rs.Occurrences(), Epoch: v.Epoch()}
 	for _, a := range ranked {
 		resp.Answers = append(resp.Answers, answerJSON{Values: a.Values, Prob: a.Prob})
 	}

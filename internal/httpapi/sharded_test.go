@@ -168,9 +168,9 @@ type countingLeg struct {
 	runs *atomic.Int64
 }
 
-func (l countingLeg) Run(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+func (l countingLeg) Run(ctx context.Context, a core.Approach, q *sqlparse.Query, d answer.Detail) (*answer.ResultSet, error) {
 	l.runs.Add(1)
-	return l.Leg.Run(ctx, a, q)
+	return l.Leg.Run(ctx, a, q, d)
 }
 
 // TestUnknownApproachNeverFansOut: an approach the server does not serve —

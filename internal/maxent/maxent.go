@@ -41,9 +41,32 @@ type Options struct {
 	// default (1e-9).
 	Tol float64
 	// Obs receives solver metrics: counters maxent.solves /
-	// maxent.fastpath / maxent.infeasible and histograms maxent.outcomes /
-	// maxent.sweeps / maxent.residual. Nil disables recording.
+	// maxent.fastpath / maxent.infeasible / maxent.polished and histograms
+	// maxent.outcomes / maxent.sweeps / maxent.residual. Nil disables
+	// recording.
 	Obs *obs.Registry
+}
+
+// Metrics is the solver's metric handles, resolved from a registry once
+// so the solves of a batch record through atomics, with no name lookup
+// under the registry's lock. A nil handle records nothing.
+type Metrics struct {
+	solves, fastpath, infeasible, polished *obs.Counter
+	outcomes, sweeps, residual             *obs.Histogram
+}
+
+// NewMetrics resolves the solver's handles on r (nil or disabled: every
+// handle nil).
+func NewMetrics(r *obs.Registry) *Metrics {
+	return &Metrics{
+		solves:     r.Counter("maxent.solves"),
+		fastpath:   r.Counter("maxent.fastpath"),
+		infeasible: r.Counter("maxent.infeasible"),
+		polished:   r.Counter("maxent.polished"),
+		outcomes:   r.Histogram("maxent.outcomes"),
+		sweeps:     r.Histogram("maxent.sweeps"),
+		residual:   r.Histogram("maxent.residual"),
+	}
 }
 
 // ErrInfeasible is wrapped by Solve when no distribution can satisfy the
@@ -82,13 +105,19 @@ func (p *Problem) Validate() error {
 
 // Solve returns the maximum-entropy distribution satisfying the problem's
 // constraints, within opts.Tol. The returned slice has length NumOutcomes
-// and sums to 1.
+// and sums to 1. It records on opts.Obs.
 func Solve(p Problem, opts Options) ([]float64, error) {
+	return SolveWith(p, opts, NewMetrics(opts.Obs))
+}
+
+// SolveWith is Solve recording through m (see NewMetrics) in place of
+// opts.Obs: what a caller solving many problems uses.
+func SolveWith(p Problem, opts Options, m *Metrics) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts.Obs.Add("maxent.solves", 1)
-	opts.Obs.Observe("maxent.outcomes", float64(p.NumOutcomes))
+	m.solves.Add(1)
+	m.outcomes.Observe(float64(p.NumOutcomes))
 	// Clamp targets that drifted past [0,1] by floating-point noise
 	// (Validate already bounded the drift). Work on a copy: the caller's
 	// slice must not be mutated.
@@ -120,12 +149,12 @@ func Solve(p Problem, opts Options) ([]float64, error) {
 	}
 	for c, t := range p.Targets {
 		if len(members[c]) == 0 && t > tol {
-			opts.Obs.Add("maxent.infeasible", 1)
+			m.infeasible.Add(1)
 			return nil, fmt.Errorf("%w: constraint %d has target %g but no supporting outcome", ErrInfeasible, c, t)
 		}
 		if len(members[c]) == p.NumOutcomes && math.Abs(t-1) > tol && p.NumOutcomes > 0 {
 			// Every outcome contains c, so its total is forced to 1.
-			opts.Obs.Add("maxent.infeasible", 1)
+			m.infeasible.Add(1)
 			return nil, fmt.Errorf("%w: constraint %d appears in every outcome but target is %g", ErrInfeasible, c, t)
 		}
 	}
@@ -138,12 +167,14 @@ func Solve(p Problem, opts Options) ([]float64, error) {
 	// several alternatives) exactly, including boundary optima that IPF
 	// approaches only sublinearly.
 	if probs, ok, err := solveDisjoint(p, members, tol); ok {
-		opts.Obs.Add("maxent.fastpath", 1)
+		m.fastpath.Add(1)
 		if err != nil {
-			opts.Obs.Add("maxent.infeasible", 1)
+			m.infeasible.Add(1)
 		} else {
-			opts.Obs.Observe("maxent.sweeps", 0)
-			opts.Obs.Observe("maxent.residual", residual(p, probs, members))
+			m.sweeps.Observe(0)
+			if m.residual != nil {
+				m.residual.Observe(residual(p, probs, members))
+			}
 		}
 		return probs, err
 	}
@@ -164,7 +195,7 @@ func Solve(p Problem, opts Options) ([]float64, error) {
 		}
 	}
 	if alive == 0 {
-		opts.Obs.Add("maxent.infeasible", 1)
+		m.infeasible.Add(1)
 		return nil, fmt.Errorf("%w: every outcome is excluded by a zero target", ErrInfeasible)
 	}
 	for k := range probs {
@@ -197,7 +228,7 @@ func Solve(p Problem, opts Options) ([]float64, error) {
 				worst = d
 			}
 			if e <= 0 {
-				opts.Obs.Add("maxent.infeasible", 1)
+				m.infeasible.Add(1)
 				return nil, fmt.Errorf("%w: constraint %d lost all support during fitting", ErrInfeasible, c)
 			}
 			// Exact I-projection onto {Σ_{k∋c} p_k = t}: rescale the two
@@ -211,7 +242,7 @@ func Solve(p Problem, opts Options) ([]float64, error) {
 			if comp > 0 {
 				outScale = (1 - t) / comp
 			} else if math.Abs(t-1) > tol {
-				opts.Obs.Add("maxent.infeasible", 1)
+				m.infeasible.Add(1)
 				return nil, fmt.Errorf("%w: constraint %d saturates the distribution but target is %g", ErrInfeasible, c, t)
 			}
 			inSet := make(map[int]bool, len(members[c]))
@@ -230,8 +261,8 @@ func Solve(p Problem, opts Options) ([]float64, error) {
 			}
 		}
 		if worst < tol {
-			opts.Obs.Observe("maxent.sweeps", float64(sweep+1))
-			opts.Obs.Observe("maxent.residual", worst)
+			m.sweeps.Observe(float64(sweep + 1))
+			m.residual.Observe(worst)
 			return normalize(probs), nil
 		}
 		if sweep+1 == nextCheck {
@@ -251,12 +282,12 @@ func Solve(p Problem, opts Options) ([]float64, error) {
 	// outcome in either direction, so it converges to a feasible point
 	// from warm starts that IPF alone approaches only sublinearly.
 	if res := polish(p, probs, members, zeroed, tol); res < 1e-6 {
-		opts.Obs.Add("maxent.polished", 1)
-		opts.Obs.Observe("maxent.sweeps", float64(sweeps))
-		opts.Obs.Observe("maxent.residual", res)
+		m.polished.Add(1)
+		m.sweeps.Observe(float64(sweeps))
+		m.residual.Observe(res)
 		return normalize(probs), nil
 	}
-	opts.Obs.Add("maxent.infeasible", 1)
+	m.infeasible.Add(1)
 	return nil, fmt.Errorf("%w: IPF did not converge (residual %g)", ErrInfeasible, residual(p, probs, members))
 }
 

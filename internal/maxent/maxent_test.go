@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"udi/internal/obs"
 )
 
 // The paper's §5.2 example: source (A,B), mediated (A',B'), correspondences
@@ -264,5 +266,66 @@ func TestSolveDoesNotMutateTargets(t *testing.T) {
 	}
 	if targets[0] != 1+1e-12 {
 		t.Errorf("caller's targets mutated: %v", targets)
+	}
+}
+
+// TestResolvedMetricsRecordAsByName: solving through handles resolved
+// once records the same names and values as looking each metric up by
+// name on every solve, over problems that take the closed form, IPF,
+// the polish and every infeasibility exit.
+func TestResolvedMetricsRecordAsByName(t *testing.T) {
+	problems := []Problem{
+		paperProblem(),
+		{NumOutcomes: 2, Features: [][]int{{0}, {}}, Targets: []float64{0.7}},
+		{NumOutcomes: 4, Features: [][]int{{0, 1}, {0}, {1}, {}}, Targets: []float64{1, 0.5}},
+		{NumOutcomes: 1, Features: [][]int{{}}, Targets: []float64{0.5}},
+		{NumOutcomes: 2, Features: [][]int{{0}, {0}}, Targets: []float64{0.5}},
+		{NumOutcomes: 2, Features: [][]int{{0}, {1}}, Targets: []float64{0.8, 0.9}},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		nOut, nCon := 2+rng.Intn(8), 1+rng.Intn(4)
+		p := Problem{NumOutcomes: nOut, Features: make([][]int, nOut), Targets: make([]float64, nCon)}
+		for k := range p.Features {
+			for c := 0; c < nCon; c++ {
+				if rng.Float64() < 0.4 {
+					p.Features[k] = append(p.Features[k], c)
+				}
+			}
+		}
+		for c := range p.Targets {
+			p.Targets[c] = rng.Float64()
+		}
+		problems = append(problems, p)
+	}
+	byName, resolved := obs.NewRegistry(), obs.NewRegistry()
+	handles := NewMetrics(resolved)
+	for _, p := range problems {
+		_, err1 := Solve(p, Options{MaxSweeps: 500, Obs: byName})
+		_, err2 := SolveWith(p, Options{MaxSweeps: 500}, handles)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("%+v: by name %v, through handles %v", p, err1, err2)
+		}
+	}
+	// The registry creates every handle on resolution; a metric never
+	// recorded by name reads zero.
+	a, b := byName.Snapshot(), resolved.Snapshot()
+	for name, v := range b.Counters {
+		if a.Counters[name] != v {
+			t.Errorf("%s: %d through handles, %d by name", name, v, a.Counters[name])
+		}
+	}
+	for name, h := range b.Histograms {
+		if g := a.Histograms[name]; g.Count != h.Count || g.Sum != h.Sum {
+			t.Errorf("%s: %d/%v through handles, %d/%v by name", name, h.Count, h.Sum, g.Count, g.Sum)
+		}
+	}
+	for _, name := range []string{"maxent.fastpath", "maxent.infeasible", "maxent.polished"} {
+		if b.Counters[name] == 0 {
+			t.Errorf("%s never recorded: the problems miss a path", name)
+		}
+	}
+	if b.Histograms["maxent.sweeps"].Sum == 0 {
+		t.Error("no problem ran IPF sweeps")
 	}
 }

@@ -75,8 +75,9 @@ func (pm *PMapping) Condition(srcAttr string, medIdx int, confirmed bool, cfg Co
 	}
 	// Re-split (removals may have disconnected the merged set) and
 	// re-solve each component.
+	m := maxent.NewMetrics(cfg.Maxent.Obs)
 	for _, groupCorrs := range splitGroups(updated) {
-		g, dropped, err := solveGroup(groupCorrs, cfg)
+		g, dropped, err := solveGroup(groupCorrs, cfg, m)
 		if err != nil {
 			return fmt.Errorf("pmapping: conditioning failed: %w", err)
 		}

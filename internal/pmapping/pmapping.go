@@ -184,13 +184,14 @@ func Build(src *schema.Source, med *schema.MediatedSchema, cfg Config) (*PMappin
 // each group (§5.2).
 func BuildCorrs(name string, med *schema.MediatedSchema, raw []Corr, cfg Config) (*PMapping, error) {
 	cfg = cfg.withDefaults()
+	m := maxent.NewMetrics(cfg.Maxent.Obs) // one set of handles for every group's solve
 	pm := &PMapping{SourceName: name, Med: med}
 	groups := splitGroups(Normalize(raw))
 	if len(groups) > 0 {
 		pm.Groups = make([]Group, 0, len(groups))
 	}
 	for _, groupCorrs := range groups {
-		g, dropped, err := solveGroup(groupCorrs, cfg)
+		g, dropped, err := solveGroup(groupCorrs, cfg, m)
 		if err != nil {
 			return nil, fmt.Errorf("pmapping: source %q: %w", name, err)
 		}
@@ -378,7 +379,7 @@ func compareCorrs(a, b Corr) int {
 // correspondences and fits the maxent distribution. If enumeration exceeds
 // the cap, the lowest-weight correspondence is dropped and the group is
 // re-enumerated; dropped counts how many were discarded.
-func solveGroup(corrs []Corr, cfg Config) (Group, int, error) {
+func solveGroup(corrs []Corr, cfg Config, m *maxent.Metrics) (Group, int, error) {
 	dropped := 0
 	for {
 		mappings := enumerateMatchings(corrs, cfg.MaxMappingsPerGroup)
@@ -409,11 +410,11 @@ func solveGroup(corrs []Corr, cfg Config) (Group, int, error) {
 		for i, c := range corrs {
 			targets[i] = c.Weight
 		}
-		probs, err := maxent.Solve(maxent.Problem{
+		probs, err := maxent.SolveWith(maxent.Problem{
 			NumOutcomes: len(mappings),
 			Features:    mappings,
 			Targets:     targets,
-		}, cfg.Maxent)
+		}, cfg.Maxent, m)
 		if err != nil {
 			return Group{}, dropped, err
 		}

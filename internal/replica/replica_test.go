@@ -27,10 +27,11 @@ import (
 // mutations — the exact topology `udiserver -role shard` plus
 // `-role coordinator` wires up.
 type primary struct {
-	host *shardrpc.Host
-	url  string
-	co   *shardrpc.Coordinator
-	cfg  core.Config
+	host   *shardrpc.Host
+	url    string
+	co     *shardrpc.Coordinator
+	cfg    core.Config
+	corpus *schema.Corpus
 }
 
 func startPrimary(t *testing.T, durable bool) *primary {
@@ -56,7 +57,7 @@ func startPrimary(t *testing.T, durable bool) *primary {
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	return &primary{host: h, url: srv.URL, co: co, cfg: cfg}
+	return &primary{host: h, url: srv.URL, co: co, cfg: cfg, corpus: c.Corpus}
 }
 
 // feedbackOnce routes one valid feedback item through the coordinator
@@ -345,5 +346,9 @@ func TestReplicaConformance(t *testing.T) {
 	if err := f.Sync(context.Background()); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	conformance.Run(t, f.Backend())
+	oracle, err := core.Setup(p.corpus, core.Config{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conformance.Run(t, f.Backend(), oracle)
 }

@@ -130,7 +130,20 @@ func compareSystems(t *testing.T, tag string, oracle *core.System, sh *System, q
 			if oerr != nil {
 				continue
 			}
-			compareResultSets(t, fmt.Sprintf("%s: q%d %s", tag, qi, a), ors, srs)
+			qtag := fmt.Sprintf("%s: q%d %s", tag, qi, a)
+			compareResultSets(t, qtag, ors, srs)
+			// The instance path ranks the same bits and lists exactly the
+			// occurrences the by-table path counts.
+			ois, oerr := sn.RunInstancesCtx(ctx, a, q)
+			sis, serr := v.RunInstancesCtx(ctx, a, q)
+			if oerr != nil || serr != nil {
+				t.Fatalf("%s: instance path: oracle err %v, sharded err %v", qtag, oerr, serr)
+			}
+			if ors.Instances != nil || srs.Instances != nil {
+				t.Fatalf("%s: the by-table path listed instances", qtag)
+			}
+			compareResultSets(t, qtag+" instances", ois, sis)
+			compareResultSets(t, qtag+" counts vs instances", ors, &answer.ResultSet{Ranked: ois.Ranked, PerSource: ois.PerSource})
 		}
 		// Provenance of the top UDI answer, compared canonically: the
 		// engine's sort is unstable among fully tied contributions, so both
@@ -165,6 +178,20 @@ func compareResultSets(t *testing.T, tag string, want, got *answer.ResultSet) {
 		if w.Prob != g.Prob {
 			t.Fatalf("%s: rank %d (%v) prob %v, oracle %v (diff %g)",
 				tag, i, w.Values, g.Prob, w.Prob, g.Prob-w.Prob)
+		}
+	}
+	if len(want.PerSource) != len(got.PerSource) {
+		t.Fatalf("%s: %d contributing sources, oracle %d", tag, len(got.PerSource), len(want.PerSource))
+	}
+	for i := range want.PerSource {
+		w, g := want.PerSource[i], got.PerSource[i]
+		if w.Source != g.Source || w.Occurrences != g.Occurrences {
+			t.Fatalf("%s: source %d is %s with %d occurrences, oracle %s with %d", tag, i, g.Source, g.Occurrences, w.Source, w.Occurrences)
+		}
+	}
+	for _, rs := range []*answer.ResultSet{want, got} {
+		if rs.Instances != nil && rs.Occurrences() != len(rs.Instances) {
+			t.Fatalf("%s: %d occurrences counted, %d instances listed", tag, rs.Occurrences(), len(rs.Instances))
 		}
 	}
 	if len(want.Instances) != len(got.Instances) {

@@ -143,8 +143,8 @@ type localLeg struct {
 func (l localLeg) Epoch() uint64        { return l.sn.Epoch }
 func (l localLeg) CreatedAt() time.Time { return l.sn.CreatedAt }
 
-func (l localLeg) Run(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
-	return l.sn.ScanCtx(ctx, a, q)
+func (l localLeg) Run(ctx context.Context, a core.Approach, q *sqlparse.Query, d answer.Detail) (*answer.ResultSet, error) {
+	return l.sn.ScanCtx(ctx, a, q, d)
 }
 
 func (l localLeg) Explain(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error) {

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"udi/internal/core"
+	"udi/internal/datagen"
 	"udi/internal/obs"
+	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
@@ -64,5 +66,35 @@ func TestQueryMetricsFollowRanking(t *testing.T) {
 	}
 	if got := snap.Histograms["shard.merge_seconds"].Count; got != 0 {
 		t.Errorf("single core: shard.merge_seconds count = %d, want 0", got)
+	}
+}
+
+// TestFastAddsAreNotSetups: a fast add builds only the newcomers'
+// p-mappings (core.MapUnder), so ten fast batches on a 4-shard system
+// leave the coordinator's setup.count where shard.New left it.
+func TestFastAddsAreNotSetups(t *testing.T) {
+	c := datagen.MustGenerate(datagen.Car(102)).Corpus
+	held := len(c.Sources) - 40
+	corpus, err := schema.NewCorpus(c.Domain, c.Sources[:held])
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	sys, err := New(corpus, core.Config{Obs: reg}, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Counter("setup.count").Value()
+	for i := held; i < len(c.Sources); i += 4 {
+		fast, err := sys.AddSources(c.Sources[i : i+4])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fast {
+			t.Fatalf("batch at %d took the rebuild path", i)
+		}
+	}
+	if after := reg.Counter("setup.count").Value(); after != before {
+		t.Fatalf("setup.count went %d -> %d across ten fast adds", before, after)
 	}
 }

@@ -116,9 +116,10 @@ type Leg interface {
 	// when the leg pins none.
 	CreatedAt() time.Time
 	// Run scans the query over this shard's sources and returns merge
-	// inputs only: a part (Instances and PerSource, Ranked nil) that the
-	// coordinator's merge ranks with every other leg's.
-	Run(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error)
+	// inputs only: a part (PerSource with its occurrence counts, plus
+	// Instances when d asks for them; Ranked nil) that the coordinator's
+	// merge ranks with every other leg's.
+	Run(ctx context.Context, a core.Approach, q *sqlparse.Query, d answer.Detail) (*answer.ResultSet, error)
 	// Explain reports this shard's contributions behind one answer.
 	Explain(ctx context.Context, q *sqlparse.Query, values []string) ([]answer.Contribution, error)
 	// Candidates returns the top limit of this shard's feedback question
@@ -381,11 +382,23 @@ func firstError(errs []error) error {
 // results in global source order: answer.MergeResultSets ranks the
 // shards' exact per-source probabilities with the single engine's one
 // combine, so the merged ranking is `==`-identical to a single engine
-// over the whole corpus. The merge's cost is recorded as
+// over the whole corpus, and sums their per-source occurrence counts. No
+// leg builds instances. The merge's cost is recorded as
 // shard.merge_seconds.
 func (v *View) RunCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+	return v.run(ctx, a, q, answer.CountOnly)
+}
+
+// RunInstancesCtx is RunCtx with every leg listing its instances, which
+// the merge orders as the single engine does: what by-tuple ranking
+// reads.
+func (v *View) RunInstancesCtx(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+	return v.run(ctx, a, q, answer.WithInstances)
+}
+
+func (v *View) run(ctx context.Context, a core.Approach, q *sqlparse.Query, d answer.Detail) (*answer.ResultSet, error) {
 	parts, err := gather(ctx, v.legs, func(ctx context.Context, l Leg) (*answer.ResultSet, error) {
-		return l.Run(ctx, a, q)
+		return l.Run(ctx, a, q, d)
 	})
 	if err != nil {
 		return nil, err
@@ -544,8 +557,8 @@ type change struct {
 // Setup fails) leaves memory and disk as they were. pre is the state the
 // mutation starts from: the served meta on the live path, the journaled
 // one on redo. A fast plan keeps the target and builds only the
-// newcomers' p-mappings, through the pipeline Setup runs; a rebuild takes
-// everything from a global Setup over the new corpus.
+// newcomers' p-mappings, through the pipeline Setup runs (core.MapUnder);
+// a rebuild takes everything from a global Setup over the new corpus.
 func (s *System) plan(pre *servingMeta, adds []*schema.Source, remove string) (*change, error) {
 	ch := &change{adds: adds, remove: remove}
 	for _, name := range pre.order {
@@ -576,11 +589,9 @@ func (s *System) plan(pre *servingMeta, adds []*schema.Source, remove string) (*
 		if err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
-		built, err := core.SetupUnder(added, s.cfg, med)
-		if err != nil {
+		if ch.maps, err = core.MapUnder(added, s.cfg, med); err != nil {
 			return nil, err
 		}
-		ch.maps = built.Maps
 	}
 	return ch, nil
 }

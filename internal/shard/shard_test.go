@@ -237,7 +237,7 @@ type fakeLeg struct {
 	run func(ctx context.Context) (*answer.ResultSet, error)
 }
 
-func (l fakeLeg) Run(ctx context.Context, _ core.Approach, _ *sqlparse.Query) (*answer.ResultSet, error) {
+func (l fakeLeg) Run(ctx context.Context, _ core.Approach, _ *sqlparse.Query, _ answer.Detail) (*answer.ResultSet, error) {
 	return l.run(ctx)
 }
 

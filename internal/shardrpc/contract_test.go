@@ -170,7 +170,7 @@ func (f *contractFixture) answers(t *testing.T, sh shard.Shard) [][]answer.Answe
 	t.Helper()
 	var out [][]answer.Answer
 	for _, q := range f.queries {
-		rs, err := sh.Pin().Run(context.Background(), core.UDI, q)
+		rs, err := sh.Pin().Run(context.Background(), core.UDI, q, answer.CountOnly)
 		must(t, q.String(), err)
 		out = append(out, answer.MergeResultSets(f.order, []*answer.ResultSet{rs}).Ranked)
 	}
@@ -217,7 +217,7 @@ func shardContract(t *testing.T, start transport) {
 		verb(t, sh, "bootstrap", sh.Restructure(f.setup(f.held)))
 		var want [][]answer.Answer
 		for _, q := range f.queries {
-			rs, err := f.blue.Snapshot().ScanCtx(context.Background(), core.UDI, q)
+			rs, err := f.blue.Snapshot().ScanCtx(context.Background(), core.UDI, q, answer.CountOnly)
 			must(t, q.String(), err)
 			want = append(want, answer.MergeResultSets(f.order, []*answer.ResultSet{rs}).Ranked)
 		}
@@ -435,7 +435,7 @@ func TestHostWarmRestartShipsItsWAL(t *testing.T) {
 			t.Fatalf("feedback: %v", err)
 		}
 	}
-	before, err := hs.Pin().Run(ctx, core.UDI, q)
+	before, err := hs.Pin().Run(ctx, core.UDI, q, answer.WithInstances)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestHostWarmRestartShipsItsWAL(t *testing.T) {
 	if hs.host.Sys() == nil || hs.host.Store() == nil {
 		t.Fatal("restarted host did not warm-start from its data directory")
 	}
-	after, err := hs.Pin().Run(ctx, core.UDI, q)
+	after, err := hs.Pin().Run(ctx, core.UDI, q, answer.WithInstances)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,12 +256,13 @@ func readJSON[R any](ctx context.Context, st *stub, path string, in any, epoch f
 }
 
 // Run returns the merge inputs only: ranked answers are not shipped, the
-// coordinator recomputes them over the bit-exact wire probabilities. The
-// answer is the one binary body of the protocol (part.go); a frame the
-// decoder refuses is re-fetched like any damaged response.
-func (l remoteLeg) Run(ctx context.Context, a core.Approach, q *sqlparse.Query) (*answer.ResultSet, error) {
+// coordinator recomputes them over the bit-exact wire probabilities, and
+// instances cross only when d asks for them. The answer is the one binary
+// body of the protocol (part.go); a frame the decoder refuses is
+// re-fetched like any damaged response.
+func (l remoteLeg) Run(ctx context.Context, a core.Approach, q *sqlparse.Query, d answer.Detail) (*answer.ResultSet, error) {
 	st, t0 := l.st, time.Now()
-	req := QueryRequest{Proto: Version, Query: q.String(), Approach: string(a)}
+	req := QueryRequest{Proto: Version, Query: q.String(), Approach: string(a), Instances: d == answer.WithInstances}
 	var rs *answer.ResultSet
 	err := st.read(ctx, func(m *member) (epoch uint64, err error) {
 		err = m.c.PostBinary(ctx, "/v1/shard/query", req, func(frame []byte) (err error) {

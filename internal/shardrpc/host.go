@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"udi/internal/answer"
 	"udi/internal/core"
 	"udi/internal/feedback"
 	"udi/internal/httpapi"
@@ -217,8 +218,12 @@ func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
 		return
 	}
+	d := answer.CountOnly
+	if req.Instances {
+		d = answer.WithInstances
+	}
 	sn := sys.Snapshot()
-	rs, err := sn.ScanCtx(r.Context(), approach, q)
+	rs, err := sn.ScanCtx(r.Context(), approach, q, d)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadQuery, err.Error(), nil)
 		return

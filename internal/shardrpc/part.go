@@ -15,8 +15,9 @@ import (
 )
 
 // This file is the POST /v1/shard/query response body: one shard's part
-// — the merge inputs its Snapshot.ScanCtx returns, instances plus the
-// per-source tuple probabilities — as one binary frame. A host never
+// — the merge inputs its Snapshot.ScanCtx returns: the per-source tuple
+// probabilities and occurrence counts, plus the instances when the
+// request asked for them — as one binary frame. A host never
 // ranks, so there is no ranking to ship: the coordinator ranks the
 // gathered parts once through answer.MergeResultSets, which puts sources
 // in global corpus order so answer.Rank's IEEE disjunction is
@@ -31,9 +32,14 @@ import (
 //	instances | uv count | runs until count is reached, each
 //	          |   uv source string id | uv length (≥ 1) |
 //	          |   length × ( sv row delta | uv tuple id | prob bits uint64 ) |
-//	sources   | uv count | count × ( uv source string id | uv entries |
-//	          |   entries × ( uv tuple id | prob bits uint64 ) ) |
+//	sources   | uv count | count × ( uv source string id | uv occurrences |
+//	          |   uv entries | entries × ( uv tuple id | prob bits uint64 ) ) |
 //	trailer   | length uint32 | CRC-32 (IEEE) uint32 |
+//
+// The instance count is 0 unless the request set QueryRequest.Instances:
+// a by-table answer reads only each source's occurrence count (its
+// distinct (row, tuple) pairs, which the merge sums exactly), so a
+// by-table frame is the string and tuple tables plus the sources section.
 //
 // Every distinct string (source names included) and every distinct tuple
 // crosses once; a tuple is its arity and string ids, never a joined key,
@@ -50,11 +56,16 @@ const (
 	partMagic       = "UDIP"
 	partHeaderSize  = 4 + 4 + 8
 	partTrailerSize = 4 + 4
-	// partInstanceMin and partEntryMin are the fewest bytes one instance
-	// and one per-source entry occupy; declared counts are checked against
-	// them before anything is allocated.
+	// partInstanceMin, partSourceMin and partEntryMin are the fewest
+	// bytes one instance, one source and one per-source entry occupy;
+	// declared counts are checked against them before anything is
+	// allocated.
 	partInstanceMin = 1 + 1 + 8
+	partSourceMin   = 1 + 1 + 1
 	partEntryMin    = 1 + 8
+	// maxOccurrences bounds one source's declared occurrence count: a
+	// scan numbers a source's occurrences in int32.
+	maxOccurrences = math.MaxInt32
 
 	// MaxPartFrame bounds a frame the decoder accepts, and separately the
 	// tuple-key text it materialises from one (dictionary encoding lets a
@@ -170,6 +181,7 @@ func (e *partEncoder) encode(epoch uint64, rs *answer.ResultSet) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs.PerSource)))
 	for _, sp := range rs.PerSource {
 		b = binary.AppendUvarint(b, e.str(sp.Source))
+		b = binary.AppendUvarint(b, uint64(sp.Occurrences))
 		b = binary.AppendUvarint(b, uint64(len(sp.Probs)))
 		// Tuple-id order, not map order: the same result encodes to the
 		// same bytes, so a checked-in frame regenerates byte for byte. A
@@ -396,12 +408,16 @@ func DecodePart(frame []byte) (*answer.ResultSet, uint64, error) {
 		}
 	}
 
-	nSrc := r.count(2)
+	nSrc := r.count(partSourceMin)
 	if nSrc > 0 {
 		rs.PerSource = make([]answer.SourceTupleProbs, 0, nSrc)
 	}
 	for len(rs.PerSource) < nSrc && r.err == nil {
 		src := r.index(len(strs))
+		occ := r.uvarint()
+		if occ > maxOccurrences {
+			r.fail("source declares %d occurrences", occ)
+		}
 		n := r.count(partEntryMin)
 		if r.err != nil {
 			break
@@ -415,7 +431,7 @@ func DecodePart(frame []byte) (*answer.ResultSet, uint64, error) {
 		if r.err == nil && len(probs) != n {
 			r.fail("source %q repeats a tuple key", strs[src])
 		}
-		rs.PerSource = append(rs.PerSource, answer.SourceTupleProbs{Source: strs[src], Probs: probs})
+		rs.PerSource = append(rs.PerSource, answer.SourceTupleProbs{Source: strs[src], Probs: probs, Occurrences: int(occ)})
 	}
 	if r.err == nil && r.off != len(r.b) {
 		r.fail("%d bytes after the last section", len(r.b)-r.off)

@@ -42,7 +42,8 @@ import (
 // edgePart is a hand-built result holding what no generated corpus does:
 // empty, unicode and separator-bearing values, tuples of different arity
 // that join to one key, a per-source key no instance carries, unsorted
-// and negative rows, and probabilities outside [0, 1].
+// and negative rows, probabilities outside [0, 1], and the largest
+// occurrence count a frame may declare.
 func edgePart() *answer.ResultSet {
 	return &answer.ResultSet{
 		Instances: []answer.Instance{
@@ -54,9 +55,9 @@ func edgePart() *answer.ResultSet {
 			{Source: "s1", Row: 9, Values: []string{"a", "b"}, Prob: 0.1 + 0.2},
 		},
 		PerSource: []answer.SourceTupleProbs{
-			{Source: "s1", Probs: map[string]float64{"": 0.25, "a\x1fb": 1, "only\x1fhere": 0.5}},
-			{Source: "", Probs: map[string]float64{"naïve\x1f日本語\x1f": 1e-300}},
-			{Source: "s9", Probs: map[string]float64{}},
+			{Source: "s1", Probs: map[string]float64{"": 0.25, "a\x1fb": 1, "only\x1fhere": 0.5}, Occurrences: 5},
+			{Source: "", Probs: map[string]float64{"naïve\x1f日本語\x1f": 1e-300}, Occurrences: 1},
+			{Source: "s9", Probs: map[string]float64{}, Occurrences: math.MaxInt32},
 		},
 	}
 }
@@ -116,6 +117,11 @@ func TestPartRoundTripProperty(t *testing.T) {
 					continue // the approach cannot answer this query on this corpus
 				}
 				roundTrip(t, fmt.Sprintf("trial %d %s %q", trial, a, q), uint64(trial), rs)
+				rs, err = sys.Snapshot().RunInstancesCtx(ctx, a, q)
+				if err != nil {
+					t.Fatalf("trial %d %s %q: the instance path failed where the by-table one did not: %v", trial, a, q, err)
+				}
+				roundTrip(t, fmt.Sprintf("trial %d %s %q with instances", trial, a, q), uint64(trial), rs)
 			}
 		}
 	}
@@ -151,7 +157,7 @@ func TestEmptyStringAnswerAcrossTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := sqlparse.MustParse("SELECT make FROM Car")
-	want, err := oracle.Snapshot().RunCtx(context.Background(), core.UDI, q)
+	want, err := oracle.Snapshot().RunInstancesCtx(context.Background(), core.UDI, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +166,22 @@ func TestEmptyStringAnswerAcrossTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.RunCtx(context.Background(), core.UDI, q)
+	got, err := v.RunInstancesCtx(context.Background(), core.UDI, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Ranked) != 1 || !reflect.DeepEqual(got.Ranked[0].Values, []string{""}) {
 		t.Fatalf(`networked Ranked = %#v, want one answer with Values [""]`, got.Ranked)
 	}
-	if !reflect.DeepEqual(got.Ranked, want.Ranked) || !reflect.DeepEqual(got.Instances, want.Instances) {
+	if len(want.Instances) != 4 || !reflect.DeepEqual(got.Ranked, want.Ranked) || !reflect.DeepEqual(got.Instances, want.Instances) {
 		t.Fatalf("networked result differs from the single core\n got %+v\nwant %+v", got, want)
+	}
+	counted, err := v.RunCtx(context.Background(), core.UDI, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(counted.Ranked, want.Ranked) || counted.Instances != nil || counted.Occurrences() != len(want.Instances) {
+		t.Fatalf("networked by-table result differs from the single core\n got %+v\nwant %+v", counted, want)
 	}
 }
 
@@ -180,7 +193,7 @@ func smallFrame(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	for _, q := range rpcTrialQueries(rng, sys.Corpus) {
-		rs, err := sys.Snapshot().RunCtx(context.Background(), core.UDI, q)
+		rs, err := sys.Snapshot().RunInstancesCtx(context.Background(), core.UDI, q)
 		if err == nil && len(rs.Instances) > 0 {
 			return shardrpc.EncodePart(42, rs)
 		}
@@ -348,11 +361,12 @@ func TestDecodePartBoundsDeclaredCounts(t *testing.T) {
 		"instances":        frameOf(append([]byte{0, 0}, huge...)...),
 		"run length":       frameOf(append([]byte{1, 0, 1, 1, 0, 1, 0}, huge...)...),
 		"sources":          frameOf(append([]byte{0, 0, 0}, huge...)...),
-		"entries":          frameOf(append([]byte{1, 0, 0, 0, 1, 0}, huge...)...),
+		"occurrences":      frameOf(append([]byte{1, 0, 0, 0, 1, 0}, huge...)...),
+		"entries":          frameOf(append([]byte{1, 0, 0, 0, 1, 0, 1}, huge...)...),
 		"string id":        frameOf(1, 0, 1, 1, 5, 0, 0),
 		"tuple id":         frameOf(1, 0, 0, 1, 0, 1, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 		"empty run":        frameOf(1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-		"repeated key":     frameOf(1, 0, 2, 0, 1, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+		"repeated key":     frameOf(1, 0, 2, 0, 1, 0, 0, 1, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
 		"trailing section": frameOf(0, 0, 0, 0, 0),
 	}
 	for name, frame := range cases {
@@ -484,7 +498,8 @@ var updateCorpus = flag.Bool("update-corpus", false,
 const partCorpusDir = "testdata/fuzz/FuzzDecodePart"
 
 // carFrames encodes the ten Car evaluation queries' partial results over
-// a 12-source Car corpus: real frames, small enough to check in.
+// a 12-source Car corpus, as a by-table leg answers them and with their
+// instances listed: real frames, small enough to check in.
 func carFrames(t *testing.T) map[string]*answer.ResultSet {
 	t.Helper()
 	d := datagen.Car(102)
@@ -495,11 +510,16 @@ func carFrames(t *testing.T) map[string]*answer.ResultSet {
 	}
 	out := map[string]*answer.ResultSet{}
 	for i, qs := range d.Queries {
-		rs, err := sys.Snapshot().RunCtx(context.Background(), core.UDI, sqlparse.MustParse(qs))
+		q := sqlparse.MustParse(qs)
+		rs, err := sys.Snapshot().ScanCtx(context.Background(), core.UDI, q, answer.CountOnly)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
 		out[fmt.Sprintf("seed-car-q%02d", i+1)] = rs
+		if rs, err = sys.Snapshot().ScanCtx(context.Background(), core.UDI, q, answer.WithInstances); err != nil {
+			t.Fatalf("%s: %v", qs, err)
+		}
+		out[fmt.Sprintf("seed-car-q%02d-instances", i+1)] = rs
 	}
 	return out
 }
@@ -575,7 +595,7 @@ func sameBits(a, b *answer.ResultSet) bool {
 	}
 	for i, x := range a.PerSource {
 		y := b.PerSource[i]
-		if x.Source != y.Source || len(x.Probs) != len(y.Probs) {
+		if x.Source != y.Source || x.Occurrences != y.Occurrences || len(x.Probs) != len(y.Probs) {
 			return false
 		}
 		for k, p := range x.Probs {
@@ -611,7 +631,7 @@ func FuzzDecodePart(f *testing.F) {
 		for _, sp := range rs.PerSource {
 			entries += len(sp.Probs)
 		}
-		if 10*len(rs.Instances)+9*entries+2*len(rs.PerSource) > len(data) {
+		if 10*len(rs.Instances)+9*entries+3*len(rs.PerSource) > len(data) {
 			t.Fatalf("%d instances, %d entries, %d sources decoded from %d bytes",
 				len(rs.Instances), entries, len(rs.PerSource), len(data))
 		}

@@ -53,8 +53,10 @@ import (
 // replaced the JSON query response of version 1 with the frame; version
 // 3 replaced the adopt, drop and mediation routes with restructure;
 // version 4 folded replace into restructure, whose body now carries the
-// shard's corpus, target and p-mappings.
-const Version = 4
+// shard's corpus, target and p-mappings; version 5 made instances opt-in
+// on the query leg (QueryRequest.Instances) and gave every per-source
+// entry of the frame its occurrence count.
+const Version = 5
 
 // StatusResponse is the GET /v1/shard/status body.
 type StatusResponse struct {
@@ -87,12 +89,15 @@ type StatusResponse struct {
 
 // QueryRequest is the POST /v1/shard/query body. The query travels as
 // SQL text and is parsed host-side: the parse is deterministic, and
-// shipping text keeps the protocol independent of parser internals. The
-// answer is not JSON: see part.go.
+// shipping text keeps the protocol independent of parser internals.
+// Instances asks for the instance list (by-tuple ranking reads it); a
+// by-table leg leaves it false and the frame carries occurrence counts
+// only. The answer is not JSON: see part.go.
 type QueryRequest struct {
-	Proto    int    `json:"proto"`
-	Query    string `json:"query"`
-	Approach string `json:"approach,omitempty"`
+	Proto     int    `json:"proto"`
+	Query     string `json:"query"`
+	Approach  string `json:"approach,omitempty"`
+	Instances bool   `json:"instances,omitempty"`
 }
 
 // ExplainRequest is the POST /v1/shard/explain body.

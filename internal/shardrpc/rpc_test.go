@@ -159,7 +159,20 @@ func compareNetworked(t *testing.T, tag string, oracle *core.System, sh *shard.S
 			if oerr != nil {
 				continue
 			}
-			compareRPCResultSets(t, fmt.Sprintf("%s: q%d %s", tag, qi, a), ors, crs)
+			qtag := fmt.Sprintf("%s: q%d %s", tag, qi, a)
+			compareRPCResultSets(t, qtag, ors, crs)
+			// The instance path ranks the same bits and lists exactly the
+			// occurrences the by-table path counts.
+			ois, oerr := sn.RunInstancesCtx(ctx, a, q)
+			cis, cerr := cv.RunInstancesCtx(ctx, a, q)
+			if oerr != nil || cerr != nil {
+				t.Fatalf("%s: instance path: oracle err %v, networked err %v", qtag, oerr, cerr)
+			}
+			if ors.Instances != nil || crs.Instances != nil {
+				t.Fatalf("%s: the by-table path listed instances", qtag)
+			}
+			compareRPCResultSets(t, qtag+" instances", ois, cis)
+			compareRPCResultSets(t, qtag+" counts vs instances", ors, &answer.ResultSet{Ranked: ois.Ranked, PerSource: ois.PerSource})
 		}
 		ors, oerr := sn.RunCtx(ctx, core.UDI, q)
 		if oerr != nil || len(ors.Ranked) == 0 {
@@ -213,6 +226,20 @@ func compareRPCResultSets(t *testing.T, tag string, want, got *answer.ResultSet)
 		if w.Prob != g.Prob {
 			t.Fatalf("%s: rank %d (%v) prob %v, oracle %v (diff %g)",
 				tag, i, w.Values, g.Prob, w.Prob, g.Prob-w.Prob)
+		}
+	}
+	if len(want.PerSource) != len(got.PerSource) {
+		t.Fatalf("%s: %d contributing sources, oracle %d", tag, len(got.PerSource), len(want.PerSource))
+	}
+	for i := range want.PerSource {
+		w, g := want.PerSource[i], got.PerSource[i]
+		if w.Source != g.Source || w.Occurrences != g.Occurrences {
+			t.Fatalf("%s: source %d is %s with %d occurrences, oracle %s with %d", tag, i, g.Source, g.Occurrences, w.Source, w.Occurrences)
+		}
+	}
+	for _, rs := range []*answer.ResultSet{want, got} {
+		if rs.Instances != nil && rs.Occurrences() != len(rs.Instances) {
+			t.Fatalf("%s: %d occurrences counted, %d instances listed", tag, rs.Occurrences(), len(rs.Instances))
 		}
 	}
 	if len(want.Instances) != len(got.Instances) {
@@ -410,5 +437,9 @@ func TestCoordinatorConformance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	conformance.Run(t, co)
+	oracle, err := core.Setup(c.Corpus, core.Config{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conformance.Run(t, co, oracle)
 }
