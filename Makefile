@@ -1,11 +1,12 @@
 # Development entry points. `make check` is the tier-1 gate: vet and the
 # gofmt check, build, the full test suite under the race detector, the
-# named soaks rerun, the no-skip and oracle-never-ships guards, and a
-# short fuzzing pass over the SQL parser, the shard RPC partial-result
-# decoder, the shard RPC restructure body's decoders, the WAL shipping
-# stream's frame reader, the cross-source combine, the CSV round trip,
-# the compiled attribute-name similarity against its string definition
-# and the p-mapping group split against its string-keyed predecessor.
+# named soaks rerun (the pinned-epoch plan cache soak among them), the
+# no-skip and oracle-never-ships guards, and a short fuzzing pass over
+# the SQL parser, the shard RPC partial-result decoder, the shard RPC
+# restructure body's decoders, the WAL shipping stream's frame reader,
+# the cross-source combine, the CSV round trip, the compiled
+# attribute-name similarity against its string definition and the
+# p-mapping group split against its string-keyed predecessor.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -43,9 +44,10 @@ race:
 # can't hide a race: lock-free readers against the single-writer commit
 # path, fan-out readers against shard mutators on both transports, routed
 # readers against a fault toggler, group-committing writers replayed into
-# the serial oracle, readers across checkpoint rotations.
+# the serial oracle, readers across checkpoint rotations, readers pinned
+# to epochs on either side of a commit sharing one plan cache.
 soak:
-	$(GO) test -race -count=2 -run 'TestSnapshotIsolationSoak|TestScatterGatherSoak|TestRouteSoak|TestFeedbackSoakMatchesSerialOracle|TestCheckpointRotationSoak' ./internal/core ./internal/shard ./internal/shardrpc ./internal/persist
+	$(GO) test -race -count=2 -run 'TestSnapshotIsolationSoak|TestScatterGatherSoak|TestRouteSoak|TestFeedbackSoakMatchesSerialOracle|TestCheckpointRotationSoak|TestPinnedEpochPlanSoak' ./internal/core ./internal/shard ./internal/shardrpc ./internal/persist
 
 # Every tier-1 test must actually run: a skipped test (t.Skip smuggled in
 # by an environment probe or a flaky guard) fails the gate.

@@ -401,6 +401,75 @@ func BenchmarkQueryHotPath(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryAfterCommit measures the first query after a commit on
+// the Car corpus (817 sources, its ten evaluation queries in turn):
+// "feedback" conditions one source's p-mappings, "fast-add" adds one
+// source (after removing it again, so the corpus keeps its size), both
+// untimed; "warm" commits nothing, and "cold" drops every cached plan
+// instead. A plan survives both commits and re-resolves only the changed
+// source, so the two commit arms read like "warm", not like "cold".
+func BenchmarkQueryAfterCommit(b *testing.B) {
+	spec := datagen.Car(102)
+	spec.NumSources = 818
+	gen := datagen.MustGenerate(spec)
+	all := gen.Corpus.Sources
+	sys, err := core.Setup(gen.Corpus.Prefix(817), core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := make([]*sqlparse.Query, len(spec.Queries))
+	for i, qs := range spec.Queries {
+		queries[i] = sqlparse.MustParse(qs)
+	}
+	for _, q := range queries {
+		if _, err := sys.QueryParsed(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	added := all[817:]
+	commit := map[string]func(i int) error{
+		"warm": func(int) error { return nil },
+		"cold": func(int) error { sys.Engine().InvalidatePlans(); return nil },
+		"feedback": func(i int) error {
+			src := all[i%817]
+			c := sys.Maps[src.Name][0].Groups[0].Corrs[0]
+			return sys.SubmitFeedback(core.Feedback{Source: src.Name, SrcAttr: c.SrcAttr, MedIdx: c.MedIdx, Confirmed: true})
+		},
+		"fast-add": func(i int) error {
+			if i > 0 {
+				if _, err := sys.RemoveSource(added[0].Name); err != nil {
+					return err
+				}
+			}
+			if fast, err := sys.AddSources(added); err != nil || !fast {
+				return fmt.Errorf("add: fast=%v err=%v", fast, err)
+			}
+			return nil
+		},
+	}
+	for _, mode := range []string{"warm", "feedback", "fast-add", "cold"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := commit[mode](i); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := sys.QueryParsed(queries[i%len(queries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if mode == "fast-add" {
+				if _, err := sys.RemoveSource(added[0].Name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkByTupleRanking measures the by-tuple recombination extension.
 func BenchmarkByTupleRanking(b *testing.B) {
 	r := peopleRun(b)

@@ -19,6 +19,12 @@
 // duplicates are eliminated and probabilities combined), and
 // MergeResultSets gathers the parts of a partitioned corpus into one
 // before ranking it the same way.
+//
+// ScanPMed resolves the rewrites once per queried attribute set into a
+// plan the engine caches (PlanCache). A plan records the schema sequence,
+// sources and p-mappings it was resolved from, and takes the schema
+// probabilities from each query, so a commit never has to invalidate
+// it: the next query re-resolves only the sources that changed.
 package answer
 
 import (
@@ -26,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,13 +143,14 @@ type Engine struct {
 	// latency) and query.instances (answer occurrences, counted whether
 	// or not the scan lists them), and counters
 	// query.count, query.canceled, plan_cache.hits, plan_cache.misses,
-	// plan_cache.invalidations. Ranking is not a scan: whoever calls Rank
-	// times it. Nil disables recording. Set it through
-	// SetObs so the per-table index metrics share the registry.
+	// plan_cache.resolved_sources, plan_cache.invalidations. Ranking is
+	// not a scan: whoever calls Rank times it. Nil disables recording.
+	// Set it through SetObs so the per-table index metrics share the
+	// registry.
 	Obs *obs.Registry
 	// Plans caches resolved ScanPMed query plans. Always non-nil on an
-	// Engine from NewEngine. Callers that mutate p-mappings in place must
-	// call InvalidatePlans (see the PlanCache invalidation contract).
+	// Engine from NewEngine; an engine built over a changed corpus may
+	// take over its predecessor's (see PlanCache).
 	Plans *PlanCache
 }
 
@@ -178,9 +186,10 @@ func (e *Engine) SetIndexing(on bool) {
 	}
 }
 
-// InvalidatePlans drops all cached query plans. Callers must invoke it
-// after mutating any p-mapping in place (feedback conditioning does);
-// corpus changes instead rebuild the Engine, which starts a fresh cache.
+// InvalidatePlans drops all cached query plans, so the next query of
+// every attribute set resolves its plan from scratch. No commit needs it
+// (see PlanCache); it is how a cold plan is measured, and the one way to
+// recover from a p-mapping mutated in place.
 func (e *Engine) InvalidatePlans() {
 	e.Plans.Invalidate()
 	if e.Obs.Enabled() {
@@ -324,22 +333,11 @@ func (e *Engine) AnswerPMed(in PMedInput, q *sqlparse.Query) (*ResultSet, error)
 // instances. The per-source scan loops poll ctx, so a request deadline
 // stops the query early with ctx.Err() instead of serving a late answer.
 func (e *Engine) ScanPMed(ctx context.Context, in PMedInput, q *sqlparse.Query, d Detail) (*ResultSet, error) {
-	key, attrs := planKey(q)
-	if plan, ok := e.Plans.lookup(in, key); ok {
-		if e.Obs.Enabled() {
-			e.Obs.Add("plan_cache.hits", 1)
-		}
-		return e.answerWithPlan(ctx, plan, q, d)
-	}
-	plan, err := e.buildPlan(in, attrs)
+	plan, err := e.plan(in, q)
 	if err != nil {
 		return nil, err
 	}
-	e.Plans.store(in, key, plan)
-	if e.Obs.Enabled() {
-		e.Obs.Add("plan_cache.misses", 1)
-	}
-	return e.answerWithPlan(ctx, plan, q, d)
+	return e.answerWithPlan(ctx, plan, in.PMed.Probs, q, d)
 }
 
 // AnswerConsolidated answers q over the consolidated mediated schema T and
@@ -383,37 +381,43 @@ func (e *Engine) ScanConsolidated(ctx context.Context, target *schema.MediatedSc
 // assignment that leaves any query attribute unmapped contributes nothing
 // (by-table semantics over one-to-one mappings).
 func (e *Engine) scanAssignment(ctx context.Context, acc *accumulator, source string, q *sqlparse.Query, medIdxs map[string]int, medToSrc map[int]string, weight float64) error {
-	project := make([]string, len(q.Select))
-	for i, a := range q.Select {
+	attrs := slices.Clone(q.Select)
+	for _, p := range q.Where {
+		attrs = append(attrs, p.Attr)
+	}
+	for i, a := range attrs {
 		srcAttr, ok := medToSrc[medIdxs[a]]
 		if !ok {
 			return nil
 		}
-		project[i] = srcAttr
+		attrs[i] = srcAttr
 	}
-	preds := make([]storage.Pred, len(q.Where))
-	for i, p := range q.Where {
-		srcAttr, ok := medToSrc[medIdxs[p.Attr]]
-		if !ok {
-			return nil
-		}
-		preds[i] = storage.Pred{Attr: srcAttr, Op: p.Op, Literal: p.Literal}
-	}
-	idxs, rows, err := e.tables[source].SelectIdxCtx(ctx, project, preds)
+	tbl := e.tables[source]
+	cols, err := tbl.Cols(attrs)
 	if err != nil {
-		if isCancellation(err) {
-			return err
-		}
 		return fmt.Errorf("answer: %w", err)
 	}
-	acc.addAssignment(source, idxs, rows, weight)
+	rows, err := tbl.MatchCtx(ctx, q.Where, cols[len(q.Select):])
+	if err != nil {
+		return err
+	}
+	acc.addAssignment(source, rows, tbl.Source.Rows, cols[:len(q.Select)], weight)
 	return nil
 }
 
 // queryMedIdxs resolves every query attribute to the index of its cluster
 // in med; ok is false if any attribute is not mediated.
 func queryMedIdxs(q *sqlparse.Query, med *schema.MediatedSchema) (map[string]int, bool) {
-	return attrsMedIdxs(q.Attrs(), med)
+	attrs := q.Attrs()
+	idxs := attrsMedIdxs(attrs, med)
+	if idxs == nil {
+		return nil, false
+	}
+	out := make(map[string]int, len(attrs))
+	for i, a := range attrs {
+		out[a] = idxs[i]
+	}
+	return out, true
 }
 
 // accumulator gathers the answer occurrences of one source at a time —
@@ -472,29 +476,34 @@ func tupleKey(values []string) string { return strings.Join(values, "\x1f") }
 
 // addAssignment records the result of scanning one source under one
 // mapping assignment carrying the given probability weight: every matching
-// (row, values) occurrence accumulates the weight, and each distinct tuple
-// accumulates it once (by-table set semantics). rows are the scan's own
-// projections; a tuple keeps its first row's as its Values.
-func (a *accumulator) addAssignment(source string, rowIdxs []int, rows [][]string, weight float64) {
+// row rowIdxs names, projected through cols, is a (row, values)
+// occurrence that accumulates the weight, and each distinct tuple
+// accumulates it once (by-table set semantics). rows are the source's
+// rows; a tuple copies its first row's projection as its Values.
+func (a *accumulator) addAssignment(source string, rowIdxs []int, rows [][]string, cols []int, weight float64) {
 	if len(rowIdxs) == 0 {
 		return
 	}
 	a.source = source
 	a.assignment++
-	for i, r := range rowIdxs {
-		values := rows[i]
+	for _, r := range rowIdxs {
+		row := rows[r]
 		a.key = a.key[:0]
-		for j, v := range values {
+		for j, c := range cols {
 			if j > 0 {
 				a.key = append(a.key, '\x1f')
 			}
-			a.key = append(a.key, v...)
+			a.key = append(a.key, row[c]...)
 		}
 		t, ok := a.tuples[string(a.key)]
 		if !ok {
 			t = int32(len(a.tups))
 			k := string(a.key)
 			a.tuples[k] = t
+			values := make([]string, len(cols))
+			for j, c := range cols {
+				values[j] = row[c]
+			}
 			a.tups = append(a.tups, tupleAcc{key: k, values: values})
 		}
 		if tu := &a.tups[t]; tu.stamp != a.assignment {

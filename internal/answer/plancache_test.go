@@ -2,10 +2,12 @@ package answer
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"udi/internal/obs"
 	"udi/internal/pmapping"
+	"udi/internal/schema"
 	"udi/internal/sqlparse"
 )
 
@@ -68,9 +70,9 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidate pins the invalidation contract: after an
-// in-place p-mapping mutation plus InvalidatePlans, the next query
-// misses, rebuilds, and reflects the new probabilities.
+// TestPlanCacheInvalidate pins InvalidatePlans, the one recovery from a
+// p-mapping mutated in place: after it the next query misses, rebuilds,
+// and reflects the new probabilities.
 func TestPlanCacheInvalidate(t *testing.T) {
 	corpus, in := figure1Fixture()
 	e := NewEngine(corpus)
@@ -126,30 +128,101 @@ func TestPlanCacheInvalidate(t *testing.T) {
 	}
 }
 
-// TestPlanCacheIdentityFlush pins the (PMed, Maps) identity guard: a
-// lookup with a different input misses and the store flushes the old
-// entries, so plans from one p-med-schema never answer another's query.
-func TestPlanCacheIdentityFlush(t *testing.T) {
+// TestPlanCacheResolvesOnlyWhatChanged pins what a cached plan keys on.
+// New schema probabilities over the same schemas reuse every resolved
+// source. Structurally equal but freshly built inputs reuse the plan
+// yet re-resolve the source, because its p-mappings are other objects.
+// Another schema sequence rebuilds the plan whole. Each answer is
+// bit-identical to a fresh engine's over the same input, and the cache
+// keeps one plan throughout.
+func TestPlanCacheResolvesOnlyWhatChanged(t *testing.T) {
 	corpus, in := figure1Fixture()
 	e := NewEngine(corpus)
-	q := sqlparse.MustParse("SELECT name FROM t")
-	if _, err := e.AnswerPMed(in, q); err != nil {
-		t.Fatal(err)
-	}
-	if e.Plans.Len() != 1 {
-		t.Fatalf("cached %d plans, want 1", e.Plans.Len())
-	}
+	reg := obs.NewRegistry()
+	e.SetObs(reg)
+	q := sqlparse.MustParse("SELECT name, phone FROM t")
 
-	// A structurally identical input with fresh identity must not reuse
-	// the old plan.
-	_, in2 := figure1Fixture()
-	if _, ok := e.Plans.lookup(in2, "name"); ok {
-		t.Fatal("lookup hit across input identities")
-	}
-	if _, err := e.AnswerPMed(in2, q); err != nil {
+	_, fresh := figure1Fixture()
+	reweighted, err := schema.NewPMedSchema(in.PMed.Schemas, []float64{0.3, 0.7})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Plans.Len() != 1 {
-		t.Fatalf("store did not flush the previous identity: %d plans", e.Plans.Len())
+	reordered, err := schema.NewPMedSchema([]*schema.MediatedSchema{in.PMed.Schemas[1], in.PMed.Schemas[0]}, []float64{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name                   string
+		in                     PMedInput
+		hits, misses, resolved int64
+	}{
+		{"cold", in, 0, 1, 1},
+		{"reweighted", PMedInput{PMed: reweighted, Maps: in.Maps}, 1, 1, 1},
+		{"fresh maps", fresh, 2, 1, 2},
+		{"reordered", PMedInput{PMed: reordered, Maps: map[string][]*pmapping.PMapping{"S1": {fresh.Maps["S1"][1], fresh.Maps["S1"][0]}}}, 2, 2, 3},
+	}
+	for _, st := range steps {
+		got, err := e.AnswerPMed(st.in, q)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		want, err := NewEngine(corpus).AnswerPMed(st.in, q)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if len(got.Ranked) != len(want.Ranked) || len(got.Ranked) == 0 {
+			t.Fatalf("%s: %d answers, fresh engine %d", st.name, len(got.Ranked), len(want.Ranked))
+		}
+		for i := range want.Ranked {
+			if tupleKey(got.Ranked[i].Values) != tupleKey(want.Ranked[i].Values) || got.Ranked[i].Prob != want.Ranked[i].Prob {
+				t.Fatalf("%s: answer %d is %v, fresh engine %v", st.name, i, got.Ranked[i], want.Ranked[i])
+			}
+		}
+		c := reg.Snapshot().Counters
+		if c["plan_cache.hits"] != st.hits || c["plan_cache.misses"] != st.misses || c["plan_cache.resolved_sources"] != st.resolved {
+			t.Fatalf("%s: counters %+v, want hits %d misses %d resolved %d", st.name, c, st.hits, st.misses, st.resolved)
+		}
+		if e.Plans.Len() != 1 {
+			t.Fatalf("%s: cached %d plans, want 1", st.name, e.Plans.Len())
+		}
+	}
+}
+
+// TestPlanCacheKeysOnTheSource hands a warm cache to an engine over a
+// corpus whose source kept its name and its p-mappings but reversed its
+// columns: the source's ops must be resolved again, not read at the old
+// column positions.
+func TestPlanCacheKeysOnTheSource(t *testing.T) {
+	corpus, in := figure1Fixture()
+	q := sqlparse.MustParse("SELECT name, phone FROM t WHERE address != 'x'")
+	warm := NewEngine(corpus)
+	if _, err := warm.AnswerPMed(in, q); err != nil {
+		t.Fatal(err)
+	}
+	s1 := corpus.Sources[0]
+	attrs, row := slices.Clone(s1.Attrs), slices.Clone(s1.Rows[0])
+	slices.Reverse(attrs)
+	slices.Reverse(row)
+	permuted, err := schema.NewCorpus("people", []*schema.Source{schema.MustNewSource(s1.Name, attrs, [][]string{row})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(permuted)
+	e.Plans = warm.Plans
+	got, err := e.AnswerPMed(in, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEngine(permuted).AnswerPMed(in, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Ranked) != len(want.Ranked) || len(want.Ranked) == 0 {
+		t.Fatalf("%d answers, fresh engine %d", len(got.Ranked), len(want.Ranked))
+	}
+	for i := range want.Ranked {
+		if tupleKey(got.Ranked[i].Values) != tupleKey(want.Ranked[i].Values) || got.Ranked[i].Prob != want.Ranked[i].Prob {
+			t.Fatalf("answer %d is %v, fresh engine %v", i, got.Ranked[i], want.Ranked[i])
+		}
 	}
 }

@@ -246,8 +246,14 @@ func (s *System) importSources() {
 // buildEngine builds the query engine over s.Corpus — at setup, and again
 // whenever a structural commit installs a different corpus (the engine is
 // replaced wholesale, never patched, so published snapshots keep theirs).
+// A replacement takes over its predecessor's plan cache, whose plans
+// re-resolve only the sources that changed (see answer.PlanCache).
 func (s *System) buildEngine() {
+	old := s.engine
 	s.engine = answer.NewEngine(s.Corpus)
+	if old != nil {
+		s.engine.Plans = old.Plans
+	}
 	s.engine.Parallelism = s.Cfg.Parallelism
 	s.engine.SetObs(s.Cfg.Obs)
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
-	"udi/internal/answer"
 	"udi/internal/pmapping"
 )
 
@@ -112,9 +110,11 @@ func (s *System) feedbackBatchMax() int {
 //  2. The entry logs every surviving op under one fsync. On failure the
 //     working copy is discarded: nothing was published and nothing
 //     remains in the log.
-//  3. Install: swap the working copy in and retarget the cached plans of
-//     exactly the fed-back sources; the entry publishes one epoch (whose
-//     consolidation memo starts empty) and the batch is acknowledged.
+//  3. Install: swap the working copy in; the entry publishes one epoch
+//     (whose consolidation memo starts empty) and the batch is
+//     acknowledged. The cached plans need nothing: the next query finds
+//     exactly the fed-back sources' p-mappings changed and re-resolves
+//     their ops alone (see answer.PlanCache).
 //     The schema-dedup cache needs nothing: feedback conditions
 //     per-source clones, never a canonical value, so every entry still
 //     holds what a fresh pmapping.Build computes.
@@ -128,10 +128,8 @@ func (s *System) commitFeedbackBatch(batch []*feedbackReq) {
 	results := make([]error, len(batch))
 	var okIdx []int
 	err := s.write("feedback", func() (txn, error) {
-		oldMaps := s.Maps
 		work := clonedMaps(s.Maps)
 		var ops []Op
-		var fedBack []string
 		for i, req := range batch {
 			if err := s.conditionFeedback(work, req.fb); err != nil {
 				results[i] = err
@@ -140,16 +138,11 @@ func (s *System) commitFeedbackBatch(batch []*feedbackReq) {
 			fb := req.fb
 			ops = append(ops, Op{Kind: OpFeedback, Feedback: &fb})
 			okIdx = append(okIdx, i)
-			fedBack = append(fedBack, fb.Source)
 		}
 		if len(ops) == 0 {
 			return txn{}, nil
 		}
-		return txn{ops: ops, count: len(ops), install: func() {
-			s.Maps = work
-			slices.Sort(fedBack)
-			s.engine.RetargetPlans(oldMaps, answer.PMedInput{PMed: s.Med.PMed, Maps: s.Maps}, slices.Compact(fedBack))
-		}}, nil
+		return txn{ops: ops, count: len(ops), install: func() { s.Maps = work }}, nil
 	})
 	if err != nil {
 		for _, i := range okIdx {

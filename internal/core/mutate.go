@@ -422,11 +422,7 @@ func (s *System) ShardRestructure(ch ShardChange) error {
 		}
 		return txn{install: func() {
 			s.Med, s.Target, s.Maps = ch.Med, ch.Target, maps
-			if corpus == nil {
-				// The plan cache keys on (PMed, Maps) identity, so the swap
-				// alone invalidates cached plans; dropping them now frees them.
-				s.engine.InvalidatePlans()
-			} else {
+			if corpus != nil {
 				s.Corpus = corpus
 				s.buildEngine()
 			}

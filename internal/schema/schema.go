@@ -395,7 +395,7 @@ func (p *PMedSchema) SameSequence(o *PMedSchema) bool {
 		return false
 	}
 	for i := range p.Schemas {
-		if p.Schemas[i].Key() != o.Schemas[i].Key() {
+		if p.Schemas[i] != o.Schemas[i] && p.Schemas[i].Key() != o.Schemas[i].Key() {
 			return false
 		}
 	}

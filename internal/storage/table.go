@@ -197,30 +197,43 @@ func (t *Table) SelectIdx(project []string, preds []Pred) ([]int, [][]string, er
 // deadline expires or the caller cancels, so an HTTP request deadline
 // actually stops the work instead of letting it run to completion.
 func (t *Table) SelectIdxCtx(ctx context.Context, project []string, preds []Pred) ([]int, [][]string, error) {
-	projIdx := make([]int, len(project))
-	for i, a := range project {
-		idx := t.Source.AttrIndex(a)
-		if idx < 0 {
-			return nil, nil, fmt.Errorf("storage: source %q has no attribute %q", t.Source.Name, a)
-		}
-		projIdx[i] = idx
+	projIdx, err := t.Cols(project)
+	if err != nil {
+		return nil, nil, err
 	}
-	predIdx := make([]int, len(preds))
+	predAttrs := make([]string, len(preds))
 	for i, p := range preds {
-		idx := t.Source.AttrIndex(p.Attr)
-		if idx < 0 {
-			return nil, nil, fmt.Errorf("storage: source %q has no attribute %q", t.Source.Name, p.Attr)
-		}
-		predIdx[i] = idx
+		predAttrs[i] = p.Attr
 	}
-	return t.SelectIdxColsCtx(ctx, projIdx, preds, predIdx)
+	predIdx, err := t.Cols(predAttrs)
+	if err != nil {
+		return nil, nil, err
+	}
+	idxs, err := t.MatchCtx(ctx, preds, predIdx)
+	if err != nil {
+		return nil, nil, err
+	}
+	var out [][]string
+	for _, r := range idxs {
+		proj := make([]string, len(projIdx))
+		for i, c := range projIdx {
+			proj[i] = t.Source.Rows[r][c]
+		}
+		out = append(out, proj)
+	}
+	return idxs, out, nil
 }
 
-// SelectIdxCols is SelectIdxColsCtx without a cancellation point; the
-// background context never expires, so the error return is dropped.
-func (t *Table) SelectIdxCols(projIdx []int, preds []Pred, predIdx []int) ([]int, [][]string) {
-	idxs, out, _ := t.SelectIdxColsCtx(context.Background(), projIdx, preds, predIdx)
-	return idxs, out
+// Cols resolves attribute names to the source's column indexes; an
+// attribute the schema lacks is an error.
+func (t *Table) Cols(attrs []string) ([]int, error) {
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		if cols[i] = t.Source.AttrIndex(a); cols[i] < 0 {
+			return nil, fmt.Errorf("storage: source %q has no attribute %q", t.Source.Name, a)
+		}
+	}
+	return cols, nil
 }
 
 // cancelCheckRows is the scan interval between context checks: frequent
@@ -228,23 +241,16 @@ func (t *Table) SelectIdxCols(projIdx []int, preds []Pred, predIdx []int) ([]int
 // that the atomic load is invisible in scan throughput.
 const cancelCheckRows = 1024
 
-// SelectIdxColsCtx is SelectIdx with attribute resolution already done:
-// the projection and predicate columns are given as column indices (the
-// predicates' Attr fields are ignored). The plan cache uses it to skip
-// per-query name lookups. Column indices must be valid for the source.
-// The scan polls ctx every cancelCheckRows rows; on cancellation it
-// returns ctx.Err() and partial output must be discarded.
-func (t *Table) SelectIdxColsCtx(ctx context.Context, projIdx []int, preds []Pred, predIdx []int) ([]int, [][]string, error) {
+// MatchCtx returns the ascending ids of the rows satisfying every
+// predicate (a conjunction), with attribute resolution already done: the
+// predicate columns are given as column indexes (the predicates' Attr
+// fields are ignored) and must be valid for the source. It projects
+// nothing — the caller reads the columns it wants from Source.Rows — and
+// the returned slice may be an index's own postings list, so it must not
+// be modified. The scan polls ctx every cancelCheckRows rows; on
+// cancellation it returns ctx.Err().
+func (t *Table) MatchCtx(ctx context.Context, preds []Pred, predIdx []int) ([]int, error) {
 	var idxs []int
-	var out [][]string
-	emit := func(r int, row []string) {
-		proj := make([]string, len(projIdx))
-		for i, idx := range projIdx {
-			proj[i] = row[idx]
-		}
-		idxs = append(idxs, r)
-		out = append(out, proj)
-	}
 	matches := func(row []string) bool {
 		for i, p := range preds {
 			if !p.Op.Eval(row[predIdx[i]], p.Literal) {
@@ -291,11 +297,14 @@ func (t *Table) SelectIdxColsCtx(ctx context.Context, projIdx []int, preds []Pre
 			// Canonical-form equality coincides exactly with EqualValues
 			// (see canonicalValue), so candidates already satisfy every
 			// equality predicate; only the remaining operators need the
-			// per-row check.
+			// per-row check, and with none the candidates are the answer.
+			if len(verify) == 0 {
+				return candidates, nil
+			}
 			for n, r := range candidates {
 				if n%cancelCheckRows == 0 {
 					if err := ctx.Err(); err != nil {
-						return nil, nil, err
+						return nil, err
 					}
 				}
 				row := t.Source.Rows[r]
@@ -307,23 +316,23 @@ func (t *Table) SelectIdxColsCtx(ctx context.Context, projIdx []int, preds []Pre
 					}
 				}
 				if ok {
-					emit(r, row)
+					idxs = append(idxs, r)
 				}
 			}
-			return idxs, out, nil
+			return idxs, nil
 		}
 	}
 	for r, row := range t.Source.Rows {
 		if r%cancelCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if matches(row) {
-			emit(r, row)
+			idxs = append(idxs, r)
 		}
 	}
-	return idxs, out, nil
+	return idxs, nil
 }
 
 // defaultIndexThreshold is the row count below which a full scan beats
