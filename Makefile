@@ -5,8 +5,9 @@
 # the SQL parser, the shard RPC partial-result decoder, the shard RPC
 # restructure body's decoders, the WAL shipping stream's frame reader,
 # the cross-source combine, the CSV round trip, the compiled
-# attribute-name similarity against its string definition and the
-# p-mapping group split against its string-keyed predecessor.
+# attribute-name similarity against its string definition, the
+# p-mapping group split against its string-keyed predecessor and the
+# compiled WHERE predicate against Op.Eval.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzCSVRoundTrip -fuzztime=$(FUZZTIME) ./internal/csvio
 	$(GO) test -run '^$$' -fuzz=FuzzAttrSimCompiled -fuzztime=$(FUZZTIME) ./internal/strutil
 	$(GO) test -run '^$$' -fuzz=FuzzSplitGroups -fuzztime=$(FUZZTIME) ./internal/pmapping
+	$(GO) test -run '^$$' -fuzz=FuzzCompiledPredicate -fuzztime=$(FUZZTIME) ./internal/storage
 
 # Non-test lines per package and in total — the figure a simplicity PR
 # reports in CHANGES.md. The test-only oracle and the benchmark harness

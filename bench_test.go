@@ -7,6 +7,7 @@
 package udi_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -514,6 +515,40 @@ func BenchmarkSetupScale(b *testing.B) {
 			if tr := last.Trace.Export(); tr != nil {
 				for _, child := range tr.Children {
 					b.ReportMetric(child.DurationMS, child.Name+"-ms")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServeQuery measures what /v1/query serves, without HTTP: the
+// by-table Snapshot.RunCtx (occurrence counts, no instance list) on one
+// worker, each op one query of the mix in turn. "car" is the 817-source
+// Car corpus under its ten evaluation queries, "scale" the 5 000-source
+// scale corpus under the ten-query mix of the repository benchmark's
+// setup.scale5k workload — many two-row tables, mostly LIKE, where a
+// per-table cost would show. Run with -benchmem: allocs/op is the count
+// TestServeQueryAllocs pins.
+func BenchmarkServeQuery(b *testing.B) {
+	for _, mix := range []struct {
+		name  string
+		build func(testing.TB) (*core.Snapshot, []*sqlparse.Query)
+	}{
+		{"car", carServe},
+		{"scale", scaleServe},
+	} {
+		b.Run(mix.name, func(b *testing.B) {
+			sn, queries := mix.build(b)
+			for _, q := range queries { // warm the plans
+				if _, err := sn.RunCtx(context.Background(), core.UDI, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sn.RunCtx(context.Background(), core.UDI, queries[i%len(queries)]); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

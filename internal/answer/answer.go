@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -168,9 +167,36 @@ func NewEngine(c *schema.Corpus) *Engine {
 	return e
 }
 
+// Successor builds the engine that replaces e over c, the corpus a
+// structural commit installs. It takes over e's plan cache, parallelism
+// and registry, and e's table of every source c still holds (the same
+// *schema.Source), so the indexes those tables built lazily survive the
+// commit; only a newcomer gets a new table, its Obs set as it is built.
+// e itself is left as it was, serving the snapshots that hold it.
+func (e *Engine) Successor(c *schema.Corpus) *Engine {
+	n := &Engine{
+		corpus:      c,
+		tables:      make(map[string]*storage.Table, len(c.Sources)),
+		Parallelism: e.Parallelism,
+		Obs:         e.Obs,
+		Plans:       e.Plans,
+	}
+	for _, s := range c.Sources {
+		t := e.tables[s.Name]
+		if t == nil || t.Source != s {
+			t = storage.NewTable(s)
+			t.Obs = e.Obs
+		}
+		n.tables[s.Name] = t
+	}
+	return n
+}
+
 // SetObs sets the metrics registry on the engine and on every source
 // table, so query-level and index-level counters land in one place. A
-// setup-time knob, like the tables' own Obs fields.
+// setup-time knob for an engine from NewEngine, whose tables are its
+// own; a Successor shares its tables with its predecessor and takes the
+// predecessor's registry instead.
 func (e *Engine) SetObs(r *obs.Registry) {
 	e.Obs = r
 	for _, t := range e.tables {
@@ -197,16 +223,16 @@ func (e *Engine) InvalidatePlans() {
 	}
 }
 
-// runPerSource evaluates work for every source — in parallel when
-// Parallelism allows — into per-source results, then gathers them in
-// source order into one part, identical to a serial run's. It does not
-// combine sources: that is Rank's job. d says whether the part lists
-// instances. The context is checked before each source is dispatched
-// (and, via the table scans, every cancelCheckRows rows inside one), so
-// an expired deadline stops the query instead of letting it run to
-// completion; cancellation is reported through the query.canceled
-// counter.
-func (e *Engine) runPerSource(ctx context.Context, d Detail, work func(ctx context.Context, src *schema.Source, acc *accumulator) error) (*ResultSet, error) {
+// runPerSource evaluates work for every source, given its position in
+// the corpus — in parallel when Parallelism allows — into per-source
+// results, then gathers them in source order into one part, identical
+// to a serial run's. It does not combine sources: that is Rank's job.
+// d says whether the part lists instances. The context is checked
+// before each source is dispatched (and, via the table scans, every
+// cancelCheckRows rows inside one), so an expired deadline stops the
+// query instead of letting it run to completion; cancellation is
+// reported through the query.canceled counter.
+func (e *Engine) runPerSource(ctx context.Context, d Detail, work func(ctx context.Context, i int, src *schema.Source, acc *accumulator) error) (*ResultSet, error) {
 	rs, err := e.runPerSourceInner(ctx, d, work)
 	if err != nil && isCancellation(err) && e.Obs.Enabled() {
 		e.Obs.Add("query.canceled", 1)
@@ -227,7 +253,7 @@ type sourceResult struct {
 	insts []Instance
 }
 
-func (e *Engine) runPerSourceInner(ctx context.Context, d Detail, work func(ctx context.Context, src *schema.Source, acc *accumulator) error) (*ResultSet, error) {
+func (e *Engine) runPerSourceInner(ctx context.Context, d Detail, work func(ctx context.Context, i int, src *schema.Source, acc *accumulator) error) (*ResultSet, error) {
 	t0 := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -246,7 +272,7 @@ func (e *Engine) runPerSourceInner(ctx context.Context, d Detail, work func(ctx 
 		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			err := ctx.Err()
 			if err == nil {
-				err = work(ctx, e.corpus.Sources[i], acc)
+				err = work(ctx, i, e.corpus.Sources[i], acc)
 			}
 			if err != nil {
 				mu.Lock()
@@ -359,7 +385,8 @@ func (e *Engine) ScanConsolidated(ctx context.Context, target *schema.MediatedSc
 	if !ok {
 		return &ResultSet{}, nil // query attribute not mediated
 	}
-	return e.runPerSource(ctx, d, func(ctx context.Context, src *schema.Source, acc *accumulator) error {
+	where := storage.Compile(q.Where)
+	return e.runPerSource(ctx, d, func(ctx context.Context, _ int, src *schema.Source, acc *accumulator) error {
 		cpm := maps[src.Name]
 		if cpm == nil {
 			return fmt.Errorf("answer: no consolidated p-mapping for source %q", src.Name)
@@ -368,7 +395,7 @@ func (e *Engine) ScanConsolidated(ctx context.Context, target *schema.MediatedSc
 			if m.Prob == 0 {
 				continue
 			}
-			if err := e.scanAssignment(ctx, acc, src.Name, q, medIdxs, m.MedToSrc(), m.Prob); err != nil {
+			if err := e.scanAssignment(ctx, acc, src.Name, q, where, medIdxs, m.MedToSrc(), m.Prob); err != nil {
 				return err
 			}
 		}
@@ -376,33 +403,40 @@ func (e *Engine) ScanConsolidated(ctx context.Context, target *schema.MediatedSc
 	})
 }
 
-// scanAssignment rewrites q under one (mediated→source) assignment, scans
-// the source table and accumulates weight for each matching row. An
-// assignment that leaves any query attribute unmapped contributes nothing
-// (by-table semantics over one-to-one mappings).
-func (e *Engine) scanAssignment(ctx context.Context, acc *accumulator, source string, q *sqlparse.Query, medIdxs map[string]int, medToSrc map[int]string, weight float64) error {
-	attrs := slices.Clone(q.Select)
+// scanAssignment rewrites q, its WHERE compiled as where, under one
+// (mediated→source) assignment, scans the source table and accumulates
+// weight for each matching row. An assignment that leaves any query
+// attribute unmapped contributes nothing (by-table semantics over
+// one-to-one mappings).
+func (e *Engine) scanAssignment(ctx context.Context, acc *accumulator, source string, q *sqlparse.Query, where []storage.CPred, medIdxs map[string]int, medToSrc map[int]string, weight float64) error {
+	tbl := e.tables[source]
+	cols, ok, err := assignmentCols(tbl, q, medIdxs, medToSrc)
+	if !ok {
+		return err
+	}
+	return acc.scan(ctx, tbl, where, cols[len(q.Select):], cols[:len(q.Select)], weight)
+}
+
+// assignmentCols resolves q's SELECT and then its WHERE attributes under
+// one (mediated→source) assignment to tbl's columns. ok is false when
+// the assignment leaves some query attribute unmapped, or on an error.
+func assignmentCols(tbl *storage.Table, q *sqlparse.Query, medIdxs map[string]int, medToSrc map[int]string) (cols []int, ok bool, err error) {
+	attrs := make([]string, 0, len(q.Select)+len(q.Where))
+	attrs = append(attrs, q.Select...)
 	for _, p := range q.Where {
 		attrs = append(attrs, p.Attr)
 	}
 	for i, a := range attrs {
-		srcAttr, ok := medToSrc[medIdxs[a]]
-		if !ok {
-			return nil
+		srcAttr, mapped := medToSrc[medIdxs[a]]
+		if !mapped {
+			return nil, false, nil
 		}
 		attrs[i] = srcAttr
 	}
-	tbl := e.tables[source]
-	cols, err := tbl.Cols(attrs)
-	if err != nil {
-		return fmt.Errorf("answer: %w", err)
+	if cols, err = tbl.Cols(attrs); err != nil {
+		return nil, false, fmt.Errorf("answer: %w", err)
 	}
-	rows, err := tbl.MatchCtx(ctx, q.Where, cols[len(q.Select):])
-	if err != nil {
-		return err
-	}
-	acc.addAssignment(source, rows, tbl.Source.Rows, cols[:len(q.Select)], weight)
-	return nil
+	return cols, true, nil
 }
 
 // queryMedIdxs resolves every query attribute to the index of its cluster
@@ -422,15 +456,23 @@ func queryMedIdxs(q *sqlparse.Query, med *schema.MediatedSchema) (map[string]int
 
 // accumulator gathers the answer occurrences of one source at a time —
 // between finishSource calls — into its tuple probabilities, its
-// occurrence count and, WithInstances, its instance list. Everything but
-// what finishSource hands out is scratch the next source reuses.
+// occurrence count and, WithInstances, its instance list. One worker's
+// accumulator serves every source the worker takes within one query:
+// the tuples it has met stay interned across them, and everything else
+// but what finishSource hands out is scratch the next source reuses.
 type accumulator struct {
 	detail Detail
 	source string
 
-	// tuples finds a tuple's index in tups by its key.
+	// tuples interns every tuple met during the query by its key, an
+	// index in tups: a tuple recurring across sources is keyed, and
+	// WithInstances projected, once.
 	tuples map[string]int32
 	tups   []tupleAcc
+	// seen lists the current source's tuples, indexes in tups, in
+	// first-seen order; sourceSeq numbers the sources taken.
+	seen      []int32
+	sourceSeq int
 	// occs are the source's occurrences, its distinct (row, tuple) pairs,
 	// in first-seen order. rowOcc[r] is 1 + the index of row r's first
 	// occurrence (0: none yet); a row that projects to a second tuple
@@ -443,17 +485,22 @@ type accumulator struct {
 	// assignment's weight once however many rows produce it.
 	assignment int
 	key        []byte // scratch: the tuple key being looked up
+	rows       []int  // scratch: the matching row ids of one scan
+	cols       []int  // scratch: one scan's column rewrite
 }
 
-// tupleAcc is one distinct tuple of the current source.
+// tupleAcc is one distinct tuple met during the query.
 type tupleAcc struct {
-	key    string
+	key string
+	// values is the tuple's projection, kept WithInstances only.
 	values []string
-	// prob is the source's by-table probability for the tuple: within one
-	// assignment the tuple counts once (set semantics), across
-	// assignments its weights sum. stamp is the last assignment added.
-	prob  float64
-	stamp int
+	// prob is the current source's by-table probability for the tuple:
+	// within one assignment the tuple counts once (set semantics), across
+	// assignments its weights sum. stamp is the last assignment added,
+	// source the sourceSeq of the last source that produced the tuple.
+	prob   float64
+	stamp  int
+	source int
 }
 
 // occurrence is one (row, tuple) pair with its accumulated probability.
@@ -469,17 +516,31 @@ type occKey struct {
 }
 
 func newAccumulator(d Detail) *accumulator {
-	return &accumulator{detail: d, tuples: make(map[string]int32)}
+	return &accumulator{detail: d, tuples: make(map[string]int32), sourceSeq: 1}
 }
 
 func tupleKey(values []string) string { return strings.Join(values, "\x1f") }
+
+// scan matches the compiled predicates against tbl's predicate columns
+// predCols into the accumulator's row scratch and adds the rows,
+// projected through cols, as one assignment of the given weight.
+func (a *accumulator) scan(ctx context.Context, tbl *storage.Table, where []storage.CPred, predCols, cols []int, weight float64) error {
+	rows, err := tbl.MatchCtx(ctx, a.rows[:0], where, predCols)
+	if err != nil {
+		return err
+	}
+	a.rows = rows
+	a.addAssignment(tbl.Source.Name, rows, tbl.Source.Rows, cols, weight)
+	return nil
+}
 
 // addAssignment records the result of scanning one source under one
 // mapping assignment carrying the given probability weight: every matching
 // row rowIdxs names, projected through cols, is a (row, values)
 // occurrence that accumulates the weight, and each distinct tuple
 // accumulates it once (by-table set semantics). rows are the source's
-// rows; a tuple copies its first row's projection as its Values.
+// rows; WithInstances, a tuple copies the projection of the first row
+// that produced it as its Values.
 func (a *accumulator) addAssignment(source string, rowIdxs []int, rows [][]string, cols []int, weight float64) {
 	if len(rowIdxs) == 0 {
 		return
@@ -500,13 +561,21 @@ func (a *accumulator) addAssignment(source string, rowIdxs []int, rows [][]strin
 			t = int32(len(a.tups))
 			k := string(a.key)
 			a.tuples[k] = t
-			values := make([]string, len(cols))
-			for j, c := range cols {
-				values[j] = row[c]
+			tu := tupleAcc{key: k}
+			if a.detail == WithInstances {
+				tu.values = make([]string, len(cols))
+				for j, c := range cols {
+					tu.values[j] = row[c]
+				}
 			}
-			a.tups = append(a.tups, tupleAcc{key: k, values: values})
+			a.tups = append(a.tups, tu)
 		}
-		if tu := &a.tups[t]; tu.stamp != a.assignment {
+		tu := &a.tups[t]
+		if tu.source != a.sourceSeq {
+			tu.source, tu.prob = a.sourceSeq, 0
+			a.seen = append(a.seen, t)
+		}
+		if tu.stamp != a.assignment {
 			tu.stamp = a.assignment
 			tu.prob += weight
 		}
@@ -546,12 +615,13 @@ func (a *accumulator) addOccurrence(row int, t int32, weight float64) {
 // finishSource hands out the current source's result — zero when it
 // matched no row — and resets the scratch for the next source.
 func (a *accumulator) finishSource() sourceResult {
+	a.sourceSeq++
 	if len(a.occs) == 0 {
 		return sourceResult{}
 	}
-	probs := make(map[string]float64, len(a.tups))
-	for _, tu := range a.tups {
-		probs[tu.key] = tu.prob
+	probs := make(map[string]float64, len(a.seen))
+	for _, t := range a.seen {
+		probs[a.tups[t].key] = a.tups[t].prob
 	}
 	res := sourceResult{probs: SourceTupleProbs{Source: a.source, Probs: probs, Occurrences: len(a.occs)}}
 	if a.detail == WithInstances {
@@ -563,8 +633,7 @@ func (a *accumulator) finishSource() sourceResult {
 	for _, o := range a.occs {
 		a.rowOcc[o.row] = 0
 	}
-	clear(a.tuples)
 	clear(a.extra)
-	a.tups, a.occs, a.source = a.tups[:0], a.occs[:0], ""
+	a.seen, a.occs, a.source = a.seen[:0], a.occs[:0], ""
 	return res
 }

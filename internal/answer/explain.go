@@ -39,6 +39,7 @@ func (e *Engine) Explain(in PMedInput, q *sqlparse.Query, values []string) ([]Co
 // cancellation like the query path does.
 func (e *Engine) ExplainCtx(ctx context.Context, in PMedInput, q *sqlparse.Query, values []string) ([]Contribution, error) {
 	want := tupleKey(values)
+	where := storage.Compile(q.Where)
 	var out []Contribution
 	for _, src := range e.corpus.Sources {
 		if err := ctx.Err(); err != nil {
@@ -62,7 +63,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, in PMedInput, q *sqlparse.Query
 				if asgn.Prob == 0 {
 					continue
 				}
-				rows, ok, err := e.rowsProducing(ctx, src.Name, q, medIdxs, asgn.MedToSrc, want)
+				rows, ok, err := e.rowsProducing(ctx, src.Name, q, where, medIdxs, asgn.MedToSrc, want)
 				if err != nil {
 					return nil, err
 				}
@@ -109,36 +110,27 @@ func MergeContributions(parts ...[]Contribution) []Contribution {
 	return out
 }
 
-// rowsProducing rewrites q under the assignment and returns the rows whose
-// projection equals the wanted tuple. ok is false when the assignment
-// leaves a query attribute unmapped.
-func (e *Engine) rowsProducing(ctx context.Context, source string, q *sqlparse.Query, medIdxs map[string]int, medToSrc map[int]string, want string) ([]int, bool, error) {
-	project := make([]string, len(q.Select))
-	for i, a := range q.Select {
-		srcAttr, ok := medToSrc[medIdxs[a]]
-		if !ok {
-			return nil, false, nil
-		}
-		project[i] = srcAttr
+// rowsProducing rewrites q, its WHERE compiled as where, under the
+// assignment and returns the rows whose projection equals the wanted
+// tuple. ok is false when the assignment leaves a query attribute
+// unmapped.
+func (e *Engine) rowsProducing(ctx context.Context, source string, q *sqlparse.Query, where []storage.CPred, medIdxs map[string]int, medToSrc map[int]string, want string) ([]int, bool, error) {
+	tbl := e.tables[source]
+	cols, ok, err := assignmentCols(tbl, q, medIdxs, medToSrc)
+	if !ok {
+		return nil, false, err
 	}
-	preds := make([]storage.Pred, 0, len(q.Where))
-	for _, p := range q.Where {
-		srcAttr, ok := medToSrc[medIdxs[p.Attr]]
-		if !ok {
-			return nil, false, nil
-		}
-		preds = append(preds, storage.Pred{Attr: srcAttr, Op: p.Op, Literal: p.Literal})
-	}
-	idxs, rows, err := e.tables[source].SelectIdxCtx(ctx, project, preds)
+	idxs, err := tbl.MatchCtx(ctx, nil, where, cols[len(q.Select):])
 	if err != nil {
-		if isCancellation(err) {
-			return nil, false, err
-		}
-		return nil, false, fmt.Errorf("answer: %w", err)
+		return nil, false, err
 	}
 	var match []int
-	for i, r := range idxs {
-		if tupleKey(rows[i]) == want {
+	tuple := make([]string, len(q.Select))
+	for _, r := range idxs {
+		for i, c := range cols[:len(q.Select)] {
+			tuple[i] = tbl.Source.Rows[r][c]
+		}
+		if tupleKey(tuple) == want {
 			match = append(match, r)
 		}
 	}

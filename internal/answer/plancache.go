@@ -11,6 +11,7 @@ import (
 	"udi/internal/pmapping"
 	"udi/internal/schema"
 	"udi/internal/sqlparse"
+	"udi/internal/storage"
 )
 
 // PlanCache memoizes, per queried attribute set, the resolved query plan
@@ -103,8 +104,8 @@ type queryPlan struct {
 	// attribute.
 	medIdx [][]int
 	// bySource holds an entry for every source of the corpus the plan
-	// was last completed for, with or without ops.
-	bySource map[string]*sourceOps
+	// was last completed for, with or without ops, in corpus order.
+	bySource []*sourceOps
 }
 
 // sourceOps is one source's resolved scans, with the source and the
@@ -145,30 +146,51 @@ func planKey(q *sqlparse.Query) (key string, attrs []string) {
 	return strings.Join(attrs, "\x1f"), attrs
 }
 
-// entry returns the plan's entry for src when it was resolved from src
-// and pms, nil otherwise (or on a nil plan).
-func (p *queryPlan) entry(src *schema.Source, pms []*pmapping.PMapping) *sourceOps {
-	if p == nil {
-		return nil
-	}
-	if so := p.bySource[src.Name]; so != nil && so.src == src && slices.Equal(so.pms, pms) {
-		return so
-	}
-	return nil
+// current reports whether so was resolved from src and pms.
+func (so *sourceOps) current(src *schema.Source, pms []*pmapping.PMapping) bool {
+	return so != nil && so.src == src && slices.Equal(so.pms, pms)
 }
 
 // complete reports whether the plan holds a current entry for every one
-// of srcs and nothing else.
+// of srcs, in their order, and nothing else.
 func (p *queryPlan) complete(srcs []*schema.Source, maps map[string][]*pmapping.PMapping) bool {
 	if p == nil || len(p.bySource) != len(srcs) {
 		return false
 	}
-	for _, src := range srcs {
-		if p.entry(src, maps[src.Name]) == nil {
+	for i, src := range srcs {
+		if !p.bySource[i].current(src, maps[src.Name]) {
 			return false
 		}
 	}
 	return true
+}
+
+// reusable returns the plan's entry for the i-th source, src, when it
+// was resolved from src and pms, nil otherwise (or on a nil plan). It
+// looks at the entry in the same position first, and only when that
+// entry is another source's — a source was added or removed ahead of
+// src — finds src's by name, through an index of the plan's entries
+// built on first need into *byName.
+func (p *queryPlan) reusable(i int, src *schema.Source, pms []*pmapping.PMapping, byName *map[string]*sourceOps) *sourceOps {
+	if p == nil {
+		return nil
+	}
+	if i < len(p.bySource) && p.bySource[i].src.Name == src.Name {
+		if so := p.bySource[i]; so.current(src, pms) {
+			return so
+		}
+		return nil
+	}
+	if *byName == nil {
+		*byName = make(map[string]*sourceOps, len(p.bySource))
+		for _, so := range p.bySource {
+			(*byName)[so.src.Name] = so
+		}
+	}
+	if so := (*byName)[src.Name]; so.current(src, pms) {
+		return so
+	}
+	return nil
 }
 
 // plan returns the plan for q's attribute set under in, completing the
@@ -190,7 +212,7 @@ func (e *Engine) plan(in PMedInput, q *sqlparse.Query) (*queryPlan, error) {
 		}
 		return old, nil
 	}
-	p := &queryPlan{attrs: attrs, pmed: in.PMed, bySource: make(map[string]*sourceOps, len(srcs))}
+	p := &queryPlan{attrs: attrs, pmed: in.PMed, bySource: make([]*sourceOps, len(srcs))}
 	if old != nil {
 		p.medIdx = old.medIdx
 	} else {
@@ -200,8 +222,9 @@ func (e *Engine) plan(in PMedInput, q *sqlparse.Query) (*queryPlan, error) {
 		}
 	}
 	resolved := 0
-	for _, src := range srcs {
-		so := old.entry(src, in.Maps[src.Name])
+	var byName map[string]*sourceOps
+	for i, src := range srcs {
+		so := old.reusable(i, src, in.Maps[src.Name], &byName)
 		if so == nil {
 			var err error
 			if so, err = p.resolve(in, src); err != nil {
@@ -209,7 +232,7 @@ func (e *Engine) plan(in PMedInput, q *sqlparse.Query) (*queryPlan, error) {
 			}
 			resolved++
 		}
-		p.bySource[src.Name] = so
+		p.bySource[i] = so
 	}
 	e.Plans.store(key, p)
 	if e.Obs.Enabled() {
@@ -264,12 +287,12 @@ func (p *queryPlan) resolve(in PMedInput, src *schema.Source) (*sourceOps, error
 	return so, nil
 }
 
-// answerWithPlan executes a resolved plan for one concrete query: per
-// source and op, the projection and predicate columns come straight from
-// the op's columns, the table scan pushes equality predicates down to
-// its postings indexes, and the op's weight folds its terms against
-// probs, the queried Pr(Mₗ). Scans poll ctx so an expired deadline stops
-// the query mid-plan.
+// answerWithPlan executes a resolved plan for one concrete query: the
+// WHERE predicates compile once, and per source and op the projection
+// and predicate columns come straight from the op's columns, the table
+// scan pushes equality predicates down to its postings indexes, and the
+// op's weight folds its terms against probs, the queried Pr(Mₗ). Scans
+// poll ctx so an expired deadline stops the query mid-plan.
 func (e *Engine) answerWithPlan(ctx context.Context, plan *queryPlan, probs []float64, q *sqlparse.Query, d Detail) (*ResultSet, error) {
 	pos := func(a string) int { i, _ := slices.BinarySearch(plan.attrs, a); return i }
 	at := make([]int, 0, len(q.Select)+len(q.Where))
@@ -279,22 +302,22 @@ func (e *Engine) answerWithPlan(ctx context.Context, plan *queryPlan, probs []fl
 	for _, p := range q.Where {
 		at = append(at, pos(p.Attr))
 	}
-	return e.runPerSource(ctx, d, func(ctx context.Context, src *schema.Source, acc *accumulator) error {
-		ops := plan.bySource[src.Name].ops
+	where := storage.Compile(q.Where)
+	return e.runPerSource(ctx, d, func(ctx context.Context, i int, src *schema.Source, acc *accumulator) error {
+		ops := plan.bySource[i].ops
 		if len(ops) == 0 {
 			return nil
 		}
 		tbl := e.tables[src.Name]
-		cols := make([]int, len(at))
+		cols := slices.Grow(acc.cols[:0], len(at))[:len(at)]
+		acc.cols = cols
 		for _, op := range ops {
-			for i, k := range at {
-				cols[i] = op.cols[k]
+			for j, k := range at {
+				cols[j] = op.cols[k]
 			}
-			rows, err := tbl.MatchCtx(ctx, q.Where, cols[len(q.Select):])
-			if err != nil {
+			if err := acc.scan(ctx, tbl, where, cols[len(q.Select):], cols[:len(q.Select)], op.weight(probs)); err != nil {
 				return err
 			}
-			acc.addAssignment(src.Name, rows, tbl.Source.Rows, cols[:len(q.Select)], op.weight(probs))
 		}
 		return nil
 	})

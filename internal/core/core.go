@@ -246,14 +246,16 @@ func (s *System) importSources() {
 // buildEngine builds the query engine over s.Corpus — at setup, and again
 // whenever a structural commit installs a different corpus (the engine is
 // replaced wholesale, never patched, so published snapshots keep theirs).
-// A replacement takes over its predecessor's plan cache, whose plans
-// re-resolve only the sources that changed (see answer.PlanCache).
+// A replacement is its predecessor's successor: it takes over the plan
+// cache, whose plans re-resolve only the sources that changed (see
+// answer.PlanCache), and the table of every source it keeps, whose
+// indexes need no rebuild.
 func (s *System) buildEngine() {
-	old := s.engine
-	s.engine = answer.NewEngine(s.Corpus)
-	if old != nil {
-		s.engine.Plans = old.Plans
+	if s.engine != nil {
+		s.engine = s.engine.Successor(s.Corpus)
+		return
 	}
+	s.engine = answer.NewEngine(s.Corpus)
 	s.engine.Parallelism = s.Cfg.Parallelism
 	s.engine.SetObs(s.Cfg.Obs)
 }

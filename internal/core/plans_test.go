@@ -358,3 +358,54 @@ func TestPinnedEpochPlanSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTablesOutliveEngines pins that a structural commit hands every
+// source it keeps to the new engine with its table — and so with the
+// equality indexes that table built — instead of rebuilding them: after
+// a one-source fast add on the Car corpus, the next round of the ten
+// queries builds indexes on the newcomer's table only.
+func TestTablesOutliveEngines(t *testing.T) {
+	spec := datagen.Car(102)
+	spec.NumSources = 818
+	gen := datagen.MustGenerate(spec)
+	reg := obs.NewRegistry()
+	sys, err := Setup(gen.Corpus.Prefix(817), Config{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := carQueries(spec)
+	builds := reg.Counter("index.builds")
+	round := func() int64 {
+		t.Helper()
+		before := builds.Value()
+		for _, q := range qs {
+			if _, err := sys.Snapshot().RunCtx(context.Background(), UDI, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return builds.Value() - before
+	}
+	first := round()
+	if first == 0 {
+		t.Fatal("the first round built no index")
+	}
+	if warm := round(); warm != 0 {
+		t.Fatalf("a warm round built %d indexes", warm)
+	}
+	old := sys.Engine().Tables()
+	newcomer := gen.Corpus.Sources[817]
+	if fast, err := sys.AddSources([]*schema.Source{newcomer}); err != nil || !fast {
+		t.Fatalf("add: fast=%v err=%v", fast, err)
+	}
+	for name, tbl := range sys.Engine().Tables() {
+		if name != newcomer.Name && tbl != old[name] {
+			t.Fatalf("source %s got a new table", name)
+		}
+	}
+	after := round()
+	if after > int64(len(newcomer.Attrs)) {
+		t.Fatalf("the round after a one-source fast add built %d indexes; the newcomer has %d columns",
+			after, len(newcomer.Attrs))
+	}
+	t.Logf("index builds: %d in the first round, %d after a one-source fast add", first, after)
+}

@@ -101,7 +101,9 @@ func (s *System) publish() *Snapshot {
 // path of AddSources/RemoveSource, and a shard's state replacement). It
 // replaces every data field but keeps
 // s's identity — epoch counter, commit lock, published snapshot — so
-// readers observe the rebuild as one more commit, not a new system.
+// readers observe the rebuild as one more commit, not a new system. Its
+// engine is the successor of s's over the rebuilt corpus, keeping the
+// plan cache and the tables of unchanged sources.
 func (s *System) adopt(r *System) {
 	s.Corpus = r.Corpus
 	s.Cfg = r.Cfg
@@ -110,8 +112,8 @@ func (s *System) adopt(r *System) {
 	s.Target = r.Target
 	s.Timings = r.Timings
 	s.Trace = r.Trace
-	s.engine = r.engine
 	s.caches = r.caches
+	s.buildEngine()
 }
 
 // consolidateOnce returns the consolidation memo of one epoch: its first

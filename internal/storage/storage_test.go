@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"regexp"
@@ -320,5 +321,20 @@ func TestIndexedSelectNumericEquality(t *testing.T) {
 	}
 	if len(idxs) != 100 {
 		t.Errorf("numeric equality classes not canonicalized: %d rows", len(idxs))
+	}
+}
+
+// cellNumber's integer fast path must return parseNumber's result bit
+// for bit, negative zero included, and defer everything else to it.
+func TestCellNumberMatchesParseNumber(t *testing.T) {
+	for _, s := range []string{
+		"", "0", "-0", "+0", "7", "+5", "-5", "007", "-007", "123456789012345", "-123456789012345",
+		"1234567890123456", "9007199254740993", "+", "-", "--1", "1-", " 7", "7 ", "5.0", "1e3", "x", "٣",
+	} {
+		want, wok := parseNumber(s)
+		got, ok := cellNumber(s)
+		if ok != wok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("cellNumber(%q) = %v, %v; parseNumber gives %v, %v", s, got, ok, want, wok)
+		}
 	}
 }

@@ -100,8 +100,9 @@ type Table struct {
 	// Obs, when set, receives index metrics: counters index.builds (one
 	// per lazily built column index), index.probes (one per postings
 	// lookup) and index.rows_skipped (rows the pushdown avoided
-	// scanning). It is a setup-time knob: set it before the table serves
-	// concurrent queries. Nil disables recording.
+	// scanning). Set it when the table is built, before it serves
+	// queries: a table outlives the engine that built it, so it is never
+	// written while older readers may scan it. Nil disables recording.
 	Obs *obs.Registry
 	// NoIndex forces full scans (differential testing and ablations).
 	// Setup-time knob, like Obs.
@@ -209,7 +210,7 @@ func (t *Table) SelectIdxCtx(ctx context.Context, project []string, preds []Pred
 	if err != nil {
 		return nil, nil, err
 	}
-	idxs, err := t.MatchCtx(ctx, preds, predIdx)
+	idxs, err := t.MatchCtx(ctx, nil, Compile(preds), predIdx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -241,44 +242,30 @@ func (t *Table) Cols(attrs []string) ([]int, error) {
 // that the atomic load is invisible in scan throughput.
 const cancelCheckRows = 1024
 
-// MatchCtx returns the ascending ids of the rows satisfying every
-// predicate (a conjunction), with attribute resolution already done: the
-// predicate columns are given as column indexes (the predicates' Attr
-// fields are ignored) and must be valid for the source. It projects
-// nothing — the caller reads the columns it wants from Source.Rows — and
-// the returned slice may be an index's own postings list, so it must not
-// be modified. The scan polls ctx every cancelCheckRows rows; on
-// cancellation it returns ctx.Err().
-func (t *Table) MatchCtx(ctx context.Context, preds []Pred, predIdx []int) ([]int, error) {
-	var idxs []int
-	matches := func(row []string) bool {
-		for i, p := range preds {
-			if !p.Op.Eval(row[predIdx[i]], p.Literal) {
-				return false
-			}
-		}
-		return true
-	}
-
+// MatchCtx appends to dst the ascending ids of the rows satisfying every
+// predicate (a conjunction) and returns the extended slice. The
+// predicates are compiled once per query (Compile), and attribute
+// resolution is done: predIdx gives each predicate's column, which must
+// be valid for the source. It projects nothing — the caller reads the
+// columns it wants from Source.Rows. The scan polls ctx every
+// cancelCheckRows rows; on cancellation it returns ctx.Err().
+func (t *Table) MatchCtx(ctx context.Context, dst []int, preds []CPred, predIdx []int) ([]int, error) {
 	// Equality predicates push down to the per-column postings: each
 	// contributes a sorted row-id list, the conjunction is their
 	// intersection, and the surviving candidates are verified against the
-	// full predicate list in row order (canonical-value equality is a
-	// candidate generator, not the final word). Indexes build lazily and
-	// only when the table is big enough to amortize the build.
+	// remaining predicates in row order. Indexes build lazily and only
+	// when the table is big enough to amortize the build.
 	threshold := t.IndexThreshold
 	if threshold <= 0 {
 		threshold = defaultIndexThreshold
 	}
 	if !t.NoIndex && len(t.Source.Rows) >= threshold {
 		candidates, probes := []int(nil), 0
-		var verify []int // non-equality predicates the postings can't answer
-		for i, p := range preds {
-			if p.Op != OpEq {
-				verify = append(verify, i)
+		for i := range preds {
+			if preds[i].Op != OpEq {
 				continue
 			}
-			postings := t.index(predIdx[i])[canonicalValue(p.Literal)]
+			postings := t.index(predIdx[i])[preds[i].canon]
 			probes++
 			if probes == 1 {
 				candidates = postings
@@ -298,9 +285,10 @@ func (t *Table) MatchCtx(ctx context.Context, preds []Pred, predIdx []int) ([]in
 			// (see canonicalValue), so candidates already satisfy every
 			// equality predicate; only the remaining operators need the
 			// per-row check, and with none the candidates are the answer.
-			if len(verify) == 0 {
-				return candidates, nil
+			if probes == len(preds) {
+				return append(dst, candidates...), nil
 			}
+		candidates:
 			for n, r := range candidates {
 				if n%cancelCheckRows == 0 {
 					if err := ctx.Err(); err != nil {
@@ -308,31 +296,31 @@ func (t *Table) MatchCtx(ctx context.Context, preds []Pred, predIdx []int) ([]in
 					}
 				}
 				row := t.Source.Rows[r]
-				ok := true
-				for _, i := range verify {
-					if !preds[i].Op.Eval(row[predIdx[i]], preds[i].Literal) {
-						ok = false
-						break
+				for i := range preds {
+					if preds[i].Op != OpEq && !preds[i].Eval(row[predIdx[i]]) {
+						continue candidates
 					}
 				}
-				if ok {
-					idxs = append(idxs, r)
-				}
+				dst = append(dst, r)
 			}
-			return idxs, nil
+			return dst, nil
 		}
 	}
+rows:
 	for r, row := range t.Source.Rows {
 		if r%cancelCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		if matches(row) {
-			idxs = append(idxs, r)
+		for i := range preds {
+			if !preds[i].Eval(row[predIdx[i]]) {
+				continue rows
+			}
 		}
+		dst = append(dst, r)
 	}
-	return idxs, nil
+	return dst, nil
 }
 
 // defaultIndexThreshold is the row count below which a full scan beats

@@ -2,6 +2,13 @@
 // the paper's evaluation (§7.1): it stores each data source as a single
 // in-memory table and supports select-project scans with comparison and
 // LIKE predicates.
+//
+// Cells stay strings, typed dynamically at comparison time
+// (CompareValues). A scan takes its predicates compiled once per query
+// (Compile): the literal's number, folded form, LIKE pattern and index
+// key are computed once, and the per-cell test, equal to Op.Eval bit for
+// bit, allocates nothing on ASCII cells. Equality predicates push down
+// to lazily built per-column postings indexes.
 package storage
 
 import (
