@@ -554,3 +554,35 @@ func BenchmarkServeQuery(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardQuery measures a by-table query over the Car corpus
+// (817 sources, its ten evaluation queries in turn) split across four
+// shards that scan on one worker each: "shard4" in process (shard.New),
+// "rpc4" as four httptest shard hosts on loopback behind
+// shardrpc.NewCoordinator, where every leg encodes its part as a frame
+// and the coordinator decodes and merges the four. Run with -benchmem.
+func BenchmarkShardQuery(b *testing.B) {
+	for _, arm := range []struct {
+		name      string
+		networked bool
+	}{
+		{"shard4", false},
+		{"rpc4", true},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			v, queries, _ := carShards(b, arm.networked)
+			for _, q := range queries { // warm the plans
+				if _, err := v.RunCtx(context.Background(), core.UDI, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.RunCtx(context.Background(), core.UDI, queries[i%len(queries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -9,16 +9,18 @@
 //   - across sources, probabilities combine by independent disjunction
 //     p = 1 − Π(1 − p_i).
 //
-// A scan (ScanPMed, ScanConsolidated) produces a part: every contributing
-// source's tuple probabilities and its occurrence count — the distinct
+// A scan (ScanPMed, ScanConsolidated) produces a part: a tuple table
+// listing every distinct tuple once, every contributing source's run of
+// (tuple id, probability) pairs and its occurrence count — the distinct
 // (row, tuple) pairs it produced — and, only when the caller asks for
 // them (WithInstances), the occurrences themselves as instances (used by
 // by-tuple ranking and by the precision/recall evaluation, which keeps
-// duplicates, §7.1). Rank alone combines a part's sources into the
-// ranked deduplicated answer list (used for the R-P curves of §7.4, where
-// duplicates are eliminated and probabilities combined), and
-// MergeResultSets gathers the parts of a partitioned corpus into one
-// before ranking it the same way.
+// duplicates, §7.1). Rank alone combines a part's runs into the ranked
+// deduplicated answer list (used for the R-P curves of §7.4, where
+// duplicates are eliminated and probabilities combined), multiplying
+// into one dense per-tuple array, and MergeResultSets gathers the parts
+// of a partitioned corpus into one — one table lookup per part tuple,
+// none per run entry — before ranking it the same way.
 //
 // ScanPMed resolves the rewrites once per queried attribute set into a
 // plan the engine caches (PlanCache). A plan records the schema sequence,
@@ -62,18 +64,30 @@ type Answer struct {
 	Prob   float64
 }
 
-// SourceTupleProbs carries one source's by-table tuple probabilities:
-// for each distinct tuple (keyed by its joined values) the total
+// Tuple is one entry of a part's tuple table.
+type Tuple struct {
+	// Key is TupleKey(Values): the tuple's identity in the combine.
+	Key    string
+	Values []string
+}
+
+// SourceTupleProbs carries one source's by-table tuple probabilities as
+// a run: for each distinct tuple it produces, in first-seen order, the
+// tuple's id in its part's tuple table (ResultSet.Tuples) and the total
 // probability of the mappings under which the source produces it.
 type SourceTupleProbs struct {
 	Source string
-	Probs  map[string]float64
+	// IDs and Probs are parallel: Probs[i] is the probability of tuple
+	// IDs[i]. A source names a tuple at most once.
+	IDs   []int32
+	Probs []float64
 	// Occurrences counts the source's distinct (row, tuple) pairs: its
 	// instances, whether or not the scan listed them.
 	Occurrences int
 }
 
-// TupleKey joins tuple values into the key used by SourceTupleProbs.
+// TupleKey joins tuple values into the key a tuple table lists each
+// tuple under.
 func TupleKey(values []string) string { return tupleKey(values) }
 
 // Detail says what a scan keeps of the answer occurrences it finds.
@@ -89,18 +103,23 @@ const (
 )
 
 // ResultSet bundles the views of a query result. A part — what a scan
-// returns, and what a shard leg hands the merge — carries PerSource and,
-// when the scan listed them, Instances; Ranked is nil on it until Rank
-// sets it.
+// returns, and what a shard leg hands the merge — carries Tuples and
+// PerSource and, when the scan listed them, Instances; Ranked is nil on
+// it until Rank sets it.
 type ResultSet struct {
 	// Instances is per-occurrence, duplicates preserved, in (source, row,
 	// values) order. Nil unless the scan ran WithInstances.
 	Instances []Instance
 	// Ranked is deduplicated, sorted by descending probability.
 	Ranked []Answer
-	// PerSource lists each contributing source's tuple probabilities, in
-	// source order; the Ranked probabilities are their independent
-	// disjunction.
+	// Tuples is the tuple table: every distinct tuple the sources
+	// produced, one entry per key. A scan lists them in the order the
+	// sources, taken in source order, first name them; a merge or a
+	// decoded frame may list one no source names, which Rank skips.
+	Tuples []Tuple
+	// PerSource lists each contributing source's run of tuple
+	// probabilities, in source order; the Ranked probabilities are their
+	// independent disjunction.
 	PerSource []SourceTupleProbs
 }
 
@@ -246,11 +265,15 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// sourceResult is what one source contributes to a part; a source that
-// matched no row leaves it zero.
+// sourceResult is what one source contributes to a part's runs; a
+// source that matched no row leaves it zero. ids (indexes in acc's table
+// until the gather renumbers them) and probs are windows of the scanning
+// worker's run chunks.
 type sourceResult struct {
-	probs SourceTupleProbs
-	insts []Instance
+	acc         *accumulator
+	occurrences int
+	ids         []int32
+	probs       []float64
 }
 
 func (e *Engine) runPerSourceInner(ctx context.Context, d Detail, work func(ctx context.Context, i int, src *schema.Source, acc *accumulator) error) (*ResultSet, error) {
@@ -260,6 +283,11 @@ func (e *Engine) runPerSourceInner(ctx context.Context, d Detail, work func(ctx 
 	}
 	n := len(e.corpus.Sources)
 	results := make([]sourceResult, n)
+	var insts [][]Instance
+	if d == WithInstances {
+		insts = make([][]Instance, n)
+	}
+	accs := make([]*accumulator, max(1, min(e.Parallelism, n)))
 	var (
 		next     atomic.Int64
 		mu       sync.Mutex
@@ -267,8 +295,7 @@ func (e *Engine) runPerSourceInner(ctx context.Context, d Detail, work func(ctx 
 	)
 	// run evaluates sources in turn until none is left or one fails, on
 	// one accumulator whose scratch every source it takes reuses.
-	run := func() {
-		acc := newAccumulator(d)
+	run := func(acc *accumulator) {
 		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			err := ctx.Err()
 			if err == nil {
@@ -282,18 +309,25 @@ func (e *Engine) runPerSourceInner(ctx context.Context, d Detail, work func(ctx 
 				mu.Unlock()
 				return
 			}
-			results[i] = acc.finishSource()
+			var listed []Instance
+			results[i], listed = acc.finishSource()
+			if insts != nil {
+				insts[i] = listed
+			}
 		}
 	}
-	if workers := min(e.Parallelism, n); workers <= 1 {
-		run()
+	for w := range accs {
+		accs[w] = newAccumulator(d)
+	}
+	if len(accs) == 1 {
+		run(accs[0])
 	} else {
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for _, acc := range accs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				run()
+				run(acc)
 			}()
 		}
 		wg.Wait()
@@ -301,17 +335,14 @@ func (e *Engine) runPerSourceInner(ctx context.Context, d Detail, work func(ctx 
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	part, total := &ResultSet{}, 0
-	for _, r := range results {
-		if r.probs.Occurrences > 0 {
-			part.PerSource = append(part.PerSource, r.probs)
-			total += r.probs.Occurrences
-		}
+	part, total := gather(e.corpus.Sources, results, accs), 0
+	for _, sp := range part.PerSource {
+		total += sp.Occurrences
 	}
 	if d == WithInstances && total > 0 {
 		part.Instances = make([]Instance, 0, total)
-		for _, r := range results {
-			part.Instances = append(part.Instances, r.insts...)
+		for _, listed := range insts {
+			part.Instances = append(part.Instances, listed...)
 		}
 		sortInstances(part.Instances)
 	}
@@ -321,6 +352,41 @@ func (e *Engine) runPerSourceInner(ctx context.Context, d Detail, work func(ctx 
 		e.Obs.Observe("query.instances", float64(total))
 	}
 	return part, nil
+}
+
+// gather assembles the part from the per-source results of sources, in
+// source order, renumbering each worker's tuple indexes to part table
+// ids as the sources first name them (see tableMerge): the table's order
+// and every run's ids are those of a serial scan whatever the
+// scheduling. Runs are renumbered in place and handed out as the windows
+// they are.
+func gather(sources []*schema.Source, results []sourceResult, accs []*accumulator) *ResultSet {
+	part, contributing, distinct := &ResultSet{}, 0, 0
+	for _, r := range results {
+		if r.occurrences > 0 {
+			contributing++
+		}
+	}
+	if contributing == 0 {
+		return part
+	}
+	for _, a := range accs {
+		a.partID = make([]int32, len(a.table))
+		distinct += len(a.table)
+	}
+	m := newTableMerge(len(accs), distinct)
+	part.PerSource = make([]SourceTupleProbs, 0, contributing)
+	for i, r := range results {
+		if r.occurrences == 0 {
+			continue
+		}
+		m.renumber(r.ids[:0], r.ids, r.acc.table, r.acc.partID)
+		part.PerSource = append(part.PerSource, SourceTupleProbs{
+			Source: sources[i].Name, IDs: r.ids, Probs: r.probs, Occurrences: r.occurrences,
+		})
+	}
+	part.Tuples = m.tuples
+	return part
 }
 
 // Corpus returns the engine's corpus.
@@ -455,20 +521,29 @@ func queryMedIdxs(q *sqlparse.Query, med *schema.MediatedSchema) (map[string]int
 }
 
 // accumulator gathers the answer occurrences of one source at a time —
-// between finishSource calls — into its tuple probabilities, its
+// between finishSource calls — into its run of tuple probabilities, its
 // occurrence count and, WithInstances, its instance list. One worker's
 // accumulator serves every source the worker takes within one query:
-// the tuples it has met stay interned across them, and everything else
-// but what finishSource hands out is scratch the next source reuses.
+// the tuples it has met stay interned across them, the runs of every
+// source it took stay in its run chunks for the gather, and
+// everything else is scratch the next source reuses.
 type accumulator struct {
 	detail Detail
 	source string
 
 	// tuples interns every tuple met during the query by its key, an
-	// index in tups: a tuple recurring across sources is keyed, and
-	// WithInstances projected, once.
+	// index in table and tups: a tuple recurring across sources is keyed
+	// and projected once. vals holds the projections, arity after arity.
 	tuples map[string]int32
+	table  []Tuple
 	tups   []tupleAcc
+	vals   []string
+	// runIDs and runProbs are the current run chunk: the runs
+	// finishSource closed, back to back, as indexes in table until the
+	// gather renumbers them to part ids through partID.
+	runIDs   []int32
+	runProbs []float64
+	partID   []int32
 	// seen lists the current source's tuples, indexes in tups, in
 	// first-seen order; sourceSeq numbers the sources taken.
 	seen      []int32
@@ -489,11 +564,9 @@ type accumulator struct {
 	cols       []int  // scratch: one scan's column rewrite
 }
 
-// tupleAcc is one distinct tuple met during the query.
+// tupleAcc is the per-source state of one distinct tuple met during the
+// query.
 type tupleAcc struct {
-	key string
-	// values is the tuple's projection, kept WithInstances only.
-	values []string
 	// prob is the current source's by-table probability for the tuple:
 	// within one assignment the tuple counts once (set semantics), across
 	// assignments its weights sum. stamp is the last assignment added,
@@ -539,8 +612,8 @@ func (a *accumulator) scan(ctx context.Context, tbl *storage.Table, where []stor
 // row rowIdxs names, projected through cols, is a (row, values)
 // occurrence that accumulates the weight, and each distinct tuple
 // accumulates it once (by-table set semantics). rows are the source's
-// rows; WithInstances, a tuple copies the projection of the first row
-// that produced it as its Values.
+// rows; a tuple keeps the projection of the first row that produced it
+// as its values.
 func (a *accumulator) addAssignment(source string, rowIdxs []int, rows [][]string, cols []int, weight float64) {
 	if len(rowIdxs) == 0 {
 		return
@@ -558,17 +631,15 @@ func (a *accumulator) addAssignment(source string, rowIdxs []int, rows [][]strin
 		}
 		t, ok := a.tuples[string(a.key)]
 		if !ok {
-			t = int32(len(a.tups))
+			t = int32(len(a.table))
 			k := string(a.key)
 			a.tuples[k] = t
-			tu := tupleAcc{key: k}
-			if a.detail == WithInstances {
-				tu.values = make([]string, len(cols))
-				for j, c := range cols {
-					tu.values[j] = row[c]
-				}
+			lo := len(a.vals)
+			for _, c := range cols {
+				a.vals = append(a.vals, row[c])
 			}
-			a.tups = append(a.tups, tu)
+			a.table = append(a.table, Tuple{Key: k, Values: a.vals[lo:len(a.vals):len(a.vals)]})
+			a.tups = append(a.tups, tupleAcc{})
 		}
 		tu := &a.tups[t]
 		if tu.source != a.sourceSeq {
@@ -612,22 +683,35 @@ func (a *accumulator) addOccurrence(row int, t int32, weight float64) {
 	a.occs = append(a.occs, occurrence{row: row, tuple: t, prob: weight})
 }
 
-// finishSource hands out the current source's result — zero when it
-// matched no row — and resets the scratch for the next source.
-func (a *accumulator) finishSource() sourceResult {
+// runChunk is the number of run entries a worker's chunk holds.
+const runChunk = 2048
+
+// finishSource closes the current source's run and hands out its result
+// — zero when it matched no row — with, WithInstances, its instances,
+// and resets the scratch for the next source. The part keeps each run as
+// a window of a chunk, so a full chunk is left to it and a new one
+// started, never grown by copying.
+func (a *accumulator) finishSource() (sourceResult, []Instance) {
 	a.sourceSeq++
 	if len(a.occs) == 0 {
-		return sourceResult{}
+		return sourceResult{}, nil
 	}
-	probs := make(map[string]float64, len(a.seen))
+	if len(a.runIDs)+len(a.seen) > cap(a.runIDs) {
+		n := max(runChunk, len(a.seen))
+		a.runIDs, a.runProbs = make([]int32, 0, n), make([]float64, 0, n)
+	}
+	lo := len(a.runIDs)
 	for _, t := range a.seen {
-		probs[a.tups[t].key] = a.tups[t].prob
+		a.runIDs = append(a.runIDs, t)
+		a.runProbs = append(a.runProbs, a.tups[t].prob)
 	}
-	res := sourceResult{probs: SourceTupleProbs{Source: a.source, Probs: probs, Occurrences: len(a.occs)}}
+	hi := len(a.runIDs)
+	res := sourceResult{acc: a, occurrences: len(a.occs), ids: a.runIDs[lo:hi:hi], probs: a.runProbs[lo:hi:hi]}
+	var insts []Instance
 	if a.detail == WithInstances {
-		res.insts = make([]Instance, len(a.occs))
+		insts = make([]Instance, len(a.occs))
 		for i, o := range a.occs {
-			res.insts[i] = Instance{Source: a.source, Row: o.row, Values: a.tups[o.tuple].values, Prob: o.prob}
+			insts[i] = Instance{Source: a.source, Row: o.row, Values: a.table[o.tuple].Values, Prob: o.prob}
 		}
 	}
 	for _, o := range a.occs {
@@ -635,5 +719,5 @@ func (a *accumulator) finishSource() sourceResult {
 	}
 	clear(a.extra)
 	a.seen, a.occs, a.source = a.seen[:0], a.occs[:0], ""
-	return res
+	return res, insts
 }

@@ -510,11 +510,11 @@ func TestExplainMassMatchesPerSource(t *testing.T) {
 		for _, c := range contribs {
 			bySource[c.Source] += c.Mass
 		}
-		for _, sp := range rs.PerSource {
-			want := sp.Probs[TupleKey(a.Values)]
-			if math.Abs(bySource[sp.Source]-want) > 1e-9 {
+		for _, sp := range runMaps(rs) {
+			want := sp.probs[TupleKey(a.Values)]
+			if math.Abs(bySource[sp.source]-want) > 1e-9 {
 				t.Errorf("tuple %v source %s: explain mass %f != per-source prob %f",
-					a.Values, sp.Source, bySource[sp.Source], want)
+					a.Values, sp.source, bySource[sp.source], want)
 			}
 		}
 	}

@@ -171,11 +171,17 @@ func naiveAnswerPMed(e *Engine, in PMedInput, q *sqlparse.Query) (*ResultSet, er
 					continue
 				}
 				weight := in.PMed.Probs[l] * asgn.Prob
+				medToSrc := map[int]string{}
+				for i, a := range asgn.SrcAttrs {
+					if a != "" {
+						medToSrc[pl.idxList[i]] = a
+					}
+				}
 				project := make([]string, len(q.Select))
 				preds := make([]storage.Pred, len(q.Where))
 				mapped := true
 				for i, a := range q.Select {
-					project[i], mapped = asgn.MedToSrc[pl.medIdxs[a]]
+					project[i], mapped = medToSrc[pl.medIdxs[a]]
 					if !mapped {
 						break
 					}
@@ -185,7 +191,7 @@ func naiveAnswerPMed(e *Engine, in PMedInput, q *sqlparse.Query) (*ResultSet, er
 						break
 					}
 					var attr string
-					attr, mapped = asgn.MedToSrc[pl.medIdxs[p.Attr]]
+					attr, mapped = medToSrc[pl.medIdxs[p.Attr]]
 					preds[i] = storage.Pred{Attr: attr, Op: p.Op, Literal: p.Literal}
 				}
 				if !mapped {
@@ -213,7 +219,7 @@ func naiveAnswerPMed(e *Engine, in PMedInput, q *sqlparse.Query) (*ResultSet, er
 		if len(occs) == 0 {
 			continue
 		}
-		part.PerSource = append(part.PerSource, SourceTupleProbs{Source: src.Name, Probs: probs, Occurrences: len(occs)})
+		withRuns(part, sourceProbs{source: src.Name, probs: probs, occurrences: len(occs)})
 		for _, inst := range occs {
 			part.Instances = append(part.Instances, *inst)
 		}
@@ -268,16 +274,17 @@ func diffCompare(t *testing.T, label string, want, got *ResultSet) {
 	if len(got.PerSource) != len(want.PerSource) {
 		t.Fatalf("%s: %d per-source entries, want %d", label, len(got.PerSource), len(want.PerSource))
 	}
-	for i, w := range want.PerSource {
-		g := got.PerSource[i]
-		if g.Source != w.Source || len(g.Probs) != len(w.Probs) || g.Occurrences != w.Occurrences {
+	gotRuns := runMaps(got)
+	for i, w := range runMaps(want) {
+		g := gotRuns[i]
+		if g.source != w.source || len(g.probs) != len(w.probs) || g.occurrences != w.occurrences {
 			t.Fatalf("%s: per-source %d: got %s (%d tuples, %d occurrences), want %s (%d tuples, %d occurrences)",
-				label, i, g.Source, len(g.Probs), g.Occurrences, w.Source, len(w.Probs), w.Occurrences)
+				label, i, g.source, len(g.probs), g.occurrences, w.source, len(w.probs), w.occurrences)
 		}
-		for tk, wp := range w.Probs {
-			if math.Abs(g.Probs[tk]-wp) > probTol {
+		for tk, wp := range w.probs {
+			if math.Abs(g.probs[tk]-wp) > probTol {
 				t.Fatalf("%s: per-source %d tuple %q prob %.17g, want %.17g",
-					label, i, tk, g.Probs[tk], wp)
+					label, i, tk, g.probs[tk], wp)
 			}
 		}
 	}
@@ -335,7 +342,7 @@ func TestDifferentialFastPath(t *testing.T) {
 			if counted.Instances != nil {
 				t.Fatalf("%s: a CountOnly scan listed %d instances", label, len(counted.Instances))
 			}
-			diffCompare(t, label+" [counts]", want, &ResultSet{Instances: warm.Instances, Ranked: counted.Ranked, PerSource: counted.PerSource})
+			diffCompare(t, label+" [counts]", want, &ResultSet{Instances: warm.Instances, Ranked: counted.Ranked, Tuples: counted.Tuples, PerSource: counted.PerSource})
 			for i, a := range counted.Ranked {
 				if a.Prob != warm.Ranked[i].Prob {
 					t.Fatalf("%s: counted rank %d prob %v, instance path %v", label, i, a.Prob, warm.Ranked[i].Prob)

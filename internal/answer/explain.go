@@ -63,7 +63,13 @@ func (e *Engine) ExplainCtx(ctx context.Context, in PMedInput, q *sqlparse.Query
 				if asgn.Prob == 0 {
 					continue
 				}
-				rows, ok, err := e.rowsProducing(ctx, src.Name, q, where, medIdxs, asgn.MedToSrc, want)
+				medToSrc := make(map[int]string, len(idxList))
+				for i, a := range asgn.SrcAttrs {
+					if a != "" {
+						medToSrc[idxList[i]] = a
+					}
+				}
+				rows, ok, err := e.rowsProducing(ctx, src.Name, q, where, medIdxs, medToSrc, want)
 				if err != nil {
 					return nil, err
 				}
@@ -73,7 +79,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, in PMedInput, q *sqlparse.Query
 				out = append(out, Contribution{
 					Source:    src.Name,
 					SchemaIdx: l,
-					MedToSrc:  asgn.MedToSrc,
+					MedToSrc:  medToSrc,
 					Rows:      rows,
 					Mass:      in.PMed.Probs[l] * asgn.Prob,
 				})

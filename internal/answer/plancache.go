@@ -266,9 +266,8 @@ func (p *queryPlan) resolve(in PMedInput, src *schema.Source) (*sourceOps, error
 				continue
 			}
 			cols := make([]int, len(medIdx))
-			for i, j := range medIdx {
-				srcAttr, mapped := asgn.MedToSrc[j]
-				if !mapped {
+			for i, srcAttr := range asgn.SrcAttrs {
+				if srcAttr == "" {
 					continue assignments // leaves a query attribute unmapped
 				}
 				if cols[i] = src.AttrIndex(srcAttr); cols[i] < 0 {

@@ -2,6 +2,7 @@ package answer
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -9,17 +10,67 @@ import (
 	"testing"
 )
 
+// sourceProbs is one source's by-table tuple probabilities keyed by
+// tuple key: the shape the test references build and compare, kept
+// independent of the production tuple table and runs.
+type sourceProbs struct {
+	source      string
+	probs       map[string]float64
+	occurrences int
+}
+
+// withRuns appends sources to rs as tuple-table entries and runs, each
+// source's tuples in key order, and returns rs.
+func withRuns(rs *ResultSet, sources ...sourceProbs) *ResultSet {
+	ids := make(map[string]int32)
+	for _, tu := range rs.Tuples {
+		ids[tu.Key] = int32(len(ids))
+	}
+	for _, s := range sources {
+		keys := make([]string, 0, len(s.probs))
+		for k := range s.probs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		sp := SourceTupleProbs{Source: s.source, Occurrences: s.occurrences}
+		for _, k := range keys {
+			id, ok := ids[k]
+			if !ok {
+				id = int32(len(rs.Tuples))
+				ids[k] = id
+				rs.Tuples = append(rs.Tuples, Tuple{Key: k, Values: strings.Split(k, "\x1f")})
+			}
+			sp.IDs = append(sp.IDs, id)
+			sp.Probs = append(sp.Probs, s.probs[k])
+		}
+		rs.PerSource = append(rs.PerSource, sp)
+	}
+	return rs
+}
+
+// runMaps reads rs's runs back as per-source maps keyed by tuple key.
+func runMaps(rs *ResultSet) []sourceProbs {
+	out := make([]sourceProbs, len(rs.PerSource))
+	for i, sp := range rs.PerSource {
+		out[i] = sourceProbs{source: sp.Source, probs: make(map[string]float64, len(sp.IDs)), occurrences: sp.Occurrences}
+		for j, id := range sp.IDs {
+			out[i].probs[rs.Tuples[id].Key] = sp.Probs[j]
+		}
+	}
+	return out
+}
+
 // quadraticRank is the reference for Rank: the cross-source combine as
 // first written, kept here independent of the production code. Every
 // distinct tuple, in first-seen order, probes every source's map and
 // multiplies (1 − min(p, 1)) — an absent source contributing 0 and so the
 // factor 1.0 — then the tuples sort under the pinned order (probability
 // descending, key ascending).
-func quadraticRank(perSource []SourceTupleProbs) []Answer {
+func quadraticRank(perSource []sourceProbs) []Answer {
 	var order []string
 	seen := make(map[string]bool)
 	for _, sp := range perSource {
-		for tk := range sp.Probs {
+		for tk := range sp.probs {
 			if !seen[tk] {
 				seen[tk] = true
 				order = append(order, tk)
@@ -34,7 +85,7 @@ func quadraticRank(perSource []SourceTupleProbs) []Answer {
 	for _, tk := range order {
 		q := 1.0
 		for _, m := range perSource {
-			p := m.Probs[tk]
+			p := m.probs[tk]
 			if p > 1 {
 				p = 1
 			}
@@ -100,10 +151,11 @@ func fuzzProb(c byte) float64 {
 	return float64(c) / 255
 }
 
-// genRankInput builds, from fuzz input, a corpus order, the whole part a
-// scan over every source would return, and the same sources split across
-// 1, 2, 4 or 8 parts handed to the merge in shuffled order.
-func genRankInput(data []byte) (order []string, whole *ResultSet, parts []*ResultSet) {
+// genRankInput builds, from fuzz input, a corpus order, the sources'
+// probabilities as maps, the whole part a scan over every source would
+// return, and the same sources split across 1, 2, 4 or 8 parts handed to
+// the merge in shuffled order.
+func genRankInput(data []byte) (order []string, sources []sourceProbs, whole *ResultSet, parts []*ResultSet) {
 	in := byteStream(data)
 	nSrc := 1 + int(in.next()%9)
 	nTup := 1 + int(in.next()%16)
@@ -125,7 +177,7 @@ func genRankInput(data []byte) (order []string, whole *ResultSet, parts []*Resul
 		// Corpus order runs against name order, as it may in a real corpus.
 		name := fmt.Sprintf("s%c", 'z'-i)
 		order = append(order, name)
-		sp := SourceTupleProbs{Source: name, Probs: make(map[string]float64)}
+		sp := sourceProbs{source: name, probs: make(map[string]float64)}
 		var insts []Instance
 		for j, tk := range keys {
 			c := in.next()
@@ -133,19 +185,21 @@ func genRankInput(data []byte) (order []string, whole *ResultSet, parts []*Resul
 				continue // the tuple is absent from this source
 			}
 			p := fuzzProb(in.next())
-			sp.Probs[tk] = p
+			sp.probs[tk] = p
 			insts = append(insts, Instance{Source: name, Row: j, Values: strings.Split(tk, "\x1f"), Prob: p})
 			if c&0x40 != 0 { // a second row producing the same tuple
 				insts = append(insts, Instance{Source: name, Row: nTup + j, Values: strings.Split(tk, "\x1f"), Prob: p})
 			}
 		}
-		if len(sp.Probs) == 0 {
+		if len(sp.probs) == 0 {
 			continue
 		}
-		whole.PerSource = append(whole.PerSource, sp)
+		sp.occurrences = len(insts)
+		sources = append(sources, sp)
+		withRuns(whole, sp)
 		whole.Instances = append(whole.Instances, insts...)
 		part := parts[int(in.next())%nParts]
-		part.PerSource = append(part.PerSource, sp)
+		withRuns(part, sp)
 		part.Instances = append(part.Instances, insts...)
 	}
 	sortInstances(whole.Instances)
@@ -153,7 +207,7 @@ func genRankInput(data []byte) (order []string, whole *ResultSet, parts []*Resul
 		j := int(in.next()) % (i + 1)
 		parts[i], parts[j] = parts[j], parts[i]
 	}
-	return order, whole, parts
+	return order, sources, whole, parts
 }
 
 // sameRanked reports the first difference between two rankings, compared
@@ -171,15 +225,15 @@ func sameRanked(got, want []Answer) error {
 }
 
 // FuzzRankMatchesQuadratic pins the one cross-source combine: Rank's
-// linear walk over the per-source maps is bit-identical to the quadratic
-// reference, and a merge of the same sources split across parts, in any
+// linear walk over the per-source runs is bit-identical to the quadratic
+// reference over the sources' maps, and a merge of the same sources split across parts, in any
 // part order, is bit-identical to ranking the whole part — ranking,
 // source order and instances alike.
 func FuzzRankMatchesQuadratic(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		order, whole, parts := genRankInput(data)
-		want := quadraticRank(whole.PerSource)
+		order, sources, whole, parts := genRankInput(data)
+		want := quadraticRank(sources)
 		Rank(whole)
 		if err := sameRanked(whole.Ranked, want); err != nil {
 			t.Fatalf("Rank vs quadratic reference: %v", err)
@@ -191,9 +245,9 @@ func FuzzRankMatchesQuadratic(f *testing.F) {
 		if len(merged.PerSource) != len(whole.PerSource) {
 			t.Fatalf("merge has %d sources, want %d", len(merged.PerSource), len(whole.PerSource))
 		}
-		for i, sp := range whole.PerSource {
-			if merged.PerSource[i].Source != sp.Source {
-				t.Fatalf("merged source %d is %s, want %s", i, merged.PerSource[i].Source, sp.Source)
+		for i, sp := range runMaps(merged) {
+			if w := sources[i]; sp.source != w.source || sp.occurrences != w.occurrences || !maps.Equal(sp.probs, w.probs) {
+				t.Fatalf("merged source %d is %+v, want %+v", i, sp, w)
 			}
 		}
 		if len(merged.Instances) != len(whole.Instances) {

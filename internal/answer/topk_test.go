@@ -36,23 +36,17 @@ func TestSelectTopKDeterministicUnderTies(t *testing.T) {
 // came from and of the parts' order — the property the sharded
 // scatter-gather path depends on.
 func TestMergeResultSetsDuplicateProbabilities(t *testing.T) {
-	partA := &ResultSet{
+	partA := withRuns(&ResultSet{
 		Instances: []Instance{
 			{Source: "s1", Row: 0, Values: []string{"beta"}, Prob: 0.4},
 			{Source: "s1", Row: 1, Values: []string{"zeta"}, Prob: 0.4},
 		},
-		PerSource: []SourceTupleProbs{
-			{Source: "s1", Probs: map[string]float64{"beta": 0.4, "zeta": 0.4}},
-		},
-	}
-	partB := &ResultSet{
+	}, sourceProbs{source: "s1", probs: map[string]float64{"beta": 0.4, "zeta": 0.4}})
+	partB := withRuns(&ResultSet{
 		Instances: []Instance{
 			{Source: "s2", Row: 0, Values: []string{"alpha"}, Prob: 0.4},
 		},
-		PerSource: []SourceTupleProbs{
-			{Source: "s2", Probs: map[string]float64{"alpha": 0.4}},
-		},
-	}
+	}, sourceProbs{source: "s2", probs: map[string]float64{"alpha": 0.4}})
 	order := []string{"s1", "s2"}
 
 	merged := MergeResultSets(order, []*ResultSet{partA, partB})
@@ -83,14 +77,12 @@ func TestMergeResultSetsDuplicateProbabilities(t *testing.T) {
 // cross-source disjunction in global source order when merged, exactly
 // like the single accumulator.
 func TestMergeResultSetsCrossSourceDisjunction(t *testing.T) {
-	partA := &ResultSet{
+	partA := withRuns(&ResultSet{
 		Instances: []Instance{{Source: "s1", Row: 0, Values: []string{"x"}, Prob: 0.5}},
-		PerSource: []SourceTupleProbs{{Source: "s1", Probs: map[string]float64{"x": 0.5}}},
-	}
-	partB := &ResultSet{
+	}, sourceProbs{source: "s1", probs: map[string]float64{"x": 0.5}})
+	partB := withRuns(&ResultSet{
 		Instances: []Instance{{Source: "s2", Row: 3, Values: []string{"x"}, Prob: 0.25}},
-		PerSource: []SourceTupleProbs{{Source: "s2", Probs: map[string]float64{"x": 0.25}}},
-	}
+	}, sourceProbs{source: "s2", probs: map[string]float64{"x": 0.25}})
 	merged := MergeResultSets([]string{"s1", "s2"}, []*ResultSet{partA, partB})
 	want := 1 - (1-0.5)*(1-0.25)
 	if len(merged.Ranked) != 1 || merged.Ranked[0].Prob != want {

@@ -67,7 +67,8 @@ const (
 	// CodeWALBeyondTail (416): the requested WAL tail starts past the
 	// primary's last sequence — a desynchronized follower, not lag.
 	CodeWALBeyondTail = "wal_beyond_tail"
-	// CodeBodyTooLarge (413): a request body over MaxRequestBody.
+	// CodeBodyTooLarge (413): a request body over its bound,
+	// MaxRequestBody or MaxRowsBody.
 	CodeBodyTooLarge = "body_too_large"
 )
 
@@ -75,6 +76,12 @@ const (
 // tuple or one feedback item — never bulk rows: /v1/query, /v1/explain
 // and /v1/feedback here, and the shard RPC's read requests and feedback.
 const MaxRequestBody = 1 << 20
+
+// MaxRowsBody bounds the JSON bodies that carry rows: /v1/sources here,
+// and the shard RPC's restructure, which pushes a shard its sources'
+// rows and p-mappings. A Car setup's restructure bodies over four hosts
+// take at most 0.86 MB each.
+const MaxRowsBody = 32 << 20
 
 // statusClientClosedRequest is the de-facto status for "the client went
 // away before we finished" (nginx's 499); Go has no name for it.
@@ -395,11 +402,11 @@ func (s *Server) internalError(w http.ResponseWriter, r *http.Request, err error
 	writeError(w, http.StatusInternalServerError, CodeInternal, "internal error", nil)
 }
 
-// DecodeJSON decodes r's JSON body into dst. On failure it writes the
-// envelope — 413 body_too_large when the body overran an
-// http.MaxBytesReader, 400 bad_query otherwise — and returns false.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	err := json.NewDecoder(r.Body).Decode(dst)
+// DecodeJSON decodes r's JSON body, bounded at limit bytes, into dst. On
+// failure it writes the error response — 413 body_too_large past the
+// bound, 400 bad_query otherwise — and returns false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any, limit int64) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(dst)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:
@@ -411,12 +418,6 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 		writeError(w, http.StatusBadRequest, CodeBadQuery, fmt.Sprintf("bad request body: %v", err), nil)
 	}
 	return false
-}
-
-// decodeBounded is DecodeJSON over a body capped at MaxRequestBody.
-func decodeBounded(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBody)
-	return DecodeJSON(w, r, dst)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -567,7 +568,7 @@ type queryResponse struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !decodeBounded(w, r, &req) {
+	if !DecodeJSON(w, r, &req, MaxRequestBody) {
 		return
 	}
 	q, err := sqlparse.Parse(req.Query)
@@ -639,7 +640,7 @@ type contributionJSON struct {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req explainRequest
-	if !decodeBounded(w, r, &req) {
+	if !DecodeJSON(w, r, &req, MaxRequestBody) {
 		return
 	}
 	q, err := sqlparse.Parse(req.Query)
@@ -720,7 +721,7 @@ type feedbackRequest struct {
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req feedbackRequest
-	if !decodeBounded(w, r, &req) {
+	if !DecodeJSON(w, r, &req, MaxRequestBody) {
 		return
 	}
 	if req.MedName == "" {
@@ -748,7 +749,7 @@ type addSourcesRequest struct {
 
 func (s *Server) handleAddSources(w http.ResponseWriter, r *http.Request) {
 	var req addSourcesRequest
-	if !DecodeJSON(w, r, &req) {
+	if !DecodeJSON(w, r, &req, MaxRowsBody) {
 		return
 	}
 	if len(req.Sources) == 0 {

@@ -3,10 +3,14 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"udi/internal/core"
+	"udi/internal/datagen"
 )
 
 func postSources(t *testing.T, url string, body string) (*http.Response, map[string]any) {
@@ -94,5 +98,53 @@ func TestAddSourcesEndpoint(t *testing.T) {
 				t.Errorf("rejected batches advanced the epoch")
 			}
 		})
+	}
+}
+
+// fillReader yields n copies of one byte, generated as read.
+type fillReader struct {
+	b byte
+	n int64
+}
+
+func (f *fillReader) Read(p []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, io.EOF
+	}
+	k := int(min(int64(len(p)), f.n))
+	for i := range p[:k] {
+		p[i] = f.b
+	}
+	f.n -= int64(k)
+	return k, nil
+}
+
+// TestAddSourcesBodyIsBounded: a /v1/sources body past MaxRowsBody is
+// refused with a typed 413 and nothing is applied.
+func TestAddSourcesBodyIsBounded(t *testing.T) {
+	spec := datagen.People(103)
+	spec.NumSources = 5
+	sys, err := core.Setup(datagen.MustGenerate(spec).Corpus, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(sys, Options{}).Handler()
+	body := io.MultiReader(strings.NewReader(`{"sources":[{"name":"big","attrs":["name"],"rows":[["`),
+		&fillReader{'x', MaxRowsBody}, strings.NewReader(`"]]}]}`))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sources", body))
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || env.Error.Code != CodeBodyTooLarge {
+		t.Fatalf("oversized /v1/sources: %d %q, want 413 %q", rec.Code, env.Error.Code, CodeBodyTooLarge)
+	}
+	if n := len(sys.Snapshot().Corpus.Sources); n != spec.NumSources {
+		t.Fatalf("%d sources after a refused add, want %d", n, spec.NumSources)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"udi/internal/maxent"
@@ -482,96 +481,80 @@ func enumerateMatchings(corrs []Corr, cap int) [][]int {
 	return out
 }
 
-// Assignment is one joint one-to-one mapping restricted to a set of
-// mediated attributes: MedToSrc maps a mediated-attribute index to the
-// source attribute it corresponds to (absent = unmapped under this
-// mapping), with the marginal probability of that restriction.
+// Assignment is one joint one-to-one mapping restricted to a list of
+// mediated attributes, with the marginal probability of that
+// restriction: SrcAttrs[i] is the source attribute the i-th requested
+// mediated attribute corresponds to, "" when the mapping leaves it
+// unmapped (a source attribute name is never empty).
 type Assignment struct {
-	MedToSrc map[int]string
+	SrcAttrs []string
 	Prob     float64
 }
 
+// projection is one group's mappings restricted to the requested
+// mediated attributes, aligned to them, with their summed probability.
+type projection struct {
+	attrs []string
+	prob  float64
+}
+
 // AssignmentsFor returns the marginal distribution of mappings restricted
-// to the given mediated-attribute indices. Groups not touching any of the
-// indices marginalize out; within a touching group, mappings with the same
-// restriction merge. The result is the exact by-table marginal used for
-// query rewriting.
+// to the given mediated-attribute indices, each assignment's SrcAttrs
+// aligned to medIdxs (an index listed twice is resolved twice). Groups
+// not touching any of the indices marginalize out; within a touching
+// group, mappings with the same restriction merge, in the order first
+// met. The result is the exact by-table marginal used for query
+// rewriting.
 func (pm *PMapping) AssignmentsFor(medIdxs []int) []Assignment {
-	want := make(map[int]bool, len(medIdxs))
-	for _, j := range medIdxs {
-		want[j] = true
-	}
-	result := []Assignment{{MedToSrc: map[int]string{}, Prob: 1}}
+	result := []Assignment{{SrcAttrs: make([]string, len(medIdxs)), Prob: 1}}
+	var (
+		projs []projection
+		cur   = make([]string, len(medIdxs)) // scratch: one mapping's projection
+	)
 	for _, g := range pm.Groups {
-		touches := false
-		for _, c := range g.Corrs {
-			if want[c.MedIdx] {
-				touches = true
-				break
-			}
-		}
-		if !touches {
+		if !slices.ContainsFunc(g.Corrs, func(c Corr) bool { return slices.Contains(medIdxs, c.MedIdx) }) {
 			continue
 		}
-		// Project the group's mappings onto the wanted indices and merge
-		// identical projections.
-		type proj struct {
-			key  string
-			asgn map[int]string
-			prob float64
-		}
-		merged := map[string]*proj{}
-		var order []string
+		projs = projs[:0]
 		for k, mapping := range g.Mappings {
-			asgn := make(map[int]string)
+			clear(cur)
 			for _, ci := range mapping {
 				c := g.Corrs[ci]
-				if want[c.MedIdx] {
-					asgn[c.MedIdx] = c.SrcAttr
+				for i, j := range medIdxs {
+					if j == c.MedIdx {
+						cur[i] = c.SrcAttr
+					}
 				}
 			}
-			key := projKey(asgn)
-			if p, ok := merged[key]; ok {
-				p.prob += g.Probs[k]
+			if i := slices.IndexFunc(projs, func(p projection) bool { return slices.Equal(p.attrs, cur) }); i >= 0 {
+				projs[i].prob += g.Probs[k]
 				continue
 			}
-			merged[key] = &proj{key: key, asgn: asgn, prob: g.Probs[k]}
-			order = append(order, key)
+			projs = append(projs, projection{attrs: slices.Clone(cur), prob: g.Probs[k]})
 		}
-		// Cross-product with the accumulated assignments.
-		next := make([]Assignment, 0, len(result)*len(order))
+		// Cross-product with the accumulated assignments, every combined
+		// restriction a window of one array.
+		next := make([]Assignment, 0, len(result)*len(projs))
+		attrs := make([]string, 0, cap(next)*len(medIdxs))
 		for _, r := range result {
-			for _, key := range order {
-				p := merged[key]
+			for _, p := range projs {
 				if p.prob == 0 {
 					continue
 				}
-				combined := make(map[int]string, len(r.MedToSrc)+len(p.asgn))
-				for k, v := range r.MedToSrc {
-					combined[k] = v
+				lo := len(attrs)
+				attrs = append(attrs, r.SrcAttrs...)
+				combined := attrs[lo:len(attrs):len(attrs)]
+				for i, a := range p.attrs {
+					if a != "" {
+						combined[i] = a
+					}
 				}
-				for k, v := range p.asgn {
-					combined[k] = v
-				}
-				next = append(next, Assignment{MedToSrc: combined, Prob: r.Prob * p.prob})
+				next = append(next, Assignment{SrcAttrs: combined, Prob: r.Prob * p.prob})
 			}
 		}
 		result = next
 	}
 	return result
-}
-
-func projKey(asgn map[int]string) string {
-	idxs := make([]int, 0, len(asgn))
-	for j := range asgn {
-		idxs = append(idxs, j)
-	}
-	sort.Ints(idxs)
-	s := ""
-	for _, j := range idxs {
-		s += fmt.Sprintf("%d=%s\x1f", j, asgn[j])
-	}
-	return s
 }
 
 // TopMapping returns the highest-probability full mapping (the product of

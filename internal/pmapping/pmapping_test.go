@@ -196,7 +196,7 @@ func TestBuildNoCorrespondences(t *testing.T) {
 		t.Errorf("expected no groups, got %d", len(pm.Groups))
 	}
 	asgns := pm.AssignmentsFor([]int{0})
-	if len(asgns) != 1 || asgns[0].Prob != 1 || len(asgns[0].MedToSrc) != 0 {
+	if len(asgns) != 1 || asgns[0].Prob != 1 || len(asgns[0].SrcAttrs) != 1 || asgns[0].SrcAttrs[0] != "" {
 		t.Errorf("empty p-mapping assignments = %v", asgns)
 	}
 	top, p := pm.TopMapping()
@@ -226,7 +226,7 @@ func TestAssignmentsForMarginalizes(t *testing.T) {
 	mappedProb := 0.0
 	for _, a := range asgns {
 		total += a.Prob
-		if a.MedToSrc[0] == "A" {
+		if a.SrcAttrs[0] == "A" {
 			mappedProb += a.Prob
 		}
 	}

@@ -292,8 +292,10 @@ func TestGatherFailureCancelsPeersAndNeverMerges(t *testing.T) {
 // TestLoneLegResult pins the one-shard dispatch: a lone leg carrying
 // only the merge inputs is ranked by the merge.
 func TestLoneLegResult(t *testing.T) {
-	probs := []answer.SourceTupleProbs{{Source: "a", Probs: map[string]float64{answer.TupleKey([]string{"v"}): 0.5}}}
-	inputs := &answer.ResultSet{PerSource: probs}
+	inputs := &answer.ResultSet{
+		Tuples:    []answer.Tuple{{Key: answer.TupleKey([]string{"v"}), Values: []string{"v"}}},
+		PerSource: []answer.SourceTupleProbs{{Source: "a", IDs: []int32{0}, Probs: []float64{0.5}}},
+	}
 	got, err := fakeView([]string{"a"}, func(context.Context) (*answer.ResultSet, error) { return inputs, nil }).
 		RunCtx(context.Background(), core.UDI, nil)
 	if err != nil || len(got.Ranked) != 1 || got.Ranked[0].Prob != 0.5 {

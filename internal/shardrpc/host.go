@@ -119,10 +119,13 @@ func (h *Host) Handler() http.Handler {
 	return mux
 }
 
-// decode unmarshals a JSON body and enforces the protocol version
-// carried in it. Returns false after writing the error response.
-func decode(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
-	if !httpapi.DecodeJSON(w, r, dst) {
+// decode unmarshals a JSON body bounded at limit bytes —
+// httpapi.MaxRequestBody for the read requests and feedback, which carry
+// SQL text or one feedback item, httpapi.MaxRowsBody for a restructure —
+// and enforces the protocol version carried in it. Returns false after
+// writing the error response.
+func decode(w http.ResponseWriter, r *http.Request, dst any, proto *int, limit int64) bool {
+	if !httpapi.DecodeJSON(w, r, dst, limit) {
 		return false
 	}
 	if *proto != Version {
@@ -131,14 +134,6 @@ func decode(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
 		return false
 	}
 	return true
-}
-
-// decodeBounded is decode over a body bounded by httpapi.MaxRequestBody:
-// the read requests and feedback, which carry SQL text or one feedback
-// item, never rows.
-func decodeBounded(w http.ResponseWriter, r *http.Request, dst any, proto *int) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, httpapi.MaxRequestBody)
-	return decode(w, r, dst, proto)
 }
 
 // ready passes sys through, or answers CodeNotReady when there is none.
@@ -201,7 +196,7 @@ func (rh ReadHandlers) handleStatus(w http.ResponseWriter, _ *http.Request) {
 
 func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeBounded(w, r, &req, &req.Proto) {
+	if !decode(w, r, &req, &req.Proto, httpapi.MaxRequestBody) {
 		return
 	}
 	approach, err := core.ParseApproach(req.Approach)
@@ -245,7 +240,7 @@ func (rh ReadHandlers) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (rh ReadHandlers) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	if !decodeBounded(w, r, &req, &req.Proto) {
+	if !decode(w, r, &req, &req.Proto, httpapi.MaxRequestBody) {
 		return
 	}
 	sys := ready(w, rh.Sys())
@@ -268,7 +263,7 @@ func (rh ReadHandlers) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (rh ReadHandlers) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	var req CandidatesRequest
-	if !decodeBounded(w, r, &req, &req.Proto) {
+	if !decode(w, r, &req, &req.Proto, httpapi.MaxRequestBody) {
 		return
 	}
 	sys := ready(w, rh.Sys())
@@ -282,7 +277,7 @@ func (rh ReadHandlers) handleCandidates(w http.ResponseWriter, r *http.Request) 
 
 func (h *Host) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req FeedbackRequest
-	if !decodeBounded(w, r, &req, &req.Proto) || h.ready(w) == nil {
+	if !decode(w, r, &req, &req.Proto, httpapi.MaxRequestBody) || h.ready(w) == nil {
 		return
 	}
 	if err := h.local.Feedback(req.Feedback); err != nil {
@@ -311,7 +306,7 @@ func badRequest(w http.ResponseWriter, err error) {
 // changed. Retrying is safe: the verb is idempotent (see shard.Shard).
 func (h *Host) handleRestructure(w http.ResponseWriter, r *http.Request) {
 	var req RestructureRequest
-	if !decode(w, r, &req, &req.Proto) {
+	if !decode(w, r, &req, &req.Proto, httpapi.MaxRowsBody) {
 		return
 	}
 	h.mu.Lock()

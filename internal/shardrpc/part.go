@@ -1,7 +1,6 @@
 package shardrpc
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,9 +14,9 @@ import (
 )
 
 // This file is the POST /v1/shard/query response body: one shard's part
-// — the merge inputs its Snapshot.ScanCtx returns: the per-source tuple
-// probabilities and occurrence counts, plus the instances when the
-// request asked for them — as one binary frame. A host never
+// — the merge inputs its Snapshot.ScanCtx returns: the tuple table, each
+// source's run of tuple probabilities and its occurrence count, plus the
+// instances when the request asked for them — as one binary frame. A host never
 // ranks, so there is no ranking to ship: the coordinator ranks the
 // gathered parts once through answer.MergeResultSets, which puts sources
 // in global corpus order so answer.Rank's IEEE disjunction is
@@ -40,6 +39,14 @@ import (
 // a by-table answer reads only each source's occurrence count (its
 // distinct (row, tuple) pairs, which the merge sums exactly), so a
 // by-table frame is the string and tuple tables plus the sources section.
+//
+// The tuple table is the part's own (answer.ResultSet.Tuples), id for
+// id, and a source's entries are its run as it stands: table ids in the
+// order the source first produced them. A scan fixes both orders
+// independently of its scheduling, so one result encodes to one byte
+// string. Only an instance whose values spell a table tuple's key
+// differently adds a tuple after the table. The decoder lists each key
+// once in the part's table and refuses a source that names one twice.
 //
 // Every distinct string (source names included) and every distinct tuple
 // crosses once; a tuple is its arity and string ids, never a joined key,
@@ -82,18 +89,10 @@ var ErrBadPart = errors.New("shardrpc: bad partial-result frame")
 // entries, so each part is built in its own buffer and assembled last.
 type partEncoder struct {
 	strs, tups, body, frame []byte
-	key                     []byte      // scratch: the tuple key being looked up
-	keys                    []string    // scratch: one source's tuple keys no instance carried
-	ents                    []partEntry // scratch: one source's tuple entries
+	key                     []byte // scratch: the tuple key being looked up
 	strIDs                  map[string]uint32
-	tupIDs                  map[string]uint32 // by answer.TupleKey
+	tupIDs                  map[string]uint32 // by answer.TupleKey, filled for instances only
 	tuples                  [][]string        // tuple id → values
-}
-
-// partEntry is one per-source tuple probability awaiting its place.
-type partEntry struct {
-	id uint32
-	p  float64
 }
 
 var partEncoders = sync.Pool{New: func() any {
@@ -112,8 +111,7 @@ func (e *partEncoder) release() {
 	clear(e.strIDs)
 	clear(e.tupIDs)
 	clear(e.tuples)
-	clear(e.keys[:cap(e.keys)])
-	e.strs, e.tups, e.body, e.tuples, e.keys, e.ents = e.strs[:0], e.tups[:0], e.body[:0], e.tuples[:0], e.keys[:0], e.ents[:0]
+	e.strs, e.tups, e.body, e.tuples = e.strs[:0], e.tups[:0], e.body[:0], e.tuples[:0]
 	partEncoders.Put(e)
 }
 
@@ -128,9 +126,21 @@ func (e *partEncoder) str(s string) uint64 {
 	return uint64(id)
 }
 
-// tuple returns the table id of values. Lookups go by tuple key built in
-// scratch, so an instance of a tuple already seen allocates nothing.
-func (e *partEncoder) tuple(values []string) uint64 {
+// addTuple appends values to the tuple table and returns its id.
+func (e *partEncoder) addTuple(values []string) uint32 {
+	id := uint32(len(e.tuples))
+	e.tuples = append(e.tuples, values)
+	e.tups = binary.AppendUvarint(e.tups, uint64(len(values)))
+	for _, v := range values {
+		e.tups = binary.AppendUvarint(e.tups, e.str(v))
+	}
+	return id
+}
+
+// instanceTuple returns the table id of an instance's values. Lookups
+// go by tuple key built in scratch, so an instance of a tuple already
+// listed allocates nothing.
+func (e *partEncoder) instanceTuple(values []string) uint64 {
 	e.key = e.key[:0]
 	for i, v := range values {
 		if i > 0 {
@@ -142,24 +152,30 @@ func (e *partEncoder) tuple(values []string) uint64 {
 	if seen && slices.Equal(e.tuples[id], values) {
 		return uint64(id)
 	}
-	id = uint32(len(e.tuples))
-	e.tuples = append(e.tuples, values)
-	e.tups = binary.AppendUvarint(e.tups, uint64(len(values)))
-	for _, v := range values {
-		e.tups = binary.AppendUvarint(e.tups, e.str(v))
-	}
 	// Different tuples share a key only when a value holds the separator
-	// (or one of them is empty); the first keeps the index and each later
-	// instance of the other gets an entry of its own.
+	// (or one of them is empty): scans that met them in another order
+	// keep other values under one key. The first keeps the index and
+	// each later instance of the other gets an entry of its own.
+	fresh := e.addTuple(values)
 	if !seen {
-		e.tupIDs[string(e.key)] = id
+		e.tupIDs[string(e.key)] = fresh
 	}
-	return uint64(id)
+	return uint64(fresh)
 }
 
 // encode builds the frame. The result is the encoder's own buffer, valid
-// until release.
+// until release. The part's tuple table is the frame's, id for id, so
+// the runs cross as they stand; only an instance whose values the table
+// lists under another spelling adds a tuple after it.
 func (e *partEncoder) encode(epoch uint64, rs *answer.ResultSet) []byte {
+	for _, tu := range rs.Tuples {
+		e.addTuple(tu.Values)
+	}
+	if len(rs.Instances) > 0 {
+		for id, tu := range rs.Tuples {
+			e.tupIDs[tu.Key] = uint32(id)
+		}
+	}
 	b := binary.AppendUvarint(e.body, uint64(len(rs.Instances)))
 	for i := 0; i < len(rs.Instances); {
 		src := rs.Instances[i].Source
@@ -172,7 +188,7 @@ func (e *partEncoder) encode(epoch uint64, rs *answer.ResultSet) []byte {
 		row := 0
 		for _, in := range rs.Instances[i:j] {
 			b = binary.AppendVarint(b, int64(in.Row-row))
-			b = binary.AppendUvarint(b, e.tuple(in.Values))
+			b = binary.AppendUvarint(b, e.instanceTuple(in.Values))
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(in.Prob))
 			row = in.Row
 		}
@@ -182,27 +198,10 @@ func (e *partEncoder) encode(epoch uint64, rs *answer.ResultSet) []byte {
 	for _, sp := range rs.PerSource {
 		b = binary.AppendUvarint(b, e.str(sp.Source))
 		b = binary.AppendUvarint(b, uint64(sp.Occurrences))
-		b = binary.AppendUvarint(b, uint64(len(sp.Probs)))
-		// Tuple-id order, not map order: the same result encodes to the
-		// same bytes, so a checked-in frame regenerates byte for byte. A
-		// tuple no instance carried takes its id here, in key order.
-		e.ents, e.keys = e.ents[:0], e.keys[:0]
-		for key, p := range sp.Probs {
-			if id, ok := e.tupIDs[key]; ok {
-				e.ents = append(e.ents, partEntry{id, p})
-			} else {
-				e.keys = append(e.keys, key)
-			}
-		}
-		slices.Sort(e.keys)
-		for _, key := range e.keys {
-			// Any split that joins back to the key names it.
-			e.ents = append(e.ents, partEntry{uint32(e.tuple(strings.Split(key, "\x1f"))), sp.Probs[key]})
-		}
-		slices.SortFunc(e.ents, func(a, b partEntry) int { return cmp.Compare(a.id, b.id) })
-		for _, en := range e.ents {
-			b = binary.AppendUvarint(b, uint64(en.id))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(en.p))
+		b = binary.AppendUvarint(b, uint64(len(sp.IDs)))
+		for i, id := range sp.IDs {
+			b = binary.AppendUvarint(b, uint64(id))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sp.Probs[i]))
 		}
 	}
 	e.body = b
@@ -327,23 +326,21 @@ func (r *partReader) strings() []string {
 	return strs
 }
 
-// partTuple is one tuple-table entry: the Values slice and the key string
-// every instance and per-source entry naming the tuple shares.
-type partTuple struct {
-	values []string
-	key    string
-}
-
-// tuples reads the tuple table.
-func (r *partReader) tuples(strs []string) []partTuple {
-	tuples := make([]partTuple, r.count(1))
+// tuples reads the tuple table: every frame tuple's values, the part's
+// tuple table — each key listed once, under its first spelling — and
+// each frame tuple's id in it. Instances keep the spelling they name;
+// runs name the part's table. The keys are windows of one string, built
+// once the table is known not to expand past MaxPartFrame.
+func (r *partReader) tuples(strs []string) (values [][]string, table []answer.Tuple, canon []int32) {
+	values = make([][]string, r.count(1))
+	var arena []string
 	keyBudget := MaxPartFrame
-	for i := range tuples {
-		values := make([]string, r.count(1))
-		keyBudget -= len(values)
-		for j := range values {
+	for i := range values {
+		lo, arity := len(arena), r.count(1)
+		keyBudget -= arity
+		for j := 0; j < arity && r.err == nil; j++ {
 			if id := r.index(len(strs)); id >= 0 {
-				values[j] = strs[id]
+				arena = append(arena, strs[id])
 				keyBudget -= len(strs[id])
 			}
 		}
@@ -351,11 +348,41 @@ func (r *partReader) tuples(strs []string) []partTuple {
 			r.fail("tuple keys exceed %d bytes", MaxPartFrame)
 		}
 		if r.err != nil {
-			return nil
+			return nil, nil, nil
 		}
-		tuples[i] = partTuple{values: values, key: answer.TupleKey(values)}
+		values[i] = arena[lo:len(arena):len(arena)]
 	}
-	return tuples
+	var text strings.Builder
+	text.Grow(MaxPartFrame - keyBudget)
+	for _, vs := range values {
+		for j, v := range vs {
+			if j > 0 {
+				text.WriteByte('\x1f')
+			}
+			text.WriteString(v)
+		}
+	}
+	keys := text.String()
+	table = make([]answer.Tuple, 0, len(values))
+	canon = make([]int32, len(values))
+	byKey := make(map[string]int32, len(values))
+	off := 0
+	for i, vs := range values {
+		n := max(len(vs)-1, 0)
+		for _, v := range vs {
+			n += len(v)
+		}
+		key := keys[off : off+n]
+		off += n
+		id, ok := byKey[key]
+		if !ok {
+			id = int32(len(table))
+			byKey[key] = id
+			table = append(table, answer.Tuple{Key: key, Values: vs})
+		}
+		canon[i] = id
+	}
+	return values, table, canon
 }
 
 // DecodePart rebuilds the partial result for answer.MergeResultSets and
@@ -385,8 +412,11 @@ func DecodePart(frame []byte) (*answer.ResultSet, uint64, error) {
 
 	r := &partReader{b: frame[:end], off: partHeaderSize}
 	strs := r.strings()
-	tuples := r.tuples(strs)
+	values, table, canon := r.tuples(strs)
 	rs := &answer.ResultSet{}
+	if len(table) > 0 {
+		rs.Tuples = table
+	}
 
 	nInst := r.count(partInstanceMin)
 	if nInst > 0 {
@@ -401,16 +431,26 @@ func DecodePart(frame []byte) (*answer.ResultSet, uint64, error) {
 		row := 0
 		for i := 0; i < n && r.err == nil; i++ {
 			row += int(r.varint())
-			t, p := r.index(len(tuples)), r.prob()
+			t, p := r.index(len(values)), r.prob()
 			if r.err == nil {
-				rs.Instances = append(rs.Instances, answer.Instance{Source: strs[src], Row: row, Values: tuples[t].values, Prob: p})
+				rs.Instances = append(rs.Instances, answer.Instance{Source: strs[src], Row: row, Values: values[t], Prob: p})
 			}
 		}
 	}
 
+	// The runs of every source share two slices, sized by the entries the
+	// rest of the frame can hold; named[id] is 1 + the index of the last
+	// source that named table tuple id.
 	nSrc := r.count(partSourceMin)
+	var (
+		ids   []int32
+		probs []float64
+		named []int32
+	)
 	if nSrc > 0 {
 		rs.PerSource = make([]answer.SourceTupleProbs, 0, nSrc)
+		room := (len(r.b) - r.off) / partEntryMin
+		ids, probs, named = make([]int32, 0, room), make([]float64, 0, room), make([]int32, len(table))
 	}
 	for len(rs.PerSource) < nSrc && r.err == nil {
 		src := r.index(len(strs))
@@ -419,19 +459,24 @@ func DecodePart(frame []byte) (*answer.ResultSet, uint64, error) {
 			r.fail("source declares %d occurrences", occ)
 		}
 		n := r.count(partEntryMin)
-		if r.err != nil {
-			break
-		}
-		probs := make(map[string]float64, n)
+		lo, stamp := len(ids), int32(len(rs.PerSource))+1
 		for i := 0; i < n && r.err == nil; i++ {
-			if t, p := r.index(len(tuples)), r.prob(); r.err == nil {
-				probs[tuples[t].key] = p
+			t, p := r.index(len(values)), r.prob()
+			if r.err != nil {
+				break
+			}
+			if id := canon[t]; named[id] == stamp {
+				r.fail("source %q repeats a tuple key", strs[src])
+			} else {
+				named[id] = stamp
+				ids, probs = append(ids, id), append(probs, p)
 			}
 		}
-		if r.err == nil && len(probs) != n {
-			r.fail("source %q repeats a tuple key", strs[src])
+		if r.err == nil {
+			rs.PerSource = append(rs.PerSource, answer.SourceTupleProbs{
+				Source: strs[src], IDs: ids[lo:len(ids):len(ids)], Probs: probs[lo:len(probs):len(probs)], Occurrences: int(occ),
+			})
 		}
-		rs.PerSource = append(rs.PerSource, answer.SourceTupleProbs{Source: strs[src], Probs: probs, Occurrences: int(occ)})
 	}
 	if r.err == nil && r.off != len(r.b) {
 		r.fail("%d bytes after the last section", len(r.b)-r.off)

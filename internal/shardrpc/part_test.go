@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
@@ -40,10 +41,11 @@ import (
 // fuzz target and its checked-in corpus.
 
 // edgePart is a hand-built result holding what no generated corpus does:
-// empty, unicode and separator-bearing values, tuples of different arity
-// that join to one key, a per-source key no instance carries, unsorted
-// and negative rows, probabilities outside [0, 1], and the largest
-// occurrence count a frame may declare.
+// empty, unicode and separator-bearing values, instances spelling a
+// table tuple's key with values of another arity, a table tuple no
+// instance carries, unsorted and negative rows, probabilities outside
+// [0, 1], an empty run and the largest occurrence count a frame may
+// declare.
 func edgePart() *answer.ResultSet {
 	return &answer.ResultSet{
 		Instances: []answer.Instance{
@@ -54,10 +56,16 @@ func edgePart() *answer.ResultSet {
 			{Source: "s1", Row: 1 << 40, Values: []string{}, Prob: 0},
 			{Source: "s1", Row: 9, Values: []string{"a", "b"}, Prob: 0.1 + 0.2},
 		},
+		Tuples: []answer.Tuple{
+			{Key: "", Values: []string{""}},
+			{Key: "a\x1fb", Values: []string{"a\x1fb"}},
+			{Key: "only\x1fhere", Values: []string{"only", "here"}},
+			{Key: "naïve\x1f日本語\x1f", Values: []string{"naïve", "日本語", ""}},
+		},
 		PerSource: []answer.SourceTupleProbs{
-			{Source: "s1", Probs: map[string]float64{"": 0.25, "a\x1fb": 1, "only\x1fhere": 0.5}, Occurrences: 5},
-			{Source: "", Probs: map[string]float64{"naïve\x1f日本語\x1f": 1e-300}, Occurrences: 1},
-			{Source: "s9", Probs: map[string]float64{}, Occurrences: math.MaxInt32},
+			{Source: "s1", IDs: []int32{2, 0, 1}, Probs: []float64{0.5, 0.25, 1}, Occurrences: 5},
+			{Source: "", IDs: []int32{3}, Probs: []float64{1e-300}, Occurrences: 1},
+			{Source: "s9", IDs: []int32{}, Probs: []float64{}, Occurrences: math.MaxInt32},
 		},
 	}
 }
@@ -80,8 +88,8 @@ func roundTrip(t *testing.T, tag string, epoch uint64, rs *answer.ResultSet) {
 	if len(rs.Instances) > 0 && !reflect.DeepEqual(got.Instances, rs.Instances) {
 		t.Fatalf("%s: instances differ\n got %+v\nwant %+v", tag, got.Instances, rs.Instances)
 	}
-	if len(rs.PerSource) > 0 && !reflect.DeepEqual(got.PerSource, rs.PerSource) {
-		t.Fatalf("%s: per-source probabilities differ\n got %+v\nwant %+v", tag, got.PerSource, rs.PerSource)
+	if len(rs.PerSource) > 0 && (!reflect.DeepEqual(got.Tuples, rs.Tuples) || !reflect.DeepEqual(got.PerSource, rs.PerSource)) {
+		t.Fatalf("%s: tuple table or runs differ\n got %+v %+v\nwant %+v %+v", tag, got.Tuples, got.PerSource, rs.Tuples, rs.PerSource)
 	}
 	if got.Ranked != nil {
 		t.Fatalf("%s: ranked answers crossed the wire: %v", tag, got.Ranked)
@@ -553,14 +561,14 @@ func TestPartCorpusIsCarFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v (rerun with -update-corpus after a format change)", path, err)
 		}
-		if !reflect.DeepEqual(got.Instances, rs.Instances) || !reflect.DeepEqual(got.PerSource, rs.PerSource) {
+		if !reflect.DeepEqual(got.Instances, rs.Instances) || !reflect.DeepEqual(got.Tuples, rs.Tuples) || !reflect.DeepEqual(got.PerSource, rs.PerSource) {
 			t.Errorf("%s no longer decodes to its query's partial result", path)
 		}
 	}
 }
 
 // TestPartFrameIsByteStable: one result encodes to one byte string —
-// per-source entries follow the tuple table, not map order — so every
+// the part's tuple table and runs cross in their own order — so every
 // checked-in seed is exactly what this build writes for its query.
 func TestPartFrameIsByteStable(t *testing.T) {
 	for name, rs := range carFrames(t) {
@@ -580,8 +588,21 @@ func TestPartFrameIsByteStable(t *testing.T) {
 	}
 }
 
-// sameBits is DeepEqual on the merge inputs with probabilities compared
-// as bit patterns, so a NaN a fuzzer wrote equals itself.
+// runBits reads a result's runs back as per-source maps from tuple key
+// to probability bits.
+func runBits(rs *answer.ResultSet) []map[string]uint64 {
+	out := make([]map[string]uint64, len(rs.PerSource))
+	for i, sp := range rs.PerSource {
+		out[i] = make(map[string]uint64, len(sp.IDs))
+		for j, id := range sp.IDs {
+			out[i][rs.Tuples[id].Key] = math.Float64bits(sp.Probs[j])
+		}
+	}
+	return out
+}
+
+// sameBits is DeepEqual on the merge inputs, each run read as a map from
+// tuple key to probability bits, so a NaN a fuzzer wrote equals itself.
 func sameBits(a, b *answer.ResultSet) bool {
 	if len(a.Instances) != len(b.Instances) || len(a.PerSource) != len(b.PerSource) {
 		return false
@@ -593,15 +614,11 @@ func sameBits(a, b *answer.ResultSet) bool {
 			return false
 		}
 	}
+	ab, bb := runBits(a), runBits(b)
 	for i, x := range a.PerSource {
 		y := b.PerSource[i]
-		if x.Source != y.Source || x.Occurrences != y.Occurrences || len(x.Probs) != len(y.Probs) {
+		if x.Source != y.Source || x.Occurrences != y.Occurrences || len(x.IDs) != len(ab[i]) || !maps.Equal(ab[i], bb[i]) {
 			return false
-		}
-		for k, p := range x.Probs {
-			if q, ok := y.Probs[k]; !ok || math.Float64bits(p) != math.Float64bits(q) {
-				return false
-			}
 		}
 	}
 	return true
@@ -629,7 +646,7 @@ func FuzzDecodePart(f *testing.F) {
 		}
 		entries := 0
 		for _, sp := range rs.PerSource {
-			entries += len(sp.Probs)
+			entries += len(sp.IDs)
 		}
 		if 10*len(rs.Instances)+9*entries+3*len(rs.PerSource) > len(data) {
 			t.Fatalf("%d instances, %d entries, %d sources decoded from %d bytes",

@@ -3,15 +3,18 @@ package shardrpc_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"udi/internal/core"
 	"udi/internal/datagen"
+	"udi/internal/httpapi"
 	"udi/internal/obs"
 	"udi/internal/schema"
 	"udi/internal/shard"
@@ -201,4 +204,64 @@ func TestCoordinatorRestartConverges(t *testing.T) {
 		qs = append(qs, sqlparse.MustParse("SELECT "+attr+" FROM t"))
 	}
 	compareNetworked(t, "after the restart", oracle, sh, co, qs)
+}
+
+// fillReader yields n copies of one byte, generated as read.
+type fillReader struct {
+	b byte
+	n int64
+}
+
+func (f *fillReader) Read(p []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, io.EOF
+	}
+	k := int(min(int64(len(p)), f.n))
+	for i := range p[:k] {
+		p[i] = f.b
+	}
+	f.n -= int64(k)
+	return k, nil
+}
+
+// TestRestructureBodyIsBounded: a Car setup (817 sources) pushes each of
+// four hosts a restructure body well inside httpapi.MaxRowsBody, and a
+// body past the bound is refused with a typed 413 before it is decoded.
+func TestRestructureBodyIsBounded(t *testing.T) {
+	hosts := startRecordedHosts(t, 4, core.Config{Obs: obs.NewRegistry()})
+	corpus := datagen.MustGenerate(datagen.Car(102)).Corpus
+	if _, err := shardrpc.NewCoordinator(corpus, core.Config{Obs: obs.NewRegistry()}, urls(hosts),
+		shardrpc.CoordinatorOptions{Obs: obs.NewRegistry()}); err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	for i, h := range hosts {
+		bodies := h.take()
+		if len(bodies) == 0 {
+			t.Fatalf("host %d received no restructure", i)
+		}
+		for _, b := range bodies {
+			largest = max(largest, len(b))
+		}
+	}
+	if largest > httpapi.MaxRowsBody/4 {
+		t.Fatalf("a Car restructure body takes %d bytes, over a quarter of the %d-byte bound", largest, httpapi.MaxRowsBody)
+	}
+	t.Logf("largest Car restructure body over 4 hosts: %d bytes (bound %d)", largest, httpapi.MaxRowsBody)
+
+	body := io.MultiReader(strings.NewReader(fmt.Sprintf(`{"proto":%d,"sources":[{"name":"big","attrs":["a"],"rows":[["`, shardrpc.Version)),
+		&fillReader{'x', httpapi.MaxRowsBody}, strings.NewReader(`"]]}]}`))
+	rec := httptest.NewRecorder()
+	hosts[0].host.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/restructure", body))
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || env.Error.Code != httpapi.CodeBodyTooLarge {
+		t.Fatalf("oversized restructure: %d %q, want 413 %q", rec.Code, env.Error.Code, httpapi.CodeBodyTooLarge)
+	}
 }
