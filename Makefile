@@ -7,8 +7,8 @@
 # the cross-source combine, the CSV round trip, the compiled
 # attribute-name similarity against its string definition, the
 # p-mapping group split against its string-keyed predecessor, the
-# compiled WHERE predicate against Op.Eval and the snapshot loader's
-# save → load → save round trip.
+# compiled WHERE predicate against Op.Eval, the snapshot loader's
+# save → load → save round trip and the WAL replay.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -56,9 +56,9 @@ soak:
 no-skip:
 	$(GO) test -json ./... | awk '/"Action":"skip"/ && /"Test":/ { print "SKIPPED: " $$0; found=1 } END { if (found) exit 1 }'
 
-# A snapshot load runs a restore, slow beside the other targets' inputs,
-# so the new inputs it finds are minimized for at most 2 s each and the
-# window goes to fuzzing.
+# A snapshot load runs a restore and a replay runs a setup, slow beside
+# the other targets' inputs, so the new inputs they find are minimized for
+# at most 2 s each and the window goes to fuzzing.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePart -fuzztime=$(FUZZTIME) ./internal/shardrpc
@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzSplitGroups -fuzztime=$(FUZZTIME) ./internal/pmapping
 	$(GO) test -run '^$$' -fuzz=FuzzCompiledPredicate -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/persist
+	$(GO) test -run '^$$' -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/persist
 
 # Non-test lines per package and in total — the figure a simplicity PR
 # reports in CHANGES.md. The test-only oracle and the benchmark harness

@@ -223,14 +223,6 @@ func (e *Engine) SetObs(r *obs.Registry) {
 	}
 }
 
-// SetIndexing toggles the tables' equality-predicate pushdown indexes.
-// Off forces full scans (differential testing and ablations).
-func (e *Engine) SetIndexing(on bool) {
-	for _, t := range e.tables {
-		t.NoIndex = !on
-	}
-}
-
 // InvalidatePlans drops all cached query plans, so the next query of
 // every attribute set resolves its plan from scratch. No commit needs it
 // (see PlanCache); it is how a cold plan is measured, and the one way to

@@ -197,7 +197,7 @@ func naiveAnswerPMed(e *Engine, in PMedInput, q *sqlparse.Query) (*ResultSet, er
 				if !mapped {
 					continue // the assignment leaves a query attribute unmapped
 				}
-				idxs, rows, err := e.tables[src.Name].SelectIdxCtx(context.Background(), project, preds)
+				idxs, rows, err := e.tables[src.Name].SelectIdx(project, preds)
 				if err != nil {
 					return nil, err
 				}
@@ -307,7 +307,9 @@ func TestDifferentialFastPath(t *testing.T) {
 		in, attrs := diffSetup(t, corpus)
 
 		naive := NewEngine(corpus)
-		naive.SetIndexing(false)
+		for _, tbl := range naive.Tables() {
+			tbl.NoIndex = true // full scans only
+		}
 
 		fast := NewEngine(corpus)
 		fast.SetObs(reg)

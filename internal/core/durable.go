@@ -6,7 +6,16 @@ package core
 // calls the CommitLog between apply and publish; what "durable" means
 // (WAL framing, fsync, checkpoints) lives behind the interface.
 
-import "udi/internal/schema"
+import (
+	"errors"
+
+	"udi/internal/schema"
+)
+
+// ErrCommitLog reports a commit the durability layer could not log. The
+// request itself was valid; the server failed it, so the HTTP layers
+// answer 500 rather than blaming the client.
+var ErrCommitLog = errors.New("core: commit log")
 
 // Op kinds, one per mutation the commit path accepts.
 const (

@@ -122,7 +122,7 @@ func (s *System) feedbackBatchMax() int {
 // A crash between 2 and 3 leaves durable-but-unacknowledged ops, which
 // recovery replays (see persist's TestCrashBetweenAppendAndPublish). A
 // crash inside 2 leaves a clean prefix of the batch's records
-// (wal.AppendBatch's guarantee), and replaying a prefix is deterministic
+// (wal.Append's guarantee), and replaying a prefix is deterministic
 // because only successfully-applied ops were logged.
 func (s *System) commitFeedbackBatch(batch []*feedbackReq) {
 	results := make([]error, len(batch))

@@ -55,7 +55,7 @@ func (s *System) write(kind string, plan func() (txn, error)) error {
 	var firstSeq uint64
 	if logged {
 		if firstSeq, err = s.clog.Begin(t.ops); err != nil {
-			return fmt.Errorf("core: commit log: %w", err)
+			return fmt.Errorf("%w: %w", ErrCommitLog, err)
 		}
 	}
 	t.install()

@@ -359,12 +359,16 @@ func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err err
 }
 
 // writeMutationError maps a write-path error: typed networked errors
-// verbatim, unknown source 404, everything else 400/bad_query.
-func (s *Server) writeMutationError(w http.ResponseWriter, err error) {
+// verbatim, unknown source 404, a commit the log refused 500/internal
+// (the cause goes to the log, not the client), everything else
+// 400/bad_query.
+func (s *Server) writeMutationError(w http.ResponseWriter, r *http.Request, err error) {
 	var se *StatusError
 	switch {
 	case errors.As(err, &se):
 		WriteStatusError(w, err)
+	case errors.Is(err, core.ErrCommitLog):
+		s.internalError(w, r, err)
 	case errors.Is(err, core.ErrUnknownSource):
 		writeError(w, http.StatusNotFound, CodeUnknownSource, err.Error(), nil)
 	default:
@@ -735,7 +739,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		Confirmed: req.Confirmed,
 	})
 	if err != nil {
-		s.writeMutationError(w, err)
+		s.writeMutationError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "applied", "epoch": s.epochNow()})
@@ -768,7 +772,7 @@ func (s *Server) handleAddSources(w http.ResponseWriter, r *http.Request) {
 	}
 	fast, err := s.be.AddSources(srcs)
 	if err != nil {
-		s.writeMutationError(w, err)
+		s.writeMutationError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -790,7 +794,7 @@ func (s *Server) handleRemoveSource(w http.ResponseWriter, r *http.Request) {
 	}
 	fast, err := s.be.RemoveSource(name)
 	if err != nil {
-		s.writeMutationError(w, err)
+		s.writeMutationError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

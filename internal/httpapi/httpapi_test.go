@@ -3,9 +3,12 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"udi/internal/core"
@@ -321,5 +324,104 @@ func TestQueryEmptyStringValue(t *testing.T) {
 	values := answers[0].(map[string]any)["values"].([]any)
 	if len(values) != 1 || values[0] != "" {
 		t.Fatalf(`values = %v, want [""]`, values)
+	}
+}
+
+// recordingLog is a CommitLog whose Begin fails with beginErr: the
+// durability layer refusing every commit.
+type recordingLog struct{ beginErr error }
+
+func (l *recordingLog) Begin([]core.Op) (uint64, error) { return 0, l.beginErr }
+func (l *recordingLog) Committed(uint64, int)           {}
+
+// TestCommitLogFailureIsServerError: a valid mutation the commit log
+// refuses answers 500 internal, not 400 — the request was fine, the
+// server failed it — and the cause reaches the server log, not the
+// client. A request the core rejects keeps its own code.
+func TestCommitLogFailureIsServerError(t *testing.T) {
+	spec := datagen.People(103)
+	spec.NumSources = 8
+	c := datagen.MustGenerate(spec)
+	sys, err := core.Setup(c.Corpus, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The request log line is written after the response, concurrently
+	// with the test reading what was logged.
+	var (
+		mu     sync.Mutex
+		logged []string
+	)
+	api := NewServer(sys, Options{})
+	api.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}
+	srv := httptest.NewServer(api.Handler())
+	t.Cleanup(srv.Close)
+	resp, err := http.Get(srv.URL + "/v1/candidates?limit=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cands struct {
+		Candidates []candidateJSON `json:"candidates"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&cands)
+	resp.Body.Close()
+	if err != nil || len(cands.Candidates) == 0 {
+		t.Fatalf("no feedback candidate (%v)", err)
+	}
+	fb := cands.Candidates[0]
+	sys.SetCommitLog(&recordingLog{beginErr: errors.New("wal: fsync: disk on fire")})
+	epoch := sys.Epoch()
+
+	requests := map[string]func() *http.Response{
+		"feedback": func() *http.Response {
+			resp, _ := postJSON(t, srv.URL+"/v1/feedback", feedbackRequest{
+				Source: fb.Source, SrcAttr: fb.SrcAttr, MedName: fb.MedName, Confirmed: true})
+			return resp
+		},
+		"add": func() *http.Response {
+			resp, _ := postJSON(t, srv.URL+"/v1/sources", addSourcesRequest{Sources: []core.SourceData{
+				{Name: "grown-01", Attrs: []string{"name", "phone"}, Rows: [][]string{{"Zed Quo", "777-9999"}}}}})
+			return resp
+		},
+		"remove": func() *http.Response {
+			req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/sources/"+c.Corpus.Sources[0].Name, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { resp.Body.Close() })
+			return resp
+		},
+	}
+	for name, do := range requests {
+		resp := do()
+		var env struct {
+			Error struct{ Code, Message string } `json:"error"`
+		}
+		if resp.Body != nil {
+			_ = json.NewDecoder(resp.Body).Decode(&env)
+		}
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("%s: status %d, want 500", name, resp.StatusCode)
+		}
+		if strings.Contains(env.Error.Message, "disk on fire") {
+			t.Errorf("%s: the cause leaked to the client: %q", name, env.Error.Message)
+		}
+		mu.Lock()
+		if !strings.Contains(strings.Join(logged, "\n"), "internal error: "+resp.Request.Method+" "+resp.Request.URL.Path+": core: commit log: wal: fsync: disk on fire") {
+			t.Errorf("%s: the cause is not in the server log: %q", name, logged)
+		}
+		mu.Unlock()
+	}
+	if sys.Epoch() != epoch {
+		t.Errorf("a refused commit published: epoch %d -> %d", epoch, sys.Epoch())
+	}
+	resp, body := postJSON(t, srv.URL+"/v1/feedback", feedbackRequest{Source: "nope", SrcAttr: "a", MedName: "name", Confirmed: true})
+	if resp.StatusCode != http.StatusNotFound || body["error"].(map[string]any)["code"] != CodeUnknownSource {
+		t.Errorf("unknown source behind a failing log: %d %v, want 404 %s", resp.StatusCode, body, CodeUnknownSource)
 	}
 }

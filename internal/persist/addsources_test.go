@@ -10,7 +10,7 @@ import (
 )
 
 // TestAddSourcesBatchOneAppend: a durable AddSources batch reaches the
-// WAL as one AppendBatch — one write, one fsync barrier — carrying one
+// WAL as one wal.Append — one write, one fsync barrier — carrying one
 // record per source, and a cold restart replays every record back to the
 // acknowledged state. This is the bulk-import half of the group-commit
 // contract; feedback batching is covered in groupcommit_test.go.

@@ -59,7 +59,7 @@ func TestGroupCommitRejectsWithoutLogging(t *testing.T) {
 }
 
 // TestKillAtEveryBatchOffset is the group-commit crash matrix: a batch of
-// ops made durable by one AppendBatch barrier, with the process killed at
+// ops made durable by one wal.Append barrier, with the process killed at
 // every byte offset of the write. Every cut must recover to exactly the
 // state after the longest clean prefix of the batch — the batched frames
 // are ordinary WAL records, so a torn tail drops only the ops that never
@@ -95,7 +95,7 @@ func TestKillAtEveryBatchOffset(t *testing.T) {
 	}
 
 	// Write the whole batch through the real group-commit barrier: one
-	// AppendBatch call, one contiguous write.
+	// Append call, one contiguous write.
 	w, recs, err := wal.Open(filepath.Join(live, walFile), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestKillAtEveryBatchOffset(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("live WAL already has %d records", len(recs))
 	}
-	entries := make([]wal.BatchEntry, len(fbs))
+	entries := make([]wal.Entry, len(fbs))
 	var ends []int64
 	end := int64(0)
 	for i := range fbs {
@@ -112,12 +112,12 @@ func TestKillAtEveryBatchOffset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries[i] = wal.BatchEntry{Seq: uint64(i + 1), Kind: core.OpFeedback, Data: data}
+		entries[i] = wal.Entry{Seq: uint64(i + 1), Kind: core.OpFeedback, Data: data}
 		// frame: len+CRC header, seq, kind length, kind, payload.
 		end += 4 + 4 + 8 + 1 + int64(len(core.OpFeedback)) + int64(len(data))
 		ends = append(ends, end)
 	}
-	if err := w.AppendBatch(entries); err != nil {
+	if err := w.Append(entries...); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

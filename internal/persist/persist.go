@@ -327,13 +327,15 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return syncDir(dir)
 }
 
-// syncDir fsyncs a directory so a just-renamed entry is durable. Some
-// filesystems reject directory fsync; that is not a durability bug on
-// the ones that matter, so unsupported errors are ignored.
+// syncDir fsyncs a directory so a just-renamed entry is durable. A
+// directory that cannot be opened is an error: the rename it should make
+// durable may not survive a crash. Some filesystems reject directory
+// fsync; that is not a durability bug on the ones that matter, so only
+// an unsupported error from Sync is ignored.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return fmt.Errorf("persist: sync %s: %w", dir, err)
 	}
 	defer d.Close()
 	if err := d.Sync(); err != nil && !errors.Is(err, errors.ErrUnsupported) {

@@ -43,12 +43,17 @@ func RemoveStoreFiles(dir string) error {
 	if err := os.Remove(filepath.Join(dir, walFile)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("persist: %w", err)
 	}
-	if stale, _ := filepath.Glob(filepath.Join(dir, snapshotFile+".tmp*")); len(stale) > 0 {
-		for _, p := range stale {
-			os.Remove(p)
-		}
-	}
+	removeStaleTemps(dir)
 	return nil
+}
+
+// removeStaleTemps deletes the temp files an interrupted checkpoint
+// strands in dir.
+func removeStaleTemps(dir string) {
+	stale, _ := filepath.Glob(filepath.Join(dir, snapshotFile+".tmp*"))
+	for _, p := range stale {
+		os.Remove(p)
+	}
 }
 
 // WriteFileAtomic exposes the store's atomic file replacement (write to a
@@ -153,12 +158,7 @@ func OpenStore(dir string, cfg core.Config, opts StoreOptions, setup func() (*co
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
-	// A crash can strand temp files from an interrupted checkpoint.
-	if stale, _ := filepath.Glob(filepath.Join(dir, snapshotFile+".tmp*")); len(stale) > 0 {
-		for _, p := range stale {
-			os.Remove(p)
-		}
-	}
+	removeStaleTemps(dir)
 	return openStoreOnce(dir, cfg, opts, setup, true)
 }
 
@@ -315,24 +315,26 @@ func applyOp(sys *core.System, op core.Op) error {
 
 // Begin implements core.CommitLog: every op of one commit gets a
 // consecutive sequence number and all of them become durable under a
-// single wal.AppendBatch — one write, one fsync. Each op lands as an
+// single wal.Append — one write, one fsync. Each op lands as an
 // ordinary frame, so replay needs no batch awareness: a crash mid-append
 // leaves a clean prefix of the batch (wal's torn-tail truncation), and
 // the core only logs ops that already applied, so replaying any prefix
-// is deterministic. Called under the core commit lock.
+// is deterministic. A failed append fails the log for good (wal.ErrFailed):
+// this and every later commit are refused until the store is reopened.
+// Called under the core commit lock.
 func (st *Store) Begin(ops []core.Op) (uint64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	first := st.lastSeq + 1
-	entries := make([]wal.BatchEntry, len(ops))
+	entries := make([]wal.Entry, len(ops))
 	for i := range ops {
 		data, err := json.Marshal(&ops[i])
 		if err != nil {
 			return 0, fmt.Errorf("persist: encode op: %w", err)
 		}
-		entries[i] = wal.BatchEntry{Seq: first + uint64(i), Kind: ops[i].Kind, Data: data}
+		entries[i] = wal.Entry{Seq: first + uint64(i), Kind: ops[i].Kind, Data: data}
 	}
-	if err := st.w.AppendBatch(entries); err != nil {
+	if err := st.w.Append(entries...); err != nil {
 		return 0, err
 	}
 	st.lastSeq += uint64(len(ops))
@@ -434,9 +436,9 @@ type Tail struct {
 }
 
 // TailSince returns the CRC-framed WAL records with sequence in
-// (from, committed], re-encoded in the exact on-disk frame layout, for
-// shipping to a read replica. maxBytes bounds the response (0 = no
-// bound; at least one record is always shipped when any qualifies).
+// (from, committed], as the log's own bytes, for shipping to a read
+// replica. maxBytes bounds the response (0 = no bound; at least one
+// record is always shipped when any qualifies).
 //
 // A from below the checkpoint sequence returns ErrTruncated — those
 // records were folded into the snapshot and the follower must
@@ -463,25 +465,29 @@ func (st *Store) TailSince(from uint64, maxBytes int64) ([]byte, Tail, error) {
 	}
 	// The live log is clean up to the WAL's valid-size watermark (a torn
 	// tail only exists after a crash, and Open already dropped it).
-	if int64(len(data)) > st.w.Size() {
-		data = data[:st.w.Size()]
-	}
+	data = data[:min(int64(len(data)), st.w.Size())]
 	recs, err := wal.ReadFrames(data)
 	if err != nil {
 		return nil, info, err
 	}
-	var out []byte
+	// Sequences ascend through the log, so the frames to ship are one run
+	// of its bytes: from the first record above from to the first past
+	// the watermark or the byte budget.
+	start, end := int64(len(data)), int64(len(data))
 	for _, r := range recs {
-		if r.Seq <= from || r.Seq > st.committedSeq {
+		if r.Seq <= from {
 			continue
 		}
-		if maxBytes > 0 && len(out) > 0 && int64(len(out)) >= maxBytes {
+		if info.Records == 0 {
+			start = r.Off
+		}
+		if r.Seq > st.committedSeq || (maxBytes > 0 && info.Records > 0 && r.Off-start >= maxBytes) {
+			end = r.Off
 			break
 		}
-		out = wal.EncodeFrame(out, r.Seq, r.Kind, r.Data)
 		info.Records++
 	}
-	return out, info, nil
+	return data[start:end], info, nil
 }
 
 // SaveSnapshotAt writes a snapshot of the store's system carrying the

@@ -297,11 +297,11 @@ func TestFailedCommitReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Append(uint64(seq+1), core.OpFeedback, data); err != nil {
+		if err := w.Append(wal.Entry{Seq: uint64(seq + 1), Kind: core.OpFeedback, Data: data}); err != nil {
 			t.Fatal(err)
 		}
 		if fb.Source == failed.Source {
-			if err := w.Append(uint64(seq+1), AbortKind, nil); err != nil {
+			if err := w.Append(wal.Entry{Seq: uint64(seq + 1), Kind: AbortKind}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -422,7 +422,7 @@ func TestCrashBetweenAppendAndPublish(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("crash WAL already has %d records", len(recs))
 	}
-	if err := w.Append(1, core.OpFeedback, data); err != nil {
+	if err := w.Append(wal.Entry{Seq: 1, Kind: core.OpFeedback, Data: data}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

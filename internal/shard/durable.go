@@ -63,7 +63,7 @@ type manifest struct {
 // AddSources batch, or the one remove) plus the pre-op global order and
 // p-med-schema (schema sequence and probabilities — the sequence matters
 // because shard Maps are indexed by it). One record is one atomic journal
-// write — the coordinator analogue of the WAL's AppendBatch group commit.
+// write — the coordinator analogue of the WAL's group-commit Append.
 // Journals written by older builds carry a single op in Op instead;
 // readJournal lifts it into Ops.
 type journalRecord struct {

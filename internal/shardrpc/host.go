@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"strconv"
 	"sync"
@@ -281,9 +282,13 @@ func (h *Host) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := h.local.Feedback(req.Feedback); err != nil {
-		if errors.Is(err, core.ErrUnknownSource) {
+		switch {
+		case errors.Is(err, core.ErrCommitLog):
+			log.Printf("shardrpc: feedback: %v", err)
+			httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, "internal error", nil)
+		case errors.Is(err, core.ErrUnknownSource):
 			httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeUnknownSource, err.Error(), nil)
-		} else {
+		default:
 			badRequest(w, err)
 		}
 		return

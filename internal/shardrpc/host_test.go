@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -167,5 +168,64 @@ func TestShardFeedbackBodyIsBounded(t *testing.T) {
 	}
 	if got := hostStatus(t, addr).Epoch; got != epoch {
 		t.Errorf("refused feedback moved the epoch %d -> %d", epoch, got)
+	}
+}
+
+// refusingLog is a CommitLog whose Begin always fails.
+type refusingLog struct{ err error }
+
+func (l refusingLog) Begin([]core.Op) (uint64, error) { return 0, l.err }
+func (refusingLog) Committed(uint64, int)             {}
+
+// TestFeedbackCommitLogFailureIsInternal: a valid feedback item the
+// host's commit log refuses answers 500 internal with the cause kept out
+// of the body, and the coordinator surfaces a server error (the shard
+// unavailable), not a client error.
+func TestFeedbackCommitLogFailureIsInternal(t *testing.T) {
+	cfg := core.Config{Obs: obs.NewRegistry()}
+	h, err := shardrpc.NewHost(cfg, shardrpc.HostOptions{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h.Handler())
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { h.Close() })
+	co, err := shardrpc.NewCoordinator(faultCorpus(t), cfg, []string{srv.URL}, shardrpc.CoordinatorOptions{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	v, err := co.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := v.Candidates(context.Background(), 1)
+	if err != nil || len(cands) == 0 {
+		t.Fatalf("candidates: %v (%d)", err, len(cands))
+	}
+	fb := core.Feedback{Source: cands[0].Source, SrcAttr: cands[0].SrcAttr,
+		SchemaIdx: cands[0].SchemaIdx, MedIdx: cands[0].MedIdx, Confirmed: true}
+	h.Sys().SetCommitLog(refusingLog{errors.New("wal: fsync: disk on fire")})
+	epoch := hostStatus(t, srv.URL).Epoch
+
+	body, _ := json.Marshal(shardrpc.FeedbackRequest{Proto: shardrpc.Version, Feedback: fb})
+	resp, err := http.Post(srv.URL+"/v1/shard/feedback", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env errEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusInternalServerError || env.Error.Code != httpapi.CodeInternal {
+		t.Fatalf("refused commit: %d %q (%v), want 500 %q", resp.StatusCode, env.Error.Code, err, httpapi.CodeInternal)
+	}
+	if strings.Contains(env.Error.Message, "disk on fire") {
+		t.Errorf("the cause leaked to the client: %q", env.Error.Message)
+	}
+	var se *httpapi.StatusError
+	if err := co.SubmitFeedback(fb); !errors.As(err, &se) || se.Status < 500 {
+		t.Errorf("coordinator feedback: err = %v, want a 5xx status error", err)
+	}
+	if got := hostStatus(t, srv.URL).Epoch; got != epoch {
+		t.Errorf("a refused commit moved the epoch %d -> %d", epoch, got)
 	}
 }

@@ -154,15 +154,15 @@ func testSource() *schema.Source {
 
 func TestTableSelect(t *testing.T) {
 	tb := NewTable(testSource())
-	rows, err := tb.Select([]string{"name"}, []Pred{{Attr: "city", Op: OpEq, Literal: "springfield"}})
+	_, rows, err := tb.SelectIdx([]string{"name"}, []Pred{{Attr: "city", Op: OpEq, Literal: "springfield"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := [][]string{{"Alice"}, {"Carol"}}
 	if !reflect.DeepEqual(rows, want) {
-		t.Errorf("Select = %v, want %v", rows, want)
+		t.Errorf("SelectIdx = %v, want %v", rows, want)
 	}
-	rows, err = tb.Select([]string{"name", "age"}, []Pred{
+	_, rows, err = tb.SelectIdx([]string{"name", "age"}, []Pred{
 		{Attr: "age", Op: OpGt, Literal: "26"},
 		{Attr: "city", Op: OpLike, Literal: "spring%"},
 	})
@@ -171,23 +171,23 @@ func TestTableSelect(t *testing.T) {
 	}
 	want = [][]string{{"Alice", "30"}, {"Carol", "35"}}
 	if !reflect.DeepEqual(rows, want) {
-		t.Errorf("conjunction Select = %v, want %v", rows, want)
+		t.Errorf("conjunction SelectIdx = %v, want %v", rows, want)
 	}
 }
 
 func TestTableSelectMissingAttr(t *testing.T) {
 	tb := NewTable(testSource())
-	if _, err := tb.Select([]string{"salary"}, nil); err == nil {
+	if _, _, err := tb.SelectIdx([]string{"salary"}, nil); err == nil {
 		t.Error("missing projection attribute accepted")
 	}
-	if _, err := tb.Select([]string{"name"}, []Pred{{Attr: "salary", Op: OpEq, Literal: "1"}}); err == nil {
+	if _, _, err := tb.SelectIdx([]string{"name"}, []Pred{{Attr: "salary", Op: OpEq, Literal: "1"}}); err == nil {
 		t.Error("missing predicate attribute accepted")
 	}
 }
 
 func TestTableSelectNoPreds(t *testing.T) {
 	tb := NewTable(testSource())
-	rows, err := tb.Select([]string{"city"}, nil)
+	_, rows, err := tb.SelectIdx([]string{"city"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func BenchmarkTableScan(b *testing.B) {
 	preds := []Pred{{Attr: "age", Op: OpGt, Literal: "26"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tb.Select([]string{"name"}, preds); err != nil {
+		if _, _, err := tb.SelectIdx([]string{"name"}, preds); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -176,28 +176,12 @@ func intersectPostings(a, b []int) []int {
 	return out
 }
 
-// Select scans the table, returning the projection of rows satisfying all
-// predicates (a conjunction) onto the project columns, in row order. It
-// returns an error if any referenced attribute is absent from the schema —
-// callers decide whether absence means "skip this source" (as the Source
-// baseline does) or is a bug.
-func (t *Table) Select(project []string, preds []Pred) ([][]string, error) {
-	_, rows, err := t.SelectIdx(project, preds)
-	return rows, err
-}
-
-// SelectIdx is Select but additionally returns the matching row indices,
-// which the probabilistic query engine uses to identify answer
-// occurrences across alternative mappings.
+// SelectIdx scans the table, returning the matching row indices and the
+// projection of rows satisfying all predicates (a conjunction) onto the
+// project columns, in row order. It returns an error if any referenced
+// attribute is absent from the schema — callers decide whether absence
+// means "skip this source" or is a bug.
 func (t *Table) SelectIdx(project []string, preds []Pred) ([]int, [][]string, error) {
-	return t.SelectIdxCtx(context.Background(), project, preds)
-}
-
-// SelectIdxCtx is SelectIdx under a context: the scan checks for
-// cancellation every cancelCheckRows rows and returns ctx.Err() when the
-// deadline expires or the caller cancels, so an HTTP request deadline
-// actually stops the work instead of letting it run to completion.
-func (t *Table) SelectIdxCtx(ctx context.Context, project []string, preds []Pred) ([]int, [][]string, error) {
 	projIdx, err := t.Cols(project)
 	if err != nil {
 		return nil, nil, err
@@ -210,7 +194,7 @@ func (t *Table) SelectIdxCtx(ctx context.Context, project []string, preds []Pred
 	if err != nil {
 		return nil, nil, err
 	}
-	idxs, err := t.MatchCtx(ctx, nil, Compile(preds), predIdx)
+	idxs, err := t.MatchCtx(context.Background(), nil, Compile(preds), predIdx)
 	if err != nil {
 		return nil, nil, err
 	}

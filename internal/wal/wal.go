@@ -24,10 +24,13 @@
 //     followed by more bytes. No crash produces this (appends are strictly
 //     sequential), so the log is untrustworthy and Open refuses with
 //     ErrCorrupt rather than silently dropping committed history.
+//
+// A handle fails stop: after any failed write, fsync or truncate it
+// refuses every later mutation with ErrFailed, and Open, which reads
+// back what the disk holds, is the only way to resume.
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,6 +47,14 @@ import (
 // suffix of the log. Wrapped errors carry the byte offset.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
+// ErrFailed reports a handle that has failed a write, fsync or truncate.
+// After a failed fsync the kernel may already have dropped the dirty
+// pages, so a later fsync that succeeds on the same handle proves
+// nothing; the handle refuses every later Append, Reset and TruncateTo
+// with an error wrapping ErrFailed and the first cause. Reopen to
+// recover.
+var ErrFailed = errors.New("wal: log failed, reopen to recover")
+
 const (
 	headerSize = 8
 	// MaxRecord bounds a single record's payload; a declared length above
@@ -51,9 +62,16 @@ const (
 	MaxRecord = 1 << 28
 )
 
-// Record is one durable log entry. Seq, Kind and Data are caller-defined;
-// Off is the byte offset of the record's frame in the log, filled in by
-// Open for replay bookkeeping.
+// Entry is one record to append.
+type Entry struct {
+	Seq  uint64
+	Kind string
+	Data []byte
+}
+
+// Record is one decoded log entry. Seq, Kind and Data are caller-defined;
+// Off is the byte offset of the record's frame in the bytes it was
+// decoded from.
 type Record struct {
 	Seq  uint64
 	Kind string
@@ -72,96 +90,92 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// file is what the log uses of its *os.File.
+type file interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // WAL is an append-only log handle. Methods are not safe for concurrent
 // use; the serving core's single-writer commit lock provides the needed
 // serialization.
 type WAL struct {
-	f    *os.File
-	path string
+	f    file
 	opts Options
 	size int64
+	// err is the first failure, wrapping ErrFailed; once set, every
+	// mutation returns it.
+	err error
 }
 
 // Open opens (creating if needed) the log at path, validates every
 // record, truncates a torn tail left by an interrupted append, and
-// returns the surviving records in append order with the handle
-// positioned for further appends. Mid-log corruption returns ErrCorrupt.
+// returns the surviving records in append order. The file is opened
+// O_APPEND, so every write lands at its end. Mid-log corruption returns
+// ErrCorrupt.
 func Open(path string, opts Options) (*WAL, []Record, error) {
 	if opts.Obs == nil {
 		opts.Obs = obs.Default
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	recs, validEnd, err := readAll(f)
+	data, err := io.ReadAll(f)
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	recs, validEnd, err := decode(data)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: %w", err)
-	}
-	if validEnd < fi.Size() {
+	w := &WAL{f: f, opts: opts, size: validEnd}
+	if torn := int64(len(data)) - validEnd; torn > 0 {
 		// Torn tail: the frame at validEnd never became durable, so the
 		// mutation it logged was never acknowledged. Drop it.
-		if err := truncateTo(f, validEnd); err != nil {
+		if err := w.truncate(validEnd); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
 		if opts.Obs.Enabled() {
 			opts.Obs.Add("wal.replay.torn_records", 1)
-			opts.Obs.Add("wal.replay.torn_bytes", fi.Size()-validEnd)
+			opts.Obs.Add("wal.replay.torn_bytes", torn)
 		}
-	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	if opts.Obs.Enabled() {
 		opts.Obs.Add("wal.replay.records", int64(len(recs)))
 		opts.Obs.Add("wal.replay.bytes", validEnd)
 	}
-	return &WAL{f: f, path: path, opts: opts, size: validEnd}, recs, nil
+	return w, recs, nil
 }
 
-// readAll scans frames from offset 0 and returns the records up to the
-// first incomplete frame (torn tail) along with the offset where the
-// valid prefix ends. A damaged frame with data after it is ErrCorrupt.
-func readAll(f *os.File) ([]Record, int64, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
-	}
-	size := fi.Size()
-	r := bufio.NewReader(io.NewSectionReader(f, 0, size))
+// decode is the one frame decoder. It reads frames from the start of
+// data and returns the records of the longest valid prefix — each Data a
+// window into data — and the offset where that prefix ends. A frame cut
+// short by the end of data, or a final frame failing its checksum, ends
+// the prefix (a torn tail). A damaged frame with bytes after it, a
+// declared length above MaxRecord, or a payload that passes its checksum
+// but does not parse is ErrCorrupt.
+func decode(data []byte) ([]Record, int64, error) {
 	var recs []Record
-	var off int64
-	hdr := make([]byte, headerSize)
-	for off < size {
-		if size-off < headerSize {
-			break // torn tail: partial header
-		}
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return nil, 0, fmt.Errorf("wal: read at offset %d: %w", off, err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if int64(length) > MaxRecord {
+	off := 0
+	for len(data)-off >= headerSize {
+		length := binary.LittleEndian.Uint32(data[off : off+4])
+		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
+		if length > MaxRecord {
 			return nil, 0, fmt.Errorf("wal: record at offset %d declares %d bytes: %w", off, length, ErrCorrupt)
 		}
-		if size-off-headerSize < int64(length) {
+		end := off + headerSize + int(length)
+		if end > len(data) {
 			break // torn tail: partial payload
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, 0, fmt.Errorf("wal: read at offset %d: %w", off, err)
-		}
-		end := off + headerSize + int64(length)
+		payload := data[off+headerSize : end]
 		if crc32.ChecksumIEEE(payload) != sum {
-			if end == size {
+			if end == len(data) {
 				break // torn final frame: its fsync never completed
 			}
 			return nil, 0, fmt.Errorf("wal: checksum mismatch at offset %d: %w", off, ErrCorrupt)
@@ -172,11 +186,11 @@ func readAll(f *os.File) ([]Record, int64, error) {
 			// was written by something that is not this code. Refuse.
 			return nil, 0, fmt.Errorf("wal: record at offset %d: %v: %w", off, err, ErrCorrupt)
 		}
-		rec.Off = off
+		rec.Off = int64(off)
 		recs = append(recs, rec)
 		off = end
 	}
-	return recs, off, nil
+	return recs, int64(off), nil
 }
 
 func decodePayload(p []byte) (Record, error) {
@@ -188,54 +202,23 @@ func decodePayload(p []byte) (Record, error) {
 	if len(p) < 9+kl {
 		return Record{}, errors.New("kind overruns payload")
 	}
-	return Record{
-		Seq:  seq,
-		Kind: string(p[9 : 9+kl]),
-		Data: append([]byte(nil), p[9+kl:]...),
-	}, nil
-}
-
-// EncodeFrame appends one record to buf in the on-disk frame layout —
-// the exact bytes Append would write. It is the wire format of the WAL
-// shipping endpoint (/v1/wal): replicas receive frames bit-identical to
-// the primary's log and validate them with the same CRC.
-func EncodeFrame(buf []byte, seq uint64, kind string, data []byte) []byte {
-	return appendFrame(buf, seq, kind, data)
+	return Record{Seq: seq, Kind: string(p[9 : 9+kl]), Data: p[9+kl : len(p) : len(p)]}, nil
 }
 
 // ReadFrames decodes a stream of frames (the /v1/wal response body) into
-// records. Unlike Open it tolerates no damage at all: a shipped tail is
-// complete by construction, so a partial trailing frame or a checksum
-// failure anywhere means the transport mangled the stream and the whole
-// batch is rejected with ErrCorrupt — a replica must never apply a
-// prefix of a fetch it cannot fully validate.
+// records whose Data are windows into data. Unlike Open it tolerates no
+// damage at all: a shipped tail is complete by construction, so a
+// partial trailing frame or a checksum failure anywhere means the
+// transport mangled the stream and the whole batch is rejected with
+// ErrCorrupt — a replica must never apply a prefix of a fetch it cannot
+// fully validate.
 func ReadFrames(data []byte) ([]Record, error) {
-	var recs []Record
-	var off int64
-	size := int64(len(data))
-	for off < size {
-		if size-off < headerSize {
-			return nil, fmt.Errorf("wal: truncated frame header at offset %d: %w", off, ErrCorrupt)
-		}
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if int64(length) > MaxRecord {
-			return nil, fmt.Errorf("wal: frame at offset %d declares %d bytes: %w", off, length, ErrCorrupt)
-		}
-		if size-off-headerSize < int64(length) {
-			return nil, fmt.Errorf("wal: truncated frame payload at offset %d: %w", off, ErrCorrupt)
-		}
-		payload := data[off+headerSize : off+headerSize+int64(length)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("wal: checksum mismatch at offset %d: %w", off, ErrCorrupt)
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return nil, fmt.Errorf("wal: frame at offset %d: %v: %w", off, err, ErrCorrupt)
-		}
-		rec.Off = off
-		recs = append(recs, rec)
-		off += headerSize + int64(length)
+	recs, validEnd, err := decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if validEnd != int64(len(data)) {
+		return nil, fmt.Errorf("wal: frame at offset %d is incomplete or fails its checksum: %w", validEnd, ErrCorrupt)
 	}
 	return recs, nil
 }
@@ -255,33 +238,17 @@ func appendFrame(buf []byte, seq uint64, kind string, data []byte) []byte {
 	return append(buf, payload...)
 }
 
-// Append durably logs one record: the whole frame is written with a
-// single write and fsync'd (unless Options.NoSync) before Append
-// returns. On a write or sync failure the file is truncated back to the
-// last good frame so a later append cannot follow garbage.
-func (w *WAL) Append(seq uint64, kind string, data []byte) error {
-	if len(kind) > 255 {
-		return fmt.Errorf("wal: kind %q longer than 255 bytes", kind)
+// Append durably logs the entries under a single write and a single
+// fsync (unless Options.NoSync) — the group-commit barrier amortized
+// across them. Each entry becomes an ordinary frame, so replay needs no
+// batch awareness: a crash mid-append leaves at most a torn final frame
+// (which Open truncates) after a clean prefix of the entries — never an
+// interleaving or a gap. A failed write or fsync truncates back to the
+// last good frame and fails the handle (ErrFailed).
+func (w *WAL) Append(entries ...Entry) error {
+	if w.err != nil {
+		return w.err
 	}
-	return w.write(appendFrame(nil, seq, kind, data), 1)
-}
-
-// BatchEntry is one record of an AppendBatch group commit.
-type BatchEntry struct {
-	Seq  uint64
-	Kind string
-	Data []byte
-}
-
-// AppendBatch durably logs every entry under a single write and a single
-// fsync — the group-commit barrier amortized across the batch. Each entry
-// becomes an ordinary frame, indistinguishable on replay from one written
-// by Append, so recovery needs no batch-aware format. On success the
-// whole batch is durable; on a write or sync failure the file is
-// truncated back to the last good frame, and a crash mid-append leaves at
-// most a torn final frame (which Open truncates) after a clean prefix of
-// the batch's frames — never an interleaving or a gap.
-func (w *WAL) AppendBatch(entries []BatchEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
@@ -292,37 +259,24 @@ func (w *WAL) AppendBatch(entries []BatchEntry) error {
 		}
 		buf = appendFrame(buf, e.Seq, e.Kind, e.Data)
 	}
-	if err := w.write(buf, len(entries)); err != nil {
-		return err
-	}
-	if w.opts.Obs.Enabled() {
-		w.opts.Obs.Add("wal.append.batches", 1)
-		w.opts.Obs.Observe("wal.append.batch_records", float64(len(entries)))
-	}
-	return nil
-}
-
-// write lands a buffer of n already-framed records with one write call
-// and one fsync, maintaining the valid-size watermark.
-func (w *WAL) write(buf []byte, n int) error {
 	t0 := time.Now()
 	if _, err := w.f.Write(buf); err != nil {
-		_ = truncateTo(w.f, w.size)
-		return fmt.Errorf("wal: append: %w", err)
+		return w.fail(fmt.Errorf("wal: append: %w", err))
 	}
 	if !w.opts.NoSync {
 		ts := time.Now()
 		if err := w.f.Sync(); err != nil {
-			_ = truncateTo(w.f, w.size)
-			return fmt.Errorf("wal: fsync: %w", err)
+			return w.fail(fmt.Errorf("wal: fsync: %w", err))
 		}
 		w.opts.Obs.Observe("wal.fsync_seconds", time.Since(ts).Seconds())
 	}
 	w.size += int64(len(buf))
-	if w.opts.Obs.Enabled() {
-		w.opts.Obs.Add("wal.append.records", int64(n))
-		w.opts.Obs.Add("wal.append.bytes", int64(len(buf)))
-		w.opts.Obs.Observe("wal.append.seconds", time.Since(t0).Seconds())
+	if r := w.opts.Obs; r.Enabled() {
+		r.Add("wal.append.records", int64(len(entries)))
+		r.Add("wal.append.bytes", int64(len(buf)))
+		r.Observe("wal.append.seconds", time.Since(t0).Seconds())
+		r.Add("wal.append.batches", 1)
+		r.Observe("wal.append.batch_records", float64(len(entries)))
 	}
 	return nil
 }
@@ -336,36 +290,31 @@ func (w *WAL) Reset() error { return w.truncate(0) }
 func (w *WAL) TruncateTo(off int64) error { return w.truncate(off) }
 
 func (w *WAL) truncate(off int64) error {
-	if err := truncateTo(w.f, off); err != nil {
-		return err
+	if w.err != nil {
+		return w.err
 	}
-	if _, err := w.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if err := w.f.Truncate(off); err != nil {
+		return w.fail(fmt.Errorf("wal: truncate: %w", err))
 	}
 	w.size = off
+	if err := w.f.Sync(); err != nil {
+		return w.fail(fmt.Errorf("wal: fsync: %w", err))
+	}
 	return nil
 }
 
-func truncateTo(f *os.File, off int64) error {
-	if err := f.Truncate(off); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
+// fail drops, best effort, whatever the failed call left past the last
+// good frame, then makes cause the handle's terminal error.
+func (w *WAL) fail(cause error) error {
+	if w.f.Truncate(w.size) == nil {
+		_ = w.f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	return nil
+	w.err = fmt.Errorf("%w: %w", ErrFailed, cause)
+	return w.err
 }
 
 // Size returns the byte length of the valid log.
 func (w *WAL) Size() int64 { return w.size }
-
-// Sync forces an fsync (used by NoSync callers at barriers).
-func (w *WAL) Sync() error {
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	return nil
-}
 
 // Close closes the underlying file.
 func (w *WAL) Close() error {

@@ -31,7 +31,7 @@ func writeLog(t *testing.T, path string, recs []Record) {
 		t.Fatalf("fresh log holds %d records", len(got))
 	}
 	for _, r := range recs {
-		if err := w.Append(r.Seq, r.Kind, r.Data); err != nil {
+		if err := w.Append(Entry{r.Seq, r.Kind, r.Data}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestAppendReopen(t *testing.T) {
 		}
 	}
 	// Appending after reopen keeps the log readable.
-	if err := w.Append(6, "feedback", []byte("x")); err != nil {
+	if err := w.Append(Entry{6, "feedback", []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -226,7 +226,7 @@ func TestResetAndTruncateTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := w.Append(r.Seq, r.Kind, r.Data); err != nil {
+		if err := w.Append(Entry{r.Seq, r.Kind, r.Data}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +240,7 @@ func TestResetAndTruncateTo(t *testing.T) {
 	if err := w.TruncateTo(got[len(got)-1].Off); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(99, "feedback", nil); err != nil {
+	if err := w.Append(Entry{99, "feedback", nil}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -276,7 +276,7 @@ func TestAppendMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(1, "feedback", []byte("data")); err != nil {
+	if err := w.Append(Entry{1, "feedback", []byte("data")}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -303,10 +303,10 @@ func TestAppendMetrics(t *testing.T) {
 	}
 }
 
-// TestAppendBatchRoundTrip: records landed by AppendBatch must be
-// indistinguishable on replay from records landed by Append — same
-// frames, same offsets discipline — and the two can interleave freely in
-// one log.
+// TestAppendBatchRoundTrip: records landed by one multi-entry Append
+// must be indistinguishable on replay from records landed one per Append
+// — same frames, same offsets discipline — and the two can interleave
+// freely in one log.
 func TestAppendBatchRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	recs := testRecords()
@@ -314,20 +314,20 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(recs[0].Seq, recs[0].Kind, recs[0].Data); err != nil {
+	if err := w.Append(Entry{recs[0].Seq, recs[0].Kind, recs[0].Data}); err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]BatchEntry, 0, 3)
+	batch := make([]Entry, 0, 3)
 	for _, r := range recs[1:4] {
-		batch = append(batch, BatchEntry{Seq: r.Seq, Kind: r.Kind, Data: r.Data})
+		batch = append(batch, Entry{Seq: r.Seq, Kind: r.Kind, Data: r.Data})
 	}
-	if err := w.AppendBatch(batch); err != nil {
+	if err := w.Append(batch...); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch(nil); err != nil { // empty batch is a no-op
+	if err := w.Append(); err != nil { // empty batch is a no-op
 		t.Fatal(err)
 	}
-	if err := w.Append(recs[4].Seq, recs[4].Kind, recs[4].Data); err != nil {
+	if err := w.Append(Entry{recs[4].Seq, recs[4].Kind, recs[4].Data}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -338,12 +338,12 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	}
 	defer w2.Close()
 	if !sameRecords(got, recs) {
-		t.Fatalf("reopen after AppendBatch: got %+v want %+v", got, recs)
+		t.Fatalf("reopen after a batched Append: got %+v want %+v", got, recs)
 	}
 }
 
 // TestKillAtEveryByteOffsetBatched extends the crash matrix to batched
-// appends: a log written entirely by one AppendBatch, truncated at every
+// appends: a log written entirely by one Append, truncated at every
 // byte offset, must recover a clean prefix of the batch's records — the
 // torn frame dropped, every earlier frame intact, never an error.
 func TestKillAtEveryByteOffsetBatched(t *testing.T) {
@@ -354,11 +354,11 @@ func TestKillAtEveryByteOffsetBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]BatchEntry, len(recs))
+	batch := make([]Entry, len(recs))
 	for i, r := range recs {
-		batch[i] = BatchEntry{Seq: r.Seq, Kind: r.Kind, Data: r.Data}
+		batch[i] = Entry{Seq: r.Seq, Kind: r.Kind, Data: r.Data}
 	}
-	if err := w.AppendBatch(batch); err != nil {
+	if err := w.Append(batch...); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -413,11 +413,11 @@ func TestAppendBatchMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	err = w.AppendBatch([]BatchEntry{
+	err = w.Append([]Entry{
 		{Seq: 1, Kind: "feedback", Data: []byte("a")},
 		{Seq: 2, Kind: "feedback", Data: []byte("b")},
 		{Seq: 3, Kind: "feedback", Data: []byte("c")},
-	})
+	}...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,5 +430,107 @@ func TestAppendBatchMetrics(t *testing.T) {
 	}
 	if got := snap.Histograms["wal.fsync_seconds"].Count; got != 1 {
 		t.Errorf("wal.fsync_seconds count = %d, want 1 (one barrier for the batch)", got)
+	}
+}
+
+// faultFile fails the next Write (after landing its first short bytes)
+// or the next Sync with the error it is armed with, once; every other
+// call goes to the real file.
+type faultFile struct {
+	file
+	writeErr, syncErr error
+	short             int
+}
+
+func (f *faultFile) Write(p []byte) (int, error) {
+	if err := f.writeErr; err != nil {
+		f.writeErr = nil
+		n, _ := f.file.Write(p[:f.short])
+		return n, err
+	}
+	return f.file.Write(p)
+}
+
+func (f *faultFile) Sync() error {
+	if err := f.syncErr; err != nil {
+		f.syncErr = nil
+		return err
+	}
+	return f.file.Sync()
+}
+
+// TestFailStop: a short write and a failed fsync each leave the file at
+// the last acknowledged frame, with Size() equal to its length; the
+// handle then refuses every later mutation with ErrFailed wrapping the
+// first cause; and a reopen returns exactly the acknowledged records.
+func TestFailStop(t *testing.T) {
+	efbig, eio := errors.New("file too large"), errors.New("input/output error")
+	for _, tc := range []struct {
+		name  string
+		fault *faultFile
+		cause error
+	}{
+		{"short write", &faultFile{writeErr: efbig, short: 11}, efbig},
+		{"failed fsync", &faultFile{syncErr: eio}, eio},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			recs := testRecords()
+			w, _, err := Open(path, Options{Obs: obs.Disabled})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Append(Entry{recs[0].Seq, recs[0].Kind, recs[0].Data}); err != nil {
+				t.Fatal(err)
+			}
+			tc.fault.file = w.f
+			w.f = tc.fault
+			err = w.Append(Entry{recs[1].Seq, recs[1].Kind, recs[1].Data})
+			if !errors.Is(err, ErrFailed) || !errors.Is(err, tc.cause) {
+				t.Fatalf("faulted append: err = %v, want ErrFailed wrapping %v", err, tc.cause)
+			}
+			checkSize := func(when string) {
+				t.Helper()
+				fi, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w.Size() != fi.Size() {
+					t.Fatalf("%s: Size() = %d, the file is %d bytes", when, w.Size(), fi.Size())
+				}
+			}
+			checkSize("after the fault")
+			for name, mutate := range map[string]func() error{
+				"Append":     func() error { return w.Append(Entry{recs[2].Seq, recs[2].Kind, recs[2].Data}) },
+				"Append()":   func() error { return w.Append() },
+				"Reset":      w.Reset,
+				"TruncateTo": func() error { return w.TruncateTo(0) },
+			} {
+				if err := mutate(); !errors.Is(err, ErrFailed) || !errors.Is(err, tc.cause) {
+					t.Errorf("%s after the fault: err = %v, want ErrFailed wrapping %v", name, err, tc.cause)
+				}
+				checkSize(name + " after the fault")
+			}
+			w.Close()
+			w2, got, err := Open(path, Options{Obs: obs.Disabled})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer w2.Close()
+			if !sameRecords(got, recs[:1]) {
+				t.Fatalf("reopen recovered %d records, want the 1 acknowledged", len(got))
+			}
+			// The reopened handle appends again, right after the last
+			// acknowledged frame.
+			if err := w2.Append(Entry{recs[2].Seq, recs[2].Kind, recs[2].Data}); err != nil {
+				t.Fatal(err)
+			}
+			w2.Close()
+			_, got, err = Open(path, Options{Obs: obs.Disabled})
+			if err != nil || !sameRecords(got, []Record{recs[0], recs[2]}) {
+				t.Fatalf("after reopen and append: %d records, err %v", len(got), err)
+			}
+		})
 	}
 }
